@@ -93,6 +93,8 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {STATE_NORM_TOL:g}")

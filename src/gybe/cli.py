@@ -40,6 +40,11 @@ DEFAULT_EQUIV_TOL = 1e-9
 DEFAULT_SEARCH_TOL = 1e-11
 
 
+def _json(data) -> str:
+    """Strict JSON: a non-finite number raises instead of printing NaN."""
+    return json.dumps(data, allow_nan=False)
+
+
 def _parse_complex_pair(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
@@ -91,7 +96,7 @@ def _print_matrix(m: np.ndarray) -> None:
 
 def _emit_report(report: CheckReport, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(report.to_json_dict()))
+        print(_json(report.to_json_dict()))
     else:
         verdict = "passed" if report.passed else "FAILED"
         extra = " (vacuous)" if report.vacuous else ""
@@ -118,7 +123,7 @@ def cmd_family(args) -> int:
     else:
         raise ValueError("pass --theta <radians> or both --alpha and --beta")
     if args.json:
-        print(json.dumps(linalg.matrix_to_json_dict(r.matrix)))
+        print(_json(linalg.matrix_to_json_dict(r.matrix)))
     else:
         print(r.label)
         _print_matrix(r.matrix)
@@ -140,7 +145,7 @@ def cmd_classify(args) -> int:
     category = classify_unitary_params(omega, gamma, delta)
     if args.json:
         print(
-            json.dumps(
+            _json(
                 {
                     "category": category,
                     "omega": [omega.real, omega.imag],
@@ -176,10 +181,10 @@ def cmd_equiv(args) -> int:
         source, target, restarts=args.restarts or 8, seed=args.seed or 0, tol=tol
     )
     if witness is None:
-        print("none" if not args.json else json.dumps(None))
+        print("none" if not args.json else _json(None))
         return 1
     if args.json:
-        print(json.dumps(witness.to_json_dict()))
+        print(_json(witness.to_json_dict()))
     else:
         steps = ", ".join(op.kind for op in witness.ops)
         print(f"witness [{steps}] residual {witness.residual:.3e}")
@@ -197,18 +202,18 @@ def cmd_braid(args) -> int:
         diff = linalg.max_abs_diff(evaluate_word(rep, word), evaluate_word(rep, other))
         tol = args.tol if args.tol is not None else 1e-12
         if args.json:
-            print(json.dumps({"max_difference": diff, "tolerance": tol, "equal": diff <= tol}))
+            print(_json({"max_difference": diff, "tolerance": tol, "equal": diff <= tol}))
         else:
             print(f"max entry difference {diff:.3e}")
         return 0 if diff <= tol else 1
     if args.state is not None:
         amps = linalg.matrix_from_json(_read_text(args.state)).reshape(-1)
         out = apply_to_state(rep, word, StateVector(amps))
-        print(json.dumps(linalg.matrix_to_json_dict(out.amplitudes.reshape(-1, 1))))
+        print(_json(linalg.matrix_to_json_dict(out.amplitudes.reshape(-1, 1))))
         return 0
     matrix = evaluate_word(rep, word)
     if args.json:
-        print(json.dumps(linalg.matrix_to_json_dict(matrix)))
+        print(_json(linalg.matrix_to_json_dict(matrix)))
     else:
         _print_matrix(matrix)
     return 0
@@ -228,7 +233,7 @@ def cmd_search(args) -> int:
     )
     result = solve_pattern(pattern, signature, config)
     if args.json:
-        print(json.dumps(result.to_json_list()))
+        print(_json(result.to_json_list()))
     else:
         print(
             f"{len(result.solutions)} solution class(es); "
@@ -245,7 +250,7 @@ def cmd_registry(args) -> int:
         r = resolve_solution(name)
         entries.append({"id": name, "signature": str(r.signature), "size": r.size})
     if args.json:
-        print(json.dumps(entries))
+        print(_json(entries))
     else:
         for e in entries:
             print(f"{e['id']:8s} {e['signature']} {e['size']}x{e['size']}")

@@ -62,8 +62,9 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 class RMatrix:
     """A candidate or verified solution, tagged with its signature.
 
-    Construction validates shape against the signature and invertibility at
-    the global pivot threshold.  The stored matrix is an immutable copy.
+    Construction validates shape against the signature, finiteness of every
+    entry, and invertibility at the global pivot threshold.  The stored
+    matrix is an immutable copy.
     """
 
     signature: GybeSignature
@@ -74,6 +75,8 @@ class RMatrix:
         m = _freeze(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("an R-matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("an R-matrix must have finite entries")
         if m.shape[0] != self.signature.matrix_size:
             raise ValueError(
                 f"matrix side {m.shape[0]} does not match signature "
@@ -135,8 +138,23 @@ def _report(residuals: list[float], tol: float, vacuous: bool = False) -> CheckR
     )
 
 
-def gybe_residual(matrix: np.ndarray, signature: GybeSignature) -> float:
-    """max-abs entry of L S L - S L S for L = R ⊗ I^l, S = I^l ⊗ R."""
+def lift_pair(m: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lifts L = R ⊗ I_pad and S = I_pad ⊗ R, built by broadcasting.
+
+    ``m`` may carry leading batch axes; the lifts keep them, so a stack of
+    directions lifts in one call.
+    """
+    n = m.shape[-1]
+    eye = np.eye(pad)
+    batch = m.shape[:-2]
+    left = m[..., :, None, :, None] * eye[None, :, None, :]
+    right = eye[:, None, :, None] * m[..., None, :, None, :]
+    side = n * pad
+    return left.reshape(*batch, side, side), right.reshape(*batch, side, side)
+
+
+def lifted_difference(matrix: np.ndarray, signature: GybeSignature) -> np.ndarray:
+    """L S L - S L S for L = R ⊗ I^l, S = I^l ⊗ R; zero exactly on solutions."""
     m = linalg.as_matrix(matrix)
     if m.shape[0] != signature.matrix_size:
         raise ValueError(
@@ -144,12 +162,13 @@ def gybe_residual(matrix: np.ndarray, signature: GybeSignature) -> float:
         )
     if signature.lifted_size > MAX_MATRIX_SIDE:
         raise ValueError("lifted dimension exceeds the dense-arithmetic cap")
-    pad = linalg.identity(signature.d**signature.l)
-    lifted_left = linalg.kron(m, pad)
-    lifted_right = linalg.kron(pad, m)
-    lhs = lifted_left @ lifted_right @ lifted_left
-    rhs = lifted_right @ lifted_left @ lifted_right
-    return linalg.max_abs_diff(lhs, rhs)
+    left, right = lift_pair(m, signature.d**signature.l)
+    return left @ right @ left - right @ left @ right
+
+
+def gybe_residual(matrix: np.ndarray, signature: GybeSignature) -> float:
+    """max-abs entry of L S L - S L S for L = R ⊗ I^l, S = I^l ⊗ R."""
+    return linalg.max_abs(lifted_difference(matrix, signature))
 
 
 def check_gybe(r: RMatrix, tol: float = linalg.DEFAULT_TOL) -> CheckReport:

@@ -256,6 +256,8 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError("matrix JSON entries must be [re, im] pairs")
         flat[idx] = complex(float(pair[0]), float(pair[1]))
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("matrix JSON entries must be finite")
     return flat.reshape(rows, cols)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .core import GybeSignature, RMatrix, gybe_residual
+from .core import GybeSignature, RMatrix, gybe_residual, lift_pair, lifted_difference
 from .optimize import damped_least_squares
 from .solutions import split_blocks
 
@@ -175,9 +175,11 @@ class _Parameterization:
             counts = pattern.mask.sum(axis=1)
             self.scales = 1.0 / np.sqrt(np.maximum(counts[self.rows], 1))
             self.n_params = self.rows.size
+            self.entries = np.arange(self.rows.size)
         else:
             self.scales = None
             self.n_params = 2 * self.rows.size
+            self.entries = np.repeat(np.arange(self.rows.size), 2)
 
     def build(self, x: np.ndarray) -> np.ndarray:
         m = np.zeros((self.pattern.size, self.pattern.size), dtype=np.complex128)
@@ -186,6 +188,15 @@ class _Parameterization:
         else:
             m[self.rows, self.cols] = x[0::2] + 1j * x[1::2]
         return m
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """d(entry)/d(parameter) for each parameter, at ``x``.
+
+        Parameter j moves only entry ``entries[j]``, by this complex factor.
+        """
+        if self.kind == "unit-modulus":
+            return 1j * self.scales * np.exp(1j * x)
+        return np.tile([1.0, 1.0j], self.rows.size)
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "unit-modulus":
@@ -210,14 +221,64 @@ class _Parameterization:
 
 
 def _combined_residual_vector(m: np.ndarray, signature: GybeSignature) -> np.ndarray:
-    pad = linalg.identity(signature.d**signature.l)
-    lifted_left = linalg.kron(m, pad)
-    lifted_right = linalg.kron(pad, m)
-    eq = lifted_left @ lifted_right @ lifted_left - lifted_right @ lifted_left @ lifted_right
+    eq = lifted_difference(m, signature)
     uni = m @ linalg.dagger(m) - linalg.identity(m.shape[0])
     return np.concatenate(
         [eq.real.ravel(), eq.imag.ravel(), uni.real.ravel(), uni.imag.ravel()]
     )
+
+
+class _PatternResidual:
+    """The search residual over a parameterization, with its exact Jacobian.
+
+    The equation part F = LSL - SLS is holomorphic in R, so its derivative
+    along the entry basis matrix E_k is dF_k = dL·S·L + L·dS·L + L·S·dL
+    - dS·L·S - S·dL·S - S·L·dS with dL = E_k ⊗ I^l, dS = I^l ⊗ E_k.  The
+    unitarity part U = RR† - I has derivative c·A_k + conj(c)·A_k† with
+    A_k = E_k R†.  Parameter j moves entry k by the complex factor c_j, so
+    its column is c_j times the entry derivatives.  The lifted basis is
+    built once and reused at every point.
+    """
+
+    def __init__(self, param: _Parameterization, signature: GybeSignature):
+        self.param = param
+        self.signature = signature
+        self.pad = signature.d**signature.l
+        count, n = param.rows.size, param.pattern.size
+        basis = np.zeros((count, n, n), dtype=np.complex128)
+        basis[np.arange(count), param.rows, param.cols] = 1.0
+        self.basis = basis
+        self.basis_left, self.basis_right = lift_pair(basis, self.pad)
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        return _combined_residual_vector(self.param.build(x), self.signature)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        m = self.param.build(x)
+        left, right = lift_pair(m, self.pad)
+        lr, rl = left @ right, right @ left
+        dl, ds = self.basis_left, self.basis_right
+        d_eq = (
+            dl @ rl + left @ ds @ left + lr @ dl
+            - ds @ lr - right @ dl @ right - rl @ ds
+        )
+        d_uni = self.basis @ linalg.dagger(m)
+        c = self.param.coefficients(x)[:, None, None]
+        entries = self.param.entries
+        d_eq = c * d_eq[entries]
+        d_uni = c * d_uni[entries]
+        d_uni = d_uni + d_uni.conj().transpose(0, 2, 1)
+        count = entries.size
+        columns = np.concatenate(
+            [
+                d_eq.real.reshape(count, -1),
+                d_eq.imag.reshape(count, -1),
+                d_uni.real.reshape(count, -1),
+                d_uni.imag.reshape(count, -1),
+            ],
+            axis=1,
+        )
+        return columns.T
 
 
 def gybe_objective(
@@ -295,10 +356,8 @@ def solve_pattern(
     if pattern.size > 16:
         raise ValueError("pattern search is scoped to sizes up to 16")
     param = _Parameterization(pattern, config.parameterization)
+    problem = _PatternResidual(param, signature)
     objective_tol = config.tolerance**2
-
-    def residual_vec(x: np.ndarray) -> np.ndarray:
-        return _combined_residual_vector(param.build(x), signature)
 
     solutions: list[FoundSolution] = []
     traces: list[tuple[float, ...]] = []
@@ -312,14 +371,16 @@ def solve_pattern(
             rng = np.random.default_rng([config.seed, restart])
             x0 = param.initial(rng)
         fit = damped_least_squares(
-            residual_vec,
+            problem.residual,
             x0,
+            jacobian_fn=problem.jacobian,
             objective_tol=objective_tol,
             max_iterations=config.max_iterations,
         )
         traces.append(fit.trace)
         best_objective = min(best_objective, fit.objective)
-        if fit.objective > objective_tol:
+        # Both gates are written so that a NaN fails them.
+        if not fit.objective <= objective_tol:
             continue
         candidate = param.build(fit.x)
         try:
@@ -330,7 +391,7 @@ def solve_pattern(
             gybe_residual(candidate, signature),
             linalg.unitarity_residual(candidate),
         )
-        if residual > 10.0 * config.tolerance:
+        if not residual <= 10.0 * config.tolerance:
             continue
         key = dedup_key(candidate)
         dedup_counts[key] = dedup_counts.get(key, 0) + 1

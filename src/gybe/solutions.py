@@ -519,10 +519,3 @@ def resolve_solution(solution_id: str) -> RMatrix:
         beta = complex(float(m.group(4)), float(m.group(5)))
         return general_solution(int(m.group(1)), alpha, beta)
     raise KeyError(f"unknown solution id: {solution_id!r}")
-
-
-def registry_231_ids() -> tuple[str, ...]:
-    """Named registry entries whose signature is (2,3,1)."""
-    return tuple(
-        name for name in _NAMED_BUILDERS if name != "xshape"
-    )

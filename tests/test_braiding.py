@@ -65,6 +65,8 @@ def test_state_vector_validation():
     assert s.amplitudes[2] == 1.0
     with pytest.raises(ValueError):
         StateVector.basis_state(4, 4)
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(np.array([1.0, np.nan]))
 
 
 def test_build_rep_zeta_three_strands():

@@ -64,6 +64,20 @@ def test_verify_malformed_input(tmp_path, capsys):
     assert err.strip().startswith("error:")
 
 
+def test_non_finite_input_is_input_error(tmp_path, capsys):
+    m = linalg.identity(8)
+    m[0, 0] = np.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(linalg.matrix_to_json_dict(m)))
+    code, out, err = run_cli(capsys, "verify", "--matrix", str(path), "--json")
+    assert code == 2 and out == ""
+    assert "finite" in err
+    # A NaN reaching the JSON writer is an error, never a non-standard token.
+    code, out, err = run_cli(capsys, "verify", "--solution", "rowell", "--tol", "nan", "--json")
+    assert code == 2 and out == ""
+    assert err.strip().startswith("error:")
+
+
 def test_unknown_solution_id(capsys):
     code, _, err = run_cli(capsys, "verify", "--solution", "mystery")
     assert code == 2

@@ -15,6 +15,8 @@ from gybe.core import (
     double_lift_check,
     far_commutativity_indices,
     gybe_residual,
+    lift_pair,
+    lifted_difference,
     ybe_summation_residual,
 )
 from gybe.equivalence import GaugeOp, apply_gauge
@@ -23,6 +25,7 @@ from gybe.solutions import (
     assemble_quadrant,
     base_solution,
     family_solution,
+    registry_ids,
     resolve_solution,
     rowell_solution,
     split_blocks,
@@ -46,6 +49,11 @@ def test_rmatrix_validates_shape_and_invertibility():
         RMatrix(GybeSignature(2, 3, 1), linalg.identity(4))
     with pytest.raises(linalg.SingularMatrixError):
         RMatrix(GybeSignature(2, 1, 1), np.zeros((2, 2)))
+    for bad in (np.nan, np.inf):
+        m = linalg.identity(8)
+        m[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RMatrix(GybeSignature(2, 3, 1), m)
 
 
 def test_rmatrix_is_immutable():
@@ -101,6 +109,23 @@ def test_check_ybe_zeta_block_fails():
 def test_check_ybe_rejects_non_square_dimension():
     with pytest.raises(ValueError):
         check_ybe(linalg.identity(6))
+
+
+def test_lifted_residual_matches_kron_reference():
+    rng = np.random.default_rng(17)
+    for name in registry_ids():
+        r = resolve_solution(name)
+        sig = r.signature
+        pad = np.eye(sig.d**sig.l)
+        # The solution itself, and a perturbation far from any solution.
+        for m in (r.matrix, r.matrix + 0.1 * rng.standard_normal(r.matrix.shape)):
+            left, right = np.kron(m, pad), np.kron(pad, m)
+            reference = left @ right @ left - right @ left @ right
+            lifted_left, lifted_right = lift_pair(m, sig.d**sig.l)
+            np.testing.assert_array_equal(lifted_left, left)
+            np.testing.assert_array_equal(lifted_right, right)
+            np.testing.assert_allclose(lifted_difference(m, sig), reference, rtol=0, atol=1e-14)
+            assert abs(gybe_residual(m, sig) - linalg.max_abs(reference)) <= 1e-14
 
 
 def test_summation_form_agrees_with_lifted_products():

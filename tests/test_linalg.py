@@ -267,3 +267,6 @@ def test_matrix_from_json_rejects_malformed():
         linalg.matrix_from_json('{"rows": 1, "cols": 1, "entries": [[1, 0, 0]]}')
     with pytest.raises(ValueError):
         linalg.matrix_from_json('{"cols": 1, "entries": [[1, 0]]}')
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match="finite"):
+            linalg.matrix_from_json(f'{{"rows": 1, "cols": 2, "entries": [[1, 0], [0, {bad}]]}}')

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gybe import linalg
 from gybe.core import GybeSignature, check_gybe
+from gybe.optimize import _jacobian
 from gybe.search import (
+    PARAMETERIZATIONS,
     SearchConfig,
     ZeroPattern,
+    _Parameterization,
+    _PatternResidual,
     dedup_key,
     gybe_objective,
     load_pattern_text,
@@ -160,6 +166,40 @@ def test_search_seeded_at_exact_solution_converges_immediately():
     assert len(result.solutions) == 1
     assert result.solutions[0].objective <= 1e-22
     assert result.traces[0][0] <= 1e-22  # already below tolerance at the start
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    signature=st.sampled_from(
+        [GybeSignature(2, 2, 1), GybeSignature(2, 3, 1), GybeSignature(3, 2, 1), GybeSignature(2, 3, 2)]
+    ),
+    kind=st.sampled_from(PARAMETERIZATIONS),
+    named_pattern=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_jacobian_matches_central_differences(signature, kind, named_pattern, seed):
+    rng = np.random.default_rng(seed)
+    n = signature.matrix_size
+    if named_pattern and signature == SIG:
+        pattern = rowell_pattern()
+    else:
+        mask = rng.random((n, n)) < 0.5
+        mask[rng.integers(n), rng.integers(n)] = True
+        pattern = ZeroPattern(n, mask)
+    param = _Parameterization(pattern, kind)
+    problem = _PatternResidual(param, signature)
+    x = param.initial(rng)
+    exact = problem.jacobian(x)
+    numeric = _jacobian(problem.residual, x, problem.residual(x).size)
+    assert exact.shape == numeric.shape == (numeric.shape[0], param.n_params)
+    assert linalg.max_abs(exact - numeric) <= 1e-6 * linalg.max_abs(exact)
+
+
+def test_non_finite_start_is_not_certified():
+    config = SearchConfig(tolerance=1e-11, restarts=2, seed=0, max_iterations=20)
+    result = solve_pattern(rowell_pattern(), SIG, config, initial=np.full((8, 8), np.nan))
+    assert np.isnan(result.traces[0][0]) and len(result.traces[0]) == 1
+    assert all(f.restart_index != 0 for f in result.solutions)
 
 
 def test_dedup_key_ignores_global_phase():
