@@ -2,9 +2,12 @@
 
 A (d, m, l) solution R assigns to the i-th generator of the n-strand braid
 group the matrix I^(l(i-1)) ⊗ R ⊗ I^(l(n-i-1)) on d^(m+(n-2)l) dimensions.
-The braid relation holds because of the generalized Yang-Baxter equation;
-far commutativity must be checked and is verified here at construction
-time, together with every braid relation.
+Every relation of the presentation is one of finitely many local ones
+padded with identities: σ_i σ_{i+1} σ_i = σ_{i+1} σ_i σ_{i+1} is the
+generalized Yang-Baxter equation, σ_i σ_j = σ_j σ_i with overlapping
+supports is the (1, j-i+1) far-commutativity pair, and generators with
+disjoint supports commute exactly.  So construction checks those local
+relations once, at a cost independent of n.
 
 Word convention: a braid word is evaluated left to right into a matrix
 product, rho(w1 w2 ... wk) = rho(w1) rho(w2) ... rho(wk).  Applied to a
@@ -20,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import RMatrix, braid_generator_matrix
+from .core import (
+    MAX_MATRIX_SIDE,
+    RMatrix,
+    braid_generator_matrix,
+    far_commutativity_indices,
+    far_commutativity_residual,
+    gybe_residual,
+)
 
 STATE_NORM_TOL = 1e-10
 
@@ -116,75 +126,105 @@ class StateVector:
 
 @dataclass(frozen=True)
 class BraidRep:
-    """A verified representation: cached generator matrices for one (R, n)."""
+    """A verified representation of the n-strand braid group.
+
+    Keeps only the local R and its inverse (R† when R is unitary); words
+    act by contracting them into the touched tensor factors, and the dense
+    generator images are built only when asked for.
+    """
 
     r: RMatrix
     n: int
     dim: int
-    generators: tuple[np.ndarray, ...]
-    inverse_generators: tuple[np.ndarray, ...]
+    inverse: RMatrix
     tolerance: float
 
-    def generator(self, i: int) -> np.ndarray:
-        """Matrix of sigma_i for positive i, of its inverse for negative i."""
+    def _letter(self, i: int) -> tuple[RMatrix, int, int]:
+        """Local matrix of sigma_i (of its inverse for negative i) and the
+        identity sizes to its left and right."""
         if i == 0 or not 1 <= abs(i) <= self.n - 1:
             raise ValueError(f"generator index {i} out of range for {self.n} strands")
-        return self.generators[i - 1] if i > 0 else self.inverse_generators[-i - 1]
+        sig = self.r.signature
+        left = sig.d ** (sig.l * (abs(i) - 1))
+        right = sig.d ** (sig.l * (self.n - abs(i) - 1))
+        return (self.r if i > 0 else self.inverse), left, right
+
+    def generator(self, i: int) -> np.ndarray:
+        """Dense matrix of sigma_i for positive i, of its inverse for negative i."""
+        local, _, _ = self._letter(i)
+        return braid_generator_matrix(local, self.n, abs(i))
+
+    @property
+    def generators(self) -> tuple[np.ndarray, ...]:
+        """Dense images of sigma_1 .. sigma_(n-1), built on each access."""
+        return tuple(self.generator(i) for i in range(1, self.n))
 
 
 def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
     """Construct and verify the n-strand representation afforded by ``r``.
 
-    Every braid relation and every far-commutativity pair is checked at
-    tolerance ``tol``; a violation raises :class:`RepresentationError`
-    carrying the offending generator pair and residual.  Inverse generators
-    use the conjugate transpose when ``r`` is unitary and the computed
-    inverse otherwise.
+    Checks, at tolerance ``tol``, each far-commutativity pair (1, j) that
+    exists on n strands, then the braid relation (1, 2) as the lifted
+    GYBE residual; every other relation is one of these padded with
+    identities.  A violation raises :class:`RepresentationError` carrying
+    the generator pair and residual.  The inverse is the conjugate
+    transpose when ``r`` is unitary and the computed inverse otherwise.
     """
-    gens = tuple(braid_generator_matrix(r, n, i) for i in range(1, n))
-    r_unitary = linalg.is_unitary(r.matrix, 1e-10).passed
-    if r_unitary:
-        inv_gens = tuple(linalg.dagger(g) for g in gens)
-    else:
-        pad_inverse = linalg.inverse(r.matrix)
-        inv_r = RMatrix(r.signature, pad_inverse, f"inverse({r.label})")
-        inv_gens = tuple(braid_generator_matrix(inv_r, n, i) for i in range(1, n))
-
-    for i in range(len(gens)):
-        for j in range(i + 2, len(gens)):
-            a, b = gens[i], gens[j]
-            residual = linalg.max_abs_diff(a @ b, b @ a)
-            if residual > tol:
-                raise RepresentationError((i + 1, j + 1), residual)
-    for i in range(len(gens) - 1):
-        a, b = gens[i], gens[i + 1]
-        residual = linalg.max_abs_diff(a @ b @ a, b @ a @ b)
+    if n < 2:
+        raise ValueError("a braid group needs at least 2 strands")
+    sig = r.signature
+    dim = sig.d ** (sig.m + (n - 2) * sig.l)
+    if dim > MAX_MATRIX_SIDE:
+        raise ValueError("representation dimension exceeds the dense cap")
+    for j in far_commutativity_indices(sig):
+        if j > n - 1:
+            break
+        residual = far_commutativity_residual(r, j)
         if residual > tol:
-            raise RepresentationError((i + 1, i + 2), residual)
+            raise RepresentationError((1, j), residual)
+    if n >= 3:
+        residual = gybe_residual(r.matrix, sig)
+        if residual > tol:
+            raise RepresentationError((1, 2), residual)
 
-    dim = gens[0].shape[0] if gens else r.size
-    return BraidRep(r, n, dim, gens, inv_gens, tol)
+    if linalg.is_unitary(r.matrix, 1e-10).passed:
+        inv = linalg.dagger(r.matrix)
+    else:
+        inv = linalg.inverse(r.matrix)
+    return BraidRep(r, n, dim, RMatrix(sig, inv, f"inverse({r.label})"), tol)
 
 
 def evaluate_word(rep: BraidRep, w: BraidWord) -> np.ndarray:
-    """The matrix of a braid word: the ordered product of generator images."""
+    """The matrix of a braid word: the ordered product of generator images.
+
+    Each letter right-multiplies the running product without forming the
+    generator: the columns split as (left, d^m, right) and only the middle
+    axis is contracted with the local matrix, O(dim^2 d^m) per letter.
+    """
     if w.n != rep.n:
         raise ValueError(f"word is on {w.n} strands but the representation has {rep.n}")
     out = linalg.identity(rep.dim)
     for letter in w.letters:
-        out = out @ rep.generator(letter)
+        local, _, right = rep._letter(letter)
+        blocks = out.reshape(-1, local.size, right)
+        out = np.matmul(local.matrix.T, blocks).reshape(rep.dim, rep.dim)
     return out
 
 
 def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:
-    """Act on a state by the word's matrix; the last letter acts first."""
+    """Act on a state by the word's matrix; the last letter acts first.
+
+    Each letter contracts its local matrix into the state's middle
+    (d^m) axis, O(dim d^m) per letter.
+    """
     if w.n != rep.n:
         raise ValueError(f"word is on {w.n} strands but the representation has {rep.n}")
     if s.dim != rep.dim:
         raise ValueError(f"state dimension {s.dim} does not match {rep.dim}")
     amps = np.asarray(s.amplitudes)
     for letter in reversed(w.letters):
-        amps = rep.generator(letter) @ amps
+        local, left, right = rep._letter(letter)
+        amps = np.matmul(local.matrix, amps.reshape(left, local.size, right)).reshape(-1)
     return StateVector(amps)
 
 
@@ -204,7 +244,8 @@ def recognize_braiding_gate(
     p, q = divmod(flat_idx, rep.dim)
     if abs(mat[p, q]) == 0.0:
         return None
-    for i, gen in enumerate(rep.generators, start=1):
+    for i in range(1, rep.n):
+        gen = rep.generator(i)
         if abs(gen[p, q]) < 1e-12:
             continue
         lam = complex(mat[p, q] / gen[p, q])

@@ -328,6 +328,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"--tol must be a finite non-negative number, got {tol}")
         return args.func(args)
     except Exception as exc:  # malformed input must not crash the process
         print(f"error: {exc}", file=sys.stderr)

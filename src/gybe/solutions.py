@@ -19,6 +19,7 @@ epsilon.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -44,6 +45,8 @@ _UNIT_TOL = 1e-12
 
 def _require_unit(value: complex, name: str, tol: float = _UNIT_TOL) -> complex:
     value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if abs(abs(value) - 1.0) > tol:
         raise ValueError(f"{name} must lie on the unit circle, got |{name}|={abs(value)}")
     return value

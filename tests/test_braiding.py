@@ -1,7 +1,11 @@
 """Tests for braid words, representations, and gate recognition."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gybe import linalg
 from gybe.braiding import (
@@ -15,7 +19,7 @@ from gybe.braiding import (
     parse_braid_word,
     recognize_braiding_gate,
 )
-from gybe.core import GybeSignature, RMatrix
+from gybe.core import GybeSignature, RMatrix, braid_generator_matrix, check_gybe
 from gybe.solutions import (
     base_solution,
     resolve_solution,
@@ -24,6 +28,52 @@ from gybe.solutions import (
 )
 
 REGISTRY_231 = ("rowell", "base1", "base2", "base3")
+
+
+def reference_violation(r, n, tol):
+    """The first failing pair and its residual under the all-pairs check over
+    dense generators, far pairs first; None when every relation holds."""
+    gens = [braid_generator_matrix(r, n, i) for i in range(1, n)]
+    for i in range(len(gens)):
+        for j in range(i + 2, len(gens)):
+            a, b = gens[i], gens[j]
+            residual = linalg.max_abs_diff(a @ b, b @ a)
+            if residual > tol:
+                return (i + 1, j + 1), residual
+    for i in range(len(gens) - 1):
+        a, b = gens[i], gens[i + 1]
+        residual = linalg.max_abs_diff(a @ b @ a, b @ a @ b)
+        if residual > tol:
+            return (i + 1, i + 2), residual
+    return None
+
+
+def reference_word_matrix(r, n, letters):
+    """Dense product of generator images, inverses by numpy."""
+    out = linalg.identity(r.signature.d ** (r.signature.m + (n - 2) * r.signature.l))
+    for v in letters:
+        g = braid_generator_matrix(r, n, abs(v))
+        out = out @ (g if v > 0 else np.linalg.inv(g))
+    return out
+
+
+def _candidate(name, kind, scale, rng):
+    """A registry solution, or a non-solution derived from it.
+
+    ``dense`` adds scaled complex noise, which generally breaks far
+    commutativity as well; ``product`` is U ⊗ I for a random unitary U on
+    the first m-1 factors, which commutes with its far translates but
+    fails the braid relation.
+    """
+    r = resolve_solution(name)
+    size = r.size
+    if kind == "dense":
+        noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        return RMatrix(r.signature, r.matrix + scale * noise, "dense")
+    if kind == "product":
+        u = linalg.random_unitary(size // r.signature.d, rng)
+        return RMatrix(r.signature, linalg.kron(u, linalg.identity(r.signature.d)), "product")
+    return r
 
 
 def test_braid_word_validation():
@@ -88,6 +138,93 @@ def test_build_rep_two_strands():
         rep = build_rep(resolve_solution(name), 2, tol=1e-12)
         assert rep.dim == 8
         assert len(rep.generators) == 1
+    # Two strands have no relation to check, so a non-solution builds too.
+    r = RMatrix(GybeSignature(2, 3, 1), linalg.random_unitary(8, np.random.default_rng(30)))
+    assert not check_gybe(r, 1e-10).passed
+    assert build_rep(r, 2).dim == 8
+    with pytest.raises(RepresentationError):
+        build_rep(r, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(REGISTRY_231 + ("xshape",)),
+    kind=st.sampled_from(("exact", "dense", "product")),
+    scale=st.sampled_from((1e-6, 1e-3, 0.1)),
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_rep_matches_all_pairs_reference(name, kind, scale, n, seed):
+    r = _candidate(name, kind, scale, np.random.default_rng(seed))
+    tol = 1e-10
+    try:
+        expected = reference_violation(r, n, tol)
+    except ValueError:  # over the dense cap
+        with pytest.raises(ValueError, match="dense cap"):
+            build_rep(r, n, tol)
+        return
+    if expected is None:
+        rep = build_rep(r, n, tol)
+        assert rep.dim == r.signature.d ** (r.signature.m + (n - 2) * r.signature.l)
+        return
+    with pytest.raises(RepresentationError) as err:
+        build_rep(r, n, tol)
+    assert err.value.pair == expected[0]
+    assert abs(err.value.residual - expected[1]) <= 1e-15
+
+
+def _solution(name):
+    """A registry solution, or one of two non-unitary solutions: a scalar
+    multiple and a local conjugate."""
+    if name == "scaled":
+        return rowell_solution().scaled(1.25)
+    if name == "conjugated":
+        r = resolve_solution("base1")
+        q = linalg.identity(2) + 0.3 * np.array([[0.2, 0.5j], [-0.4, 0.1]])
+        q3 = linalg.kron_all([q, q, q])
+        return RMatrix(r.signature, q3 @ r.matrix @ linalg.inverse(q3), "conjugated")
+    return resolve_solution(name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(REGISTRY_231 + ("xshape", "scaled", "conjugated")),
+    n=st.integers(2, 5),
+    data=st.data(),
+)
+def test_word_evaluation_matches_dense_products(name, n, data):
+    r = _solution(name)
+    rep = build_rep(r, n)
+    letters = data.draw(
+        st.lists(
+            st.integers(1, n - 1).flatmap(lambda v: st.sampled_from((v, -v))), max_size=8
+        )
+    )
+    want = reference_word_matrix(r, n, letters)
+    word = BraidWord(n, tuple(letters))
+    assert linalg.max_abs_diff(evaluate_word(rep, word), want) <= 1e-13
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    s = StateVector(amps / np.linalg.norm(amps))
+    expected = want @ s.amplitudes
+    norm = float(np.linalg.norm(expected))
+    if abs(norm - 1.0) <= 1e-12:
+        got = apply_to_state(rep, word, s).amplitudes
+        assert linalg.max_abs(got - expected) <= 1e-13
+    elif abs(norm - 1.0) > 1e-8:  # a non-unitary word leaves the unit sphere
+        with pytest.raises(ValueError, match="norm"):
+            apply_to_state(rep, word, s)
+
+
+def test_build_then_evaluate_nine_strands_budget():
+    # Checking every generator pair with dense 1024-side products takes about
+    # 8 s; the signature-level check does not grow with n.
+    start = time.perf_counter()
+    rep = build_rep(rowell_solution(), 9)
+    out = evaluate_word(rep, BraidWord(9, (1, 2, 3, 4, 5, 6, 7, 8)))
+    elapsed = time.perf_counter() - start
+    assert out.shape == (1024, 1024)
+    assert elapsed < 2.0, f"build_rep + 8-letter word took {elapsed:.2f}s"
 
 
 def test_build_rep_xshape_far_commutativity_is_blanket():
@@ -109,6 +246,19 @@ def test_build_rep_rejects_far_commutativity_violation():
         build_rep(bad, 4)
     assert err.value.pair == (1, 3)
     assert err.value.residual > 0.1
+
+
+def test_build_rep_far_pair_with_shift_two():
+    # For (2,5,2), sigma_1 and sigma_3 overlap and span 4 strands (side 2^9);
+    # padding them to (j-1)l+2 = 6 strands would exceed the dense cap.
+    sig = GybeSignature(2, 5, 2)
+    assert build_rep(RMatrix(sig, linalg.identity(32)), 4).dim == 2**9
+    r = RMatrix(sig, linalg.random_unitary(32, np.random.default_rng(32)))
+    pair, residual = reference_violation(r, 4, 1e-10)
+    with pytest.raises(RepresentationError) as err:
+        build_rep(r, 4)
+    assert err.value.pair == pair == (1, 3)
+    assert abs(err.value.residual - residual) <= 1e-15
 
 
 def test_build_rep_dimension_cap():

@@ -112,6 +112,27 @@ def test_family_requires_parameters(capsys):
     assert "theta" in err
 
 
+def test_family_rejects_non_finite_parameter(capsys):
+    code, out, err = run_cli(capsys, "family", "--family", "1", "--alpha", "nan,0", "--beta", "1,0")
+    assert code == 2 and out == ""
+    assert "alpha must be finite" in err
+
+
+def test_tolerance_must_be_finite_and_non_negative(capsys):
+    commands = (
+        ["verify", "--solution", "rowell"],
+        ["classify", "--solution", "rowell"],
+        ["equiv", "--solution", "rowell", "--solution", "base1"],
+        ["braid", "--solution", "rowell", "--word", "n=3: 1,2,1", "--compare", "n=3: 2,1,2"],
+        ["search", "--pattern", "-", "--signature", "2,3,1"],
+    )
+    for argv in commands:
+        for tol in ("nan", "inf", "-1"):
+            code, out, err = run_cli(capsys, *argv, "--tol", tol)
+            assert code == 2 and out == "", (argv, tol)
+            assert "--tol must be a finite non-negative number" in err
+
+
 def test_family_verify_round_trip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "family", "--family", "1", "--theta", "0.5", "--json")
     assert code == 0

@@ -224,6 +224,7 @@ def test_far_commutativity_vacuous_iff_2l_ge_m():
         (GybeSignature(2, 4, 1), False),
         (GybeSignature(2, 4, 2), True),
         (GybeSignature(2, 4, 3), True),
+        (GybeSignature(2, 5, 2), False),
     ]
     for sig, expect_vacuous in cases:
         assert (2 * sig.l >= sig.m) == expect_vacuous

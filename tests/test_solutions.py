@@ -227,6 +227,9 @@ def test_general_solution_checks_and_validation():
         general_solution(2, 1.2, 1)
     with pytest.raises(ValueError):
         GeneralParams(1, 1, 0.5)
+    for bad in (complex("nan"), complex("inf"), complex(1, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            GeneralParams(1, bad, 1)
 
 
 def test_derive_C_examples():
