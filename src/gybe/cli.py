@@ -37,6 +37,7 @@ from .solutions import (
 
 DEFAULT_VERIFY_TOL = 1e-12
 DEFAULT_EQUIV_TOL = 1e-9
+DEFAULT_CLASSIFY_TOL = 1e-9
 DEFAULT_SEARCH_TOL = 1e-11
 
 
@@ -75,17 +76,21 @@ def _infer_signature(size: int) -> GybeSignature:
     return GybeSignature(2, m, 1)
 
 
+def _load_matrix_file(args) -> RMatrix:
+    mat = linalg.matrix_from_json(_read_text(args.matrix))
+    sig = (
+        _parse_signature(args.signature)
+        if args.signature
+        else _infer_signature(mat.shape[0])
+    )
+    return RMatrix(sig, mat, f"file:{args.matrix}")
+
+
 def _load_rmatrix(args) -> RMatrix:
-    if getattr(args, "solution", None):
+    if args.solution:
         return resolve_solution(args.solution[0])
-    if getattr(args, "matrix", None):
-        mat = linalg.matrix_from_json(_read_text(args.matrix))
-        sig = (
-            _parse_signature(args.signature)
-            if getattr(args, "signature", None)
-            else _infer_signature(mat.shape[0])
-        )
-        return RMatrix(sig, mat, f"file:{args.matrix}")
+    if args.matrix:
+        return _load_matrix_file(args)
     raise ValueError("pass --solution <id> or --matrix <path|->")
 
 
@@ -134,7 +139,22 @@ def cmd_classify(args) -> int:
     r = _load_rmatrix(args)
     if r.size != 8:
         raise ValueError("classification applies to 8x8 block solutions")
-    x, _ = split_blocks(r.matrix)
+    tol = args.tol if args.tol is not None else DEFAULT_CLASSIFY_TOL
+    m = r.matrix
+    off_quadrants = max(linalg.max_abs(m[:4, 4:]), linalg.max_abs(m[4:, :4]))
+    if off_quadrants > tol:
+        raise ValueError(
+            f"not in block-solution form: the off-diagonal 4x4 quadrants reach "
+            f"{off_quadrants:.3e}, above tolerance {tol:g}"
+        )
+    x, _ = split_blocks(m)
+    # Entry (i, j) of X lies off the diagonal of its 2x2 sub-block iff i + j is odd.
+    off_sub_blocks = linalg.max_abs(x[np.add.outer(np.arange(4), np.arange(4)) % 2 == 1])
+    if off_sub_blocks > tol:
+        raise ValueError(
+            f"not in block-solution form: the 2x2 sub-blocks of X are not diagonal "
+            f"(off-diagonal entries reach {off_sub_blocks:.3e}, above tolerance {tol:g})"
+        )
     corner = SQRT2 * x[0, 0]
     if abs(corner) < 1e-9:
         raise ValueError("top-left entry is zero; not in block-solution form")
@@ -142,7 +162,7 @@ def cmd_classify(args) -> int:
     omega = SQRT2 * scale * x[1, 1]
     gamma = SQRT2 * scale * x[2, 2]
     delta = SQRT2 * scale * x[3, 3]
-    category = classify_unitary_params(omega, gamma, delta)
+    category = classify_unitary_params(omega, gamma, delta, tol)
     if args.json:
         print(
             _json(
@@ -165,13 +185,7 @@ def cmd_equiv(args) -> int:
         source, target = resolve_solution(ids[0]), resolve_solution(ids[1])
     elif len(ids) == 1 and args.matrix:
         source = resolve_solution(ids[0])
-        mat = linalg.matrix_from_json(_read_text(args.matrix))
-        sig = (
-            _parse_signature(args.signature)
-            if args.signature
-            else _infer_signature(mat.shape[0])
-        )
-        target = RMatrix(sig, mat, f"file:{args.matrix}")
+        target = _load_matrix_file(args)
     else:
         raise ValueError(
             "pass two --solution ids, or one --solution and a --matrix target"

@@ -132,11 +132,9 @@ class ConjugacyInvariants:
 
 def conjugacy_invariants(m: np.ndarray) -> ConjugacyInvariants:
     """Invariants of ``m`` under similarity; differing multisets refute conjugacy."""
-    mat = linalg.as_matrix(m)
-    eigs = linalg.eigenvalues(mat)
-    coeffs = linalg.char_poly_coefficients(mat)
+    eigs = linalg.eigenvalues(m)
     return ConjugacyInvariants(
-        tuple(complex(v) for v in eigs), tuple(complex(c) for c in coeffs)
+        tuple(complex(v) for v in eigs), tuple(complex(c) for c in np.poly(eigs))
     )
 
 

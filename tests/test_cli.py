@@ -8,7 +8,7 @@ import pytest
 
 from gybe import linalg
 from gybe.cli import main
-from gybe.solutions import xshape_solution
+from gybe.solutions import base_solution, rowell_solution, xshape_solution
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +160,49 @@ def test_classify_json_includes_parameters(capsys):
     data = json.loads(out)
     assert data["category"] == "B"
     assert data["omega"] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def test_classify_honours_tolerance(tmp_path, capsys):
+    m = base_solution(1).r_matrix()
+    m[np.diag_indices(8)] += 1e-6
+    path = tmp_path / "perturbed.json"
+    path.write_text(linalg.matrix_to_json(m))
+    code, out, _ = run_cli(capsys, "classify", "--matrix", str(path))
+    assert code == 0 and out.strip() == "none"
+    code, out, _ = run_cli(capsys, "classify", "--matrix", str(path), "--tol", "1e-5")
+    assert code == 0 and out.strip() == "A"
+
+
+def test_classify_requires_block_form(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "classify", "--solution", "xshape")
+    assert code == 2 and out == ""
+    assert "off-diagonal 4x4 quadrants" in err
+    m = rowell_solution().matrix.copy()
+    m[0, 1] = 1e-3
+    path = tmp_path / "leaky.json"
+    path.write_text(linalg.matrix_to_json(m))
+    code, out, err = run_cli(capsys, "classify", "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert "2x2 sub-blocks of X are not diagonal" in err
+    code, out, _ = run_cli(capsys, "classify", "--matrix", str(path), "--tol", "1e-2")
+    assert code == 0 and out.strip() == "A"
+
+
+def test_equiv_matrix_target(tmp_path, capsys):
+    theta = repr(float(np.pi / 2))
+    path = tmp_path / "rowell.json"
+    path.write_text(linalg.matrix_to_json(rowell_solution().matrix))
+    for extra in ([], ["--signature", "2,3,1"]):
+        code, out, _ = run_cli(
+            capsys, "equiv", "--solution", f"family1:theta={theta}",
+            "--matrix", str(path), *extra, "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["target"] == f"file:{path}"
+    code, out, err = run_cli(
+        capsys, "equiv", "--solution", "rowell", "--matrix", str(path), "--signature", "2,2,1"
+    )
+    assert code == 2 and "does not match signature" in err
 
 
 def test_equiv_finds_witness_for_zeta_solution(capsys):

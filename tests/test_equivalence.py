@@ -97,6 +97,18 @@ def test_conjugacy_invariants_of_base_blocks():
         assert invariants_close(conjugacy_invariants(x), conjugacy_invariants(y))
 
 
+def test_conjugacy_invariants_char_poly_small_cases():
+    inv = conjugacy_invariants(np.diag([2.0, 3.0]))
+    np.testing.assert_allclose(inv.char_poly, [1.0, -5.0, 6.0], atol=1e-12)
+    # Cayley-Hamilton: the characteristic polynomial annihilates its matrix.
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    p_of_m = np.zeros((5, 5), dtype=complex)
+    for c in conjugacy_invariants(m).char_poly:
+        p_of_m = p_of_m @ m + c * np.eye(5)
+    assert linalg.max_abs(p_of_m) <= 1e-9
+
+
 def test_conjugacy_invariants_distinguish_families():
     x1 = base_solution(1).x_matrix()
     x3 = base_solution(3).x_matrix()
