@@ -12,7 +12,9 @@ relations once, at a cost independent of n.
 Word convention: a braid word is evaluated left to right into a matrix
 product, rho(w1 w2 ... wk) = rho(w1) rho(w2) ... rho(wk).  Applied to a
 state this means the last letter of the word acts first, the usual
-matrix-times-column convention.
+matrix-times-column convention.  Each letter acts by one contraction of R
+(or its inverse) into the factors it touches: a word's matrix is the word
+applied to the identity's columns, a generator a one-letter word.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import linalg
 from .core import (
-    MAX_MATRIX_SIDE,
     RMatrix,
-    braid_generator_matrix,
+    apply_local,
+    braid_dimension,
     far_commutativity_indices,
     far_commutativity_residual,
     gybe_residual,
@@ -128,9 +130,8 @@ class StateVector:
 class BraidRep:
     """A verified representation of the n-strand braid group.
 
-    Keeps only the local R and its inverse (R† when R is unitary); words
-    act by contracting them into the touched tensor factors, and the dense
-    generator images are built only when asked for.
+    Keeps only the local R and its inverse (R† when R is unitary); every
+    image is computed from them by :func:`~gybe.core.apply_local`.
     """
 
     r: RMatrix
@@ -139,20 +140,18 @@ class BraidRep:
     inverse: RMatrix
     tolerance: float
 
-    def _letter(self, i: int) -> tuple[RMatrix, int, int]:
+    def _letter(self, i: int) -> tuple[np.ndarray, int]:
         """Local matrix of sigma_i (of its inverse for negative i) and the
-        identity sizes to its left and right."""
+        identity size to its left."""
         if i == 0 or not 1 <= abs(i) <= self.n - 1:
             raise ValueError(f"generator index {i} out of range for {self.n} strands")
         sig = self.r.signature
-        left = sig.d ** (sig.l * (abs(i) - 1))
-        right = sig.d ** (sig.l * (self.n - abs(i) - 1))
-        return (self.r if i > 0 else self.inverse), left, right
+        local = self.r if i > 0 else self.inverse
+        return local.matrix, sig.d ** (sig.l * (abs(i) - 1))
 
     def generator(self, i: int) -> np.ndarray:
         """Dense matrix of sigma_i for positive i, of its inverse for negative i."""
-        local, _, _ = self._letter(i)
-        return braid_generator_matrix(local, self.n, abs(i))
+        return _act(self, (i,), linalg.identity(self.dim))
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
@@ -170,12 +169,8 @@ def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
     the generator pair and residual.  The inverse is the conjugate
     transpose when ``r`` is unitary and the computed inverse otherwise.
     """
-    if n < 2:
-        raise ValueError("a braid group needs at least 2 strands")
     sig = r.signature
-    dim = sig.d ** (sig.m + (n - 2) * sig.l)
-    if dim > MAX_MATRIX_SIDE:
-        raise ValueError("representation dimension exceeds the dense cap")
+    dim = braid_dimension(sig, n)
     for j in far_commutativity_indices(sig):
         if j > n - 1:
             break
@@ -194,38 +189,36 @@ def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
     return BraidRep(r, n, dim, RMatrix(sig, inv, f"inverse({r.label})"), tol)
 
 
+def _act(rep: BraidRep, letters: tuple[int, ...], columns: np.ndarray) -> np.ndarray:
+    """rho(letters) @ columns, one local contraction per letter, last letter first."""
+    for letter in reversed(letters):
+        local, left = rep._letter(letter)
+        columns = apply_local(local, columns, left)
+    return columns
+
+
 def evaluate_word(rep: BraidRep, w: BraidWord) -> np.ndarray:
     """The matrix of a braid word: the ordered product of generator images.
 
-    Each letter right-multiplies the running product without forming the
-    generator: the columns split as (left, d^m, right) and only the middle
-    axis is contracted with the local matrix, O(dim^2 d^m) per letter.
+    The word acts on the identity's columns without forming any generator,
+    O(dim^2 d^m) per letter.
     """
     if w.n != rep.n:
         raise ValueError(f"word is on {w.n} strands but the representation has {rep.n}")
-    out = linalg.identity(rep.dim)
-    for letter in w.letters:
-        local, _, right = rep._letter(letter)
-        blocks = out.reshape(-1, local.size, right)
-        out = np.matmul(local.matrix.T, blocks).reshape(rep.dim, rep.dim)
-    return out
+    return _act(rep, w.letters, linalg.identity(rep.dim))
 
 
 def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:
     """Act on a state by the word's matrix; the last letter acts first.
 
-    Each letter contracts its local matrix into the state's middle
-    (d^m) axis, O(dim d^m) per letter.
+    The same contraction as :func:`evaluate_word`, on one column:
+    O(dim d^m) per letter.
     """
     if w.n != rep.n:
         raise ValueError(f"word is on {w.n} strands but the representation has {rep.n}")
     if s.dim != rep.dim:
         raise ValueError(f"state dimension {s.dim} does not match {rep.dim}")
-    amps = np.asarray(s.amplitudes)
-    for letter in reversed(w.letters):
-        local, left, right = rep._letter(letter)
-        amps = np.matmul(local.matrix, amps.reshape(left, local.size, right)).reshape(-1)
-    return StateVector(amps)
+    return StateVector(_act(rep, w.letters, s.amplitudes))
 
 
 def recognize_braiding_gate(

@@ -192,7 +192,7 @@ def cmd_equiv(args) -> int:
         )
     tol = args.tol if args.tol is not None else DEFAULT_EQUIV_TOL
     witness = search_equivalence(
-        source, target, restarts=args.restarts or 8, seed=args.seed or 0, tol=tol
+        source, target, restarts=args.restarts, seed=args.seed, tol=tol
     )
     if witness is None:
         print("none" if not args.json else _json(None))
@@ -242,8 +242,8 @@ def cmd_search(args) -> int:
     signature = _parse_signature(args.signature)
     config = SearchConfig(
         tolerance=args.tol if args.tol is not None else DEFAULT_SEARCH_TOL,
-        restarts=args.restarts or 16,
-        seed=args.seed or 0,
+        restarts=args.restarts,
+        seed=args.seed,
     )
     result = solve_pattern(pattern, signature, config)
     if args.json:
@@ -308,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv", help="search for a gauge-equivalence witness")
     add_common(p)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("braid", help="evaluate braid words in a representation")
@@ -322,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="solve a zero pattern numerically")
     p.add_argument("--pattern", help="pattern file (0/1 grid or JSON), or -")
     p.add_argument("--signature", help="equation signature d,m,l")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)

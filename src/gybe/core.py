@@ -157,11 +157,8 @@ def lifted_difference(matrix: np.ndarray, signature: GybeSignature) -> np.ndarra
     """L S L - S L S for L = R ⊗ I^l, S = I^l ⊗ R; zero exactly on solutions."""
     m = linalg.as_matrix(matrix)
     if m.shape[0] != signature.matrix_size:
-        raise ValueError(
-            f"matrix side {m.shape[0]} does not match signature {signature}"
-        )
-    if signature.lifted_size > MAX_MATRIX_SIDE:
-        raise ValueError("lifted dimension exceeds the dense-arithmetic cap")
+        raise ValueError(f"matrix side {m.shape[0]} does not match signature {signature}")
+    braid_dimension(signature, 3)  # L, S are sigma_1, sigma_2 on 3 strands
     left, right = lift_pair(m, signature.d**signature.l)
     return left @ right @ left - right @ left @ right
 
@@ -211,45 +208,54 @@ def double_lift_check(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> DoubleL
     return DoubleLiftReport(check_ybe(m, tol), check_gybe(doubled, tol))
 
 
-def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:
-    """Matrix of the i-th braid generator on n strands.
+def braid_dimension(signature: GybeSignature, n: int) -> int:
+    """Side d^(m + (n-2)l) of the n-strand representation.
 
-    For a (d, m, l) solution this is I^(l(i-1)) ⊗ R ⊗ I^(l(n-i-1)), acting
-    on d^(m + (n-2)l) dimensions.
+    The one gate on dense size: generators, representations, far pairs
+    (n = j + 1) and the lifted residual (n = 3) all size themselves here.
     """
     if n < 2:
         raise ValueError("a braid group needs at least 2 strands")
+    dim = signature.d ** (signature.m + (n - 2) * signature.l)
+    if dim > MAX_MATRIX_SIDE:
+        raise ValueError(f"representation dimension {dim} exceeds the dense cap {MAX_MATRIX_SIDE}")
+    return dim
+
+
+def apply_local(m: np.ndarray, columns: np.ndarray, left: int) -> np.ndarray:
+    """(I_left ⊗ m ⊗ I) @ columns, for a vector or a (dim, k) block.
+
+    The rows split as (left, side of m, rest) and m contracts the middle
+    axis; the identity on the right stays implicit in the reshape.
+    """
+    return np.matmul(m, columns.reshape(left, m.shape[0], -1)).reshape(columns.shape)
+
+
+def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:
+    """The i-th generator's image I^(l(i-1)) ⊗ R ⊗ I^(l(n-i-1)) on n strands."""
+    dim = braid_dimension(r.signature, n)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for {n} strands")
-    sig = r.signature
-    dim = sig.d ** (sig.m + (n - 2) * sig.l)
-    if dim > MAX_MATRIX_SIDE:
-        raise ValueError("representation dimension exceeds the dense cap")
-    left = linalg.identity(sig.d ** (sig.l * (i - 1)))
-    right = linalg.identity(sig.d ** (sig.l * (n - i - 1)))
-    return linalg.kron_all([left, r.matrix, right])
+    left = r.signature.d ** (r.signature.l * (i - 1))
+    return apply_local(r.matrix, linalg.identity(dim), left)
 
 
 def far_commutativity_indices(signature: GybeSignature) -> list[int]:
     """Generator indices j > 2 with (j-1) l < m; empty iff 2l >= m."""
-    out = []
-    j = 3
-    while (j - 1) * signature.l < signature.m:
-        out.append(j)
-        j += 1
-    return out
+    return list(range(3, (signature.m - 1) // signature.l + 2))
 
 
 def far_commutativity_residual(r: RMatrix, j: int) -> float:
     """max-abs entry of σ_1 σ_j − σ_j σ_1, evaluated on j + 1 strands.
 
-    j + 1 strands are the fewest on which σ_j exists, and σ_1, σ_j span
-    all of them; on more strands both products gain the same identity
-    factor, which leaves the residual unchanged.
+    There σ_1, σ_j are the lift pair R ⊗ I^(l(j-1)), I^(l(j-1)) ⊗ R; on
+    more strands both products gain the same identity factor, which leaves
+    the residual unchanged.
     """
-    g1 = braid_generator_matrix(r, j + 1, 1)
-    gj = braid_generator_matrix(r, j + 1, j)
-    return linalg.max_abs_diff(g1 @ gj, gj @ g1)
+    sig = r.signature
+    braid_dimension(sig, j + 1)  # the dense cap on j + 1 strands
+    first, last = lift_pair(r.matrix, sig.d ** (sig.l * (j - 1)))
+    return linalg.max_abs_diff(first @ last, last @ first)
 
 
 def check_far_commutativity(r: RMatrix, tol: float = linalg.DEFAULT_TOL) -> CheckReport:

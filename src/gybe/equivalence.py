@@ -202,6 +202,8 @@ def _search_conjugator(
     the candidate by the explicit conjugation residual.  Returns the best
     (Q, lambda, residual) with deterministic tie-break by restart order.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if r.signature != s.signature:
         raise ValueError("witness search needs matching signatures")
     if r.size != s.size:
@@ -275,7 +277,8 @@ def search_local_conjugation(
     """Search for Q with (Q^-1)^⊗m r Q^⊗m = s over the given shapes.
 
     Returns the best (Q, residual) with residual <= tol, or None; absence
-    of a witness is a valid outcome, not an error.
+    of a witness is a valid outcome, not an error.  Fewer than one restart
+    is a ValueError.
     """
     best = _search_conjugator(
         r,
@@ -307,7 +310,8 @@ def search_equivalence(
 
     Tries a scalar combined with a local conjugation found by search, first
     on ``r`` directly and then (when ``include_inverse``) on its inverse.
-    The returned witness lists the operations in application order.
+    The returned witness lists the operations in application order.  Fewer
+    than one restart is a ValueError, not a missing witness.
     """
     candidates: list[tuple[GaugeOp, ...]] = [()]
     if include_inverse:

@@ -12,6 +12,7 @@ All functions are pure; none mutate their arguments.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Iterable, NamedTuple
 
@@ -124,13 +125,14 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> UnitaryCheck:
 def inverse(m: np.ndarray) -> np.ndarray:
     """Matrix inverse, gated on the smallest singular value.
 
-    Raises :class:`SingularMatrixError` unless the smallest singular value is
-    at least ``SINGULAR_VALUE_THRESHOLD`` (a NaN one, from infinite entries,
-    fails too).
+    Raises :class:`SingularMatrixError` for non-finite entries, and unless
+    the smallest singular value is at least ``SINGULAR_VALUE_THRESHOLD``.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("cannot invert a non-square matrix")
+    if not np.all(np.isfinite(a)):
+        raise SingularMatrixError("cannot invert a matrix with non-finite entries")
     smallest = np.linalg.svd(a, compute_uv=False).min(initial=np.inf)
     if not smallest >= SINGULAR_VALUE_THRESHOLD:
         raise SingularMatrixError(
@@ -193,7 +195,11 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
 
 
 def matrix_from_json_dict(data: dict) -> np.ndarray:
-    """Decode :func:`matrix_to_json_dict` output; malformed input is a ValueError."""
+    """Decode :func:`matrix_to_json_dict` output; malformed input is a ValueError.
+
+    Entries must be JSON numbers: numeric strings and booleans, which numpy
+    would convert, are malformed.
+    """
     try:
         rows = int(data["rows"])
         cols = int(data["cols"])
@@ -207,6 +213,10 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
             f"malformed matrix JSON: entries of shape {pairs.shape}, "
             f"expected {rows * cols} [re, im] pairs"
         )
+    kinds = set(map(type, itertools.chain.from_iterable(data["entries"])))
+    bad = sorted(k.__name__ for k in kinds if k is bool or not issubclass(k, (int, float)))
+    if bad:
+        raise ValueError(f"malformed matrix JSON: entries must be numbers, not {', '.join(bad)}")
     if not np.all(np.isfinite(pairs)):
         raise ValueError("matrix JSON entries must be finite")
     # Reinterpreting the (re, im) float pairs keeps every bit, -0.0 included.

@@ -347,8 +347,10 @@ def check_block_equations(
     """Evaluate the eight block equations equivalent to the (2,3,1) equation.
 
     ``x`` and ``y`` are the 4x4 diagonal blocks of R = X (+) Y; their 2x2
-    sub-blocks (times sqrt2) enter the equations.  The pass verdict agrees
-    with a direct check of X (+) Y at the same tolerance.
+    sub-blocks (times sqrt2) enter the equations, which makes each equation
+    twice the matching block of L S L - S L S.  Each residual is halved back
+    to that scale, so the pass verdict agrees with a direct check of
+    X (+) Y at the same tolerance.
     """
     x = linalg.as_matrix(x)
     y = linalg.as_matrix(y)
@@ -373,7 +375,7 @@ def check_block_equations(
     for p1, mid1, p2, p3, mid2, p4, r1, p5, r2 in terms:
         lhs = lift(p1) @ mid1 @ lift(p2) + lift(p3) @ mid2 @ lift(p4)
         rhs = SQRT2 * (r1 @ lift(p5) @ r2)
-        residuals.append(linalg.max_abs_diff(lhs, rhs))
+        residuals.append(linalg.max_abs_diff(lhs, rhs) / 2)
     residual = max(residuals)
     return CheckReport(residual, residual <= tol, tol, tuple(residuals))
 

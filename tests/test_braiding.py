@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gybe import linalg
 from gybe.braiding import (
+    BraidRep,
     BraidWord,
     RepresentationError,
     StateVector,
@@ -19,7 +20,16 @@ from gybe.braiding import (
     parse_braid_word,
     recognize_braiding_gate,
 )
-from gybe.core import GybeSignature, RMatrix, braid_generator_matrix, check_gybe
+from gybe.core import (
+    MAX_MATRIX_SIDE,
+    GybeSignature,
+    RMatrix,
+    braid_dimension,
+    braid_generator_matrix,
+    check_gybe,
+    far_commutativity_indices,
+    far_commutativity_residual,
+)
 from gybe.solutions import (
     base_solution,
     resolve_solution,
@@ -30,10 +40,21 @@ from gybe.solutions import (
 REGISTRY_231 = ("rowell", "base1", "base2", "base3")
 
 
+def kron_generator(sig, local, n, i):
+    """I^(l(i-1)) ⊗ local ⊗ I^(l(n-i-1)) by Kronecker products, independent
+    of the contraction under test."""
+    left = linalg.identity(sig.d ** (sig.l * (i - 1)))
+    right = linalg.identity(sig.d ** (sig.l * (n - i - 1)))
+    return linalg.kron_all([left, local, right])
+
+
 def reference_violation(r, n, tol):
     """The first failing pair and its residual under the all-pairs check over
     dense generators, far pairs first; None when every relation holds."""
-    gens = [braid_generator_matrix(r, n, i) for i in range(1, n)]
+    sig = r.signature
+    if sig.d ** (sig.m + (n - 2) * sig.l) > MAX_MATRIX_SIDE:
+        raise ValueError("over the dense cap")
+    gens = [kron_generator(r.signature, r.matrix, n, i) for i in range(1, n)]
     for i in range(len(gens)):
         for j in range(i + 2, len(gens)):
             a, b = gens[i], gens[j]
@@ -52,7 +73,7 @@ def reference_word_matrix(r, n, letters):
     """Dense product of generator images, inverses by numpy."""
     out = linalg.identity(r.signature.d ** (r.signature.m + (n - 2) * r.signature.l))
     for v in letters:
-        g = braid_generator_matrix(r, n, abs(v))
+        g = kron_generator(r.signature, r.matrix, n, abs(v))
         out = out @ (g if v > 0 else np.linalg.inv(g))
     return out
 
@@ -214,6 +235,53 @@ def test_word_evaluation_matches_dense_products(name, n, data):
     elif abs(norm - 1.0) > 1e-8:  # a non-unitary word leaves the unit sphere
         with pytest.raises(ValueError, match="norm"):
             apply_to_state(rep, word, s)
+
+
+def _layout_cases():
+    """(R, largest strand count under the cap) over the registry, xshape and
+    random matrices: one far pair at shift two, d = 3, two far pairs."""
+    rng = np.random.default_rng(33)
+    cases = [(resolve_solution(name), 6) for name in REGISTRY_231] + [(xshape_solution(), 5)]
+    for (d, m, l), top in (((2, 5, 2), 4), ((3, 3, 1), 5), ((2, 4, 1), 5)):
+        size = d**m
+        for _ in range(2):
+            noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            cases.append((RMatrix(GybeSignature(d, m, l), noise, "random"), top))
+    return cases
+
+
+def test_generator_images_and_far_pairs_match_kron_reference():
+    for r, top in _layout_cases():
+        sig = r.signature
+        for j in far_commutativity_indices(sig):
+            g1 = kron_generator(sig, r.matrix, j + 1, 1)
+            gj = kron_generator(sig, r.matrix, j + 1, j)
+            assert far_commutativity_residual(r, j) == linalg.max_abs_diff(g1 @ gj, gj @ g1)
+        for n in range(2, top + 1):
+            # A random R fails the relations, so its representation is
+            # assembled directly; only the tensor layout is under test here.
+            if r.label == "random":
+                dim = sig.d ** (sig.m + (n - 2) * sig.l)
+                rep = BraidRep(r, n, dim, RMatrix(sig, linalg.inverse(r.matrix)), 0.0)
+            else:
+                rep = build_rep(r, n)
+            for i in range(1, n):
+                want = kron_generator(sig, r.matrix, n, i)
+                assert np.array_equal(braid_generator_matrix(r, n, i), want)
+                assert np.array_equal(rep.generator(i), want)
+                want_inv = kron_generator(sig, rep.inverse.matrix, n, i)
+                assert np.array_equal(rep.generator(-i), want_inv)
+
+
+def test_every_braid_path_hits_the_dense_cap():
+    r = rowell_solution()
+    assert braid_dimension(r.signature, 9) == 1024
+    with pytest.raises(ValueError, match="dense cap"):
+        braid_generator_matrix(r, 10, 1)
+    with pytest.raises(ValueError, match="dense cap"):
+        build_rep(r, 10)
+    with pytest.raises(ValueError, match="at least 2 strands"):
+        braid_dimension(r.signature, 1)
 
 
 def test_build_then_evaluate_nine_strands_budget():

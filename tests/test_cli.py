@@ -331,6 +331,24 @@ def test_search_requires_pattern_and_signature(capsys):
     assert code == 2
 
 
+def test_restarts_below_one_is_input_error(tmp_path, capsys):
+    # A zero or negative count used to fall back to the default, or to
+    # search nothing and print "none" as if no witness existed.
+    from gybe.search import rowell_pattern
+
+    path = tmp_path / "pattern.txt"
+    path.write_text(rowell_pattern().to_text())
+    equiv = ("equiv", "--solution", "rowell", "--solution", "base1")
+    for argv in (
+        equiv + ("--restarts", "0"),
+        equiv + ("--restarts", "-1"),
+        ("search", "--pattern", str(path), "--signature", "2,3,1", "--restarts", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "restarts must be at least 1" in err
+
+
 def test_cli_never_raises_on_bad_flags(capsys):
     assert main(["verify", "--tol", "not-a-float"]) == 2
     assert main([]) == 2

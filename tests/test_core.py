@@ -232,6 +232,19 @@ def test_far_commutativity_vacuous_iff_2l_ge_m():
         r = RMatrix(sig, linalg.identity(sig.matrix_size), "identity")
         assert check_far_commutativity(r).vacuous == expect_vacuous
     assert far_commutativity_indices(GybeSignature(2, 4, 1)) == [3, 4]
+    for m in range(1, 13):
+        for l in range(1, 7):
+            want = [j for j in range(3, m + 3) if (j - 1) * l < m]
+            assert far_commutativity_indices(GybeSignature(2, m, l)) == want
+
+
+def test_core_paths_hit_the_dense_cap():
+    # For (3,4,1) the pair (1, 4) spans 5 strands, side 3^7 = 2187.
+    with pytest.raises(ValueError, match="dense cap"):
+        check_far_commutativity(RMatrix(GybeSignature(3, 4, 1), linalg.identity(81)))
+    # The lifted residual acts on 3 strands, side 2^11.
+    with pytest.raises(ValueError, match="dense cap"):
+        gybe_residual(linalg.identity(1024), GybeSignature(2, 10, 1))
 
 
 def test_far_commutativity_passes_for_random_diagonal_blocks():

@@ -37,6 +37,9 @@ def test_gauge_op_validation():
         GaugeOp.scalar(0)
     with pytest.raises(linalg.SingularMatrixError):
         GaugeOp.local_conj(np.ones((2, 2)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(linalg.SingularMatrixError, match="non-finite"):
+            GaugeOp.local_conj(np.full((2, 2), bad))
     with pytest.raises(ValueError):
         GaugeOp("warp")
     with pytest.raises(ValueError):
@@ -210,6 +213,15 @@ def test_search_rejects_unequal_ratio():
 def test_search_validates_compatibility():
     with pytest.raises(ValueError):
         search_local_conjugation(rowell_solution(), resolve_solution("xshape"))
+
+
+def test_searches_reject_fewer_than_one_restart():
+    r, s = rowell_solution(), resolve_solution("base1")
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts"):
+            search_local_conjugation(r, s, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            search_equivalence(r, s, restarts=restarts)
 
 
 def test_members_conjugate_to_their_normalized_form():

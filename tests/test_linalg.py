@@ -184,6 +184,15 @@ def test_inverse_singular_raises():
         linalg.inverse(np.ones((2, 3)))
 
 
+def test_inverse_rejects_non_finite_entries():
+    # numpy's SVD raises its own LinAlgError on NaN; the gate comes first.
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        with pytest.raises(linalg.SingularMatrixError, match="non-finite"):
+            linalg.inverse(m)
+
+
 def test_inverse_gate_boundary():
     threshold = linalg.SINGULAR_VALUE_THRESHOLD
     for t in (0.0, threshold / 2, np.nextafter(threshold, 0.0)):
@@ -292,10 +301,13 @@ def test_matrix_from_json_rejects_malformed():
     with pytest.raises(ValueError):
         linalg.matrix_from_json('{"cols": 1, "entries": [[1, 0]]}')
     for entries in (
-        "5", "[1, 0]", "[[1, 0], [1]]", "[[1, 0], [[1], 0]]", '"ab"', '[["a", "b"]]', "[[{}, 0]]"
+        "5", "[1, 0]", "[[1, 0], [1]]", "[[1, 0], [[1], 0]]", '"ab"', '[["a", "b"]]', "[[{}, 0]]",
+        '[["1.5", true]]', '[["1.5", 0]]', "[[1, false]]", "[[null, 0]]",
     ):
         with pytest.raises(ValueError, match="malformed matrix JSON"):
             linalg.matrix_from_json(f'{{"rows": 1, "cols": 1, "entries": {entries}}}')
+    # JSON integers are numbers and still decode.
+    assert linalg.matrix_from_json('{"rows": 1, "cols": 1, "entries": [[2, -1]]}')[0, 0] == 2 - 1j
     with pytest.raises(ValueError, match="positive dimensions"):
         linalg.matrix_from_json('{"rows": 0, "cols": 1, "entries": []}')
     for bad in ("NaN", "Infinity", "-Infinity"):

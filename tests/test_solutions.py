@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gybe import linalg
 from gybe.core import GybeSignature, RMatrix, check_gybe, check_ybe
@@ -301,6 +303,28 @@ def test_block_equations_agree_with_direct_check():
             RMatrix(GybeSignature(2, 3, 1), linalg.direct_sum(x, y), "pair"), 1e-10
         )
         assert check_block_equations(x, y, 1e-10).passed == direct.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(("rowell", "base1", "base2", "base3", "family1:theta=0.7")),
+    exponent=st.floats(-9, -2),
+    perturb_y=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_equations_report_the_direct_residual(name, exponent, perturb_y, seed):
+    # The block residual is the direct one, not a multiple of it, so the
+    # verdicts agree at any tolerance away from the residual itself.
+    rng = np.random.default_rng(seed)
+    x, y = split_blocks(resolve_solution(name).matrix)
+    x = x + 10**exponent * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    if perturb_y:
+        y = y + 10**exponent * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    r = RMatrix(GybeSignature(2, 3, 1), linalg.direct_sum(x, y), "pair")
+    direct = check_gybe(r).residual
+    assert check_block_equations(x, y).residual == pytest.approx(direct, rel=1e-6)
+    for tol in (1.5 * direct, 0.5 * direct):
+        assert check_block_equations(x, y, tol).passed == check_gybe(r, tol).passed
 
 
 def test_param_constraints_examples():
