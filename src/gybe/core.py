@@ -89,15 +89,6 @@ class RMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def scaled(self, lam: complex, label: str | None = None) -> "RMatrix":
-        if lam == 0:
-            raise ValueError("scalar gauge factor must be nonzero")
-        return RMatrix(
-            self.signature,
-            lam * self.matrix,
-            label if label is not None else f"{self.label}*scalar",
-        )
-
 
 @dataclass(frozen=True)
 class CheckReport:

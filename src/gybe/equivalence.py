@@ -7,22 +7,27 @@ certified constructively by a witness (a sequence of these operations found
 by numerical search) and refuted by conjugacy invariants (eigenvalue
 multisets, characteristic polynomials), which similarity cannot change.
 
+Q^⊗m is m passes of :func:`gybe.core.apply_local` on the identity, the
+action that also gives braid generators their images, and :func:`apply_gauge`
+is the one place that forms (Q^-1)^⊗m R Q^⊗m.
+
 The witness search solves the commutation system Q^⊗m · s = r · Q^⊗m by
-damped least squares over structured shapes of Q: diagonal and antidiagonal
-shapes suffice for the block-structured families handled in
-:mod:`gybe.solutions`; a general dense shape is also available as a
-heuristic.
+damped least squares over 2x2 shapes of Q (so d = 2 only) and scores each
+candidate by :func:`apply_gauge`: diagonal and antidiagonal shapes suffice for
+the block-structured families handled in :mod:`gybe.solutions`; a general
+dense shape is also available as a heuristic.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .core import RMatrix
+from .core import RMatrix, apply_local
 from .optimize import damped_least_squares
 from .solutions import GeneralParams
 
@@ -40,8 +45,8 @@ class GaugeOp:
 
     def __post_init__(self):
         if self.kind == "scalar":
-            if self.lam is None or self.lam == 0:
-                raise ValueError("scalar gauge op needs a nonzero lambda")
+            if self.lam is None or self.lam == 0 or not cmath.isfinite(self.lam):
+                raise ValueError("scalar gauge op needs a finite nonzero lambda")
         elif self.kind == "inverse":
             if self.lam is not None or self.q is not None:
                 raise ValueError("inverse gauge op takes no parameters")
@@ -79,6 +84,15 @@ class GaugeOp:
         return data
 
 
+def _lift(q: np.ndarray, m: int) -> np.ndarray:
+    """Q^⊗m: Q applied to each of the m tensor factors of the identity."""
+    d = q.shape[0]
+    out = linalg.identity(d**m)
+    for k in range(m):
+        out = apply_local(q, out, d**k)
+    return out
+
+
 def apply_gauge(r: RMatrix, op: GaugeOp) -> RMatrix:
     """Apply one gauge operation; solutions stay solutions."""
     if op.kind == "scalar":
@@ -90,11 +104,9 @@ def apply_gauge(r: RMatrix, op: GaugeOp) -> RMatrix:
         raise ValueError(
             f"Q side {q.shape[0]} does not match local dimension {r.signature.d}"
         )
-    lifted = linalg.kron_power(q, r.signature.m)
-    lifted_inv = linalg.kron_power(linalg.inverse(q), r.signature.m)
-    return RMatrix(
-        r.signature, lifted_inv @ r.matrix @ lifted, f"local_conj({r.label})"
-    )
+    m = r.signature.m
+    image = _lift(linalg.inverse(q), m) @ r.matrix @ _lift(q, m)
+    return RMatrix(r.signature, image, f"local_conj({r.label})")
 
 
 def apply_gauge_sequence(r: RMatrix, ops: Iterable[GaugeOp]) -> RMatrix:
@@ -184,6 +196,14 @@ def _to_complex(x: np.ndarray) -> np.ndarray:
     return x[0::2] + 1j * x[1::2]
 
 
+def _scalar_fit(a: np.ndarray, b: np.ndarray) -> complex | None:
+    """The lambda minimizing ||lambda a - b||_F, <a, b> / <a, a>; None when a vanishes."""
+    denom = np.vdot(a, a).real
+    if denom < 1e-300:
+        return None
+    return complex(np.vdot(a, b) / denom)
+
+
 def _search_conjugator(
     r: RMatrix,
     s: RMatrix,
@@ -206,44 +226,29 @@ def _search_conjugator(
         raise ValueError("restarts must be at least 1")
     if r.signature != s.signature:
         raise ValueError("witness search needs matching signatures")
-    if r.size != s.size:
-        raise ValueError("witness search needs matching dimensions")
-    m_fold = r.signature.m
-    r_mat, s_mat = r.matrix, s.matrix
+    if r.signature.d != 2:
+        raise ValueError(f"witness search needs local dimension 2, got d = {r.signature.d}")
 
     def conjugation_residual(q: np.ndarray):
         try:
-            lifted = linalg.kron_power(q, m_fold)
-            lifted_inv = linalg.kron_power(linalg.inverse(q), m_fold)
-        except linalg.SingularMatrixError:
+            image = apply_gauge(r, GaugeOp.local_conj(q)).matrix
+        except ValueError:  # Q or its image is singular or not finite
             return None, None
-        image = lifted_inv @ r_mat @ lifted
-        if with_scalar:
-            denom = np.vdot(image, image).real
-            if denom < 1e-300:
-                return None, None
-            lam = complex(np.vdot(image, s_mat) / denom)
-            if abs(lam) < 1e-150:
-                return None, None
-        else:
-            lam = 1.0 + 0.0j
-        return float(linalg.max_abs(lam * image - s_mat)), lam
+        lam = _scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
+        if lam is None or abs(lam) < 1e-150:  # GaugeOp.scalar needs lambda != 0
+            return None, None
+        return float(linalg.max_abs(lam * image - s.matrix)), lam
 
     best = None
     for shape in shapes:
         for n_complex, builder in _shape_parameterizations(shape):
 
             def residual_vec(x: np.ndarray) -> np.ndarray:
-                q = builder(_to_complex(x))
-                lifted = linalg.kron_power(q, m_fold)
-                left = lifted @ s_mat
-                right = r_mat @ lifted
-                if with_scalar:
-                    denom = np.vdot(right, right).real
-                    lam = np.vdot(right, left) / denom if denom > 1e-300 else 1.0
-                else:
-                    lam = 1.0
-                diff = left - lam * right
+                lifted = _lift(builder(_to_complex(x)), r.signature.m)
+                left = lifted @ s.matrix
+                right = r.matrix @ lifted
+                lam = _scalar_fit(right, left) if with_scalar else None
+                diff = left - (1.0 if lam is None else lam) * right
                 return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
             for restart in range(restarts):

@@ -197,15 +197,17 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
 def matrix_from_json_dict(data: dict) -> np.ndarray:
     """Decode :func:`matrix_to_json_dict` output; malformed input is a ValueError.
 
-    Entries must be JSON numbers: numeric strings and booleans, which numpy
-    would convert, are malformed.
+    ``rows`` and ``cols`` must be JSON integers and entries JSON numbers:
+    numeric strings, fractions and booleans, which Python and numpy would
+    convert, are malformed.
     """
     try:
-        rows = int(data["rows"])
-        cols = int(data["cols"])
+        rows, cols = data["rows"], data["cols"]
         pairs = np.array(data["entries"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError("malformed matrix JSON: rows and cols must be integers")
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix JSON must have positive dimensions")
     if pairs.shape != (rows * cols, 2):

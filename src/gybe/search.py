@@ -81,12 +81,19 @@ class ZeroPattern:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ZeroPattern":
+        """Decode :meth:`to_json_dict` output: an integer size and rows of JSON
+        booleans; numbers and strings that numpy would coerce are malformed."""
         try:
-            size = int(data["size"])
-            mask = np.asarray(data["mask"], dtype=bool)
-        except (KeyError, TypeError, ValueError) as exc:
+            size, mask = data["size"], data["mask"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pattern JSON: {exc}") from exc
-        return ZeroPattern(size, mask)
+        if type(size) is not int:
+            raise ValueError("malformed pattern JSON: size must be an integer")
+        if type(mask) is not list or not all(
+            type(row) is list and all(type(v) is bool for v in row) for row in mask
+        ):
+            raise ValueError("malformed pattern JSON: mask must be rows of true/false")
+        return ZeroPattern(size, np.array(mask, dtype=bool))
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "mask": [[bool(v) for v in row] for row in self.mask]}

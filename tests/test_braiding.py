@@ -30,6 +30,7 @@ from gybe.core import (
     far_commutativity_indices,
     far_commutativity_residual,
 )
+from gybe.equivalence import GaugeOp, apply_gauge
 from gybe.solutions import (
     base_solution,
     resolve_solution,
@@ -198,7 +199,7 @@ def _solution(name):
     """A registry solution, or one of two non-unitary solutions: a scalar
     multiple and a local conjugate."""
     if name == "scaled":
-        return rowell_solution().scaled(1.25)
+        return apply_gauge(rowell_solution(), GaugeOp.scalar(1.25))
     if name == "conjugated":
         r = resolve_solution("base1")
         q = linalg.identity(2) + 0.3 * np.array([[0.2, 0.5j], [-0.4, 0.1]])

@@ -331,6 +331,19 @@ def test_search_requires_pattern_and_signature(capsys):
     assert code == 2
 
 
+def test_search_rejects_pattern_json_with_string_cells(tmp_path, capsys):
+    # Read as booleans, every "0" would allow its entry and the full
+    # pattern would be searched instead.
+    from gybe.search import rowell_pattern
+
+    mask = [["1" if v else "0" for v in row] for row in rowell_pattern().mask]
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps({"size": 8, "mask": mask}))
+    code, out, err = run_cli(capsys, "search", "--pattern", str(path), "--signature", "2,3,1")
+    assert code == 2 and out == ""
+    assert "malformed pattern JSON" in err
+
+
 def test_restarts_below_one_is_input_error(tmp_path, capsys):
     # A zero or negative count used to fall back to the default, or to
     # search nothing and print "none" as if no witness existed.

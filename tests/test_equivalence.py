@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gybe import linalg
 from gybe.core import GybeSignature, RMatrix, check_gybe
@@ -21,6 +23,7 @@ from gybe.solutions import (
     base_solution,
     family_solution,
     general_solution,
+    registry_ids,
     resolve_solution,
     rowell_solution,
     split_blocks,
@@ -35,6 +38,9 @@ Z2 = np.zeros((2, 2), dtype=complex)
 def test_gauge_op_validation():
     with pytest.raises(ValueError):
         GaugeOp.scalar(0)
+    for bad in (complex("nan"), complex("inf"), complex(0, -np.inf), complex(1, np.nan)):
+        with pytest.raises(ValueError, match="finite nonzero lambda"):
+            GaugeOp.scalar(bad)
     with pytest.raises(linalg.SingularMatrixError):
         GaugeOp.local_conj(np.ones((2, 2)))
     for bad in (np.nan, np.inf):
@@ -75,6 +81,63 @@ def test_gauge_ops_preserve_verdict_on_non_solutions():
     assert not check_gybe(r, 1e-9).passed
     for op in (GaugeOp.scalar(2.0), GaugeOp.inverse(), GaugeOp.local_conj(I2 + 0.2 * SIGMA_X)):
         assert not check_gybe(apply_gauge(r, op), 1e-9).passed
+
+
+@pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_local_conjugation_matches_kron_reference(d, m):
+    # A non-symmetric Q catches a lift that applies Q transposed.
+    rng = np.random.default_rng([27, d, m])
+    q = linalg.identity(d) + 0.4 * _complex_normal(rng, d)
+    r = RMatrix(GybeSignature(d, m, 1), _complex_normal(rng, d**m))
+    want = linalg.kron_power(linalg.inverse(q), m) @ r.matrix @ linalg.kron_power(q, m)
+    got = apply_gauge(r, GaugeOp.local_conj(q)).matrix
+    assert linalg.max_abs_diff(got, want) <= 1e-12 * linalg.max_abs(want)
+
+
+def _complex_normal(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _gauge_move(kind: str, seed: int) -> tuple[GaugeOp, float]:
+    """A gauge move with |lambda| in [0.8, 1.25] and cond(Q) <= 1.25, and the
+    factor by which it may scale a GYBE residual.  The residual is cubic in
+    R; conjugation by Q^⊗m scales R by at most cond(Q)^m, so the caller
+    raises the returned cond(Q)^3 to the m-th power.  Inversion keeps R of
+    the form lambda (Q^-1)^⊗m U Q^⊗m with U unitary, whose bounds these
+    factors already cover."""
+    rng = np.random.default_rng(seed)
+    if kind == "inverse":
+        return GaugeOp.inverse(), 1.0
+    if kind == "scalar":
+        size = rng.uniform(0.8, 1.25)
+        return GaugeOp.scalar(size * np.exp(2j * np.pi * rng.random())), max(size, 1 / size) ** 3
+    smallest = rng.uniform(0.8, 1.0)
+    q = linalg.random_unitary(2, rng) @ np.diag([1.0, smallest]) @ linalg.random_unitary(2, rng)
+    return GaugeOp.local_conj(q), smallest ** -3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moves=st.lists(
+        st.tuples(st.sampled_from(("scalar", "inverse", "local_conj")), st.integers(0, 2**32 - 1)),
+        max_size=4,
+    )
+)
+def test_gauge_moves_preserve_the_gybe_verdict(moves):
+    """Solutions stay solutions and 1e-3-perturbed ones stay non-solutions
+    under any bounded gauge sequence, at a tolerance scaled by the moves."""
+    rng = np.random.default_rng(28)
+    for name in registry_ids():
+        exact = resolve_solution(name)
+        noise = _complex_normal(rng, exact.size)
+        perturbed = RMatrix(exact.signature, exact.matrix + 1e-3 * noise / linalg.max_abs(noise))
+        tol = 1e-12
+        for kind, seed in moves:
+            op, scale = _gauge_move(kind, seed)
+            tol *= scale ** exact.signature.m if kind == "local_conj" else scale
+            exact, perturbed = apply_gauge(exact, op), apply_gauge(perturbed, op)
+        assert check_gybe(exact, tol).passed
+        assert not check_gybe(perturbed, tol).passed
 
 
 def test_scalar_op_scales_eigenvalues():
@@ -213,6 +276,15 @@ def test_search_rejects_unequal_ratio():
 def test_search_validates_compatibility():
     with pytest.raises(ValueError):
         search_local_conjugation(rowell_solution(), resolve_solution("xshape"))
+
+
+def test_witness_search_needs_local_dimension_two():
+    # The searched shapes of Q are 2x2; apply_gauge itself takes any d.
+    r = RMatrix(GybeSignature(3, 2, 1), linalg.identity(9), "identity")
+    with pytest.raises(ValueError, match="local dimension 2, got d = 3"):
+        search_local_conjugation(r, r)
+    with pytest.raises(ValueError, match="local dimension 2, got d = 3"):
+        search_equivalence(r, r)
 
 
 def test_searches_reject_fewer_than_one_restart():

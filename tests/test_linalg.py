@@ -300,6 +300,9 @@ def test_matrix_from_json_rejects_malformed():
         linalg.matrix_from_json('{"rows": 1, "cols": 1, "entries": [[1, 0, 0]]}')
     with pytest.raises(ValueError):
         linalg.matrix_from_json('{"cols": 1, "entries": [[1, 0]]}')
+    for rows, cols in (("1.9", "1"), ('"1"', "1"), ("true", "true"), ("1", "1.0"), ("null", "1")):
+        with pytest.raises(ValueError, match="rows and cols must be integers"):
+            linalg.matrix_from_json(f'{{"rows": {rows}, "cols": {cols}, "entries": [[1, 0]]}}')
     for entries in (
         "5", "[1, 0]", "[[1, 0], [1]]", "[[1, 0], [[1], 0]]", '"ab"', '[["a", "b"]]', "[[{}, 0]]",
         '[["1.5", true]]', '[["1.5", 0]]', "[[1, false]]", "[[null, 0]]",

@@ -73,6 +73,23 @@ def test_pattern_json_round_trip():
     np.testing.assert_array_equal(loaded.mask, np.eye(2, dtype=bool))
 
 
+def test_pattern_json_rejects_coerced_values():
+    # numpy would read "0" as True and int() would truncate 2.7 to 2.
+    for text in (
+        '{"size": 2, "mask": [["0", "0"], ["0", "1"]]}',
+        '{"size": 2, "mask": [[0, 0], [0, 1]]}',
+        '{"size": 2.7, "mask": [[true, false], [false, true]]}',
+        '{"size": true, "mask": [[true]]}',
+        '{"size": "2", "mask": [[true, false], [false, true]]}',
+        '{"size": 2, "mask": "1001"}',
+        '{"size": 2}',
+    ):
+        with pytest.raises(ValueError, match="malformed pattern JSON"):
+            load_pattern_text(text)
+    with pytest.raises(ValueError):
+        load_pattern_text('{"size": 2, "mask": [[true, false], [true]]}')
+
+
 def test_objective_vanishes_on_solutions():
     assert gybe_objective(rowell_solution().matrix, rowell_pattern(), SIG) <= 1e-26
 
