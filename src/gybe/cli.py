@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -253,6 +254,8 @@ def cmd_search(args) -> int:
             f"{len(result.solutions)} solution class(es); "
             f"best objective {result.best_objective:.3e}"
         )
+        reasons = Counter(report.reason for report in result.restarts)
+        print("restarts: " + ", ".join(f"{n} {reason}" for reason, n in reasons.items()))
         for found in result.solutions:
             print(f"  restart {found.restart_index}: residual {found.residual:.3e}")
     return 0

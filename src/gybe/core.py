@@ -145,10 +145,14 @@ def lift_pair(m: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lifted_difference(matrix: np.ndarray, signature: GybeSignature) -> np.ndarray:
-    """L S L - S L S for L = R ⊗ I^l, S = I^l ⊗ R; zero exactly on solutions."""
-    m = linalg.as_matrix(matrix)
-    if m.shape[0] != signature.matrix_size:
-        raise ValueError(f"matrix side {m.shape[0]} does not match signature {signature}")
+    """L S L - S L S for L = R ⊗ I^l, S = I^l ⊗ R; zero exactly on solutions.
+
+    Like :func:`lift_pair`, ``matrix`` may carry leading batch axes.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    size = signature.matrix_size
+    if m.ndim < 2 or m.shape[-2:] != (size, size):
+        raise ValueError(f"matrix shape {m.shape} does not match signature {signature}")
     braid_dimension(signature, 3)  # L, S are sigma_1, sigma_2 on 3 strands
     left, right = lift_pair(m, signature.d**signature.l)
     return left @ right @ left - right @ left @ right

@@ -12,10 +12,11 @@ action that also gives braid generators their images, and :func:`apply_gauge`
 is the one place that forms (Q^-1)^⊗m R Q^⊗m.
 
 The witness search solves the commutation system Q^⊗m · s = r · Q^⊗m by
-damped least squares over 2x2 shapes of Q (so d = 2 only) and scores each
-candidate by :func:`apply_gauge`: diagonal and antidiagonal shapes suffice for
-the block-structured families handled in :mod:`gybe.solutions`; a general
-dense shape is also available as a heuristic.
+damped least squares over 2x2 shapes of Q (so d = 2 only), scores each
+candidate by :func:`apply_gauge` and stops at the first within tolerance:
+diagonal and antidiagonal shapes suffice for the block-structured families
+handled in :mod:`gybe.solutions`; a general dense shape is also available as
+a heuristic.
 """
 
 from __future__ import annotations
@@ -219,8 +220,9 @@ def _search_conjugator(
 
     Minimizes the commutation residual Q^⊗m · s - r · Q^⊗m (with the
     Frobenius-optimal scalar folded in when ``with_scalar``), then scores
-    the candidate by the explicit conjugation residual.  Returns the best
-    (Q, lambda, residual) with deterministic tie-break by restart order.
+    the candidate by the explicit conjugation residual.  Returns the first
+    (Q, lambda, residual) with residual <= ``tol``, in shape, form and
+    restart order, or None when no restart gets there.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -239,7 +241,6 @@ def _search_conjugator(
             return None, None
         return float(linalg.max_abs(lam * image - s.matrix)), lam
 
-    best = None
     for shape in shapes:
         for n_complex, builder in _shape_parameterizations(shape):
 
@@ -262,11 +263,9 @@ def _search_conjugator(
                 )
                 q = builder(_to_complex(fit.x))
                 residual, lam = conjugation_residual(q)
-                if residual is None:
-                    continue
-                if best is None or residual < best[2]:
-                    best = (q, lam, residual)
-    return best
+                if residual is not None and residual <= tol:
+                    return q, lam, residual
+    return None
 
 
 def search_local_conjugation(
@@ -281,11 +280,11 @@ def search_local_conjugation(
 ) -> tuple[np.ndarray, float] | None:
     """Search for Q with (Q^-1)^⊗m r Q^⊗m = s over the given shapes.
 
-    Returns the best (Q, residual) with residual <= tol, or None; absence
-    of a witness is a valid outcome, not an error.  Fewer than one restart
-    is a ValueError.
+    Returns the first (Q, residual) found with residual <= tol, or None;
+    absence of a witness is a valid outcome, not an error.  Fewer than one
+    restart is a ValueError.
     """
-    best = _search_conjugator(
+    hit = _search_conjugator(
         r,
         s,
         shapes,
@@ -295,9 +294,9 @@ def search_local_conjugation(
         tol=tol,
         max_iterations=max_iterations,
     )
-    if best is None or best[2] > tol:
+    if hit is None:
         return None
-    return best[0], best[2]
+    return hit[0], hit[2]
 
 
 def search_equivalence(
@@ -314,14 +313,15 @@ def search_equivalence(
     """Find a gauge sequence carrying ``r`` onto ``s``, or None.
 
     Tries a scalar combined with a local conjugation found by search, first
-    on ``r`` directly and then (when ``include_inverse``) on its inverse.
-    The returned witness lists the operations in application order.  Fewer
-    than one restart is a ValueError, not a missing witness.
+    on ``r`` directly and then (when ``include_inverse``) on its inverse,
+    and returns the first witness within ``tol``: the inverse prefix runs
+    only when the direct one finds none.  The returned witness lists the
+    operations in application order.  Fewer than one restart is a
+    ValueError, not a missing witness.
     """
     candidates: list[tuple[GaugeOp, ...]] = [()]
     if include_inverse:
         candidates.append((GaugeOp.inverse(),))
-    best: EquivalenceWitness | None = None
     for prefix in candidates:
         src = apply_gauge_sequence(r, prefix)
         hit = _search_conjugator(
@@ -334,12 +334,8 @@ def search_equivalence(
             tol=tol,
             max_iterations=max_iterations,
         )
-        if hit is None:
-            continue
-        q, lam, residual = hit
-        ops = prefix + (GaugeOp.local_conj(q), GaugeOp.scalar(lam))
-        if best is None or residual < best.residual:
-            best = EquivalenceWitness(ops, r.label, s.label, residual)
-    if best is None or best.residual > tol:
-        return None
-    return best
+        if hit is not None:
+            q, lam, residual = hit
+            ops = prefix + (GaugeOp.local_conj(q), GaugeOp.scalar(lam))
+            return EquivalenceWitness(ops, r.label, s.label, residual)
+    return None

@@ -7,6 +7,21 @@ squared residual entries.  The Jacobian comes from the caller when it has
 an exact one, and from central differences otherwise.  Steps are accepted
 only when they reduce the objective, so the recorded trace is
 non-increasing.
+
+:func:`solve_stack` minimizes a stack of independent starting points in
+one loop: each iteration evaluates the residuals and Jacobians of the live
+rows together and solves their damped normal equations in one batched
+``np.linalg.solve``.  Every row keeps its own damping, retries, trace and
+stop reason, and leaves the stack when it stops, so a row's result does not
+depend on the rows beside it.  :func:`damped_least_squares` is the stack of
+one.
+
+Besides the budget, a solve stops on convergence, a step below
+``step_tol``, a damping stall, a non-finite residual or Jacobian, or a
+plateau: after ``PLATEAU_STEPS`` accepted steps the objective fell by less
+than ``PLATEAU_RTOL`` (relative) over the last ``PLATEAU_STEPS`` of them, a
+stalled-progress test in the spirit of Moré, "The Levenberg–Marquardt
+algorithm: implementation and theory" (1978).
 """
 
 from __future__ import annotations
@@ -21,6 +36,8 @@ INITIAL_DAMPING = 1e-3
 DAMPING_GROW = 10.0
 DAMPING_SHRINK = 3.0
 STEP_TOL = 1e-15
+PLATEAU_STEPS = 10
+PLATEAU_RTOL = 1e-4
 MAX_INNER_RETRIES = 25
 
 
@@ -29,9 +46,9 @@ class LeastSquaresResult:
     """Outcome of one solve.
 
     ``reason`` says why the solve stopped: ``converged``, ``step_tol``,
-    ``damping_stall``, ``budget`` or ``non_finite``.  ``residual_evals`` and
-    ``jacobian_evals`` count the calls it made, finite-difference residuals
-    included.
+    ``plateau``, ``damping_stall``, ``budget`` or ``non_finite``.
+    ``residual_evals`` and ``jacobian_evals`` count the calls it made,
+    finite-difference residuals included.
     """
 
     x: np.ndarray
@@ -44,20 +61,166 @@ class LeastSquaresResult:
     jacobian_evals: int
 
 
-def _objective(residual: np.ndarray) -> float:
-    return float(np.dot(residual, residual))
+def _objectives(residual: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", residual, residual)
 
 
 def _jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, m: int) -> np.ndarray:
-    jac = np.empty((m, x.size))
-    for j in range(x.size):
+    """Central differences along the last axis of ``x``; leading axes are a stack."""
+    jac = np.empty(x.shape[:-1] + (m, x.shape[-1]))
+    for j in range(x.shape[-1]):
         bumped = x.copy()
-        bumped[j] = x[j] + FD_STEP
+        bumped[..., j] = x[..., j] + FD_STEP
         upper = fn(bumped)
-        bumped[j] = x[j] - FD_STEP
+        bumped[..., j] = x[..., j] - FD_STEP
         lower = fn(bumped)
-        jac[:, j] = (upper - lower) / (2.0 * FD_STEP)
+        jac[..., j] = (upper - lower) / (2.0 * FD_STEP)
     return jac
+
+
+def _damped_steps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each slice ``a[i] s = b[i]``; returns the steps and which slices solved.
+
+    One batched solve fails as a whole on a singular slice, so only then
+    is each slice solved on its own to find the ones that fail.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(b)
+    solved = np.zeros(len(a), dtype=bool)
+    for i in range(len(a)):
+        try:
+            steps[i] = np.linalg.solve(a[i], b[i])
+            solved[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return steps, solved
+
+
+def solve_stack(
+    residual_fn: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    *,
+    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    objective_tol: float = 0.0,
+    max_iterations: int = 200,
+    step_tol: float = STEP_TOL,
+) -> tuple[LeastSquaresResult, ...]:
+    """Minimize ``sum(residual_fn(x)**2)`` from each row of ``x0`` (rows, params).
+
+    ``residual_fn`` maps a (k, params) stack of points to a (k, residuals)
+    stack; ``jacobian_fn`` maps it to the (k, residuals, params) Jacobians
+    and is called once per iteration.  Without it the Jacobian is taken by
+    central differences, at 2 residual evaluations per parameter.  Returns
+    one result per row, in row order.
+    """
+    if np.isnan(objective_tol):
+        raise ValueError("objective_tol must not be NaN")
+    x = np.array(x0, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected a (rows, params) stack of starts, got shape {x.shape}")
+    rows, n_params = x.shape
+    residual = np.asarray(residual_fn(x), dtype=float)
+    objective = _objectives(residual)
+    traces = [[float(v)] for v in objective]
+    damping = np.full(rows, INITIAL_DAMPING)
+    iterations = np.zeros(rows, dtype=int)
+    residual_evals = np.ones(rows, dtype=int)
+    jacobian_evals = np.zeros(rows, dtype=int)
+    stop = ["budget"] * rows
+    eye = np.eye(n_params)
+    live = np.flatnonzero((objective > objective_tol) & (max_iterations > 0))
+
+    while live.size:
+        iterations[live] += 1
+        jacobian_evals[live] += 1
+        if jacobian_fn is None:
+            jac = _jacobian(residual_fn, x[live], residual.shape[1])
+            residual_evals[live] += 2 * n_params
+        else:
+            jac = np.asarray(jacobian_fn(x[live]), dtype=float)
+        finite = np.all(np.isfinite(jac), axis=(1, 2))
+        if not finite.all():
+            for row in live[~finite]:
+                stop[row] = "non_finite"
+            live, jac = live[finite], jac[finite]
+        jac_t = jac.transpose(0, 2, 1)
+        jtj = jac_t @ jac
+        neg_jtr = -(jac_t @ residual[live][..., None])[..., 0]
+
+        # Rows retry with growing damping until a step lowers their objective.
+        pending = np.arange(live.size)
+        step_norm = np.zeros(rows)
+        for _ in range(MAX_INNER_RETRIES):
+            if not pending.size:
+                break
+            steps, solved = _damped_steps(
+                jtj[pending] + damping[live[pending], None, None] * eye, neg_jtr[pending]
+            )
+            damping[live[pending[~solved]]] *= DAMPING_GROW
+            if not solved.any():
+                continue
+            tried, steps = pending[solved], steps[solved]
+            at = live[tried]
+            candidate = x[at] + steps
+            cand_residual = np.asarray(residual_fn(candidate), dtype=float)
+            residual_evals[at] += 1
+            cand_objective = _objectives(cand_residual)
+            better = cand_objective < objective[at]
+            won = at[better]
+            x[won] = candidate[better]
+            residual[won] = cand_residual[better]
+            objective[won] = cand_objective[better]
+            step_norm[won] = np.linalg.norm(steps[better], axis=1)
+            for row in won:
+                traces[row].append(float(objective[row]))
+            damping[won] /= DAMPING_SHRINK
+            damping[at[~better]] *= DAMPING_GROW
+            pending = np.concatenate([pending[~solved], tried[~better]])
+
+        still = np.ones(live.size, dtype=bool)
+        still[pending] = False
+        for row in live[pending]:
+            stop[row] = "damping_stall"
+        for i in np.flatnonzero(still):
+            row = live[i]
+            trace = traces[row]
+            if step_norm[row] <= step_tol:
+                stop[row] = "step_tol"
+            elif len(trace) > PLATEAU_STEPS and (
+                trace[-1] > (1.0 - PLATEAU_RTOL) * trace[-1 - PLATEAU_STEPS]
+            ):
+                stop[row] = "plateau"
+            else:
+                continue
+            still[i] = False
+        live = live[still]
+        live = live[(objective[live] > objective_tol) & (iterations[live] < max_iterations)]
+
+    results = []
+    for row in range(rows):
+        value = float(objective[row])
+        if not np.isfinite(value):
+            reason = "non_finite"
+        elif value <= objective_tol:
+            reason = "converged"
+        else:
+            reason = stop[row]
+        results.append(
+            LeastSquaresResult(
+                x=x[row].copy(),
+                objective=value,
+                trace=tuple(traces[row]),
+                iterations=int(iterations[row]),
+                converged=value <= objective_tol,
+                reason=reason,
+                residual_evals=int(residual_evals[row]),
+                jacobian_evals=int(jacobian_evals[row]),
+            )
+        )
+    return tuple(results)
 
 
 def damped_least_squares(
@@ -69,82 +232,27 @@ def damped_least_squares(
     max_iterations: int = 200,
     step_tol: float = STEP_TOL,
 ) -> LeastSquaresResult:
-    """Minimize ``sum(residual_fn(x)**2)`` from ``x0``.
+    """Minimize ``sum(residual_fn(x)**2)`` from the 1-D start ``x0``.
 
     ``jacobian_fn(x)`` returns the (residuals, parameters) Jacobian at the
     current point; it is called once per iteration.  Without it the
     Jacobian is taken by central differences, at 2 residual evaluations per
-    parameter.
-
-    Stops when the objective reaches ``objective_tol``, the accepted step
-    norm falls below ``step_tol``, damping growth stalls, the iteration
-    budget is exhausted, or the residual or Jacobian turns non-finite.
+    parameter.  This is :func:`solve_stack` on a stack of one, with the
+    same stop reasons.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    residual = np.asarray(residual_fn(x), dtype=float)
-    residual_evals = 1
-    jacobian_evals = 0
-    objective = _objective(residual)
-    trace = [objective]
-    damping = INITIAL_DAMPING
-    iterations = 0
-    stop = "budget"
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1:
+        raise ValueError(f"expected a 1-D start, got shape {x0.shape}")
 
-    while objective > objective_tol and iterations < max_iterations:
-        iterations += 1
-        jacobian_evals += 1
-        if jacobian_fn is None:
-            jac = _jacobian(residual_fn, x, residual.size)
-            residual_evals += 2 * x.size
-        else:
-            jac = np.asarray(jacobian_fn(x), dtype=float)
-        if not np.all(np.isfinite(jac)):
-            stop = "non_finite"
-            break
-        jtj = jac.T @ jac
-        jtr = jac.T @ residual
-        eye = np.eye(x.size)
+    def stacked_jacobian(xs: np.ndarray) -> np.ndarray:
+        return np.asarray(jacobian_fn(xs[0]), dtype=float)[None]
 
-        accepted = False
-        step_norm = 0.0
-        for _ in range(MAX_INNER_RETRIES):
-            try:
-                step = np.linalg.solve(jtj + damping * eye, -jtr)
-            except np.linalg.LinAlgError:
-                damping *= DAMPING_GROW
-                continue
-            candidate = x + step
-            cand_residual = np.asarray(residual_fn(candidate), dtype=float)
-            residual_evals += 1
-            cand_objective = _objective(cand_residual)
-            if cand_objective < objective:
-                step_norm = float(np.linalg.norm(step))
-                x, residual, objective = candidate, cand_residual, cand_objective
-                trace.append(objective)
-                damping /= DAMPING_SHRINK
-                accepted = True
-                break
-            damping *= DAMPING_GROW
-        if not accepted:
-            stop = "damping_stall"
-            break
-        if step_norm <= step_tol:
-            stop = "step_tol"
-            break
-
-    if not np.isfinite(objective):
-        reason = "non_finite"
-    elif objective <= objective_tol:
-        reason = "converged"
-    else:
-        reason = stop
-    return LeastSquaresResult(
-        x=x,
-        objective=objective,
-        trace=tuple(trace),
-        iterations=iterations,
-        converged=objective <= objective_tol,
-        reason=reason,
-        residual_evals=residual_evals,
-        jacobian_evals=jacobian_evals,
+    (fit,) = solve_stack(
+        lambda xs: np.asarray(residual_fn(xs[0]), dtype=float)[None],
+        x0[None],
+        jacobian_fn=None if jacobian_fn is None else stacked_jacobian,
+        objective_tol=objective_tol,
+        max_iterations=max_iterations,
+        step_tol=step_tol,
     )
+    return fit

@@ -4,21 +4,26 @@ Candidates are matrices whose entries are free only where a boolean mask
 allows them.  The objective is the squared Frobenius weight of the equation
 residual plus the squared Frobenius weight of the unitarity defect; it
 vanishes exactly on unitary solutions.  Independent damped least-squares
-restarts minimize it from random starting points, converged candidates are
-certified against the exact checks, and duplicates are folded together by
-scalar-gauge-normalized conjugacy invariants.
+restarts minimize it from random starting points, solved together as one
+stack by :func:`gybe.optimize.solve_stack`; a restart whose objective stops
+falling leaves the stack with reason ``plateau`` instead of running out the
+iteration budget.  Converged candidates are certified against the exact
+checks, and duplicates are folded together by scalar-gauge-normalized
+conjugacy invariants.  Each restart reports why it stopped, what it
+evaluated and whether it was certified.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .core import GybeSignature, RMatrix, gybe_residual, lift_pair, lifted_difference
-from .optimize import damped_least_squares
+from .optimize import LeastSquaresResult, solve_stack
 from .solutions import split_blocks
 
 PARAMETERIZATIONS = ("free-complex", "unit-modulus")
@@ -128,8 +133,8 @@ class SearchConfig:
     parameterization: str = "free-complex"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
@@ -159,18 +164,35 @@ class FoundSolution:
 
 
 @dataclass(frozen=True)
+class RestartReport:
+    """Why one restart stopped, what it evaluated, and whether it was certified."""
+
+    reason: str
+    iterations: int
+    residual_evals: int
+    jacobian_evals: int
+    certified: bool
+
+
+@dataclass(frozen=True)
 class SearchResult:
     solutions: tuple[FoundSolution, ...]
     traces: tuple[tuple[float, ...], ...]
     best_objective: float
     dedup_counts: dict[str, int] = field(default_factory=dict)
+    restarts: tuple[RestartReport, ...] = ()
 
     def to_json_list(self) -> list:
         return [s.to_json_dict() for s in self.solutions]
 
 
 class _Parameterization:
-    """Maps a real parameter vector onto the masked entries of a matrix."""
+    """Maps a real parameter vector onto the masked entries of a matrix.
+
+    Parameters come in consecutive groups of ``per_entry``, one group per
+    allowed entry in ``rows, cols`` order.  ``build`` and ``coefficients``
+    take leading batch axes: a (k, params) stack gives k matrices.
+    """
 
     def __init__(self, pattern: ZeroPattern, kind: str):
         self.pattern = pattern
@@ -181,29 +203,29 @@ class _Parameterization:
             # unit norm (1/sqrt of the row's allowed-entry count).
             counts = pattern.mask.sum(axis=1)
             self.scales = 1.0 / np.sqrt(np.maximum(counts[self.rows], 1))
-            self.n_params = self.rows.size
-            self.entries = np.arange(self.rows.size)
+            self.per_entry = 1
         else:
             self.scales = None
-            self.n_params = 2 * self.rows.size
-            self.entries = np.repeat(np.arange(self.rows.size), 2)
+            self.per_entry = 2  # real and imaginary part
+        self.n_params = self.per_entry * self.rows.size
 
     def build(self, x: np.ndarray) -> np.ndarray:
-        m = np.zeros((self.pattern.size, self.pattern.size), dtype=np.complex128)
+        size = self.pattern.size
+        m = np.zeros(x.shape[:-1] + (size, size), dtype=np.complex128)
         if self.kind == "unit-modulus":
-            m[self.rows, self.cols] = self.scales * np.exp(1j * x)
+            m[..., self.rows, self.cols] = self.scales * np.exp(1j * x)
         else:
-            m[self.rows, self.cols] = x[0::2] + 1j * x[1::2]
+            m[..., self.rows, self.cols] = x[..., 0::2] + 1j * x[..., 1::2]
         return m
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """d(entry)/d(parameter) for each parameter, at ``x``.
+        """d(entry)/d(parameter) at ``x``, broadcastable to (..., entries, per_entry).
 
-        Parameter j moves only entry ``entries[j]``, by this complex factor.
+        Each parameter moves only its own entry, by this complex factor.
         """
         if self.kind == "unit-modulus":
-            return 1j * self.scales * np.exp(1j * x)
-        return np.tile([1.0, 1.0j], self.rows.size)
+            return (1j * self.scales * np.exp(1j * x))[..., None]
+        return np.array([[1.0, 1.0j]])
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "unit-modulus":
@@ -227,12 +249,19 @@ class _Parameterization:
         return x
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def _combined_residual_vector(m: np.ndarray, signature: GybeSignature) -> np.ndarray:
+    """Equation and unitarity residuals of each matrix of a stack, as
+    interleaved real and imaginary parts."""
+    batch = m.shape[:-2]
     eq = lifted_difference(m, signature)
-    uni = m @ linalg.dagger(m) - linalg.identity(m.shape[0])
+    uni = m @ _dagger(m) - np.eye(m.shape[-1])
     return np.concatenate(
-        [eq.real.ravel(), eq.imag.ravel(), uni.real.ravel(), uni.imag.ravel()]
-    )
+        [eq.reshape(*batch, -1), uni.reshape(*batch, -1)], axis=-1
+    ).view(np.float64)
 
 
 class _PatternResidual:
@@ -240,52 +269,73 @@ class _PatternResidual:
 
     The equation part F = LSL - SLS is holomorphic in R, so its derivative
     along the entry basis matrix E_k is dF_k = dL·S·L + L·dS·L + L·S·dL
-    - dS·L·S - S·dL·S - S·L·dS with dL = E_k ⊗ I^l, dS = I^l ⊗ E_k.  The
-    unitarity part U = RR† - I has derivative c·A_k + conj(c)·A_k† with
-    A_k = E_k R†.  Parameter j moves entry k by the complex factor c_j, so
-    its column is c_j times the entry derivatives.  The lifted basis is
-    built once and reused at every point.
+    - dS·L·S - S·dL·S - S·L·dS with dL = E_k ⊗ I^l, dS = I^l ⊗ E_k.  For
+    E_k = E_rc, dL has ones at (r·pad + a, c·pad + a) and dS at
+    (a·n + r, a·n + c), a < pad, so each term X·dL·Y is the gathered product
+    X[:, rows] @ Y[cols, :]; dF_k is one matmul of the six gathered pairs
+    side by side, with inner size 6·pad.  The unitarity part U = RR† - I
+    has derivative c·A_k + conj(c)·A_k† with A_k = E_k R†, whose one
+    nonzero row r is row c of R†.  Parameter j moves entry k by the complex
+    factor c_j, so its column is c_j times the entry derivatives.
+
+    ``residual`` and ``jacobian`` take a 1-D parameter vector or a
+    (k, params) stack, and return one residual vector or Jacobian per row.
     """
 
     def __init__(self, param: _Parameterization, signature: GybeSignature):
         self.param = param
         self.signature = signature
-        self.pad = signature.d**signature.l
-        count, n = param.rows.size, param.pattern.size
-        basis = np.zeros((count, n, n), dtype=np.complex128)
-        basis[np.arange(count), param.rows, param.cols] = 1.0
-        self.basis = basis
-        self.basis_left, self.basis_right = lift_pair(basis, self.pad)
+        self.pad = pad = signature.d**signature.l
+        n = param.pattern.size
+        side = n * pad
+        a = np.arange(pad)
+        rows, cols = param.rows[:, None], param.cols[:, None]
+        l_rows, l_cols = rows * pad + a, cols * pad + a
+        s_rows, s_cols = a * n + rows, a * n + cols
+        # The six terms as (X, rows, Y, cols): X is a block of
+        # [I, L, LS, S, SL] side by side, Y a block of
+        # [SL, L, I, -LS, -S, -I] stacked, so one gather of each builds all six.
+        terms = (
+            (0, l_rows, 0, l_cols),  # dL·SL
+            (1, s_rows, 1, s_cols),  # L·dS·L
+            (2, l_rows, 2, l_cols),  # LS·dL
+            (0, s_rows, 3, s_cols),  # -dS·LS
+            (3, l_rows, 4, l_cols),  # -S·dL·S
+            (4, s_rows, 5, s_cols),  # -SL·dS
+        )
+        self.x_index = np.concatenate([x * side + r for x, r, _, _ in terms], axis=1)
+        self.y_index = np.concatenate([y * side + c for _, _, y, c in terms], axis=1)
+        self.eye = np.eye(side)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return _combined_residual_vector(self.param.build(x), self.signature)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         m = self.param.build(x)
+        batch, n = m.shape[:-2], m.shape[-1]
         left, right = lift_pair(m, self.pad)
         lr, rl = left @ right, right @ left
-        dl, ds = self.basis_left, self.basis_right
-        d_eq = (
-            dl @ rl + left @ ds @ left + lr @ dl
-            - ds @ lr - right @ dl @ right - rl @ ds
+        eye = np.broadcast_to(self.eye, left.shape)
+        # Columns of the X blocks are gathered as rows of their transposes.
+        xs_t = np.concatenate([eye, left, lr, right, rl], axis=-1).swapaxes(-1, -2)
+        ys = np.concatenate([rl, left, eye, -lr, -right, -eye], axis=-2)
+        d_eq = np.take(xs_t, self.x_index, axis=-2).swapaxes(-1, -2) @ np.take(
+            ys, self.y_index, axis=-2
         )
-        d_uni = self.basis @ linalg.dagger(m)
-        c = self.param.coefficients(x)[:, None, None]
-        entries = self.param.entries
-        d_eq = c * d_eq[entries]
-        d_uni = c * d_uni[entries]
-        d_uni = d_uni + d_uni.conj().transpose(0, 2, 1)
-        count = entries.size
-        columns = np.concatenate(
-            [
-                d_eq.real.reshape(count, -1),
-                d_eq.imag.reshape(count, -1),
-                d_uni.real.reshape(count, -1),
-                d_uni.imag.reshape(count, -1),
-            ],
-            axis=1,
-        )
-        return columns.T
+        count, side = d_eq.shape[-3], d_eq.shape[-1]
+        eq_size = side * side
+        a_rows = np.zeros(batch + (count, n, n), dtype=np.complex128)
+        a_rows[..., np.arange(count), self.param.rows, :] = _dagger(m)[..., self.param.cols, :]
+
+        # Column (k, j) is c_kj·dF_k, then c_kj·A_k + conj(c_kj)·A_k†.
+        c = self.param.coefficients(x)[..., None]
+        per_entry = self.param.per_entry
+        columns = np.empty(batch + (count, per_entry, eq_size + n * n), dtype=np.complex128)
+        np.multiply(c, d_eq.reshape(batch + (count, 1, eq_size)), out=columns[..., :eq_size])
+        d_uni = c[..., None] * a_rows[..., None, :, :]
+        columns[..., eq_size:] = (d_uni + _dagger(d_uni)).reshape(batch + (count, per_entry, -1))
+        jac_t = columns.reshape(batch + (self.param.n_params, -1)).view(np.float64)
+        return jac_t.swapaxes(-1, -2)
 
 
 def gybe_objective(
@@ -366,41 +416,38 @@ def solve_pattern(
     problem = _PatternResidual(param, signature)
     objective_tol = config.tolerance**2
 
-    solutions: list[FoundSolution] = []
-    traces: list[tuple[float, ...]] = []
-    dedup_counts: dict[str, int] = {}
-    best_objective = np.inf
+    starts = [
+        param.params_from_matrix(initial)
+        if restart == 0 and initial is not None
+        else param.initial(np.random.default_rng([config.seed, restart]))
+        for restart in range(config.restarts)
+    ]
+    fits = solve_stack(
+        problem.residual,
+        np.stack(starts),
+        jacobian_fn=problem.jacobian,
+        objective_tol=objective_tol,
+        max_iterations=config.max_iterations,
+    )
 
-    for restart in range(config.restarts):
-        if restart == 0 and initial is not None:
-            x0 = param.params_from_matrix(initial)
-        else:
-            rng = np.random.default_rng([config.seed, restart])
-            x0 = param.initial(rng)
-        fit = damped_least_squares(
-            problem.residual,
-            x0,
-            jacobian_fn=problem.jacobian,
-            objective_tol=objective_tol,
-            max_iterations=config.max_iterations,
+    solutions: list[FoundSolution] = []
+    dedup_counts: dict[str, int] = {}
+    reports: list[RestartReport] = []
+    for restart, fit in enumerate(fits):
+        certified = _certify(fit, param, signature, config.tolerance, restart)
+        reports.append(
+            RestartReport(
+                fit.reason,
+                fit.iterations,
+                fit.residual_evals,
+                fit.jacobian_evals,
+                certified is not None,
+            )
         )
-        traces.append(fit.trace)
-        best_objective = min(best_objective, fit.objective)
-        # Both gates are written so that a NaN fails them.
-        if not fit.objective <= objective_tol:
+        if certified is None:
             continue
-        candidate = param.build(fit.x)
-        try:
-            r = RMatrix(signature, candidate, f"search:restart{restart}")
-        except linalg.SingularMatrixError:
-            continue
-        residual = max(
-            gybe_residual(candidate, signature),
-            linalg.unitarity_residual(candidate),
-        )
-        if not residual <= 10.0 * config.tolerance:
-            continue
-        key = dedup_key(candidate)
+        r, residual = certified
+        key = dedup_key(r.matrix)
         dedup_counts[key] = dedup_counts.get(key, 0) + 1
         if dedup_counts[key] == 1:
             solutions.append(
@@ -409,7 +456,34 @@ def solve_pattern(
 
     return SearchResult(
         solutions=tuple(solutions),
-        traces=tuple(traces),
-        best_objective=float(best_objective),
+        traces=tuple(fit.trace for fit in fits),
+        # Starting from inf, min passes over NaN objectives.
+        best_objective=float(min(np.inf, *(fit.objective for fit in fits))),
         dedup_counts=dedup_counts,
+        restarts=tuple(reports),
     )
+
+
+def _certify(
+    fit: LeastSquaresResult,
+    param: _Parameterization,
+    signature: GybeSignature,
+    tolerance: float,
+    restart: int,
+) -> tuple[RMatrix, float] | None:
+    """(RMatrix, residual) when a fit passes the exact checks at 10x tolerance, else None."""
+    # Both gates are written so that a NaN fails them.
+    if not fit.objective <= tolerance**2:
+        return None
+    candidate = param.build(fit.x)
+    try:
+        r = RMatrix(signature, candidate, f"search:restart{restart}")
+    except linalg.SingularMatrixError:
+        return None
+    residual = max(
+        gybe_residual(candidate, signature),
+        linalg.unitarity_residual(candidate),
+    )
+    if not residual <= 10.0 * tolerance:
+        return None
+    return r, residual

@@ -324,6 +324,27 @@ def test_search_cli_round_trip(tmp_path, capsys):
         assert entry["residual"] <= 1e-10
 
 
+def test_search_text_tallies_restarts_by_reason(tmp_path, capsys):
+    from gybe.search import rowell_pattern
+
+    path = tmp_path / "pattern.txt"
+    path.write_text(rowell_pattern().to_text())
+    argv = ("search", "--pattern", str(path), "--signature", "2,3,1")
+    argv += ("--restarts", "8", "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    tally = [line for line in out.splitlines() if line.startswith("restarts: ")]
+    assert len(tally) == 1
+    counts = [part.split() for part in tally[0][len("restarts: "):].split(", ")]
+    assert sum(int(n) for n, _ in counts) == 8
+    assert {reason for _, reason in counts} <= {
+        "converged", "plateau", "step_tol", "damping_stall", "budget", "non_finite"
+    }
+    # The JSON output stays the list of solutions.
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0 and isinstance(json.loads(out), list)
+
+
 def test_search_requires_pattern_and_signature(capsys):
     code, _, err = run_cli(capsys, "search", "--signature", "2,3,1")
     assert code == 2

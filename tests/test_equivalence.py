@@ -319,6 +319,23 @@ def test_zeta_solution_equivalent_to_quarter_turn_member():
     assert linalg.max_abs_diff(reproduced.matrix, rowell_solution().matrix) <= 1e-9
 
 
+def test_inverse_prefix_runs_only_when_the_direct_one_fails():
+    # Both prefixes reach this family-3 target; the direct one is tried
+    # first and wins, whatever the rounding of the two residuals.
+    r = general_solution(3, 1, np.exp(1.0j))
+    s = general_solution(3, np.exp(0.2j), np.exp(1.2j))
+    inverted = apply_gauge(r, GaugeOp.inverse())
+    assert search_equivalence(inverted, s, include_inverse=False) is not None
+    witness = search_equivalence(r, s)
+    assert witness is not None
+    assert [op.kind for op in witness.ops] == ["local_conj", "scalar"]
+    # The zeta solution is reached only through the inverse.
+    source = family_solution(1, np.pi / 2)
+    assert search_equivalence(source, rowell_solution(), include_inverse=False, restarts=6) is None
+    witness = search_equivalence(source, rowell_solution(), restarts=6)
+    assert witness is not None and witness.ops[0].kind == "inverse"
+
+
 def test_zeta_solution_exact_witness_identity():
     # Frozen closed form of the witness the search rediscovers.
     zeta = np.exp(2j * np.pi / 8)

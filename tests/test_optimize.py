@@ -1,8 +1,15 @@
 """Tests for the damped least-squares solver and its stop reasons."""
 
 import numpy as np
+import pytest
 
-from gybe.optimize import _jacobian, damped_least_squares
+from gybe.optimize import (
+    PLATEAU_RTOL,
+    PLATEAU_STEPS,
+    _jacobian,
+    damped_least_squares,
+    solve_stack,
+)
 
 
 def offset(x):
@@ -76,3 +83,102 @@ def test_exact_jacobian_replaces_differences():
     )
     np.testing.assert_array_equal(explicit.x, numeric.x)
     assert explicit.trace == numeric.trace and explicit.iterations == numeric.iterations
+
+
+def test_nan_objective_tol_is_rejected():
+    # A NaN tolerance used to report "budget" after 0 iterations.
+    with pytest.raises(ValueError, match="objective_tol"):
+        damped_least_squares(lambda x: x - 1.0, np.zeros(2), objective_tol=float("nan"))
+
+
+def test_plateau_stops_a_creeping_residual():
+    # The second entry decays toward zero, so the objective creeps down to
+    # its floor of 1: every step is accepted, yet over PLATEAU_STEPS steps it
+    # falls by far less than PLATEAU_RTOL.
+    def creeping(x):
+        return np.array([1.0, 1e-3 * np.exp(-x[0])])
+
+    fit = damped_least_squares(creeping, np.zeros(1), max_iterations=250)
+    assert fit.reason == "plateau" and not fit.converged
+    assert fit.iterations == PLATEAU_STEPS and len(fit.trace) == PLATEAU_STEPS + 1
+    assert fit.trace[-1] > (1.0 - PLATEAU_RTOL) * fit.trace[0]
+
+
+def test_linear_convergence_is_not_a_plateau():
+    # Gauss-Newton halves x on r = x^2, so the objective falls by about 16x
+    # per step: linear, not quadratic, convergence over many steps.
+    fit = damped_least_squares(lambda x: x**2, np.ones(1), objective_tol=1e-20, max_iterations=250)
+    assert fit.reason == "converged"
+    assert fit.iterations > PLATEAU_STEPS
+
+
+def floored(x):
+    """(x0 - 1)^2 + sinh(x1)^2 + x2^2 per row; x2 never moves (see the Jacobian)."""
+    with np.errstate(over="ignore"):
+        return np.stack([x[..., 0] - 1.0, np.sinh(x[..., 1]), x[..., 2]], axis=-1)
+
+
+def floored_jacobian(x):
+    # The x2 column is left zero, so x2 keeps its start value and sets the
+    # row's floor.
+    jac = np.zeros(x.shape[:-1] + (3, 3))
+    jac[..., 0, 0] = 1.0
+    with np.errstate(over="ignore"):
+        jac[..., 1, 1] = np.cosh(x[..., 1])
+    return jac
+
+
+def test_stacked_rows_match_their_solo_solves_bit_for_bit():
+    starts = np.array(
+        [
+            [1.0, 0.0, 0.0],  # converged before any iteration
+            [3.0, 2.0, 0.0],  # converges
+            [1.0, 0.0, 0.5],  # at its floor: every retry fails
+            [np.nan, 0.0, 0.0],  # non-finite start
+            [0.0, 800.0, 0.0],  # sinh overflows: non-finite Jacobian
+            [2.0, 1.0, 1.0],  # runs down to its floor, then stalls
+            [-4.0, -3.0, 0.0],  # converges from further out
+        ]
+    )
+    options = dict(jacobian_fn=floored_jacobian, objective_tol=1e-20, max_iterations=40)
+    stacked = solve_stack(floored, starts, **options)
+    assert len(stacked) == len(starts)
+    for start, fit in zip(starts, stacked):
+        solo = damped_least_squares(floored, start, **options)
+        np.testing.assert_array_equal(fit.x, solo.x)
+        np.testing.assert_array_equal(np.array(fit.trace), np.array(solo.trace))
+        np.testing.assert_array_equal(fit.objective, solo.objective)
+        for name in ("reason", "converged", "iterations", "residual_evals", "jacobian_evals"):
+            assert getattr(fit, name) == getattr(solo, name)
+    reasons = [fit.reason for fit in stacked]
+    assert reasons[:5] == ["converged", "converged", "damping_stall", "non_finite", "non_finite"]
+    assert stacked[0].iterations == 0 and stacked[3].iterations == 0
+    assert stacked[4].iterations == 1
+
+
+def scaled_sum(x):
+    """x2·(x0 + x1) - 1 per row; x2 never moves (see the Jacobian)."""
+    return x[..., 2:] * (x[..., :1] + x[..., 1:2]) - 1.0
+
+
+def scaled_sum_jacobian(x):
+    jac = np.zeros(x.shape[:-1] + (1, 3))
+    jac[..., 0, :2] = x[..., 2:]
+    return jac
+
+
+def test_singular_row_grows_only_its_own_damping():
+    # At x2 = 1e20 the damped normal matrix is singular in floating point
+    # (1e40 + damping rounds to 1e40) for every retry, so that row stalls
+    # without evaluating a candidate; the other row converges as it would
+    # alone.
+    starts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e20]])
+    options = dict(jacobian_fn=scaled_sum_jacobian, objective_tol=1e-20, max_iterations=40)
+    stacked = solve_stack(scaled_sum, starts, **options)
+    assert [fit.reason for fit in stacked] == ["converged", "damping_stall"]
+    assert (stacked[1].iterations, stacked[1].residual_evals) == (1, 1)
+    for start, fit in zip(starts, stacked):
+        solo = damped_least_squares(scaled_sum, start, **options)
+        np.testing.assert_array_equal(fit.x, solo.x)
+        assert fit.trace == solo.trace and fit.reason == solo.reason
+        assert (fit.iterations, fit.residual_evals) == (solo.iterations, solo.residual_evals)

@@ -23,6 +23,7 @@ from gybe.search import (
 from gybe.solutions import base_solution, rowell_solution, split_blocks
 
 SIG = GybeSignature(2, 3, 1)
+REASONS = ("converged", "step_tol", "plateau", "damping_stall", "budget", "non_finite")
 
 FAMILY_EIG_LISTS = (
     [np.exp(-1j * np.pi / 12)] * 2 + [np.exp(7j * np.pi / 12)] * 2,
@@ -115,6 +116,11 @@ def test_objective_rejects_pattern_violations():
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(tolerance=0.0)
+    # An infinite tolerance would certify random matrices; NaN would
+    # certify nothing.
+    for tolerance in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
@@ -212,10 +218,50 @@ def test_exact_jacobian_matches_central_differences(signature, kind, named_patte
     assert linalg.max_abs(exact - numeric) <= 1e-6 * linalg.max_abs(exact)
 
 
+@pytest.mark.parametrize("kind", PARAMETERIZATIONS)
+def test_stacked_jacobian_matches_per_restart_jacobians(kind):
+    rng = np.random.default_rng(41)
+    param = _Parameterization(rowell_pattern(), kind)
+    problem = _PatternResidual(param, SIG)
+    xs = np.stack([param.initial(rng) for _ in range(5)])
+    stacked = problem.jacobian(xs)
+    residuals = problem.residual(xs)
+    for x, jac, residual in zip(xs, stacked, residuals):
+        np.testing.assert_array_equal(jac, problem.jacobian(x))
+        np.testing.assert_array_equal(residual, problem.residual(x))
+
+
+def test_search_reports_every_restart():
+    config = SearchConfig(tolerance=1e-11, restarts=8, seed=3, max_iterations=250)
+    result = solve_pattern(rowell_pattern(), SIG, config)
+    assert len(result.restarts) == config.restarts
+    for report, trace in zip(result.restarts, result.traces):
+        assert report.reason in REASONS
+        assert report.jacobian_evals == report.iterations <= config.max_iterations
+        assert report.residual_evals >= len(trace)
+        assert report.certified <= (report.reason == "converged")
+    assert sum(r.certified for r in result.restarts) == sum(result.dedup_counts.values())
+    assert {f.restart_index for f in result.solutions} <= {
+        k for k, r in enumerate(result.restarts) if r.certified
+    }
+
+
+def test_plateau_keeps_criterion_twelve_hits():
+    # The restarts certified before the plateau stop existed; the stuck
+    # ones now stop early instead of running out the budget.
+    config = SearchConfig(tolerance=1e-11, restarts=64, seed=20260808, max_iterations=250)
+    result = solve_pattern(rowell_pattern(), SIG, config)
+    missed = [k for k, r in enumerate(result.restarts) if not r.certified]
+    assert missed == [22, 34, 37, 45, 62, 63]
+    assert sum(result.dedup_counts.values()) == 58
+    assert all(r.iterations < config.max_iterations for r in result.restarts)
+
+
 def test_non_finite_start_is_not_certified():
     config = SearchConfig(tolerance=1e-11, restarts=2, seed=0, max_iterations=20)
     result = solve_pattern(rowell_pattern(), SIG, config, initial=np.full((8, 8), np.nan))
     assert np.isnan(result.traces[0][0]) and len(result.traces[0]) == 1
+    assert result.restarts[0].reason == "non_finite" and not result.restarts[0].certified
     assert all(f.restart_index != 0 for f in result.solutions)
 
 
