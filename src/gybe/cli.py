@@ -14,6 +14,7 @@ default to machine-readable JSON on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -78,13 +79,29 @@ def _infer_signature(size: int) -> GybeSignature:
 
 
 def _load_matrix_file(args) -> RMatrix:
+    """The --matrix input, under --signature or else the (2, m, 1) its side implies.
+
+    An assumed signature is noted on stderr and kept in
+    ``args.assumed_signature`` for :func:`_report_json`.
+    """
     mat = linalg.matrix_from_json(_read_text(args.matrix))
-    sig = (
-        _parse_signature(args.signature)
-        if args.signature
-        else _infer_signature(mat.shape[0])
-    )
+    if args.signature:
+        sig = _parse_signature(args.signature)
+    else:
+        sig = _infer_signature(mat.shape[0])
+        args.assumed_signature = sig
+        print(
+            f"signature {sig} assumed for the {mat.shape[0]}x{mat.shape[0]} matrix; "
+            "pass --signature d,m,l to choose another",
+            file=sys.stderr,
+        )
     return RMatrix(sig, mat, f"file:{args.matrix}")
+
+
+def _report_json(args, data: dict) -> str:
+    """A JSON report, with the signature assumed for --matrix input as ``signature``."""
+    assumed = getattr(args, "assumed_signature", None)
+    return _json(data if assumed is None else {**data, "signature": str(assumed)})
 
 
 def _load_rmatrix(args) -> RMatrix:
@@ -100,9 +117,9 @@ def _print_matrix(m: np.ndarray) -> None:
         print("  ".join(f"{v.real:+.6f}{v.imag:+.6f}i" for v in row))
 
 
-def _emit_report(report: CheckReport, as_json: bool) -> int:
-    if as_json:
-        print(_json(report.to_json_dict()))
+def _emit_report(report: CheckReport, args) -> int:
+    if args.json:
+        print(_report_json(args, report.to_json_dict()))
     else:
         verdict = "passed" if report.passed else "FAILED"
         extra = " (vacuous)" if report.vacuous else ""
@@ -116,7 +133,7 @@ def _emit_report(report: CheckReport, as_json: bool) -> int:
 def cmd_verify(args) -> int:
     r = _load_rmatrix(args)
     tol = args.tol if args.tol is not None else DEFAULT_VERIFY_TOL
-    return _emit_report(check_gybe(r, tol), args.json)
+    return _emit_report(check_gybe(r, tol), args)
 
 
 def cmd_family(args) -> int:
@@ -166,13 +183,14 @@ def cmd_classify(args) -> int:
     category = classify_unitary_params(omega, gamma, delta, tol)
     if args.json:
         print(
-            _json(
+            _report_json(
+                args,
                 {
                     "category": category,
                     "omega": [omega.real, omega.imag],
                     "gamma": [gamma.real, gamma.imag],
                     "delta": [delta.real, delta.imag],
-                }
+                },
             )
         )
     else:
@@ -199,7 +217,7 @@ def cmd_equiv(args) -> int:
         print("none" if not args.json else _json(None))
         return 1
     if args.json:
-        print(_json(witness.to_json_dict()))
+        print(_report_json(args, witness.to_json_dict()))
     else:
         steps = ", ".join(op.kind for op in witness.ops)
         print(f"witness [{steps}] residual {witness.residual:.3e}")
@@ -217,7 +235,8 @@ def cmd_braid(args) -> int:
         diff = linalg.max_abs_diff(evaluate_word(rep, word), evaluate_word(rep, other))
         tol = args.tol if args.tol is not None else 1e-12
         if args.json:
-            print(_json({"max_difference": diff, "tolerance": tol, "equal": diff <= tol}))
+            report = {"max_difference": diff, "tolerance": tol, "equal": diff <= tol}
+            print(_report_json(args, report))
         else:
             print(f"max entry difference {diff:.3e}")
         return 0 if diff <= tol else 1
@@ -248,7 +267,14 @@ def cmd_search(args) -> int:
     )
     result = solve_pattern(pattern, signature, config)
     if args.json:
-        print(_json(result.to_json_list()))
+        data = result.to_json_list()
+        if args.stats:
+            data = {
+                "solutions": data,
+                "restarts": [dataclasses.asdict(report) for report in result.restarts],
+                "dedup_counts": result.dedup_counts,
+            }
+        print(_json(data))
     else:
         print(
             f"{len(result.solutions)} solution class(es); "
@@ -258,7 +284,25 @@ def cmd_search(args) -> int:
         print("restarts: " + ", ".join(f"{n} {reason}" for reason, n in reasons.items()))
         for found in result.solutions:
             print(f"  restart {found.restart_index}: residual {found.residual:.3e}")
+        if args.stats:
+            _print_search_stats(result)
     return 0
+
+
+def _print_search_stats(result) -> None:
+    """One line per restart, then the certified hits in each solution class."""
+    for index, report in enumerate(result.restarts):
+        verdict = "certified" if report.certified else "not certified"
+        print(
+            f"restart {index}: {report.reason} after {report.iterations} iteration(s), "
+            f"{report.residual_evals} residual and {report.jacobian_evals} Jacobian "
+            f"evaluation(s), {verdict}"
+        )
+    for found in result.solutions:
+        print(
+            f"class of restart {found.restart_index}: "
+            f"{result.dedup_counts[found.dedup_key]} certified hit(s)"
+        )
 
 
 def cmd_registry(args) -> int:
@@ -329,6 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="also report each restart's solver stats and the hits per class; "
+        "with --json the output becomes an object with solutions, restarts and dedup_counts",
+    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("registry", help="list named solutions")

@@ -221,9 +221,13 @@ def apply_local(m: np.ndarray, columns: np.ndarray, left: int) -> np.ndarray:
     """(I_left ⊗ m ⊗ I) @ columns, for a vector or a (dim, k) block.
 
     The rows split as (left, side of m, rest) and m contracts the middle
-    axis; the identity on the right stays implicit in the reshape.
+    axis; the identity on the right stays implicit in the reshape.  A stack
+    of matrices m (..., s, s) acts on a stack of blocks (..., dim, k) with
+    the same leading axes, slice by slice.
     """
-    return np.matmul(m, columns.reshape(left, m.shape[0], -1)).reshape(columns.shape)
+    stack = m.shape[:-2]
+    split = columns.reshape(*stack, left, m.shape[-1], -1)
+    return np.matmul(m[..., None, :, :], split).reshape(columns.shape)
 
 
 def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:

@@ -11,12 +11,18 @@ Q^⊗m is m passes of :func:`gybe.core.apply_local` on the identity, the
 action that also gives braid generators their images, and :func:`apply_gauge`
 is the one place that forms (Q^-1)^⊗m R Q^⊗m.
 
-The witness search solves the commutation system Q^⊗m · s = r · Q^⊗m by
-damped least squares over 2x2 shapes of Q (so d = 2 only), scores each
-candidate by :func:`apply_gauge` and stops at the first within tolerance:
-diagonal and antidiagonal shapes suffice for the block-structured families
-handled in :mod:`gybe.solutions`; a general dense shape is also available as
-a heuristic.
+The witness search runs over 2x2 shapes of Q (so d = 2 only), scores each
+candidate by :func:`apply_gauge` and stops at the first within tolerance.
+The diagonal and antidiagonal shapes, which suffice for the
+block-structured families handled in :mod:`gybe.solutions`, are decided in
+closed form with no optimizer: conjugation by diag(1, z)^⊗m scales entry
+(i, j) by a power of z fixed by the bit counts of i and j, so the entry
+ratios leave only a few candidate z, and no candidate within tolerance
+means no witness of that shape.  This generalizes the beta/alpha criterion
+of :func:`is_locally_conjugate_params`.  The general dense shape remains a
+heuristic: it solves the commutation system Q^⊗m · s = r · Q^⊗m by damped
+least squares, all restarts of a form in one
+:func:`gybe.optimize.solve_stack` call.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .core import RMatrix, apply_local
-from .optimize import damped_least_squares
+from .optimize import solve_stack
 from .solutions import GeneralParams
 
 WITNESS_TOL = 1e-9
@@ -86,9 +92,12 @@ class GaugeOp:
 
 
 def _lift(q: np.ndarray, m: int) -> np.ndarray:
-    """Q^⊗m: Q applied to each of the m tensor factors of the identity."""
-    d = q.shape[0]
-    out = linalg.identity(d**m)
+    """Q^⊗m: Q applied to each of the m tensor factors of the identity.
+
+    A (..., d, d) stack of Q gives the stack of their lifts.
+    """
+    d = q.shape[-1]
+    out = np.broadcast_to(linalg.identity(d**m), q.shape[:-2] + (d**m, d**m))
     for k in range(m):
         out = apply_local(q, out, d**k)
     return out
@@ -176,33 +185,126 @@ def is_locally_conjugate_params(
 # --- witness search ----------------------------------------------------------
 
 
-def _shape_parameterizations(shape: str):
-    """Yield (param_count, builder) pairs; builders map C^k to a 2x2 Q.
+def _two_by_two(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]]; entries broadcast, so array entries give a stack."""
+    shape = np.broadcast_shapes(*map(np.shape, (a, b, c, d)))
+    q = np.empty(shape + (2, 2), dtype=np.complex128)
+    q[..., 0, 0], q[..., 0, 1], q[..., 1, 0], q[..., 1, 1] = a, b, c, d
+    return q
 
-    Every invertible 2x2 matrix is a scalar multiple of one of the returned
+
+def _general_forms():
+    """(param_count, builder) pairs; builders map (..., k) complex parameters to Q.
+
+    Every invertible 2x2 matrix is a scalar multiple of one of the two
     normalized forms, and local conjugation ignores the scalar.
     """
-    if shape == "diagonal":
-        yield 1, lambda z: np.array([[1.0, 0.0], [0.0, z[0]]], dtype=np.complex128)
-    elif shape == "antidiagonal":
-        yield 1, lambda z: np.array([[0.0, 1.0], [z[0], 0.0]], dtype=np.complex128)
-    elif shape == "general":
-        yield 3, lambda z: np.array([[1.0, z[0]], [z[1], z[2]]], dtype=np.complex128)
-        yield 2, lambda z: np.array([[0.0, 1.0], [z[0], z[1]]], dtype=np.complex128)
-    else:
-        raise ValueError(f"unknown conjugator shape: {shape!r}")
+    yield 3, lambda z: _two_by_two(1.0, z[..., 0], z[..., 1], z[..., 2])
+    yield 2, lambda z: _two_by_two(0.0, 1.0, z[..., 0], z[..., 1])
 
 
 def _to_complex(x: np.ndarray) -> np.ndarray:
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
-def _scalar_fit(a: np.ndarray, b: np.ndarray) -> complex | None:
-    """The lambda minimizing ||lambda a - b||_F, <a, b> / <a, a>; None when a vanishes."""
-    denom = np.vdot(a, a).real
-    if denom < 1e-300:
-        return None
-    return complex(np.vdot(a, b) / denom)
+def _scalar_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, the lambda minimizing ||lambda a - b||_F.
+
+    That is <a, b> / <a, a>, and 1 where a vanishes.
+    """
+    num = np.einsum("...ij,...ij->...", a.conj(), b)
+    denom = np.einsum("...ij,...ij->...", a.conj(), a).real
+    vanishes = denom < 1e-300
+    return np.where(vanishes, 1.0, num / np.where(vanishes, 1.0, denom))
+
+
+def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool, tol: float):
+    """The few diagonal or antidiagonal Q that can carry r onto s, in closed form.
+
+    Conjugating by diag(1, z)^⊗m multiplies entry (i, j) by z^k with
+    k = w(j) - w(i), w(i) the number of 1 bits of i.  So a witness needs r
+    and s to share their support (entries above ``tol`` relative to the
+    largest) and, on it, s_ij / r_ij = lambda z^k.  Two exponents k1 < k2
+    fix z^(k2 - k1), whose roots are the only candidates; one exponent
+    leaves z free, and z = 1 will do.  Without the scalar, lambda = 1 and
+    the smallest nonzero |k| fixes z^k alone.  [[0, 1], [z, 0]] is
+    X diag(z, 1), and X^⊗m flips every bit of an index, so the
+    antidiagonal shape is the diagonal one on the bit-flipped r, with k
+    negated.  Every candidate still has to pass the caller's scorer.
+    """
+    size = r.size
+    weight = np.array([bin(i).count("1") for i in range(size)])
+    exponent = weight[None, :] - weight[:, None]
+    a, b = r.matrix, s.matrix
+    if shape == "antidiagonal":
+        flip = np.arange(size) ^ (size - 1)
+        a, exponent = a[np.ix_(flip, flip)], -exponent
+    support = np.abs(a) > tol * linalg.max_abs(a)
+    if not np.array_equal(support, np.abs(b) > tol * linalg.max_abs(b)):
+        return
+    # One ratio per exponent, read at the largest entry of a carrying it.
+    largest_first = np.argsort(-np.abs(a[support]), kind="stable")
+    ratios = (b[support] / a[support])[largest_first]
+    levels, first = np.unique(exponent[support][largest_first], return_index=True)
+    level_ratios = ratios[first]
+    nonzero = np.flatnonzero(levels)
+    if with_scalar and levels.size >= 2:
+        low = int(np.argmin(np.diff(levels)))
+        power = int(levels[low + 1] - levels[low])
+        base = level_ratios[low + 1] / level_ratios[low]
+    elif not with_scalar and nonzero.size:
+        i = nonzero[np.argmin(np.abs(levels[nonzero]))]
+        power = abs(int(levels[i]))
+        base = level_ratios[i] if levels[i] > 0 else 1.0 / level_ratios[i]
+    else:
+        power, base = 1, 1.0
+    modulus, phase = abs(base) ** (1.0 / power), np.angle(base)
+    for n in range(power):
+        z = modulus * np.exp(1j * (phase + 2.0 * np.pi * n) / power)
+        if z == 0 or not cmath.isfinite(z):
+            continue
+        yield _two_by_two(1.0, 0.0, 0.0, z) if shape == "diagonal" else _two_by_two(0.0, 1.0, z, 0.0)
+
+
+def _fitted_conjugators(
+    r: RMatrix,
+    s: RMatrix,
+    n_complex: int,
+    builder,
+    *,
+    with_scalar: bool,
+    restarts: int,
+    seed: int,
+    tol: float,
+    max_iterations: int,
+) -> list[np.ndarray]:
+    """One Q per restart, in restart order, from one stacked least-squares solve.
+
+    Each restart minimizes the commutation residual Q^⊗m · s - r · Q^⊗m,
+    with the Frobenius-optimal scalar folded in when ``with_scalar``; the
+    restarts' Q are lifted together by :func:`_lift` on a stack.
+    """
+    m = r.signature.m
+
+    def residual_stack(x: np.ndarray) -> np.ndarray:
+        lifted = _lift(builder(_to_complex(x)), m)
+        left = lifted @ s.matrix
+        right = r.matrix @ lifted
+        lam = _scalar_fit(right, left)[:, None, None] if with_scalar else 1.0
+        diff = (left - lam * right).reshape(len(x), -1)
+        return np.concatenate([diff.real, diff.imag], axis=1)
+
+    starts = [
+        np.random.default_rng([seed, restart]).standard_normal(2 * n_complex)
+        for restart in range(restarts)
+    ]
+    fits = solve_stack(
+        residual_stack,
+        np.stack(starts),
+        objective_tol=(tol / 10.0) ** 2,
+        max_iterations=max_iterations,
+    )
+    return [builder(_to_complex(fit.x)) for fit in fits]
 
 
 def _search_conjugator(
@@ -218,11 +320,12 @@ def _search_conjugator(
 ):
     """Shared engine behind the witness searches.
 
-    Minimizes the commutation residual Q^⊗m · s - r · Q^⊗m (with the
-    Frobenius-optimal scalar folded in when ``with_scalar``), then scores
-    the candidate by the explicit conjugation residual.  Returns the first
-    (Q, lambda, residual) with residual <= ``tol``, in shape, form and
-    restart order, or None when no restart gets there.
+    The diagonal and antidiagonal shapes are decided in closed form by
+    :func:`_graded_conjugators`, with no optimizer; each form of the general
+    shape solves all restarts as one stack in :func:`_fitted_conjugators`.
+    Every candidate is scored by the explicit conjugation residual.
+    Returns the first (Q, lambda, residual) with residual <= ``tol``, in
+    shape, form and candidate or restart order, or None when there is none.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -230,38 +333,40 @@ def _search_conjugator(
         raise ValueError("witness search needs matching signatures")
     if r.signature.d != 2:
         raise ValueError(f"witness search needs local dimension 2, got d = {r.signature.d}")
+    for shape in shapes:
+        if shape not in SHAPES:
+            raise ValueError(f"unknown conjugator shape: {shape!r}")
 
     def conjugation_residual(q: np.ndarray):
         try:
             image = apply_gauge(r, GaugeOp.local_conj(q)).matrix
         except ValueError:  # Q or its image is singular or not finite
             return None, None
-        lam = _scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
-        if lam is None or abs(lam) < 1e-150:  # GaugeOp.scalar needs lambda != 0
+        lam = complex(_scalar_fit(image, s.matrix)) if with_scalar else 1.0 + 0.0j
+        if abs(lam) < 1e-150:  # GaugeOp.scalar needs lambda != 0
             return None, None
         return float(linalg.max_abs(lam * image - s.matrix)), lam
 
     for shape in shapes:
-        for n_complex, builder in _shape_parameterizations(shape):
-
-            def residual_vec(x: np.ndarray) -> np.ndarray:
-                lifted = _lift(builder(_to_complex(x)), r.signature.m)
-                left = lifted @ s.matrix
-                right = r.matrix @ lifted
-                lam = _scalar_fit(right, left) if with_scalar else None
-                diff = left - (1.0 if lam is None else lam) * right
-                return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-
-            for restart in range(restarts):
-                rng = np.random.default_rng([seed, restart])
-                x0 = rng.standard_normal(2 * n_complex)
-                fit = damped_least_squares(
-                    residual_vec,
-                    x0,
-                    objective_tol=(tol / 10.0) ** 2,
+        if shape == "general":
+            groups = (
+                _fitted_conjugators(
+                    r,
+                    s,
+                    n_complex,
+                    builder,
+                    with_scalar=with_scalar,
+                    restarts=restarts,
+                    seed=seed,
+                    tol=tol,
                     max_iterations=max_iterations,
                 )
-                q = builder(_to_complex(fit.x))
+                for n_complex, builder in _general_forms()
+            )
+        else:
+            groups = (_graded_conjugators(r, s, shape, with_scalar=with_scalar, tol=tol),)
+        for candidates in groups:
+            for q in candidates:
                 residual, lam = conjugation_residual(q)
                 if residual is not None and residual <= tol:
                     return q, lam, residual

@@ -1,9 +1,10 @@
 """Damped least-squares minimization.
 
-Small, dependency-free Levenberg-style solver shared by the witness search
-and the zero-pattern solution search.  The residual function maps a real
-parameter vector to a real residual vector; the objective is the sum of
-squared residual entries.  The Jacobian comes from the caller when it has
+Small, dependency-free Levenberg-style solver shared by the zero-pattern
+solution search and the general-shape witness search, both through
+:func:`solve_stack`.  The residual function maps a real parameter vector
+to a real residual vector; the objective is the sum of squared residual
+entries.  The Jacobian comes from the caller when it has
 an exact one, and from central differences otherwise.  Steps are accepted
 only when they reduce the objective, so the recorded trace is
 non-increasing.
@@ -14,7 +15,7 @@ rows together and solves their damped normal equations in one batched
 ``np.linalg.solve``.  Every row keeps its own damping, retries, trace and
 stop reason, and leaves the stack when it stops, so a row's result does not
 depend on the rows beside it.  :func:`damped_least_squares` is the stack of
-one.
+one, for a caller with a single 1-D start.
 
 Besides the budget, a solve stops on convergence, a step below
 ``step_tol``, a damping stall, a non-finite residual or Jacobian, or a

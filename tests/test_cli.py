@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +347,72 @@ def test_search_text_tallies_restarts_by_reason(tmp_path, capsys):
     # The JSON output stays the list of solutions.
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0 and isinstance(json.loads(out), list)
+
+
+def test_search_stats_report_every_restart(tmp_path, capsys):
+    from gybe.search import rowell_pattern
+
+    path = tmp_path / "pattern.txt"
+    path.write_text(rowell_pattern().to_text())
+    argv = ("search", "--pattern", str(path), "--signature", "2,3,1")
+    argv += ("--restarts", "4", "--seed", "3")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--stats")
+    assert code == 0
+    # The plain output comes first, unchanged; the stats follow it.
+    assert out.startswith(plain)
+    lines = out[len(plain):].splitlines()
+    restart_lines = [line for line in lines if line.startswith("restart ")]
+    assert [line.split(":")[0] for line in restart_lines] == [f"restart {i}" for i in range(4)]
+    for line in restart_lines:
+        assert "iteration(s)" in line and "Jacobian evaluation(s)" in line
+        assert line.endswith("certified")
+    class_lines = [line for line in lines if line.startswith("class of restart ")]
+    hits = [line for line in plain.splitlines() if line.startswith("  restart ")]
+    assert len(class_lines) == len(hits)
+
+    code, out, _ = run_cli(capsys, *argv, "--stats", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"solutions", "restarts", "dedup_counts"}
+    assert len(data["restarts"]) == 4
+    assert set(data["restarts"][0]) == {
+        "reason", "iterations", "residual_evals", "jacobian_evals", "certified"
+    }
+    certified = sum(report["certified"] for report in data["restarts"])
+    assert sum(data["dedup_counts"].values()) == certified
+    assert {entry["dedup_key"] for entry in data["solutions"]} == set(data["dedup_counts"])
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert json.loads(out) == data["solutions"]
+
+
+def test_matrix_input_reports_the_assumed_signature(tmp_path, capsys):
+    path = tmp_path / "rowell.json"
+    path.write_text(linalg.matrix_to_json(rowell_solution().matrix))
+    code, out, err = run_cli(capsys, "verify", "--matrix", str(path))
+    assert code == 0 and out.startswith("passed")
+    assert "signature (2,3,1) assumed for the 8x8 matrix" in err
+    code, out, _ = run_cli(capsys, "verify", "--matrix", str(path), "--json")
+    report = json.loads(out)
+    assert report["signature"] == "(2,3,1)"
+    assert {"passed", "residual", "tolerance", "detail"} <= set(report)
+    # An explicit signature is not reported, and the keys stay as before.
+    code, out, err = run_cli(
+        capsys, "verify", "--matrix", str(path), "--signature", "2,3,1", "--json"
+    )
+    assert "signature" not in json.loads(out) and err == ""
+    code, out, _ = run_cli(capsys, "classify", "--matrix", str(path), "--json")
+    assert code == 0 and json.loads(out)["signature"] == "(2,3,1)"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["equiv", "--solution", "family1:theta=1.5707963267948966", "--solution", "rowell"]
+    done = subprocess.run(
+        [sys.executable, "-m", "gybe", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0 and done.stdout.startswith("witness [inverse, local_conj, scalar]")
 
 
 def test_search_requires_pattern_and_signature(capsys):

@@ -8,6 +8,7 @@ from gybe.core import (
     CheckReport,
     GybeSignature,
     RMatrix,
+    apply_local,
     braid_generator_matrix,
     check_far_commutativity,
     check_gybe,
@@ -284,3 +285,16 @@ def test_check_report_json_shape():
     vac = check_far_commutativity(xshape_solution())
     assert vac.to_json_dict()["vacuous"] is True
     assert CheckReport(0.5, False, 1e-12).to_json_dict()["passed"] is False
+
+
+def test_apply_local_acts_on_a_stack_slice_by_slice():
+    # The witness search lifts a stack of conjugators in one call.
+    rng = np.random.default_rng(41)
+    ms = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    blocks = rng.standard_normal((3, 8, 5)) + 1j * rng.standard_normal((3, 8, 5))
+    for left in (1, 2, 4):
+        stacked = apply_local(ms, blocks, left)
+        for m, block, got in zip(ms, blocks, stacked):
+            want = np.kron(np.kron(np.eye(left), m), np.eye(4 // left)) @ block
+            assert linalg.max_abs_diff(got, want) <= 1e-12
+            assert linalg.max_abs_diff(got, apply_local(m, block, left)) == 0.0

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gybe import linalg
+from gybe import equivalence, linalg, optimize
 from gybe.core import GybeSignature, RMatrix, check_gybe
 from gybe.equivalence import (
+    WITNESS_TOL,
     EquivalenceWitness,
     GaugeOp,
     apply_gauge,
@@ -395,3 +396,83 @@ def test_witness_json_shape():
     assert data["ops"][2]["lambda"] == [0.0, 2.0]
     assert data["ops"][1]["Q"]["rows"] == 2
     assert data["residual"] == 1e-12
+
+
+def _no_optimizer(*args, **kwargs):
+    raise AssertionError("the diagonal and antidiagonal shapes must not call an optimizer")
+
+
+def _graded_q(shape: str, rng) -> np.ndarray:
+    """diag(u, v) or [[0, u], [v, 0]] with |u|, |v| in [0.8, 1.25] and random phases."""
+    u, v = rng.uniform(0.8, 1.25, 2) * np.exp(2j * np.pi * rng.random(2))
+    if shape == "diagonal":
+        return np.array([[u, 0], [0, v]])
+    return np.array([[0, u], [v, 0]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from(("diagonal", "antidiagonal")),
+    invert=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_graded_shapes_find_witnesses_in_closed_form(shape, invert, seed):
+    """Every scalar, diagonal or antidiagonal conjugation and optional
+    inverse of a registry solution is undone by the closed form, which runs
+    no least-squares solve."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.8, 1.25) * np.exp(2j * np.pi * rng.random())
+    with pytest.MonkeyPatch.context() as mp:
+        for target in (equivalence, optimize):
+            mp.setattr(target, "solve_stack", _no_optimizer)
+        mp.setattr(optimize, "damped_least_squares", _no_optimizer)
+        for name in registry_ids():
+            r = resolve_solution(name)
+            assert r.signature.d == 2
+            ops = (GaugeOp.inverse(),) if invert else ()
+            ops += (GaugeOp.local_conj(_graded_q(shape, rng)), GaugeOp.scalar(lam))
+            s = apply_gauge_sequence(r, ops)
+            witness = search_equivalence(r, s, shapes=("diagonal", "antidiagonal"))
+            assert witness is not None, name
+            replayed = apply_gauge_sequence(r, witness.ops).matrix
+            assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL
+
+
+_PHASE = st.floats(0.0, 2 * np.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from((1, 2, 3)),
+    phases=st.tuples(_PHASE, _PHASE, _PHASE),
+    ratio_gap=st.one_of(st.just(0.0), st.floats(0.01, 2 * np.pi - 0.01)),
+)
+def test_closed_form_agrees_with_the_ratio_criterion(family, phases, ratio_gap):
+    """Within one family a diagonal or antidiagonal conjugator exists exactly
+    when beta/alpha agree: the paper's criterion, decided by the closed form."""
+    a1, a2, ratio = phases
+    p = GeneralParams(family, np.exp(1j * a1), np.exp(1j * (a1 + ratio)))
+    q = GeneralParams(family, np.exp(1j * a2), np.exp(1j * (a2 + ratio + ratio_gap)))
+    r = general_solution(family, p.alpha, p.beta)
+    s = general_solution(family, q.alpha, q.beta)
+    found = search_local_conjugation(r, s) is not None
+    assert found == is_locally_conjugate_params(p, q)
+
+
+def test_closed_form_tries_every_root():
+    # Exponents w(j) - w(i) of {-2, 0, 3} fix only z^2 through their
+    # smallest gap; the k = 3 entry then rejects the principal square root,
+    # so the search must go on to the other one.
+    rng = np.random.default_rng(29)
+    weight = np.array([bin(i).count("1") for i in range(8)])
+    exponent = weight[None, :] - weight[:, None]
+    support = np.isin(exponent, (-2, 0, 3)) & (rng.random((8, 8)) < 0.7)
+    support[np.diag_indices(8)] = True
+    matrix = np.where(support, 1.0 + 0.5 * _complex_normal(rng, 8), 0.0)
+    r = RMatrix(GybeSignature(2, 3, 1), matrix, "graded")
+    assert set(np.unique(exponent[support])) == {-2, 0, 3}
+    z = np.exp(2j)  # the principal square root of z^2 is -z
+    q = np.diag([1.0, z])
+    for lam, search in ((1.0, search_local_conjugation), (0.9j, search_equivalence)):
+        s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(lam)))
+        assert search(r, s, ("diagonal",)) is not None
