@@ -104,13 +104,12 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
+        amps = linalg.frozen(np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1))
         if not np.all(np.isfinite(amps)):
             raise ValueError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {STATE_NORM_TOL:g}")
-        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property

@@ -25,6 +25,11 @@ from . import linalg
 MAX_MATRIX_SIDE = 2**10
 
 
+def _power_exceeds(d: int, k: int, bound: int) -> bool:
+    """d^k > bound for positive d and k, without building d^k when 2^k alone exceeds it."""
+    return d > 1 and (k >= bound.bit_length() or d**k > bound)
+
+
 @dataclass(frozen=True)
 class GybeSignature:
     """The triple (d, m, l) indexing a generalized Yang-Baxter equation."""
@@ -43,6 +48,10 @@ class GybeSignature:
         """Side length d^m of a conforming R-matrix."""
         return self.d**self.m
 
+    def has_side(self, side: int) -> bool:
+        """side == d^m, decided without building d^m when m is large."""
+        return not _power_exceeds(self.d, self.m, side) and self.matrix_size == side
+
     @property
     def lifted_size(self) -> int:
         """Side length d^(m+l) on which the two lifted operators act."""
@@ -50,12 +59,6 @@ class GybeSignature:
 
     def __str__(self) -> str:
         return f"({self.d},{self.m},{self.l})"
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    out = linalg.as_matrix(m).copy()
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,15 @@ class RMatrix:
     label: str = ""
 
     def __post_init__(self):
-        m = _freeze(self.matrix)
+        m = linalg.frozen(linalg.as_matrix(self.matrix))
         if m.shape[0] != m.shape[1]:
             raise ValueError("an R-matrix must be square")
         if not np.all(np.isfinite(m)):
             raise ValueError("an R-matrix must have finite entries")
-        if m.shape[0] != self.signature.matrix_size:
+        sig, side = self.signature, m.shape[0]
+        if not sig.has_side(side):
             raise ValueError(
-                f"matrix side {m.shape[0]} does not match signature "
-                f"{self.signature} (expected {self.signature.matrix_size})"
+                f"matrix side {side} does not match signature {sig} (expected {sig.d}^{sig.m})"
             )
         linalg.inverse(m)  # raises SingularMatrixError when not invertible
         object.__setattr__(self, "matrix", m)
@@ -208,13 +211,18 @@ def braid_dimension(signature: GybeSignature, n: int) -> int:
 
     The one gate on dense size: generators, representations, far pairs
     (n = j + 1) and the lifted residual (n = 3) all size themselves here.
+    The cap is decided from the exponent, so a huge n builds no huge integer,
+    and an oversized side is reported as d^k.
     """
     if n < 2:
         raise ValueError("a braid group needs at least 2 strands")
-    dim = signature.d ** (signature.m + (n - 2) * signature.l)
-    if dim > MAX_MATRIX_SIDE:
-        raise ValueError(f"representation dimension {dim} exceeds the dense cap {MAX_MATRIX_SIDE}")
-    return dim
+    exponent = signature.m + (n - 2) * signature.l
+    if _power_exceeds(signature.d, exponent, MAX_MATRIX_SIDE):
+        raise ValueError(
+            f"representation dimension {signature.d}^{exponent} exceeds the dense cap "
+            f"{MAX_MATRIX_SIDE}"
+        )
+    return signature.d**exponent
 
 
 def apply_local(m: np.ndarray, columns: np.ndarray, left: int) -> np.ndarray:

@@ -20,9 +20,9 @@ closed form with no optimizer: conjugation by diag(1, z)^⊗m scales entry
 ratios leave only a few candidate z, and no candidate within tolerance
 means no witness of that shape.  This generalizes the beta/alpha criterion
 of :func:`is_locally_conjugate_params`.  The general dense shape remains a
-heuristic: it solves the commutation system Q^⊗m · s = r · Q^⊗m by damped
-least squares, all restarts of a form in one
-:func:`gybe.optimize.solve_stack` call.
+heuristic: it solves the commutation system Q^⊗m · s = lambda · r · Q^⊗m
+for Q and lambda together by damped least squares with an exact Jacobian,
+all restarts of a form in one :func:`gybe.optimize.solve_stack` call.
 """
 
 from __future__ import annotations
@@ -64,9 +64,7 @@ class GaugeOp:
             if q.shape[0] != q.shape[1]:
                 raise ValueError("Q must be square")
             linalg.inverse(q)  # singular Q is rejected here
-            q = q.copy()
-            q.flags.writeable = False
-            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "q", linalg.frozen(q))
         else:
             raise ValueError(f"unknown gauge op kind: {self.kind!r}")
 
@@ -185,26 +183,13 @@ def is_locally_conjugate_params(
 # --- witness search ----------------------------------------------------------
 
 
-def _two_by_two(a, b, c, d) -> np.ndarray:
-    """[[a, b], [c, d]]; entries broadcast, so array entries give a stack."""
-    shape = np.broadcast_shapes(*map(np.shape, (a, b, c, d)))
-    q = np.empty(shape + (2, 2), dtype=np.complex128)
-    q[..., 0, 0], q[..., 0, 1], q[..., 1, 0], q[..., 1, 1] = a, b, c, d
-    return q
-
-
-def _general_forms():
-    """(param_count, builder) pairs; builders map (..., k) complex parameters to Q.
-
-    Every invertible 2x2 matrix is a scalar multiple of one of the two
-    normalized forms, and local conjugation ignores the scalar.
-    """
-    yield 3, lambda z: _two_by_two(1.0, z[..., 0], z[..., 1], z[..., 2])
-    yield 2, lambda z: _two_by_two(0.0, 1.0, z[..., 0], z[..., 1])
-
-
-def _to_complex(x: np.ndarray) -> np.ndarray:
-    return x[..., 0::2] + 1j * x[..., 1::2]
+# The general shape's two forms, each a fixed matrix plus the positions of
+# its free entries.  Every invertible 2x2 matrix is a scalar multiple of one
+# of them, and local conjugation ignores the scalar.
+_GENERAL_FORMS = (
+    (np.array([[1, 0], [0, 0]], dtype=np.complex128), ((0, 1), (1, 0), (1, 1))),
+    (np.array([[0, 1], [0, 0]], dtype=np.complex128), ((1, 0), (1, 1))),
+)
 
 
 def _scalar_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,48 +248,84 @@ def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool
         z = modulus * np.exp(1j * (phase + 2.0 * np.pi * n) / power)
         if z == 0 or not cmath.isfinite(z):
             continue
-        yield _two_by_two(1.0, 0.0, 0.0, z) if shape == "diagonal" else _two_by_two(0.0, 1.0, z, 0.0)
+        entries = [[1, 0], [0, z]] if shape == "diagonal" else [[0, 1], [z, 0]]
+        yield np.array(entries, dtype=np.complex128)
+
+
+class _CommutationResidual:
+    """Q^⊗m · s - lambda · r · Q^⊗m over one general form, with its exact Jacobian.
+
+    The parameters are the real and imaginary parts of the form's free
+    entries of Q, then of lambda when ``with_scalar`` (else lambda = 1);
+    every method takes a (k, params) stack.  The residual is holomorphic in
+    them.  Along the free entry E it moves by dP · s - lambda · r · dP,
+    where the derivative dP of P = Q^⊗m comes from the same m
+    :func:`apply_local` passes as :func:`_lift`, by the product rule
+    d(A_k(Q) P) = A_k(Q) dP + A_k(E) P; along lambda it moves by -r · P.
+    The column of an imaginary part is i times that of its real part.
+    """
+
+    def __init__(self, r: RMatrix, s: RMatrix, form, with_scalar: bool):
+        self.fixed, free = form
+        self.rows, self.cols = np.array(free).T
+        self.basis = np.zeros((len(free), 2, 2), dtype=np.complex128)
+        self.basis[np.arange(len(free)), self.rows, self.cols] = 1.0
+        self.r, self.s, self.m = r.matrix, s.matrix, r.signature.m
+        self.with_scalar = with_scalar
+
+    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Q, and lambda shaped (k, 1, 1), of each row."""
+        z = x[:, 0::2] + 1j * x[:, 1::2]
+        q = np.broadcast_to(self.fixed, (len(x), 2, 2)).copy()
+        q[:, self.rows, self.cols] = z[:, : self.rows.size]
+        return q, z[:, -1, None, None] if self.with_scalar else np.ones((len(x), 1, 1))
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        q, lam = self.unpack(x)
+        p = _lift(q, self.m)
+        return (p @ self.s - lam * (self.r @ p)).reshape(len(x), -1).view(np.float64)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        q, lam = self.unpack(x)
+        side = self.r.shape[0]
+        stack = (len(x), len(self.basis))
+        qs = np.broadcast_to(q[:, None], stack + (2, 2))
+        es = np.broadcast_to(self.basis, stack + (2, 2))
+        p = np.broadcast_to(linalg.identity(side), (len(x), side, side))
+        dp = np.zeros(stack + (side, side), dtype=np.complex128)
+        for k in range(self.m):
+            moved = apply_local(es, np.broadcast_to(p[:, None], dp.shape), 2**k)
+            dp = apply_local(qs, dp, 2**k) + moved
+            p = apply_local(q, p, 2**k)
+        moves = dp @ self.s - lam[:, None] * (self.r @ dp)
+        if self.with_scalar:
+            moves = np.concatenate([moves, -(self.r @ p)[:, None]], axis=1)
+        columns = moves.reshape(len(x), -1, 1, side * side) * np.array([[1.0], [1.0j]])
+        return columns.reshape(len(x), -1, side * side).view(np.float64).swapaxes(-1, -2)
 
 
 def _fitted_conjugators(
-    r: RMatrix,
-    s: RMatrix,
-    n_complex: int,
-    builder,
-    *,
-    with_scalar: bool,
-    restarts: int,
-    seed: int,
-    tol: float,
-    max_iterations: int,
+    problem: _CommutationResidual, restarts: int, seed: int, tol: float, max_iterations: int
 ) -> list[np.ndarray]:
     """One Q per restart, in restart order, from one stacked least-squares solve.
 
-    Each restart minimizes the commutation residual Q^⊗m · s - r · Q^⊗m,
-    with the Frobenius-optimal scalar folded in when ``with_scalar``; the
-    restarts' Q are lifted together by :func:`_lift` on a stack.
+    Each restart minimizes ``problem`` from random free entries and, when it
+    fits a scalar, the lambda that :func:`_scalar_fit` gives for them.
     """
-    m = r.signature.m
-
-    def residual_stack(x: np.ndarray) -> np.ndarray:
-        lifted = _lift(builder(_to_complex(x)), m)
-        left = lifted @ s.matrix
-        right = r.matrix @ lifted
-        lam = _scalar_fit(right, left)[:, None, None] if with_scalar else 1.0
-        diff = (left - lam * right).reshape(len(x), -1)
-        return np.concatenate([diff.real, diff.imag], axis=1)
-
-    starts = [
-        np.random.default_rng([seed, restart]).standard_normal(2 * n_complex)
-        for restart in range(restarts)
-    ]
+    rngs = (np.random.default_rng([seed, restart]) for restart in range(restarts))
+    starts = np.stack([rng.standard_normal(2 * problem.rows.size) for rng in rngs])
+    if problem.with_scalar:
+        lifted = _lift(problem.unpack(starts)[0], problem.m)
+        lam = _scalar_fit(problem.r @ lifted, lifted @ problem.s)
+        starts = np.concatenate([starts, np.stack([lam.real, lam.imag], axis=1)], axis=1)
     fits = solve_stack(
-        residual_stack,
-        np.stack(starts),
+        problem.residual,
+        starts,
+        jacobian_fn=problem.jacobian,
         objective_tol=(tol / 10.0) ** 2,
         max_iterations=max_iterations,
     )
-    return [builder(_to_complex(fit.x)) for fit in fits]
+    return list(problem.unpack(np.stack([fit.x for fit in fits]))[0])
 
 
 def _search_conjugator(
@@ -349,20 +370,8 @@ def _search_conjugator(
 
     for shape in shapes:
         if shape == "general":
-            groups = (
-                _fitted_conjugators(
-                    r,
-                    s,
-                    n_complex,
-                    builder,
-                    with_scalar=with_scalar,
-                    restarts=restarts,
-                    seed=seed,
-                    tol=tol,
-                    max_iterations=max_iterations,
-                )
-                for n_complex, builder in _general_forms()
-            )
+            problems = (_CommutationResidual(r, s, form, with_scalar) for form in _GENERAL_FORMS)
+            groups = (_fitted_conjugators(p, restarts, seed, tol, max_iterations) for p in problems)
         else:
             groups = (_graded_conjugators(r, s, shape, with_scalar=with_scalar, tol=tol),)
         for candidates in groups:

@@ -3,9 +3,9 @@
 Everything in this package runs on plain ``numpy.ndarray`` values of dtype
 complex128.  This module collects the handful of operations the rest of the
 library is built from: Kronecker products, direct sums, conjugate transpose,
-inversion gated on the smallest singular value, eigenvalues of small
-matrices, tolerance-based comparisons in the max-abs-entry norm, and a
-bit-exact JSON encoding.  The arithmetic itself is numpy's.
+read-only copies, inversion gated on the smallest singular value,
+eigenvalues of small matrices, tolerance-based comparisons in the
+max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
 
 All functions are pure; none mutate their arguments.
 """
@@ -84,8 +84,18 @@ def direct_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a (..., n, n) stack."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
+    return m.conj().swapaxes(-1, -2)
+
+
+def frozen(values: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``values``, for the arrays immutable objects hold."""
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
 
 
 def max_abs(m: np.ndarray) -> float:

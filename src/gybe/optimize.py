@@ -4,8 +4,8 @@ Small, dependency-free Levenberg-style solver shared by the zero-pattern
 solution search and the general-shape witness search, both through
 :func:`solve_stack`.  The residual function maps a real parameter vector
 to a real residual vector; the objective is the sum of squared residual
-entries.  The Jacobian comes from the caller when it has
-an exact one, and from central differences otherwise.  Steps are accepted
+entries.  Every caller supplies the exact Jacobian, so one iteration
+costs one Jacobian and one residual per tried step.  Steps are accepted
 only when they reduce the objective, so the recorded trace is
 non-increasing.
 
@@ -32,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 
-FD_STEP = 1e-7
 INITIAL_DAMPING = 1e-3
 DAMPING_GROW = 10.0
 DAMPING_SHRINK = 3.0
@@ -48,8 +47,8 @@ class LeastSquaresResult:
 
     ``reason`` says why the solve stopped: ``converged``, ``step_tol``,
     ``plateau``, ``damping_stall``, ``budget`` or ``non_finite``.
-    ``residual_evals`` and ``jacobian_evals`` count the calls it made,
-    finite-difference residuals included.
+    ``residual_evals`` counts the start and every candidate step it
+    evaluated; ``jacobian_evals`` counts Jacobians, one per iteration.
     """
 
     x: np.ndarray
@@ -64,19 +63,6 @@ class LeastSquaresResult:
 
 def _objectives(residual: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", residual, residual)
-
-
-def _jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, m: int) -> np.ndarray:
-    """Central differences along the last axis of ``x``; leading axes are a stack."""
-    jac = np.empty(x.shape[:-1] + (m, x.shape[-1]))
-    for j in range(x.shape[-1]):
-        bumped = x.copy()
-        bumped[..., j] = x[..., j] + FD_STEP
-        upper = fn(bumped)
-        bumped[..., j] = x[..., j] - FD_STEP
-        lower = fn(bumped)
-        jac[..., j] = (upper - lower) / (2.0 * FD_STEP)
-    return jac
 
 
 def _damped_steps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +90,7 @@ def solve_stack(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    jacobian_fn: Callable[[np.ndarray], np.ndarray],
     objective_tol: float = 0.0,
     max_iterations: int = 200,
     step_tol: float = STEP_TOL,
@@ -113,9 +99,8 @@ def solve_stack(
 
     ``residual_fn`` maps a (k, params) stack of points to a (k, residuals)
     stack; ``jacobian_fn`` maps it to the (k, residuals, params) Jacobians
-    and is called once per iteration.  Without it the Jacobian is taken by
-    central differences, at 2 residual evaluations per parameter.  Returns
-    one result per row, in row order.
+    and is called once per iteration.  Returns one result per row, in row
+    order.
     """
     if np.isnan(objective_tol):
         raise ValueError("objective_tol must not be NaN")
@@ -137,11 +122,7 @@ def solve_stack(
     while live.size:
         iterations[live] += 1
         jacobian_evals[live] += 1
-        if jacobian_fn is None:
-            jac = _jacobian(residual_fn, x[live], residual.shape[1])
-            residual_evals[live] += 2 * n_params
-        else:
-            jac = np.asarray(jacobian_fn(x[live]), dtype=float)
+        jac = np.asarray(jacobian_fn(x[live]), dtype=float)
         finite = np.all(np.isfinite(jac), axis=(1, 2))
         if not finite.all():
             for row in live[~finite]:
@@ -228,7 +209,7 @@ def damped_least_squares(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    jacobian_fn: Callable[[np.ndarray], np.ndarray],
     objective_tol: float = 0.0,
     max_iterations: int = 200,
     step_tol: float = STEP_TOL,
@@ -236,22 +217,17 @@ def damped_least_squares(
     """Minimize ``sum(residual_fn(x)**2)`` from the 1-D start ``x0``.
 
     ``jacobian_fn(x)`` returns the (residuals, parameters) Jacobian at the
-    current point; it is called once per iteration.  Without it the
-    Jacobian is taken by central differences, at 2 residual evaluations per
-    parameter.  This is :func:`solve_stack` on a stack of one, with the
-    same stop reasons.
+    current point; it is called once per iteration.  This is
+    :func:`solve_stack` on a stack of one, with the same stop reasons.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
         raise ValueError(f"expected a 1-D start, got shape {x0.shape}")
 
-    def stacked_jacobian(xs: np.ndarray) -> np.ndarray:
-        return np.asarray(jacobian_fn(xs[0]), dtype=float)[None]
-
     (fit,) = solve_stack(
         lambda xs: np.asarray(residual_fn(xs[0]), dtype=float)[None],
         x0[None],
-        jacobian_fn=None if jacobian_fn is None else stacked_jacobian,
+        jacobian_fn=lambda xs: np.asarray(jacobian_fn(xs[0]), dtype=float)[None],
         objective_tol=objective_tol,
         max_iterations=max_iterations,
         step_tol=step_tol,

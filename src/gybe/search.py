@@ -37,12 +37,11 @@ class ZeroPattern:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool).copy()
+        mask = linalg.frozen(np.asarray(self.mask, dtype=bool))
         if mask.shape != (self.size, self.size):
             raise ValueError(
                 f"mask shape {mask.shape} does not match size {self.size}"
             )
-        mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
     @property
@@ -249,16 +248,12 @@ class _Parameterization:
         return x
 
 
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
 def _combined_residual_vector(m: np.ndarray, signature: GybeSignature) -> np.ndarray:
     """Equation and unitarity residuals of each matrix of a stack, as
     interleaved real and imaginary parts."""
     batch = m.shape[:-2]
     eq = lifted_difference(m, signature)
-    uni = m @ _dagger(m) - np.eye(m.shape[-1])
+    uni = m @ linalg.dagger(m) - np.eye(m.shape[-1])
     return np.concatenate(
         [eq.reshape(*batch, -1), uni.reshape(*batch, -1)], axis=-1
     ).view(np.float64)
@@ -325,7 +320,8 @@ class _PatternResidual:
         count, side = d_eq.shape[-3], d_eq.shape[-1]
         eq_size = side * side
         a_rows = np.zeros(batch + (count, n, n), dtype=np.complex128)
-        a_rows[..., np.arange(count), self.param.rows, :] = _dagger(m)[..., self.param.cols, :]
+        rows_of_dagger = linalg.dagger(m)[..., self.param.cols, :]
+        a_rows[..., np.arange(count), self.param.rows, :] = rows_of_dagger
 
         # Column (k, j) is c_kj·dF_k, then c_kj·A_k + conj(c_kj)·A_k†.
         c = self.param.coefficients(x)[..., None]
@@ -333,7 +329,8 @@ class _PatternResidual:
         columns = np.empty(batch + (count, per_entry, eq_size + n * n), dtype=np.complex128)
         np.multiply(c, d_eq.reshape(batch + (count, 1, eq_size)), out=columns[..., :eq_size])
         d_uni = c[..., None] * a_rows[..., None, :, :]
-        columns[..., eq_size:] = (d_uni + _dagger(d_uni)).reshape(batch + (count, per_entry, -1))
+        d_uni = d_uni + linalg.dagger(d_uni)
+        columns[..., eq_size:] = d_uni.reshape(batch + (count, per_entry, -1))
         jac_t = columns.reshape(batch + (self.param.n_params, -1)).view(np.float64)
         return jac_t.swapaxes(-1, -2)
 
@@ -347,7 +344,7 @@ def gybe_objective(
     pattern: masked-out entries are required to be exactly zero.
     """
     m = linalg.as_matrix(matrix)
-    if pattern.size != signature.matrix_size:
+    if not signature.has_side(pattern.size):
         raise ValueError(
             f"pattern size {pattern.size} does not match signature {signature}"
         )
@@ -406,7 +403,7 @@ def solve_pattern(
     tolerance^2 are re-verified with the exact equation and unitarity
     checks at 10x tolerance before being reported.
     """
-    if pattern.size != signature.matrix_size:
+    if not signature.has_side(pattern.size):
         raise ValueError(
             f"pattern size {pattern.size} does not match signature {signature}"
         )

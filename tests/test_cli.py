@@ -303,6 +303,30 @@ def test_braid_malformed_word(capsys):
     assert "braid word" in err
 
 
+def test_sizes_too_large_to_print_are_input_errors(tmp_path, capsys):
+    from gybe.search import rowell_pattern
+
+    # d^k with k in the millions has more digits than Python will print.
+    code, _, err = run_cli(capsys, "braid", "--solution", "rowell", "--word", "n=1000000: 1")
+    assert code == 2
+    assert "dense cap" in err and "2^1000001" in err
+    path = tmp_path / "rowell.json"
+    path.write_text(linalg.matrix_to_json(rowell_solution().matrix))
+    code, _, err = run_cli(
+        capsys, "verify", "--matrix", str(path), "--signature", "2,100000,1"
+    )
+    assert code == 2
+    assert "(2,100000,1)" in err and "2^100000" in err
+    # Building 3^30000000 takes about 20 s; the side test must not need it.
+    pattern = tmp_path / "rowell.txt"
+    pattern.write_text(rowell_pattern().to_text())
+    code, _, err = run_cli(
+        capsys, "search", "--pattern", str(pattern), "--signature", "3,30000000,1"
+    )
+    assert code == 2
+    assert "(3,30000000,1)" in err
+
+
 def test_search_cli_round_trip(tmp_path, capsys):
     from gybe.search import rowell_pattern
 

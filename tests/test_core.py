@@ -5,10 +5,12 @@ import pytest
 
 from gybe import linalg
 from gybe.core import (
+    MAX_MATRIX_SIDE,
     CheckReport,
     GybeSignature,
     RMatrix,
     apply_local,
+    braid_dimension,
     braid_generator_matrix,
     check_far_commutativity,
     check_gybe,
@@ -246,6 +248,19 @@ def test_core_paths_hit_the_dense_cap():
     # The lifted residual acts on 3 strands, side 2^11.
     with pytest.raises(ValueError, match="dense cap"):
         gybe_residual(linalg.identity(1024), GybeSignature(2, 10, 1))
+
+
+def test_side_and_cap_tests_agree_with_the_power():
+    for d in range(1, 5):
+        for m in range(1, 13):
+            sig = GybeSignature(d, m, 1)
+            assert [s for s in range(1, 5000) if sig.has_side(s)] == [d**m] * (d**m < 5000)
+            for n in range(2, 6):
+                if d ** (m + n - 2) <= MAX_MATRIX_SIDE:
+                    assert braid_dimension(sig, n) == d ** (m + n - 2)
+                else:
+                    with pytest.raises(ValueError, match=f"{d}\\^{m + n - 2} exceeds"):
+                        braid_dimension(sig, n)
 
 
 def test_far_commutativity_passes_for_random_diagonal_blocks():

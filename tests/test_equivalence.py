@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from central_differences import central_differences
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -476,3 +477,37 @@ def test_closed_form_tries_every_root():
     for lam, search in ((1.0, search_local_conjugation), (0.9j, search_equivalence)):
         s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(lam)))
         assert search(r, s, ("diagonal",)) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from((2, 3, 4)),
+    form=st.sampled_from(equivalence._GENERAL_FORMS),
+    with_scalar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_witness_jacobian_matches_central_differences(m, form, with_scalar, seed):
+    rng = np.random.default_rng(seed)
+    signature = GybeSignature(2, m, 1)
+    r, s = (RMatrix(signature, _complex_normal(rng, 2**m)) for _ in range(2))
+    problem = equivalence._CommutationResidual(r, s, form, with_scalar)
+    x = rng.standard_normal((3, 2 * (len(form[1]) + with_scalar)))
+    exact = problem.jacobian(x)
+    numeric = central_differences(problem.residual, x)
+    assert exact.shape == numeric.shape == (3, 2 * 4**m, x.shape[1])
+    assert linalg.max_abs(exact - numeric) <= 1e-6 * linalg.max_abs(exact)
+
+
+@pytest.mark.parametrize("name, seed", [("rowell", 0), ("rowell", 1), ("rowell", 2), ("xshape", 3)])
+def test_general_shape_finds_near_identity_conjugators(name, seed):
+    """S = 1.1i (Q^-1)^⊗m R Q^⊗m for a dense Q near the identity: cases the
+    general shape solves, pinned so that no change to its solver loses them."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    q = np.eye(2) + 0.3 * (a + 1j * b)
+    r = resolve_solution(name)
+    s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(1.1j)))
+    witness = search_equivalence(r, s, shapes=("general",), include_inverse=False)
+    assert witness is not None
+    replayed = apply_gauge_sequence(r, witness.ops).matrix
+    assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL

@@ -134,6 +134,29 @@ def test_dagger_involution():
     np.testing.assert_array_equal(linalg.dagger(linalg.dagger(m)), m)
 
 
+def test_dagger_acts_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    daggered = linalg.dagger(stack)
+    assert daggered.shape == stack.shape
+    for index in np.ndindex(2, 3):
+        np.testing.assert_array_equal(daggered[index], linalg.dagger(stack[index]))
+    with pytest.raises(ValueError, match="shape"):
+        linalg.dagger(np.ones(3))
+
+
+def test_frozen_is_a_read_only_copy():
+    source = np.arange(4.0)
+    out = linalg.frozen(source)
+    assert not out.flags.writeable and source.flags.writeable
+    source[0] = 9.0
+    assert out[0] == 0.0
+    with pytest.raises(ValueError):
+        out[1] = 5.0
+    # A read-only source still gives a copy.
+    assert linalg.frozen(out) is not out
+
+
 def test_is_unitary_zeta_solution():
     check = linalg.is_unitary(rowell_solution().matrix, 1e-12)
     assert check.passed
