@@ -112,9 +112,13 @@ def _load_rmatrix(args) -> RMatrix:
     raise ValueError("pass --solution <id> or --matrix <path|->")
 
 
+def _text_entry(z: complex) -> str:
+    return f"{z.real:+.6f}{z.imag:+.6f}i"
+
+
 def _print_matrix(m: np.ndarray) -> None:
-    for row in m:
-        print("  ".join(f"{v.real:+.6f}{v.imag:+.6f}i" for v in row))
+    for row in linalg.format_entries(m, _text_entry).tolist():
+        print("  ".join(row))
 
 
 def _emit_report(report: CheckReport, args) -> int:
@@ -146,7 +150,7 @@ def cmd_family(args) -> int:
     else:
         raise ValueError("pass --theta <radians> or both --alpha and --beta")
     if args.json:
-        print(_json(linalg.matrix_to_json_dict(r.matrix)))
+        print(linalg.matrix_to_json(r.matrix))
     else:
         print(r.label)
         _print_matrix(r.matrix)
@@ -243,11 +247,11 @@ def cmd_braid(args) -> int:
     if args.state is not None:
         amps = linalg.matrix_from_json(_read_text(args.state)).reshape(-1)
         out = apply_to_state(rep, word, StateVector(amps))
-        print(_json(linalg.matrix_to_json_dict(out.amplitudes.reshape(-1, 1))))
+        print(linalg.matrix_to_json(out.amplitudes.reshape(-1, 1)))
         return 0
     matrix = evaluate_word(rep, word)
     if args.json:
-        print(_json(linalg.matrix_to_json_dict(matrix)))
+        print(linalg.matrix_to_json(matrix))
     else:
         _print_matrix(matrix)
     return 0

@@ -7,6 +7,13 @@ read-only copies, inversion gated on the smallest singular value,
 eigenvalues of small matrices, tolerance-based comparisons in the
 max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
 
+Matrix output formats each distinct entry once: :func:`format_entries`
+groups entries by their 16-byte bit pattern (so ``-0.0`` stays apart from
+``0.0``) and gathers the texts back, so the cost follows the distinct
+values, not the side.  :func:`matrix_to_json` writes strict JSON with it,
+byte for byte ``json.dumps(matrix_to_json_dict(m), allow_nan=False)``,
+and rejects non-finite entries.
+
 All functions are pure; none mutate their arguments.
 """
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -235,8 +242,35 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
+def format_entries(m: np.ndarray, fmt: Callable[[complex], str]) -> np.ndarray:
+    """``fmt`` of every entry of ``m``, as an object array of ``m``'s shape.
+
+    ``fmt`` runs once per distinct 16-byte bit pattern and the texts are
+    gathered back by index; grouping by bits, not by value, keeps ``-0.0``
+    and ``0.0`` (and NaN payloads) apart.
+    """
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    patterns, index = np.unique(a.reshape(-1).view("V16"), return_inverse=True)
+    texts = np.array([fmt(z) for z in patterns.view(np.complex128).tolist()], dtype=object)
+    return texts[index].reshape(a.shape)
+
+
+def _json_pair(z: complex) -> str:
+    # float.__repr__ is what json.dumps writes for a finite float.
+    return f"[{z.real!r}, {z.imag!r}]"
+
+
 def matrix_to_json(m: np.ndarray) -> str:
-    return json.dumps(matrix_to_json_dict(m))
+    """Strict JSON text of :func:`matrix_to_json_dict`, bit-exact like it.
+
+    The bytes are those of ``json.dumps(matrix_to_json_dict(m),
+    allow_nan=False)``; non-finite entries raise ValueError.
+    """
+    m = as_matrix(m)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix JSON entries must be finite")
+    entries = ", ".join(format_entries(m, _json_pair).reshape(-1).tolist())
+    return f'{{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "entries": [{entries}]}}'
 
 
 def matrix_from_json(text: str) -> np.ndarray:

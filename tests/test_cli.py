@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from gybe import linalg
+from gybe.braiding import StateVector, apply_to_state, build_rep, evaluate_word, parse_braid_word
 from gybe.cli import main
-from gybe.solutions import base_solution, rowell_solution, xshape_solution
+from gybe.solutions import (
+    base_solution,
+    family_solution,
+    resolve_solution,
+    rowell_solution,
+    xshape_solution,
+)
 
 
 def run_cli(capsys, *argv):
@@ -289,6 +296,40 @@ def test_braid_state_application(tmp_path, capsys):
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-9
     assert amps[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert amps[4] == pytest.approx(-1j / np.sqrt(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("solution", ["rowell", "family2:theta=0.7"])
+def test_matrix_outputs_keep_the_dict_and_per_entry_bytes(solution, tmp_path, capsys):
+    """Each bare-matrix output matches json.dumps of matrix_to_json_dict, or
+    the per-entry text format, byte for byte."""
+
+    def dumps(m):
+        return json.dumps(linalg.matrix_to_json_dict(m), allow_nan=False) + "\n"
+
+    def text(m):
+        return "".join(
+            "  ".join(f"{v.real:+.6f}{v.imag:+.6f}i" for v in row) + "\n" for row in m
+        )
+
+    r = resolve_solution(solution)
+    word = "n=6: 1,2,-3,4,5,-1,3"
+    rep = build_rep(r, 6)
+    matrix = evaluate_word(rep, parse_braid_word(word))
+    amps = np.zeros(matrix.shape[0], dtype=np.complex128)
+    amps[[0, 5, 77]] = [0.6, -0.0, 0.8j]
+    state = tmp_path / "state.json"
+    state.write_text(linalg.matrix_to_json(amps.reshape(-1, 1)))
+    moved = apply_to_state(rep, parse_braid_word(word), StateVector(amps)).amplitudes
+
+    argv = ["braid", "--solution", solution, "--word", word]
+    assert run_cli(capsys, *argv, "--json") == (0, dumps(matrix), "")
+    assert run_cli(capsys, *argv, "--state", str(state)) == (0, dumps(moved.reshape(-1, 1)), "")
+    assert run_cli(capsys, *argv) == (0, text(matrix), "")
+
+    family = family_solution(2, 0.7)
+    argv = ["family", "--family", "2", "--theta", "0.7"]
+    assert run_cli(capsys, *argv, "--json") == (0, dumps(family.matrix), "")
+    assert run_cli(capsys, *argv) == (0, family.label + "\n" + text(family.matrix), "")
 
 
 def test_braid_requires_word(capsys):

@@ -316,6 +316,52 @@ def test_matrix_json_round_trip_is_exact(m):
     assert back.tobytes() == m.tobytes()
 
 
+def _dumps_reference(m):
+    return json.dumps(linalg.matrix_to_json_dict(m), allow_nan=False)
+
+
+# A few values, so that entries repeat and mix zeros of both signs and subnormals.
+POOLED_DOUBLES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1 / 3, 1e308])
+
+
+@st.composite
+def pooled_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    size = 2 * rows * cols
+    floats = draw(st.lists(POOLED_DOUBLES, min_size=size, max_size=size))
+    return np.array(floats, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.one_of(complex_matrices(), pooled_matrices()))
+def test_matrix_json_text_is_that_of_json_dumps(m):
+    assert linalg.matrix_to_json(m) == _dumps_reference(m)
+    # A transposed view is not contiguous, and a state is a single column.
+    assert linalg.matrix_to_json(m.T) == _dumps_reference(m.T)
+    column = m.reshape(-1, 1)
+    assert linalg.matrix_to_json(column) == _dumps_reference(column)
+
+
+def test_format_entries_formats_each_bit_pattern_once():
+    m = np.array([[0.0, -0.0, 0.0], [1j, -0.0, 1j]])
+    calls = []
+
+    def fmt(z):
+        calls.append(z)
+        return repr(z)
+
+    texts = linalg.format_entries(m, fmt)
+    assert texts.shape == m.shape
+    assert texts.tolist() == [[repr(complex(v)) for v in row] for row in m]
+    assert len(calls) == 3  # 0.0 and -0.0 are told apart by their bits
+
+
+def test_matrix_to_json_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            linalg.matrix_to_json(np.array([[1.0, bad]]))
+
+
 def test_matrix_from_json_rejects_malformed():
     with pytest.raises(ValueError):
         linalg.matrix_from_json('{"rows": 2, "cols": 2, "entries": [[1, 0]]}')
