@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .core import CheckReport, GybeSignature, RMatrix, check_gybe
 from .braiding import StateVector, apply_to_state, build_rep, evaluate_word, parse_braid_word
-from .equivalence import search_equivalence
+from .equivalence import decide_equivalence, search_equivalence
 from .search import SearchConfig, load_pattern_text, solve_pattern
 from .solutions import (
     SQRT2,
@@ -214,18 +214,39 @@ def cmd_equiv(args) -> int:
             "pass two --solution ids, or one --solution and a --matrix target"
         )
     tol = args.tol if args.tol is not None else DEFAULT_EQUIV_TOL
-    witness = search_equivalence(
-        source, target, restarts=args.restarts, seed=args.seed, tol=tol
-    )
-    if witness is None:
-        print("none" if not args.json else _json(None))
-        return 1
-    if args.json:
-        print(_report_json(args, witness.to_json_dict()))
+    if args.stats:
+        decision = decide_equivalence(source, target, tol=tol)
+        witness = decision.witness
     else:
-        steps = ", ".join(op.kind for op in witness.ops)
-        print(f"witness [{steps}] residual {witness.residual:.3e}")
-    return 0
+        witness = search_equivalence(source, target, tol=tol)
+    if args.json:
+        if args.stats:
+            print(_report_json(args, decision.to_json_dict()))
+        else:
+            print(_json(None) if witness is None else _report_json(args, witness.to_json_dict()))
+    else:
+        if witness is None:
+            print("none")
+        else:
+            steps = ", ".join(op.kind for op in witness.ops)
+            print(f"witness [{steps}] residual {witness.residual:.3e}")
+        if args.stats:
+            _print_equiv_stats(decision)
+    return 1 if witness is None else 0
+
+
+def _print_equiv_stats(decision) -> None:
+    """The verdict, then one line per prefix tried: its verdict, the covariant
+    that decided its general shape, and the candidates it scored."""
+    print(f"verdict: {decision.verdict}, {decision.candidates} candidate(s) scored")
+    for prefix in decision.prefixes:
+        covariant = prefix.covariant
+        how = (
+            "no covariant"
+            if covariant is None
+            else f"covariant {covariant.word} at site {covariant.site} ({covariant.kind})"
+        )
+        print(f"{prefix.prefix}: {prefix.verdict}, {how}, {prefix.candidates} candidate(s)")
 
 
 def cmd_braid(args) -> int:
@@ -359,8 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv", help="search for a gauge-equivalence witness")
     add_common(p)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="also report the verdict (witness, none or undecided), the covariant that "
+        "decided each prefix and the candidates scored; with --json the output becomes "
+        "an object with verdict, witness, candidates and prefixes",
+    )
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("braid", help="evaluate braid words in a representation")

@@ -11,23 +11,31 @@ Q^⊗m is m passes of :func:`gybe.core.apply_local` on the identity, the
 action that also gives braid generators their images, and :func:`apply_gauge`
 is the one place that forms (Q^-1)^⊗m R Q^⊗m.
 
-The witness search runs over 2x2 shapes of Q (so d = 2 only), scores each
-candidate by :func:`apply_gauge` and stops at the first within tolerance.
-The diagonal and antidiagonal shapes, which suffice for the
-block-structured families handled in :mod:`gybe.solutions`, are decided in
-closed form with no optimizer: conjugation by diag(1, z)^⊗m scales entry
-(i, j) by a power of z fixed by the bit counts of i and j, so the entry
-ratios leave only a few candidate z, and no candidate within tolerance
-means no witness of that shape.  This generalizes the beta/alpha criterion
-of :func:`is_locally_conjugate_params`.  The general dense shape remains a
-heuristic: it solves the commutation system Q^⊗m · s = lambda · r · Q^⊗m
-for Q and lambda together by damped least squares with an exact Jacobian,
-all restarts of a form in one :func:`gybe.optimize.solve_stack` call.
+The witness search runs over 2x2 Q (so d = 2 only), scores each candidate
+by :func:`apply_gauge` and stops at the first within tolerance.  No shape
+runs an optimizer.  The diagonal and antidiagonal shapes, which suffice for
+the block-structured families handled in :mod:`gybe.solutions`, are
+decided in closed form: conjugation by diag(1, z)^⊗m scales entry (i, j)
+by a power of z fixed by the bit counts of i and j, so the entry ratios
+leave only a few candidate z, and no candidate within tolerance means no
+witness of that shape.  This generalizes the beta/alpha criterion of
+:func:`is_locally_conjugate_params`.  The general shape reduces to those
+closed forms by local covariants (Makhlin, "Nonlocal properties of
+two-qubit gates and mixed states, and the optimization of quantum
+computations", 2002): partial traces of words in R and the site
+transpositions transform as C -> lambda^deg Q^-1 C Q, so the eigenvectors
+of the first one clearly apart from a scalar fix Q up to a diagonal or
+antidiagonal factor, or up to I + bN for a Jordan block.  "None" is then a
+decision over every 2x2 Q.  The search reports "undecided" instead when no
+covariant is clear of the thresholds, or when a candidate misses the
+tolerance by less than rounding could explain (:func:`decide_equivalence`).
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,7 +43,6 @@ import numpy as np
 
 from . import linalg
 from .core import RMatrix, apply_local
-from .optimize import solve_stack
 from .solutions import GeneralParams
 
 WITNESS_TOL = 1e-9
@@ -183,13 +190,80 @@ def is_locally_conjugate_params(
 # --- witness search ----------------------------------------------------------
 
 
-# The general shape's two forms, each a fixed matrix plus the positions of
-# its free entries.  Every invertible 2x2 matrix is a scalar multiple of one
-# of them, and local conjugation ignores the scalar.
-_GENERAL_FORMS = (
-    (np.array([[1, 0], [0, 0]], dtype=np.complex128), ((0, 1), (1, 0), (1, 1))),
-    (np.array([[0, 1], [0, 0]], dtype=np.complex128), ((1, 0), (1, 1))),
-)
+# A covariant is scalar, or has a repeated eigenvalue, when the part that
+# separates it from that is at most this fraction of the largest entry of
+# its word.  The word, not the covariant, sets the scale: some covariants
+# of a solution are zero up to rounding.
+COVARIANT_RTOL = 1e-6
+# A covariant of s that is scalar, or distinct against a Jordan one of r,
+# only within this factor of the threshold leaves the pair undecided rather
+# than ruled out: a 2x2 similarity by Q moves the size of a traceless part
+# by up to cond(Q), and rounding opens a Jordan block's eigenvalue gap to
+# about sqrt(eps) of its scale.
+COVARIANT_MARGIN = 100.0
+# A reducing basis moves by rounding over what separates the covariant
+# from a scalar (the eigenvalue gap, or the nilpotent part of a Jordan
+# block), so a covariant of r reduces only if that is this many times its
+# threshold; one in between is skipped.
+SEPARATION_GATE = 1e3
+# Smallest ratio of the smallest to the largest singular value of a basis
+# that a covariant reduces by; below it the lift of the basis is too close
+# to singular (eigenvectors of a near-Jordan covariant, or a basis of s
+# whose columns were scaled far apart).
+EIGENVECTOR_GATE = 1e-4
+# A candidate that misses ``tol`` but comes within this fraction of the
+# largest entry of s may be a witness lost to rounding (the lifts amplify
+# it by up to cond(Q)^(2m)), so it leaves the prefix undecided.
+NEAR_MISS = 1e-6
+_JORDAN = np.array([[0, 1], [0, 0]], dtype=np.complex128)
+
+
+@dataclass(frozen=True)
+class Covariant:
+    """The partial trace of ``word`` over every site but ``site``, which
+    decided a reduction; ``kind`` is ``distinct`` (two eigenvalues) or
+    ``jordan`` (one Jordan block)."""
+
+    word: str
+    site: int
+    kind: str
+
+
+@dataclass(frozen=True)
+class PrefixDecision:
+    """How the search from one prefix of ``r`` (``direct`` or ``inverse``) ended.
+
+    ``verdict`` is ``witness``, ``none`` (no 2x2 Q of the searched shapes
+    works) or ``undecided`` (the general shape found no covariant to reduce
+    by, or a candidate missed by no more than rounding could explain);
+    ``candidates`` counts the Q scored.
+    """
+
+    prefix: str
+    verdict: str
+    covariant: Covariant | None
+    candidates: int
+
+
+@dataclass(frozen=True)
+class EquivalenceDecision:
+    """The witness, if any, with the verdict and the record of each prefix tried."""
+
+    witness: EquivalenceWitness | None
+    verdict: str
+    prefixes: tuple[PrefixDecision, ...]
+
+    @property
+    def candidates(self) -> int:
+        return sum(p.candidates for p in self.prefixes)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "witness": None if self.witness is None else self.witness.to_json_dict(),
+            "candidates": self.candidates,
+            "prefixes": [dataclasses.asdict(p) for p in self.prefixes],
+        }
 
 
 def _scalar_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,6 +275,10 @@ def _scalar_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     denom = np.einsum("...ij,...ij->...", a.conj(), a).real
     vanishes = denom < 1e-300
     return np.where(vanishes, 1.0, num / np.where(vanishes, 1.0, denom))
+
+
+def _bit_weights(size: int) -> np.ndarray:
+    return np.array([bin(i).count("1") for i in range(size)])
 
 
 def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool, tol: float):
@@ -218,7 +296,7 @@ def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool
     negated.  Every candidate still has to pass the caller's scorer.
     """
     size = r.size
-    weight = np.array([bin(i).count("1") for i in range(size)])
+    weight = _bit_weights(size)
     exponent = weight[None, :] - weight[:, None]
     a, b = r.matrix, s.matrix
     if shape == "antidiagonal":
@@ -252,80 +330,205 @@ def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool
         yield np.array(entries, dtype=np.complex128)
 
 
-class _CommutationResidual:
-    """Q^⊗m · s - lambda · r · Q^⊗m over one general form, with its exact Jacobian.
+def _jordan_conjugators(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: float):
+    """The one Q = I + bN, N = [[0, 1], [0, 0]], that can carry r onto s, in closed form.
 
-    The parameters are the real and imaginary parts of the form's free
-    entries of Q, then of lambda when ``with_scalar`` (else lambda = 1);
-    every method takes a (k, params) stack.  The residual is holomorphic in
-    them.  Along the free entry E it moves by dP · s - lambda · r · dP,
-    where the derivative dP of P = Q^⊗m comes from the same m
-    :func:`apply_local` passes as :func:`_lift`, by the product rule
-    d(A_k(Q) P) = A_k(Q) dP + A_k(E) P; along lambda it moves by -r · P.
-    The column of an imaginary part is i times that of its real part.
+    (I + bN)^⊗m = exp(b N_m) with N_m the sum of N over the sites, so the
+    conjugate of r is exp(-b ad N_m) r = r - b [N_m, r] + O(b^2).  N_m
+    lowers the level w(i) - w(j) of entry (i, j) by one.  The top level of
+    r is untouched, so it fixes lambda; at the highest level where
+    [N_m, r] is nonzero, every higher power of b cancels, and s / lambda
+    = r - b [N_m, r] there fixes b by a one-unknown fit.  When r commutes
+    with N_m, every b does, and b = 0 is returned.
     """
-
-    def __init__(self, r: RMatrix, s: RMatrix, form, with_scalar: bool):
-        self.fixed, free = form
-        self.rows, self.cols = np.array(free).T
-        self.basis = np.zeros((len(free), 2, 2), dtype=np.complex128)
-        self.basis[np.arange(len(free)), self.rows, self.cols] = 1.0
-        self.r, self.s, self.m = r.matrix, s.matrix, r.signature.m
-        self.with_scalar = with_scalar
-
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Q, and lambda shaped (k, 1, 1), of each row."""
-        z = x[:, 0::2] + 1j * x[:, 1::2]
-        q = np.broadcast_to(self.fixed, (len(x), 2, 2)).copy()
-        q[:, self.rows, self.cols] = z[:, : self.rows.size]
-        return q, z[:, -1, None, None] if self.with_scalar else np.ones((len(x), 1, 1))
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        q, lam = self.unpack(x)
-        p = _lift(q, self.m)
-        return (p @ self.s - lam * (self.r @ p)).reshape(len(x), -1).view(np.float64)
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        q, lam = self.unpack(x)
-        side = self.r.shape[0]
-        stack = (len(x), len(self.basis))
-        qs = np.broadcast_to(q[:, None], stack + (2, 2))
-        es = np.broadcast_to(self.basis, stack + (2, 2))
-        p = np.broadcast_to(linalg.identity(side), (len(x), side, side))
-        dp = np.zeros(stack + (side, side), dtype=np.complex128)
-        for k in range(self.m):
-            moved = apply_local(es, np.broadcast_to(p[:, None], dp.shape), 2**k)
-            dp = apply_local(qs, dp, 2**k) + moved
-            p = apply_local(q, p, 2**k)
-        moves = dp @ self.s - lam[:, None] * (self.r @ dp)
-        if self.with_scalar:
-            moves = np.concatenate([moves, -(self.r @ p)[:, None]], axis=1)
-        columns = moves.reshape(len(x), -1, 1, side * side) * np.array([[1.0], [1.0j]])
-        return columns.reshape(len(x), -1, side * side).view(np.float64).swapaxes(-1, -2)
+    size = r.size
+    weight = _bit_weights(size)
+    level = weight[:, None] - weight[None, :]
+    index = np.arange(size)
+    n_sum = (((index[:, None] & index[None, :]) == index[:, None]) & (level == -1)).astype(np.complex128)
+    a, b = r.matrix, s.matrix
+    noise = tol * linalg.max_abs(a)
+    top = level == level[np.abs(a) > noise].max()
+    lam = np.vdot(a[top], b[top]) / np.vdot(a[top], a[top]) if with_scalar else 1.0
+    if abs(lam) < 1e-150:
+        return
+    moved = n_sum @ a - a @ n_sum
+    coefficient = 0.0
+    if linalg.max_abs(moved) > noise:
+        first = level == level[np.abs(moved) > noise].max()
+        t = moved[first]
+        coefficient = np.vdot(t, a[first] - b[first] / lam) / np.vdot(t, t)
+    yield linalg.identity(2) + coefficient * _JORDAN
 
 
-def _fitted_conjugators(
-    problem: _CommutationResidual, restarts: int, seed: int, tol: float, max_iterations: int
-) -> list[np.ndarray]:
-    """One Q per restart, in restart order, from one stacked least-squares solve.
+def _site_transposition(m: int, i: int, j: int) -> tuple[str, np.ndarray]:
+    """(tag, P) for the permutation matrix that swaps qubit sites i and j of m."""
+    perm = list(range(m))
+    perm[i], perm[j] = j, i
+    index = np.arange(2**m).reshape((2,) * m).transpose(perm).reshape(-1)
+    return "P" + "".join(map(str, perm)), linalg.identity(2**m)[index]
 
-    Each restart minimizes ``problem`` from random free entries and, when it
-    fits a scalar, the lambda that :func:`_scalar_fit` gives for them.
+
+def _words(r: np.ndarray, m: int):
+    """(name, degree in r, W(r)) for the words in r and the site
+    transpositions P, in the order the reduction tries them.  Each P
+    commutes with Q^⊗m, so every word is covariant.  Only the m(m-1)/2
+    transpositions enter, built when reached, so a pair no word decides
+    costs O(m^2) products of side 2^m, not m!."""
+    r2 = r @ r
+    yield "R", 1, r
+    yield "R^2", 2, r2
+    yield "R^3", 3, r2 @ r
+    for i, j in itertools.combinations(range(m), 2):
+        tag, p = _site_transposition(m, i, j)
+        rp = r @ p
+        yield f"R {tag}", 1, rp
+        yield f"R {tag} R", 2, rp @ r
+        yield f"R^2 {tag}", 2, r2 @ p
+        yield f"{tag} R {tag} R", 2, p @ r @ p @ r
+
+
+def _partial_trace(w: np.ndarray, m: int, site: int) -> np.ndarray:
+    """The 2x2 trace of w over every site but ``site``."""
+    left, right = 2**site, 2 ** (m - site - 1)
+    return np.einsum("aibajb->ij", w.reshape(left, 2, right, left, 2, right))
+
+
+def _split(c: np.ndarray, threshold: float):
+    """(kind, eigenvalue mean, eigenvalue gap, basis) of a 2x2 covariant,
+    judged against ``threshold``.
+
+    ``kind`` is ``scalar``, ``distinct`` (``basis`` holds unit
+    eigenvectors) or ``jordan`` (one Jordan block: ``basis`` = [N e_j, e_j]
+    for N the traceless part, so that N = basis · [[0, 1], [0, 0]] ·
+    basis^-1).
     """
-    rngs = (np.random.default_rng([seed, restart]) for restart in range(restarts))
-    starts = np.stack([rng.standard_normal(2 * problem.rows.size) for rng in rngs])
-    if problem.with_scalar:
-        lifted = _lift(problem.unpack(starts)[0], problem.m)
-        lam = _scalar_fit(problem.r @ lifted, lifted @ problem.s)
-        starts = np.concatenate([starts, np.stack([lam.real, lam.imag], axis=1)], axis=1)
-    fits = solve_stack(
-        problem.residual,
-        starts,
-        jacobian_fn=problem.jacobian,
-        objective_tol=(tol / 10.0) ** 2,
-        max_iterations=max_iterations,
-    )
-    return list(problem.unpack(np.stack([fit.x for fit in fits]))[0])
+    mean = np.trace(c) / 2
+    traceless = c - mean * linalg.identity(2)
+    # The traceless part has eigenvalues ±sqrt(-det).
+    gap = 2 * abs(cmath.sqrt(-np.linalg.det(traceless)))
+    if linalg.max_abs(traceless) <= threshold:
+        return "scalar", mean, gap, None
+    if gap <= threshold:
+        j = int(np.argmax(np.linalg.norm(traceless, axis=0)))
+        return "jordan", mean, gap, np.column_stack([traceless[:, j], linalg.identity(2)[:, j]])
+    return "distinct", mean, gap, np.linalg.eig(traceless)[1]
+
+
+def _well_conditioned(basis: np.ndarray) -> bool:
+    singular = np.linalg.svd(basis, compute_uv=False)
+    return bool(singular[-1] >= EIGENVECTOR_GATE * singular[0])
+
+
+def _reducing_covariant(w: np.ndarray, m: int, threshold: float, *, with_scalar: bool):
+    """(site, kind, mean, length, basis) of the covariant of word w to reduce by, or None.
+
+    A distinct covariant needs an eigenvalue gap, and a Jordan one a
+    nilpotent part, above ``SEPARATION_GATE`` times ``threshold``; a Jordan
+    one needs a nonzero mean when lambda is free, and both a basis that
+    passes ``EIGENVECTOR_GATE``.  A Jordan covariant needs no
+    eigenvectors, so the first one wins; else the distinct one with the
+    widest gap, whose eigenvectors carry the least rounding.  The Jordan
+    basis gets a unit first column, and ``length`` is the norm it had (1
+    for distinct).
+    """
+    best, best_rank = None, -1.0
+    for site in range(m):
+        kind, mean, gap, basis = _split(_partial_trace(w, m, site), threshold)
+        if kind == "scalar" or (kind == "jordan" and with_scalar and abs(mean) <= threshold):
+            continue
+        length = 1.0 if kind == "distinct" else np.linalg.norm(basis[:, 0])
+        if (gap if kind == "distinct" else length) <= SEPARATION_GATE * threshold:
+            continue
+        basis[:, 0] /= length
+        if not _well_conditioned(basis):
+            continue
+        rank = np.inf if kind == "jordan" else gap
+        if rank > best_rank:
+            best, best_rank = (site, kind, mean, length, basis), rank
+    return best
+
+
+def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: float):
+    """(covariant, candidates): every 2x2 Q that can carry r onto s, in closed form.
+
+    If s = lambda (Q^-1)^⊗m r Q^⊗m, each word W of :func:`_words` has
+    W(s) = lambda^deg (Q^-1)^⊗m W(r) Q^⊗m, so its partial trace C_k over
+    every site but k obeys C_k(W(s)) = lambda^deg Q^-1 C_k(W(r)) Q.  The
+    first word with a covariant of r to reduce by (see
+    :func:`_reducing_covariant`) decides:
+
+    - with distinct eigenvalues and eigenvectors V_r, V_s, the matrix
+      Q' = V_r^-1 Q V_s maps eigenvectors to eigenvectors, so it is
+      diagonal or antidiagonal (the eigenvalue order may swap), and
+      :func:`_graded_conjugators` decides it on the conjugates of r by V_r
+      and s by V_s;
+    - with one Jordan block, the bases are scaled so that both traceless
+      parts become the same multiple of [[0, 1], [0, 0]] (the one of s
+      divided by lambda^deg, which the eigenvalue means fix); Q' commutes
+      with that block, so it is a multiple of I + bN, and
+      :func:`_jordan_conjugators` decides it.
+
+    The covariant of s is judged on r's scale carried over by |lambda|^deg,
+    with |lambda| = |det s / det r|^(1/2^m): exact for a gauge image,
+    whatever the conditioning of Q^⊗m.  Each candidate is mapped back as
+    V_r Q' V_s^-1.  A covariant of s of another kind, beyond
+    ``COVARIANT_MARGIN``, rules every Q out (no candidates).  Returns
+    (None, None) when no covariant of r decides (all scalar, too close to
+    a scalar, ill-conditioned, or nilpotent when lambda is free), and
+    (covariant, None) when that of s is near the threshold, or too close
+    to a scalar on the scale of its own word, or its basis is
+    ill-conditioned, or a lift by a basis is too close to singular: both
+    undecided.
+    """
+    m = r.signature.m
+    growth = 1.0
+    if with_scalar:
+        growth = np.exp((np.linalg.slogdet(s.matrix)[1] - np.linalg.slogdet(r.matrix)[1]) / r.size)
+    for (word, degree, wr), (_, _, ws) in zip(_words(r.matrix, m), _words(s.matrix, m)):
+        threshold_r = COVARIANT_RTOL * linalg.max_abs(wr)
+        best = _reducing_covariant(wr, m, threshold_r, with_scalar=with_scalar)
+        if best is None:
+            continue
+        site, kind, mean_r, length, basis_r = best
+        covariant = Covariant(word, site, kind)
+        threshold_s = threshold_r * growth**degree
+        cs = _partial_trace(ws, m, site)
+        kind_s, mean_s, gap_s, basis_s = _split(cs, threshold_s)
+        if kind_s != kind:
+            # A gap between eigenvalues is invariant, so one on the other
+            # side of the threshold rules s out.  A scalar s, or a distinct
+            # s against a Jordan r, is ruled out only clear of the margin.
+            widen = {"scalar": 1 / COVARIANT_MARGIN, "distinct": COVARIANT_MARGIN}.get(kind_s)
+            if widen and _split(cs, threshold_s * widen)[0] != kind_s:
+                return covariant, None
+            return covariant, ()
+        # s's basis carries the rounding of s's own word, which Q^⊗m may swell.
+        separation = gap_s if kind == "distinct" else np.linalg.norm(basis_s[:, 0])
+        if separation <= SEPARATION_GATE * COVARIANT_RTOL * linalg.max_abs(ws):
+            return covariant, None
+        if kind == "jordan":
+            if with_scalar and abs(mean_s) <= threshold_s / COVARIANT_MARGIN:  # lambda^deg = 0
+                return covariant, ()
+            # r's block became length · [[0, 1], [0, 0]]; s's must become lambda^deg times that.
+            basis_s[:, 0] /= (mean_s / mean_r if with_scalar else 1.0) * length
+        if not _well_conditioned(basis_s):
+            return covariant, None
+        try:  # the gated inverse rejects a lift too close to singular
+            reduced_r = apply_gauge(r, GaugeOp.local_conj(basis_r))
+            reduced_s = apply_gauge(s, GaugeOp.local_conj(basis_s))
+            back = linalg.inverse(basis_s)
+        except ValueError:
+            return covariant, None
+        if kind == "distinct":
+            reduced = itertools.chain.from_iterable(
+                _graded_conjugators(reduced_r, reduced_s, shape, with_scalar=with_scalar, tol=tol)
+                for shape in ("diagonal", "antidiagonal")
+            )
+        else:
+            reduced = _jordan_conjugators(reduced_r, reduced_s, with_scalar=with_scalar, tol=tol)
+        return covariant, (basis_r @ q @ back for q in reduced)
+    return None, None
 
 
 def _search_conjugator(
@@ -334,22 +537,20 @@ def _search_conjugator(
     shapes: Sequence[str],
     *,
     with_scalar: bool,
-    restarts: int,
-    seed: int,
     tol: float,
-    max_iterations: int,
-):
-    """Shared engine behind the witness searches.
+    prefix: str = "direct",
+) -> tuple[tuple[np.ndarray, complex, float] | None, PrefixDecision]:
+    """Shared engine behind the witness searches: (hit, decision).
 
     The diagonal and antidiagonal shapes are decided in closed form by
-    :func:`_graded_conjugators`, with no optimizer; each form of the general
-    shape solves all restarts as one stack in :func:`_fitted_conjugators`.
-    Every candidate is scored by the explicit conjugation residual.
-    Returns the first (Q, lambda, residual) with residual <= ``tol``, in
-    shape, form and candidate or restart order, or None when there is none.
+    :func:`_graded_conjugators`, and the general shape by
+    :func:`_covariant_reduction`; no shape runs an optimizer.  Every
+    candidate is scored by the explicit conjugation residual, and the
+    first (Q, lambda, residual) with residual <= ``tol``, in shape and
+    candidate order, is the hit.  With no hit the verdict is ``undecided``
+    when the general shape was asked for and could not reduce, or when a
+    candidate came within ``NEAR_MISS``, else ``none``.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     if r.signature != s.signature:
         raise ValueError("witness search needs matching signatures")
     if r.signature.d != 2:
@@ -368,18 +569,25 @@ def _search_conjugator(
             return None, None
         return float(linalg.max_abs(lam * image - s.matrix)), lam
 
+    covariant, undecided, scored, closest = None, False, 0, np.inf
     for shape in shapes:
         if shape == "general":
-            problems = (_CommutationResidual(r, s, form, with_scalar) for form in _GENERAL_FORMS)
-            groups = (_fitted_conjugators(p, restarts, seed, tol, max_iterations) for p in problems)
+            covariant, candidates = _covariant_reduction(r, s, with_scalar=with_scalar, tol=tol)
+            if candidates is None:
+                undecided = True
+                continue
         else:
-            groups = (_graded_conjugators(r, s, shape, with_scalar=with_scalar, tol=tol),)
-        for candidates in groups:
-            for q in candidates:
-                residual, lam = conjugation_residual(q)
-                if residual is not None and residual <= tol:
-                    return q, lam, residual
-    return None
+            candidates = _graded_conjugators(r, s, shape, with_scalar=with_scalar, tol=tol)
+        for q in candidates:
+            scored += 1
+            residual, lam = conjugation_residual(q)
+            if residual is not None and residual <= tol:
+                return (q, lam, residual), PrefixDecision(prefix, "witness", covariant, scored)
+            if residual is not None:
+                closest = min(closest, residual)
+    near_miss = closest <= NEAR_MISS * linalg.max_abs(s.matrix)
+    verdict = "undecided" if undecided or near_miss else "none"
+    return None, PrefixDecision(prefix, verdict, covariant, scored)
 
 
 def search_local_conjugation(
@@ -387,30 +595,51 @@ def search_local_conjugation(
     s: RMatrix,
     shapes: Sequence[str] = ("diagonal", "antidiagonal"),
     *,
-    restarts: int = 8,
-    seed: int = 0,
     tol: float = WITNESS_TOL,
-    max_iterations: int = 120,
 ) -> tuple[np.ndarray, float] | None:
     """Search for Q with (Q^-1)^⊗m r Q^⊗m = s over the given shapes.
 
     Returns the first (Q, residual) found with residual <= tol, or None;
-    absence of a witness is a valid outcome, not an error.  Fewer than one
-    restart is a ValueError.
+    absence of a witness is a valid outcome, not an error.
     """
-    hit = _search_conjugator(
-        r,
-        s,
-        shapes,
-        with_scalar=False,
-        restarts=restarts,
-        seed=seed,
-        tol=tol,
-        max_iterations=max_iterations,
-    )
+    hit, _ = _search_conjugator(r, s, shapes, with_scalar=False, tol=tol)
     if hit is None:
         return None
     return hit[0], hit[2]
+
+
+def decide_equivalence(
+    r: RMatrix,
+    s: RMatrix,
+    shapes: Sequence[str] = SHAPES,
+    *,
+    include_inverse: bool = True,
+    tol: float = WITNESS_TOL,
+) -> EquivalenceDecision:
+    """Decide whether a gauge sequence carries ``r`` onto ``s``.
+
+    Tries a scalar combined with a local conjugation, first on ``r``
+    directly and then (when ``include_inverse``) on its inverse, which
+    runs only when the direct prefix finds no witness.  The witness lists
+    the operations in application order.  Without one, the verdict is
+    ``undecided`` when some prefix could not reduce (see
+    :class:`PrefixDecision`), else ``none``.
+    """
+    prefixes = [("direct", ())]
+    if include_inverse:
+        prefixes.append(("inverse", (GaugeOp.inverse(),)))
+    decisions = []
+    for name, ops in prefixes:
+        src = apply_gauge_sequence(r, ops)
+        hit, decision = _search_conjugator(src, s, shapes, with_scalar=True, tol=tol, prefix=name)
+        decisions.append(decision)
+        if hit is not None:
+            q, lam, residual = hit
+            ops += (GaugeOp.local_conj(q), GaugeOp.scalar(lam))
+            witness = EquivalenceWitness(ops, r.label, s.label, residual)
+            return EquivalenceDecision(witness, "witness", tuple(decisions))
+    undecided = any(d.verdict == "undecided" for d in decisions)
+    return EquivalenceDecision(None, "undecided" if undecided else "none", tuple(decisions))
 
 
 def search_equivalence(
@@ -419,37 +648,7 @@ def search_equivalence(
     shapes: Sequence[str] = SHAPES,
     *,
     include_inverse: bool = True,
-    restarts: int = 8,
-    seed: int = 0,
     tol: float = WITNESS_TOL,
-    max_iterations: int = 120,
 ) -> EquivalenceWitness | None:
-    """Find a gauge sequence carrying ``r`` onto ``s``, or None.
-
-    Tries a scalar combined with a local conjugation found by search, first
-    on ``r`` directly and then (when ``include_inverse``) on its inverse,
-    and returns the first witness within ``tol``: the inverse prefix runs
-    only when the direct one finds none.  The returned witness lists the
-    operations in application order.  Fewer than one restart is a
-    ValueError, not a missing witness.
-    """
-    candidates: list[tuple[GaugeOp, ...]] = [()]
-    if include_inverse:
-        candidates.append((GaugeOp.inverse(),))
-    for prefix in candidates:
-        src = apply_gauge_sequence(r, prefix)
-        hit = _search_conjugator(
-            src,
-            s,
-            shapes,
-            with_scalar=True,
-            restarts=restarts,
-            seed=seed,
-            tol=tol,
-            max_iterations=max_iterations,
-        )
-        if hit is not None:
-            q, lam, residual = hit
-            ops = prefix + (GaugeOp.local_conj(q), GaugeOp.scalar(lam))
-            return EquivalenceWitness(ops, r.label, s.label, residual)
-    return None
+    """The witness of :func:`decide_equivalence`, or None."""
+    return decide_equivalence(r, s, shapes, include_inverse=include_inverse, tol=tol).witness

@@ -8,11 +8,11 @@ eigenvalues of small matrices, tolerance-based comparisons in the
 max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
 
 Matrix output formats each distinct entry once: :func:`format_entries`
-groups entries by their 16-byte bit pattern (so ``-0.0`` stays apart from
-``0.0``) and gathers the texts back, so the cost follows the distinct
-values, not the side.  :func:`matrix_to_json` writes strict JSON with it,
-byte for byte ``json.dumps(matrix_to_json_dict(m), allow_nan=False)``,
-and rejects non-finite entries.
+groups entries by their 16-byte bit pattern, sorted as two uint64 words
+(so ``-0.0`` stays apart from ``0.0``), and gathers the texts back, so the
+cost follows the distinct values, not the side.  :func:`matrix_to_json`
+writes strict JSON with it, byte for byte ``json.dumps(matrix_to_json_dict(m),
+allow_nan=False)``, and rejects non-finite entries.
 
 All functions are pure; none mutate their arguments.
 """
@@ -247,11 +247,23 @@ def format_entries(m: np.ndarray, fmt: Callable[[complex], str]) -> np.ndarray:
 
     ``fmt`` runs once per distinct 16-byte bit pattern and the texts are
     gathered back by index; grouping by bits, not by value, keeps ``-0.0``
-    and ``0.0`` (and NaN payloads) apart.
+    and ``0.0`` (and NaN payloads) apart.  The patterns are the two uint64
+    words of each entry, sorted by ``np.lexsort`` and split where a word
+    changes, which is several times faster than ``np.unique`` on 16-byte
+    void keys.
     """
     a = np.ascontiguousarray(m, dtype=np.complex128)
-    patterns, index = np.unique(a.reshape(-1).view("V16"), return_inverse=True)
-    texts = np.array([fmt(z) for z in patterns.view(np.complex128).tolist()], dtype=object)
+    flat = a.reshape(-1)
+    bits = flat.view(np.uint64)
+    # Contiguous copies of the two words sort faster than strided views.
+    real, imag = bits[0::2].copy(), bits[1::2].copy()
+    order = np.lexsort((imag, real))
+    real, imag = real[order], imag[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    texts = np.array([fmt(z) for z in flat[order[starts]].tolist()], dtype=object)
     return texts[index].reshape(a.shape)
 
 

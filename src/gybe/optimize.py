@@ -1,8 +1,9 @@
 """Damped least-squares minimization.
 
-Small, dependency-free Levenberg-style solver shared by the zero-pattern
-solution search and the general-shape witness search, both through
-:func:`solve_stack`.  The residual function maps a real parameter vector
+Small, dependency-free Levenberg-style solver behind the zero-pattern
+solution search (:func:`gybe.search.solve_pattern`), through
+:func:`solve_stack`.  The witness search in :mod:`gybe.equivalence` needs
+no optimizer: it decides every 2x2 conjugator in closed form.  The residual function maps a real parameter vector
 to a real residual vector; the objective is the sum of squared residual
 entries.  Every caller supplies the exact Jacobian, so one iteration
 costs one Jacobian and one residual per tried step.  Steps are accepted

@@ -227,9 +227,7 @@ def test_criterion_09_local_conjugation_criterion():
             source = general_solution(family, alpha1, beta1)
             target = general_solution(family, alpha2, beta2)
             shapes = ("diagonal",) if family == 1 else ("diagonal", "antidiagonal")
-            hit = search_local_conjugation(
-                source, target, shapes, restarts=4, max_iterations=100
-            )
+            hit = search_local_conjugation(source, target, shapes)
             if p.ratio and abs(p.ratio - q.ratio) <= 1e-9:
                 assert hit is not None and hit[1] <= 1e-9
             else:
@@ -240,7 +238,7 @@ def test_criterion_10_zeta_solution_equivalence():
     with criterion(10, "gauge sequence maps the quarter-turn member to zeta", 10.0):
         source = family_solution(1, np.pi / 2)
         target = rowell_solution()
-        witness = search_equivalence(source, target, restarts=6)
+        witness = search_equivalence(source, target)
         assert witness is not None
         assert witness.residual <= 1e-9
         kinds = [op.kind for op in witness.ops]

@@ -246,6 +246,34 @@ def test_equiv_reports_none_for_distinct_classes(capsys):
     assert out.strip() == "none"
 
 
+def test_equiv_stats_report_the_decision(capsys):
+    zeta = ("--solution", f"family1:theta={float(np.pi / 2)!r}", "--solution", "rowell")
+    apart = ("--solution", "family1:theta=0.3", "--solution", "family1:theta=1.1")
+    for pair, code_wanted, verdict in ((zeta, 0, "witness"), (apart, 1, "none")):
+        code, plain, _ = run_cli(capsys, "equiv", *pair)
+        code_stats, out, _ = run_cli(capsys, "equiv", *pair, "--stats")
+        # The plain output comes first, unchanged; the stats follow it.
+        assert code == code_stats == code_wanted
+        assert out.startswith(plain)
+        lines = out[len(plain):].splitlines()
+        assert lines[0].startswith(f"verdict: {verdict}, ")
+        assert [line.split(":")[0] for line in lines[1:]] == ["direct", "inverse"]
+        code, out, _ = run_cli(capsys, "equiv", *pair, "--stats", "--json")
+        data = json.loads(out)
+        assert code == code_wanted and data["verdict"] == verdict
+        assert (data["witness"] is None) == (verdict == "none")
+        # Both pairs need the inverse prefix; the direct one is decided by a
+        # covariant with distinct eigenvalues.
+        direct, inverse = data["prefixes"]
+        assert direct["verdict"] == "none" and inverse["verdict"] == verdict
+        assert direct["covariant"]["kind"] == "distinct"
+        assert data["candidates"] == direct["candidates"] + inverse["candidates"]
+    # The optimizer's settings are gone from equiv, not ignored.
+    for flag in ("--restarts", "--seed"):
+        code, out, _ = run_cli(capsys, "equiv", *apart, flag, "4")
+        assert code == 2 and out == ""
+
+
 def test_equiv_requires_two_inputs(capsys):
     code, _, err = run_cli(capsys, "equiv", "--solution", "rowell")
     assert code == 2
@@ -502,20 +530,15 @@ def test_search_rejects_pattern_json_with_string_cells(tmp_path, capsys):
 
 def test_restarts_below_one_is_input_error(tmp_path, capsys):
     # A zero or negative count used to fall back to the default, or to
-    # search nothing and print "none" as if no witness existed.
+    # search nothing and report no solution.
     from gybe.search import rowell_pattern
 
     path = tmp_path / "pattern.txt"
     path.write_text(rowell_pattern().to_text())
-    equiv = ("equiv", "--solution", "rowell", "--solution", "base1")
-    for argv in (
-        equiv + ("--restarts", "0"),
-        equiv + ("--restarts", "-1"),
-        ("search", "--pattern", str(path), "--signature", "2,3,1", "--restarts", "0"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "restarts must be at least 1" in err
+    argv = ("search", "--pattern", str(path), "--signature", "2,3,1", "--restarts", "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "restarts must be at least 1" in err
 
 
 def test_cli_never_raises_on_bad_flags(capsys):
