@@ -298,6 +298,10 @@ def cmd_search(args) -> int:
                 "solutions": data,
                 "restarts": [dataclasses.asdict(report) for report in result.restarts],
                 "dedup_counts": result.dedup_counts,
+                "residual_rows": {
+                    "live": result.live_residual_rows,
+                    "total": result.total_residual_rows,
+                },
             }
         print(_json(data))
     else:
@@ -315,7 +319,11 @@ def cmd_search(args) -> int:
 
 
 def _print_search_stats(result) -> None:
-    """One line per restart, then the certified hits in each solution class."""
+    """The residual rows solved on, one line per restart, then the certified
+    hits in each solution class."""
+    print(
+        f"residual rows: {result.live_residual_rows} live of {result.total_residual_rows}"
+    )
     for index, report in enumerate(result.restarts):
         verdict = "certified" if report.certified else "not certified"
         print(

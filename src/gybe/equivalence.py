@@ -281,14 +281,25 @@ def _bit_weights(size: int) -> np.ndarray:
     return np.array([bin(i).count("1") for i in range(size)])
 
 
+def _support_cut(a: np.ndarray, tol: float) -> float:
+    """The size above which an entry of ``a`` is support, not rounding.
+
+    The cut is ``tol`` relative to the largest entry, but never below the
+    default ``WITNESS_TOL``: the rounding of a gauge image grows with
+    cond(Q)^(2m) (see ``NEAR_MISS``), so a cut that shrank with a tiny
+    ``tol`` would count it as support and rule out a true image.
+    """
+    return max(tol, WITNESS_TOL) * linalg.max_abs(a)
+
+
 def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool, tol: float):
     """The few diagonal or antidiagonal Q that can carry r onto s, in closed form.
 
     Conjugating by diag(1, z)^⊗m multiplies entry (i, j) by z^k with
     k = w(j) - w(i), w(i) the number of 1 bits of i.  So a witness needs r
-    and s to share their support (entries above ``tol`` relative to the
-    largest) and, on it, s_ij / r_ij = lambda z^k.  Two exponents k1 < k2
-    fix z^(k2 - k1), whose roots are the only candidates; one exponent
+    and s to share their support (entries above :func:`_support_cut`) and,
+    on it, s_ij / r_ij = lambda z^k.  Two exponents k1 < k2 fix
+    z^(k2 - k1), whose roots are the only candidates; one exponent
     leaves z free, and z = 1 will do.  Without the scalar, lambda = 1 and
     the smallest nonzero |k| fixes z^k alone.  [[0, 1], [z, 0]] is
     X diag(z, 1), and X^⊗m flips every bit of an index, so the
@@ -302,8 +313,8 @@ def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool
     if shape == "antidiagonal":
         flip = np.arange(size) ^ (size - 1)
         a, exponent = a[np.ix_(flip, flip)], -exponent
-    support = np.abs(a) > tol * linalg.max_abs(a)
-    if not np.array_equal(support, np.abs(b) > tol * linalg.max_abs(b)):
+    support = np.abs(a) > _support_cut(a, tol)
+    if not np.array_equal(support, np.abs(b) > _support_cut(b, tol)):
         return
     # One ratio per exponent, read at the largest entry of a carrying it.
     largest_first = np.argsort(-np.abs(a[support]), kind="stable")
@@ -347,7 +358,7 @@ def _jordan_conjugators(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: float
     index = np.arange(size)
     n_sum = (((index[:, None] & index[None, :]) == index[:, None]) & (level == -1)).astype(np.complex128)
     a, b = r.matrix, s.matrix
-    noise = tol * linalg.max_abs(a)
+    noise = _support_cut(a, tol)
     top = level == level[np.abs(a) > noise].max()
     lam = np.vdot(a[top], b[top]) / np.vdot(a[top], a[top]) if with_scalar else 1.0
     if abs(lam) < 1e-150:

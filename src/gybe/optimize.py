@@ -132,6 +132,7 @@ def solve_stack(
         jac_t = jac.transpose(0, 2, 1)
         jtj = jac_t @ jac
         neg_jtr = -(jac_t @ residual[live][..., None])[..., 0]
+        del jac, jac_t  # so that two Jacobians are never held at once
 
         # Rows retry with growing damping until a step lowers their objective.
         pending = np.arange(live.size)

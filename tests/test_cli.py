@@ -464,11 +464,14 @@ def test_search_stats_report_every_restart(tmp_path, capsys):
     class_lines = [line for line in lines if line.startswith("class of restart ")]
     hits = [line for line in plain.splitlines() if line.startswith("  restart ")]
     assert len(class_lines) == len(hits)
+    # 160 of the 640 real residual rows of the rowell pattern can be nonzero.
+    assert lines[0] == "residual rows: 160 live of 640"
 
     code, out, _ = run_cli(capsys, *argv, "--stats", "--json")
     assert code == 0
     data = json.loads(out)
-    assert set(data) == {"solutions", "restarts", "dedup_counts"}
+    assert set(data) == {"solutions", "restarts", "dedup_counts", "residual_rows"}
+    assert data["residual_rows"] == {"live": 160, "total": 640}
     assert len(data["restarts"]) == 4
     assert set(data["restarts"][0]) == {
         "reason", "iterations", "residual_evals", "jacobian_evals", "certified"
@@ -478,6 +481,14 @@ def test_search_stats_report_every_restart(tmp_path, capsys):
     assert {entry["dedup_key"] for entry in data["solutions"]} == set(data["dedup_counts"])
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert json.loads(out) == data["solutions"]
+
+
+def test_search_rejects_an_empty_pattern(tmp_path, capsys):
+    path = tmp_path / "zero4.txt"
+    path.write_text("0000\n0000\n0000\n0000\n")
+    code, out, err = run_cli(capsys, "search", "--pattern", str(path), "--signature", "2,2,1")
+    assert code == 2 and out == ""
+    assert "pattern is empty" in err
 
 
 def test_matrix_input_reports_the_assumed_signature(tmp_path, capsys):

@@ -507,6 +507,17 @@ def test_general_shape_finds_every_planted_near_identity_conjugator():
                 assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL
 
 
+@pytest.mark.parametrize("tol", [1e-18, 1e-15, 1e-12])
+def test_a_tolerance_below_rounding_never_rules_out_a_gauge_image(tol):
+    # The support of the reduced matrices is cut at a rounding scale, not
+    # at tol: a tiny tol may leave the pair undecided, never "none".
+    for name, seed in (("rowell", 0), ("rowell", 1), ("base2", 2), ("xshape", 3)):
+        r, s = _near_identity_target(name, seed)
+        decision = decide_equivalence(r, s, ("general",), include_inverse=False, tol=tol)
+        assert decision.verdict != "none", (name, seed)
+        assert decision.prefixes[0].candidates >= 1
+
+
 def _conditioned_q(rng, worst: float) -> np.ndarray:
     """U diag(1, t) V with Haar U, V and t in [1 / worst, 1], so cond(Q) <= worst."""
     t = rng.uniform(1.0 / worst, 1.0)

@@ -1,18 +1,22 @@
 """Tests for the zero-pattern solution search."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from central_differences import central_differences
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gybe import linalg
+from gybe import linalg, pattern_residual
 from gybe.core import GybeSignature, check_gybe
 from gybe.search import (
     PARAMETERIZATIONS,
     SearchConfig,
     ZeroPattern,
     _Parameterization,
+    _combined_residual_vector,
     _PatternResidual,
     dedup_key,
     gybe_objective,
@@ -25,11 +29,51 @@ from gybe.solutions import base_solution, rowell_solution, split_blocks
 SIG = GybeSignature(2, 3, 1)
 REASONS = ("converged", "step_tol", "plateau", "damping_stall", "budget", "non_finite")
 
+# Stop reason and iterations of each restart of the benchmark's 16 search
+# calls (rowell pattern, (2,3,1), 4 restarts, 250 iterations, seeds 0-15):
+# c = converged and certified, p = plateau, not certified.
+BENCH_RESTARTS = (
+    "c9 c10 c22 p27",  # seed 0
+    "c11 c12 p63 c24",  # seed 1
+    "c22 p22 c9 c12",  # seed 2
+    "c24 c10 c26 c13",  # seed 3
+    "c11 c10 c23 p24",  # seed 4
+    "p33 c22 c10 c23",  # seed 5
+    "c10 c8 c16 p25",  # seed 6
+    "c21 c10 c24 p35",  # seed 7
+    "c22 c11 c8 c15",  # seed 8
+    "c9 c9 p28 p65",  # seed 9
+    "c10 c14 p29 c13",  # seed 10
+    "c15 c17 c12 c22",  # seed 11
+    "c8 c14 c12 c11",  # seed 12
+    "c10 p29 c9 c9",  # seed 13
+    "c24 c10 c25 c13",  # seed 14
+    "c8 c9 c12 c10",  # seed 15
+)
+# The same for criterion 12's run: seed 20260808, 64 restarts.
+CRITERION_TWELVE_RESTARTS = (
+    "c8 c22 c9 c10 c22 c14 c10 c8",  # restarts 0-7
+    "c7 c10 c22 c10 c11 c9 c22 c10",  # restarts 8-15
+    "c8 c10 c22 c11 c11 c13 p24 c11",  # restarts 16-23
+    "c25 c12 c11 c21 c10 c12 c11 c9",  # restarts 24-31
+    "c25 c14 p87 c22 c11 p66 c22 c9",  # restarts 32-39
+    "c11 c7 c25 c15 c11 p34 c22 c14",  # restarts 40-47
+    "c22 c11 c13 c10 c9 c27 c23 c24",  # restarts 48-55
+    "c11 c21 c24 c10 c10 c26 p82 p22",  # restarts 56-63
+)
+
 FAMILY_EIG_LISTS = (
     [np.exp(-1j * np.pi / 12)] * 2 + [np.exp(7j * np.pi / 12)] * 2,
     [np.exp(-1j * np.pi / 4), -np.exp(-1j * np.pi / 4)] + [np.exp(1j * np.pi / 4)] * 2,
     [np.exp(-1j * np.pi / 4)] * 2 + [np.exp(1j * np.pi / 4)] * 2,
 )
+
+
+def _restart_codes(result) -> list[str]:
+    """Each restart as in BENCH_RESTARTS: its reason's initial, then its iterations."""
+    for report in result.restarts:
+        assert report.certified == (report.reason == "converged")
+    return [f"{report.reason[0]}{report.iterations}" for report in result.restarts]
 
 
 def matches_family_list_up_to_phase(block: np.ndarray) -> bool:
@@ -248,13 +292,16 @@ def test_search_reports_every_restart():
 
 def test_plateau_keeps_criterion_twelve_hits():
     # The restarts certified before the plateau stop existed; the stuck
-    # ones now stop early instead of running out the budget.
+    # ones now stop early instead of running out the budget.  Dropping the
+    # residual rows that are exactly zero changed no restart's stop.
     config = SearchConfig(tolerance=1e-11, restarts=64, seed=20260808, max_iterations=250)
     result = solve_pattern(rowell_pattern(), SIG, config)
     missed = [k for k, r in enumerate(result.restarts) if not r.certified]
     assert missed == [22, 34, 37, 45, 62, 63]
     assert sum(result.dedup_counts.values()) == 58
     assert all(r.iterations < config.max_iterations for r in result.restarts)
+    assert _restart_codes(result) == " ".join(CRITERION_TWELVE_RESTARTS).split()
+    assert len(result.solutions) == 40
 
 
 def test_non_finite_start_is_not_certified():
@@ -294,3 +341,101 @@ def test_search_result_json_round_trip():
 def test_pattern_size_must_match_signature():
     with pytest.raises(ValueError):
         solve_pattern(ZeroPattern(4, np.ones((4, 4), dtype=bool)), SIG, SearchConfig())
+
+
+def test_bench_search_calls_keep_their_trajectories():
+    # Dropping the residual rows that are exactly zero changes only the
+    # order of the sums in the objective and the normal equations; on these
+    # calls no restart stops for another reason or after other iterations.
+    for seed, codes in enumerate(BENCH_RESTARTS):
+        config = SearchConfig(tolerance=1e-11, restarts=4, seed=seed, max_iterations=250)
+        result = solve_pattern(rowell_pattern(), SIG, config)
+        assert _restart_codes(result) == codes.split(), seed
+    certified = sum(code.count("c") for code in BENCH_RESTARTS)
+    assert certified == 53
+
+
+def test_empty_pattern_is_rejected():
+    pattern = ZeroPattern(4, np.zeros((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="pattern is empty"):
+        solve_pattern(pattern, GybeSignature(2, 2, 1), SearchConfig())
+
+
+def test_search_reports_its_residual_rows():
+    config = SearchConfig(tolerance=1e-11, restarts=1, seed=0, max_iterations=5)
+    result = solve_pattern(rowell_pattern(), SIG, config)
+    assert (result.live_residual_rows, result.total_residual_rows) == (160, 640)
+
+
+def _all_entries(pattern, signature):
+    side = pattern.size * signature.d**signature.l
+    return np.arange(side * side), np.arange(pattern.size**2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    signature=st.sampled_from([GybeSignature(2, 2, 1), GybeSignature(2, 3, 1)]),
+    kind=st.sampled_from(PARAMETERIZATIONS),
+    shape=st.sampled_from(["random", "rowell", "diagonal", "full"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    n = signature.matrix_size
+    if shape == "rowell" and n == 8:
+        pattern = rowell_pattern()
+    elif shape == "diagonal":
+        pattern = ZeroPattern(n, np.eye(n, dtype=bool))
+    elif shape == "full":
+        pattern = ZeroPattern(n, np.ones((n, n), dtype=bool))
+    else:
+        mask = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+        mask[rng.integers(n), rng.integers(n)] = True
+        pattern = ZeroPattern(n, mask)
+    param = _Parameterization(pattern, kind)
+    problem = _PatternResidual(param, signature)
+    with mock.patch.object(pattern_residual, "_live_entries", _all_entries):
+        full_problem = _PatternResidual(param, signature)
+    assert full_problem.live_rows.size == problem.total_rows
+    dropped = np.setdiff1d(np.arange(problem.total_rows), problem.live_rows)
+    xs = np.stack([param.initial(rng) for _ in range(3)])
+
+    full = _combined_residual_vector(param.build(xs), signature)
+    np.testing.assert_array_equal(full, full_problem.residual(xs))
+    assert np.all(full[:, dropped] == 0.0)
+    np.testing.assert_array_equal(problem.residual(xs), full[:, problem.live_rows])
+
+    full_jac = full_problem.jacobian(xs)
+    assert np.all(full_jac[:, dropped] == 0.0)
+    # A unitarity entry of a column sums two products, and how BLAS rounds
+    # that sum may depend on the row count.
+    np.testing.assert_allclose(
+        problem.jacobian(xs), full_jac[:, problem.live_rows], rtol=0, atol=1e-15 * linalg.max_abs(full_jac)
+    )
+    # Independently of the exact Jacobian: each dropped row stays 0.0 under
+    # any move of the parameters.
+    numeric = central_differences(lambda x: _combined_residual_vector(param.build(x), signature), xs[0])
+    assert np.all(numeric[dropped] == 0.0)
+
+    for x, residual in zip(xs, problem.residual(xs)):
+        objective = gybe_objective(param.build(x), pattern, signature)
+        assert abs(np.dot(residual, residual) - objective) <= 1e-12 * objective
+
+
+def test_jacobian_allocates_little_beyond_its_result():
+    # Temporaries allocated afresh on every iteration cost page faults:
+    # the work arrays of the first call are reused, so after it the traced
+    # peak of a call is about the Jacobian it returns.
+    param = _Parameterization(rowell_pattern(), "free-complex")
+    problem = _PatternResidual(param, SIG)
+    rng = np.random.default_rng(8)
+    xs = np.stack([param.initial(rng) for _ in range(4)])
+    problem.jacobian(xs)
+    tracemalloc.start()
+    try:
+        jac = problem.jacobian(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jac.shape == (4, 160, 32)
+    assert peak <= 2 * jac.nbytes
