@@ -25,9 +25,10 @@ import numpy as np
 from . import linalg
 from .core import CheckReport, GybeSignature, RMatrix, check_gybe
 from .braiding import StateVector, apply_to_state, build_rep, evaluate_word, parse_braid_word
-from .equivalence import decide_equivalence, search_equivalence
+from .equivalence import WITNESS_TOL, decide_equivalence, search_equivalence
 from .search import SearchConfig, load_pattern_text, solve_pattern
 from .solutions import (
+    CLASSIFY_TOL,
     SQRT2,
     classify_unitary_params,
     family_solution,
@@ -36,11 +37,6 @@ from .solutions import (
     resolve_solution,
     split_blocks,
 )
-
-DEFAULT_VERIFY_TOL = 1e-12
-DEFAULT_EQUIV_TOL = 1e-9
-DEFAULT_CLASSIFY_TOL = 1e-9
-DEFAULT_SEARCH_TOL = 1e-11
 
 
 def _json(data) -> str:
@@ -136,8 +132,7 @@ def _emit_report(report: CheckReport, args) -> int:
 
 def cmd_verify(args) -> int:
     r = _load_rmatrix(args)
-    tol = args.tol if args.tol is not None else DEFAULT_VERIFY_TOL
-    return _emit_report(check_gybe(r, tol), args)
+    return _emit_report(check_gybe(r, args.tol), args)
 
 
 def cmd_family(args) -> int:
@@ -161,21 +156,20 @@ def cmd_classify(args) -> int:
     r = _load_rmatrix(args)
     if r.size != 8:
         raise ValueError("classification applies to 8x8 block solutions")
-    tol = args.tol if args.tol is not None else DEFAULT_CLASSIFY_TOL
     m = r.matrix
     off_quadrants = max(linalg.max_abs(m[:4, 4:]), linalg.max_abs(m[4:, :4]))
-    if off_quadrants > tol:
+    if off_quadrants > args.tol:
         raise ValueError(
             f"not in block-solution form: the off-diagonal 4x4 quadrants reach "
-            f"{off_quadrants:.3e}, above tolerance {tol:g}"
+            f"{off_quadrants:.3e}, above tolerance {args.tol:g}"
         )
     x, _ = split_blocks(m)
     # Entry (i, j) of X lies off the diagonal of its 2x2 sub-block iff i + j is odd.
     off_sub_blocks = linalg.max_abs(x[np.add.outer(np.arange(4), np.arange(4)) % 2 == 1])
-    if off_sub_blocks > tol:
+    if off_sub_blocks > args.tol:
         raise ValueError(
             f"not in block-solution form: the 2x2 sub-blocks of X are not diagonal "
-            f"(off-diagonal entries reach {off_sub_blocks:.3e}, above tolerance {tol:g})"
+            f"(off-diagonal entries reach {off_sub_blocks:.3e}, above tolerance {args.tol:g})"
         )
     corner = SQRT2 * x[0, 0]
     if abs(corner) < 1e-9:
@@ -184,7 +178,7 @@ def cmd_classify(args) -> int:
     omega = SQRT2 * scale * x[1, 1]
     gamma = SQRT2 * scale * x[2, 2]
     delta = SQRT2 * scale * x[3, 3]
-    category = classify_unitary_params(omega, gamma, delta, tol)
+    category = classify_unitary_params(omega, gamma, delta, args.tol)
     if args.json:
         print(
             _report_json(
@@ -213,12 +207,11 @@ def cmd_equiv(args) -> int:
         raise ValueError(
             "pass two --solution ids, or one --solution and a --matrix target"
         )
-    tol = args.tol if args.tol is not None else DEFAULT_EQUIV_TOL
     if args.stats:
-        decision = decide_equivalence(source, target, tol=tol)
+        decision = decide_equivalence(source, target, tol=args.tol)
         witness = decision.witness
     else:
-        witness = search_equivalence(source, target, tol=tol)
+        witness = search_equivalence(source, target, tol=args.tol)
     if args.json:
         if args.stats:
             print(_report_json(args, decision.to_json_dict()))
@@ -258,13 +251,12 @@ def cmd_braid(args) -> int:
     if args.compare is not None:
         other = parse_braid_word(args.compare)
         diff = linalg.max_abs_diff(evaluate_word(rep, word), evaluate_word(rep, other))
-        tol = args.tol if args.tol is not None else 1e-12
         if args.json:
-            report = {"max_difference": diff, "tolerance": tol, "equal": diff <= tol}
+            report = {"max_difference": diff, "tolerance": args.tol, "equal": diff <= args.tol}
             print(_report_json(args, report))
         else:
             print(f"max entry difference {diff:.3e}")
-        return 0 if diff <= tol else 1
+        return 0 if diff <= args.tol else 1
     if args.state is not None:
         amps = linalg.matrix_from_json(_read_text(args.state)).reshape(-1)
         out = apply_to_state(rep, word, StateVector(amps))
@@ -285,11 +277,7 @@ def cmd_search(args) -> int:
         raise ValueError("pass --signature d,m,l")
     pattern = load_pattern_text(_read_text(args.pattern))
     signature = _parse_signature(args.signature)
-    config = SearchConfig(
-        tolerance=args.tol if args.tol is not None else DEFAULT_SEARCH_TOL,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = SearchConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
     result = solve_pattern(pattern, signature, config)
     if args.json:
         data = result.to_json_list()
@@ -361,17 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, solution=True, matrix=True):
-        if solution:
-            p.add_argument("--solution", action="append", help="registry solution id")
-        if matrix:
-            p.add_argument("--matrix", help="matrix JSON file, or - for stdin")
-            p.add_argument("--signature", help="equation signature d,m,l")
-        p.add_argument("--tol", type=float, default=None, help="tolerance")
+    def add_common(p, tol: float):
+        p.add_argument("--solution", action="append", help="registry solution id")
+        p.add_argument("--matrix", help="matrix JSON file, or - for stdin")
+        p.add_argument("--signature", help="equation signature d,m,l")
+        p.add_argument("--tol", type=float, default=tol, help="tolerance")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("verify", help="check a solution against its equation")
-    add_common(p)
+    add_common(p, linalg.DEFAULT_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="construct a family member")
@@ -383,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("classify", help="parameter category of a block solution")
-    add_common(p)
+    add_common(p, CLASSIFY_TOL)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("equiv", help="search for a gauge-equivalence witness")
-    add_common(p)
+    add_common(p, WITNESS_TOL)
     p.add_argument(
         "--stats",
         action="store_true",
@@ -398,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("braid", help="evaluate braid words in a representation")
-    add_common(p)
+    add_common(p, linalg.DEFAULT_TOL)
     p.add_argument("--word", help="braid word, e.g. 'n=4: 1,2,-1,3'")
     p.add_argument("--compare", help="second braid word to compare against")
     p.add_argument("--state", help="state vector JSON file, or - for stdin")
@@ -407,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="solve a zero pattern numerically")
     p.add_argument("--pattern", help="pattern file (0/1 grid or JSON), or -")
     p.add_argument("--signature", help="equation signature d,m,l")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p.add_argument("--tol", type=float, default=SearchConfig.tolerance)
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "--stats",
@@ -433,8 +419,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        tol = getattr(args, "tol", None)
-        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        tol = getattr(args, "tol", 0.0)
+        if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"--tol must be a finite non-negative number, got {tol}")
         return args.func(args)
     except Exception as exc:  # malformed input must not crash the process

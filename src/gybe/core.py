@@ -109,6 +109,14 @@ class CheckReport:
         if self.passed != (self.residual <= self.tolerance):
             raise ValueError("inconsistent report: passed must mean residual <= tolerance")
 
+    @classmethod
+    def from_residuals(cls, residuals, tol: float, vacuous: bool = False) -> "CheckReport":
+        """The report on per-equation ``residuals``: their maximum (0.0 for
+        none) against ``tol``, with the residuals as detail."""
+        residuals = tuple(residuals)
+        residual = max(residuals, default=0.0)
+        return cls(residual, residual <= tol, tol, residuals, vacuous)
+
     def to_json_dict(self) -> dict:
         data = {
             "passed": bool(self.passed),
@@ -119,17 +127,6 @@ class CheckReport:
         if self.vacuous:
             data["vacuous"] = True
         return data
-
-
-def _report(residuals: list[float], tol: float, vacuous: bool = False) -> CheckReport:
-    residual = max(residuals) if residuals else 0.0
-    return CheckReport(
-        residual=residual,
-        passed=residual <= tol,
-        tolerance=tol,
-        detail=tuple(residuals),
-        vacuous=vacuous,
-    )
 
 
 def lift_pair(m: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +165,7 @@ def gybe_residual(matrix: np.ndarray, signature: GybeSignature) -> float:
 
 def check_gybe(r: RMatrix, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
     """Verify the (d, m, l) equation for ``r`` at tolerance ``tol``."""
-    return _report([gybe_residual(r.matrix, r.signature)], tol)
+    return CheckReport.from_residuals([gybe_residual(r.matrix, r.signature)], tol)
 
 
 def check_ybe(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
@@ -179,7 +176,9 @@ def check_ybe(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
     d = math.isqrt(m.shape[0])
     if d * d != m.shape[0]:
         raise ValueError(f"YBE candidate side {m.shape[0]} is not a perfect square")
-    return _report([gybe_residual(m, GybeSignature(d, 2, 1))], tol)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("YBE candidate must have finite entries")
+    return CheckReport.from_residuals([gybe_residual(m, GybeSignature(d, 2, 1))], tol)
 
 
 class DoubleLiftReport(NamedTuple):
@@ -229,13 +228,10 @@ def apply_local(m: np.ndarray, columns: np.ndarray, left: int) -> np.ndarray:
     """(I_left ⊗ m ⊗ I) @ columns, for a vector or a (dim, k) block.
 
     The rows split as (left, side of m, rest) and m contracts the middle
-    axis; the identity on the right stays implicit in the reshape.  A stack
-    of matrices m (..., s, s) acts on a stack of blocks (..., dim, k) with
-    the same leading axes, slice by slice.
+    axis; the identity on the right stays implicit in the reshape.
     """
-    stack = m.shape[:-2]
-    split = columns.reshape(*stack, left, m.shape[-1], -1)
-    return np.matmul(m[..., None, :, :], split).reshape(columns.shape)
+    split = columns.reshape(left, m.shape[0], -1)
+    return np.matmul(m, split).reshape(columns.shape)
 
 
 def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:
@@ -274,8 +270,8 @@ def check_far_commutativity(r: RMatrix, tol: float = linalg.DEFAULT_TOL) -> Chec
     """
     js = far_commutativity_indices(r.signature)
     if not js:
-        return _report([], tol, vacuous=True)
-    return _report([far_commutativity_residual(r, j) for j in js], tol)
+        return CheckReport.from_residuals((), tol, vacuous=True)
+    return CheckReport.from_residuals([far_commutativity_residual(r, j) for j in js], tol)
 
 
 def ybe_summation_residual(matrix: np.ndarray, d: int) -> float:

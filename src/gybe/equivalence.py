@@ -3,19 +3,21 @@
 Three operations map solutions to solutions: multiplication by a nonzero
 scalar, inversion, and local conjugation R -> (Q^-1)^⊗m R Q^⊗m by an
 invertible single-factor matrix Q.  Equivalence of two solutions is
-certified constructively by a witness (a sequence of these operations found
-by numerical search) and refuted by conjugacy invariants (eigenvalue
-multisets, characteristic polynomials), which similarity cannot change.
+certified constructively by a witness (a sequence of these operations, with
+Q from the closed forms below) and refuted by conjugacy invariants
+(eigenvalue multisets, characteristic polynomials), which similarity cannot
+change.
 
 Q^⊗m is m passes of :func:`gybe.core.apply_local` on the identity, the
 action that also gives braid generators their images, and :func:`apply_gauge`
 is the one place that forms (Q^-1)^⊗m R Q^⊗m.
 
 The witness search runs over 2x2 Q (so d = 2 only), scores each candidate
-by :func:`apply_gauge` and stops at the first within tolerance.  No shape
-runs an optimizer.  The diagonal and antidiagonal shapes, which suffice for
-the block-structured families handled in :mod:`gybe.solutions`, are
-decided in closed form: conjugation by diag(1, z)^⊗m scales entry (i, j)
+by :func:`apply_gauge` and stops at the first within tolerance, taken
+relative to the largest entry of the target.  No shape runs an optimizer.
+The diagonal and antidiagonal shapes, which suffice for the
+block-structured families handled in :mod:`gybe.solutions`, are decided in
+closed form: conjugation by diag(1, z)^⊗m scales entry (i, j)
 by a power of z fixed by the bit counts of i and j, so the entry ratios
 leave only a few candidate z, and no candidate within tolerance means no
 witness of that shape.  This generalizes the beta/alpha criterion of
@@ -97,12 +99,9 @@ class GaugeOp:
 
 
 def _lift(q: np.ndarray, m: int) -> np.ndarray:
-    """Q^⊗m: Q applied to each of the m tensor factors of the identity.
-
-    A (..., d, d) stack of Q gives the stack of their lifts.
-    """
-    d = q.shape[-1]
-    out = np.broadcast_to(linalg.identity(d**m), q.shape[:-2] + (d**m, d**m))
+    """Q^⊗m: Q applied to each of the m tensor factors of the identity."""
+    d = q.shape[0]
+    out = linalg.identity(d**m)
     for k in range(m):
         out = apply_local(q, out, d**k)
     return out
@@ -211,7 +210,7 @@ SEPARATION_GATE = 1e3
 # to singular (eigenvectors of a near-Jordan covariant, or a basis of s
 # whose columns were scaled far apart).
 EIGENVECTOR_GATE = 1e-4
-# A candidate that misses ``tol`` but comes within this fraction of the
+# A candidate that misses the tolerance but comes within this fraction of the
 # largest entry of s may be a witness lost to rounding (the lifts amplify
 # it by up to cond(Q)^(2m)), so it leaves the prefix undecided.
 NEAR_MISS = 1e-6
@@ -266,15 +265,16 @@ class EquivalenceDecision:
         }
 
 
-def _scalar_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack, the lambda minimizing ||lambda a - b||_F.
+def _scalar_fit(a: np.ndarray, b: np.ndarray) -> complex:
+    """The lambda minimizing ||lambda a - b|| for arrays a, b of one shape.
 
-    That is <a, b> / <a, a>, and 1 where a vanishes.
+    That is <a, b> / <a, a>, and 1 when a vanishes.
     """
-    num = np.einsum("...ij,...ij->...", a.conj(), b)
-    denom = np.einsum("...ij,...ij->...", a.conj(), a).real
-    vanishes = denom < 1e-300
-    return np.where(vanishes, 1.0, num / np.where(vanishes, 1.0, denom))
+    a, b = a.ravel(), b.ravel()
+    denom = np.einsum("i,i->", a.conj(), a).real
+    if denom < 1e-300:
+        return 1.0 + 0.0j
+    return complex(np.einsum("i,i->", a.conj(), b) / denom)
 
 
 def _bit_weights(size: int) -> np.ndarray:
@@ -360,7 +360,7 @@ def _jordan_conjugators(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: float
     a, b = r.matrix, s.matrix
     noise = _support_cut(a, tol)
     top = level == level[np.abs(a) > noise].max()
-    lam = np.vdot(a[top], b[top]) / np.vdot(a[top], a[top]) if with_scalar else 1.0
+    lam = _scalar_fit(a[top], b[top]) if with_scalar else 1.0
     if abs(lam) < 1e-150:
         return
     moved = n_sum @ a - a @ n_sum
@@ -557,8 +557,9 @@ def _search_conjugator(
     :func:`_graded_conjugators`, and the general shape by
     :func:`_covariant_reduction`; no shape runs an optimizer.  Every
     candidate is scored by the explicit conjugation residual, and the
-    first (Q, lambda, residual) with residual <= ``tol``, in shape and
-    candidate order, is the hit.  With no hit the verdict is ``undecided``
+    first (Q, lambda, residual) with residual <= ``tol`` times the largest
+    entry of ``s``, in shape and candidate order, is the hit; the residual
+    reported stays absolute.  With no hit the verdict is ``undecided``
     when the general shape was asked for and could not reduce, or when a
     candidate came within ``NEAR_MISS``, else ``none``.
     """
@@ -575,11 +576,12 @@ def _search_conjugator(
             image = apply_gauge(r, GaugeOp.local_conj(q)).matrix
         except ValueError:  # Q or its image is singular or not finite
             return None, None
-        lam = complex(_scalar_fit(image, s.matrix)) if with_scalar else 1.0 + 0.0j
+        lam = _scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
         if abs(lam) < 1e-150:  # GaugeOp.scalar needs lambda != 0
             return None, None
         return float(linalg.max_abs(lam * image - s.matrix)), lam
 
+    scale = linalg.max_abs(s.matrix)
     covariant, undecided, scored, closest = None, False, 0, np.inf
     for shape in shapes:
         if shape == "general":
@@ -592,11 +594,11 @@ def _search_conjugator(
         for q in candidates:
             scored += 1
             residual, lam = conjugation_residual(q)
-            if residual is not None and residual <= tol:
+            if residual is not None and residual <= tol * scale:
                 return (q, lam, residual), PrefixDecision(prefix, "witness", covariant, scored)
             if residual is not None:
                 closest = min(closest, residual)
-    near_miss = closest <= NEAR_MISS * linalg.max_abs(s.matrix)
+    near_miss = closest <= NEAR_MISS * scale
     verdict = "undecided" if undecided or near_miss else "none"
     return None, PrefixDecision(prefix, verdict, covariant, scored)
 
@@ -610,8 +612,9 @@ def search_local_conjugation(
 ) -> tuple[np.ndarray, float] | None:
     """Search for Q with (Q^-1)^⊗m r Q^⊗m = s over the given shapes.
 
-    Returns the first (Q, residual) found with residual <= tol, or None;
-    absence of a witness is a valid outcome, not an error.
+    Returns the first (Q, residual) found with residual <= tol times the
+    largest entry of s, or None; absence of a witness is a valid outcome,
+    not an error.
     """
     hit, _ = _search_conjugator(r, s, shapes, with_scalar=False, tol=tol)
     if hit is None:

@@ -65,6 +65,8 @@ class ZeroPattern:
         m = linalg.as_matrix(m)
         if m.shape[0] != m.shape[1]:
             raise ValueError("pattern source must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("pattern source must have finite entries")
         return ZeroPattern(m.shape[0], np.abs(m) > threshold)
 
     @staticmethod
@@ -198,14 +200,16 @@ def gybe_objective(
 ) -> float:
     """Squared equation residual plus squared unitarity defect.
 
-    Zero exactly on unitary solutions.  The candidate must respect the
-    pattern: masked-out entries are required to be exactly zero.
+    Zero exactly on unitary solutions.  The candidate must be finite and
+    respect the pattern: masked-out entries are required to be exactly zero.
     """
     m = linalg.as_matrix(matrix)
     if not signature.has_side(pattern.size):
         raise ValueError(
             f"pattern size {pattern.size} does not match signature {signature}"
         )
+    if not np.all(np.isfinite(m)):
+        raise ValueError("candidate must have finite entries")
     if not pattern.accepts(m):
         raise ValueError("candidate has nonzero entries outside the pattern")
     vec = _combined_residual_vector(m, signature)
@@ -227,11 +231,8 @@ def dedup_key(matrix: np.ndarray) -> str:
         pivot = flat[int(np.argmax(significant))]
         m = m * (abs(pivot) / pivot)
 
-    def rounded(values) -> tuple:
-        return tuple(
-            (round(v.real, 6) + 0.0, round(v.imag, 6) + 0.0)
-            for v in linalg.sort_eigenvalues(values)
-        )
+    def rounded(values) -> tuple:  # linalg.eigenvalues returns them in canonical order
+        return tuple((round(v.real, 6) + 0.0, round(v.imag, 6) + 0.0) for v in values)
 
     parts = [("spectrum", rounded(linalg.eigenvalues(m)))]
     if m.shape == (8, 8):

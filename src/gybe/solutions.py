@@ -41,6 +41,9 @@ FAMILY_PARAMS: dict[int, tuple[complex, complex, complex]] = {
 }
 
 _UNIT_TOL = 1e-12
+# Parameters read off a matrix may come from numerical search, so the
+# category and constraint checks on them are looser than verification.
+CLASSIFY_TOL = 1e-9
 
 
 def _require_unit(value: complex, name: str, tol: float = _UNIT_TOL) -> complex:
@@ -376,8 +379,7 @@ def check_block_equations(
         lhs = lift(p1) @ mid1 @ lift(p2) + lift(p3) @ mid2 @ lift(p4)
         rhs = SQRT2 * (r1 @ lift(p5) @ r2)
         residuals.append(linalg.max_abs_diff(lhs, rhs) / 2)
-    residual = max(residuals)
-    return CheckReport(residual, residual <= tol, tol, tuple(residuals))
+    return CheckReport.from_residuals(residuals, tol)
 
 
 def param_constraint_residuals(
@@ -408,24 +410,20 @@ def param_constraint_residuals(
 
 
 def check_param_constraints(
-    omega: complex, gamma: complex, delta: complex, tol: float = 1e-9
+    omega: complex, gamma: complex, delta: complex, tol: float = CLASSIFY_TOL
 ) -> CheckReport:
     for name, value in (("omega", omega), ("gamma", gamma), ("delta", delta)):
-        _require_unit(value, name, tol=1e-9)
-    residuals = param_constraint_residuals(omega, gamma, delta)
-    residual = max(residuals)
-    return CheckReport(residual, residual <= tol, tol, residuals)
+        _require_unit(value, name, tol=CLASSIFY_TOL)
+    return CheckReport.from_residuals(param_constraint_residuals(omega, gamma, delta), tol)
 
 
 def classify_unitary_params(
-    omega: complex, gamma: complex, delta: complex, tol: float = 1e-9
+    omega: complex, gamma: complex, delta: complex, tol: float = CLASSIFY_TOL
 ) -> str:
     """Name the admissible category of (omega, gamma, delta), or "none".
 
     Category A: omega = gamma = +/-i and delta = 1; category B: omega =
-    delta = +/-i and gamma = 1; category C: all three equal 1.  The
-    tolerance is looser than verification tolerance because inputs may come
-    from numerical search.
+    delta = +/-i and gamma = 1; category C: all three equal 1.
     """
     w, g, d = complex(omega), complex(gamma), complex(delta)
     one = 1.0 + 0j

@@ -12,8 +12,11 @@ import pytest
 
 from gybe import linalg
 from gybe.braiding import StateVector, apply_to_state, build_rep, evaluate_word, parse_braid_word
-from gybe.cli import main
+from gybe.cli import build_parser, main
+from gybe.equivalence import WITNESS_TOL
+from gybe.search import SearchConfig
 from gybe.solutions import (
+    CLASSIFY_TOL,
     base_solution,
     family_solution,
     resolve_solution,
@@ -144,6 +147,20 @@ def test_tolerance_must_be_finite_and_non_negative(capsys):
             assert "--tol must be a finite non-negative number" in err
 
 
+def test_defaults_come_from_the_library():
+    parser = build_parser()
+    tolerances = {
+        "verify": linalg.DEFAULT_TOL,
+        "braid": linalg.DEFAULT_TOL,
+        "equiv": WITNESS_TOL,
+        "classify": CLASSIFY_TOL,
+    }
+    for command, tol in tolerances.items():
+        assert parser.parse_args([command]).tol == tol, command
+    args, config = parser.parse_args(["search"]), SearchConfig()
+    assert (args.tol, args.restarts, args.seed) == (config.tolerance, config.restarts, config.seed)
+
+
 def test_family_verify_round_trip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "family", "--family", "1", "--theta", "0.5", "--json")
     assert code == 0
@@ -241,6 +258,20 @@ def test_equiv_reports_none_for_distinct_classes(capsys):
         "family1:theta=0.3",
         "--solution",
         "family1:theta=1.1",
+    )
+    assert code == 1
+    assert out.strip() == "none"
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e-9])
+def test_equiv_does_not_accept_any_conjugator_for_a_tiny_target(scale, tmp_path, capsys):
+    # An absolute tolerance passed every candidate once the target's entries
+    # were this small, though the two angles are inequivalent at any scale.
+    path = tmp_path / "tiny.json"
+    path.write_text(linalg.matrix_to_json(scale * family_solution(1, 1.1).matrix))
+    code, out, _ = run_cli(
+        capsys, "equiv", "--solution", "family1:theta=0.3",
+        "--matrix", str(path), "--signature", "2,3,1",
     )
     assert code == 1
     assert out.strip() == "none"

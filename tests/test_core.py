@@ -9,7 +9,6 @@ from gybe.core import (
     CheckReport,
     GybeSignature,
     RMatrix,
-    apply_local,
     braid_dimension,
     braid_generator_matrix,
     check_far_commutativity,
@@ -112,6 +111,12 @@ def test_check_ybe_zeta_block_fails():
 def test_check_ybe_rejects_non_square_dimension():
     with pytest.raises(ValueError):
         check_ybe(linalg.identity(6))
+
+
+def test_check_ybe_rejects_non_finite_entries():
+    # A NaN residual would otherwise come back as a failed check, not an input error.
+    with pytest.raises(ValueError, match="finite"):
+        check_ybe(np.full((4, 4), np.nan))
 
 
 def test_lifted_residual_matches_kron_reference():
@@ -300,16 +305,3 @@ def test_check_report_json_shape():
     vac = check_far_commutativity(xshape_solution())
     assert vac.to_json_dict()["vacuous"] is True
     assert CheckReport(0.5, False, 1e-12).to_json_dict()["passed"] is False
-
-
-def test_apply_local_acts_on_a_stack_slice_by_slice():
-    # The witness search lifts a stack of conjugators in one call.
-    rng = np.random.default_rng(41)
-    ms = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-    blocks = rng.standard_normal((3, 8, 5)) + 1j * rng.standard_normal((3, 8, 5))
-    for left in (1, 2, 4):
-        stacked = apply_local(ms, blocks, left)
-        for m, block, got in zip(ms, blocks, stacked):
-            want = np.kron(np.kron(np.eye(left), m), np.eye(4 // left)) @ block
-            assert linalg.max_abs_diff(got, want) <= 1e-12
-            assert linalg.max_abs_diff(got, apply_local(m, block, left)) == 0.0

@@ -641,13 +641,53 @@ def test_the_covariant_of_s_is_judged_on_the_scale_of_r(cond):
 
 
 def test_a_near_miss_leaves_the_prefix_undecided():
-    # Scaled by 1e8, S's rounding alone exceeds the absolute WITNESS_TOL, so
-    # the true conjugator misses it by a hair: no proof that none exists.
-    r, s = _near_identity_target("rowell", 0)
-    s = apply_gauge(s, GaugeOp.scalar(1e8))
+    # One entry of a gauge image moved by 1e-8 of the largest: the true
+    # conjugator misses the tolerance by a hair, within NEAR_MISS, so there
+    # is no proof that none exists.
+    r, s = _near_identity_target("rowell", 3)
+    m = s.matrix.copy()
+    largest = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    m[largest] += 1e-8 * linalg.max_abs(m)
+    s = RMatrix(s.signature, m, "near-miss")
     (direct,) = decide_equivalence(r, s, ("general",), include_inverse=False).prefixes
     assert direct.verdict == "undecided" and direct.covariant is not None
     assert direct.candidates >= 1
+
+
+def test_the_witness_tolerance_scales_with_the_target():
+    # Scaled by 1e8, the rounding of a true gauge image alone exceeds an
+    # absolute WITNESS_TOL; relative to the target's largest entry it passes.
+    q = np.array([[1, 0.3 + 0.2j], [0.1j, 1.2]])
+    r = rowell_solution()
+    s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(1e8)))
+    decision = decide_equivalence(r, s)
+    assert decision.verdict == "witness"
+    replayed = apply_gauge_sequence(r, decision.witness.ops).matrix
+    assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL * linalg.max_abs(s.matrix)
+
+
+def test_scalar_fit_is_one_when_the_source_vanishes():
+    b = np.arange(4, dtype=complex).reshape(2, 2)
+    assert equivalence._scalar_fit(np.zeros((2, 2), dtype=complex), b) == 1
+
+
+def test_the_jordan_candidate_fits_lambda_on_the_top_level(monkeypatch):
+    r = rowell_solution()
+    s = apply_gauge_sequence(r, (GaugeOp.local_conj(I2 + 0.3 * equivalence._JORDAN), GaugeOp.scalar(0.7j)))
+    fit, fits = equivalence._scalar_fit, []
+
+    def spy(a, b):
+        fits.append((a, b))
+        return fit(a, b)
+
+    monkeypatch.setattr(equivalence, "_scalar_fit", spy)
+    list(equivalence._jordan_conjugators(r, s, with_scalar=True, tol=WITNESS_TOL))
+    weight = np.array([bin(i).count("1") for i in range(8)])
+    level = weight[:, None] - weight[None, :]
+    top = level == level[np.abs(r.matrix) > WITNESS_TOL * linalg.max_abs(r.matrix)].max()
+    ((a, b),) = fits
+    np.testing.assert_array_equal(a, r.matrix[top])
+    np.testing.assert_array_equal(b, s.matrix[top])
 
 
 def test_words_walk_only_the_site_transpositions():

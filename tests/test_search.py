@@ -96,6 +96,14 @@ def test_pattern_from_matrix_matches_named_pattern():
     assert not named.accepts(np.ones((8, 8)))
 
 
+def test_pattern_from_matrix_rejects_non_finite_entries():
+    # NaN > threshold is False, so a NaN entry would read as a zero.
+    m = rowell_solution().matrix.copy()
+    m[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ZeroPattern.from_matrix(m)
+
+
 def test_pattern_text_round_trip():
     p = rowell_pattern()
     again = ZeroPattern.from_text(p.to_text())
@@ -155,6 +163,13 @@ def test_objective_rejects_pattern_violations():
         gybe_objective(np.ones((8, 8)), rowell_pattern(), SIG)
     with pytest.raises(ValueError):
         gybe_objective(linalg.identity(4), ZeroPattern(4, np.eye(4, dtype=bool)), SIG)
+
+
+def test_objective_rejects_non_finite_entries_inside_the_pattern():
+    m = rowell_solution().matrix.copy()
+    m[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        gybe_objective(m, rowell_pattern(), SIG)
 
 
 def test_config_validation():
