@@ -232,6 +232,8 @@ def recognize_braiding_gate(
     mat = linalg.as_matrix(u)
     if mat.shape != (rep.dim, rep.dim):
         raise ValueError(f"gate must be {rep.dim}x{rep.dim}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("gate must have finite entries")
     flat_idx = int(np.argmax(np.abs(mat)))
     p, q = divmod(flat_idx, rep.dim)
     if abs(mat[p, q]) == 0.0:

@@ -102,6 +102,8 @@ def _report_json(args, data: dict) -> str:
 
 def _load_rmatrix(args) -> RMatrix:
     if args.solution:
+        if len(args.solution) > 1:
+            raise ValueError(f"pass one --solution, got {len(args.solution)}")
         return resolve_solution(args.solution[0])
     if args.matrix:
         return _load_matrix_file(args)
@@ -136,6 +138,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
+    if args.theta is not None and (args.alpha is not None or args.beta is not None):
+        raise ValueError("pass --theta or --alpha and --beta, not both")
     if args.theta is not None:
         r = family_solution(args.family, args.theta)
     elif args.alpha is not None and args.beta is not None:
@@ -198,7 +202,7 @@ def cmd_classify(args) -> int:
 
 def cmd_equiv(args) -> int:
     ids = args.solution or []
-    if len(ids) >= 2:
+    if len(ids) == 2 and not args.matrix:
         source, target = resolve_solution(ids[0]), resolve_solution(ids[1])
     elif len(ids) == 1 and args.matrix:
         source = resolve_solution(ids[0])
@@ -349,9 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol: float):
-        p.add_argument("--solution", action="append", help="registry solution id")
-        p.add_argument("--matrix", help="matrix JSON file, or - for stdin")
+    def add_common(p, tol: float, one_input: bool = True):
+        # One input: a registry id or a matrix file, never both.
+        inputs = p.add_mutually_exclusive_group() if one_input else p
+        inputs.add_argument("--solution", action="append", help="registry solution id")
+        inputs.add_argument("--matrix", help="matrix JSON file, or - for stdin")
         p.add_argument("--signature", help="equation signature d,m,l")
         p.add_argument("--tol", type=float, default=tol, help="tolerance")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("equiv", help="search for a gauge-equivalence witness")
-    add_common(p, WITNESS_TOL)
+    add_common(p, WITNESS_TOL, one_input=False)
     p.add_argument(
         "--stats",
         action="store_true",
@@ -386,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("braid", help="evaluate braid words in a representation")
     add_common(p, linalg.DEFAULT_TOL)
     p.add_argument("--word", help="braid word, e.g. 'n=4: 1,2,-1,3'")
-    p.add_argument("--compare", help="second braid word to compare against")
-    p.add_argument("--state", help="state vector JSON file, or - for stdin")
+    outputs = p.add_mutually_exclusive_group()
+    outputs.add_argument("--compare", help="second braid word to compare against")
+    outputs.add_argument("--state", help="state vector JSON file, or - for stdin")
     p.set_defaults(func=cmd_braid)
 
     p = sub.add_parser("search", help="solve a zero pattern numerically")

@@ -284,6 +284,8 @@ def ybe_summation_residual(matrix: np.ndarray, d: int) -> float:
     m = linalg.as_matrix(matrix)
     if m.shape != (d * d, d * d):
         raise ValueError("matrix does not match the declared local dimension")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("YBE candidate must have finite entries")
     if d > 4:
         raise ValueError("summation form is a small-d cross-check")
 

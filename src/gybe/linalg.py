@@ -130,6 +130,8 @@ def unitarity_residual(m: np.ndarray) -> float:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("unitarity is defined for square matrices only")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("unitarity candidate must have finite entries")
     return max_abs(m @ dagger(m) - identity(m.shape[0]))
 
 

@@ -3,12 +3,12 @@
 Small, dependency-free Levenberg-style solver behind the zero-pattern
 solution search (:func:`gybe.search.solve_pattern`), through
 :func:`solve_stack`.  The witness search in :mod:`gybe.equivalence` needs
-no optimizer: it decides every 2x2 conjugator in closed form.  The residual function maps a real parameter vector
-to a real residual vector; the objective is the sum of squared residual
-entries.  Every caller supplies the exact Jacobian, so one iteration
-costs one Jacobian and one residual per tried step.  Steps are accepted
-only when they reduce the objective, so the recorded trace is
-non-increasing.
+no optimizer: it decides every 2x2 conjugator in closed form.  The
+residual function maps a real parameter vector to a real residual vector;
+the objective is the sum of squared residual entries.  Every caller
+supplies the exact Jacobian, so one iteration costs one Jacobian and one
+residual per tried step.  Steps are accepted only when they reduce the
+objective, so the recorded trace is non-increasing.
 
 :func:`solve_stack` minimizes a stack of independent starting points in
 one loop: each iteration evaluates the residuals and Jacobians of the live
@@ -18,12 +18,13 @@ stop reason, and leaves the stack when it stops, so a row's result does not
 depend on the rows beside it.  :func:`damped_least_squares` is the stack of
 one, for a caller with a single 1-D start.
 
-Besides the budget, a solve stops on convergence, a step below
-``step_tol``, a damping stall, a non-finite residual or Jacobian, or a
-plateau: after ``PLATEAU_STEPS`` accepted steps the objective fell by less
-than ``PLATEAU_RTOL`` (relative) over the last ``PLATEAU_STEPS`` of them, a
-stalled-progress test in the spirit of Moré, "The Levenberg–Marquardt
-algorithm: implementation and theory" (1978).
+Besides the budget, a solve stops on convergence, an accepted step no
+longer than ``STEP_TOL`` (read on every check), a damping stall, a
+non-finite residual or Jacobian, or a plateau: after ``PLATEAU_STEPS``
+accepted steps the objective fell by less than ``PLATEAU_RTOL``
+(relative) over the last ``PLATEAU_STEPS`` of them, a stalled-progress
+test in the spirit of Moré, "The Levenberg–Marquardt algorithm:
+implementation and theory" (1978).
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ def solve_stack(
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     objective_tol: float = 0.0,
     max_iterations: int = 200,
-    step_tol: float = STEP_TOL,
 ) -> tuple[LeastSquaresResult, ...]:
     """Minimize ``sum(residual_fn(x)**2)`` from each row of ``x0`` (rows, params).
 
@@ -171,7 +171,7 @@ def solve_stack(
         for i in np.flatnonzero(still):
             row = live[i]
             trace = traces[row]
-            if step_norm[row] <= step_tol:
+            if step_norm[row] <= STEP_TOL:
                 stop[row] = "step_tol"
             elif len(trace) > PLATEAU_STEPS and (
                 trace[-1] > (1.0 - PLATEAU_RTOL) * trace[-1 - PLATEAU_STEPS]
@@ -214,7 +214,6 @@ def damped_least_squares(
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     objective_tol: float = 0.0,
     max_iterations: int = 200,
-    step_tol: float = STEP_TOL,
 ) -> LeastSquaresResult:
     """Minimize ``sum(residual_fn(x)**2)`` from the 1-D start ``x0``.
 
@@ -232,6 +231,5 @@ def damped_least_squares(
         jacobian_fn=lambda xs: np.asarray(jacobian_fn(xs[0]), dtype=float)[None],
         objective_tol=objective_tol,
         max_iterations=max_iterations,
-        step_tol=step_tol,
     )
     return fit

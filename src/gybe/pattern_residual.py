@@ -1,10 +1,11 @@
 """The least-squares problem behind the zero-pattern search.
 
-:class:`_Parameterization` maps a real parameter vector onto the entries a
-pattern leaves free.  :class:`_PatternResidual` is the search residual over
-it, the equation residual LSL - SLS and the unitarity defect RR† - I as
-interleaved real and imaginary parts, restricted to the rows the pattern can
-make nonzero, with its exact Jacobian.  :mod:`gybe.search` minimizes it.
+:class:`_PatternResidual` takes each entry a pattern leaves free as a real
+and an imaginary parameter.  Its residual is the equation residual
+LSL - SLS and the unitarity defect RR† - I as interleaved real and
+imaginary parts, restricted to the rows the pattern can make nonzero, and
+it supplies the exact Jacobian of that residual.  :mod:`gybe.search`
+minimizes it.
 """
 
 from __future__ import annotations
@@ -19,68 +20,10 @@ from .core import GybeSignature, lift_pair, lifted_difference
 if TYPE_CHECKING:
     from .search import ZeroPattern
 
-
-class _Parameterization:
-    """Maps a real parameter vector onto the masked entries of a matrix.
-
-    Parameters come in consecutive groups of ``per_entry``, one group per
-    allowed entry in ``rows, cols`` order.  ``build`` and ``coefficients``
-    take leading batch axes: a (k, params) stack gives k matrices.
-    """
-
-    def __init__(self, pattern: ZeroPattern, kind: str):
-        self.pattern = pattern
-        self.kind = kind
-        self.rows, self.cols = np.nonzero(pattern.mask)
-        if kind == "unit-modulus":
-            # Phases only; moduli fixed so each fully-occupied row can have
-            # unit norm (1/sqrt of the row's allowed-entry count).
-            counts = pattern.mask.sum(axis=1)
-            self.scales = 1.0 / np.sqrt(np.maximum(counts[self.rows], 1))
-            self.per_entry = 1
-        else:
-            self.scales = None
-            self.per_entry = 2  # real and imaginary part
-        self.n_params = self.per_entry * self.rows.size
-
-    def build(self, x: np.ndarray) -> np.ndarray:
-        size = self.pattern.size
-        m = np.zeros(x.shape[:-1] + (size, size), dtype=np.complex128)
-        if self.kind == "unit-modulus":
-            m[..., self.rows, self.cols] = self.scales * np.exp(1j * x)
-        else:
-            m[..., self.rows, self.cols] = x[..., 0::2] + 1j * x[..., 1::2]
-        return m
-
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """d(entry)/d(parameter) at ``x``, broadcastable to (..., entries, per_entry).
-
-        Each parameter moves only its own entry, by this complex factor.
-        """
-        if self.kind == "unit-modulus":
-            return (1j * self.scales * np.exp(1j * x))[..., None]
-        return np.array([[1.0, 1.0j]])
-
-    def initial(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "unit-modulus":
-            return rng.uniform(0.0, 2.0 * np.pi, self.n_params)
-        # Uniform on the complex unit disk, independently per entry.
-        radius = np.sqrt(rng.uniform(0.0, 1.0, self.rows.size))
-        phase = rng.uniform(0.0, 2.0 * np.pi, self.rows.size)
-        x = np.empty(self.n_params)
-        x[0::2] = radius * np.cos(phase)
-        x[1::2] = radius * np.sin(phase)
-        return x
-
-    def params_from_matrix(self, m: np.ndarray) -> np.ndarray:
-        m = linalg.as_matrix(m)
-        values = m[self.rows, self.cols]
-        if self.kind == "unit-modulus":
-            return np.angle(values)
-        x = np.empty(self.n_params)
-        x[0::2] = values.real
-        x[1::2] = values.imag
-        return x
+# d(entry)/d(parameter): the real part moves an entry by 1, the imaginary
+# part by 1j.  Against conj(entry) the factors are 1 and -1j.
+_EQ_FACTORS = np.array([[1.0], [1.0j]])
+_UNI_FACTORS = np.array([[1.0, 1.0], [1.0j, -1.0j]])
 
 
 def _combined_residual_vector(m: np.ndarray, signature: GybeSignature) -> np.ndarray:
@@ -95,8 +38,12 @@ def _combined_residual_vector(m: np.ndarray, signature: GybeSignature) -> np.nda
 
 
 class _PatternResidual:
-    """The search residual over a parameterization, on its live rows, with
-    its exact Jacobian.
+    """The search residual over a pattern's free entries, on its live rows,
+    with its exact Jacobian.
+
+    Parameters come in (real, imaginary) pairs, one pair per allowed entry
+    in ``rows, cols`` order.  ``build`` and ``residual`` take leading batch
+    axes: a (k, params) stack gives k matrices or residual vectors.
 
     A residual entry is live when some matrix respecting the pattern can
     make it nonzero.  With the boolean masks of L = R ⊗ I^l and
@@ -118,34 +65,35 @@ class _PatternResidual:
     side by side, with inner size 6·pad, read at the live entries.  The
     unitarity part U = RR† - I has derivative c·A_k + conj(c)·A_k† with
     A_k = E_k R†: entry (i, j) of A_k is conj(R[j, c]) when i = r, and of
-    A_k† is R[i, c] when j = r.  Parameter j moves entry k by the complex
-    factor c_j, so its column is c_j·dF_k at the live equation entries and
-    [c_j, conj(c_j)] times A_k stacked over A_k† at the live unitarity
-    entries.
+    A_k† is R[i, c] when j = r.  The real and imaginary parameters of
+    entry k move it by c = 1 and c = 1j, so their columns are c·dF_k at the
+    live equation entries and [c, conj(c)] times A_k stacked over A_k† at
+    the live unitarity entries.
 
     The Jacobian's intermediates live in work arrays allocated on the first
     call, for the largest stack seen, and filled in place by ``out=``
     arguments, ``np.take`` with ``mode="clip"`` and matmuls: arrays of this
     size allocated afresh on every iteration, or the buffers numpy's
     ufuncs allocate when they broadcast or write to strided slices, are
-    page-faulted back in each time.  ``residual`` and ``jacobian`` take a
-    1-D parameter vector or a (k, params) stack, and return one residual
-    vector or Jacobian per row.
+    page-faulted back in each time.  ``jacobian`` takes a (k, params) stack
+    and returns one Jacobian per row.
     """
 
-    def __init__(self, param: _Parameterization, signature: GybeSignature):
-        self.param = param
+    def __init__(self, pattern: ZeroPattern, signature: GybeSignature):
+        self.pattern = pattern
         self.signature = signature
+        self.rows, self.cols = np.nonzero(pattern.mask)
+        self.n_params = 2 * self.rows.size
         self.pad = pad = signature.d**signature.l
-        n = param.pattern.size
+        n = pattern.size
         self.side = side = n * pad
-        self.eq_live, self.uni_live = _live_entries(param.pattern, signature)
+        self.eq_live, self.uni_live = _live_entries(pattern, signature)
         entries = np.concatenate([self.eq_live, side * side + self.uni_live])
         self.live_rows = np.stack([2 * entries, 2 * entries + 1], axis=-1).reshape(-1)
         self.total_rows = 2 * (side * side + n * n)
 
         a = np.arange(pad)
-        rows, cols = param.rows[:, None], param.cols[:, None]
+        rows, cols = self.rows[:, None], self.cols[:, None]
         l_rows, l_cols = rows * pad + a, cols * pad + a
         s_rows, s_cols = a * n + rows, a * n + cols
         # The six terms as (X, rows, Y, cols): X is a block of
@@ -161,11 +109,12 @@ class _PatternResidual:
         )
         self.x_index = np.concatenate([x * side + r for x, r, _, _ in terms], axis=1)
         self.y_index = np.concatenate([y * side + c for _, _, y, c in terms], axis=1)
-        # Column (k, j) of the Jacobian is c_kj·dF_k at the live equation
-        # entries, then [c_kj, conj(c_kj)] @ U_k at the live unitarity
-        # entries, where U_k stacks A_k over A_k†, gathered from
+        # Column (k, c) of the Jacobian is c·dF_k at the live equation
+        # entries, then [c, conj(c)] @ U_k at the live unitarity entries
+        # (c = 1, 1j: the rows of _EQ_FACTORS and _UNI_FACTORS), where U_k
+        # stacks A_k over A_k†, gathered from
         # [conj(R), R, 0] (0 where the entry is not in row r or column r).
-        count, eq_size, zero = param.rows.size, side * side, 2 * n * n
+        count, eq_size, zero = self.rows.size, side * side, 2 * n * n
         self.eq_index = np.arange(count)[:, None] * eq_size + self.eq_live
         i, j = np.divmod(self.uni_live, n)
         self.uni_index = np.stack(
@@ -174,14 +123,36 @@ class _PatternResidual:
         )
         self._work: dict[str, np.ndarray] = {}
 
+    def build(self, x: np.ndarray) -> np.ndarray:
+        size = self.pattern.size
+        m = np.zeros(x.shape[:-1] + (size, size), dtype=np.complex128)
+        m[..., self.rows, self.cols] = x[..., 0::2] + 1j * x[..., 1::2]
+        return m
+
+    def initial(self, rng: np.random.Generator) -> np.ndarray:
+        # Uniform on the complex unit disk, independently per entry.
+        radius = np.sqrt(rng.uniform(0.0, 1.0, self.rows.size))
+        phase = rng.uniform(0.0, 2.0 * np.pi, self.rows.size)
+        x = np.empty(self.n_params)
+        x[0::2] = radius * np.cos(phase)
+        x[1::2] = radius * np.sin(phase)
+        return x
+
+    def params_from_matrix(self, m: np.ndarray) -> np.ndarray:
+        values = linalg.as_matrix(m)[self.rows, self.cols]
+        x = np.empty(self.n_params)
+        x[0::2] = values.real
+        x[1::2] = values.imag
+        return x
+
     def residual(self, x: np.ndarray) -> np.ndarray:
-        full = _combined_residual_vector(self.param.build(x), self.signature)
+        full = _combined_residual_vector(self.build(x), self.signature)
         return full[..., self.live_rows]
 
     def _workspace(self, stack: int) -> dict[str, np.ndarray]:
         """The Jacobian's work arrays, cut to a stack of ``stack`` rows."""
         if not self._work or len(self._work["d_f"]) < stack:
-            side, (count, inner), n = self.side, self.x_index.shape, self.param.pattern.size
+            side, (count, inner), n = self.side, self.x_index.shape, self.pattern.size
             eye = np.eye(side)
             work = {
                 "x_blocks": np.zeros((stack, side, 5 * side), dtype=np.complex128),
@@ -199,12 +170,10 @@ class _PatternResidual:
             self._work = work
         return {name: array[:stack] for name, array in self._work.items()}
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xs = x.reshape(-1, x.shape[-1])
+    def jacobian(self, xs: np.ndarray) -> np.ndarray:
         stack, side = len(xs), self.side
         work = self._workspace(stack)
-        m = self.param.build(xs)
+        m = self.build(xs)
         left, right = lift_pair(m, self.pad)
         # X blocks [I, L, LS, S, SL] side by side, Y blocks [SL, L, I, -LS, -S, -I] stacked.
         x_blocks, y_blocks = work["x_blocks"], work["y_blocks"]
@@ -229,15 +198,11 @@ class _PatternResidual:
 
         # Matmuls write into the column slices without the buffers a
         # broadcasting multiply would allocate.
-        c = self.param.coefficients(xs)[..., None]
         eq_size = d_eq.shape[-1]
-        columns = np.empty(
-            (stack, len(d_eq[0]), self.param.per_entry, eq_size + d_uni.shape[-1]), dtype=np.complex128
-        )
-        np.matmul(c, d_eq[:, :, None, :], out=columns[..., :eq_size])
-        np.matmul(np.concatenate([c, c.conj()], axis=-1), d_uni, out=columns[..., eq_size:])
-        jac = columns.reshape(stack, self.param.n_params, -1).view(np.float64).swapaxes(-1, -2)
-        return jac[0] if x.ndim == 1 else jac
+        columns = np.empty((stack, len(d_eq[0]), 2, eq_size + d_uni.shape[-1]), dtype=np.complex128)
+        np.matmul(_EQ_FACTORS, d_eq[:, :, None, :], out=columns[..., :eq_size])
+        np.matmul(_UNI_FACTORS, d_uni, out=columns[..., eq_size:])
+        return columns.reshape(stack, self.n_params, -1).view(np.float64).swapaxes(-1, -2)
 
 
 def _live_entries(pattern: ZeroPattern, signature: GybeSignature) -> tuple[np.ndarray, np.ndarray]:

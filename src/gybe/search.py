@@ -28,10 +28,8 @@ import numpy as np
 from . import linalg
 from .core import GybeSignature, RMatrix, gybe_residual
 from .optimize import LeastSquaresResult, solve_stack
-from .pattern_residual import _combined_residual_vector, _Parameterization, _PatternResidual
+from .pattern_residual import _combined_residual_vector, _PatternResidual
 from .solutions import split_blocks
-
-PARAMETERIZATIONS = ("free-complex", "unit-modulus")
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,6 @@ class SearchConfig:
     restarts: int = 16
     seed: int = 0
     max_iterations: int = 250
-    parameterization: str = "free-complex"
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -145,10 +142,6 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.parameterization not in PARAMETERIZATIONS:
-            raise ValueError(
-                f"parameterization must be one of {PARAMETERIZATIONS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -270,14 +263,13 @@ def solve_pattern(
         raise ValueError("pattern search is scoped to sizes up to 16")
     if pattern.free_count == 0:
         raise ValueError("the pattern is empty: it has no free entry to search over")
-    param = _Parameterization(pattern, config.parameterization)
-    problem = _PatternResidual(param, signature)
+    problem = _PatternResidual(pattern, signature)
     objective_tol = config.tolerance**2
 
     starts = [
-        param.params_from_matrix(initial)
+        problem.params_from_matrix(initial)
         if restart == 0 and initial is not None
-        else param.initial(np.random.default_rng([config.seed, restart]))
+        else problem.initial(np.random.default_rng([config.seed, restart]))
         for restart in range(config.restarts)
     ]
     fits = solve_stack(
@@ -292,7 +284,7 @@ def solve_pattern(
     dedup_counts: dict[str, int] = {}
     reports: list[RestartReport] = []
     for restart, fit in enumerate(fits):
-        certified = _certify(fit, param, signature, config.tolerance, restart)
+        certified = _certify(fit, problem, config.tolerance, restart)
         reports.append(
             RestartReport(
                 fit.reason,
@@ -326,8 +318,7 @@ def solve_pattern(
 
 def _certify(
     fit: LeastSquaresResult,
-    param: _Parameterization,
-    signature: GybeSignature,
+    problem: _PatternResidual,
     tolerance: float,
     restart: int,
 ) -> tuple[RMatrix, float] | None:
@@ -335,7 +326,7 @@ def _certify(
     # Both gates are written so that a NaN fails them.
     if not fit.objective <= tolerance**2:
         return None
-    candidate = param.build(fit.x)
+    candidate, signature = problem.build(fit.x), problem.signature
     try:
         r = RMatrix(signature, candidate, f"search:restart{restart}")
     except linalg.SingularMatrixError:

@@ -426,6 +426,9 @@ def classify_unitary_params(
     delta = +/-i and gamma = 1; category C: all three equal 1.
     """
     w, g, d = complex(omega), complex(gamma), complex(delta)
+    for name, value in (("omega", w), ("gamma", g), ("delta", d)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     one = 1.0 + 0j
     for sign in (1j, -1j):
         if abs(w - sign) <= tol and abs(g - sign) <= tol and abs(d - one) <= tol:

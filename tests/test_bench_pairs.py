@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -58,3 +60,13 @@ def test_failed_and_attempted_ops_are_summed_per_side():
     summary = bench_pairs.summarize(_runs(), "equiv", 804, BETTER)
     assert summary["ops_failed"] == {"parent": 3, "change": 1}
     assert summary["ops_attempted"] == {"parent": 40, "change": 40}
+
+
+def test_a_repeated_workload_and_seed_is_rejected(capsys):
+    # Both specs would number their pairs from 0, and the summary would mix them.
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(["--out", "x.json", "--change", "c", "--runs", "equiv:804:3", "--runs", "equiv:804:2"])
+    assert exc.value.code == 2
+    assert "equiv:804" in capsys.readouterr().err
+    args = bench_pairs.parse_args(["--out", "x.json", "--change", "c", "--runs", "equiv:804:3", "--runs", "equiv:805:2"])
+    assert args.runs == [("equiv", 804, 3), ("equiv", 805, 2)]

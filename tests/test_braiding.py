@@ -450,6 +450,15 @@ def test_recognize_rejects_products():
     assert recognize_braiding_gate(rep, product) is None
 
 
+def test_recognize_rejects_non_finite_gates():
+    rep = build_rep(rowell_solution(), 3)
+    gate = rep.generators[0].copy()
+    gate[0, 0] = np.nan
+    for u in (gate, np.full((rep.dim, rep.dim), np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            recognize_braiding_gate(rep, u)
+
+
 def test_recognize_every_registry_generator():
     for name in REGISTRY_231:
         rep = build_rep(resolve_solution(name), 4)

@@ -311,6 +311,36 @@ def test_equiv_requires_two_inputs(capsys):
     assert "solution" in err
 
 
+def _write_rowell(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(linalg.matrix_to_json(rowell_solution().matrix))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--solution", "rowell", "--solution", "xshape"],
+        ["classify", "--solution", "rowell", "--solution", "xshape"],
+        ["braid", "--solution", "rowell", "--solution", "xshape", "--word", "n=3: 1"],
+        ["verify", "--solution", "rowell", "--matrix", "MATRIX"],
+        ["classify", "--solution", "rowell", "--matrix", "MATRIX"],
+        ["braid", "--solution", "rowell", "--matrix", "MATRIX", "--word", "n=3: 1"],
+        ["equiv", "--solution", "rowell", "--solution", "xshape", "--solution", "base1"],
+        ["equiv", "--solution", "rowell", "--solution", "xshape", "--matrix", "MATRIX"],
+        ["family", "--family", "1", "--theta", "0.3", "--alpha", "1,0", "--beta", "0,1"],
+        ["family", "--family", "1", "--theta", "0.3", "--beta", "0,1"],
+        ["braid", "--solution", "rowell", "--word", "n=3: 1", "--compare", "n=3: 1", "--state", "MATRIX"],
+    ],
+)
+def test_surplus_or_conflicting_inputs_are_usage_errors(argv, tmp_path, capsys):
+    # Each of these used to exit 0 and silently drop part of its input.
+    matrix = _write_rowell(tmp_path)
+    code, out, err = run_cli(capsys, *(matrix if arg == "MATRIX" else arg for arg in argv))
+    assert code == 2 and out == ""
+    assert err
+
+
 def test_braid_compare_words(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -115,8 +115,9 @@ def test_check_ybe_rejects_non_square_dimension():
 
 def test_check_ybe_rejects_non_finite_entries():
     # A NaN residual would otherwise come back as a failed check, not an input error.
-    with pytest.raises(ValueError, match="finite"):
-        check_ybe(np.full((4, 4), np.nan))
+    for check in (check_ybe, lambda m: ybe_summation_residual(m, 2)):
+        with pytest.raises(ValueError, match="finite"):
+            check(np.full((4, 4), np.nan))
 
 
 def test_lifted_residual_matches_kron_reference():

@@ -172,6 +172,16 @@ def test_is_unitary_scaled_identity_residual_three():
     assert check.residual == pytest.approx(3.0, abs=1e-15)
 
 
+def test_unitarity_rejects_non_finite_entries():
+    # A NaN residual used to come back as a failed check, not an input error.
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        m = linalg.identity(4)
+        m[1, 2] = bad
+        for check in (linalg.unitarity_residual, linalg.is_unitary):
+            with pytest.raises(ValueError, match="finite"):
+                check(m)
+
+
 def test_inverse_identity():
     np.testing.assert_array_equal(linalg.inverse(linalg.identity(8)), linalg.identity(8))
 

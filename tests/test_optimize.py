@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gybe import optimize
 from gybe.optimize import (
     MAX_INNER_RETRIES,
     PLATEAU_RTOL,
@@ -42,8 +43,9 @@ def test_converged_at_the_start_takes_no_iteration():
     assert (fit.iterations, fit.residual_evals, fit.jacobian_evals) == (0, 1, 0)
 
 
-def test_step_tol_when_steps_shrink_above_a_floor():
-    fit = damped_least_squares(offset, np.ones(1), jacobian_fn=offset_jacobian, step_tol=1e-6)
+def test_step_tol_when_steps_shrink_above_a_floor(monkeypatch):
+    monkeypatch.setattr(optimize, "STEP_TOL", 1e-6)
+    fit = damped_least_squares(offset, np.ones(1), jacobian_fn=offset_jacobian)
     assert fit.reason == "step_tol" and not fit.converged
     assert abs(fit.objective - 1.0) <= 1e-10
 

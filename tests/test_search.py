@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from gybe import linalg, pattern_residual
 from gybe.core import GybeSignature, check_gybe
 from gybe.search import (
-    PARAMETERIZATIONS,
     SearchConfig,
     ZeroPattern,
-    _Parameterization,
     _combined_residual_vector,
     _PatternResidual,
     dedup_key,
@@ -182,8 +180,6 @@ def test_config_validation():
             SearchConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(parameterization="polar")
 
 
 def test_search_recovers_certified_solutions():
@@ -220,24 +216,6 @@ def test_search_traces_are_non_increasing():
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
-def test_search_diagonal_pattern_unit_modulus():
-    pattern = ZeroPattern(8, np.eye(8, dtype=bool))
-    config = SearchConfig(
-        tolerance=1e-11,
-        restarts=3,
-        seed=2,
-        max_iterations=80,
-        parameterization="unit-modulus",
-    )
-    result = solve_pattern(pattern, SIG, config)
-    assert len(result.solutions) >= 1
-    for found in result.solutions:
-        assert check_gybe(found.solution, 1e-10).passed
-        # Diagonal and unitary: every surviving entry has unit modulus.
-        diag = np.diag(found.solution.matrix)
-        assert np.all(np.abs(np.abs(diag) - 1.0) <= 1e-9)
-
-
 def test_search_seeded_at_exact_solution_converges_immediately():
     mask = np.zeros((8, 8), dtype=bool)
     mask[:4, :4] = True
@@ -255,11 +233,10 @@ def test_search_seeded_at_exact_solution_converges_immediately():
     signature=st.sampled_from(
         [GybeSignature(2, 2, 1), GybeSignature(2, 3, 1), GybeSignature(3, 2, 1), GybeSignature(2, 3, 2)]
     ),
-    kind=st.sampled_from(PARAMETERIZATIONS),
     named_pattern=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_exact_jacobian_matches_central_differences(signature, kind, named_pattern, seed):
+def test_exact_jacobian_matches_central_differences(signature, named_pattern, seed):
     rng = np.random.default_rng(seed)
     n = signature.matrix_size
     if named_pattern and signature == SIG:
@@ -268,26 +245,42 @@ def test_exact_jacobian_matches_central_differences(signature, kind, named_patte
         mask = rng.random((n, n)) < 0.5
         mask[rng.integers(n), rng.integers(n)] = True
         pattern = ZeroPattern(n, mask)
-    param = _Parameterization(pattern, kind)
-    problem = _PatternResidual(param, signature)
-    x = param.initial(rng)
-    exact = problem.jacobian(x)
+    problem = _PatternResidual(pattern, signature)
+    x = problem.initial(rng)
+    exact = problem.jacobian(x[None])[0]
     numeric = central_differences(problem.residual, x)
-    assert exact.shape == numeric.shape == (numeric.shape[0], param.n_params)
+    assert exact.shape == numeric.shape == (numeric.shape[0], problem.n_params)
     assert linalg.max_abs(exact - numeric) <= 1e-6 * linalg.max_abs(exact)
 
 
-@pytest.mark.parametrize("kind", PARAMETERIZATIONS)
-def test_stacked_jacobian_matches_per_restart_jacobians(kind):
+def test_stacked_jacobian_matches_per_restart_jacobians():
     rng = np.random.default_rng(41)
-    param = _Parameterization(rowell_pattern(), kind)
-    problem = _PatternResidual(param, SIG)
-    xs = np.stack([param.initial(rng) for _ in range(5)])
+    problem = _PatternResidual(rowell_pattern(), SIG)
+    xs = np.stack([problem.initial(rng) for _ in range(5)])
     stacked = problem.jacobian(xs)
     residuals = problem.residual(xs)
     for x, jac, residual in zip(xs, stacked, residuals):
-        np.testing.assert_array_equal(jac, problem.jacobian(x))
+        np.testing.assert_array_equal(jac, problem.jacobian(x[None])[0])
         np.testing.assert_array_equal(residual, problem.residual(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    signature=st.sampled_from([GybeSignature(2, 2, 1), GybeSignature(2, 3, 1), GybeSignature(3, 2, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_inverts_params_from_matrix_on_the_mask(signature, seed):
+    rng = np.random.default_rng(seed)
+    n = signature.matrix_size
+    mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+    mask[rng.integers(n), rng.integers(n)] = True
+    problem = _PatternResidual(ZeroPattern(n, mask), signature)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = problem.params_from_matrix(m)
+    assert x.shape == (problem.n_params,) == (2 * np.count_nonzero(mask),)
+    built = problem.build(x)
+    np.testing.assert_array_equal(built[mask], m[mask])
+    assert np.all(built[~mask] == 0.0)
 
 
 def test_search_reports_every_restart():
@@ -390,11 +383,10 @@ def _all_entries(pattern, signature):
 @settings(max_examples=40, deadline=None)
 @given(
     signature=st.sampled_from([GybeSignature(2, 2, 1), GybeSignature(2, 3, 1)]),
-    kind=st.sampled_from(PARAMETERIZATIONS),
     shape=st.sampled_from(["random", "rowell", "diagonal", "full"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, kind, shape, seed):
+def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, shape, seed):
     rng = np.random.default_rng(seed)
     n = signature.matrix_size
     if shape == "rowell" and n == 8:
@@ -407,15 +399,14 @@ def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, kind, 
         mask = rng.random((n, n)) < rng.uniform(0.1, 0.6)
         mask[rng.integers(n), rng.integers(n)] = True
         pattern = ZeroPattern(n, mask)
-    param = _Parameterization(pattern, kind)
-    problem = _PatternResidual(param, signature)
+    problem = _PatternResidual(pattern, signature)
     with mock.patch.object(pattern_residual, "_live_entries", _all_entries):
-        full_problem = _PatternResidual(param, signature)
+        full_problem = _PatternResidual(pattern, signature)
     assert full_problem.live_rows.size == problem.total_rows
     dropped = np.setdiff1d(np.arange(problem.total_rows), problem.live_rows)
-    xs = np.stack([param.initial(rng) for _ in range(3)])
+    xs = np.stack([problem.initial(rng) for _ in range(3)])
 
-    full = _combined_residual_vector(param.build(xs), signature)
+    full = _combined_residual_vector(problem.build(xs), signature)
     np.testing.assert_array_equal(full, full_problem.residual(xs))
     assert np.all(full[:, dropped] == 0.0)
     np.testing.assert_array_equal(problem.residual(xs), full[:, problem.live_rows])
@@ -429,11 +420,11 @@ def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, kind, 
     )
     # Independently of the exact Jacobian: each dropped row stays 0.0 under
     # any move of the parameters.
-    numeric = central_differences(lambda x: _combined_residual_vector(param.build(x), signature), xs[0])
+    numeric = central_differences(lambda x: _combined_residual_vector(problem.build(x), signature), xs[0])
     assert np.all(numeric[dropped] == 0.0)
 
     for x, residual in zip(xs, problem.residual(xs)):
-        objective = gybe_objective(param.build(x), pattern, signature)
+        objective = gybe_objective(problem.build(x), pattern, signature)
         assert abs(np.dot(residual, residual) - objective) <= 1e-12 * objective
 
 
@@ -441,10 +432,9 @@ def test_jacobian_allocates_little_beyond_its_result():
     # Temporaries allocated afresh on every iteration cost page faults:
     # the work arrays of the first call are reused, so after it the traced
     # peak of a call is about the Jacobian it returns.
-    param = _Parameterization(rowell_pattern(), "free-complex")
-    problem = _PatternResidual(param, SIG)
+    problem = _PatternResidual(rowell_pattern(), SIG)
     rng = np.random.default_rng(8)
-    xs = np.stack([param.initial(rng) for _ in range(4)])
+    xs = np.stack([problem.initial(rng) for _ in range(4)])
     problem.jacobian(xs)
     tracemalloc.start()
     try:

@@ -344,6 +344,15 @@ def test_classification_examples():
     assert classify_unitary_params(np.exp(1j * np.pi / 3), 1, 1) == "none"
 
 
+@pytest.mark.parametrize("position, name", [(0, "omega"), (1, "gamma"), (2, "delta")])
+def test_classification_rejects_non_finite_parameters(position, name):
+    # NaN fails every comparison, so it used to read as category "none".
+    params = [1, 1, 1]
+    params[position] = complex(1, float("nan"))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        classify_unitary_params(*params)
+
+
 def test_classification_brute_force_grid():
     fourth_roots = (1, -1, 1j, -1j)
     admissible = set()

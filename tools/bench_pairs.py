@@ -108,7 +108,14 @@ def parse_args(argv=None):
     parser.add_argument("--out", required=True, help="BENCH file to write")
     parser.add_argument("--change", required=True, help="one line saying what the change does")
     parser.add_argument("--runs", action="append", type=_runs_spec, required=True, help="WORKLOAD:SEED:PAIRS")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # Runs are keyed by (workload, seed, pair, side): a second spec of the
+    # same workload and seed would overwrite the first one's pairs.
+    specs = [(workload, seed) for workload, seed, _ in args.runs]
+    repeated = sorted({f"{w}:{s}" for w, s in specs if specs.count((w, s)) > 1})
+    if repeated:
+        parser.error(f"--runs repeats {', '.join(repeated)}; give each WORKLOAD:SEED once")
+    return args
 
 
 def main(argv=None) -> int:
