@@ -344,6 +344,18 @@ def cmd_registry(args) -> int:
     return 0
 
 
+class _Once(argparse.Action):
+    """``store``, except that giving the option a second time is a usage error
+    instead of a silent overwrite of the first value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given_once", set())
+        if self.dest in given:
+            parser.error(f"argument {option_string}: given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gybe",
@@ -357,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         # One input: a registry id or a matrix file, never both.
         inputs = p.add_mutually_exclusive_group() if one_input else p
         inputs.add_argument("--solution", action="append", help="registry solution id")
-        inputs.add_argument("--matrix", help="matrix JSON file, or - for stdin")
-        p.add_argument("--signature", help="equation signature d,m,l")
-        p.add_argument("--tol", type=float, default=tol, help="tolerance")
+        inputs.add_argument("--matrix", action=_Once, help="matrix JSON file, or - for stdin")
+        p.add_argument("--signature", action=_Once, help="equation signature d,m,l")
+        p.add_argument("--tol", action=_Once, type=float, default=tol, help="tolerance")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("verify", help="check a solution against its equation")
@@ -367,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="construct a family member")
-    p.add_argument("--family", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--theta", type=float, default=None, help="angle in radians")
-    p.add_argument("--alpha", default=None, help="re,im on the unit circle")
-    p.add_argument("--beta", default=None, help="re,im on the unit circle")
+    p.add_argument("--family", action=_Once, type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--theta", action=_Once, type=float, default=None, help="angle in radians")
+    p.add_argument("--alpha", action=_Once, default=None, help="re,im on the unit circle")
+    p.add_argument("--beta", action=_Once, default=None, help="re,im on the unit circle")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_family)
 
@@ -391,18 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braid", help="evaluate braid words in a representation")
     add_common(p, linalg.DEFAULT_TOL)
-    p.add_argument("--word", help="braid word, e.g. 'n=4: 1,2,-1,3'")
+    p.add_argument("--word", action=_Once, help="braid word, e.g. 'n=4: 1,2,-1,3'")
     outputs = p.add_mutually_exclusive_group()
-    outputs.add_argument("--compare", help="second braid word to compare against")
-    outputs.add_argument("--state", help="state vector JSON file, or - for stdin")
+    outputs.add_argument("--compare", action=_Once, help="second braid word to compare against")
+    outputs.add_argument("--state", action=_Once, help="state vector JSON file, or - for stdin")
     p.set_defaults(func=cmd_braid)
 
     p = sub.add_parser("search", help="solve a zero pattern numerically")
-    p.add_argument("--pattern", help="pattern file (0/1 grid or JSON), or -")
-    p.add_argument("--signature", help="equation signature d,m,l")
-    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
-    p.add_argument("--seed", type=int, default=SearchConfig.seed)
-    p.add_argument("--tol", type=float, default=SearchConfig.tolerance)
+    p.add_argument("--pattern", action=_Once, help="pattern file (0/1 grid or JSON), or -")
+    p.add_argument("--signature", action=_Once, help="equation signature d,m,l")
+    p.add_argument("--restarts", action=_Once, type=int, default=SearchConfig.restarts)
+    p.add_argument("--seed", action=_Once, type=int, default=SearchConfig.seed)
+    p.add_argument("--tol", action=_Once, type=float, default=SearchConfig.tolerance)
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "--stats",

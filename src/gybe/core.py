@@ -129,19 +129,32 @@ class CheckReport:
         return data
 
 
+def lift_index(n: int, pad: int) -> np.ndarray:
+    """Where each entry of L = R ⊗ I_pad and S = I_pad ⊗ R comes from.
+
+    A (2, side, side) table, side = n·pad, of flat indices into
+    ``[R.ravel(), 0]``: entry (i·pad + a, j·pad + b) of L is R[i, j] when
+    a = b, and entry (a·n + i, b·n + j) of S likewise; every other entry
+    points at the trailing zero, index n².
+    """
+    side, a, entries = n * pad, np.arange(pad), np.arange(n * n).reshape(n, n)
+    table = np.full((2, side, side), n * n)
+    table[0].reshape(n, pad, n, pad)[:, a, :, a] = entries
+    table[1].reshape(pad, n, pad, n)[a, :, a, :] = entries
+    return table
+
+
 def lift_pair(m: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lifts L = R ⊗ I_pad and S = I_pad ⊗ R, built by broadcasting.
+    """The lifts L = R ⊗ I_pad and S = I_pad ⊗ R, gathered by :func:`lift_index`.
 
     ``m`` may carry leading batch axes; the lifts keep them, so a stack of
     directions lifts in one call.
     """
-    n = m.shape[-1]
-    eye = np.eye(pad)
-    batch = m.shape[:-2]
-    left = m[..., :, None, :, None] * eye[None, :, None, :]
-    right = eye[:, None, :, None] * m[..., None, :, None, :]
-    side = n * pad
-    return left.reshape(*batch, side, side), right.reshape(*batch, side, side)
+    n, batch = m.shape[-1], m.shape[:-2]
+    pool = np.zeros(batch + (n * n + 1,), dtype=m.dtype)
+    pool[..., :-1] = m.reshape(*batch, n * n)
+    lifts = np.take(pool, lift_index(n, pad), axis=-1)
+    return lifts[..., 0, :, :], lifts[..., 1, :, :]
 
 
 def lifted_difference(matrix: np.ndarray, signature: GybeSignature) -> np.ndarray:

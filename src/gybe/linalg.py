@@ -162,15 +162,15 @@ def inverse(m: np.ndarray) -> np.ndarray:
 
 
 def sort_eigenvalues(values: np.ndarray) -> np.ndarray:
-    """Canonical eigenvalue order: by (real, imag) rounded at 1e-6.
+    """Canonical eigenvalue order: by (real, imag) rounded at 1e-6, ties
+    broken by the exact (real, imag), in one stable ``np.lexsort``.
 
     The rounding makes the order stable against root-ordering
     nondeterminism in the underlying solver.
     """
     vals = np.asarray(values, dtype=np.complex128)
-    keys = [(round(v.real, 6), round(v.imag, 6), v.real, v.imag) for v in vals]
-    order = sorted(range(len(vals)), key=lambda i: keys[i])
-    return vals[order]
+    re, im = vals.real, vals.imag
+    return vals[np.lexsort((im, re, np.round(im, 6), np.round(re, 6)))]
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:

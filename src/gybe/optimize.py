@@ -15,8 +15,12 @@ one loop: each iteration evaluates the residuals and Jacobians of the live
 rows together and solves their damped normal equations in one batched
 ``np.linalg.solve``.  Every row keeps its own damping, retries, trace and
 stop reason, and leaves the stack when it stops, so a row's result does not
-depend on the rows beside it.  :func:`damped_least_squares` is the stack of
-one, for a caller with a single 1-D start.
+depend on the rows beside it.  An iteration's bookkeeping is a fixed number
+of whole-stack numpy calls: one finiteness check of all Jacobians (row by
+row only when it fails), one index of the pending rows per retry round,
+and trace appends and stop checks read from ``tolist()``.
+:func:`damped_least_squares` is the stack of one, for a caller with a
+single 1-D start.
 
 Besides the budget, a solve stops on convergence, an accepted step no
 longer than ``STEP_TOL`` (read on every check), a damping stall, a
@@ -50,7 +54,8 @@ class LeastSquaresResult:
     ``reason`` says why the solve stopped: ``converged``, ``step_tol``,
     ``plateau``, ``damping_stall``, ``budget`` or ``non_finite``.
     ``residual_evals`` counts the start and every candidate step it
-    evaluated; ``jacobian_evals`` counts Jacobians, one per iteration.
+    evaluated; ``jacobian_evals`` counts Jacobians, one per iteration, so
+    it always equals ``iterations``.
     """
 
     x: np.ndarray
@@ -111,22 +116,21 @@ def solve_stack(
     rows, n_params = x.shape
     residual = np.asarray(residual_fn(x), dtype=float)
     objective = _objectives(residual)
-    traces = [[float(v)] for v in objective]
+    traces = [[value] for value in objective.tolist()]
     damping = np.full(rows, INITIAL_DAMPING)
+    # Each iteration evaluates one Jacobian, so this also counts Jacobians.
     iterations = np.zeros(rows, dtype=int)
     residual_evals = np.ones(rows, dtype=int)
-    jacobian_evals = np.zeros(rows, dtype=int)
     stop = ["budget"] * rows
     eye = np.eye(n_params)
     live = np.flatnonzero((objective > objective_tol) & (max_iterations > 0))
 
     while live.size:
         iterations[live] += 1
-        jacobian_evals[live] += 1
         jac = np.asarray(jacobian_fn(x[live]), dtype=float)
-        finite = np.all(np.isfinite(jac), axis=(1, 2))
-        if not finite.all():
-            for row in live[~finite]:
+        if not np.isfinite(jac).all():
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            for row in live[~finite].tolist():
                 stop[row] = "non_finite"
             live, jac = live[finite], jac[finite]
         jac_t = jac.transpose(0, 2, 1)
@@ -140,14 +144,14 @@ def solve_stack(
         for _ in range(MAX_INNER_RETRIES):
             if not pending.size:
                 break
+            at = live[pending]
             steps, solved = _damped_steps(
-                jtj[pending] + damping[live[pending], None, None] * eye, neg_jtr[pending]
+                jtj[pending] + damping[at, None, None] * eye, neg_jtr[pending]
             )
-            damping[live[pending[~solved]]] *= DAMPING_GROW
+            damping[at[~solved]] *= DAMPING_GROW
             if not solved.any():
                 continue
-            tried, steps = pending[solved], steps[solved]
-            at = live[tried]
+            tried, steps, at = pending[solved], steps[solved], at[solved]
             candidate = x[at] + steps
             cand_residual = np.asarray(residual_fn(candidate), dtype=float)
             residual_evals[at] += 1
@@ -158,34 +162,34 @@ def solve_stack(
             residual[won] = cand_residual[better]
             objective[won] = cand_objective[better]
             step_norm[won] = np.linalg.norm(steps[better], axis=1)
-            for row in won:
-                traces[row].append(float(objective[row]))
+            for row, value in zip(won.tolist(), cand_objective[better].tolist()):
+                traces[row].append(value)
             damping[won] /= DAMPING_SHRINK
             damping[at[~better]] *= DAMPING_GROW
             pending = np.concatenate([pending[~solved], tried[~better]])
 
-        still = np.ones(live.size, dtype=bool)
-        still[pending] = False
-        for row in live[pending]:
-            stop[row] = "damping_stall"
-        for i in np.flatnonzero(still):
-            row = live[i]
+        stalled = np.zeros(live.size, dtype=bool)
+        stalled[pending] = True
+        kept = []
+        for row, stall, norm in zip(live.tolist(), stalled.tolist(), step_norm[live].tolist()):
             trace = traces[row]
-            if step_norm[row] <= STEP_TOL:
+            if stall:
+                stop[row] = "damping_stall"
+            elif norm <= STEP_TOL:
                 stop[row] = "step_tol"
             elif len(trace) > PLATEAU_STEPS and (
                 trace[-1] > (1.0 - PLATEAU_RTOL) * trace[-1 - PLATEAU_STEPS]
             ):
                 stop[row] = "plateau"
             else:
-                continue
-            still[i] = False
-        live = live[still]
+                kept.append(row)
+        live = np.array(kept, dtype=int)
         live = live[(objective[live] > objective_tol) & (iterations[live] < max_iterations)]
 
     results = []
-    for row in range(rows):
-        value = float(objective[row])
+    for row, (value, count, evals) in enumerate(
+        zip(objective.tolist(), iterations.tolist(), residual_evals.tolist())
+    ):
         if not np.isfinite(value):
             reason = "non_finite"
         elif value <= objective_tol:
@@ -197,11 +201,11 @@ def solve_stack(
                 x=x[row].copy(),
                 objective=value,
                 trace=tuple(traces[row]),
-                iterations=int(iterations[row]),
+                iterations=count,
                 converged=value <= objective_tol,
                 reason=reason,
-                residual_evals=int(residual_evals[row]),
-                jacobian_evals=int(jacobian_evals[row]),
+                residual_evals=evals,
+                jacobian_evals=count,
             )
         )
     return tuple(results)

@@ -4,8 +4,10 @@
 and an imaginary parameter.  Its residual is the equation residual
 LSL - SLS and the unitarity defect RR† - I as interleaved real and
 imaginary parts, restricted to the rows the pattern can make nonzero, and
-it supplies the exact Jacobian of that residual.  :mod:`gybe.search`
-minimizes it.
+it supplies the exact Jacobian of that residual.  Both take L = R ⊗ I^l,
+S = I^l ⊗ R and R from one ``np.take`` over the free entries, through
+:func:`gybe.core.lift_index` composed with the pattern's free-entry slots.
+:mod:`gybe.search` minimizes it.
 """
 
 from __future__ import annotations
@@ -15,15 +17,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import linalg
-from .core import GybeSignature, lift_pair, lifted_difference
+from .core import GybeSignature, braid_dimension, lift_index, lift_pair, lifted_difference
 
 if TYPE_CHECKING:
     from .search import ZeroPattern
-
-# d(entry)/d(parameter): the real part moves an entry by 1, the imaginary
-# part by 1j.  Against conj(entry) the factors are 1 and -1j.
-_EQ_FACTORS = np.array([[1.0], [1.0j]])
-_UNI_FACTORS = np.array([[1.0, 1.0], [1.0j, -1.0j]])
 
 
 def _combined_residual_vector(m: np.ndarray, signature: GybeSignature) -> np.ndarray:
@@ -56,6 +53,13 @@ class _PatternResidual:
     interleaved vector, so the objective and the normal equations are those
     of the full residual, summed in another order.
 
+    The parameter stack viewed as complex128 is the free entries, and
+    ``lift_table`` indexes [free entries, 0] so that one gather yields L, S
+    and R of every point.  The residual forms [LS, SL] and then [LSL, SLS]
+    as two stacked matmuls and gathers the live entries of LSL - SLS and of
+    RR† - I into one array.  The signature's shape and dense cap are
+    checked once, at construction, before any table is sized.
+
     The equation part F = LSL - SLS is holomorphic in R, so its derivative
     along the entry basis matrix E_k is dF_k = dL·S·L + L·dS·L + L·S·dL
     - dS·L·S - S·dL·S - S·L·dS with dL = E_k ⊗ I^l, dS = I^l ⊗ E_k.  For
@@ -72,14 +76,15 @@ class _PatternResidual:
 
     The Jacobian's intermediates live in work arrays allocated on the first
     call, for the largest stack seen, and filled in place by ``out=``
-    arguments, ``np.take`` with ``mode="clip"`` and matmuls: arrays of this
-    size allocated afresh on every iteration, or the buffers numpy's
-    ufuncs allocate when they broadcast or write to strided slices, are
-    page-faulted back in each time.  ``jacobian`` takes a (k, params) stack
-    and returns one Jacobian per row.
+    arguments and ``np.take`` with ``mode="clip"``: arrays of this size
+    allocated afresh on every iteration are page-faulted back in each time.
+    ``jacobian`` takes a (k, params) stack and returns one Jacobian per row.
     """
 
     def __init__(self, pattern: ZeroPattern, signature: GybeSignature):
+        if not signature.has_side(pattern.size):
+            raise ValueError(f"pattern size {pattern.size} does not match signature {signature}")
+        braid_dimension(signature, 3)  # the dense cap, before any table is sized by it
         self.pattern = pattern
         self.signature = signature
         self.rows, self.cols = np.nonzero(pattern.mask)
@@ -91,6 +96,12 @@ class _PatternResidual:
         entries = np.concatenate([self.eq_live, side * side + self.uni_live])
         self.live_rows = np.stack([2 * entries, 2 * entries + 1], axis=-1).reshape(-1)
         self.total_rows = 2 * (side * side + n * n)
+        # L, S and R flattened, as indices into [free entries, 0]: the
+        # lift table composed with each entry's free slot.
+        slot = np.full(n * n + 1, self.rows.size)
+        slot[self.rows * n + self.cols] = np.arange(self.rows.size)
+        self.lift_table = slot[np.concatenate([lift_index(n, pad).reshape(-1), np.arange(n * n)])]
+        self.unit = np.eye(n)
 
         a = np.arange(pad)
         rows, cols = self.rows[:, None], self.cols[:, None]
@@ -110,9 +121,8 @@ class _PatternResidual:
         self.x_index = np.concatenate([x * side + r for x, r, _, _ in terms], axis=1)
         self.y_index = np.concatenate([y * side + c for _, _, y, c in terms], axis=1)
         # Column (k, c) of the Jacobian is c·dF_k at the live equation
-        # entries, then [c, conj(c)] @ U_k at the live unitarity entries
-        # (c = 1, 1j: the rows of _EQ_FACTORS and _UNI_FACTORS), where U_k
-        # stacks A_k over A_k†, gathered from
+        # entries, then c·A_k + conj(c)·A_k† at the live unitarity entries
+        # (c = 1, 1j), with A_k and A_k† gathered from
         # [conj(R), R, 0] (0 where the entry is not in row r or column r).
         count, eq_size, zero = self.rows.size, side * side, 2 * n * n
         self.eq_index = np.arange(count)[:, None] * eq_size + self.eq_live
@@ -145,9 +155,31 @@ class _PatternResidual:
         x[1::2] = values.imag
         return x
 
+    def _gather(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lifts [L, S] stacked, and R, of each point of a parameter
+        stack, taken from its free entries in one gather."""
+        free = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
+        batch = free.shape[:-1]
+        pool = np.zeros(batch + (free.shape[-1] + 1,), dtype=np.complex128)
+        pool[..., :-1] = free
+        gathered = np.take(pool, self.lift_table, axis=-1)
+        split, side, n = 2 * self.side**2, self.side, self.pattern.size
+        return (
+            gathered[..., :split].reshape(batch + (2, side, side)),
+            gathered[..., split:].reshape(batch + (n, n)),
+        )
+
     def residual(self, x: np.ndarray) -> np.ndarray:
-        full = _combined_residual_vector(self.build(x), self.signature)
-        return full[..., self.live_rows]
+        lifts, r = self._gather(x)
+        pair = lifts @ lifts[..., ::-1, :, :]  # [LS, SL]
+        triple = pair @ lifts  # [LSL, SLS]
+        eq = triple[..., 0, :, :] - triple[..., 1, :, :]
+        uni = r @ linalg.dagger(r) - self.unit
+        batch, split = eq.shape[:-2], self.eq_live.size
+        out = np.empty(batch + (split + self.uni_live.size,), dtype=np.complex128)
+        out[..., :split] = eq.reshape(batch + (-1,))[..., self.eq_live]
+        out[..., split:] = uni.reshape(batch + (-1,))[..., self.uni_live]
+        return out.view(np.float64)
 
     def _workspace(self, stack: int) -> dict[str, np.ndarray]:
         """The Jacobian's work arrays, cut to a stack of ``stack`` rows."""
@@ -173,8 +205,8 @@ class _PatternResidual:
     def jacobian(self, xs: np.ndarray) -> np.ndarray:
         stack, side = len(xs), self.side
         work = self._workspace(stack)
-        m = self.build(xs)
-        left, right = lift_pair(m, self.pad)
+        lifts, m = self._gather(xs)
+        left, right = lifts[:, 0], lifts[:, 1]
         # X blocks [I, L, LS, S, SL] side by side, Y blocks [SL, L, I, -LS, -S, -I] stacked.
         x_blocks, y_blocks = work["x_blocks"], work["y_blocks"]
         lr, rl = x_blocks[..., 2 * side : 3 * side], y_blocks[:, :side]
@@ -196,12 +228,16 @@ class _PatternResidual:
         r_pool[:, n2:-1] = m.reshape(stack, n2)
         d_uni = np.take(r_pool, self.uni_index, axis=-1, out=work["d_uni"], mode="clip")
 
-        # Matmuls write into the column slices without the buffers a
-        # broadcasting multiply would allocate.
+        # The (real, imaginary) parameter columns: c = 1 and c = 1j times
+        # dF_k, then A_k + A_k† and 1j·(A_k − A_k†).
         eq_size = d_eq.shape[-1]
         columns = np.empty((stack, len(d_eq[0]), 2, eq_size + d_uni.shape[-1]), dtype=np.complex128)
-        np.matmul(_EQ_FACTORS, d_eq[:, :, None, :], out=columns[..., :eq_size])
-        np.matmul(_UNI_FACTORS, d_uni, out=columns[..., eq_size:])
+        eq_columns, uni_columns = columns[..., :eq_size], columns[..., eq_size:]
+        eq_columns[..., 0, :] = d_eq
+        np.multiply(d_eq, 1j, out=eq_columns[..., 1, :])
+        np.add(d_uni[..., 0, :], d_uni[..., 1, :], out=uni_columns[..., 0, :])
+        np.subtract(d_uni[..., 0, :], d_uni[..., 1, :], out=uni_columns[..., 1, :])
+        np.multiply(uni_columns[..., 1, :], 1j, out=uni_columns[..., 1, :])
         return columns.reshape(stack, self.n_params, -1).view(np.float64).swapaxes(-1, -2)
 
 

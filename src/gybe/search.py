@@ -12,7 +12,8 @@ points, solved together as one stack by :func:`gybe.optimize.solve_stack`;
 a restart whose objective stops falling leaves the stack with reason
 ``plateau`` instead of running out the iteration budget.  Converged
 candidates are certified against the exact checks, and duplicates are
-folded together by scalar-gauge-normalized conjugacy invariants.  Each
+folded together by scalar-gauge-normalized conjugacy invariants (their
+text keys hold plain floats, rounded by one ``np.round`` per part).  Each
 restart reports why it stopped, what it evaluated and whether it was
 certified; the result also reports the live and total residual rows.
 """
@@ -215,7 +216,9 @@ def dedup_key(matrix: np.ndarray) -> str:
     The global phase is removed using the first significant entry, then the
     key collects eigenvalue multisets rounded at 1e-6: of the whole matrix,
     and of the two diagonal 4x4 blocks plus the beta/alpha-style entry
-    ratio when the 8x8 block structure applies.
+    ratio when the 8x8 block structure applies.  The key is the ``repr`` of
+    those parts as plain Python floats, the same text under every numpy
+    version.
     """
     m = linalg.as_matrix(matrix).copy()
     flat = m.reshape(-1)
@@ -224,8 +227,11 @@ def dedup_key(matrix: np.ndarray) -> str:
         pivot = flat[int(np.argmax(significant))]
         m = m * (abs(pivot) / pivot)
 
-    def rounded(values) -> tuple:  # linalg.eigenvalues returns them in canonical order
-        return tuple((round(v.real, 6) + 0.0, round(v.imag, 6) + 0.0) for v in values)
+    def rounded(values) -> tuple:
+        # (re, im) pairs at 1e-6 as plain floats; + 0.0 turns -0.0 into 0.0.
+        # linalg.eigenvalues returns them in canonical order.
+        pairs = np.asarray(values, dtype=np.complex128).reshape(-1, 1).view(np.float64)
+        return tuple(map(tuple, (np.round(pairs, 6) + 0.0).tolist()))
 
     parts = [("spectrum", rounded(linalg.eigenvalues(m)))]
     if m.shape == (8, 8):
@@ -236,8 +242,7 @@ def dedup_key(matrix: np.ndarray) -> str:
             parts.append(("y", rounded(linalg.eigenvalues(y))))
             b_p, b_q = x[0, 2], x[1, 3]
             if abs(b_p) > 1e-6:
-                ratio = b_q / b_p
-                parts.append(("ratio", (round(ratio.real, 6) + 0.0, round(ratio.imag, 6) + 0.0)))
+                parts.append(("ratio", rounded(b_q / b_p)[0]))
     return repr(parts)
 
 
@@ -255,15 +260,11 @@ def solve_pattern(
     tolerance^2 are re-verified with the exact equation and unitarity
     checks at 10x tolerance before being reported.
     """
-    if not signature.has_side(pattern.size):
-        raise ValueError(
-            f"pattern size {pattern.size} does not match signature {signature}"
-        )
     if pattern.size > 16:
         raise ValueError("pattern search is scoped to sizes up to 16")
     if pattern.free_count == 0:
         raise ValueError("the pattern is empty: it has no free entry to search over")
-    problem = _PatternResidual(pattern, signature)
+    problem = _PatternResidual(pattern, signature)  # checks the size and the dense cap
     objective_tol = config.tolerance**2
 
     starts = [

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import ast
 import io
 import json
 import os
@@ -341,6 +342,34 @@ def test_surplus_or_conflicting_inputs_are_usage_errors(argv, tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--matrix", "MATRIX", "--matrix", "MATRIX"],
+        ["family", "--family", "1", "--theta", "0.3", "--theta", "0.4"],
+        ["classify", "--solution", "rowell", "--tol", "1e-9", "--tol", "1e-6"],
+        ["equiv", "--solution", "rowell", "--solution", "rowell", "--signature", "2,3,1", "--signature", "2,3,1"],
+        ["braid", "--solution", "rowell", "--word", "n=3: 1", "--word", "n=4: 1,2", "--compare", "n=4: 1,2"],
+        ["search", "--pattern", "PATTERN", "--signature", "2,3,1", "--seed", "0", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_repeated_single_valued_options_are_usage_errors(argv, tmp_path, capsys):
+    # A second value used to replace the first without a word.
+    from gybe.search import rowell_pattern
+
+    files = {"MATRIX": _write_rowell(tmp_path), "PATTERN": str(tmp_path / "pattern.txt")}
+    Path(files["PATTERN"]).write_text(rowell_pattern().to_text())
+    code, out, err = run_cli(capsys, *(files.get(arg, arg) for arg in argv))
+    assert code == 2 and out == ""
+    assert "given more than once" in err
+
+
+def test_equiv_still_takes_two_solutions(capsys):
+    code, out, _ = run_cli(capsys, "equiv", "--solution", "rowell", "--solution", "rowell")
+    assert code == 0 and out.startswith("witness")
+
+
 def test_braid_compare_words(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -542,6 +571,39 @@ def test_search_stats_report_every_restart(tmp_path, capsys):
     assert {entry["dedup_key"] for entry in data["solutions"]} == set(data["dedup_counts"])
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert json.loads(out) == data["solutions"]
+
+
+def test_search_json_dedup_keys_are_plain_literals(tmp_path, capsys):
+    from gybe.search import rowell_pattern
+
+    path = tmp_path / "pattern.txt"
+    path.write_text(rowell_pattern().to_text())
+    argv = ("search", "--pattern", str(path), "--signature", "2,3,1", "--restarts", "4")
+    code, out, _ = run_cli(capsys, *argv, "--json", "--stats")
+    assert code == 0
+    data = json.loads(out)
+    assert data["solutions"]
+    for key in data["dedup_counts"]:
+        # No numpy scalar reprs: the key reads back as plain Python values.
+        assert "np." not in key
+        parts = ast.literal_eval(key)
+        assert parts[0][0] == "spectrum" and all(type(v) is float for pair in parts[0][1] for v in pair)
+
+
+def test_search_checks_the_dense_cap_before_building_tables(tmp_path, capsys, monkeypatch):
+    from gybe import pattern_residual
+    from gybe.search import rowell_pattern
+
+    def too_late(*_):
+        raise AssertionError("the live entries were sized before the dense cap was checked")
+
+    monkeypatch.setattr(pattern_residual, "_live_entries", too_late)
+    path = tmp_path / "pattern.txt"
+    path.write_text(rowell_pattern().to_text())
+    argv = ("search", "--pattern", str(path), "--signature", "2,3,9", "--restarts", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "2^12 exceeds the dense cap" in err
 
 
 def test_search_rejects_an_empty_pattern(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gybe import linalg
 from gybe.core import (
@@ -17,6 +19,7 @@ from gybe.core import (
     double_lift_check,
     far_commutativity_indices,
     gybe_residual,
+    lift_index,
     lift_pair,
     lifted_difference,
     ybe_summation_residual,
@@ -135,6 +138,28 @@ def test_lifted_residual_matches_kron_reference():
             np.testing.assert_array_equal(lifted_right, right)
             np.testing.assert_allclose(lifted_difference(m, sig), reference, rtol=0, atol=1e-14)
             assert abs(gybe_residual(m, sig) - linalg.max_abs(reference)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    pad=st.integers(1, 5),
+    batch=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lift_pair_is_the_kron_pair(n, pad, batch, seed):
+    # Equal entry for entry; the gather writes +0.0 off the blocks where
+    # kron's products with 0.0 may give -0.0.
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
+    m[rng.random(m.shape) < 0.3] = 0.0
+    left, right = lift_pair(m, pad)
+    table = lift_index(n, pad)
+    assert table.shape == (2, n * pad, n * pad)
+    assert table.min() >= 0 and table.max() <= n * n
+    for index in np.ndindex(*batch):
+        np.testing.assert_array_equal(left[index], np.kron(m[index], np.eye(pad)))
+        np.testing.assert_array_equal(right[index], np.kron(np.eye(pad), m[index]))
 
 
 def test_summation_form_agrees_with_lifted_products():

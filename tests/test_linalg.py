@@ -285,6 +285,37 @@ def test_eigenvalues_size_cap():
         linalg.eigenvalues(np.eye(17))
 
 
+def _tuple_sorted(values):
+    """The canonical order as a Python sort of (round(re), round(im), re, im) keys."""
+    vals = np.asarray(values, dtype=np.complex128)
+    keys = [(round(v.real, 6), round(v.imag, 6), v.real, v.imag) for v in vals]
+    return vals[sorted(range(len(vals)), key=lambda i: keys[i])]
+
+
+# Points of the 1e-6 grid and the rounding ties halfway between them, each
+# with its neighbours one ulp below and above, and both signed zeros.
+def _grid_parts(half_steps: list[int]) -> list[float]:
+    parts = [0.0, -0.0]
+    for k in half_steps:
+        point = k * 5e-7
+        parts += [float(np.nextafter(point, -np.inf)), point, float(np.nextafter(point, np.inf))]
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    half_steps=st.lists(st.integers(-4_000_000, 4_000_000), min_size=1, max_size=3),
+    picks=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=1, max_size=12),
+)
+def test_sort_eigenvalues_matches_the_tuple_sort(half_steps, picks):
+    # Values are built from a few parts, so repeats, near-ties and ties
+    # broken only by the exact parts are common.
+    parts = _grid_parts(half_steps)
+    values = np.array([complex(parts[i % len(parts)], parts[j % len(parts)]) for i, j in picks])
+    got, expected = linalg.sort_eigenvalues(values), _tuple_sorted(values)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_eigenvalue_multiset_comparison():
     a = [1.0, 1j, 1j, -1.0]
     b = [1j, -1.0, 1.0, 1j]

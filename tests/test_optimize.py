@@ -184,6 +184,22 @@ def test_stacked_rows_match_their_solo_solves_bit_for_bit():
     assert stacked[4].iterations == 1
 
 
+def test_every_stacked_row_counts_one_jacobian_per_iteration():
+    starts = np.array([[1.0, 0.0, 0.0], [3.0, 2.0, 0.0], [1.0, 0.0, 0.5], [0.0, 800.0, 0.0], [2.0, 1.0, 1.0]])
+    rows_seen = []
+
+    def counted_jacobian(x):
+        rows_seen.append(len(x))
+        return floored_jacobian(x)
+
+    fits = solve_stack(floored, starts, jacobian_fn=counted_jacobian, objective_tol=1e-20, max_iterations=40)
+    assert {fit.reason for fit in fits} >= {"converged", "damping_stall", "non_finite"}
+    for fit in fits:
+        assert fit.jacobian_evals == fit.iterations
+    # Each Jacobian row handed out is one row's iteration.
+    assert sum(rows_seen) == sum(fit.iterations for fit in fits)
+
+
 def scaled_sum(x):
     """x2·(x0 + x1) - 1 per row; x2 never moves (see the Jacobian)."""
     return x[..., 2:] * (x[..., :1] + x[..., 1:2]) - 1.0

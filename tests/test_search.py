@@ -428,6 +428,17 @@ def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, shape,
         assert abs(np.dot(residual, residual) - objective) <= 1e-12 * objective
 
 
+def test_dense_cap_is_checked_before_any_table_is_built():
+    # At l = 8 the lifted side 2^11 is past the cap; the live-entry table
+    # would be sized by it, so it must not be reached.
+    pattern = ZeroPattern(8, np.ones((8, 8), dtype=bool))
+    with mock.patch.object(pattern_residual, "_live_entries", side_effect=AssertionError("built")):
+        with pytest.raises(ValueError, match="exceeds the dense cap"):
+            _PatternResidual(pattern, GybeSignature(2, 3, 8))
+        with pytest.raises(ValueError, match="does not match signature"):
+            _PatternResidual(pattern, GybeSignature(2, 2, 1))
+
+
 def test_jacobian_allocates_little_beyond_its_result():
     # Temporaries allocated afresh on every iteration cost page faults:
     # the work arrays of the first call are reused, so after it the traced
