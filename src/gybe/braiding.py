@@ -70,31 +70,25 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def concat(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise ValueError("cannot concatenate words on different strand counts")
-        return BraidWord(self.n, self.letters + other.letters)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(-v for v in reversed(self.letters)))
-
 
 _WORD_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*:\s*(.*)$")
 
 
 def parse_braid_word(text: str) -> BraidWord:
-    """Parse the text form ``n=<strands>: i1,i2,...`` (letters may be empty)."""
+    """Parse the text form ``n=<strands>: i1,i2,...``.
+
+    An empty body is the empty word; an empty letter (``1,,2``, a trailing
+    comma, or a lone comma) is malformed.
+    """
     m = _WORD_RE.match(text)
     if not m:
         raise ValueError(f"malformed braid word: {text!r} (expected 'n=<k>: 1,2,-1')")
     n = int(m.group(1))
     body = m.group(2).strip()
-    letters = tuple(int(tok) for tok in body.split(",") if tok.strip()) if body else ()
-    return BraidWord(n, letters)
-
-
-def format_braid_word(w: BraidWord) -> str:
-    return f"n={w.n}: " + ",".join(str(v) for v in w.letters)
+    tokens = body.split(",") if body else []
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"malformed braid word: {text!r} has an empty letter")
+    return BraidWord(n, tuple(int(tok) for tok in tokens))
 
 
 @dataclass(frozen=True)
@@ -115,14 +109,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    @staticmethod
-    def basis_state(dim: int, index: int) -> "StateVector":
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range for dim {dim}")
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[index] = 1.0
-        return StateVector(amps)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ def _read_text(path: str) -> str:
 
 def _infer_signature(size: int) -> GybeSignature:
     m = int(round(math.log2(size)))
-    if 2**m != size:
+    if size < 2 or 2**m != size:
         raise ValueError(
             f"cannot infer a signature for side {size}; pass --signature d,m,l"
         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,11 +50,6 @@ class GybeSignature:
     def has_side(self, side: int) -> bool:
         """side == d^m, decided without building d^m when m is large."""
         return not _power_exceeds(self.d, self.m, side) and self.matrix_size == side
-
-    @property
-    def lifted_size(self) -> int:
-        """Side length d^(m+l) on which the two lifted operators act."""
-        return self.d ** (self.m + self.l)
 
     def __str__(self) -> str:
         return f"({self.d},{self.m},{self.l})"
@@ -192,30 +186,6 @@ def check_ybe(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
     if not np.all(np.isfinite(m)):
         raise ValueError("YBE candidate must have finite entries")
     return CheckReport.from_residuals([gybe_residual(m, GybeSignature(d, 2, 1))], tol)
-
-
-class DoubleLiftReport(NamedTuple):
-    """YBE check of X paired with the (2,3,1) check of X (+) X."""
-
-    ybe: CheckReport
-    gybe: CheckReport
-
-    @property
-    def agree(self) -> bool:
-        return self.ybe.passed == self.gybe.passed
-
-
-def double_lift_check(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> DoubleLiftReport:
-    """Check a 4x4 X against the YBE and X (+) X against the (2,3,1) equation.
-
-    The two verdicts agree for every invertible X; the paired report makes
-    that equivalence observable.
-    """
-    m = linalg.as_matrix(x)
-    if m.shape != (4, 4):
-        raise ValueError("double_lift_check expects a 4x4 matrix")
-    doubled = RMatrix(GybeSignature(2, 3, 1), linalg.direct_sum(m, m), "double-lift")
-    return DoubleLiftReport(check_ybe(m, tol), check_gybe(doubled, tol))
 
 
 def braid_dimension(signature: GybeSignature, n: int) -> int:

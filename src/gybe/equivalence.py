@@ -4,9 +4,8 @@ Three operations map solutions to solutions: multiplication by a nonzero
 scalar, inversion, and local conjugation R -> (Q^-1)^⊗m R Q^⊗m by an
 invertible single-factor matrix Q.  Equivalence of two solutions is
 certified constructively by a witness (a sequence of these operations, with
-Q from the closed forms below) and refuted by conjugacy invariants
-(eigenvalue multisets, characteristic polynomials), which similarity cannot
-change.
+Q from the closed forms below) and refuted when those closed forms leave no
+candidate Q that works.
 
 Q^⊗m is m passes of :func:`gybe.core.apply_local` on the identity, the
 action that also gives braid generators their images, and :func:`apply_gauge`
@@ -20,17 +19,19 @@ block-structured families handled in :mod:`gybe.solutions`, are decided in
 closed form: conjugation by diag(1, z)^⊗m scales entry (i, j)
 by a power of z fixed by the bit counts of i and j, so the entry ratios
 leave only a few candidate z, and no candidate within tolerance means no
-witness of that shape.  This generalizes the beta/alpha criterion of
-:func:`is_locally_conjugate_params`.  The general shape reduces to those
-closed forms by local covariants (Makhlin, "Nonlocal properties of
-two-qubit gates and mixed states, and the optimization of quantum
-computations", 2002): partial traces of words in R and the site
-transpositions transform as C -> lambda^deg Q^-1 C Q, so the eigenvectors
-of the first one clearly apart from a scalar fix Q up to a diagonal or
-antidiagonal factor, or up to I + bN for a Jordan block.  "None" is then a
-decision over every 2x2 Q.  The search reports "undecided" instead when no
-covariant is clear of the thresholds, or when a candidate misses the
-tolerance by less than rounding could explain (:func:`decide_equivalence`).
+witness of that shape.  This generalizes the beta/alpha criterion: two
+members of one family are locally conjugate exactly when their ratios
+beta/alpha (:attr:`gybe.solutions.GeneralParams.ratio`) agree.  The
+general shape reduces to those closed forms by local covariants (Makhlin,
+"Nonlocal properties of two-qubit gates and mixed states, and the
+optimization of quantum computations", 2002): partial traces of words in
+R and the site transpositions transform as C -> lambda^deg Q^-1 C Q, so
+the eigenvectors of the first one clearly apart from a scalar fix Q up to
+a diagonal or antidiagonal factor, or up to I + bN for a Jordan block.
+"None" is then a decision over every 2x2 Q.  The search reports
+"undecided" instead when no covariant is clear of the thresholds, or when
+a candidate misses the tolerance by less than rounding could explain
+(:func:`decide_equivalence`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 
 from . import linalg
 from .core import RMatrix, apply_local
-from .solutions import GeneralParams
 
 WITNESS_TOL = 1e-9
 SHAPES = ("diagonal", "antidiagonal", "general")
@@ -146,44 +146,6 @@ class EquivalenceWitness:
             "target": self.target,
             "residual": float(self.residual),
         }
-
-
-@dataclass(frozen=True)
-class ConjugacyInvariants:
-    """Similarity invariants: eigenvalue multiset and characteristic polynomial."""
-
-    eigenvalues: tuple[complex, ...]
-    char_poly: tuple[complex, ...]
-
-
-def conjugacy_invariants(m: np.ndarray) -> ConjugacyInvariants:
-    """Invariants of ``m`` under similarity; differing multisets refute conjugacy."""
-    eigs = linalg.eigenvalues(m)
-    return ConjugacyInvariants(
-        tuple(complex(v) for v in eigs), tuple(complex(c) for c in np.poly(eigs))
-    )
-
-
-def invariants_close(
-    a: ConjugacyInvariants, b: ConjugacyInvariants, tol: float = 1e-8
-) -> bool:
-    if len(a.eigenvalues) != len(b.eigenvalues):
-        return False
-    if not linalg.eigenvalue_multisets_close(a.eigenvalues, b.eigenvalues, tol):
-        return False
-    ca = np.asarray(a.char_poly)
-    cb = np.asarray(b.char_poly)
-    scale = max(1.0, linalg.max_abs(ca), linalg.max_abs(cb))
-    return bool(np.all(np.abs(ca - cb) <= tol * scale))
-
-
-def is_locally_conjugate_params(
-    p: GeneralParams, q: GeneralParams, tol: float = WITNESS_TOL
-) -> bool:
-    """Same-family criterion: members are locally conjugate iff beta/alpha agree."""
-    if p.family != q.family:
-        raise ValueError("local-conjugacy criterion applies within one family only")
-    return abs(p.ratio - q.ratio) <= tol
 
 
 # --- witness search ----------------------------------------------------------
@@ -656,13 +618,6 @@ def decide_equivalence(
     return EquivalenceDecision(None, "undecided" if undecided else "none", tuple(decisions))
 
 
-def search_equivalence(
-    r: RMatrix,
-    s: RMatrix,
-    shapes: Sequence[str] = SHAPES,
-    *,
-    include_inverse: bool = True,
-    tol: float = WITNESS_TOL,
-) -> EquivalenceWitness | None:
-    """The witness of :func:`decide_equivalence`, or None."""
-    return decide_equivalence(r, s, shapes, include_inverse=include_inverse, tol=tol).witness
+def search_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> EquivalenceWitness | None:
+    """The witness of :func:`decide_equivalence` over every shape and both prefixes, or None."""
+    return decide_equivalence(r, s, tol=tol).witness

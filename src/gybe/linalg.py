@@ -289,10 +289,3 @@ def matrix_to_json(m: np.ndarray) -> str:
 
 def matrix_from_json(text: str) -> np.ndarray:
     return matrix_from_json_dict(json.loads(text))
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-style random unitary from the QR factorization of a Gaussian."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

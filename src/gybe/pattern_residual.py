@@ -148,13 +148,6 @@ class _PatternResidual:
         x[1::2] = radius * np.sin(phase)
         return x
 
-    def params_from_matrix(self, m: np.ndarray) -> np.ndarray:
-        values = linalg.as_matrix(m)[self.rows, self.cols]
-        x = np.empty(self.n_params)
-        x[0::2] = values.real
-        x[1::2] = values.imag
-        return x
-
     def _gather(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The lifts [L, S] stacked, and R, of each point of a parameter
         stack, taken from its free entries in one gather."""

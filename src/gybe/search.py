@@ -247,18 +247,14 @@ def dedup_key(matrix: np.ndarray) -> str:
 
 
 def solve_pattern(
-    pattern: ZeroPattern,
-    signature: GybeSignature,
-    config: SearchConfig,
-    initial: np.ndarray | None = None,
+    pattern: ZeroPattern, signature: GybeSignature, config: SearchConfig
 ) -> SearchResult:
     """Run independent restarts and return certified, deduplicated solutions.
 
-    Deterministic for a fixed config: restart k draws from a stream seeded
-    by (seed, k).  ``initial`` seeds restart 0 from a given matrix instead
-    of a random point.  Candidates whose final objective is at most
-    tolerance^2 are re-verified with the exact equation and unitarity
-    checks at 10x tolerance before being reported.
+    Deterministic for a fixed config: restart k starts from a random point
+    drawn from a stream seeded by (seed, k).  Candidates whose final
+    objective is at most tolerance^2 are re-verified with the exact
+    equation and unitarity checks at 10x tolerance before being reported.
     """
     if pattern.size > 16:
         raise ValueError("pattern search is scoped to sizes up to 16")
@@ -267,12 +263,7 @@ def solve_pattern(
     problem = _PatternResidual(pattern, signature)  # checks the size and the dense cap
     objective_tol = config.tolerance**2
 
-    starts = [
-        problem.params_from_matrix(initial)
-        if restart == 0 and initial is not None
-        else problem.initial(np.random.default_rng([config.seed, restart]))
-        for restart in range(config.restarts)
-    ]
+    starts = [problem.initial(np.random.default_rng([config.seed, k])) for k in range(config.restarts)]
     fits = solve_stack(
         problem.residual,
         np.stack(starts),

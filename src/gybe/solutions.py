@@ -65,12 +65,6 @@ class DiagBlock:
     def as_matrix(self) -> np.ndarray:
         return np.diag([complex(self.p), complex(self.q)]).astype(np.complex128)
 
-    def dagger(self) -> "DiagBlock":
-        return DiagBlock(self.p.conjugate(), self.q.conjugate())
-
-    def conjugate(self) -> "DiagBlock":
-        return self.dagger()
-
     def is_unitary(self, tol: float = _UNIT_TOL) -> bool:
         return abs(abs(complex(self.p)) - 1.0) <= tol and abs(abs(complex(self.q)) - 1.0) <= tol
 
@@ -215,9 +209,6 @@ class BlockSolution:
     def to_rmatrix(self, label: str = "") -> RMatrix:
         return RMatrix(GybeSignature(2, 3, 1), self.r_matrix(), label)
 
-    def conjugate(self) -> "BlockSolution":
-        return BlockSolution(*(getattr(self, n).conjugate() for n in _BLOCK_NAMES))
-
     @staticmethod
     def from_params(
         omega: complex,
@@ -244,9 +235,6 @@ class BlockSolution:
                     raise ValueError(f"off-diagonal block entry {off:.3e} exceeds {tol:g}")
                 blocks.append(DiagBlock(complex(raw[0, 0]), complex(raw[1, 1])))
         return BlockSolution(*blocks)
-
-
-_BLOCK_NAMES = ("A", "B", "C", "D", "Y1", "Y2", "Y3", "Y4")
 
 
 def assemble_quadrant(

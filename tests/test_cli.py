@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from random_unitary import random_unitary
 
 from gybe import linalg
 from gybe.braiding import StateVector, apply_to_state, build_rep, evaluate_word, parse_braid_word
@@ -58,7 +59,7 @@ def test_verify_json_report(capsys):
 def test_verify_failing_matrix(tmp_path, capsys):
     rng = np.random.default_rng(31)
     path = tmp_path / "haar.json"
-    path.write_text(linalg.matrix_to_json(linalg.random_unitary(8, rng)))
+    path.write_text(linalg.matrix_to_json(random_unitary(8, rng)))
     code, out, _ = run_cli(capsys, "verify", "--matrix", str(path), "--json")
     assert code == 1
     assert json.loads(out)["passed"] is False
@@ -460,6 +461,10 @@ def test_braid_malformed_word(capsys):
     code, _, err = run_cli(capsys, "braid", "--solution", "rowell", "--word", "oops")
     assert code == 2
     assert "braid word" in err
+    # A lone comma is an empty letter, not the empty word.
+    code, out, err = run_cli(capsys, "braid", "--solution", "rowell", "--word", "n=3: ,")
+    assert code == 2 and out == ""
+    assert "empty letter" in err
 
 
 def test_sizes_too_large_to_print_are_input_errors(tmp_path, capsys):
@@ -631,6 +636,15 @@ def test_matrix_input_reports_the_assumed_signature(tmp_path, capsys):
     assert "signature" not in json.loads(out) and err == ""
     code, out, _ = run_cli(capsys, "classify", "--matrix", str(path), "--json")
     assert code == 0 and json.loads(out)["signature"] == "(2,3,1)"
+
+
+def test_signature_is_not_inferred_for_side_one_or_a_non_power_of_two(tmp_path, capsys):
+    for side in (1, 3):
+        path = tmp_path / f"side{side}.json"
+        path.write_text(linalg.matrix_to_json(linalg.identity(side)))
+        code, out, err = run_cli(capsys, "verify", "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert f"cannot infer a signature for side {side}; pass --signature d,m,l" in err
 
 
 def test_python_dash_m_runs_the_cli():

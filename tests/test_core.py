@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from random_unitary import random_unitary
 
 from gybe import linalg
 from gybe.core import (
@@ -16,7 +17,6 @@ from gybe.core import (
     check_far_commutativity,
     check_gybe,
     check_ybe,
-    double_lift_check,
     far_commutativity_indices,
     gybe_residual,
     lift_index,
@@ -41,7 +41,6 @@ from gybe.solutions import (
 def test_signature_validation_and_sizes():
     sig = GybeSignature(2, 3, 1)
     assert sig.matrix_size == 8
-    assert sig.lifted_size == 16
     assert str(sig) == "(2,3,1)"
     with pytest.raises(ValueError):
         GybeSignature(0, 3, 1)
@@ -83,7 +82,7 @@ def test_check_gybe_identity_is_exact():
 def test_check_gybe_random_unitaries_fail():
     rng = np.random.default_rng(12)
     for _ in range(10):
-        r = RMatrix(GybeSignature(2, 3, 1), linalg.random_unitary(8, rng), "haar")
+        r = RMatrix(GybeSignature(2, 3, 1), random_unitary(8, rng), "haar")
         report = check_gybe(r, 1e-12)
         assert not report.passed
         assert report.residual > 1e-3
@@ -173,26 +172,25 @@ def test_summation_form_agrees_with_lifted_products():
     assert ybe_summation_residual(x, 2) <= 1e-14
 
 
+def _double_lift_verdicts(x: np.ndarray, tol: float) -> tuple[bool, bool]:
+    """(X solves the YBE, X ⊕ X solves the (2,3,1) equation) at ``tol``."""
+    doubled = RMatrix(GybeSignature(2, 3, 1), linalg.direct_sum(x, x), "double-lift")
+    return check_ybe(x, tol).passed, check_gybe(doubled, tol).passed
+
+
 def test_double_lift_agreement():
     x, _ = split_blocks(family_solution(3, np.pi).matrix)
-    report = double_lift_check(x, 1e-12)
-    assert report.ybe.passed and report.gybe.passed and report.agree
-
-    report = double_lift_check(linalg.identity(4), 1e-12)
-    assert report.ybe.passed and report.gybe.passed
-
+    assert _double_lift_verdicts(x, 1e-12) == (True, True)
+    assert _double_lift_verdicts(linalg.identity(4), 1e-12) == (True, True)
     zx, _ = split_blocks(rowell_solution().matrix)
-    report = double_lift_check(zx, 1e-12)
-    assert not report.ybe.passed and not report.gybe.passed and report.agree
+    assert _double_lift_verdicts(zx, 1e-12) == (False, False)
 
 
 def test_double_lift_agreement_on_random_samples():
     rng = np.random.default_rng(14)
     for _ in range(5):
-        m = linalg.random_unitary(4, rng)
-        assert double_lift_check(m, 1e-10).agree
-    with pytest.raises(ValueError):
-        double_lift_check(linalg.identity(8))
+        ybe, doubled = _double_lift_verdicts(random_unitary(4, rng), 1e-10)
+        assert ybe == doubled
 
 
 def test_braid_generator_two_strands_is_r_itself():

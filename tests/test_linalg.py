@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from random_unitary import random_unitary
 
 from gybe import linalg
 from gybe.solutions import base_solution, rowell_solution
@@ -114,8 +115,8 @@ def test_direct_sum_rejects_non_square():
 def test_direct_sum_unitary_iff_blocks_unitary():
     rng = np.random.default_rng(3)
     for _ in range(4):
-        u = linalg.random_unitary(3, rng)
-        v = linalg.random_unitary(5, rng)
+        u = random_unitary(3, rng)
+        v = random_unitary(5, rng)
         assert linalg.is_unitary(linalg.direct_sum(u, v), 1e-12).passed
         bad = u + 0.1 * rng.standard_normal((3, 3))
         assert not linalg.is_unitary(linalg.direct_sum(bad, v), 1e-6).passed
@@ -189,7 +190,7 @@ def test_inverse_identity():
 def test_inverse_of_unitary_is_dagger():
     rng = np.random.default_rng(5)
     for n in (2, 4, 8):
-        u = linalg.random_unitary(n, rng)
+        u = random_unitary(n, rng)
         assert linalg.max_abs_diff(linalg.inverse(u), linalg.dagger(u)) <= 1e-10
 
 
@@ -204,7 +205,7 @@ def test_inverse_contract_residual():
     assert linalg.max_abs_diff(m @ linalg.inverse(m), linalg.identity(8)) <= 1e-10
     for n in (1, 2, 3, 4, 8, 16):
         # Unitary times a diagonal with moduli in [0.5, 2]: condition number <= 4.
-        u = linalg.random_unitary(n, rng)
+        u = random_unitary(n, rng)
         m = u @ np.diag(rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0, 6.3, n)))
         assert linalg.max_abs_diff(m @ linalg.inverse(m), linalg.identity(n)) <= 1e-12
         assert linalg.max_abs_diff(linalg.inverse(m) @ m, linalg.identity(n)) <= 1e-12
@@ -276,7 +277,7 @@ def test_eigenvalues_satisfy_char_poly():
 def test_eigenvalues_of_unitary_lie_on_circle():
     rng = np.random.default_rng(10)
     for _ in range(4):
-        u = linalg.random_unitary(6, rng)
+        u = random_unitary(6, rng)
         assert np.all(np.abs(np.abs(linalg.eigenvalues(u)) - 1.0) <= 1e-8)
 
 

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from gybe import linalg, pattern_residual
 from gybe.core import GybeSignature, check_gybe
+from gybe.optimize import solve_stack
 from gybe.search import (
     SearchConfig,
     ZeroPattern,
+    _certify,
     _combined_residual_vector,
     _PatternResidual,
     dedup_key,
@@ -216,16 +218,33 @@ def test_search_traces_are_non_increasing():
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
+def _params(problem: _PatternResidual, m: np.ndarray) -> np.ndarray:
+    """The parameters of ``m``'s free entries, a (real, imaginary) pair each."""
+    return np.ascontiguousarray(m[problem.rows, problem.cols]).view(np.float64)
+
+
+def _solve_from(problem: _PatternResidual, start: np.ndarray):
+    """The search's solve, at its default settings, from one given start."""
+    config = SearchConfig()
+    return solve_stack(
+        problem.residual,
+        start[None],
+        jacobian_fn=problem.jacobian,
+        objective_tol=config.tolerance**2,
+        max_iterations=config.max_iterations,
+    )
+
+
 def test_search_seeded_at_exact_solution_converges_immediately():
     mask = np.zeros((8, 8), dtype=bool)
     mask[:4, :4] = True
     mask[4:, 4:] = True
     pattern = ZeroPattern(8, mask)
-    config = SearchConfig(tolerance=1e-11, restarts=1, seed=0, max_iterations=50)
-    result = solve_pattern(pattern, SIG, config, initial=base_solution(2).r_matrix())
-    assert len(result.solutions) == 1
-    assert result.solutions[0].objective <= 1e-22
-    assert result.traces[0][0] <= 1e-22  # already below tolerance at the start
+    problem = _PatternResidual(pattern, SIG)
+    (fit,) = _solve_from(problem, _params(problem, base_solution(2).r_matrix()))
+    assert fit.reason == "converged" and fit.objective <= 1e-22
+    assert fit.trace[0] <= 1e-22  # already below tolerance at the start
+    assert _certify(fit, problem, 1e-11, 0) is not None
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,25 +283,6 @@ def test_stacked_jacobian_matches_per_restart_jacobians():
         np.testing.assert_array_equal(residual, problem.residual(x))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    signature=st.sampled_from([GybeSignature(2, 2, 1), GybeSignature(2, 3, 1), GybeSignature(3, 2, 1)]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_build_inverts_params_from_matrix_on_the_mask(signature, seed):
-    rng = np.random.default_rng(seed)
-    n = signature.matrix_size
-    mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
-    mask[rng.integers(n), rng.integers(n)] = True
-    problem = _PatternResidual(ZeroPattern(n, mask), signature)
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    x = problem.params_from_matrix(m)
-    assert x.shape == (problem.n_params,) == (2 * np.count_nonzero(mask),)
-    built = problem.build(x)
-    np.testing.assert_array_equal(built[mask], m[mask])
-    assert np.all(built[~mask] == 0.0)
-
-
 def test_search_reports_every_restart():
     config = SearchConfig(tolerance=1e-11, restarts=8, seed=3, max_iterations=250)
     result = solve_pattern(rowell_pattern(), SIG, config)
@@ -313,11 +313,11 @@ def test_plateau_keeps_criterion_twelve_hits():
 
 
 def test_non_finite_start_is_not_certified():
-    config = SearchConfig(tolerance=1e-11, restarts=2, seed=0, max_iterations=20)
-    result = solve_pattern(rowell_pattern(), SIG, config, initial=np.full((8, 8), np.nan))
-    assert np.isnan(result.traces[0][0]) and len(result.traces[0]) == 1
-    assert result.restarts[0].reason == "non_finite" and not result.restarts[0].certified
-    assert all(f.restart_index != 0 for f in result.solutions)
+    problem = _PatternResidual(rowell_pattern(), SIG)
+    (fit,) = _solve_from(problem, np.full(problem.n_params, np.nan))
+    assert np.isnan(fit.trace[0]) and len(fit.trace) == 1
+    assert fit.reason == "non_finite"
+    assert _certify(fit, problem, 1e-11, 0) is None
 
 
 def test_dedup_key_ignores_global_phase():
@@ -334,16 +334,14 @@ def test_dedup_key_separates_distinct_classes():
 
 
 def test_search_result_json_round_trip():
-    config = SearchConfig(tolerance=1e-11, restarts=1, seed=0, max_iterations=50)
-    result = solve_pattern(
-        rowell_pattern(), SIG, config, initial=rowell_solution().matrix
-    )
+    config = SearchConfig(tolerance=1e-11, restarts=1, seed=0)
+    result = solve_pattern(rowell_pattern(), SIG, config)
     payload = result.to_json_list()
-    assert len(payload) == 1
+    assert len(payload) == len(result.solutions) == 1
     entry = payload[0]
     assert set(entry) >= {"matrix", "residual", "dedup_key"}
     back = linalg.matrix_from_json_dict(entry["matrix"])
-    assert linalg.max_abs_diff(back, rowell_solution().matrix) <= 1e-9
+    np.testing.assert_array_equal(back, result.solutions[0].solution.matrix)
 
 
 def test_pattern_size_must_match_signature():
