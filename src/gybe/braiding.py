@@ -71,11 +71,19 @@ class BraidWord:
         return len(self.letters)
 
 
-_WORD_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*:\s*(.*)$")
+_WORD_RE = re.compile(r"^\s*n\s*=([^:]*):(.*)$")
+
+
+def integer(text: str) -> int:
+    """An integer as typed by a user: an optional minus and ASCII digits, where
+    ``int`` would also take ``_``, ``+`` and the digits of other scripts."""
+    if not re.fullmatch(r"-?[0-9]+", text.strip()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def parse_braid_word(text: str) -> BraidWord:
-    """Parse the text form ``n=<strands>: i1,i2,...``.
+    """Parse the text form ``n=<strands>: i1,i2,...``, integers read by :func:`integer`.
 
     An empty body is the empty word; an empty letter (``1,,2``, a trailing
     comma, or a lone comma) is malformed.
@@ -83,12 +91,12 @@ def parse_braid_word(text: str) -> BraidWord:
     m = _WORD_RE.match(text)
     if not m:
         raise ValueError(f"malformed braid word: {text!r} (expected 'n=<k>: 1,2,-1')")
-    n = int(m.group(1))
+    n = integer(m.group(1))
     body = m.group(2).strip()
     tokens = body.split(",") if body else []
     if not all(tok.strip() for tok in tokens):
         raise ValueError(f"malformed braid word: {text!r} has an empty letter")
-    return BraidWord(n, tuple(int(tok) for tok in tokens))
+    return BraidWord(n, tuple(integer(tok) for tok in tokens))
 
 
 @dataclass(frozen=True)
@@ -115,15 +123,14 @@ class StateVector:
 class BraidRep:
     """A verified representation of the n-strand braid group.
 
-    Keeps only the local R and its inverse (R† when R is unitary); every
-    image is computed from them by :func:`~gybe.core.apply_local`.
+    Keeps only the local R and its read-only inverse (R† when R is
+    unitary); every image is computed from them by :func:`~gybe.core.apply_local`.
     """
 
     r: RMatrix
     n: int
     dim: int
-    inverse: RMatrix
-    tolerance: float
+    inverse: np.ndarray
 
     def _letter(self, i: int) -> tuple[np.ndarray, int]:
         """Local matrix of sigma_i (of its inverse for negative i) and the
@@ -131,8 +138,8 @@ class BraidRep:
         if i == 0 or not 1 <= abs(i) <= self.n - 1:
             raise ValueError(f"generator index {i} out of range for {self.n} strands")
         sig = self.r.signature
-        local = self.r if i > 0 else self.inverse
-        return local.matrix, sig.d ** (sig.l * (abs(i) - 1))
+        local = self.r.matrix if i > 0 else self.inverse
+        return local, sig.d ** (sig.l * (abs(i) - 1))
 
     def generator(self, i: int) -> np.ndarray:
         """Dense matrix of sigma_i for positive i, of its inverse for negative i."""
@@ -152,7 +159,7 @@ def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
     GYBE residual; every other relation is one of these padded with
     identities.  A violation raises :class:`RepresentationError` carrying
     the generator pair and residual.  The inverse is the conjugate
-    transpose when ``r`` is unitary and the computed inverse otherwise.
+    transpose when ``r`` is unitary, else ``r.inverse``: nothing is inverted.
     """
     sig = r.signature
     dim = braid_dimension(sig, n)
@@ -167,11 +174,11 @@ def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
         if residual > tol:
             raise RepresentationError((1, 2), residual)
 
-    if linalg.is_unitary(r.matrix, 1e-10).passed:
-        inv = linalg.dagger(r.matrix)
+    if linalg.unitarity_residual(r.matrix) <= 1e-10:
+        inverse = linalg.frozen(linalg.dagger(r.matrix))
     else:
-        inv = linalg.inverse(r.matrix)
-    return BraidRep(r, n, dim, RMatrix(sig, inv, f"inverse({r.label})"), tol)
+        inverse = r.inverse
+    return BraidRep(r, n, dim, inverse)
 
 
 def _act(rep: BraidRep, letters: tuple[int, ...], columns: np.ndarray) -> np.ndarray:

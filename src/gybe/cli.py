@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .core import CheckReport, GybeSignature, RMatrix, check_gybe
-from .braiding import StateVector, apply_to_state, build_rep, evaluate_word, parse_braid_word
+from .braiding import StateVector, apply_to_state, build_rep, evaluate_word, integer, parse_braid_word
 from .equivalence import WITNESS_TOL, decide_equivalence, search_equivalence
 from .search import SearchConfig, load_pattern_text, solve_pattern
 from .solutions import (
@@ -55,7 +55,7 @@ def _parse_signature(text: str) -> GybeSignature:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected 'd,m,l', got {text!r}")
-    return GybeSignature(int(parts[0]), int(parts[1]), int(parts[2]))
+    return GybeSignature(*map(integer, parts))
 
 
 def _read_text(path: str) -> str:
@@ -412,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="solve a zero pattern numerically")
     p.add_argument("--pattern", action=_Once, help="pattern file (0/1 grid or JSON), or -")
     p.add_argument("--signature", action=_Once, help="equation signature d,m,l")
-    p.add_argument("--restarts", action=_Once, type=int, default=SearchConfig.restarts)
-    p.add_argument("--seed", action=_Once, type=int, default=SearchConfig.seed)
+    p.add_argument("--restarts", action=_Once, type=integer, default=SearchConfig.restarts)
+    p.add_argument("--seed", action=_Once, type=integer, default=SearchConfig.seed)
     p.add_argument("--tol", action=_Once, type=float, default=SearchConfig.tolerance)
     p.add_argument("--json", action="store_true")
     p.add_argument(
@@ -441,6 +441,8 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", 0.0)
         if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"--tol must be a finite non-negative number, got {tol}")
+        if "matrix" in vars(args) and args.signature and not args.matrix:
+            raise ValueError("--signature applies to --matrix input only")
         return args.func(args)
     except Exception as exc:  # malformed input must not crash the process
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ entrywise reading of the equation in the computational basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,27 +59,27 @@ class GybeSignature:
 class RMatrix:
     """A candidate or verified solution, tagged with its signature.
 
-    Construction validates shape against the signature, finiteness of every
-    entry, and invertibility at the global pivot threshold.  The stored
-    matrix is an immutable copy.
+    Construction validates shape against the signature, then finiteness of
+    every entry and invertibility at the global pivot threshold by one gated
+    inversion, whose result is kept as ``inverse``.  Both arrays are
+    immutable copies.
     """
 
     signature: GybeSignature
     matrix: np.ndarray
     label: str = ""
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = linalg.frozen(linalg.as_matrix(self.matrix))
         if m.shape[0] != m.shape[1]:
             raise ValueError("an R-matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("an R-matrix must have finite entries")
         sig, side = self.signature, m.shape[0]
         if not sig.has_side(side):
             raise ValueError(
                 f"matrix side {side} does not match signature {sig} (expected {sig.d}^{sig.m})"
             )
-        linalg.inverse(m)  # raises SingularMatrixError when not invertible
+        object.__setattr__(self, "inverse", linalg.frozen(linalg.inverse(m)))
         object.__setattr__(self, "matrix", m)
 
     @property

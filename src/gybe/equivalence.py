@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,11 +53,13 @@ SHAPES = ("diagonal", "antidiagonal", "general")
 
 @dataclass(frozen=True)
 class GaugeOp:
-    """One gauge move: scalar(lambda), inverse, or local_conj(Q)."""
+    """One gauge move: scalar(lambda), inverse, or local_conj(Q) for an invertible Q,
+    whose inverse is kept as ``q_inverse``."""
 
     kind: str
     lam: complex | None = None
     q: np.ndarray | None = None
+    q_inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "scalar":
@@ -70,9 +72,7 @@ class GaugeOp:
             if self.q is None:
                 raise ValueError("local conjugation needs a matrix Q")
             q = linalg.as_matrix(self.q)
-            if q.shape[0] != q.shape[1]:
-                raise ValueError("Q must be square")
-            linalg.inverse(q)  # singular Q is rejected here
+            object.__setattr__(self, "q_inverse", linalg.frozen(linalg.inverse(q)))
             object.__setattr__(self, "q", linalg.frozen(q))
         else:
             raise ValueError(f"unknown gauge op kind: {self.kind!r}")
@@ -112,14 +112,14 @@ def apply_gauge(r: RMatrix, op: GaugeOp) -> RMatrix:
     if op.kind == "scalar":
         return RMatrix(r.signature, op.lam * r.matrix, f"scale({r.label})")
     if op.kind == "inverse":
-        return RMatrix(r.signature, linalg.inverse(r.matrix), f"inverse({r.label})")
+        return RMatrix(r.signature, r.inverse, f"inverse({r.label})")
     q = op.q
     if q.shape[0] != r.signature.d:
         raise ValueError(
             f"Q side {q.shape[0]} does not match local dimension {r.signature.d}"
         )
     m = r.signature.m
-    image = _lift(linalg.inverse(q), m) @ r.matrix @ _lift(q, m)
+    image = _lift(op.q_inverse, m) @ r.matrix @ _lift(q, m)
     return RMatrix(r.signature, image, f"local_conj({r.label})")
 
 
@@ -489,8 +489,8 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
             return covariant, None
         try:  # the gated inverse rejects a lift too close to singular
             reduced_r = apply_gauge(r, GaugeOp.local_conj(basis_r))
-            reduced_s = apply_gauge(s, GaugeOp.local_conj(basis_s))
-            back = linalg.inverse(basis_s)
+            conj_s = GaugeOp.local_conj(basis_s)
+            reduced_s = apply_gauge(s, conj_s)
         except ValueError:
             return covariant, None
         if kind == "distinct":
@@ -500,7 +500,7 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
             )
         else:
             reduced = _jordan_conjugators(reduced_r, reduced_s, with_scalar=with_scalar, tol=tol)
-        return covariant, (basis_r @ q @ back for q in reduced)
+        return covariant, (basis_r @ q @ conj_s.q_inverse for q in reduced)
     return None, None
 
 
@@ -584,30 +584,20 @@ def search_local_conjugation(
     return hit[0], hit[2]
 
 
-def decide_equivalence(
-    r: RMatrix,
-    s: RMatrix,
-    shapes: Sequence[str] = SHAPES,
-    *,
-    include_inverse: bool = True,
-    tol: float = WITNESS_TOL,
-) -> EquivalenceDecision:
+def decide_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> EquivalenceDecision:
     """Decide whether a gauge sequence carries ``r`` onto ``s``.
 
-    Tries a scalar combined with a local conjugation, first on ``r``
-    directly and then (when ``include_inverse``) on its inverse, which
-    runs only when the direct prefix finds no witness.  The witness lists
-    the operations in application order.  Without one, the verdict is
-    ``undecided`` when some prefix could not reduce (see
-    :class:`PrefixDecision`), else ``none``.
+    Tries a scalar combined with a local conjugation of every shape, first
+    on ``r`` directly and then on its inverse, which runs only when the
+    direct prefix finds no witness.  The witness lists the operations in
+    application order.  Without one, the verdict is ``undecided`` when
+    some prefix could not reduce (see :class:`PrefixDecision`), else
+    ``none``.
     """
-    prefixes = [("direct", ())]
-    if include_inverse:
-        prefixes.append(("inverse", (GaugeOp.inverse(),)))
     decisions = []
-    for name, ops in prefixes:
+    for name, ops in (("direct", ()), ("inverse", (GaugeOp.inverse(),))):
         src = apply_gauge_sequence(r, ops)
-        hit, decision = _search_conjugator(src, s, shapes, with_scalar=True, tol=tol, prefix=name)
+        hit, decision = _search_conjugator(src, s, SHAPES, with_scalar=True, tol=tol, prefix=name)
         decisions.append(decision)
         if hit is not None:
             q, lam, residual = hit

@@ -122,6 +122,11 @@ def test_braid_word_parse():
     for text in ("n=3: ,", "n=3: 1,,2", "n=3: 1,2,", "n=3: ,1"):
         with pytest.raises(ValueError, match="empty letter"):
             parse_braid_word(text)
+    # Integers are plain ASCII decimals; int() alone would read the first
+    # three as letter 11, letter 1 and 3 strands.
+    for text in ("n=12: 1_1", "n=3: \u0661", "n=\u0663: 1", "n=3: +1", "n=: 1"):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            parse_braid_word(text)
 
 
 def test_state_vector_validation():
@@ -256,14 +261,14 @@ def test_generator_images_and_far_pairs_match_kron_reference():
             # assembled directly; only the tensor layout is under test here.
             if r.label == "random":
                 dim = sig.d ** (sig.m + (n - 2) * sig.l)
-                rep = BraidRep(r, n, dim, RMatrix(sig, linalg.inverse(r.matrix)), 0.0)
+                rep = BraidRep(r, n, dim, r.inverse)
             else:
                 rep = build_rep(r, n)
             for i in range(1, n):
                 want = kron_generator(sig, r.matrix, n, i)
                 assert np.array_equal(braid_generator_matrix(r, n, i), want)
                 assert np.array_equal(rep.generator(i), want)
-                want_inv = kron_generator(sig, rep.inverse.matrix, n, i)
+                want_inv = kron_generator(sig, rep.inverse, n, i)
                 assert np.array_equal(rep.generator(-i), want_inv)
 
 
@@ -462,10 +467,24 @@ def test_recognize_every_registry_generator():
             assert hit[1] == pytest.approx(1.0, abs=1e-10)
 
 
+def _no_inverse(m):
+    raise AssertionError("build_rep must not invert a matrix")
+
+
 def test_generator_accessor_handles_inverses():
     rep = build_rep(rowell_solution(), 3)
     inv = rep.generator(-1)
     assert linalg.max_abs_diff(inv, linalg.dagger(rep.generators[0])) == 0.0
+    # build_rep inverts nothing: it takes R† for a unitary R, else the
+    # inverse that R keeps, and holds it read-only.
+    for name in ("rowell", "scaled", "conjugated"):
+        r = _solution(name)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "inverse", _no_inverse)
+            built = build_rep(r, 3)
+        assert linalg.max_abs_diff(r.matrix @ built.inverse, linalg.identity(8)) <= 1e-13, name
+        with pytest.raises(ValueError):
+            built.inverse[0, 0] = 0.0
     with pytest.raises(ValueError):
         rep.generator(0)
     with pytest.raises(ValueError):

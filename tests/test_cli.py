@@ -366,6 +366,45 @@ def test_repeated_single_valued_options_are_usage_errors(argv, tmp_path, capsys)
     assert "given more than once" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--solution", "rowell", "--signature", "3,2,1"],
+        ["verify", "--solution", "rowell", "--signature", "x"],
+        ["classify", "--solution", "base1", "--signature", "2,3,2"],
+        ["braid", "--solution", "rowell", "--word", "n=3: 1", "--signature", "2,3,2"],
+        ["equiv", "--solution", "rowell", "--solution", "xshape", "--signature", "2,3,1"],
+    ],
+)
+def test_signature_without_matrix_is_a_usage_error(argv, capsys):
+    # Each of these used to exit 0 and ignore the signature.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--signature applies to --matrix input only" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--pattern", "PATTERN", "--signature", "2,3,1_0"],
+        ["search", "--pattern", "PATTERN", "--signature", "2,3,1", "--restarts", "1_6"],
+        ["search", "--pattern", "PATTERN", "--signature", "2,3,1", "--seed", "\u0661"],
+        ["verify", "--matrix", "MATRIX", "--signature", "2,\u0663,1"],
+        ["braid", "--solution", "rowell", "--word", "n=12: 1_1"],
+        ["braid", "--solution", "rowell", "--word", "n=3: \u0661"],
+    ],
+)
+def test_integers_are_plain_ascii_decimals(argv, tmp_path, capsys):
+    # int() reads digit-group underscores and other scripts' digits.
+    from gybe.search import rowell_pattern
+
+    files = {"MATRIX": _write_rowell(tmp_path), "PATTERN": str(tmp_path / "pattern.txt")}
+    Path(files["PATTERN"]).write_text(rowell_pattern().to_text())
+    code, out, err = run_cli(capsys, *(files.get(arg, arg) for arg in argv))
+    assert code == 2 and out == ""
+    assert "integer" in err
+
+
 def test_equiv_still_takes_two_solutions(capsys):
     code, out, _ = run_cli(capsys, "equiv", "--solution", "rowell", "--solution", "rowell")
     assert code == 0 and out.startswith("witness")

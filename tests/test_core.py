@@ -62,8 +62,11 @@ def test_rmatrix_validates_shape_and_invertibility():
 
 def test_rmatrix_is_immutable():
     r = rowell_solution()
-    with pytest.raises(ValueError):
-        r.matrix[0, 0] = 0.0
+    # The inverse computed by the invertibility gate is kept, read-only too.
+    assert linalg.max_abs_diff(r.matrix @ r.inverse, linalg.identity(8)) <= 1e-14
+    for array in (r.matrix, r.inverse):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def test_check_gybe_zeta_solution():

@@ -45,6 +45,8 @@ def test_gauge_op_validation():
             GaugeOp.scalar(bad)
     with pytest.raises(linalg.SingularMatrixError):
         GaugeOp.local_conj(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="non-square"):
+        GaugeOp.local_conj(np.ones((2, 3)))
     for bad in (np.nan, np.inf):
         with pytest.raises(linalg.SingularMatrixError, match="non-finite"):
             GaugeOp.local_conj(np.full((2, 2), bad))
@@ -60,8 +62,25 @@ def test_scalar_identity_op():
     assert linalg.max_abs_diff(out.matrix, r.matrix) == 0.0
 
 
-def test_inverse_of_zeta_solution_still_solves():
-    out = apply_gauge(rowell_solution(), GaugeOp.inverse())
+def _inverse_calls(monkeypatch) -> list:
+    """Record every call of ``linalg.inverse`` from here on."""
+    calls, inverse = [], linalg.inverse
+
+    def spy(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(linalg, "inverse", spy)
+    return calls
+
+
+def test_inverse_of_zeta_solution_still_solves(monkeypatch):
+    r = rowell_solution()
+    calls = _inverse_calls(monkeypatch)
+    out = apply_gauge(r, GaugeOp.inverse())
+    # The move reads r.inverse; the one inversion is the gate of the image.
+    assert len(calls) == 1
+    np.testing.assert_array_equal(out.matrix, r.inverse)
     assert check_gybe(out, 1e-12).passed
 
 
@@ -86,18 +105,46 @@ def test_gauge_ops_preserve_verdict_on_non_solutions():
 
 
 @pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (2, 4), (3, 2)])
-def test_local_conjugation_matches_kron_reference(d, m):
+def test_local_conjugation_matches_kron_reference(d, m, monkeypatch):
     # A non-symmetric Q catches a lift that applies Q transposed.
     rng = np.random.default_rng([27, d, m])
     q = linalg.identity(d) + 0.4 * _complex_normal(rng, d)
     r = RMatrix(GybeSignature(d, m, 1), _complex_normal(rng, d**m))
     want = linalg.kron_power(linalg.inverse(q), m) @ r.matrix @ linalg.kron_power(q, m)
-    got = apply_gauge(r, GaugeOp.local_conj(q)).matrix
+    op = GaugeOp.local_conj(q)
+    # The op keeps the inverse of Q, read-only, and the conjugation reads
+    # it: the one inversion is the gate of the image.
+    assert linalg.max_abs_diff(op.q @ op.q_inverse, linalg.identity(d)) <= 1e-13
+    with pytest.raises(ValueError):
+        op.q_inverse[0, 0] = 0.0
+    calls = _inverse_calls(monkeypatch)
+    got = apply_gauge(r, op).matrix
+    assert len(calls) == 1
     assert linalg.max_abs_diff(got, want) <= 1e-12 * linalg.max_abs(want)
 
 
 def _complex_normal(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _decide_prefix(r, s, shapes=equivalence.SHAPES, *, invert=False, tol=WITNESS_TOL):
+    """(decision, ops): the scalar-and-conjugation search from one prefix
+    of ``r`` (inverted or not) over ``shapes`` alone.  ``decision`` is its
+    :class:`~gybe.equivalence.PrefixDecision` and ``ops`` the gauge
+    sequence that replays the witness from ``r``, or None."""
+    prefix = (GaugeOp.inverse(),) if invert else ()
+    hit, decision = equivalence._search_conjugator(
+        apply_gauge_sequence(r, prefix),
+        s,
+        shapes,
+        with_scalar=True,
+        tol=tol,
+        prefix="inverse" if invert else "direct",
+    )
+    if hit is None:
+        return decision, None
+    q, lam, _ = hit
+    return decision, prefix + (GaugeOp.local_conj(q), GaugeOp.scalar(lam))
 
 
 def _gauge_move(kind: str, seed: int) -> tuple[GaugeOp, float]:
@@ -305,14 +352,13 @@ def test_inverse_prefix_runs_only_when_the_direct_one_fails():
     # first and wins, whatever the rounding of the two residuals.
     r = general_solution(3, 1, np.exp(1.0j))
     s = general_solution(3, np.exp(0.2j), np.exp(1.2j))
-    inverted = apply_gauge(r, GaugeOp.inverse())
-    assert decide_equivalence(inverted, s, include_inverse=False).witness is not None
+    assert _decide_prefix(r, s, invert=True)[1] is not None
     witness = search_equivalence(r, s)
     assert witness is not None
     assert [op.kind for op in witness.ops] == ["local_conj", "scalar"]
     # The zeta solution is reached only through the inverse.
     source = family_solution(1, np.pi / 2)
-    assert decide_equivalence(source, rowell_solution(), include_inverse=False).witness is None
+    assert _decide_prefix(source, rowell_solution())[1] is None
     witness = search_equivalence(source, rowell_solution())
     assert witness is not None and witness.ops[0].kind == "inverse"
 
@@ -329,12 +375,8 @@ def test_zeta_solution_exact_witness_identity():
 def test_direct_scaled_conjugation_cannot_reach_zeta_solution():
     # Without the inverse step the beta/alpha gauge invariant (i vs -i)
     # obstructs any scalar + local-conjugation witness.
-    decision = decide_equivalence(
-        family_solution(1, np.pi / 2),
-        rowell_solution(),
-        include_inverse=False,
-    )
-    assert decision.witness is None
+    _, ops = _decide_prefix(family_solution(1, np.pi / 2), rowell_solution())
+    assert ops is None
 
 
 def test_transpose_mirrors_the_angle_within_family_one():
@@ -415,9 +457,9 @@ def test_graded_shapes_find_witnesses_in_closed_form(shape, invert, seed):
             ops = (GaugeOp.inverse(),) if invert else ()
             ops += (GaugeOp.local_conj(_graded_q(shape, rng)), GaugeOp.scalar(lam))
             s = apply_gauge_sequence(r, ops)
-            witness = decide_equivalence(r, s, ("diagonal", "antidiagonal")).witness
-            assert witness is not None, name
-            replayed = apply_gauge_sequence(r, witness.ops).matrix
+            _, ops = _decide_prefix(r, s, ("diagonal", "antidiagonal"), invert=invert)
+            assert ops is not None, name
+            replayed = apply_gauge_sequence(r, ops).matrix
             assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL
 
 
@@ -459,7 +501,7 @@ def test_closed_form_tries_every_root():
     s = apply_gauge_sequence(r, (GaugeOp.local_conj(q),))
     assert search_local_conjugation(r, s, ("diagonal",)) is not None
     s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(0.9j)))
-    assert decide_equivalence(r, s, ("diagonal",)).witness is not None
+    assert _decide_prefix(r, s, ("diagonal",))[1] is not None
 
 
 def _near_identity_target(name: str, seed: int) -> tuple[RMatrix, RMatrix]:
@@ -476,9 +518,9 @@ def test_general_shape_finds_near_identity_conjugators(name, seed):
     """S = 1.1i (Q^-1)^⊗m R Q^⊗m for a dense Q near the identity: cases the
     general shape solves, pinned so that no change to its solver loses them."""
     r, s = _near_identity_target(name, seed)
-    witness = decide_equivalence(r, s, ("general",), include_inverse=False).witness
-    assert witness is not None
-    replayed = apply_gauge_sequence(r, witness.ops).matrix
+    _, ops = _decide_prefix(r, s, ("general",))
+    assert ops is not None
+    replayed = apply_gauge_sequence(r, ops).matrix
     assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL
 
 
@@ -489,10 +531,10 @@ def test_general_shape_finds_every_planted_near_identity_conjugator():
         for name in ("rowell", "base2", "xshape"):
             for seed in range(10):
                 r, s = _near_identity_target(name, seed)
-                decision = decide_equivalence(r, s, shapes=("general",), include_inverse=False)
+                decision, ops = _decide_prefix(r, s, ("general",))
                 assert decision.verdict == "witness", (name, seed)
-                assert decision.prefixes[0].covariant is not None
-                replayed = apply_gauge_sequence(r, decision.witness.ops).matrix
+                assert decision.covariant is not None
+                replayed = apply_gauge_sequence(r, ops).matrix
                 assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL
 
 
@@ -502,9 +544,9 @@ def test_a_tolerance_below_rounding_never_rules_out_a_gauge_image(tol):
     # at tol: a tiny tol may leave the pair undecided, never "none".
     for name, seed in (("rowell", 0), ("rowell", 1), ("base2", 2), ("xshape", 3)):
         r, s = _near_identity_target(name, seed)
-        decision = decide_equivalence(r, s, ("general",), include_inverse=False, tol=tol)
+        decision, _ = _decide_prefix(r, s, ("general",), tol=tol)
         assert decision.verdict != "none", (name, seed)
-        assert decision.prefixes[0].candidates >= 1
+        assert decision.candidates >= 1
 
 
 def _conditioned_q(rng, worst: float) -> np.ndarray:
@@ -560,15 +602,15 @@ def test_jordan_block_covariant_decides_in_closed_form(seed):
         hit = search_local_conjugation(r, s, ("general",))
         assert hit is not None and hit[1] <= WITNESS_TOL
         s = apply_gauge(s, GaugeOp.scalar(lam))
-        decision = decide_equivalence(r, s, ("general",), include_inverse=False)
-    (direct,) = decision.prefixes
+        direct, ops = _decide_prefix(r, s, ("general",))
     assert direct.covariant == equivalence.Covariant("R", 0, "jordan")
-    assert decision.verdict == "witness"
-    replayed = apply_gauge_sequence(r, decision.witness.ops).matrix
+    assert direct.verdict == "witness"
+    replayed = apply_gauge_sequence(r, ops).matrix
     assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL
-    # Another Jordan-covariant matrix is not a gauge image of r.
+    # Another Jordan-covariant matrix is not a gauge image of r or of its inverse.
     other = _jordan_covariant_matrix(rng)
-    assert decide_equivalence(r, other, ("general",)).verdict == "none"
+    for invert in (False, True):
+        assert _decide_prefix(r, other, ("general",), invert=invert)[0].verdict == "none"
 
 
 def test_ill_conditioned_eigenvectors_pass_to_the_next_covariant():
@@ -578,8 +620,8 @@ def test_ill_conditioned_eigenvectors_pass_to_the_next_covariant():
     rng = np.random.default_rng(31)
     r = _jordan_covariant_matrix(rng, corner=1.0 + 1e-5)
     s = apply_gauge_sequence(r, (GaugeOp.local_conj(_conditioned_q(rng, 5.0)), GaugeOp.scalar(1.1j)))
-    decision = decide_equivalence(r, s, ("general",), include_inverse=False)
-    assert decision.prefixes[0].covariant == equivalence.Covariant("R", 1, "distinct")
+    decision, _ = _decide_prefix(r, s, ("general",))
+    assert decision.covariant == equivalence.Covariant("R", 1, "distinct")
     assert decision.verdict == "witness"
 
 
@@ -600,8 +642,8 @@ def test_a_covariant_near_the_threshold_never_rules_out_a_gauge_image(kind, m):
         r = _site_zero_matrix(rng, a, m)
         q = random_unitary(2, rng) @ np.diag([1.0, 0.1]) @ random_unitary(2, rng)
         s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(0.9j)))
-        decision = decide_equivalence(r, s, ("general",), include_inverse=False)
-        assert decision.prefixes[0].covariant.site != 0
+        decision, _ = _decide_prefix(r, s, ("general",))
+        assert decision.covariant.site != 0
         assert decision.verdict == "witness", seed
 
 
@@ -624,8 +666,8 @@ def test_the_covariant_of_s_is_judged_on_the_scale_of_r(cond):
         r = RMatrix(GybeSignature(2, 3, 1), np.kron(np.diag([1.0, 1.0 + e]), np.eye(4)) + off_diagonal, "r")
         q = random_unitary(2, rng) @ np.diag([1.0, 1.0 / cond]) @ random_unitary(2, rng)
         s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(0.9j)))
-        decision = decide_equivalence(r, s, ("general",), include_inverse=False)
-        assert decision.prefixes[0].covariant == equivalence.Covariant("R", 0, "distinct")
+        decision, _ = _decide_prefix(r, s, ("general",))
+        assert decision.covariant == equivalence.Covariant("R", 0, "distinct")
         assert decision.verdict != "none", seed
 
 
@@ -638,7 +680,7 @@ def test_a_near_miss_leaves_the_prefix_undecided():
     largest = np.unravel_index(np.argmax(np.abs(m)), m.shape)
     m[largest] += 1e-8 * linalg.max_abs(m)
     s = RMatrix(s.signature, m, "near-miss")
-    (direct,) = decide_equivalence(r, s, ("general",), include_inverse=False).prefixes
+    direct, _ = _decide_prefix(r, s, ("general",))
     assert direct.verdict == "undecided" and direct.covariant is not None
     assert direct.candidates >= 1
 
@@ -707,7 +749,8 @@ def test_all_scalar_covariants_leave_the_pair_undecided():
     assert all(p.verdict == "undecided" and p.covariant is None for p in decision.prefixes)
     assert search_equivalence(r, s) is None
     # Over the graded shapes alone, "none" is a decision.
-    assert decide_equivalence(r, s, ("diagonal", "antidiagonal")).verdict == "none"
+    for invert in (False, True):
+        assert _decide_prefix(r, s, ("diagonal", "antidiagonal"), invert=invert)[0].verdict == "none"
 
 
 def test_decision_json_reports_verdict_and_covariant():
