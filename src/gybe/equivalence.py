@@ -8,11 +8,11 @@ Q from the closed forms below) and refuted when those closed forms leave no
 candidate Q that works.
 
 Q^⊗m is m passes of :func:`gybe.core.apply_local` on the identity, the
-action that also gives braid generators their images, and :func:`apply_gauge`
-is the one place that forms (Q^-1)^⊗m R Q^⊗m.
+action that also gives braid generators their images, and
+:func:`_local_conjugate` is the one place that forms (Q^-1)^⊗m R Q^⊗m.
 
 The witness search runs over 2x2 Q (so d = 2 only), scores each candidate
-by :func:`apply_gauge` and stops at the first within tolerance, taken
+by that conjugation and stops at the first within tolerance, taken
 relative to the largest entry of the target.  No shape runs an optimizer.
 The diagonal and antidiagonal shapes, which suffice for the
 block-structured families handled in :mod:`gybe.solutions`, are decided in
@@ -107,6 +107,11 @@ def _lift(q: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _local_conjugate(r: np.ndarray, q: np.ndarray, q_inverse: np.ndarray, m: int) -> np.ndarray:
+    """(Q^-1)^⊗m r Q^⊗m, given Q and its inverse."""
+    return _lift(q_inverse, m) @ r @ _lift(q, m)
+
+
 def apply_gauge(r: RMatrix, op: GaugeOp) -> RMatrix:
     """Apply one gauge operation; solutions stay solutions."""
     if op.kind == "scalar":
@@ -118,8 +123,7 @@ def apply_gauge(r: RMatrix, op: GaugeOp) -> RMatrix:
         raise ValueError(
             f"Q side {q.shape[0]} does not match local dimension {r.signature.d}"
         )
-    m = r.signature.m
-    image = _lift(op.q_inverse, m) @ r.matrix @ _lift(q, m)
+    image = _local_conjugate(r.matrix, q, op.q_inverse, r.signature.m)
     return RMatrix(r.signature, image, f"local_conj({r.label})")
 
 
@@ -518,12 +522,13 @@ def _search_conjugator(
     The diagonal and antidiagonal shapes are decided in closed form by
     :func:`_graded_conjugators`, and the general shape by
     :func:`_covariant_reduction`; no shape runs an optimizer.  Every
-    candidate is scored by the explicit conjugation residual, and the
-    first (Q, lambda, residual) with residual <= ``tol`` times the largest
-    entry of ``s``, in shape and candidate order, is the hit; the residual
-    reported stays absolute.  With no hit the verdict is ``undecided``
-    when the general shape was asked for and could not reduce, or when a
-    candidate came within ``NEAR_MISS``, else ``none``.
+    candidate is scored by :func:`_local_conjugate`, and the first (Q,
+    lambda, residual) with residual <= ``tol`` times the largest entry of
+    ``s``, in shape and candidate order, is the hit; the residual reported
+    stays absolute.  Only a hit or near miss is built by :func:`apply_gauge`,
+    and dropped if its gates reject it.  With no hit the verdict is
+    ``undecided`` when the general shape was asked for and could not
+    reduce, or when a candidate came within ``NEAR_MISS``, else ``none``.
     """
     if r.signature != s.signature:
         raise ValueError("witness search needs matching signatures")
@@ -534,14 +539,19 @@ def _search_conjugator(
             raise ValueError(f"unknown conjugator shape: {shape!r}")
 
     def conjugation_residual(q: np.ndarray):
-        try:
-            image = apply_gauge(r, GaugeOp.local_conj(q)).matrix
-        except ValueError:  # Q or its image is singular or not finite
+        try:  # gated: Q by its inverse, and the image of a hit or near miss by apply_gauge
+            image = _local_conjugate(r.matrix, q, linalg.inverse(q), r.signature.m)
+            if not np.isfinite(image).all():
+                return None, None
+            lam = _scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
+            if abs(lam) < 1e-150:  # GaugeOp.scalar needs lambda != 0
+                return None, None
+            residual = float(linalg.max_abs(lam * image - s.matrix))
+            if residual <= max(tol, NEAR_MISS) * scale:
+                apply_gauge(r, GaugeOp.local_conj(q))
+        except ValueError:
             return None, None
-        lam = _scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
-        if abs(lam) < 1e-150:  # GaugeOp.scalar needs lambda != 0
-            return None, None
-        return float(linalg.max_abs(lam * image - s.matrix)), lam
+        return residual, lam
 
     scale = linalg.max_abs(s.matrix)
     covariant, undecided, scored, closest = None, False, 0, np.inf

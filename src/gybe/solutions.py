@@ -300,11 +300,16 @@ def xshape_solution() -> RMatrix:
     return RMatrix(GybeSignature(2, 3, 2), INV_SQRT2 * m, "xshape")
 
 
+def _family_block(family: int, alpha: complex, beta: complex) -> BlockSolution:
+    """The blocks of member R(alpha, beta) of a valid family, with alpha and beta checked."""
+    omega, gamma, delta = FAMILY_PARAMS[family]
+    return BlockSolution.from_params(omega, gamma, delta, alpha, beta)
+
+
 def general_solution(family: int, alpha: complex, beta: complex) -> RMatrix:
     """The family member R(alpha, beta) for unit-circle alpha and beta."""
     params = GeneralParams(family, complex(alpha), complex(beta))
-    omega, gamma, delta = FAMILY_PARAMS[params.family]
-    block = BlockSolution.from_params(omega, gamma, delta, params.alpha, params.beta)
+    block = _family_block(params.family, params.alpha, params.beta)
     label = (
         f"family{family}:alpha={params.alpha.real:.12g},{params.alpha.imag:.12g}"
         f":beta={params.beta.real:.12g},{params.beta.imag:.12g}"
@@ -315,16 +320,15 @@ def general_solution(family: int, alpha: complex, beta: complex) -> RMatrix:
 def family_solution(family: int, theta: float) -> RMatrix:
     """The one-angle family member R(theta) = R(1, e^{i theta}), theta in [0, pi]."""
     params = FamilyParams(family, float(theta))
-    r = general_solution(family, 1.0 + 0j, np.exp(1j * params.theta))
-    return RMatrix(r.signature, r.matrix, f"family{family}:theta={params.theta:.12g}")
+    block = _family_block(params.family, 1.0 + 0j, complex(np.exp(1j * params.theta)))
+    return block.to_rmatrix(f"family{family}:theta={params.theta:.12g}")
 
 
 def base_solution(k: int) -> BlockSolution:
     """The reduced solution of family k, i.e. alpha = beta = 1."""
     if k not in FAMILY_PARAMS:
         raise ValueError(f"base solution index must be 1, 2, or 3, got {k}")
-    omega, gamma, delta = FAMILY_PARAMS[k]
-    return BlockSolution.from_params(omega, gamma, delta)
+    return _family_block(k, 1.0 + 0j, 1.0 + 0j)
 
 
 def conjugate_solution(r: RMatrix) -> RMatrix:

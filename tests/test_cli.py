@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import ast
+import functools
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from random_unitary import random_unitary
 
-from gybe import linalg
+from gybe import cli, linalg
 from gybe.braiding import StateVector, apply_to_state, build_rep, evaluate_word, parse_braid_word
 from gybe.cli import build_parser, main
 from gybe.equivalence import WITNESS_TOL
@@ -732,3 +733,58 @@ def test_cli_never_raises_on_bad_flags(capsys):
     assert main(["verify", "--tol", "not-a-float"]) == 2
     assert main([]) == 2
     assert main(["family", "--family", "7", "--theta", "0"]) == 2
+
+
+# --- one parser per process --------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch) -> list:
+    """An empty parser holder for this test, and the list of parsers
+    ``build_parser`` returns from here on."""
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    return built
+
+
+def test_main_builds_its_parser_once(fresh_parser, capsys):
+    for argv in (["registry"], ["verify", "--solution", "rowell"], ["registry", "--bogus"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(fresh_parser) == 1
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(fresh_parser, tmp_path, capsys):
+    from gybe.search import rowell_pattern
+
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(rowell_pattern().to_text())
+    search = ("search", "--pattern", str(pattern), "--signature", "2,3,1", "--restarts", "1")
+    code, out, err = run_cli(capsys, *search, "--seed", "0", "--seed", "1")
+    assert code == 2 and "given more than once" in err
+    code, out, err = run_cli(capsys, *search, "--seed", "1")
+    assert code == 0 and err == ""
+    # A signature assumed for one call's --matrix is not reported by the next.
+    code, _, err = run_cli(capsys, "verify", "--matrix", _write_rowell(tmp_path), "--json")
+    assert code == 0 and "assumed" in err
+    code, out, err = run_cli(capsys, "verify", "--solution", "rowell", "--json")
+    assert code == 0 and err == ""
+    assert "signature" not in json.loads(out)
+    assert len(fresh_parser) == 1
+
+
+@pytest.mark.parametrize(
+    "command", [[], ["verify"], ["family"], ["classify"], ["equiv"], ["braid"], ["search"], ["registry"]]
+)
+def test_help_is_the_same_on_every_call(command, fresh_parser, capsys):
+    texts = []
+    for _ in range(2):
+        assert main([*command, "--help"]) == 0
+        texts.append(capsys.readouterr().out)
+    fresh = build_parser()  # the module's own, not the counted one
+    with pytest.raises(SystemExit):
+        fresh.parse_args([*command, "--help"])
+    assert texts[0] == texts[1] == capsys.readouterr().out
+    if not command:
+        assert texts[0] == fresh.format_help()

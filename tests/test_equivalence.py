@@ -697,6 +697,43 @@ def test_the_witness_tolerance_scales_with_the_target():
     assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL * linalg.max_abs(s.matrix)
 
 
+def _rmatrix_labels(monkeypatch) -> list:
+    """Record the label of every ``RMatrix`` built from here on."""
+    labels, post_init = [], RMatrix.__post_init__
+
+    def spy(self):
+        labels.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(RMatrix, "__post_init__", spy)
+    return labels
+
+
+def test_scored_candidates_build_no_rmatrix(monkeypatch):
+    # Different beta/alpha: no witness.  Each prefix's general shape lifts r
+    # and s by their covariant bases, and the inverse prefix builds R^-1;
+    # the candidates scored are conjugated without an RMatrix of their own.
+    r = general_solution(1, 1, 1j)
+    s = general_solution(1, 1, np.exp(0.7j))
+    labels = _rmatrix_labels(monkeypatch)
+    decision = decide_equivalence(r, s)
+    assert decision.verdict == "none" and decision.candidates >= 4
+    assert all(p.covariant is not None for p in decision.prefixes)
+    inverse = f"inverse({r.label})"
+    lifts = [f"local_conj({r.label})", f"local_conj({s.label})"]
+    assert labels == lifts + [inverse, f"local_conj({inverse})", f"local_conj({s.label})"]
+
+
+def test_a_planted_hit_builds_one_rmatrix_for_its_candidate(monkeypatch):
+    r = general_solution(1, 1, 1j)
+    q = np.array([[1, 0], [0, 0.9 * np.exp(0.4j)]])
+    s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(1.1j)))
+    labels = _rmatrix_labels(monkeypatch)
+    decision = decide_equivalence(r, s)
+    assert decision.verdict == "witness" and decision.candidates == 1
+    assert labels == [f"local_conj({r.label})"]
+
+
 def test_scalar_fit_is_one_when_the_source_vanishes():
     b = np.arange(4, dtype=complex).reshape(2, 2)
     assert equivalence._scalar_fit(np.zeros((2, 2), dtype=complex), b) == 1

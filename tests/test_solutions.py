@@ -221,6 +221,17 @@ def test_general_solution_reduces_to_base_and_theta_forms():
     ) <= 1e-15
 
 
+def test_a_family_member_is_inverted_once(monkeypatch):
+    # The member's RMatrix is built once, with its theta label, so the gated
+    # inverse of its constructor runs once; the matrix is the general one's.
+    calls, inverse = [], linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda m: calls.append(m) or inverse(m))
+    r = resolve_solution("family1:theta=0.3")
+    assert len(calls) == 1
+    assert r.label == "family1:theta=0.3"
+    assert np.array_equal(r.matrix, general_solution(1, 1, np.exp(0.3j)).matrix)
+
+
 def test_general_solution_checks_and_validation():
     r = general_solution(2, 1j, 1j)
     assert check_gybe(r, 1e-12).passed

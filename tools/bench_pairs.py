@@ -19,6 +19,13 @@ end-to-end metric per side, the pairs the change won by the metric's
 direction in ``BENCHMARK.json``, and failed and attempted ops), and the raw
 ``runs``.  Quartiles are ``statistics.quantiles(..., n=4,
 method="inclusive")``.
+
+Each metric's summary also applies the two rules a change is judged by.
+``gain``: the change won at least nine tenths of the pairs (ties count for
+neither), and its median is better than the parent's by more than the
+parent's q3 - q1.  ``within_bound``: the change's median is worse than the
+parent's by no more than the metric's ``bound`` in ``BENCHMARK.json``, a
+fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -74,16 +81,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
 
 
-def _spread(values: list[float]) -> dict:
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(statistics.median(values), 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, statistics.median(values), q3
 
 
-def summarize(runs: list[dict], workload: str, seed: int, better: dict[str, str]) -> dict:
-    """Median, quartiles and pair wins of each end-to-end metric, per side."""
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = _quartiles(values)
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
+def summarize(
+    runs: list[dict], workload: str, seed: int, better: dict[str, str], bounds: dict[str, float]
+) -> dict:
+    """Median, quartiles, pair wins, ``gain`` and ``within_bound`` of each
+    end-to-end metric, per side."""
     mine = [r for r in runs if r["workload"] == workload and r["seed"] == seed]
     pairs = sorted({r["pair"] for r in mine})
     side = {(r["pair"], r["side"]): r["result"] for r in mine}
@@ -92,7 +106,13 @@ def summarize(runs: list[dict], workload: str, seed: int, better: dict[str, str]
         values = {s: [side[p, s]["metrics"][metric]["value"] for p in pairs] for s in ("parent", "change")}
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        summary[metric] = {s: _spread(v) for s, v in values.items()} | {"change_wins": wins}
+        q1, parent, q3 = _quartiles(values["parent"])
+        better_by = sign * (statistics.median(values["change"]) - parent)
+        summary[metric] = {s: _spread(v) for s, v in values.items()} | {
+            "change_wins": wins,
+            "gain": 10 * wins >= 9 * len(pairs) and better_by > q3 - q1,
+            "within_bound": -better_by <= bounds[metric] * abs(parent),
+        }
     for key, field in (("ops_failed", "failed"), ("ops_attempted", "attempted")):
         summary[key] = {s: sum(side[p, s][field] for p in pairs) for s in ("parent", "change")}
     return summary
@@ -122,6 +142,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in config["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in config["end_to_end"]}
     seconds = config["run_seconds"]
     runs, environment = [], None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -153,7 +174,7 @@ def main(argv=None) -> int:
         "command": COMMAND.format(seconds=seconds),
         "method": METHOD,
         "environment": environment,
-        "summary": [summarize(runs, w, s, better) for w, s, _ in args.runs],
+        "summary": [summarize(runs, w, s, better, bounds) for w, s, _ in args.runs],
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
