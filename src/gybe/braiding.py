@@ -13,8 +13,10 @@ Word convention: a braid word is evaluated left to right into a matrix
 product, rho(w1 w2 ... wk) = rho(w1) rho(w2) ... rho(wk).  Applied to a
 state this means the last letter of the word acts first, the usual
 matrix-times-column convention.  Each letter acts by one contraction of R
-(or its inverse) into the factors it touches: a word's matrix is the word
-applied to the identity's columns, a generator a one-letter word.
+(or its inverse) into the factors it touches.  A word's matrix is the word
+applied to the identity's columns on the window of qudits its letters
+touch, padded with identities to the full side once; a generator is a
+one-letter word.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     far_commutativity_indices,
     far_commutativity_residual,
     gybe_residual,
+    pad_identity,
 )
 
 STATE_NORM_TOL = 1e-10
@@ -134,16 +137,15 @@ class BraidRep:
 
     def _letter(self, i: int) -> tuple[np.ndarray, int]:
         """Local matrix of sigma_i (of its inverse for negative i) and the
-        identity size to its left."""
+        first qudit it acts on; it covers m qudits from there."""
         if i == 0 or not 1 <= abs(i) <= self.n - 1:
             raise ValueError(f"generator index {i} out of range for {self.n} strands")
-        sig = self.r.signature
         local = self.r.matrix if i > 0 else self.inverse
-        return local, sig.d ** (sig.l * (abs(i) - 1))
+        return local, self.r.signature.l * (abs(i) - 1)
 
     def generator(self, i: int) -> np.ndarray:
         """Dense matrix of sigma_i for positive i, of its inverse for negative i."""
-        return _act(self, (i,), linalg.identity(self.dim))
+        return _word_matrix(self, (i,))
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
@@ -183,21 +185,46 @@ def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
 
 def _act(rep: BraidRep, letters: tuple[int, ...], columns: np.ndarray) -> np.ndarray:
     """rho(letters) @ columns, one local contraction per letter, last letter first."""
+    d = rep.r.signature.d
     for letter in reversed(letters):
-        local, left = rep._letter(letter)
-        columns = apply_local(local, columns, left)
+        local, start = rep._letter(letter)
+        columns = apply_local(local, columns, d**start)
     return columns
+
+
+def _word_matrix(rep: BraidRep, letters: tuple[int, ...]) -> np.ndarray:
+    """rho(letters), with rho(suffix) kept on the qudit window [lo, hi) the
+    letters applied so far touch.
+
+    A letter that widens the window pads the block with identities before
+    it contracts; the block is padded to the full side once, at the end.
+    """
+    sig = rep.r.signature
+    # Empty at the first letter's start; the empty word pads I_1 to the full side.
+    lo = hi = rep._letter(letters[-1])[1] if letters else 0
+    block = linalg.identity(1)
+    for letter in reversed(letters):
+        local, start = rep._letter(letter)
+        if start < lo or start + sig.m > hi:
+            new_lo, new_hi = min(lo, start), max(hi, start + sig.m)
+            block = pad_identity(block, sig.d ** (lo - new_lo), sig.d ** (new_hi - hi))
+            lo, hi = new_lo, new_hi
+        block = apply_local(local, block, sig.d ** (start - lo))
+    qudits = sig.m + (rep.n - 2) * sig.l
+    return pad_identity(block, sig.d**lo, sig.d ** (qudits - hi))
 
 
 def evaluate_word(rep: BraidRep, w: BraidWord) -> np.ndarray:
     """The matrix of a braid word: the ordered product of generator images.
 
     The word acts on the identity's columns without forming any generator,
-    O(dim^2 d^m) per letter.
+    and only on the window of qudits its letters touch: O(s^2 d^m) per
+    letter, with s the side of the window so far, plus one O(dim^2) padding
+    to the full side.
     """
     if w.n != rep.n:
         raise ValueError(f"word is on {w.n} strands but the representation has {rep.n}")
-    return _act(rep, w.letters, linalg.identity(rep.dim))
+    return _word_matrix(rep, w.letters)
 
 
 def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:

@@ -7,17 +7,20 @@ search), ``braid`` (braid-word evaluation), ``search`` (zero-pattern
 solution search), and ``registry`` (named solutions).
 
 Exit codes: 0 success or check passed, 1 check failed or no witness found,
-2 usage or input error.  ``--json`` switches from the human-readable
+2 usage or input error, 141 (128 + SIGPIPE) when the reader closed stdout
+early, as ``| head`` does.  ``--json`` switches from the human-readable
 default to machine-readable JSON on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -38,6 +41,9 @@ from .solutions import (
     resolve_solution,
     split_blocks,
 )
+
+# The exit code a shell reports for a writer its reader left: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 def _json(data) -> str:
@@ -449,7 +455,17 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be a finite non-negative number, got {tol}")
         if "matrix" in vars(args) and args.signature and not args.matrix:
             raise ValueError("--signature applies to --matrix input only")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # Not an input error: the reader has all it wanted.  Whatever is
+        # still buffered goes to devnull, so the final flush at exit is silent.
+        with contextlib.suppress(OSError, ValueError):  # stdout without a descriptor
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Exception as exc:  # malformed input must not crash the process
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -217,6 +217,23 @@ def apply_local(m: np.ndarray, columns: np.ndarray, left: int) -> np.ndarray:
     return np.matmul(m, split).reshape(columns.shape)
 
 
+def pad_identity(m: np.ndarray, left: int, right: int) -> np.ndarray:
+    """I_left ⊗ m ⊗ I_right for a square m, with m copied into zeros; m
+    itself when there is nothing to pad.
+
+    Nothing is multiplied, so every entry off the copies of m is +0.0
+    (a product with an identity's zeros can give -0.0).
+    """
+    if left == right == 1:
+        return m
+    side = m.shape[0]
+    out = np.zeros((left, side, right, left, side, right), dtype=m.dtype)
+    a, b = np.arange(left)[:, None], np.arange(right)
+    out[a, :, b, a, :, b] = m
+    n = left * side * right
+    return out.reshape(n, n)
+
+
 def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:
     """The i-th generator's image I^(l(i-1)) ⊗ R ⊗ I^(l(n-i-1)) on n strands."""
     dim = braid_dimension(r.signature, n)

@@ -10,7 +10,9 @@ max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is num
 Matrix output formats each distinct entry once: :func:`format_entries`
 groups entries by their 16-byte bit pattern, sorted as two uint64 words
 (so ``-0.0`` stays apart from ``0.0``), and gathers the texts back, so the
-cost follows the distinct values, not the side.  :func:`matrix_to_json`
+cost follows the distinct values, not the side.  Entries that are exactly
++0.0+0.0j are not sorted at all: they share one text, so a sparse matrix
+costs what its nonzero entries do.  :func:`matrix_to_json`
 writes strict JSON with it, byte for byte ``json.dumps(matrix_to_json_dict(m),
 allow_nan=False)``, and rejects non-finite entries.
 
@@ -252,21 +254,29 @@ def format_entries(m: np.ndarray, fmt: Callable[[complex], str]) -> np.ndarray:
     and ``0.0`` (and NaN payloads) apart.  The patterns are the two uint64
     words of each entry, sorted by ``np.lexsort`` and split where a word
     changes, which is several times faster than ``np.unique`` on 16-byte
-    void keys.
+    void keys.  Entries whose two words are both zero (+0.0+0.0j, most of
+    a braid word's matrix) skip the sort and share one text.
     """
     a = np.ascontiguousarray(m, dtype=np.complex128)
     flat = a.reshape(-1)
     bits = flat.view(np.uint64)
-    # Contiguous copies of the two words sort faster than strided views.
-    real, imag = bits[0::2].copy(), bits[1::2].copy()
+    real, imag = bits[0::2], bits[1::2]
+    zero = (real | imag) == 0
+    live = np.flatnonzero(~zero)
+    # The gathers are contiguous copies, which sort faster than strided views.
+    real, imag = real[live], imag[live]
     order = np.lexsort((imag, real))
     real, imag = real[order], imag[order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])
     index = np.empty(order.size, dtype=np.intp)
     index[order] = np.cumsum(starts) - 1
-    texts = np.array([fmt(z) for z in flat[order[starts]].tolist()], dtype=object)
-    return texts[index].reshape(a.shape)
+    texts = np.array([fmt(z) for z in flat[live[order[starts]]].tolist()], dtype=object)
+    out = np.empty(flat.size, dtype=object)
+    if zero.any():
+        out[zero] = fmt(0j)
+    out[live] = texts[index]
+    return out.reshape(a.shape)
 
 
 def _json_pair(z: complex) -> str:

@@ -1,6 +1,7 @@
 """Tests for the summary statistics of tools/bench_pairs.py, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -123,3 +124,33 @@ def test_a_repeated_workload_and_seed_is_rejected(capsys):
     assert "equiv:804" in capsys.readouterr().err
     args = bench_pairs.parse_args(["--out", "x.json", "--change", "c", "--runs", "equiv:804:3", "--runs", "equiv:805:2"])
     assert args.runs == [("equiv", 804, 3), ("equiv", 805, 2)]
+
+
+def test_each_spec_warms_up_both_sides_before_its_pairs(tmp_path, monkeypatch):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        metrics = {name: {"value": float(len(calls))} for name in ("ops_per_s", "peak_rss_mb", "setup_s")}
+        return {"environment": {"seed": seed, "python": "x"}}, {"metrics": metrics, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "extract_commit", lambda rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: dest.mkdir(parents=True))
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--change", "c", "--runs", "braid:804:2", "--runs", "equiv:805:1"]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [
+        ("parent", "braid", 804), ("change", "braid", 804),  # warm-up
+        ("parent", "braid", 804), ("change", "braid", 804),  # pair 0
+        ("change", "braid", 804), ("parent", "braid", 804),  # pair 1
+        ("parent", "equiv", 805), ("change", "equiv", 805),  # warm-up
+        ("parent", "equiv", 805), ("change", "equiv", 805),  # pair 0
+    ]
+    written = json.loads(out.read_text())
+    # Warm-ups are not recorded: the runs hold calls 3-6 and 9-10 only.
+    assert [r["result"]["metrics"]["ops_per_s"]["value"] for r in written["runs"]] == [3, 4, 5, 6, 9, 10]
+    assert [(r["pair"], r["side"]) for r in written["runs"][:4]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent")
+    ]
+    assert "warm-up" in written["method"] and written["environment"] == {"python": "x"}

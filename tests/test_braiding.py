@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from random_unitary import random_unitary
 
-from gybe import linalg
+from gybe import braiding, linalg
 from gybe.braiding import (
     BraidRep,
     BraidWord,
@@ -24,6 +24,7 @@ from gybe.core import (
     MAX_MATRIX_SIDE,
     GybeSignature,
     RMatrix,
+    apply_local,
     braid_dimension,
     braid_generator_matrix,
     check_gybe,
@@ -234,6 +235,74 @@ def test_word_evaluation_matches_dense_products(name, n, data):
     elif abs(norm - 1.0) > 1e-8:  # a non-unitary word leaves the unit sphere
         with pytest.raises(ValueError, match="norm"):
             apply_to_state(rep, word, s)
+
+
+# (d, m, l) and the largest strand count drawn: windows that start past
+# qudit 0, letters wider than their shift, and d = 3, 4.
+WINDOW_LAYOUTS = (((2, 2, 1), 6), ((2, 3, 1), 5), ((2, 3, 2), 4), ((2, 4, 2), 4), ((3, 2, 1), 4), ((4, 2, 1), 4))
+
+
+def _hand_built_rep(sig, n, rng):
+    """A representation of a random invertible R with singular values in
+    [0.5, 2], assembled directly: R solves nothing, only the layout is tested."""
+    side = sig.matrix_size
+    values = rng.uniform(0.5, 2.0, side)
+    matrix = random_unitary(side, rng) * values @ random_unitary(side, rng)
+    r = RMatrix(sig, matrix, "random")
+    return BraidRep(r, n, braid_dimension(sig, n), r.inverse)
+
+
+def _window_support(sig, n, letters):
+    """Where I^(lo) ⊗ block ⊗ I^(rest) may be nonzero, for the qudit window
+    [lo, hi) the letters touch (the diagonal for the empty word)."""
+    starts = [sig.l * (abs(v) - 1) for v in letters]
+    lo, hi = (min(starts), max(starts) + sig.m) if letters else (0, 0)
+    qudits = sig.m + (n - 2) * sig.l
+    eye = lambda k: np.eye(sig.d**k, dtype=bool)  # noqa: E731
+    return np.kron(np.kron(eye(lo), np.ones((sig.d ** (hi - lo),) * 2, dtype=bool)), eye(qudits - hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout=st.sampled_from(WINDOW_LAYOUTS), data=st.data())
+def test_windowed_word_evaluation_matches_dense_products(layout, data):
+    (d, m, l), top = layout
+    sig = GybeSignature(d, m, l)
+    n = data.draw(st.integers(2, top))
+    rep = _hand_built_rep(sig, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    letters = data.draw(
+        st.lists(st.integers(1, n - 1).flatmap(lambda v: st.sampled_from((v, -v))), max_size=6)
+    )
+    got = evaluate_word(rep, BraidWord(n, tuple(letters)))
+    want = reference_word_matrix(rep.r, n, letters)
+    # Only rounding may differ: BLAS blocks a d = 3 contraction by its width.
+    assert linalg.max_abs_diff(got, want) <= 1e-12 * max(1.0, linalg.max_abs(want))
+    outside = got.view(np.float64).reshape(rep.dim, rep.dim, 2)[~_window_support(sig, n, letters)]
+    assert not outside.view(np.uint64).any()  # +0.0, never -0.0
+
+
+def _contraction_sides(monkeypatch):
+    """The row count of every block braiding contracts, recorded by a spy."""
+    sides = []
+
+    def spy(m, columns, left):
+        sides.append(columns.shape[0])
+        return apply_local(m, columns, left)
+
+    monkeypatch.setattr(braiding, "apply_local", spy)
+    return sides
+
+
+def test_word_evaluation_contracts_only_its_window(monkeypatch):
+    rep = build_rep(rowell_solution(), 8)  # (2, 3, 1): 512 on 8 strands
+    sides = _contraction_sides(monkeypatch)
+    # sigma_3 covers qudits 2..4, sigma_4 qudits 3..5: a 16-side window.
+    letters = (3, 4, -3, 4, 3)
+    got = evaluate_word(rep, BraidWord(8, letters))
+    assert linalg.max_abs_diff(got, reference_word_matrix(rep.r, 8, letters)) <= 1e-13
+    assert len(sides) == len(letters) and max(sides) == 16
+    sides.clear()
+    assert np.array_equal(rep.generator(5), kron_generator(rep.r.signature, rep.r.matrix, 8, 5))
+    assert sides == [8]  # one contraction of R against I_8, none at side 512
 
 
 def _layout_cases():

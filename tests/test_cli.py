@@ -696,6 +696,27 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 0 and done.stdout.startswith("witness [inverse, local_conj, scalar]")
 
 
+def test_a_reader_closing_stdout_early_is_not_an_input_error():
+    # As in `gybe braid ... --json | head -c 100`: the 512-side matrix is
+    # megabytes of JSON, far more than a pipe holds, so the write fails.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["braid", "--solution", "rowell", "--word", "n=8: 1,2,3,4", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gybe", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head.startswith(b'{"rows": 512, "cols": 512, "entries": [[')
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""  # no "error:" line, and no complaint from the final flush
+
+
 def test_search_requires_pattern_and_signature(capsys):
     code, _, err = run_cli(capsys, "search", "--signature", "2,3,1")
     assert code == 2

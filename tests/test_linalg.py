@@ -398,6 +398,42 @@ def test_format_entries_formats_each_bit_pattern_once():
     assert len(calls) == 3  # 0.0 and -0.0 are told apart by their bits
 
 
+# Both signed zeros in either part, so that +0.0+0.0j (which skips the
+# sort) sits beside the three other zero patterns and nonzero entries.
+SIGNED_ZERO_ENTRIES = st.builds(complex, *[st.sampled_from([0.0, -0.0, 0.5, -5e-324])] * 2)
+
+
+@st.composite
+def signed_zero_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("mixed", "no +0.0", "+0.0 only", "-0.0 only")))
+    if kind == "+0.0 only":
+        return np.zeros((rows, cols), dtype=np.complex128)
+    if kind == "-0.0 only":
+        return np.full((rows, cols), complex(-0.0, -0.0))
+    entries = draw(st.lists(SIGNED_ZERO_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    m = np.array(entries, dtype=np.complex128).reshape(rows, cols)
+    if kind == "no +0.0":
+        m[(m.view(np.uint64).reshape(rows, cols, 2) == 0).all(axis=-1)] = complex(0.0, -0.0)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=signed_zero_matrices())
+def test_format_entries_keeps_every_zero_pattern_apart(m):
+    assert linalg.matrix_to_json(m) == _dumps_reference(m)
+    calls = []
+
+    def fmt(z):
+        calls.append(np.complex128(z).tobytes())
+        return repr(z)
+
+    texts = linalg.format_entries(m, fmt)
+    assert texts.tolist() == [[repr(complex(v)) for v in row] for row in m]
+    present = {v.tobytes() for v in m.reshape(-1)}
+    assert sorted(calls) == sorted(present)  # once per bit pattern present
+
+
 def test_matrix_to_json_rejects_non_finite_entries():
     for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
         with pytest.raises(ValueError, match="finite"):

@@ -6,11 +6,14 @@
 Each ``--runs WORKLOAD:SEED:PAIRS`` runs PAIRS alternating pairs of
 ``perfbench/run.py --workload WORKLOAD --seed SEED --seconds S --trace 0``,
 with S the ``run_seconds`` of ``BENCHMARK.json``; pair i runs the parent
-first when i is even.  The parent is the commit at HEAD: its side runs in a
-``git archive`` extraction of it, the change side in a copy of the
-working tree's tracked and untracked, not ignored, files; each sits in its
-own directory under a temporary one, so every run imports only its own
-``src``, and the repository gains no worktree or branch.
+first when i is even.  Before a spec's pairs each side runs once more, a
+warm-up that is not recorded: the first run after the host was idle is
+slow, and pair 0 would always charge it to the parent.  The parent is the
+commit at HEAD: its side runs in a ``git archive`` extraction of it, the
+change side in a copy of the working tree's tracked and untracked, not
+ignored, files; each sits in its own directory under a temporary one, so
+every run imports only its own ``src``, and the repository gains no
+worktree or branch.
 
 The output has the shape of the repository's BENCH files: ``change``,
 ``command``, ``method``, ``environment`` (of the first run, without its
@@ -46,7 +49,8 @@ PARENT = "HEAD"
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
 METHOD = (
     "alternating pairs of parent and change, each run in its own checkout on the same host; "
-    "pair i runs the parent first when i is even"
+    "pair i runs the parent first when i is even; before each workload and seed's pairs, "
+    "one unrecorded warm-up run of each side"
 )
 
 
@@ -150,6 +154,8 @@ def main(argv=None) -> int:
         extract_commit(PARENT, checkouts["parent"])
         copy_working_tree(checkouts["change"])
         for workload, seed, pairs in args.runs:
+            for side in ("parent", "change"):
+                run_once(checkouts[side], workload, seed, seconds)  # warm-up, not recorded
             for pair in range(pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
