@@ -269,7 +269,9 @@ def cmd_braid(args) -> int:
             print(f"max entry difference {diff:.3e}")
         return 0 if diff <= args.tol else 1
     if args.state is not None:
-        amps = linalg.matrix_from_json(_read_text(args.state)).reshape(-1)
+        amps = linalg.matrix_from_json(_read_text(args.state))
+        if amps.shape[1] != 1:
+            raise ValueError("--state must be a column vector, got a {}x{} matrix".format(*amps.shape))
         out = apply_to_state(rep, word, StateVector(amps))
         print(linalg.matrix_to_json(out.amplitudes.reshape(-1, 1)))
         return 0

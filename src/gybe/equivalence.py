@@ -13,7 +13,8 @@ action that also gives braid generators their images, and
 
 The witness search runs over 2x2 Q (so d = 2 only), scores each candidate
 by that conjugation and stops at the first within tolerance, taken
-relative to the largest entry of the target.  No shape runs an optimizer.
+relative to the largest entry of the target.  Each candidate Q is one
+:class:`GaugeOp`, whose constructor is its only inversion.  No shape runs an optimizer.
 The diagonal and antidiagonal shapes, which suffice for the
 block-structured families handled in :mod:`gybe.solutions`, are decided in
 closed form: conjugation by diag(1, z)^⊗m scales entry (i, j)
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -243,8 +245,11 @@ def _scalar_fit(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("i,i->", a.conj(), b) / denom)
 
 
-def _bit_weights(size: int) -> np.ndarray:
-    return np.array([bin(i).count("1") for i in range(size)])
+@functools.cache
+def _grading(size: int) -> np.ndarray:
+    """Read-only w(j) - w(i) at entry (i, j) of a side ``size`` matrix, w(i) the 1 bits of i."""
+    weight = np.array([bin(i).count("1") for i in range(size)])
+    return linalg.frozen(weight[None, :] - weight[:, None])
 
 
 def _support_cut(a: np.ndarray, tol: float) -> float:
@@ -258,26 +263,23 @@ def _support_cut(a: np.ndarray, tol: float) -> float:
     return max(tol, WITNESS_TOL) * linalg.max_abs(a)
 
 
-def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool, tol: float):
-    """The few diagonal or antidiagonal Q that can carry r onto s, in closed form.
+def _graded_conjugators(a: np.ndarray, b: np.ndarray, shape: str, *, with_scalar: bool, tol: float):
+    """The few diagonal or antidiagonal Q that can carry a onto b, in closed form.
 
     Conjugating by diag(1, z)^⊗m multiplies entry (i, j) by z^k with
-    k = w(j) - w(i), w(i) the number of 1 bits of i.  So a witness needs r
-    and s to share their support (entries above :func:`_support_cut`) and,
-    on it, s_ij / r_ij = lambda z^k.  Two exponents k1 < k2 fix
+    k = w(j) - w(i) (:func:`_grading`).  So a witness needs a and b to
+    share their support (entries above :func:`_support_cut`) and, on it,
+    b_ij / a_ij = lambda z^k.  Two exponents k1 < k2 fix
     z^(k2 - k1), whose roots are the only candidates; one exponent
     leaves z free, and z = 1 will do.  Without the scalar, lambda = 1 and
     the smallest nonzero |k| fixes z^k alone.  [[0, 1], [z, 0]] is
     X diag(z, 1), and X^⊗m flips every bit of an index, so the
-    antidiagonal shape is the diagonal one on the bit-flipped r, with k
+    antidiagonal shape is the diagonal one on the bit-flipped a, with k
     negated.  Every candidate still has to pass the caller's scorer.
     """
-    size = r.size
-    weight = _bit_weights(size)
-    exponent = weight[None, :] - weight[:, None]
-    a, b = r.matrix, s.matrix
+    exponent = _grading(len(a))
     if shape == "antidiagonal":
-        flip = np.arange(size) ^ (size - 1)
+        flip = np.arange(len(a)) ^ (len(a) - 1)
         a, exponent = a[np.ix_(flip, flip)], -exponent
     support = np.abs(a) > _support_cut(a, tol)
     if not np.array_equal(support, np.abs(b) > _support_cut(b, tol)):
@@ -307,23 +309,19 @@ def _graded_conjugators(r: RMatrix, s: RMatrix, shape: str, *, with_scalar: bool
         yield np.array(entries, dtype=np.complex128)
 
 
-def _jordan_conjugators(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: float):
-    """The one Q = I + bN, N = [[0, 1], [0, 0]], that can carry r onto s, in closed form.
+def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, with_scalar: bool, tol: float):
+    """The one Q = I + cN, N = [[0, 1], [0, 0]], that can carry a onto b, in closed form.
 
-    (I + bN)^⊗m = exp(b N_m) with N_m the sum of N over the sites, so the
-    conjugate of r is exp(-b ad N_m) r = r - b [N_m, r] + O(b^2).  N_m
+    (I + cN)^⊗m = exp(c N_m) with N_m the sum of N over the sites, so the
+    conjugate of a is exp(-c ad N_m) a = a - c [N_m, a] + O(c^2).  N_m
     lowers the level w(i) - w(j) of entry (i, j) by one.  The top level of
-    r is untouched, so it fixes lambda; at the highest level where
-    [N_m, r] is nonzero, every higher power of b cancels, and s / lambda
-    = r - b [N_m, r] there fixes b by a one-unknown fit.  When r commutes
-    with N_m, every b does, and b = 0 is returned.
+    a is untouched, so it fixes lambda; at the highest level where
+    [N_m, a] is nonzero, every higher power of c cancels, and b / lambda
+    = a - c [N_m, a] there fixes c by a one-unknown fit.  When a commutes
+    with N_m, every c does, and c = 0 is returned.
     """
-    size = r.size
-    weight = _bit_weights(size)
-    level = weight[:, None] - weight[None, :]
-    index = np.arange(size)
+    level, index = -_grading(len(a)), np.arange(len(a))
     n_sum = (((index[:, None] & index[None, :]) == index[:, None]) & (level == -1)).astype(np.complex128)
-    a, b = r.matrix, s.matrix
     noise = _support_cut(a, tol)
     top = level == level[np.abs(a) > noise].max()
     lam = _scalar_fit(a[top], b[top]) if with_scalar else 1.0
@@ -455,8 +453,8 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
     a scalar, ill-conditioned, or nilpotent when lambda is free), and
     (covariant, None) when that of s is near the threshold, or too close
     to a scalar on the scale of its own word, or its basis is
-    ill-conditioned, or a lift by a basis is too close to singular: both
-    undecided.
+    ill-conditioned: both undecided.  A basis has a unit column, so one
+    that passes :func:`_well_conditioned` passes its :class:`GaugeOp` gate.
     """
     m = r.signature.m
     growth = 1.0
@@ -491,12 +489,9 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
             basis_s[:, 0] /= (mean_s / mean_r if with_scalar else 1.0) * length
         if not _well_conditioned(basis_s):
             return covariant, None
-        try:  # the gated inverse rejects a lift too close to singular
-            reduced_r = apply_gauge(r, GaugeOp.local_conj(basis_r))
-            conj_s = GaugeOp.local_conj(basis_s)
-            reduced_s = apply_gauge(s, conj_s)
-        except ValueError:
-            return covariant, None
+        conj_r, conj_s = GaugeOp.local_conj(basis_r), GaugeOp.local_conj(basis_s)
+        reduced_r = _local_conjugate(r.matrix, conj_r.q, conj_r.q_inverse, m)
+        reduced_s = _local_conjugate(s.matrix, conj_s.q, conj_s.q_inverse, m)
         if kind == "distinct":
             reduced = itertools.chain.from_iterable(
                 _graded_conjugators(reduced_r, reduced_s, shape, with_scalar=with_scalar, tol=tol)
@@ -516,17 +511,18 @@ def _search_conjugator(
     with_scalar: bool,
     tol: float,
     prefix: str = "direct",
-) -> tuple[tuple[np.ndarray, complex, float] | None, PrefixDecision]:
+) -> tuple[tuple[GaugeOp, complex, float] | None, PrefixDecision]:
     """Shared engine behind the witness searches: (hit, decision).
 
     The diagonal and antidiagonal shapes are decided in closed form by
     :func:`_graded_conjugators`, and the general shape by
     :func:`_covariant_reduction`; no shape runs an optimizer.  Every
-    candidate is scored by :func:`_local_conjugate`, and the first (Q,
-    lambda, residual) with residual <= ``tol`` times the largest entry of
-    ``s``, in shape and candidate order, is the hit; the residual reported
-    stays absolute.  Only a hit or near miss is built by :func:`apply_gauge`,
-    and dropped if its gates reject it.  With no hit the verdict is
+    candidate Q is scored as one ``GaugeOp.local_conj(Q)`` by
+    :func:`_local_conjugate`, and the first (op, lambda, residual) with
+    residual <= ``tol`` times the largest entry of ``s``, in shape and
+    candidate order, is the hit; the residual reported stays absolute.
+    Only a hit or near miss is built by :func:`apply_gauge`, and dropped
+    if its gates reject it.  With no hit the verdict is
     ``undecided`` when the general shape was asked for and could not
     reduce, or when a candidate came within ``NEAR_MISS``, else ``none``.
     """
@@ -539,19 +535,20 @@ def _search_conjugator(
             raise ValueError(f"unknown conjugator shape: {shape!r}")
 
     def conjugation_residual(q: np.ndarray):
-        try:  # gated: Q by its inverse, and the image of a hit or near miss by apply_gauge
-            image = _local_conjugate(r.matrix, q, linalg.inverse(q), r.signature.m)
+        try:  # gated: Q by its GaugeOp, and the image of a hit or near miss by apply_gauge
+            op = GaugeOp.local_conj(q)
+            image = _local_conjugate(r.matrix, op.q, op.q_inverse, r.signature.m)
             if not np.isfinite(image).all():
-                return None, None
+                return None, None, None
             lam = _scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
             if abs(lam) < 1e-150:  # GaugeOp.scalar needs lambda != 0
-                return None, None
+                return None, None, None
             residual = float(linalg.max_abs(lam * image - s.matrix))
             if residual <= max(tol, NEAR_MISS) * scale:
-                apply_gauge(r, GaugeOp.local_conj(q))
+                apply_gauge(r, op)
         except ValueError:
-            return None, None
-        return residual, lam
+            return None, None, None
+        return op, residual, lam
 
     scale = linalg.max_abs(s.matrix)
     covariant, undecided, scored, closest = None, False, 0, np.inf
@@ -562,12 +559,12 @@ def _search_conjugator(
                 undecided = True
                 continue
         else:
-            candidates = _graded_conjugators(r, s, shape, with_scalar=with_scalar, tol=tol)
+            candidates = _graded_conjugators(r.matrix, s.matrix, shape, with_scalar=with_scalar, tol=tol)
         for q in candidates:
             scored += 1
-            residual, lam = conjugation_residual(q)
+            op, residual, lam = conjugation_residual(q)
             if residual is not None and residual <= tol * scale:
-                return (q, lam, residual), PrefixDecision(prefix, "witness", covariant, scored)
+                return (op, lam, residual), PrefixDecision(prefix, "witness", covariant, scored)
             if residual is not None:
                 closest = min(closest, residual)
     near_miss = closest <= NEAR_MISS * scale
@@ -591,7 +588,7 @@ def search_local_conjugation(
     hit, _ = _search_conjugator(r, s, shapes, with_scalar=False, tol=tol)
     if hit is None:
         return None
-    return hit[0], hit[2]
+    return hit[0].q, hit[2]
 
 
 def decide_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> EquivalenceDecision:
@@ -610,8 +607,8 @@ def decide_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> E
         hit, decision = _search_conjugator(src, s, SHAPES, with_scalar=True, tol=tol, prefix=name)
         decisions.append(decision)
         if hit is not None:
-            q, lam, residual = hit
-            ops += (GaugeOp.local_conj(q), GaugeOp.scalar(lam))
+            op, lam, residual = hit
+            ops += (op, GaugeOp.scalar(lam))
             witness = EquivalenceWitness(ops, r.label, s.label, residual)
             return EquivalenceDecision(witness, "witness", tuple(decisions))
     undecided = any(d.verdict == "undecided" for d in decisions)

@@ -457,6 +457,18 @@ def test_braid_state_application(tmp_path, capsys):
     assert amps[4] == pytest.approx(-1j / np.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (1, 16)])
+def test_braid_state_must_be_one_column(shape, tmp_path, capsys):
+    # 16 amplitudes, as many as n = 3 needs, but not laid out as a column.
+    state = np.zeros(shape)
+    state[0, 0] = 1.0
+    path = tmp_path / "state.json"
+    path.write_text(linalg.matrix_to_json(state))
+    code, out, err = run_cli(capsys, "braid", "--solution", "rowell", "--word", "n=3: 1", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert f"got a {shape[0]}x{shape[1]} matrix" in err
+
+
 @pytest.mark.parametrize("solution", ["rowell", "family2:theta=0.7"])
 def test_matrix_outputs_keep_the_dict_and_per_entry_bytes(solution, tmp_path, capsys):
     """Each bare-matrix output matches json.dumps of matrix_to_json_dict, or

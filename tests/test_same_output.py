@@ -1,0 +1,68 @@
+"""Tests for tools/same_output.py, with the checkouts and the side runner stubbed."""
+
+import importlib.util
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("same_output", _ROOT / "tools" / "same_output.py")
+same_output = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_output)
+
+
+def _stub(monkeypatch, argvs, outputs):
+    """Run ``main`` on ``argvs`` with each side's outputs taken from ``outputs``."""
+    sides = []
+
+    def run_side(checkout, workdir, ops):
+        sides.append(checkout.name)
+        assert ops == argvs
+        return outputs[checkout.name]
+
+    monkeypatch.setattr(same_output, "ops", lambda workdir: argvs)
+    monkeypatch.setattr(same_output, "extract_commit", lambda rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(same_output, "copy_working_tree", lambda dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(same_output, "run_side", run_side)
+    return sides
+
+
+ARGVS = [["equiv", "--solution", "a", "--solution", "b"], ["braid", "--word", "n=3: 1"], ["registry"]]
+
+
+def test_equal_outputs_pass(monkeypatch, capsys):
+    outputs = [[0, "x\n"], [1, "none\n"], [0, ""]]
+    sides = _stub(monkeypatch, ARGVS, {"parent": outputs, "change": [list(o) for o in outputs]})
+    assert same_output.main([]) == 0
+    assert sides == ["parent", "change"]
+    assert capsys.readouterr().out == "3 ops compared\nno op differs\n"
+
+
+def test_the_first_differing_op_is_named(monkeypatch, capsys):
+    # Op 1 differs in its exit code and op 2 in its stdout: op 1 is reported.
+    parent = [[0, "x\n"], [1, "none\n"], [0, "a"]]
+    change = [[0, "x\n"], [2, "none\n"], [0, "b"]]
+    _stub(monkeypatch, ARGVS, {"parent": parent, "change": change})
+    assert same_output.main([]) == 1
+    assert capsys.readouterr().out == "3 ops compared\nfirst op that differs: gybe braid --word 'n=3: 1'\n"
+    assert same_output.first_difference(parent[:1] + parent[2:], change[:1] + change[2:]) == 1
+
+
+def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
+    argvs = same_output.ops(tmp_path)
+    # Three equiv pools of 112 ops, twice; two braid pools of 120; two
+    # verify pools of 192; four searches.
+    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 2 * 192 + 4
+    equiv = [a for a in argvs if a[0] == "equiv"]
+    assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]
+    # Every input file an op names exists, in its own pool's directory.
+    for argv in argvs:
+        for flag in ("--state", "--matrix", "--pattern"):
+            if flag in argv:
+                assert (tmp_path / argv[argv.index(flag) + 1]).is_file(), argv
+    assert [a[-1] for a in argvs if a[0] == "search"] == ["0", "1", "2", "3"]
+
+
+def test_a_side_runs_the_argv_in_the_given_checkout(tmp_path):
+    argvs = [["registry", "--json"], ["verify", "--solution", "no-such-solution"]]
+    (code, out), (bad, nothing) = same_output.run_side(_ROOT, tmp_path, argvs)
+    assert code == 0 and '"rowell"' in out
+    assert bad == 2 and nothing == ""

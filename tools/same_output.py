@@ -1,0 +1,133 @@
+"""Stdout and exit code of the CLI on fixed inputs, at HEAD and in the working tree, compared.
+
+    python3 tools/same_output.py
+
+The ops are every op of the benchmark's equiv pools at seeds 801, 804 and
+806, each run as generated and again with ``--stats``; every op of the
+braid pools at 801 and 804 and of the verify pools at 801 and 802; and
+``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
+seeds 0-3.  The pools and their input files come from
+``perfbench/workloads.py``, which is only read; each pool's files sit in a
+directory of their own, because pools of one workload reuse file names.
+
+Each side runs every op in order, in-process through ``gybe.cli.main``, in
+a subprocess of its own that imports ``gybe`` from that side's ``src`` and
+runs in the directory that holds the inputs, so both sides see the same
+argv.  As in ``tools/bench_pairs.py``, HEAD is a ``git archive``
+extraction and the working tree a copy of its tracked and untracked, not
+ignored, files, each under a temporary directory.
+
+Prints the number of ops compared, and the argv of the first op whose exit
+code or stdout differs; exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
+
+import checker  # noqa: E402
+import workloads  # noqa: E402
+from bench_pairs import PARENT, copy_working_tree, extract_commit  # noqa: E402
+
+POOLS = (
+    ("equiv", 801), ("equiv", 804), ("equiv", 806),
+    ("braid", 801), ("braid", 804),
+    ("verify", 801), ("verify", 802),
+)
+SEARCH_SEEDS = range(4)
+PATTERN = "rowell.txt"
+
+
+def ops(workdir: Path) -> list[list[str]]:
+    """The argv of every op, in order, with the files they read written under ``workdir``."""
+    argvs = []
+    for workload, seed in POOLS:
+        inputs = workloads.generate(workload, seed)
+        pool = Path(f"{workload}-{seed}")
+        (workdir / pool).mkdir()
+        for name, text in inputs.files.items():
+            (workdir / pool / name).write_text(text, encoding="utf-8")
+        runner = workloads.Runner(None, pool)
+        for op in inputs.ops:
+            argv = runner.prepare(op)
+            argvs.append(argv)
+            if workload == "equiv":
+                argvs.append(argv + ["--stats"])
+    grid = "\n".join("".join("1" if v else "0" for v in row) for row in checker.rowell_mask())
+    (workdir / PATTERN).write_text(grid + "\n", encoding="utf-8")
+    search = ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--json", "--stats"]
+    argvs += [search + ["--seed", str(seed)] for seed in SEARCH_SEEDS]
+    return argvs
+
+
+def run_side(checkout: Path, workdir: Path, argvs: list[list[str]]) -> list[list]:
+    """[exit code, stdout] of each op, run by the ``gybe`` in ``checkout``."""
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--side", str(checkout / "src")],
+        cwd=workdir,
+        input=json.dumps(argvs),
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def _side(src: Path) -> None:
+    """Run the argv list read from stdin and write [code, stdout] per op to stdout."""
+    sys.path.insert(0, str(src))
+    from gybe import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"gybe was imported from {cli.__file__}, not from {src}")
+    results = []
+    for argv in json.load(sys.stdin):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        results.append([code, out.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def first_difference(parent: list[list], change: list[list]) -> int | None:
+    """Index of the first op whose exit code or stdout differs, or None."""
+    return next((i for i, (p, c) in enumerate(zip(parent, change, strict=True)) if p != c), None)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.side is not None:
+        _side(args.side)
+        return 0
+    with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
+        tmp = Path(tmp)
+        workdir = tmp / "inputs"
+        workdir.mkdir()
+        argvs = ops(workdir)
+        extract_commit(PARENT, tmp / "parent")
+        copy_working_tree(tmp / "change")
+        parent, change = (run_side(tmp / side, workdir, argvs) for side in ("parent", "change"))
+    print(f"{len(argvs)} ops compared")
+    diff = first_difference(parent, change)
+    if diff is None:
+        print("no op differs")
+        return 0
+    print(f"first op that differs: gybe {shlex.join(argvs[diff])}")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
