@@ -104,12 +104,16 @@ def parse_braid_word(text: str) -> BraidWord:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A unit-norm vector of amplitudes."""
+    """A unit-norm vector of amplitudes, given as a vector or as one column."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = linalg.frozen(np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1))
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.ndim == 0 or amps.shape[1:] not in ((), (1,)):
+            got = "a {}x{} matrix".format(*amps.shape) if amps.ndim == 2 else f"shape {amps.shape}"
+            raise ValueError(f"a state must be a vector or one column, got {got}")
+        amps = linalg.frozen(amps.reshape(-1))
         if not np.all(np.isfinite(amps)):
             raise ValueError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amps))

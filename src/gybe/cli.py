@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the library surface: ``verify`` (equation
 check), ``family`` (construct family members), ``classify`` (parameter
 category of a block solution), ``equiv`` (gauge-equivalence witness
 search), ``braid`` (braid-word evaluation), ``search`` (zero-pattern
-solution search), and ``registry`` (named solutions).
+solution search), and ``registry`` (named solutions).  Each makes one
+library call and prints; argparse checks required and once-only inputs.
 
 Exit codes: 0 success or check passed, 1 check failed or no witness found,
 2 usage or input error, 141 (128 + SIGPIPE) when the reader closed stdout
@@ -29,7 +30,7 @@ import numpy as np
 from . import linalg
 from .core import CheckReport, GybeSignature, RMatrix, check_gybe
 from .braiding import StateVector, apply_to_state, build_rep, evaluate_word, integer, parse_braid_word
-from .equivalence import WITNESS_TOL, decide_equivalence, search_equivalence
+from .equivalence import WITNESS_TOL, decide_equivalence
 from .search import SearchConfig, load_pattern_text, solve_pattern
 from .solutions import (
     CLASSIFY_TOL,
@@ -108,13 +109,7 @@ def _report_json(args, data: dict) -> str:
 
 
 def _load_rmatrix(args) -> RMatrix:
-    if args.solution:
-        if len(args.solution) > 1:
-            raise ValueError(f"pass one --solution, got {len(args.solution)}")
-        return resolve_solution(args.solution[0])
-    if args.matrix:
-        return _load_matrix_file(args)
-    raise ValueError("pass --solution <id> or --matrix <path|->")
+    return resolve_solution(args.solution) if args.matrix is None else _load_matrix_file(args)
 
 
 def _text_entry(z: complex) -> str:
@@ -218,11 +213,8 @@ def cmd_equiv(args) -> int:
         raise ValueError(
             "pass two --solution ids, or one --solution and a --matrix target"
         )
-    if args.stats:
-        decision = decide_equivalence(source, target, tol=args.tol)
-        witness = decision.witness
-    else:
-        witness = search_equivalence(source, target, tol=args.tol)
+    decision = decide_equivalence(source, target, tol=args.tol)
+    witness = decision.witness
     if args.json:
         if args.stats:
             print(_report_json(args, decision.to_json_dict()))
@@ -254,8 +246,6 @@ def _print_equiv_stats(decision) -> None:
 
 
 def cmd_braid(args) -> int:
-    if not args.word:
-        raise ValueError("pass --word 'n=<strands>: i1,i2,...'")
     r = _load_rmatrix(args)
     word = parse_braid_word(args.word)
     rep = build_rep(r, word.n)
@@ -269,10 +259,8 @@ def cmd_braid(args) -> int:
             print(f"max entry difference {diff:.3e}")
         return 0 if diff <= args.tol else 1
     if args.state is not None:
-        amps = linalg.matrix_from_json(_read_text(args.state))
-        if amps.shape[1] != 1:
-            raise ValueError("--state must be a column vector, got a {}x{} matrix".format(*amps.shape))
-        out = apply_to_state(rep, word, StateVector(amps))
+        state = StateVector(linalg.matrix_from_json(_read_text(args.state)))
+        out = apply_to_state(rep, word, state)
         print(linalg.matrix_to_json(out.amplitudes.reshape(-1, 1)))
         return 0
     matrix = evaluate_word(rep, word)
@@ -284,10 +272,6 @@ def cmd_braid(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if not args.pattern:
-        raise ValueError("pass --pattern <path|->")
-    if not args.signature:
-        raise ValueError("pass --signature d,m,l")
     pattern = load_pattern_text(_read_text(args.pattern))
     signature = _parse_signature(args.signature)
     config = SearchConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
@@ -375,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, tol: float, one_input: bool = True):
-        # One input: a registry id or a matrix file, never both.
-        inputs = p.add_mutually_exclusive_group() if one_input else p
-        inputs.add_argument("--solution", action="append", help="registry solution id")
+        # One input: a registry id or a matrix file, exactly one of them.
+        inputs = p.add_mutually_exclusive_group(required=True) if one_input else p
+        inputs.add_argument("--solution", action=_Once if one_input else "append", help="registry solution id")
         inputs.add_argument("--matrix", action=_Once, help="matrix JSON file, or - for stdin")
         p.add_argument("--signature", action=_Once, help="equation signature d,m,l")
         p.add_argument("--tol", action=_Once, type=float, default=tol, help="tolerance")
@@ -412,15 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braid", help="evaluate braid words in a representation")
     add_common(p, linalg.DEFAULT_TOL)
-    p.add_argument("--word", action=_Once, help="braid word, e.g. 'n=4: 1,2,-1,3'")
+    p.add_argument("--word", action=_Once, required=True, help="braid word, e.g. 'n=4: 1,2,-1,3'")
     outputs = p.add_mutually_exclusive_group()
     outputs.add_argument("--compare", action=_Once, help="second braid word to compare against")
     outputs.add_argument("--state", action=_Once, help="state vector JSON file, or - for stdin")
     p.set_defaults(func=cmd_braid)
 
     p = sub.add_parser("search", help="solve a zero pattern numerically")
-    p.add_argument("--pattern", action=_Once, help="pattern file (0/1 grid or JSON), or -")
-    p.add_argument("--signature", action=_Once, help="equation signature d,m,l")
+    p.add_argument("--pattern", action=_Once, required=True, help="pattern file (0/1 grid or JSON), or -")
+    p.add_argument("--signature", action=_Once, required=True, help="equation signature d,m,l")
     p.add_argument("--restarts", action=_Once, type=integer, default=SearchConfig.restarts)
     p.add_argument("--seed", action=_Once, type=integer, default=SearchConfig.seed)
     p.add_argument("--tol", action=_Once, type=float, default=SearchConfig.tolerance)

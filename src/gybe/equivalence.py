@@ -202,8 +202,9 @@ class PrefixDecision:
 
     ``verdict`` is ``witness``, ``none`` (no 2x2 Q of the searched shapes
     works) or ``undecided`` (the general shape found no covariant to reduce
-    by, or a candidate missed by no more than rounding could explain);
-    ``candidates`` counts the Q scored.
+    by, a candidate missed by no more than rounding could explain, or the
+    prefix's matrix failed the :class:`RMatrix` gate); ``candidates``
+    counts the Q scored.
     """
 
     prefix: str
@@ -521,8 +522,8 @@ def _search_conjugator(
     :func:`_local_conjugate`, and the first (op, lambda, residual) with
     residual <= ``tol`` times the largest entry of ``s``, in shape and
     candidate order, is the hit; the residual reported stays absolute.
-    Only a hit or near miss is built by :func:`apply_gauge`, and dropped
-    if its gates reject it.  With no hit the verdict is
+    Only the image of a hit or near miss is built as an :class:`RMatrix`,
+    and dropped if its gates reject it.  With no hit the verdict is
     ``undecided`` when the general shape was asked for and could not
     reduce, or when a candidate came within ``NEAR_MISS``, else ``none``.
     """
@@ -535,7 +536,7 @@ def _search_conjugator(
             raise ValueError(f"unknown conjugator shape: {shape!r}")
 
     def conjugation_residual(q: np.ndarray):
-        try:  # gated: Q by its GaugeOp, and the image of a hit or near miss by apply_gauge
+        try:  # gated: Q by its GaugeOp, and the image of a hit or near miss by RMatrix
             op = GaugeOp.local_conj(q)
             image = _local_conjugate(r.matrix, op.q, op.q_inverse, r.signature.m)
             if not np.isfinite(image).all():
@@ -545,7 +546,7 @@ def _search_conjugator(
                 return None, None, None
             residual = float(linalg.max_abs(lam * image - s.matrix))
             if residual <= max(tol, NEAR_MISS) * scale:
-                apply_gauge(r, op)
+                RMatrix(r.signature, image, f"local_conj({r.label})")
         except ValueError:
             return None, None, None
         return op, residual, lam
@@ -598,12 +599,16 @@ def decide_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> E
     on ``r`` directly and then on its inverse, which runs only when the
     direct prefix finds no witness.  The witness lists the operations in
     application order.  Without one, the verdict is ``undecided`` when
-    some prefix could not reduce (see :class:`PrefixDecision`), else
-    ``none``.
+    some prefix could not reduce (see :class:`PrefixDecision`), as when
+    r^-1 is below the singular-value gate, else ``none``.
     """
     decisions = []
     for name, ops in (("direct", ()), ("inverse", (GaugeOp.inverse(),))):
-        src = apply_gauge_sequence(r, ops)
+        try:
+            src = apply_gauge_sequence(r, ops)
+        except linalg.SingularMatrixError:  # r^-1 of a large r is below the absolute gate
+            decisions.append(PrefixDecision(name, "undecided", None, 0))
+            continue
         hit, decision = _search_conjugator(src, s, SHAPES, with_scalar=True, tol=tol, prefix=name)
         decisions.append(decision)
         if hit is not None:

@@ -140,6 +140,21 @@ def test_state_vector_validation():
         StateVector(np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize(
+    "shape, got", [((4, 4), "a 4x4 matrix"), ((1, 16), "a 1x16 matrix"), ((2, 2, 4), "shape (2, 2, 4)")]
+)
+def test_state_vector_takes_a_vector_or_one_column_only(shape, got):
+    # 16 amplitudes of norm 1 in each shape; only (16,) and (16, 1) are states.
+    amps = np.full(shape, 0.25)
+    with pytest.raises(ValueError) as raised:
+        StateVector(amps)
+    assert str(raised.value) == f"a state must be a vector or one column, got {got}"
+    for good in (amps.reshape(16), amps.reshape(16, 1)):
+        s = StateVector(good)
+        assert s.dim == 16
+        assert np.array_equal(s.amplitudes, np.full(16, 0.25))
+
+
 def test_build_rep_zeta_three_strands():
     rep = build_rep(rowell_solution(), 3, tol=1e-13)
     assert rep.dim == 16

@@ -158,9 +158,12 @@ def test_defaults_come_from_the_library():
         "equiv": WITNESS_TOL,
         "classify": CLASSIFY_TOL,
     }
+    # Each subcommand gets only the inputs it requires.
+    required = {"braid": ["--word", "n=3: 1"], "search": ["--pattern", "p.txt", "--signature", "2,3,1"]}
     for command, tol in tolerances.items():
-        assert parser.parse_args([command]).tol == tol, command
-    args, config = parser.parse_args(["search"]), SearchConfig()
+        argv = [command, "--solution", "rowell", *required.get(command, [])]
+        assert parser.parse_args(argv).tol == tol, command
+    args, config = parser.parse_args(["search", *required["search"]]), SearchConfig()
     assert (args.tol, args.restarts, args.seed) == (config.tolerance, config.restarts, config.seed)
 
 
@@ -342,6 +345,24 @@ def test_surplus_or_conflicting_inputs_are_usage_errors(argv, tmp_path, capsys):
     code, out, err = run_cli(capsys, *(matrix if arg == "MATRIX" else arg for arg in argv))
     assert code == 2 and out == ""
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify"], "--solution --matrix"),
+        (["classify"], "--solution --matrix"),
+        (["braid", "--word", "n=3: 1"], "--solution --matrix"),
+        (["braid", "--solution", "rowell"], "--word"),
+        (["search", "--signature", "2,3,1"], "--pattern"),
+        (["search", "--pattern", "pattern.txt"], "--signature"),
+    ],
+)
+def test_a_missing_required_input_is_a_usage_error(argv, option, capsys):
+    # The parser names the option before any input is read.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "required" in err and option in err
 
 
 @pytest.mark.parametrize(

@@ -615,6 +615,23 @@ def test_the_decision_does_not_depend_on_the_scale_of_s(pair, image, invert, see
         assert moved.witness.residual <= WITNESS_TOL * linalg.max_abs(scaled.matrix)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e14])
+def test_an_inverse_below_the_singular_value_gate_leaves_its_prefix_undecided(c):
+    # (1e14 rowell)^-1 has singular values 1e-14, below the 1e-13 gate of
+    # RMatrix; the inverse prefix used to raise SingularMatrixError.  At
+    # c = 1 both prefixes decide, as they always have.
+    r, s = rowell_solution(), resolve_solution("base2")
+    decision = decide_equivalence(RMatrix(r.signature, c * r.matrix, r.label), s)
+    distinct = equivalence.Covariant("R", 1, "distinct")
+    inverse = ("inverse", "none", distinct, 2) if c == 1 else ("inverse", "undecided", None, 0)
+    assert [(p.prefix, p.verdict, p.covariant, p.candidates) for p in decision.prefixes] == [
+        ("direct", "none", distinct, 2),
+        inverse,
+    ]
+    assert decision.witness is None
+    assert decision.verdict == ("none" if c == 1 else "undecided")
+
+
 def test_only_the_rmatrix_and_gauge_op_constructors_invert(monkeypatch):
     callers, inverse = [], linalg.inverse
 

@@ -48,6 +48,10 @@ def test_the_first_differing_op_is_named(monkeypatch, capsys):
 
 def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     argvs = same_output.ops(tmp_path)
+    usage = len(same_output.USAGE_ERRORS)
+    assert argvs[-usage:] == list(map(list, same_output.USAGE_ERRORS))
+    assert (tmp_path / same_output.STATE_4X4).is_file()
+    argvs = argvs[:-usage]
     # Three equiv pools of 112 ops, twice; two braid pools of 120; two
     # verify pools of 192; four searches.
     assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 2 * 192 + 4
@@ -66,3 +70,8 @@ def test_a_side_runs_the_argv_in_the_given_checkout(tmp_path):
     (code, out), (bad, nothing) = same_output.run_side(_ROOT, tmp_path, argvs)
     assert code == 0 and '"rowell"' in out
     assert bad == 2 and nothing == ""
+
+
+def test_every_usage_error_exits_2_with_nothing_on_stdout(tmp_path):
+    argvs = same_output.ops(tmp_path)[-len(same_output.USAGE_ERRORS):]
+    assert same_output.run_side(_ROOT, tmp_path, argvs) == [[2, ""]] * len(argvs)

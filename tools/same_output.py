@@ -6,7 +6,9 @@ The ops are every op of the benchmark's equiv pools at seeds 801, 804 and
 806, each run as generated and again with ``--stats``; every op of the
 braid pools at 801 and 804 and of the verify pools at 801 and 802; and
 ``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
-seeds 0-3.  The pools and their input files come from
+seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2 with nothing
+on stdout: a missing or surplus input, a 4x4 ``--state`` and empty
+values.  The pools and their input files come from
 ``perfbench/workloads.py``, which is only read; each pool's files sit in a
 directory of their own, because pools of one workload reuse file names.
 
@@ -18,7 +20,8 @@ extraction and the working tree a copy of its tracked and untracked, not
 ignored, files, each under a temporary directory.
 
 Prints the number of ops compared, and the argv of the first op whose exit
-code or stdout differs; exits 1 on any difference.
+code or stdout differs; exits 1 on any difference.  Stderr is not compared,
+so an error message may change wording.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
@@ -47,6 +52,22 @@ POOLS = (
 )
 SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
+STATE_4X4 = "state-4x4.json"
+USAGE_ERRORS = (
+    ["verify"],
+    ["classify"],
+    ["braid", "--word", "n=3: 1"],
+    ["braid", "--solution", "rowell"],
+    ["search", "--signature", "2,3,1"],
+    ["search", "--pattern", PATTERN],
+    ["verify", "--solution", "rowell", "--solution", "xshape"],
+    ["classify", "--solution", "rowell", "--solution", "xshape"],
+    ["braid", "--solution", "rowell", "--solution", "xshape", "--word", "n=3: 1"],
+    ["braid", "--solution", "rowell", "--word", "n=3: 1", "--state", STATE_4X4],
+    ["braid", "--solution", "rowell", "--word", ""],
+    ["verify", "--solution", ""],
+    ["verify", "--matrix", ""],
+)
 
 
 def ops(workdir: Path) -> list[list[str]]:
@@ -68,7 +89,9 @@ def ops(workdir: Path) -> list[list[str]]:
     (workdir / PATTERN).write_text(grid + "\n", encoding="utf-8")
     search = ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--json", "--stats"]
     argvs += [search + ["--seed", str(seed)] for seed in SEARCH_SEEDS]
-    return argvs
+    # Unit norm as 16 amplitudes, but a matrix, not a column.
+    (workdir / STATE_4X4).write_text(checker.matrix_to_json(np.eye(4) / 2), encoding="utf-8")
+    return argvs + [list(argv) for argv in USAGE_ERRORS]
 
 
 def run_side(checkout: Path, workdir: Path, argvs: list[list[str]]) -> list[list]:
