@@ -16,7 +16,8 @@ matrix-times-column convention.  Each letter acts by one contraction of R
 (or its inverse) into the factors it touches.  A word's matrix is the word
 applied to the identity's columns on the window of qudits its letters
 touch, padded with identities to the full side once; a generator is a
-one-letter word.
+one-letter word.  Two words are compared (:func:`word_difference`) on the
+union of their two windows, never on the full side.
 """
 
 from __future__ import annotations
@@ -196,15 +197,15 @@ def _act(rep: BraidRep, letters: tuple[int, ...], columns: np.ndarray) -> np.nda
     return columns
 
 
-def _word_matrix(rep: BraidRep, letters: tuple[int, ...]) -> np.ndarray:
-    """rho(letters), with rho(suffix) kept on the qudit window [lo, hi) the
-    letters applied so far touch.
+def _word_block(rep: BraidRep, letters: tuple[int, ...]) -> tuple[np.ndarray, int, int]:
+    """(block, lo, hi): rho(letters) on the qudit window [lo, hi) its letters
+    touch, with rho(suffix) kept on the window the letters applied so far touch.
 
     A letter that widens the window pads the block with identities before
-    it contracts; the block is padded to the full side once, at the end.
+    it contracts.
     """
     sig = rep.r.signature
-    # Empty at the first letter's start; the empty word pads I_1 to the full side.
+    # Empty at the first letter's start; the empty word is I_1 on [0, 0).
     lo = hi = rep._letter(letters[-1])[1] if letters else 0
     block = linalg.identity(1)
     for letter in reversed(letters):
@@ -214,8 +215,21 @@ def _word_matrix(rep: BraidRep, letters: tuple[int, ...]) -> np.ndarray:
             block = pad_identity(block, sig.d ** (lo - new_lo), sig.d ** (new_hi - hi))
             lo, hi = new_lo, new_hi
         block = apply_local(local, block, sig.d ** (start - lo))
+    return block, lo, hi
+
+
+def _word_matrix(rep: BraidRep, letters: tuple[int, ...]) -> np.ndarray:
+    """rho(letters): the word's block padded to the full side once."""
+    block, lo, hi = _word_block(rep, letters)
+    sig = rep.r.signature
     qudits = sig.m + (rep.n - 2) * sig.l
     return pad_identity(block, sig.d**lo, sig.d ** (qudits - hi))
+
+
+def _check_strands(rep: BraidRep, w: BraidWord) -> None:
+    """A ValueError unless ``w`` is on the representation's strand count."""
+    if w.n != rep.n:
+        raise ValueError(f"word is on {w.n} strands but the representation has {rep.n}")
 
 
 def evaluate_word(rep: BraidRep, w: BraidWord) -> np.ndarray:
@@ -226,9 +240,26 @@ def evaluate_word(rep: BraidRep, w: BraidWord) -> np.ndarray:
     letter, with s the side of the window so far, plus one O(dim^2) padding
     to the full side.
     """
-    if w.n != rep.n:
-        raise ValueError(f"word is on {w.n} strands but the representation has {rep.n}")
+    _check_strands(rep, w)
     return _word_matrix(rep, w.letters)
+
+
+def word_difference(rep: BraidRep, u: BraidWord, v: BraidWord) -> float:
+    """The largest entry of rho(u) - rho(v) in modulus, bit for bit
+    ``linalg.max_abs_diff(evaluate_word(rep, u), evaluate_word(rep, v))``.
+
+    Both blocks are padded only to the union of their two windows: off it
+    the two full matrices hold the same identity copies and +0.0, so their
+    difference there is zero.
+    """
+    _check_strands(rep, u)
+    _check_strands(rep, v)
+    (a, a_lo, a_hi), (b, b_lo, b_hi) = _word_block(rep, u.letters), _word_block(rep, v.letters)
+    lo, hi = min(a_lo, b_lo), max(a_hi, b_hi)
+    d = rep.r.signature.d
+    a = pad_identity(a, d ** (a_lo - lo), d ** (hi - a_hi))
+    b = pad_identity(b, d ** (b_lo - lo), d ** (hi - b_hi))
+    return linalg.max_abs_diff(a, b)
 
 
 def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:
@@ -237,8 +268,7 @@ def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:
     The same contraction as :func:`evaluate_word`, on one column:
     O(dim d^m) per letter.
     """
-    if w.n != rep.n:
-        raise ValueError(f"word is on {w.n} strands but the representation has {rep.n}")
+    _check_strands(rep, w)
     if s.dim != rep.dim:
         raise ValueError(f"state dimension {s.dim} does not match {rep.dim}")
     return StateVector(_act(rep, w.letters, s.amplitudes))

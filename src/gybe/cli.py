@@ -29,7 +29,15 @@ import numpy as np
 
 from . import linalg
 from .core import CheckReport, GybeSignature, RMatrix, check_gybe
-from .braiding import StateVector, apply_to_state, build_rep, evaluate_word, integer, parse_braid_word
+from .braiding import (
+    StateVector,
+    apply_to_state,
+    build_rep,
+    evaluate_word,
+    integer,
+    parse_braid_word,
+    word_difference,
+)
 from .equivalence import WITNESS_TOL, decide_equivalence
 from .search import SearchConfig, load_pattern_text, solve_pattern
 from .solutions import (
@@ -112,13 +120,8 @@ def _load_rmatrix(args) -> RMatrix:
     return resolve_solution(args.solution) if args.matrix is None else _load_matrix_file(args)
 
 
-def _text_entry(z: complex) -> str:
-    return f"{z.real:+.6f}{z.imag:+.6f}i"
-
-
 def _print_matrix(m: np.ndarray) -> None:
-    for row in linalg.format_entries(m, _text_entry).tolist():
-        print("  ".join(row))
+    print(linalg.matrix_to_text(m))
 
 
 def _emit_report(report: CheckReport, args) -> int:
@@ -250,8 +253,7 @@ def cmd_braid(args) -> int:
     word = parse_braid_word(args.word)
     rep = build_rep(r, word.n)
     if args.compare is not None:
-        other = parse_braid_word(args.compare)
-        diff = linalg.max_abs_diff(evaluate_word(rep, word), evaluate_word(rep, other))
+        diff = word_difference(rep, word, parse_braid_word(args.compare))
         if args.json:
             report = {"max_difference": diff, "tolerance": args.tol, "equal": diff <= args.tol}
             print(_report_json(args, report))

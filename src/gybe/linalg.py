@@ -7,14 +7,17 @@ read-only copies, inversion gated on the smallest singular value,
 eigenvalues of small matrices, tolerance-based comparisons in the
 max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
 
-Matrix output formats each distinct entry once: :func:`format_entries`
-groups entries by their 16-byte bit pattern, sorted as two uint64 words
-(so ``-0.0`` stays apart from ``0.0``), and gathers the texts back, so the
-cost follows the distinct values, not the side.  Entries that are exactly
-+0.0+0.0j are not sorted at all: they share one text, so a sparse matrix
-costs what its nonzero entries do.  :func:`matrix_to_json`
-writes strict JSON with it, byte for byte ``json.dumps(matrix_to_json_dict(m),
-allow_nan=False)``, and rejects non-finite entries.
+Matrix output pays for the entries that are not +0.0+0.0j, not for the
+side: :func:`matrix_to_json` and :func:`matrix_to_text` gather the two
+uint64 words of those live entries, formatted once per distinct
+magnitude (the word with its sign bit cleared), and take each sign from a
+two-text table, since ``repr(x)`` is the sign and ``repr(|x|)`` and
+``format(x, "+.6f")`` the sign and ``format(|x|, ".6f")``.  The JSON text
+is one join of a header, per live entry its preceding run of zero entries
+as one repeated string and its parts, and the trailing run; it is byte
+for byte ``json.dumps(matrix_to_json_dict(m), allow_nan=False)``, and a
+non-finite entry raises (checked on the live words: a non-finite part
+never has all-zero bits).
 
 All functions are pure; none mutate their arguments.
 """
@@ -246,55 +249,93 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
-def format_entries(m: np.ndarray, fmt: Callable[[complex], str]) -> np.ndarray:
-    """``fmt`` of every entry of ``m``, as an object array of ``m``'s shape.
+# The sign bit of a float's 64-bit word; clearing it leaves the magnitude.
+_SIGN_BIT = np.uint64(1 << 63)
+# A zero entry as it follows another entry in the JSON list.
+_JSON_ZERO = ", [0.0, 0.0]"
+_TEXT_ZERO = "+0.000000+0.000000i"
 
-    ``fmt`` runs once per distinct 16-byte bit pattern and the texts are
-    gathered back by index; grouping by bits, not by value, keeps ``-0.0``
-    and ``0.0`` (and NaN payloads) apart.  The patterns are the two uint64
-    words of each entry, sorted by ``np.lexsort`` and split where a word
-    changes, which is several times faster than ``np.unique`` on 16-byte
-    void keys.  Entries whose two words are both zero (+0.0+0.0j, most of
-    a braid word's matrix) skip the sort and share one text.
+
+def _live_words(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the entries of ``m`` whose bits are not both zero
+    (all but +0.0+0.0j), and their (re, im) uint64 words, one row each."""
+    words = np.ascontiguousarray(m, dtype=np.complex128).reshape(-1).view(np.uint64).reshape(-1, 2)
+    live = np.flatnonzero(words[:, 0] | words[:, 1])
+    return live, np.take(words, live, axis=0)
+
+
+def _part_texts(words: np.ndarray, fmt: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
+    """The sign bit (0 or 1) and ``fmt`` of the magnitude of each part in ``words``.
+
+    ``fmt`` runs once per distinct magnitude, the part's word with the sign
+    bit cleared, so ``repr(x)`` is ``("", "-")[bit] + repr(|x|)`` and
+    ``format(x, "+.6f")`` is ``("+", "-")[bit] + format(|x|, ".6f")``.  A
+    NaN gets bit 0: Python writes every NaN unsigned.
     """
-    a = np.ascontiguousarray(m, dtype=np.complex128)
-    flat = a.reshape(-1)
-    bits = flat.view(np.uint64)
-    real, imag = bits[0::2], bits[1::2]
-    zero = (real | imag) == 0
-    live = np.flatnonzero(~zero)
-    # The gathers are contiguous copies, which sort faster than strided views.
-    real, imag = real[live], imag[live]
-    order = np.lexsort((imag, real))
-    real, imag = real[order], imag[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])
-    index = np.empty(order.size, dtype=np.intp)
-    index[order] = np.cumsum(starts) - 1
-    texts = np.array([fmt(z) for z in flat[live[order[starts]]].tolist()], dtype=object)
-    out = np.empty(flat.size, dtype=object)
-    if zero.any():
-        out[zero] = fmt(0j)
-    out[live] = texts[index]
-    return out.reshape(a.shape)
+    magnitudes, index = np.unique(words & ~_SIGN_BIT, return_inverse=True)
+    texts = np.array([fmt(x) for x in magnitudes.view(np.float64).tolist()], dtype=object)
+    bits = (words >> np.uint64(63)).astype(np.intp)
+    bits[np.isnan(words.view(np.float64))] = 0
+    return bits, np.take(texts, index.reshape(words.shape))
 
 
-def _json_pair(z: complex) -> str:
-    # float.__repr__ is what json.dumps writes for a finite float.
-    return f"[{z.real!r}, {z.imag!r}]"
+def _signs(bits: np.ndarray, texts: tuple[str, str]) -> np.ndarray:
+    """``texts[bit]`` for each sign bit of ``bits``."""
+    return np.take(np.array(texts, dtype=object), bits)
 
 
 def matrix_to_json(m: np.ndarray) -> str:
     """Strict JSON text of :func:`matrix_to_json_dict`, bit-exact like it.
 
     The bytes are those of ``json.dumps(matrix_to_json_dict(m),
-    allow_nan=False)``; non-finite entries raise ValueError.
+    allow_nan=False)``; non-finite entries raise ValueError.  Each entry
+    that is not +0.0+0.0j is written after the run of zero entries before
+    it, as one repeated string, and the text is one join of these pieces.
     """
     m = as_matrix(m)
-    if not np.all(np.isfinite(m)):
+    live, words = _live_words(m)
+    # A non-finite part never has all-zero bits, so the live words hold every one.
+    if not np.all(np.isfinite(words.view(np.float64))):
         raise ValueError("matrix JSON entries must be finite")
-    entries = ", ".join(format_entries(m, _json_pair).reshape(-1).tolist())
-    return f'{{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "entries": [{entries}]}}'
+    bits, texts = _part_texts(words, repr)
+    # The zero-run texts, indexed by run length, for the lengths that occur.
+    gaps = np.diff(live, prepend=-1) - 1
+    counts = np.bincount(gaps)
+    lengths = np.flatnonzero(counts)
+    runs = np.empty(counts.size, dtype=object)
+    runs[lengths] = [_JSON_ZERO * g + ", [" for g in lengths.tolist()]
+    # Per entry: its zero run and ", [", the real sign and magnitude, ", "
+    # and the imaginary sign, the imaginary magnitude and "]"; after the
+    # last one, the trailing zero run.
+    pieces = np.empty(6 * live.size + 3, dtype=object)
+    pieces[0] = f'{{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "entries": ['
+    table = pieces[1:-2].reshape(-1, 6)
+    table[:, 0] = np.take(runs, gaps)
+    table[:, 1] = _signs(bits[:, 0], ("", "-"))
+    table[:, 2] = texts[:, 0]
+    table[:, 3] = _signs(bits[:, 1], (", ", ", -"))
+    table[:, 4] = texts[:, 1]
+    table[:, 5] = "]"
+    pieces[-2] = _JSON_ZERO * int(m.size - 1 - (live[-1] if live.size else -1))
+    pieces[-1] = "]}"
+    pieces[1] = pieces[1][2:]  # no ", " before the first entry
+    return "".join(pieces.tolist())
+
+
+def matrix_to_text(m: np.ndarray) -> str:
+    """The plain-text matrix: each entry as ``f"{re:+.6f}{im:+.6f}i"``, two
+    spaces between entries and one line per row.
+
+    Parts are formatted as in :func:`matrix_to_json`, once per distinct
+    magnitude; a non-finite part prints as Python's ``format`` writes it.
+    """
+    m = as_matrix(m)
+    live, words = _live_words(m)
+    bits, texts = _part_texts(words, "{:.6f}".format)
+    signs = _signs(bits, ("+", "-"))
+    entries = np.full(m.size, _TEXT_ZERO, dtype=object)
+    entries[live] = signs[:, 0] + texts[:, 0] + signs[:, 1] + texts[:, 1] + "i"
+    return "\n".join("  ".join(row) for row in entries.reshape(m.shape).tolist())
 
 
 def matrix_from_json(text: str) -> np.ndarray:

@@ -573,3 +573,50 @@ def test_generator_accessor_handles_inverses():
         rep.generator(0)
     with pytest.raises(ValueError):
         rep.generator(5)
+
+
+def _letters(lo, hi, max_size=6):
+    """Signed letters of the generators lo..hi."""
+    return st.lists(st.integers(lo, hi).flatmap(lambda v: st.sampled_from((v, -v))), max_size=max_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(
+        REGISTRY_231 + ("xshape", "scaled", "family1:theta=0.41", "family2:theta=2.2", "family3:theta=0.9")
+    ),
+    n=st.integers(3, 6),
+    layout=st.sampled_from(("any", "far apart", "one empty")),
+    data=st.data(),
+)
+def test_word_difference_is_that_of_the_full_matrices(name, n, layout, data):
+    r = _solution(name) if name in REGISTRY_231 + ("xshape", "scaled") else resolve_solution(name)
+    n = min(n, 5) if r.signature.l == 2 else n  # xshape on 6 strands is 2048 wide
+    rep = build_rep(r, n)
+    if layout == "any":
+        u, v = data.draw(_letters(1, n - 1)), data.draw(_letters(1, n - 1))
+    elif layout == "far apart":  # disjoint windows once n is large enough
+        u, v = data.draw(_letters(1, 1)), data.draw(_letters(n - 1, n - 1))
+    else:
+        u, v = [], data.draw(_letters(1, n - 1))
+    if data.draw(st.booleans()):
+        u, v = v, u
+    u, v = BraidWord(n, tuple(u)), BraidWord(n, tuple(v))
+    want = linalg.max_abs_diff(evaluate_word(rep, u), evaluate_word(rep, v))
+    assert braiding.word_difference(rep, u, v).hex() == want.hex()
+
+
+def test_word_difference_pads_only_to_the_union_window():
+    rep = build_rep(rowell_solution(), 6)
+    u, v = parse_braid_word("n=6: 1,1"), parse_braid_word("n=6: 5,-5")
+    (_, *window_u), (_, *window_v) = (braiding._word_block(rep, w.letters) for w in (u, v))
+    assert window_u == [0, 3] and window_v == [4, 7]  # disjoint
+    want = linalg.max_abs_diff(evaluate_word(rep, u), evaluate_word(rep, v))
+    assert braiding.word_difference(rep, u, v) == want > 0.5
+
+
+def test_word_difference_strand_mismatch():
+    rep = build_rep(rowell_solution(), 4)
+    for u, v in ((BraidWord(4, (1,)), BraidWord(5, (1,))), (BraidWord(5, (1,)), BraidWord(4, (1,)))):
+        with pytest.raises(ValueError, match="word is on 5 strands but the representation has 4"):
+            braiding.word_difference(rep, u, v)

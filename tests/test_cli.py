@@ -447,6 +447,14 @@ def test_braid_compare_words(capsys):
     assert "difference" in out
 
 
+def test_braid_compare_rejects_a_word_on_other_strands(capsys):
+    code, out, err = run_cli(
+        capsys, "braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"
+    )
+    assert (code, out) == (2, "")
+    assert "word is on 5 strands but the representation has 4" in err
+
+
 def test_braid_word_matrix_output(capsys):
     code, out, _ = run_cli(
         capsys, "braid", "--solution", "rowell", "--word", "n=3: 1,-1", "--json"

@@ -1,5 +1,7 @@
 """Tests for the dense complex matrix toolbox."""
 
+import contextlib
+import io
 import json
 import warnings
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from random_unitary import random_unitary
 
-from gybe import linalg
+from gybe import cli, linalg
 from gybe.solutions import base_solution, rowell_solution
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -384,22 +386,39 @@ def test_matrix_json_text_is_that_of_json_dumps(m):
     assert linalg.matrix_to_json(column) == _dumps_reference(column)
 
 
-def test_format_entries_formats_each_bit_pattern_once():
-    m = np.array([[0.0, -0.0, 0.0], [1j, -0.0, 1j]])
+def _text_reference(m):
+    """The plain-text matrix, one ``format`` call per part of every entry."""
+    return "\n".join("  ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in row) for row in m.tolist())
+
+
+def _printed(m):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_matrix(m)
+    return out.getvalue()
+
+
+def test_matrix_output_formats_each_magnitude_once():
+    # Magnitudes 0.0 (from -0.0 and the 0.0 beside a live part), 0.5 and 1.0;
+    # the +0.0+0.0j entries are not formatted at all.
+    m = np.array([[0.0, -0.0, 0.5], [0.5j, -0.5, 1j], [0.0, -1.0 - 0.5j, 0.0]])
     calls = []
 
-    def fmt(z):
-        calls.append(z)
-        return repr(z)
+    def fmt(x):
+        calls.append(x)
+        return repr(x)
 
-    texts = linalg.format_entries(m, fmt)
-    assert texts.shape == m.shape
-    assert texts.tolist() == [[repr(complex(v)) for v in row] for row in m]
-    assert len(calls) == 3  # 0.0 and -0.0 are told apart by their bits
+    live, words = linalg._live_words(m)
+    assert live.tolist() == [1, 2, 3, 4, 5, 7]
+    bits, texts = linalg._part_texts(words, fmt)
+    assert sorted(calls) == [0.0, 0.5, 1.0]
+    signed = np.where(bits == 1, "-", "") + texts.astype(str)
+    want = [[repr(z.real), repr(z.imag)] for z in m.reshape(-1)[live].tolist()]
+    assert signed.tolist() == want
 
 
-# Both signed zeros in either part, so that +0.0+0.0j (which skips the
-# sort) sits beside the three other zero patterns and nonzero entries.
+# Both signed zeros in either part, so that +0.0+0.0j (which is never
+# formatted) sits beside the three other zero patterns and nonzero entries.
 SIGNED_ZERO_ENTRIES = st.builds(complex, *[st.sampled_from([0.0, -0.0, 0.5, -5e-324])] * 2)
 
 
@@ -420,24 +439,83 @@ def signed_zero_matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(m=signed_zero_matrices())
-def test_format_entries_keeps_every_zero_pattern_apart(m):
+def test_matrix_output_keeps_every_zero_pattern_apart(m):
     assert linalg.matrix_to_json(m) == _dumps_reference(m)
-    calls = []
+    assert linalg.matrix_to_text(m) == _text_reference(m)
 
-    def fmt(z):
-        calls.append(np.complex128(z).tobytes())
-        return repr(z)
 
-    texts = linalg.format_entries(m, fmt)
-    assert texts.tolist() == [[repr(complex(v)) for v in row] for row in m]
-    present = {v.tobytes() for v in m.reshape(-1)}
-    assert sorted(calls) == sorted(present)  # once per bit pattern present
+# Magnitudes on both sides of float repr's switches to exponent form (1e-4
+# and 1e16), subnormals, the largest double, and a few plain values.
+SPARSE_MAGNITUDES = st.sampled_from([
+    0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 9.999999999999999e-05, 1e-4,
+    0.00010000000000000002, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+    0.5, 1 / 3, 1.7976931348623157e308,
+])
+SIGNS = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Entries of a few shared magnitudes, ±0.0 in either part, and +0.0+0.0j
+    laid out as no entry, every entry, a random subset, or a subset that
+    starts and ends with a zero run; 1x1, single rows and single columns."""
+    rows, cols = draw(
+        st.sampled_from([(1, 1), (1, 7), (7, 1)]) | st.tuples(st.integers(1, 6), st.integers(1, 6))
+    )
+    size = rows * cols
+    layout = draw(st.sampled_from(("no zero", "all zero", "sparse", "zero ends")))
+    parts = draw(st.lists(st.tuples(SIGNS, SPARSE_MAGNITUDES, SIGNS, SPARSE_MAGNITUDES, st.booleans()),
+                          min_size=size, max_size=size))
+    # A mirrored entry has the real magnitude in its imaginary part, with the opposite sign.
+    m = np.array([complex(a * x, -a * x if mirror else b * y) for a, x, b, y, mirror in parts])
+    if layout == "all zero":
+        m[:] = 0.0
+    elif layout != "no zero":
+        m[~np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))] = 0.0
+        if layout == "zero ends":
+            m[[0, -1]] = 0.0
+    zero = (m.view(np.uint64).reshape(size, 2) == 0).all(axis=-1)
+    if layout == "no zero":
+        m[zero] = complex(-0.0, 0.0)
+    else:
+        assert layout != "zero ends" or (zero[0] and zero[-1])
+    return m.reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=sparse_matrices())
+def test_matrix_json_of_sparse_matrices_is_that_of_json_dumps(m):
+    assert linalg.matrix_to_json(m) == json.dumps(linalg.matrix_to_json_dict(m), allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=sparse_matrices())
+def test_printed_matrix_of_sparse_matrices_formats_every_entry(m):
+    assert _printed(m) == _text_reference(m) + "\n"
 
 
 def test_matrix_to_json_rejects_non_finite_entries():
-    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
-        with pytest.raises(ValueError, match="finite"):
-            linalg.matrix_to_json(np.array([[1.0, bad]]))
+    # In either part, signed, next to zero parts (0.0 + nan·i), and as the
+    # first, a middle and the last entry of a matrix that is mostly +0.0.
+    values = (np.nan, -np.float64(np.nan), np.inf, -np.inf)
+    bads = values + tuple(complex(0.0, v) for v in values) + (complex(-1.0, np.inf),)
+    for bad in bads:
+        for at in (0, 2, 5):
+            m = np.zeros((2, 3), dtype=np.complex128)
+            m[0, 1] = 1.0
+            m.flat[at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                linalg.matrix_to_json(m)
+
+
+def test_matrix_text_writes_non_finite_parts_as_format_does():
+    # A NaN with its sign bit set, as an overflowing product leaves it: Python
+    # writes it "+nan", not "-nan".
+    negative_nan = -np.float64(np.nan)
+    assert np.signbit(negative_nan)
+    m = np.array([[complex(negative_nan, np.inf), complex(-np.inf, np.nan)], [0.0, -0.0]])
+    assert linalg.matrix_to_text(m) == _text_reference(m)
+    assert linalg.matrix_to_text(m).split("  ")[0] == "+nan+infi"
 
 
 def test_matrix_from_json_rejects_malformed():

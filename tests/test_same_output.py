@@ -52,11 +52,16 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     assert argvs[-usage:] == list(map(list, same_output.USAGE_ERRORS))
     assert (tmp_path / same_output.STATE_4X4).is_file()
     argvs = argvs[:-usage]
-    # Three equiv pools of 112 ops, twice; two braid pools of 120; two
-    # verify pools of 192; four searches.
-    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 2 * 192 + 4
+    # Three equiv pools of 112 ops, twice; two braid pools of 120, and the
+    # 40 --json ops of the second again in text; two verify pools of 192;
+    # three family members in text; four searches.
+    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * 192 + 3 + 4
     equiv = [a for a in argvs if a[0] == "equiv"]
     assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]
+    braid = [a for a in argvs if a[0] == "braid"]
+    assert braid[240:] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
+    assert not any("--json" in a for a in braid[240:])
+    assert argvs[-7:-4] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
     # Every input file an op names exists, in its own pool's directory.
     for argv in argvs:
         for flag in ("--state", "--matrix", "--pattern"):

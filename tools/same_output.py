@@ -4,13 +4,16 @@
 
 The ops are every op of the benchmark's equiv pools at seeds 801, 804 and
 806, each run as generated and again with ``--stats``; every op of the
-braid pools at 801 and 804 and of the verify pools at 801 and 802; and
-``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
-seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2 with nothing
-on stdout: a missing or surplus input, a 4x4 ``--state`` and empty
-values.  The pools and their input files come from
-``perfbench/workloads.py``, which is only read; each pool's files sit in a
-directory of their own, because pools of one workload reuse file names.
+braid pools at 801 and 804, each ``--json`` op of the 804 pool again
+without ``--json`` (the plain-text matrix), and every op of the verify
+pools at 801 and 802; ``gybe family --family k --theta 0.7`` in plain text
+for k = 1, 2, 3; ``gybe search --pattern <rowell> --signature 2,3,1 --json
+--stats`` at seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2
+with nothing on stdout: a missing or surplus input, a 4x4 ``--state``,
+empty values and a ``--compare`` word on other strands.  The pools and
+their input files come from ``perfbench/workloads.py``, which is only
+read; each pool's files sit in a directory of their own, because pools of
+one workload reuse file names.
 
 Each side runs every op in order, in-process through ``gybe.cli.main``, in
 a subprocess of its own that imports ``gybe`` from that side's ``src`` and
@@ -50,6 +53,9 @@ POOLS = (
     ("braid", 801), ("braid", 804),
     ("verify", 801), ("verify", 802),
 )
+# The pool whose --json ops run again as plain text.
+TEXT_POOL = ("braid", 804)
+FAMILY_TEXT = [["family", "--family", str(k), "--theta", "0.7"] for k in (1, 2, 3)]
 SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
 STATE_4X4 = "state-4x4.json"
@@ -67,6 +73,7 @@ USAGE_ERRORS = (
     ["braid", "--solution", "rowell", "--word", ""],
     ["verify", "--solution", ""],
     ["verify", "--matrix", ""],
+    ["braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"],
 )
 
 
@@ -85,6 +92,9 @@ def ops(workdir: Path) -> list[list[str]]:
             argvs.append(argv)
             if workload == "equiv":
                 argvs.append(argv + ["--stats"])
+        if (workload, seed) == TEXT_POOL:
+            argvs += [[a for a in argv if a != "--json"] for argv in argvs[-len(inputs.ops):] if "--json" in argv]
+    argvs += [list(argv) for argv in FAMILY_TEXT]
     grid = "\n".join("".join("1" if v else "0" for v in row) for row in checker.rowell_mask())
     (workdir / PATTERN).write_text(grid + "\n", encoding="utf-8")
     search = ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--json", "--stats"]
