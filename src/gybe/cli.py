@@ -42,13 +42,12 @@ from .equivalence import WITNESS_TOL, decide_equivalence
 from .search import SearchConfig, load_pattern_text, solve_pattern
 from .solutions import (
     CLASSIFY_TOL,
-    SQRT2,
+    block_parameters,
     classify_unitary_params,
     family_solution,
     general_solution,
     registry_ids,
     resolve_solution,
-    split_blocks,
 )
 
 # The exit code a shell reports for a writer its reader left: 128 + SIGPIPE.
@@ -162,31 +161,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    r = _load_rmatrix(args)
-    if r.size != 8:
-        raise ValueError("classification applies to 8x8 block solutions")
-    m = r.matrix
-    off_quadrants = max(linalg.max_abs(m[:4, 4:]), linalg.max_abs(m[4:, :4]))
-    if off_quadrants > args.tol:
-        raise ValueError(
-            f"not in block-solution form: the off-diagonal 4x4 quadrants reach "
-            f"{off_quadrants:.3e}, above tolerance {args.tol:g}"
-        )
-    x, _ = split_blocks(m)
-    # Entry (i, j) of X lies off the diagonal of its 2x2 sub-block iff i + j is odd.
-    off_sub_blocks = linalg.max_abs(x[np.add.outer(np.arange(4), np.arange(4)) % 2 == 1])
-    if off_sub_blocks > args.tol:
-        raise ValueError(
-            f"not in block-solution form: the 2x2 sub-blocks of X are not diagonal "
-            f"(off-diagonal entries reach {off_sub_blocks:.3e}, above tolerance {args.tol:g})"
-        )
-    corner = SQRT2 * x[0, 0]
-    if abs(corner) < 1e-9:
-        raise ValueError("top-left entry is zero; not in block-solution form")
-    scale = 1.0 / corner
-    omega = SQRT2 * scale * x[1, 1]
-    gamma = SQRT2 * scale * x[2, 2]
-    delta = SQRT2 * scale * x[3, 3]
+    omega, gamma, delta = block_parameters(_load_rmatrix(args).matrix, args.tol)
     category = classify_unitary_params(omega, gamma, delta, args.tol)
     if args.json:
         print(

@@ -258,10 +258,17 @@ _TEXT_ZERO = "+0.000000+0.000000i"
 
 def _live_words(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of the entries of ``m`` whose bits are not both zero
-    (all but +0.0+0.0j), and their (re, im) uint64 words, one row each."""
+    (all but +0.0+0.0j), and their (re, im) uint64 words, one row each.
+
+    A non-finite part raises ValueError.
+    """
     words = np.ascontiguousarray(m, dtype=np.complex128).reshape(-1).view(np.uint64).reshape(-1, 2)
     live = np.flatnonzero(words[:, 0] | words[:, 1])
-    return live, np.take(words, live, axis=0)
+    words = np.take(words, live, axis=0)
+    # A non-finite part never has all-zero bits, so the live words hold every one.
+    if not np.all(np.isfinite(words.view(np.float64))):
+        raise ValueError("matrix entries must be finite")
+    return live, words
 
 
 def _part_texts(words: np.ndarray, fmt: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
@@ -269,13 +276,11 @@ def _part_texts(words: np.ndarray, fmt: Callable[[float], str]) -> tuple[np.ndar
 
     ``fmt`` runs once per distinct magnitude, the part's word with the sign
     bit cleared, so ``repr(x)`` is ``("", "-")[bit] + repr(|x|)`` and
-    ``format(x, "+.6f")`` is ``("+", "-")[bit] + format(|x|, ".6f")``.  A
-    NaN gets bit 0: Python writes every NaN unsigned.
+    ``format(x, "+.6f")`` is ``("+", "-")[bit] + format(|x|, ".6f")``.
     """
     magnitudes, index = np.unique(words & ~_SIGN_BIT, return_inverse=True)
     texts = np.array([fmt(x) for x in magnitudes.view(np.float64).tolist()], dtype=object)
     bits = (words >> np.uint64(63)).astype(np.intp)
-    bits[np.isnan(words.view(np.float64))] = 0
     return bits, np.take(texts, index.reshape(words.shape))
 
 
@@ -294,9 +299,6 @@ def matrix_to_json(m: np.ndarray) -> str:
     """
     m = as_matrix(m)
     live, words = _live_words(m)
-    # A non-finite part never has all-zero bits, so the live words hold every one.
-    if not np.all(np.isfinite(words.view(np.float64))):
-        raise ValueError("matrix JSON entries must be finite")
     bits, texts = _part_texts(words, repr)
     # The zero-run texts, indexed by run length, for the lengths that occur.
     gaps = np.diff(live, prepend=-1) - 1
@@ -327,7 +329,7 @@ def matrix_to_text(m: np.ndarray) -> str:
     spaces between entries and one line per row.
 
     Parts are formatted as in :func:`matrix_to_json`, once per distinct
-    magnitude; a non-finite part prints as Python's ``format`` writes it.
+    magnitude; non-finite entries raise ValueError.
     """
     m = as_matrix(m)
     live, words = _live_words(m)

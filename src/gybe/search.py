@@ -30,7 +30,7 @@ from . import linalg
 from .core import GybeSignature, RMatrix, gybe_residual
 from .optimize import LeastSquaresResult, solve_stack
 from .pattern_residual import _combined_residual_vector, _PatternResidual
-from .solutions import split_blocks
+from .solutions import QUADRANT_SLOTS, QUADRANT_SUPPORT, off_quadrant_max, split_blocks
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,7 @@ def load_pattern_text(text: str) -> ZeroPattern:
 
 def rowell_pattern() -> ZeroPattern:
     """The two-block zero pattern shared by all 8x8 solutions in the registry."""
-    mask = np.zeros((8, 8), dtype=bool)
-    for block in (0, 4):
-        for i in range(4):
-            mask[block + i, block + i] = True
-            mask[block + i, block + (i + 2) % 4] = True
-    return ZeroPattern(8, mask)
+    return ZeroPattern(8, linalg.direct_sum(QUADRANT_SUPPORT, QUADRANT_SUPPORT) != 0)
 
 
 @dataclass(frozen=True)
@@ -234,15 +229,13 @@ def dedup_key(matrix: np.ndarray) -> str:
         return tuple(map(tuple, (np.round(pairs, 6) + 0.0).tolist()))
 
     parts = [("spectrum", rounded(linalg.eigenvalues(m)))]
-    if m.shape == (8, 8):
+    if m.shape == (8, 8) and off_quadrant_max(m) <= 1e-8:
         x, y = split_blocks(m)
-        off = max(linalg.max_abs(m[:4, 4:]), linalg.max_abs(m[4:, :4]))
-        if off <= 1e-8:
-            parts.append(("x", rounded(linalg.eigenvalues(x))))
-            parts.append(("y", rounded(linalg.eigenvalues(y))))
-            b_p, b_q = x[0, 2], x[1, 3]
-            if abs(b_p) > 1e-6:
-                parts.append(("ratio", rounded(b_q / b_p)[0]))
+        parts.append(("x", rounded(linalg.eigenvalues(x))))
+        parts.append(("y", rounded(linalg.eigenvalues(y))))
+        _, (b_p, b_q), _, _ = np.take(x, QUADRANT_SLOTS)
+        if abs(b_p) > 1e-6:
+            parts.append(("ratio", rounded(b_q / b_p)[0]))
     return repr(parts)
 
 

@@ -40,6 +40,12 @@ FAMILY_PARAMS: dict[int, tuple[complex, complex, complex]] = {
     3: (1.0 + 0j, 1.0 + 0j, 1.0 + 0j),
 }
 
+# The 4x4 quadrant (1/sqrt2) [[A, B], [C, D]] of 2x2 diagonal blocks: the flat
+# (4 * row + column) positions of the p and q of A, B, C and D, one row per
+# block, and the quadrant's support, where entry (i, j) is live iff i + j is even.
+QUADRANT_SLOTS = linalg.frozen(np.array([[0, 5], [2, 7], [8, 13], [10, 15]]))
+QUADRANT_SUPPORT = linalg.frozen(np.isin(np.arange(16), QUADRANT_SLOTS).reshape(4, 4))
+
 _UNIT_TOL = 1e-12
 # Parameters read off a matrix may come from numerical search, so the
 # category and constraint checks on them are looser than verification.
@@ -61,9 +67,6 @@ class DiagBlock:
 
     p: complex
     q: complex
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag([complex(self.p), complex(self.q)]).astype(np.complex128)
 
     def is_unitary(self, tol: float = _UNIT_TOL) -> bool:
         return abs(abs(complex(self.p)) - 1.0) <= tol and abs(abs(complex(self.q)) - 1.0) <= tol
@@ -229,11 +232,13 @@ class BlockSolution:
         """Extract the eight diagonal blocks from explicit 4x4 matrices."""
         blocks = []
         for m in (x, y):
-            for raw in split_quadrant(m):
-                off = max(abs(raw[0, 1]), abs(raw[1, 0]))
-                if off > tol:
-                    raise ValueError(f"off-diagonal block entry {off:.3e} exceeds {tol:g}")
-                blocks.append(DiagBlock(complex(raw[0, 0]), complex(raw[1, 1])))
+            s = SQRT2 * linalg.as_matrix(m)
+            if s.shape != (4, 4):
+                raise ValueError("expected a 4x4 matrix")
+            off = linalg.max_abs(s[~QUADRANT_SUPPORT])
+            if not off <= tol:
+                raise ValueError(f"off-diagonal block entry {off:.3e} exceeds {tol:g}")
+            blocks += [DiagBlock(p, q) for p, q in np.take(s, QUADRANT_SLOTS).tolist()]
         return BlockSolution(*blocks)
 
 
@@ -242,10 +247,7 @@ def assemble_quadrant(
 ) -> np.ndarray:
     """(1/sqrt2) [[a, b], [c, d]] as a dense 4x4 matrix."""
     out = np.zeros((4, 4), dtype=np.complex128)
-    out[:2, :2] = a.as_matrix()
-    out[:2, 2:] = b.as_matrix()
-    out[2:, :2] = c.as_matrix()
-    out[2:, 2:] = d.as_matrix()
+    np.put(out, QUADRANT_SLOTS, [[k.p, k.q] for k in (a, b, c, d)])
     return INV_SQRT2 * out
 
 
@@ -266,29 +268,50 @@ def split_blocks(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[:4, :4].copy(), m[4:, 4:].copy()
 
 
+def off_quadrant_max(m: np.ndarray) -> float:
+    """The largest modulus in the two off-diagonal 4x4 quadrants of an 8x8 matrix."""
+    return linalg.max_abs([m[:4, 4:], m[4:, :4]])
+
+
+def block_parameters(m: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[complex, complex, complex]:
+    """(omega, gamma, delta) read off an 8x8 matrix in block-solution form.
+
+    They are read after scaling A's corner to 1, which takes out a global
+    scalar.  The side must be 8, the off-diagonal 4x4 quadrants and the
+    off-diagonal entries of X's 2x2 sub-blocks must vanish within ``tol``,
+    and A's corner must not; the first of these that fails raises
+    ValueError naming it.
+    """
+    m = linalg.as_matrix(m)
+    if m.shape != (8, 8):
+        raise ValueError("classification applies to 8x8 block solutions")
+    off_quadrants = off_quadrant_max(m)
+    if not off_quadrants <= tol:
+        raise ValueError(
+            f"not in block-solution form: the off-diagonal 4x4 quadrants reach "
+            f"{off_quadrants:.3e}, above tolerance {tol:g}"
+        )
+    x, _ = split_blocks(m)
+    off_sub_blocks = linalg.max_abs(x[~QUADRANT_SUPPORT])
+    if not off_sub_blocks <= tol:
+        raise ValueError(
+            f"not in block-solution form: the 2x2 sub-blocks of X are not diagonal "
+            f"(off-diagonal entries reach {off_sub_blocks:.3e}, above tolerance {tol:g})"
+        )
+    (a_p, omega), _, _, (gamma, delta) = np.take(x, QUADRANT_SLOTS)
+    corner = SQRT2 * a_p
+    if not abs(corner) >= 1e-9:
+        raise ValueError("top-left entry is zero; not in block-solution form")
+    scale = 1.0 / corner
+    return SQRT2 * scale * omega, SQRT2 * scale * gamma, SQRT2 * scale * delta
+
+
 def rowell_solution() -> RMatrix:
     """The 8x8 unitary (2,3,1) solution built from the primitive 8th root zeta."""
     zeta = np.exp(2j * np.pi / 8)
     zi = 1.0 / zeta
-    x = INV_SQRT2 * np.array(
-        [
-            [zi, 0, -zi, 0],
-            [0, zeta, 0, zeta],
-            [zeta, 0, zeta, 0],
-            [0, -zi, 0, zi],
-        ],
-        dtype=np.complex128,
-    )
-    y = INV_SQRT2 * np.array(
-        [
-            [zeta, 0, zeta, 0],
-            [0, zi, 0, -zi],
-            [-zi, 0, zi, 0],
-            [0, zeta, 0, zeta],
-        ],
-        dtype=np.complex128,
-    )
-    return RMatrix(GybeSignature(2, 3, 1), linalg.direct_sum(x, y), "rowell")
+    pairs = ((zi, zeta), (-zi, zeta), (zeta, -zi), (zeta, zi), (zeta, zi), (zeta, -zi), (-zi, zeta), (zi, zeta))
+    return BlockSolution(*(DiagBlock(p, q) for p, q in pairs)).to_rmatrix("rowell")
 
 
 def xshape_solution() -> RMatrix:

@@ -464,6 +464,19 @@ def test_braid_word_matrix_output(capsys):
     assert linalg.max_abs_diff(m, linalg.identity(16)) <= 1e-12
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_braid_rejects_an_overflowing_word(extra, tmp_path, capsys):
+    # 10 * rowell passes the equation check, but 330 letters of it overflow
+    # to non-finite entries, which neither the text nor the JSON encoder prints.
+    path = tmp_path / "rowell10.json"
+    path.write_text(linalg.matrix_to_json(10 * rowell_solution().matrix))
+    word = "n=3: " + ",".join(["1"] * 330)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "braid", "--matrix", str(path), "--word", word, *extra)
+    assert (code, out) == (2, "")
+    assert "error: matrix entries must be finite" in err
+
+
 def test_braid_state_application(tmp_path, capsys):
     state = np.zeros((16, 1))
     state[0, 0] = 1.0

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from gybe import cli
+
 _ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("same_output", _ROOT / "tools" / "same_output.py")
 same_output = importlib.util.module_from_spec(_SPEC)
@@ -53,15 +55,24 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     assert (tmp_path / same_output.STATE_4X4).is_file()
     argvs = argvs[:-usage]
     # Three equiv pools of 112 ops, twice; two braid pools of 120, and the
-    # 40 --json ops of the second again in text; two verify pools of 192;
-    # three family members in text; four searches.
-    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * 192 + 3 + 4
+    # 40 --json ops of the second again in text; two verify pools of 192,
+    # each with its 32 classify ops again in JSON and its 32 perturbed
+    # matrices classified twice; three family members in text; four searches.
+    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * (192 + 32 + 2 * 32) + 3 + 4
     equiv = [a for a in argvs if a[0] == "equiv"]
     assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]
     braid = [a for a in argvs if a[0] == "braid"]
     assert braid[240:] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
     assert not any("--json" in a for a in braid[240:])
     assert argvs[-7:-4] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
+    verify = argvs[3 * 112 * 2 + 2 * 120 + 40 : -7]
+    for pool in (verify[:288], verify[288:]):
+        ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
+        assert again == [a + ["--json"] for a in ops if a[0] == "classify"]
+        matrices = [a[a.index("--matrix") + 1] for a in ops if "--matrix" in a]
+        assert len(matrices) == 32 and all("perturbed-" in m for m in matrices)
+        assert perturbed[0::2] == [["classify", "--matrix", m, "--json"] for m in matrices]
+        assert perturbed[1::2] == [a + ["--tol", "1e-2"] for a in perturbed[0::2]]
     # Every input file an op names exists, in its own pool's directory.
     for argv in argvs:
         for flag in ("--state", "--matrix", "--pattern"):
@@ -70,13 +81,17 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     assert [a[-1] for a in argvs if a[0] == "search"] == ["0", "1", "2", "3"]
 
 
-def test_a_side_runs_the_argv_in_the_given_checkout(tmp_path):
+def test_a_side_runs_the_argv_in_the_given_checkout(tmp_path, capsys):
     argvs = [["registry", "--json"], ["verify", "--solution", "no-such-solution"]]
     (code, out), (bad, nothing) = same_output.run_side(_ROOT, tmp_path, argvs)
-    assert code == 0 and '"rowell"' in out
-    assert bad == 2 and nothing == ""
+    assert cli.main(argvs[0]) == 0
+    registry = capsys.readouterr().out
+    assert '"rowell"' in registry
+    assert code == 0 and out == same_output.stdout_digest(registry)
+    assert bad == 2 and nothing == same_output.stdout_digest("")
 
 
 def test_every_usage_error_exits_2_with_nothing_on_stdout(tmp_path):
     argvs = same_output.ops(tmp_path)[-len(same_output.USAGE_ERRORS):]
-    assert same_output.run_side(_ROOT, tmp_path, argvs) == [[2, ""]] * len(argvs)
+    empty = same_output.stdout_digest("")
+    assert same_output.run_side(_ROOT, tmp_path, argvs) == [[2, empty]] * len(argvs)

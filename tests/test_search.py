@@ -24,7 +24,14 @@ from gybe.search import (
     rowell_pattern,
     solve_pattern,
 )
-from gybe.solutions import base_solution, rowell_solution, split_blocks
+from gybe.solutions import (
+    base_solution,
+    general_solution,
+    registry_ids,
+    resolve_solution,
+    rowell_solution,
+    split_blocks,
+)
 
 SIG = GybeSignature(2, 3, 1)
 REASONS = ("converged", "step_tol", "plateau", "damping_stall", "budget", "non_finite")
@@ -88,9 +95,17 @@ def matches_family_list_up_to_phase(block: np.ndarray) -> bool:
 
 
 def test_pattern_from_matrix_matches_named_pattern():
-    derived = ZeroPattern.from_matrix(rowell_solution().matrix)
+    # The named pattern is exactly the nonzero set of every (2,3,1) registry
+    # solution and of family members at random alpha and beta.
     named = rowell_pattern()
-    np.testing.assert_array_equal(derived.mask, named.mask)
+    rng = np.random.default_rng(23)
+    members = [general_solution(k, *np.exp(2j * np.pi * rng.random(2))) for k in (1, 2, 3) for _ in range(4)]
+    registry = [resolve_solution(name) for name in registry_ids()]
+    sources = [r for r in registry if r.signature == SIG] + members
+    assert [r.label for r in sources[:4]] == ["rowell", "base1", "base2", "base3"]
+    for r in sources:
+        np.testing.assert_array_equal(r.matrix != 0, named.mask)
+        np.testing.assert_array_equal(ZeroPattern.from_matrix(r.matrix).mask, named.mask)
     assert named.free_count == 16
     assert named.accepts(rowell_solution().matrix)
     assert not named.accepts(np.ones((8, 8)))

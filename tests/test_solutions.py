@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from gybe import linalg
 from gybe.core import GybeSignature, RMatrix, check_gybe, check_ybe
 from gybe.solutions import (
+    FAMILY_PARAMS,
+    QUADRANT_SUPPORT,
     BlockSolution,
     DiagBlock,
     FamilyParams,
     GeneralParams,
+    assemble_quadrant,
     base_solution,
+    block_parameters,
     check_block_equations,
     check_param_constraints,
     classify_unitary_params,
@@ -362,6 +366,68 @@ def test_classification_rejects_non_finite_parameters(position, name):
     params[position] = complex(1, float("nan"))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         classify_unitary_params(*params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from((1, 2, 3)),
+    angles=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3),
+    modulus=st.floats(1e-6, 1e6),
+)
+def test_block_parameters_read_the_family_of_any_scalar_multiple(family, angles, modulus):
+    a, b, arg = angles
+    c = modulus * np.exp(1j * arg)
+    r = general_solution(family, np.exp(1j * a), np.exp(1j * b))
+    params = block_parameters(c * r.matrix)
+    assert max(abs(got - want) for got, want in zip(params, FAMILY_PARAMS[family])) <= 1e-12
+
+
+def test_block_parameters_name_the_first_failed_condition():
+    base = base_solution(1).r_matrix()
+
+    def changed(*entries):
+        m = base.copy()
+        for (i, j), value in entries:
+            m[i, j] = value
+        return m
+
+    cases = [
+        (base[:4, :4], "classification applies to 8x8 block solutions"),
+        # The quadrants are checked before the sub-blocks of X.
+        (changed(((0, 4), 1e-3), ((0, 1), 1e-3)), "off-diagonal 4x4 quadrants reach 1.000e-03"),
+        (changed(((5, 2), np.nan)), "off-diagonal 4x4 quadrants reach nan"),
+        (changed(((0, 1), 1e-3)), "2x2 sub-blocks of X are not diagonal"),
+        (changed(((3, 2), np.nan)), "2x2 sub-blocks of X are not diagonal"),
+        (changed(((0, 0), 0.0)), "top-left entry is zero"),
+        (changed(((0, 0), np.nan)), "top-left entry is zero"),
+    ]
+    for m, message in cases:
+        with pytest.raises(ValueError, match=message):
+            block_parameters(m)
+    assert block_parameters(changed(((0, 1), 1e-3)), tol=1e-2) == pytest.approx(FAMILY_PARAMS[1])
+
+
+def test_assemble_quadrant_matches_the_four_slice_build():
+    # The layout table puts each block's p and q where the four 2x2 slices of
+    # (1/sqrt2) [[A, B], [C, D]] put them, bit for bit, signed zeros included.
+    corners = ((0, 0), (0, 2), (2, 0), (2, 2))
+
+    def four_slices(*blocks):
+        out = np.zeros((4, 4), dtype=np.complex128)
+        for (i, j), block in zip(corners, blocks):
+            out[i : i + 2, j : j + 2] = np.diag([complex(block.p), complex(block.q)])
+        return S * out
+
+    rng = np.random.default_rng(23)
+    draws = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(5)]
+    specials = [-0.0, complex(-0.0, -0.0), 0, 1, 1j, -1.0, complex(0.0, -0.0), 2.5]
+    for values in draws + [specials]:
+        blocks = [DiagBlock(p, q) for p, q in zip(values[0::2], values[1::2])]
+        got, want = assemble_quadrant(*blocks), four_slices(*blocks)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(QUADRANT_SUPPORT, np.add.outer(np.arange(4), np.arange(4)) % 2 == 0)
+    assert not QUADRANT_SUPPORT.flags.writeable
 
 
 def test_classification_brute_force_grid():

@@ -6,21 +6,27 @@ The ops are every op of the benchmark's equiv pools at seeds 801, 804 and
 806, each run as generated and again with ``--stats``; every op of the
 braid pools at 801 and 804, each ``--json`` op of the 804 pool again
 without ``--json`` (the plain-text matrix), and every op of the verify
-pools at 801 and 802; ``gybe family --family k --theta 0.7`` in plain text
-for k = 1, 2, 3; ``gybe search --pattern <rowell> --signature 2,3,1 --json
---stats`` at seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2
-with nothing on stdout: a missing or surplus input, a 4x4 ``--state``,
-empty values and a ``--compare`` word on other strands.  The pools and
-their input files come from ``perfbench/workloads.py``, which is only
-read; each pool's files sit in a directory of their own, because pools of
-one workload reuse file names.
+pools at 801 and 802, each followed by the pool's ``classify`` ops again
+with ``--json`` and by ``classify --matrix perturbed-N.json --json`` for
+each perturbed family member of the pool, at the default tolerance (not
+in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
+``gybe family --family k --theta 0.7`` in plain text for k = 1, 2, 3;
+``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
+seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2 with nothing
+on stdout: a missing or surplus input, a 4x4 ``--state``,
+empty values, a ``--compare`` word on other strands and ``classify`` of a
+solution not in block form.  The pools and their input files come from
+``perfbench/workloads.py``, which is only read; each pool's files sit in a
+directory of their own, because pools of one workload reuse file names.
 
 Each side runs every op in order, in-process through ``gybe.cli.main``, in
 a subprocess of its own that imports ``gybe`` from that side's ``src`` and
 runs in the directory that holds the inputs, so both sides see the same
-argv.  As in ``tools/bench_pairs.py``, HEAD is a ``git archive``
-extraction and the working tree a copy of its tracked and untracked, not
-ignored, files, each under a temporary directory.
+argv.  A side reports each op as its exit code and the SHA-256 of its
+stdout, so neither it nor the comparing process holds any op's output.
+As in ``tools/bench_pairs.py``, HEAD is a ``git archive`` extraction and
+the working tree a copy of its tracked and untracked, not ignored, files,
+each under a temporary directory.
 
 Prints the number of ops compared, and the argv of the first op whose exit
 code or stdout differs; exits 1 on any difference.  Stderr is not compared,
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -74,6 +81,7 @@ USAGE_ERRORS = (
     ["verify", "--solution", ""],
     ["verify", "--matrix", ""],
     ["braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"],
+    ["classify", "--solution", "xshape"],
 )
 
 
@@ -92,8 +100,15 @@ def ops(workdir: Path) -> list[list[str]]:
             argvs.append(argv)
             if workload == "equiv":
                 argvs.append(argv + ["--stats"])
+        pool_argvs = argvs[-len(inputs.ops):]
         if (workload, seed) == TEXT_POOL:
-            argvs += [[a for a in argv if a != "--json"] for argv in argvs[-len(inputs.ops):] if "--json" in argv]
+            argvs += [[a for a in argv if a != "--json"] for argv in pool_argvs if "--json" in argv]
+        if workload == "verify":
+            argvs += [argv + ["--json"] for argv in pool_argvs if argv[0] == "classify"]
+            for argv in pool_argvs:
+                if "--matrix" in argv:
+                    classify = ["classify", "--matrix", argv[argv.index("--matrix") + 1], "--json"]
+                    argvs += [classify, classify + ["--tol", "1e-2"]]
     argvs += [list(argv) for argv in FAMILY_TEXT]
     grid = "\n".join("".join("1" if v else "0" for v in row) for row in checker.rowell_mask())
     (workdir / PATTERN).write_text(grid + "\n", encoding="utf-8")
@@ -105,7 +120,7 @@ def ops(workdir: Path) -> list[list[str]]:
 
 
 def run_side(checkout: Path, workdir: Path, argvs: list[list[str]]) -> list[list]:
-    """[exit code, stdout] of each op, run by the ``gybe`` in ``checkout``."""
+    """[exit code, SHA-256 hex of stdout] of each op, run by the ``gybe`` in ``checkout``."""
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--side", str(checkout / "src")],
         cwd=workdir,
@@ -118,7 +133,7 @@ def run_side(checkout: Path, workdir: Path, argvs: list[list[str]]) -> list[list
 
 
 def _side(src: Path) -> None:
-    """Run the argv list read from stdin and write [code, stdout] per op to stdout."""
+    """Run the argv list read from stdin and write [code, stdout digest] per op to stdout."""
     sys.path.insert(0, str(src))
     from gybe import cli
 
@@ -129,8 +144,12 @@ def _side(src: Path) -> None:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-        results.append([code, out.getvalue()])
+        results.append([code, stdout_digest(out.getvalue())])
     json.dump(results, sys.stdout)
+
+
+def stdout_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def first_difference(parent: list[list], change: list[list]) -> int | None:
