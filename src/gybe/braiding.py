@@ -65,10 +65,8 @@ class BraidWord:
             raise ValueError("a braid word needs at least 2 strands")
         letters = tuple(int(v) for v in self.letters)
         for v in letters:
-            if v == 0 or not 1 <= abs(v) <= self.n - 1:
-                raise ValueError(
-                    f"letter {v} out of range for {self.n} strands"
-                )
+            if not 1 <= abs(v) <= self.n - 1:
+                raise ValueError(f"letter {v} out of range for {self.n} strands")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
@@ -142,15 +140,14 @@ class BraidRep:
 
     def _letter(self, i: int) -> tuple[np.ndarray, int]:
         """Local matrix of sigma_i (of its inverse for negative i) and the
-        first qudit it acts on; it covers m qudits from there."""
-        if i == 0 or not 1 <= abs(i) <= self.n - 1:
-            raise ValueError(f"generator index {i} out of range for {self.n} strands")
+        first qudit it acts on; it covers m qudits from there.  ``i`` is a
+        :class:`BraidWord` letter, which that class checks."""
         local = self.r.matrix if i > 0 else self.inverse
         return local, self.r.signature.l * (abs(i) - 1)
 
     def generator(self, i: int) -> np.ndarray:
         """Dense matrix of sigma_i for positive i, of its inverse for negative i."""
-        return _word_matrix(self, (i,))
+        return _word_matrix(self, BraidWord(self.n, (i,)).letters)
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
@@ -250,7 +247,7 @@ def word_difference(rep: BraidRep, u: BraidWord, v: BraidWord) -> float:
 
     Both blocks are padded only to the union of their two windows: off it
     the two full matrices hold the same identity copies and +0.0, so their
-    difference there is zero.
+    difference there is zero.  A non-finite word or difference raises ValueError.
     """
     _check_strands(rep, u)
     _check_strands(rep, v)
@@ -259,7 +256,10 @@ def word_difference(rep: BraidRep, u: BraidWord, v: BraidWord) -> float:
     d = rep.r.signature.d
     a = pad_identity(a, d ** (a_lo - lo), d ** (hi - a_hi))
     b = pad_identity(b, d ** (b_lo - lo), d ** (hi - b_hi))
-    return linalg.max_abs_diff(a, b)
+    diff = linalg.max_abs_diff(a, b)
+    if not np.isfinite(diff):
+        raise ValueError("the two words' matrices, or their difference, are not finite")
+    return diff
 
 
 def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:

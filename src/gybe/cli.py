@@ -227,25 +227,27 @@ def cmd_braid(args) -> int:
     r = _load_rmatrix(args)
     word = parse_braid_word(args.word)
     rep = build_rep(r, word.n)
-    if args.compare is not None:
-        diff = word_difference(rep, word, parse_braid_word(args.compare))
+    # An overflowing word fails its output's finiteness check; numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.compare is not None:
+            diff = word_difference(rep, word, parse_braid_word(args.compare))
+            if args.json:
+                report = {"max_difference": diff, "tolerance": args.tol, "equal": diff <= args.tol}
+                print(_report_json(args, report))
+            else:
+                print(f"max entry difference {diff:.3e}")
+            return 0 if diff <= args.tol else 1
+        if args.state is not None:
+            state = StateVector(linalg.matrix_from_json(_read_text(args.state)))
+            out = apply_to_state(rep, word, state)
+            print(linalg.matrix_to_json(out.amplitudes.reshape(-1, 1)))
+            return 0
+        matrix = evaluate_word(rep, word)
         if args.json:
-            report = {"max_difference": diff, "tolerance": args.tol, "equal": diff <= args.tol}
-            print(_report_json(args, report))
+            print(linalg.matrix_to_json(matrix))
         else:
-            print(f"max entry difference {diff:.3e}")
-        return 0 if diff <= args.tol else 1
-    if args.state is not None:
-        state = StateVector(linalg.matrix_from_json(_read_text(args.state)))
-        out = apply_to_state(rep, word, state)
-        print(linalg.matrix_to_json(out.amplitudes.reshape(-1, 1)))
+            _print_matrix(matrix)
         return 0
-    matrix = evaluate_word(rep, word)
-    if args.json:
-        print(linalg.matrix_to_json(matrix))
-    else:
-        _print_matrix(matrix)
-    return 0
 
 
 def cmd_search(args) -> int:

@@ -392,8 +392,11 @@ def _split(c: np.ndarray, threshold: float):
 
 
 def _well_conditioned(basis: np.ndarray) -> bool:
-    singular = np.linalg.svd(basis, compute_uv=False)
-    return bool(singular[-1] >= EIGENVECTOR_GATE * singular[0])
+    """sigma_min >= g sigma_max for a 2x2 basis and g = ``EIGENVECTOR_GATE``, as
+    |det| >= g / (1 + g^2) ||basis||_F^2: r / (1 + r^2) grows with r = sigma_min / sigma_max."""
+    (a, b), (c, d) = basis.tolist()
+    frobenius = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    return abs(a * d - b * c) >= EIGENVECTOR_GATE / (1 + EIGENVECTOR_GATE**2) * frobenius
 
 
 def _reducing_covariant(w: np.ndarray, m: int, threshold: float, *, with_scalar: bool):

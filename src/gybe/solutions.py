@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +76,13 @@ class DiagBlock:
         return DiagBlock(1.0 + 0j, 1.0 + 0j)
 
 
+def _family_params(family: int) -> tuple[complex, complex, complex]:
+    """(omega, gamma, delta) of family 1, 2 or 3; any other index raises ValueError."""
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"family must be 1, 2, or 3, got {family}")
+    return FAMILY_PARAMS[family]
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """One of the three families together with an angle in [0, pi]."""
@@ -84,8 +91,7 @@ class FamilyParams:
     theta: float
 
     def __post_init__(self):
-        if self.family not in FAMILY_PARAMS:
-            raise ValueError(f"family must be 1, 2, or 3, got {self.family}")
+        _family_params(self.family)
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
@@ -99,8 +105,7 @@ class GeneralParams:
     beta: complex
 
     def __post_init__(self):
-        if self.family not in FAMILY_PARAMS:
-            raise ValueError(f"family must be 1, 2, or 3, got {self.family}")
+        _family_params(self.family)
         _require_unit(self.alpha, "alpha")
         _require_unit(self.beta, "beta")
 
@@ -110,19 +115,23 @@ class GeneralParams:
         return complex(self.beta) / complex(self.alpha)
 
 
+def _forced_C(a: DiagBlock, b: DiagBlock, d: DiagBlock) -> DiagBlock:
+    """-D B^dagger A, entry by entry, with no check on the blocks."""
+    return DiagBlock(
+        -complex(d.p) * complex(b.p).conjugate() * complex(a.p),
+        -complex(d.q) * complex(b.q).conjugate() * complex(a.q),
+    )
+
+
 def derive_C(a: DiagBlock, b: DiagBlock, d: DiagBlock) -> DiagBlock:
     """The lower-left block forced by unitarity of X: C = -D B^dagger A.
 
     Requires A and B unitary (diagonal); D is unconstrained here.
     """
-    if not a.is_unitary():
-        raise ValueError("A must be a unitary diagonal block")
-    if not b.is_unitary():
-        raise ValueError("B must be a unitary diagonal block")
-    return DiagBlock(
-        -complex(d.p) * complex(b.p).conjugate() * complex(a.p),
-        -complex(d.q) * complex(b.q).conjugate() * complex(a.q),
-    )
+    for name, block in (("A", a), ("B", b)):
+        if not block.is_unitary():
+            raise ValueError(f"{name} must be a unitary diagonal block")
+    return _forced_C(a, b, d)
 
 
 def derive_Y(
@@ -156,8 +165,9 @@ def derive_Y(
 class BlockSolution:
     """The structured form R = X (+) Y with all eight 2x2 blocks diagonal.
 
-    Construction checks that A, B, C, D are unitary and that C carries the
-    value forced by unitarity of X; the Y blocks are free.
+    Construction is the one check of a block solution: every entry of the
+    eight blocks is finite, A, B, C, D are unitary and C carries the value
+    forced by unitarity of X; the Y blocks are otherwise free.
     """
 
     A: DiagBlock
@@ -170,15 +180,16 @@ class BlockSolution:
     Y4: DiagBlock
 
     def __post_init__(self):
-        for name in ("A", "B", "C", "D"):
-            if not getattr(self, name).is_unitary():
+        for name in (field.name for field in fields(self)):
+            block = getattr(self, name)
+            if not (cmath.isfinite(block.p) and cmath.isfinite(block.q)):
+                raise ValueError(f"block {name} must be finite, got {block}")
+            if name in ("A", "B", "C", "D") and not block.is_unitary():
                 raise ValueError(f"block {name} must be unitary diagonal")
-        forced = derive_C(self.A, self.B, self.D)
+        forced = _forced_C(self.A, self.B, self.D)
         err = max(abs(self.C.p - forced.p), abs(self.C.q - forced.q))
         if err > 1e-12:
-            raise ValueError(
-                f"C deviates from -D B^dagger A by {err:.3e}; X cannot be unitary"
-            )
+            raise ValueError(f"C deviates from -D B^dagger A by {err:.3e}; X cannot be unitary")
 
     @property
     def omega(self) -> complex:
@@ -220,25 +231,25 @@ class BlockSolution:
         alpha: complex = 1.0 + 0j,
         beta: complex = 1.0 + 0j,
     ) -> "BlockSolution":
-        a = DiagBlock(1.0 + 0j, _require_unit(omega, "omega"))
-        b = DiagBlock(_require_unit(alpha, "alpha"), _require_unit(beta, "beta"))
-        d = DiagBlock(_require_unit(gamma, "gamma"), _require_unit(delta, "delta"))
-        c = derive_C(a, b, d)
-        y1, y2, y3, y4 = derive_Y(omega, gamma, delta, alpha, beta)
-        return BlockSolution(a, b, c, d, y1, y2, y3, y4)
+        ys = derive_Y(omega, gamma, delta, alpha, beta)  # checks all five
+        a = DiagBlock(1.0 + 0j, complex(omega))
+        b = DiagBlock(complex(alpha), complex(beta))
+        d = DiagBlock(complex(gamma), complex(delta))
+        return BlockSolution(a, b, _forced_C(a, b, d), d, *ys)
 
     @staticmethod
     def from_matrices(x: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> "BlockSolution":
         """Extract the eight diagonal blocks from explicit 4x4 matrices."""
         blocks = []
         for m in (x, y):
-            s = SQRT2 * linalg.as_matrix(m)
-            if s.shape != (4, 4):
+            m = linalg.as_matrix(m)
+            if m.shape != (4, 4):
                 raise ValueError("expected a 4x4 matrix")
-            off = linalg.max_abs(s[~QUADRANT_SUPPORT])
+            off = SQRT2 * linalg.max_abs(m[~QUADRANT_SUPPORT])
             if not off <= tol:
                 raise ValueError(f"off-diagonal block entry {off:.3e} exceeds {tol:g}")
-            blocks += [DiagBlock(p, q) for p, q in np.take(s, QUADRANT_SLOTS).tolist()]
+            # Python keeps an infinite entry (inf, 0); numpy's product warns and makes it inf+nanj.
+            blocks += [DiagBlock(SQRT2 * p, SQRT2 * q) for p, q in np.take(m, QUADRANT_SLOTS).tolist()]
         return BlockSolution(*blocks)
 
 
@@ -323,35 +334,25 @@ def xshape_solution() -> RMatrix:
     return RMatrix(GybeSignature(2, 3, 2), INV_SQRT2 * m, "xshape")
 
 
-def _family_block(family: int, alpha: complex, beta: complex) -> BlockSolution:
-    """The blocks of member R(alpha, beta) of a valid family, with alpha and beta checked."""
-    omega, gamma, delta = FAMILY_PARAMS[family]
-    return BlockSolution.from_params(omega, gamma, delta, alpha, beta)
-
-
 def general_solution(family: int, alpha: complex, beta: complex) -> RMatrix:
     """The family member R(alpha, beta) for unit-circle alpha and beta."""
-    params = GeneralParams(family, complex(alpha), complex(beta))
-    block = _family_block(params.family, params.alpha, params.beta)
-    label = (
-        f"family{family}:alpha={params.alpha.real:.12g},{params.alpha.imag:.12g}"
-        f":beta={params.beta.real:.12g},{params.beta.imag:.12g}"
-    )
-    return block.to_rmatrix(label)
+    alpha, beta = complex(alpha), complex(beta)
+    block = BlockSolution.from_params(*_family_params(family), alpha, beta)
+    label = f"family{family}:alpha={alpha.real:.12g},{alpha.imag:.12g}"
+    return block.to_rmatrix(f"{label}:beta={beta.real:.12g},{beta.imag:.12g}")
 
 
 def family_solution(family: int, theta: float) -> RMatrix:
     """The one-angle family member R(theta) = R(1, e^{i theta}), theta in [0, pi]."""
     params = FamilyParams(family, float(theta))
-    block = _family_block(params.family, 1.0 + 0j, complex(np.exp(1j * params.theta)))
+    beta = complex(np.exp(1j * params.theta))
+    block = BlockSolution.from_params(*_family_params(family), 1.0 + 0j, beta)
     return block.to_rmatrix(f"family{family}:theta={params.theta:.12g}")
 
 
 def base_solution(k: int) -> BlockSolution:
     """The reduced solution of family k, i.e. alpha = beta = 1."""
-    if k not in FAMILY_PARAMS:
-        raise ValueError(f"base solution index must be 1, 2, or 3, got {k}")
-    return _family_block(k, 1.0 + 0j, 1.0 + 0j)
+    return BlockSolution.from_params(*_family_params(k))
 
 
 def conjugate_solution(r: RMatrix) -> RMatrix:
@@ -463,41 +464,30 @@ class ReducedSolution(NamedTuple):
     beta: complex
 
 
+def _replace_B(s: BlockSolution, b: DiagBlock, alpha: complex, beta: complex) -> BlockSolution:
+    """s with B set to ``b``, C derived from it, and the phases (alpha, beta) taken
+    out of Y2 and Y3: the one conjugation behind both directions of the reduction."""
+    return replace(
+        s,
+        B=b,
+        C=_forced_C(s.A, b, s.D),
+        Y2=DiagBlock(beta.conjugate() * s.Y2.p, alpha * beta.conjugate() ** 2 * s.Y2.q),
+        Y3=DiagBlock(beta * s.Y3.p, alpha.conjugate() * beta**2 * s.Y3.q),
+    )
+
+
 def reduce_to_B_identity(s: BlockSolution) -> ReducedSolution:
     """Conjugate away the B block: tilde(B) = I, keeping solution-hood.
 
     The X quadrant is conjugated by diag(I, B) and the Y quadrant by
     diag(I, conj(alpha) beta B); both preserve the eight block equations.
     """
-    al, be = s.alpha, s.beta
-    reduced = BlockSolution(
-        A=s.A,
-        B=DiagBlock.identity(),
-        C=DiagBlock(-s.gamma, -s.delta * s.omega),
-        D=s.D,
-        Y1=s.Y1,
-        Y2=DiagBlock(be.conjugate() * s.Y2.p, al * be.conjugate() ** 2 * s.Y2.q),
-        Y3=DiagBlock(be * s.Y3.p, al.conjugate() * be**2 * s.Y3.q),
-        Y4=s.Y4,
-    )
-    return ReducedSolution(reduced, al, be)
+    return ReducedSolution(_replace_B(s, DiagBlock.identity(), s.alpha, s.beta), s.alpha, s.beta)
 
 
 def restore(reduced: BlockSolution, b: DiagBlock) -> BlockSolution:
     """Invert :func:`reduce_to_B_identity` for a chosen unitary diagonal B."""
-    if not b.is_unitary():
-        raise ValueError("B must be a unitary diagonal block")
-    al, be = complex(b.p), complex(b.q)
-    return BlockSolution(
-        A=reduced.A,
-        B=b,
-        C=derive_C(reduced.A, b, reduced.D),
-        D=reduced.D,
-        Y1=reduced.Y1,
-        Y2=DiagBlock(be * reduced.Y2.p, al.conjugate() * be**2 * reduced.Y2.q),
-        Y3=DiagBlock(be.conjugate() * reduced.Y3.p, al * be.conjugate() ** 2 * reduced.Y3.q),
-        Y4=reduced.Y4,
-    )
+    return _replace_B(reduced, b, complex(b.p).conjugate(), complex(b.q).conjugate())
 
 
 # --- named-solution registry -------------------------------------------------

@@ -615,6 +615,16 @@ def test_word_difference_pads_only_to_the_union_window():
     assert braiding.word_difference(rep, u, v) == want > 0.5
 
 
+def test_word_difference_rejects_a_non_finite_word():
+    # 330 letters of 10 * rowell overflow to non-finite entries.
+    rep = build_rep(RMatrix(GybeSignature(2, 3, 1), 10 * rowell_solution().matrix), 3)
+    big, small = BraidWord(3, (1,) * 330), BraidWord(3, (1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, v in ((big, small), (small, big), (big, big)):
+            with pytest.raises(ValueError, match="not finite"):
+                braiding.word_difference(rep, u, v)
+
+
 def test_word_difference_strand_mismatch():
     rep = build_rep(rowell_solution(), 4)
     for u, v in ((BraidWord(4, (1,)), BraidWord(5, (1,))), (BraidWord(5, (1,)), BraidWord(4, (1,)))):

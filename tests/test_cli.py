@@ -464,17 +464,27 @@ def test_braid_word_matrix_output(capsys):
     assert linalg.max_abs_diff(m, linalg.identity(16)) <= 1e-12
 
 
-@pytest.mark.parametrize("extra", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "extra", [[], ["--json"], ["--compare", "n=3: 1"], ["--compare", "n=3: 1", "--json"], ["--state"]]
+)
 def test_braid_rejects_an_overflowing_word(extra, tmp_path, capsys):
     # 10 * rowell passes the equation check, but 330 letters of it overflow
-    # to non-finite entries, which neither the text nor the JSON encoder prints.
+    # to non-finite entries, which no output prints.  No np.errstate here:
+    # a numpy warning would be raised as the error in place of the output's own.
     path = tmp_path / "rowell10.json"
     path.write_text(linalg.matrix_to_json(10 * rowell_solution().matrix))
+    message = "matrix entries must be finite"
+    if extra[:1] == ["--compare"]:
+        message = "the two words' matrices, or their difference, are not finite"
+    if extra == ["--state"]:
+        state = tmp_path / "state.json"
+        state.write_text(linalg.matrix_to_json(np.eye(16)[:, :1]))
+        extra, message = ["--state", str(state)], "state amplitudes must be finite"
     word = "n=3: " + ",".join(["1"] * 330)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run_cli(capsys, "braid", "--matrix", str(path), "--word", word, *extra)
-    assert (code, out) == (2, "")
-    assert "error: matrix entries must be finite" in err
+    code, out, err = run_cli(
+        capsys, "braid", "--matrix", str(path), "--signature", "2,3,1", "--word", word, *extra
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_braid_state_application(tmp_path, capsys):

@@ -57,15 +57,18 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # Three equiv pools of 112 ops, twice; two braid pools of 120, and the
     # 40 --json ops of the second again in text; two verify pools of 192,
     # each with its 32 classify ops again in JSON and its 32 perturbed
-    # matrices classified twice; three family members in text; four searches.
-    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * (192 + 32 + 2 * 32) + 3 + 4
+    # matrices classified twice; three family members by theta in text and
+    # three by alpha and beta, in text and JSON; four searches.
+    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 4
     equiv = [a for a in argvs if a[0] == "equiv"]
     assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]
     braid = [a for a in argvs if a[0] == "braid"]
     assert braid[240:] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
     assert not any("--json" in a for a in braid[240:])
-    assert argvs[-7:-4] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
-    verify = argvs[3 * 112 * 2 + 2 * 120 + 40 : -7]
+    assert argvs[-13:-10] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
+    general = [["family", "--family", k, "--alpha", "0.6,0.8", "--beta", "0.28,-0.96"] for k in "123"]
+    assert argvs[-10:-4] == [a + json for a in general for json in ([], ["--json"])]
+    verify = argvs[3 * 112 * 2 + 2 * 120 + 40 : -13]
     for pool in (verify[:288], verify[288:]):
         ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
         assert again == [a + ["--json"] for a in ops if a[0] == "classify"]

@@ -1,14 +1,17 @@
 """Tests pinning the concrete solutions to their published entry patterns."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gybe import linalg
+from gybe import linalg, solutions
 from gybe.core import GybeSignature, RMatrix, check_gybe, check_ybe
 from gybe.solutions import (
     FAMILY_PARAMS,
+    QUADRANT_SLOTS,
     QUADRANT_SUPPORT,
     BlockSolution,
     DiagBlock,
@@ -493,6 +496,69 @@ def test_block_solution_validation():
         )
     with pytest.raises(ValueError):
         BlockSolution.from_matrices(np.ones((4, 4)), np.ones((4, 4)))
+
+
+BLOCK_NAMES = ("A", "B", "C", "D", "Y1", "Y2", "Y3", "Y4")
+
+
+@pytest.mark.parametrize("build", ["constructor", "from_matrices"])
+@pytest.mark.parametrize("entry", [0, 1])
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex("-inf")])
+@pytest.mark.parametrize("index", range(8))
+def test_block_solution_rejects_a_non_finite_entry_in_any_block(index, bad, entry, build):
+    base = base_solution(1)
+    name = BLOCK_NAMES[index]
+    if build == "constructor":
+        pq = [getattr(base, name).p, getattr(base, name).q]
+        pq[entry] = bad
+        with pytest.raises(ValueError, match=f"block {name} must be finite"):
+            dataclasses.replace(base, **{name: DiagBlock(*pq)})
+    else:
+        quadrants = [base.x_matrix(), base.y_matrix()]
+        np.put(quadrants[index // 4], QUADRANT_SLOTS[index % 4, entry], bad)
+        with pytest.raises(ValueError, match=f"block {name} must be finite"):
+            BlockSolution.from_matrices(*quadrants)
+
+
+_UNIT = st.floats(0, 2 * np.pi).map(lambda t: complex(np.exp(1j * t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UNIT, _UNIT, _UNIT, _UNIT, _UNIT)
+def test_reduction_round_trips_any_unit_parameters(omega, gamma, delta, alpha, beta):
+    # Off-category (omega, gamma, delta) included: the reduction is a
+    # conjugation of the blocks, whether or not they solve the equation.
+    s = BlockSolution.from_params(omega, gamma, delta, alpha, beta)
+    red = reduce_to_B_identity(s)
+    assert red.solution.B == DiagBlock.identity()
+    assert (red.alpha, red.beta) == (alpha, beta)
+    back = restore(red.solution, DiagBlock(red.alpha, red.beta))
+    assert linalg.max_abs_diff(back.r_matrix(), s.r_matrix()) <= 1e-14
+
+
+def test_reduction_of_a_scalar_multiple_keeps_its_corner():
+    # e^{0.3i} R has A = e^{0.3i} diag(1, omega): the reduced C is -D A, not (-gamma, -delta omega).
+    m = np.exp(0.3j) * general_solution(2, np.exp(0.5j), np.exp(1.1j)).matrix
+    s = BlockSolution.from_matrices(*split_blocks(m))
+    red = reduce_to_B_identity(s).solution
+    assert red.C == derive_C(s.A, DiagBlock.identity(), s.D)
+    back = restore(red, s.B)
+    assert linalg.max_abs_diff(back.r_matrix(), s.r_matrix()) <= 1e-14
+
+
+def test_a_family_member_is_checked_once(monkeypatch):
+    # derive_Y checks the five parameters and the constructor the four X
+    # blocks; nothing checks them again on its behalf.
+    units, unitaries = [], []
+    require_unit, is_unitary = solutions._require_unit, DiagBlock.is_unitary
+    monkeypatch.setattr(
+        solutions, "_require_unit", lambda *a, **k: units.append(a) or require_unit(*a, **k)
+    )
+    monkeypatch.setattr(
+        DiagBlock, "is_unitary", lambda self, *a: unitaries.append(self) or is_unitary(self, *a)
+    )
+    general_solution(2, np.exp(0.4j), np.exp(1.3j))
+    assert len(units) <= 5 and len(unitaries) <= 4
 
 
 def test_conjugate_solutions_also_solve():

@@ -11,11 +11,14 @@ with ``--json`` and by ``classify --matrix perturbed-N.json --json`` for
 each perturbed family member of the pool, at the default tolerance (not
 in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
 ``gybe family --family k --theta 0.7`` in plain text for k = 1, 2, 3;
+``gybe family --family k --alpha 0.6,0.8 --beta 0.28,-0.96`` for k = 1, 2,
+3, each in plain text and with ``--json``, so that the matrices of
+``general_solution`` are compared byte for byte;
 ``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
 seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2 with nothing
 on stdout: a missing or surplus input, a 4x4 ``--state``,
-empty values, a ``--compare`` word on other strands and ``classify`` of a
-solution not in block form.  The pools and their input files come from
+empty values, a ``--compare`` word on other strands, ``classify`` of a
+solution not in block form and a family member with a non-unit alpha.  The pools and their input files come from
 ``perfbench/workloads.py``, which is only read; each pool's files sit in a
 directory of their own, because pools of one workload reuse file names.
 
@@ -63,6 +66,11 @@ POOLS = (
 # The pool whose --json ops run again as plain text.
 TEXT_POOL = ("braid", 804)
 FAMILY_TEXT = [["family", "--family", str(k), "--theta", "0.7"] for k in (1, 2, 3)]
+FAMILY_GENERAL = [
+    ["family", "--family", str(k), "--alpha", "0.6,0.8", "--beta", "0.28,-0.96", *json]
+    for k in (1, 2, 3)
+    for json in ([], ["--json"])
+]
 SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
 STATE_4X4 = "state-4x4.json"
@@ -82,6 +90,7 @@ USAGE_ERRORS = (
     ["verify", "--matrix", ""],
     ["braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"],
     ["classify", "--solution", "xshape"],
+    ["family", "--family", "1", "--alpha", "2,0", "--beta", "0,1"],
 )
 
 
@@ -109,7 +118,7 @@ def ops(workdir: Path) -> list[list[str]]:
                 if "--matrix" in argv:
                     classify = ["classify", "--matrix", argv[argv.index("--matrix") + 1], "--json"]
                     argvs += [classify, classify + ["--tol", "1e-2"]]
-    argvs += [list(argv) for argv in FAMILY_TEXT]
+    argvs += [list(argv) for argv in FAMILY_TEXT + FAMILY_GENERAL]
     grid = "\n".join("".join("1" if v else "0" for v in row) for row in checker.rowell_mask())
     (workdir / PATTERN).write_text(grid + "\n", encoding="utf-8")
     search = ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--json", "--stats"]
