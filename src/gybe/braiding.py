@@ -283,11 +283,9 @@ def recognize_braiding_gate(
     against the matching entry of each candidate generator, which keeps the
     division numerically stable.  Returns (generator index, lambda) or None.
     """
-    mat = linalg.as_matrix(u)
+    mat = linalg.square_matrix(u, "gate")
     if mat.shape != (rep.dim, rep.dim):
         raise ValueError(f"gate must be {rep.dim}x{rep.dim}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("gate must have finite entries")
     flat_idx = int(np.argmax(np.abs(mat)))
     p, q = divmod(flat_idx, rep.dim)
     if abs(mat[p, q]) == 0.0:

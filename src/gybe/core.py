@@ -59,10 +59,10 @@ class GybeSignature:
 class RMatrix:
     """A candidate or verified solution, tagged with its signature.
 
-    Construction validates shape against the signature, then finiteness of
-    every entry and invertibility at the global pivot threshold by one gated
-    inversion, whose result is kept as ``inverse``.  Both arrays are
-    immutable copies.
+    Construction passes the matrix through :func:`linalg.square_matrix`,
+    checks its side against the signature, then invertibility at the global
+    pivot threshold by one gated inversion, whose result is kept as
+    ``inverse``.  Both arrays are immutable copies.
     """
 
     signature: GybeSignature
@@ -71,9 +71,7 @@ class RMatrix:
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = linalg.frozen(linalg.as_matrix(self.matrix))
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("an R-matrix must be square")
+        m = linalg.frozen(linalg.square_matrix(self.matrix, "R-matrix"))
         sig, side = self.signature, m.shape[0]
         if not sig.has_side(side):
             raise ValueError(
@@ -98,8 +96,8 @@ class CheckReport:
     vacuous: bool = False
 
     def __post_init__(self):
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
         if self.passed != (self.residual <= self.tolerance):
             raise ValueError("inconsistent report: passed must mean residual <= tolerance")
 
@@ -177,14 +175,10 @@ def check_gybe(r: RMatrix, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
 
 def check_ybe(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
     """Verify the ordinary Yang-Baxter equation for a d^2 x d^2 matrix."""
-    m = linalg.as_matrix(x)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("YBE candidate must be square")
+    m = linalg.square_matrix(x, "YBE candidate")
     d = math.isqrt(m.shape[0])
     if d * d != m.shape[0]:
         raise ValueError(f"YBE candidate side {m.shape[0]} is not a perfect square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("YBE candidate must have finite entries")
     return CheckReport.from_residuals([gybe_residual(m, GybeSignature(d, 2, 1))], tol)
 
 
@@ -235,12 +229,13 @@ def pad_identity(m: np.ndarray, left: int, right: int) -> np.ndarray:
 
 
 def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:
-    """The i-th generator's image I^(l(i-1)) ⊗ R ⊗ I^(l(n-i-1)) on n strands."""
+    """The i-th generator's image I^(l(i-1)) ⊗ R ⊗ I^(l(n-i-1)) on n strands,
+    as a writable array also at n = 2, where :func:`pad_identity` returns R's."""
     dim = braid_dimension(r.signature, n)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for {n} strands")
     left = r.signature.d ** (r.signature.l * (i - 1))
-    return apply_local(r.matrix, linalg.identity(dim), left)
+    return np.require(pad_identity(r.matrix, left, dim // (left * r.size)), requirements="W")
 
 
 def far_commutativity_indices(signature: GybeSignature) -> list[int]:
@@ -281,11 +276,9 @@ def ybe_summation_residual(matrix: np.ndarray, d: int) -> float:
     R^{kl}_{ij} (row index kl, column index ij, row-major) and returns the
     largest violation.  Small d only; the lifted-product form is canonical.
     """
-    m = linalg.as_matrix(matrix)
+    m = linalg.square_matrix(matrix, "YBE candidate")
     if m.shape != (d * d, d * d):
         raise ValueError("matrix does not match the declared local dimension")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("YBE candidate must have finite entries")
     if d > 4:
         raise ValueError("summation form is a small-d cross-check")
 

@@ -46,10 +46,26 @@ class ConvergenceError(RuntimeError):
 
 
 def as_matrix(values) -> np.ndarray:
-    """Coerce nested sequences or an ndarray to a 2-D complex128 array."""
+    """Coerce nested sequences or an ndarray to a 2-D complex128 array with entries."""
     m = np.asarray(values, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"expected a 2-D matrix with entries, got shape {m.shape}")
+    return m
+
+
+def square_matrix(values, name: str) -> np.ndarray:
+    """``values`` as a non-empty square complex128 matrix with finite entries,
+    else a ValueError naming ``name`` and the failed check: the one gate on a
+    matrix handed to the library.  Some keep their own checks: a non-finite
+    matrix is a :class:`SingularMatrixError` to :func:`inverse` and
+    ``GaugeOp``, ``BlockSolution.from_matrices`` names the non-finite block,
+    :func:`matrix_from_json_dict` also decodes state columns, ``StateVector``
+    takes a vector and ``core.lifted_difference`` a batched stack."""
+    m = np.asarray(values, dtype=np.complex128)
+    if m.ndim != 2 or m.size == 0 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must have finite entries")
     return m
 
 
@@ -132,11 +148,7 @@ class UnitaryCheck(NamedTuple):
 
 def unitarity_residual(m: np.ndarray) -> float:
     """max-abs entry of M M^dagger - I."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("unitarity is defined for square matrices only")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("unitarity candidate must have finite entries")
+    m = square_matrix(m, "unitarity candidate")
     return max_abs(m @ dagger(m) - identity(m.shape[0]))
 
 
@@ -186,9 +198,7 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     O(1)) their product matches the determinant and each makes
     ``m - lambda I`` singular to about 1e-8.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("eigenvalues of a non-square matrix")
+    a = square_matrix(m, "eigenvalue input")
     if a.shape[0] > 16:
         raise ValueError("eigenvalue computation is scoped to side <= 16")
     try:

@@ -61,11 +61,7 @@ class ZeroPattern:
 
     @staticmethod
     def from_matrix(m: np.ndarray, threshold: float = 1e-9) -> "ZeroPattern":
-        m = linalg.as_matrix(m)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("pattern source must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("pattern source must have finite entries")
+        m = linalg.square_matrix(m, "pattern source")
         return ZeroPattern(m.shape[0], np.abs(m) > threshold)
 
     @staticmethod
@@ -192,13 +188,11 @@ def gybe_objective(
     Zero exactly on unitary solutions.  The candidate must be finite and
     respect the pattern: masked-out entries are required to be exactly zero.
     """
-    m = linalg.as_matrix(matrix)
+    m = linalg.square_matrix(matrix, "candidate")
     if not signature.has_side(pattern.size):
         raise ValueError(
             f"pattern size {pattern.size} does not match signature {signature}"
         )
-    if not np.all(np.isfinite(m)):
-        raise ValueError("candidate must have finite entries")
     if not pattern.accepts(m):
         raise ValueError("candidate has nonzero entries outside the pattern")
     vec = _combined_residual_vector(m, signature)
@@ -215,7 +209,7 @@ def dedup_key(matrix: np.ndarray) -> str:
     those parts as plain Python floats, the same text under every numpy
     version.
     """
-    m = linalg.as_matrix(matrix).copy()
+    m = linalg.square_matrix(matrix, "dedup key input")
     flat = m.reshape(-1)
     significant = np.abs(flat) > 1e-8
     if significant.any():

@@ -288,12 +288,12 @@ def block_parameters(m: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[complex,
     """(omega, gamma, delta) read off an 8x8 matrix in block-solution form.
 
     They are read after scaling A's corner to 1, which takes out a global
-    scalar.  The side must be 8, the off-diagonal 4x4 quadrants and the
-    off-diagonal entries of X's 2x2 sub-blocks must vanish within ``tol``,
-    and A's corner must not; the first of these that fails raises
-    ValueError naming it.
+    scalar.  The matrix must be square with finite entries and of side 8,
+    the off-diagonal 4x4 quadrants and the off-diagonal entries of X's 2x2
+    sub-blocks must vanish within ``tol``, and A's corner must not; the
+    first of these that fails raises ValueError naming it.
     """
-    m = linalg.as_matrix(m)
+    m = linalg.square_matrix(m, "block-solution matrix")
     if m.shape != (8, 8):
         raise ValueError("classification applies to 8x8 block solutions")
     off_quadrants = off_quadrant_max(m)
@@ -371,8 +371,8 @@ def check_block_equations(
     to that scale, so the pass verdict agrees with a direct check of
     X (+) Y at the same tolerance.
     """
-    x = linalg.as_matrix(x)
-    y = linalg.as_matrix(y)
+    x = linalg.square_matrix(x, "block X")
+    y = linalg.square_matrix(y, "block Y")
     a, b, c, d = split_quadrant(x)
     y1, y2, y3, y4 = split_quadrant(y)
     i2 = linalg.identity(2)
@@ -441,6 +441,8 @@ def classify_unitary_params(
     Category A: omega = gamma = +/-i and delta = 1; category B: omega =
     delta = +/-i and gamma = 1; category C: all three equal 1.
     """
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be non-negative, got {tol}")
     w, g, d = complex(omega), complex(gamma), complex(delta)
     for name, value in (("omega", w), ("gamma", g), ("delta", d)):
         if not cmath.isfinite(value):

@@ -198,7 +198,10 @@ def test_double_lift_agreement_on_random_samples():
 
 def test_braid_generator_two_strands_is_r_itself():
     r = rowell_solution()
-    np.testing.assert_array_equal(braid_generator_matrix(r, 2, 1), r.matrix)
+    g = braid_generator_matrix(r, 2, 1)
+    np.testing.assert_array_equal(g, r.matrix)
+    # A fresh array the caller may write, not R's read-only matrix.
+    assert g.flags.writeable and not np.shares_memory(g, r.matrix)
 
 
 def test_braid_generators_three_strands():
@@ -323,6 +326,20 @@ def test_gauge_stability_of_solutions():
         q = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         conjugated = apply_gauge(r, GaugeOp.local_conj(q))
         assert check_gybe(conjugated, 1e-9).passed
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_every_check_rejects_a_nan_or_negative_tolerance(tol):
+    # A NaN tolerance used to give a FAILED report.
+    r = rowell_solution()
+    for check in (
+        lambda: check_gybe(r, tol),
+        lambda: check_far_commutativity(r, tol),
+        lambda: check_ybe(linalg.identity(4), tol),
+        lambda: CheckReport(0.5, False, tol),
+    ):
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            check()
 
 
 def test_check_report_json_shape():

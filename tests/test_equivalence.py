@@ -319,6 +319,15 @@ def test_search_validates_compatibility():
         search_local_conjugation(rowell_solution(), resolve_solution("xshape"))
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_witness_searches_reject_a_nan_or_negative_tolerance(tol):
+    # A NaN tolerance used to give "undecided" or no witness.
+    r = rowell_solution()
+    for search in (decide_equivalence, search_equivalence, search_local_conjugation):
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            search(r, r, tol=tol)
+
+
 def test_witness_search_needs_local_dimension_two():
     # The searched shapes of Q are 2x2; apply_gauge itself takes any d.
     r = RMatrix(GybeSignature(3, 2, 1), linalg.identity(9), "identity")

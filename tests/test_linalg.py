@@ -360,6 +360,24 @@ def test_matrix_json_round_trip_is_exact(m):
     assert back.tobytes() == m.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(0, 5), cols=st.integers(0, 5), data=st.data())
+def test_the_json_decoder_reads_what_the_encoder_writes(rows, cols, data):
+    # Over every shape, a zero side included: what the encoder writes decodes
+    # bit for bit, and a matrix with no entries neither encodes nor decodes.
+    floats = data.draw(st.lists(FINITE_DOUBLES, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = np.array(floats, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+    if m.size:
+        back = linalg.matrix_from_json(linalg.matrix_to_json(m))
+        assert back.shape == m.shape and back.tobytes() == m.tobytes()
+        return
+    for encode in (linalg.matrix_to_json, linalg.matrix_to_json_dict, linalg.matrix_to_text):
+        with pytest.raises(ValueError, match="with entries"):
+            encode(m)
+    with pytest.raises(ValueError, match="positive dimensions"):
+        linalg.matrix_from_json(json.dumps({"rows": rows, "cols": cols, "entries": []}))
+
+
 def _dumps_reference(m):
     return json.dumps(linalg.matrix_to_json_dict(m), allow_nan=False)
 

@@ -53,6 +53,8 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     usage = len(same_output.USAGE_ERRORS)
     assert argvs[-usage:] == list(map(list, same_output.USAGE_ERRORS))
     assert (tmp_path / same_output.STATE_4X4).is_file()
+    assert (tmp_path / same_output.MATRIX_2X3).is_file()
+    assert argvs[-2:] == [[cmd, "--matrix", same_output.MATRIX_2X3] for cmd in ("verify", "classify")]
     argvs = argvs[:-usage]
     # Three equiv pools of 112 ops, twice; two braid pools of 120, and the
     # 40 --json ops of the second again in text; two verify pools of 192,

@@ -362,6 +362,13 @@ def test_classification_examples():
     assert classify_unitary_params(np.exp(1j * np.pi / 3), 1, 1) == "none"
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_classification_rejects_a_nan_or_negative_tolerance(tol):
+    # A NaN tolerance fails every comparison, so it used to read as "none".
+    with pytest.raises(ValueError, match="tolerance must be non-negative"):
+        classify_unitary_params(1j, 1j, 1, tol=tol)
+
+
 @pytest.mark.parametrize("position, name", [(0, "omega"), (1, "gamma"), (2, "delta")])
 def test_classification_rejects_non_finite_parameters(position, name):
     # NaN fails every comparison, so it used to read as category "none".
@@ -398,11 +405,12 @@ def test_block_parameters_name_the_first_failed_condition():
         (base[:4, :4], "classification applies to 8x8 block solutions"),
         # The quadrants are checked before the sub-blocks of X.
         (changed(((0, 4), 1e-3), ((0, 1), 1e-3)), "off-diagonal 4x4 quadrants reach 1.000e-03"),
-        (changed(((5, 2), np.nan)), "off-diagonal 4x4 quadrants reach nan"),
         (changed(((0, 1), 1e-3)), "2x2 sub-blocks of X are not diagonal"),
-        (changed(((3, 2), np.nan)), "2x2 sub-blocks of X are not diagonal"),
         (changed(((0, 0), 0.0)), "top-left entry is zero"),
-        (changed(((0, 0), np.nan)), "top-left entry is zero"),
+        # A NaN anywhere fails the input gate before any block condition.
+        (changed(((5, 2), np.nan)), "block-solution matrix must have finite entries"),
+        (changed(((3, 2), np.nan)), "block-solution matrix must have finite entries"),
+        (changed(((0, 0), np.nan)), "block-solution matrix must have finite entries"),
     ]
     for m, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -18,9 +18,11 @@ in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
 seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2 with nothing
 on stdout: a missing or surplus input, a 4x4 ``--state``,
 empty values, a ``--compare`` word on other strands, ``classify`` of a
-solution not in block form and a family member with a non-unit alpha.  The pools and their input files come from
-``perfbench/workloads.py``, which is only read; each pool's files sit in a
-directory of their own, because pools of one workload reuse file names.
+solution not in block form, a family member with a non-unit alpha, and
+``verify`` and ``classify`` of a 2x3 ``--matrix``.  The pools and their
+input files come from ``perfbench/workloads.py``, which is only read; each
+pool's files sit in a directory of their own, because pools of one
+workload reuse file names.
 
 Each side runs every op in order, in-process through ``gybe.cli.main``, in
 a subprocess of its own that imports ``gybe`` from that side's ``src`` and
@@ -74,6 +76,7 @@ FAMILY_GENERAL = [
 SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
 STATE_4X4 = "state-4x4.json"
+MATRIX_2X3 = "matrix-2x3.json"
 USAGE_ERRORS = (
     ["verify"],
     ["classify"],
@@ -91,6 +94,8 @@ USAGE_ERRORS = (
     ["braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"],
     ["classify", "--solution", "xshape"],
     ["family", "--family", "1", "--alpha", "2,0", "--beta", "0,1"],
+    ["verify", "--matrix", MATRIX_2X3],
+    ["classify", "--matrix", MATRIX_2X3],
 )
 
 
@@ -125,6 +130,8 @@ def ops(workdir: Path) -> list[list[str]]:
     argvs += [search + ["--seed", str(seed)] for seed in SEARCH_SEEDS]
     # Unit norm as 16 amplitudes, but a matrix, not a column.
     (workdir / STATE_4X4).write_text(checker.matrix_to_json(np.eye(4) / 2), encoding="utf-8")
+    # A matrix that is not square, for the input gate of verify and classify.
+    (workdir / MATRIX_2X3).write_text(checker.matrix_to_json(np.eye(2, 3)), encoding="utf-8")
     return argvs + [list(argv) for argv in USAGE_ERRORS]
 
 
