@@ -165,6 +165,7 @@ def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
     the generator pair and residual.  The inverse is the conjugate
     transpose when ``r`` is unitary, else ``r.inverse``: nothing is inverted.
     """
+    tol = linalg.tolerance(tol)
     sig = r.signature
     dim = braid_dimension(sig, n)
     for j in far_commutativity_indices(sig):
@@ -283,6 +284,7 @@ def recognize_braiding_gate(
     against the matching entry of each candidate generator, which keeps the
     division numerically stable.  Returns (generator index, lambda) or None.
     """
+    tol = linalg.tolerance(tol)
     mat = linalg.square_matrix(u, "gate")
     if mat.shape != (rep.dim, rep.dim):
         raise ValueError(f"gate must be {rep.dim}x{rep.dim}")

@@ -95,7 +95,7 @@ def _load_matrix_file(args) -> RMatrix:
     An assumed signature is noted on stderr and kept in
     ``args.assumed_signature`` for :func:`_report_json`.
     """
-    mat = linalg.matrix_from_json(_read_text(args.matrix))
+    mat = linalg.square_matrix(linalg.matrix_from_json(_read_text(args.matrix)), "R-matrix")
     if args.signature:
         sig = _parse_signature(args.signature)
     else:
@@ -415,9 +415,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        tol = getattr(args, "tol", 0.0)
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"--tol must be a finite non-negative number, got {tol}")
+        linalg.tolerance(getattr(args, "tol", 0.0), "--tol")
         if "matrix" in vars(args) and args.signature and not args.matrix:
             raise ValueError("--signature applies to --matrix input only")
         code = args.func(args)

@@ -96,8 +96,7 @@ class CheckReport:
     vacuous: bool = False
 
     def __post_init__(self):
-        if not self.tolerance >= 0:
-            raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
+        linalg.tolerance(self.tolerance)
         if self.passed != (self.residual <= self.tolerance):
             raise ValueError("inconsistent report: passed must mean residual <= tolerance")
 

@@ -530,8 +530,7 @@ def _search_conjugator(
     ``undecided`` when the general shape was asked for and could not
     reduce, or when a candidate came within ``NEAR_MISS``, else ``none``.
     """
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
+    tol = linalg.tolerance(tol)
     if r.signature != s.signature:
         raise ValueError("witness search needs matching signatures")
     if r.signature.d != 2:

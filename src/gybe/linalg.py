@@ -6,6 +6,8 @@ library is built from: Kronecker products, direct sums, conjugate transpose,
 read-only copies, inversion gated on the smallest singular value,
 eigenvalues of small matrices, tolerance-based comparisons in the
 max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
+Two gates check what a caller hands the library: :func:`square_matrix` a
+matrix and :func:`tolerance` a tolerance.
 
 Matrix output pays for the entries that are not +0.0+0.0j, not for the
 side: :func:`matrix_to_json` and :func:`matrix_to_text` gather the two
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -67,6 +70,17 @@ def square_matrix(values, name: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} must have finite entries")
     return m
+
+
+def tolerance(value, name: str = "tolerance") -> float:
+    """``value`` as a float if it is finite and non-negative, else a
+    ValueError naming ``name``: the one gate on a tolerance handed to the
+    library, since a NaN or infinite one makes a "residual <= tol" verdict
+    meaningless.  ``SearchConfig`` keeps one side condition: positive."""
+    tol = float(value)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
+    return tol
 
 
 def identity(n: int) -> np.ndarray:
@@ -154,6 +168,7 @@ def unitarity_residual(m: np.ndarray) -> float:
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> UnitaryCheck:
     """Test unitarity at tolerance ``tol``, returning verdict and residual."""
+    tol = tolerance(tol)
     residual = unitarity_residual(m)
     return UnitaryCheck(residual <= tol, residual)
 
@@ -210,6 +225,7 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 
 def eigenvalue_multisets_close(a, b, tol: float = 1e-8) -> bool:
     """Compare two eigenvalue multisets after canonical sorting."""
+    tol = tolerance(tol)
     a = sort_eigenvalues(np.asarray(a, dtype=np.complex128))
     b = sort_eigenvalues(np.asarray(b, dtype=np.complex128))
     if a.shape != b.shape:

@@ -38,6 +38,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
+
 INITIAL_DAMPING = 1e-3
 DAMPING_GROW = 10.0
 DAMPING_SHRINK = 3.0
@@ -108,8 +110,7 @@ def solve_stack(
     and is called once per iteration.  Returns one result per row, in row
     order.
     """
-    if np.isnan(objective_tol):
-        raise ValueError("objective_tol must not be NaN")
+    objective_tol = linalg.tolerance(objective_tol, "objective_tol")
     x = np.array(x0, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a (rows, params) stack of starts, got shape {x.shape}")

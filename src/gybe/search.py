@@ -21,7 +21,6 @@ certified; the result also reports the live and total residual rows.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +53,7 @@ class ZeroPattern:
 
     def accepts(self, m: np.ndarray, tol: float = 0.0) -> bool:
         """True when every masked-out entry of ``m`` is zero (within tol)."""
+        tol = linalg.tolerance(tol)
         m = linalg.as_matrix(m)
         if m.shape != (self.size, self.size):
             return False
@@ -128,8 +128,8 @@ class SearchConfig:
     max_iterations: int = 250
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be finite and positive")
+        if not linalg.tolerance(self.tolerance) > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:

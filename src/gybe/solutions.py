@@ -69,6 +69,7 @@ class DiagBlock:
     q: complex
 
     def is_unitary(self, tol: float = _UNIT_TOL) -> bool:
+        tol = linalg.tolerance(tol)
         return abs(abs(complex(self.p)) - 1.0) <= tol and abs(abs(complex(self.q)) - 1.0) <= tol
 
     @staticmethod
@@ -240,6 +241,7 @@ class BlockSolution:
     @staticmethod
     def from_matrices(x: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> "BlockSolution":
         """Extract the eight diagonal blocks from explicit 4x4 matrices."""
+        tol = linalg.tolerance(tol)
         blocks = []
         for m in (x, y):
             m = linalg.as_matrix(m)
@@ -293,6 +295,7 @@ def block_parameters(m: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[complex,
     sub-blocks must vanish within ``tol``, and A's corner must not; the
     first of these that fails raises ValueError naming it.
     """
+    tol = linalg.tolerance(tol)
     m = linalg.square_matrix(m, "block-solution matrix")
     if m.shape != (8, 8):
         raise ValueError("classification applies to 8x8 block solutions")
@@ -441,8 +444,7 @@ def classify_unitary_params(
     Category A: omega = gamma = +/-i and delta = 1; category B: omega =
     delta = +/-i and gamma = 1; category C: all three equal 1.
     """
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
+    tol = linalg.tolerance(tol)
     w, g, d = complex(omega), complex(gamma), complex(delta)
     for name, value in (("omega", w), ("gamma", g), ("delta", d)):
         if not cmath.isfinite(value):

@@ -147,7 +147,17 @@ def test_tolerance_must_be_finite_and_non_negative(capsys):
         for tol in ("nan", "inf", "-1"):
             code, out, err = run_cli(capsys, *argv, "--tol", tol)
             assert code == 2 and out == "", (argv, tol)
-            assert "--tol must be a finite non-negative number" in err
+            assert "--tol must be non-negative and finite" in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["classify"], ["braid", "--word", "n=3: 1"]])
+def test_a_non_square_matrix_file_is_rejected_before_a_signature_is_assumed(tmp_path, capsys, command):
+    # The signature used to be inferred from the row count, and noted on stderr, first.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(linalg.matrix_to_json_dict(np.eye(2, 3))))
+    code, out, err = run_cli(capsys, *command, "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: R-matrix must be a non-empty square matrix, got shape (2, 3)"]
 
 
 def test_defaults_come_from_the_library():

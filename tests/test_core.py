@@ -328,7 +328,7 @@ def test_gauge_stability_of_solutions():
         assert check_gybe(conjugated, 1e-9).passed
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_every_check_rejects_a_nan_or_negative_tolerance(tol):
     # A NaN tolerance used to give a FAILED report.
     r = rowell_solution()

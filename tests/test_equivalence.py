@@ -319,7 +319,7 @@ def test_search_validates_compatibility():
         search_local_conjugation(rowell_solution(), resolve_solution("xshape"))
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_witness_searches_reject_a_nan_or_negative_tolerance(tol):
     # A NaN tolerance used to give "undecided" or no witness.
     r = rowell_solution()

@@ -188,7 +188,7 @@ def test_objective_rejects_non_finite_entries_inside_the_pattern():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tolerance must be positive, got 0.0$"):
         SearchConfig(tolerance=0.0)
     # An infinite tolerance would certify random matrices; NaN would
     # certify nothing.

@@ -362,7 +362,7 @@ def test_classification_examples():
     assert classify_unitary_params(np.exp(1j * np.pi / 3), 1, 1) == "none"
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_classification_rejects_a_nan_or_negative_tolerance(tol):
     # A NaN tolerance fails every comparison, so it used to read as "none".
     with pytest.raises(ValueError, match="tolerance must be non-negative"):

@@ -18,8 +18,11 @@ in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
 seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2 with nothing
 on stdout: a missing or surplus input, a 4x4 ``--state``,
 empty values, a ``--compare`` word on other strands, ``classify`` of a
-solution not in block form, a family member with a non-unit alpha, and
-``verify`` and ``classify`` of a 2x3 ``--matrix``.  The pools and their
+solution not in block form, a family member with a non-unit alpha,
+``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
+``classify``, ``equiv``, ``braid ... --compare`` and ``search`` (the
+tolerance gate), and ``verify`` and ``classify`` of a 2x3 ``--matrix``.
+The pools and their
 input files come from ``perfbench/workloads.py``, which is only read; each
 pool's files sit in a directory of their own, because pools of one
 workload reuse file names.
@@ -77,6 +80,14 @@ SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
 STATE_4X4 = "state-4x4.json"
 MATRIX_2X3 = "matrix-2x3.json"
+# Each command that takes --tol, for the tolerance gate's nan, -1 and inf.
+TOL_COMMANDS = (
+    ["verify", "--solution", "rowell"],
+    ["classify", "--solution", "rowell"],
+    ["equiv", "--solution", "rowell", "--solution", "base1"],
+    ["braid", "--solution", "rowell", "--word", "n=3: 1,2,1", "--compare", "n=3: 2,1,2"],
+    ["search", "--pattern", PATTERN, "--signature", "2,3,1"],
+)
 USAGE_ERRORS = (
     ["verify"],
     ["classify"],
@@ -94,6 +105,7 @@ USAGE_ERRORS = (
     ["braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"],
     ["classify", "--solution", "xshape"],
     ["family", "--family", "1", "--alpha", "2,0", "--beta", "0,1"],
+    *([*argv, "--tol", tol] for argv in TOL_COMMANDS for tol in ("nan", "-1", "inf")),
     ["verify", "--matrix", MATRIX_2X3],
     ["classify", "--matrix", MATRIX_2X3],
 )
