@@ -61,9 +61,8 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("a braid word needs at least 2 strands")
-        letters = tuple(int(v) for v in self.letters)
+        object.__setattr__(self, "n", linalg.count(self.n, "n", 2))
+        letters = tuple(linalg.count(v, "letter") for v in self.letters)
         for v in letters:
             if not 1 <= abs(v) <= self.n - 1:
                 raise ValueError(f"letter {v} out of range for {self.n} strands")
@@ -77,9 +76,9 @@ _WORD_RE = re.compile(r"^\s*n\s*=([^:]*):(.*)$")
 
 
 def integer(text: str) -> int:
-    """An integer as typed by a user: an optional minus and ASCII digits, where
-    ``int`` would also take ``_``, ``+`` and the digits of other scripts."""
-    if not re.fullmatch(r"-?[0-9]+", text.strip()):
+    """An integer as typed by a user: an optional minus and ASCII digits, where ``int``
+    would also take ``_``, ``+``, surrounding space and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
@@ -93,12 +92,12 @@ def parse_braid_word(text: str) -> BraidWord:
     m = _WORD_RE.match(text)
     if not m:
         raise ValueError(f"malformed braid word: {text!r} (expected 'n=<k>: 1,2,-1')")
-    n = integer(m.group(1))
+    n = integer(m.group(1).strip())
     body = m.group(2).strip()
     tokens = body.split(",") if body else []
     if not all(tok.strip() for tok in tokens):
         raise ValueError(f"malformed braid word: {text!r} has an empty letter")
-    return BraidWord(n, tuple(integer(tok) for tok in tokens))
+    return BraidWord(n, tuple(integer(tok.strip()) for tok in tokens))
 
 
 @dataclass(frozen=True)
@@ -138,10 +137,13 @@ class BraidRep:
     dim: int
     inverse: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", linalg.count(self.n, "n", 2))
+
     def _letter(self, i: int) -> tuple[np.ndarray, int]:
         """Local matrix of sigma_i (of its inverse for negative i) and the
         first qudit it acts on; it covers m qudits from there.  ``i`` is a
-        :class:`BraidWord` letter, which that class checks."""
+        checked :class:`BraidWord` letter or an index the library counted."""
         local = self.r.matrix if i > 0 else self.inverse
         return local, self.r.signature.l * (abs(i) - 1)
 
@@ -152,7 +154,7 @@ class BraidRep:
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
         """Dense images of sigma_1 .. sigma_(n-1), built on each access."""
-        return tuple(self.generator(i) for i in range(1, self.n))
+        return tuple(_word_matrix(self, (i,)) for i in range(1, self.n))
 
 
 def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
@@ -293,7 +295,7 @@ def recognize_braiding_gate(
     if abs(mat[p, q]) == 0.0:
         return None
     for i in range(1, rep.n):
-        gen = rep.generator(i)
+        gen = _word_matrix(rep, (i,))
         if abs(gen[p, q]) < 1e-12:
             continue
         lam = complex(mat[p, q] / gen[p, q])

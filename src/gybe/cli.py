@@ -70,7 +70,7 @@ def _parse_signature(text: str) -> GybeSignature:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected 'd,m,l', got {text!r}")
-    return GybeSignature(*map(integer, parts))
+    return GybeSignature(*(integer(part.strip()) for part in parts))
 
 
 def _read_text(path: str) -> str:
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="construct a family member")
-    p.add_argument("--family", action=_Once, type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--family", action=_Once, type=integer, required=True, choices=(1, 2, 3))
     p.add_argument("--theta", action=_Once, type=float, default=None, help="angle in radians")
     p.add_argument("--alpha", action=_Once, default=None, help="re,im on the unit circle")
     p.add_argument("--beta", action=_Once, default=None, help="re,im on the unit circle")

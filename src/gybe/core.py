@@ -39,8 +39,7 @@ class GybeSignature:
 
     def __post_init__(self):
         for name in ("d", "m", "l"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"signature component {name} must be positive")
+            object.__setattr__(self, name, linalg.count(getattr(self, name), name, 1))
 
     @property
     def matrix_size(self) -> int:
@@ -157,8 +156,7 @@ def lifted_difference(matrix: np.ndarray, signature: GybeSignature) -> np.ndarra
     size = signature.matrix_size
     if m.ndim < 2 or m.shape[-2:] != (size, size):
         raise ValueError(f"matrix shape {m.shape} does not match signature {signature}")
-    braid_dimension(signature, 3)  # L, S are sigma_1, sigma_2 on 3 strands
-    left, right = lift_pair(m, signature.d**signature.l)
+    left, right = lift_pair(m, _capped_side(signature, signature.m + signature.l) // size)
     return left @ right @ left - right @ left @ right
 
 
@@ -181,23 +179,22 @@ def check_ybe(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
     return CheckReport.from_residuals([gybe_residual(m, GybeSignature(d, 2, 1))], tol)
 
 
-def braid_dimension(signature: GybeSignature, n: int) -> int:
-    """Side d^(m + (n-2)l) of the n-strand representation.
-
-    The one gate on dense size: generators, representations, far pairs
-    (n = j + 1) and the lifted residual (n = 3) all size themselves here.
-    The cap is decided from the exponent, so a huge n builds no huge integer,
-    and an oversized side is reported as d^k.
-    """
-    if n < 2:
-        raise ValueError("a braid group needs at least 2 strands")
-    exponent = signature.m + (n - 2) * signature.l
-    if _power_exceeds(signature.d, exponent, MAX_MATRIX_SIDE):
+def _capped_side(signature: GybeSignature, qudits: int) -> int:
+    """d^qudits, the side of an operator on that many tensor factors: the one
+    gate on dense size, decided from the exponent so that a huge one builds
+    no huge integer; an oversized side is reported as d^k."""
+    if _power_exceeds(signature.d, qudits, MAX_MATRIX_SIDE):
         raise ValueError(
-            f"representation dimension {signature.d}^{exponent} exceeds the dense cap "
+            f"representation dimension {signature.d}^{qudits} exceeds the dense cap "
             f"{MAX_MATRIX_SIDE}"
         )
-    return signature.d**exponent
+    return signature.d**qudits
+
+
+def braid_dimension(signature: GybeSignature, n: int) -> int:
+    """Side d^(m + (n-2)l) of the representation on n >= 2 strands, under the dense cap."""
+    n = linalg.count(n, "n", 2)
+    return _capped_side(signature, signature.m + (n - 2) * signature.l)
 
 
 def apply_local(m: np.ndarray, columns: np.ndarray, left: int) -> np.ndarray:
@@ -231,8 +228,9 @@ def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:
     """The i-th generator's image I^(l(i-1)) ⊗ R ⊗ I^(l(n-i-1)) on n strands,
     as a writable array also at n = 2, where :func:`pad_identity` returns R's."""
     dim = braid_dimension(r.signature, n)
+    i = linalg.count(i, "i")
     if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
+        raise ValueError(f"generator index i = {i} is out of range for {n} strands")
     left = r.signature.d ** (r.signature.l * (i - 1))
     return np.require(pad_identity(r.matrix, left, dim // (left * r.size)), requirements="W")
 
@@ -250,8 +248,8 @@ def far_commutativity_residual(r: RMatrix, j: int) -> float:
     the residual unchanged.
     """
     sig = r.signature
-    braid_dimension(sig, j + 1)  # the dense cap on j + 1 strands
-    first, last = lift_pair(r.matrix, sig.d ** (sig.l * (j - 1)))
+    j = linalg.count(j, "j", 1)  # the side on j + 1 strands is capped
+    first, last = lift_pair(r.matrix, _capped_side(sig, sig.m + (j - 1) * sig.l) // r.size)
     return linalg.max_abs_diff(first @ last, last @ first)
 
 
@@ -276,6 +274,7 @@ def ybe_summation_residual(matrix: np.ndarray, d: int) -> float:
     largest violation.  Small d only; the lifted-product form is canonical.
     """
     m = linalg.square_matrix(matrix, "YBE candidate")
+    d = linalg.count(d, "d", 1)
     if m.shape != (d * d, d * d):
         raise ValueError("matrix does not match the declared local dimension")
     if d > 4:

@@ -6,8 +6,8 @@ library is built from: Kronecker products, direct sums, conjugate transpose,
 read-only copies, inversion gated on the smallest singular value,
 eigenvalues of small matrices, tolerance-based comparisons in the
 max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
-Two gates check what a caller hands the library: :func:`square_matrix` a
-matrix and :func:`tolerance` a tolerance.
+Three gates check what a caller hands the library: :func:`square_matrix` a
+matrix, :func:`tolerance` a tolerance and :func:`count` a count.
 
 Matrix output pays for the entries that are not +0.0+0.0j, not for the
 side: :func:`matrix_to_json` and :func:`matrix_to_text` gather the two
@@ -83,6 +83,18 @@ def tolerance(value, name: str = "tolerance") -> float:
     return tol
 
 
+def count(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as a plain int if it is an int or a numpy integer of at least
+    ``minimum``, else a ValueError naming ``name`` and the value: the one gate
+    on a count handed to the library.  A bool and every float, integral or
+    not, are refused rather than read as 0, 1 or a truncated index."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
@@ -104,9 +116,7 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
 def kron_power(a: np.ndarray, k: int) -> np.ndarray:
     """k-fold Kronecker power of ``a``; k = 0 gives the 1x1 identity."""
-    if k < 0:
-        raise ValueError("negative Kronecker power")
-    return kron_all([a] * k)
+    return kron_all([a] * count(k, "k", 0))
 
 
 def direct_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -111,6 +111,7 @@ def solve_stack(
     order.
     """
     objective_tol = linalg.tolerance(objective_tol, "objective_tol")
+    max_iterations = linalg.count(max_iterations, "max_iterations", 0)
     x = np.array(x0, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a (rows, params) stack of starts, got shape {x.shape}")

@@ -40,6 +40,7 @@ class ZeroPattern:
     mask: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "size", linalg.count(self.size, "size", 0))
         mask = linalg.frozen(np.asarray(self.mask, dtype=bool))
         if mask.shape != (self.size, self.size):
             raise ValueError(
@@ -128,12 +129,13 @@ class SearchConfig:
     max_iterations: int = 250
 
     def __post_init__(self):
-        if not linalg.tolerance(self.tolerance) > 0:
+        tol = linalg.tolerance(self.tolerance)
+        if not tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not 0 < tol * tol < np.inf:  # a search converges on objective <= tolerance**2
+            raise ValueError(f"tolerance**2 must be a positive finite float, got {self.tolerance}")
+        for name, minimum in (("restarts", 1), ("seed", 0), ("max_iterations", 1)):
+            object.__setattr__(self, name, linalg.count(getattr(self, name), name, minimum))
 
 
 @dataclass(frozen=True)

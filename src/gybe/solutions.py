@@ -77,11 +77,11 @@ class DiagBlock:
         return DiagBlock(1.0 + 0j, 1.0 + 0j)
 
 
-def _family_params(family: int) -> tuple[complex, complex, complex]:
-    """(omega, gamma, delta) of family 1, 2 or 3; any other index raises ValueError."""
-    if family not in FAMILY_PARAMS:
+def _family(family: int) -> int:
+    """``family`` as a plain int if it is 1, 2 or 3, else a ValueError."""
+    if linalg.count(family, "family") not in FAMILY_PARAMS:
         raise ValueError(f"family must be 1, 2, or 3, got {family}")
-    return FAMILY_PARAMS[family]
+    return int(family)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class FamilyParams:
     theta: float
 
     def __post_init__(self):
-        _family_params(self.family)
+        object.__setattr__(self, "family", _family(self.family))
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
@@ -106,7 +106,7 @@ class GeneralParams:
     beta: complex
 
     def __post_init__(self):
-        _family_params(self.family)
+        object.__setattr__(self, "family", _family(self.family))
         _require_unit(self.alpha, "alpha")
         _require_unit(self.beta, "beta")
 
@@ -339,8 +339,8 @@ def xshape_solution() -> RMatrix:
 
 def general_solution(family: int, alpha: complex, beta: complex) -> RMatrix:
     """The family member R(alpha, beta) for unit-circle alpha and beta."""
-    alpha, beta = complex(alpha), complex(beta)
-    block = BlockSolution.from_params(*_family_params(family), alpha, beta)
+    family, alpha, beta = _family(family), complex(alpha), complex(beta)
+    block = BlockSolution.from_params(*FAMILY_PARAMS[family], alpha, beta)
     label = f"family{family}:alpha={alpha.real:.12g},{alpha.imag:.12g}"
     return block.to_rmatrix(f"{label}:beta={beta.real:.12g},{beta.imag:.12g}")
 
@@ -349,13 +349,13 @@ def family_solution(family: int, theta: float) -> RMatrix:
     """The one-angle family member R(theta) = R(1, e^{i theta}), theta in [0, pi]."""
     params = FamilyParams(family, float(theta))
     beta = complex(np.exp(1j * params.theta))
-    block = BlockSolution.from_params(*_family_params(family), 1.0 + 0j, beta)
-    return block.to_rmatrix(f"family{family}:theta={params.theta:.12g}")
+    block = BlockSolution.from_params(*FAMILY_PARAMS[params.family], 1.0 + 0j, beta)
+    return block.to_rmatrix(f"family{params.family}:theta={params.theta:.12g}")
 
 
-def base_solution(k: int) -> BlockSolution:
-    """The reduced solution of family k, i.e. alpha = beta = 1."""
-    return BlockSolution.from_params(*_family_params(k))
+def base_solution(family: int) -> BlockSolution:
+    """The reduced solution of the family, i.e. alpha = beta = 1."""
+    return BlockSolution.from_params(*FAMILY_PARAMS[_family(family)])
 
 
 def conjugate_solution(r: RMatrix) -> RMatrix:

@@ -363,7 +363,7 @@ def test_every_braid_path_hits_the_dense_cap():
         braid_generator_matrix(r, 10, 1)
     with pytest.raises(ValueError, match="dense cap"):
         build_rep(r, 10)
-    with pytest.raises(ValueError, match="at least 2 strands"):
+    with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
         braid_dimension(r.signature, 1)
 
 

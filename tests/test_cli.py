@@ -424,10 +424,16 @@ def test_signature_without_matrix_is_a_usage_error(argv, capsys):
         ["verify", "--matrix", "MATRIX", "--signature", "2,\u0663,1"],
         ["braid", "--solution", "rowell", "--word", "n=12: 1_1"],
         ["braid", "--solution", "rowell", "--word", "n=3: \u0661"],
+        ["family", "--family", "\u0662", "--theta", "0.7"],
+        ["family", "--family", "+2", "--theta", "0.7"],
+        ["family", "--family", " 2", "--theta", "0.7"],
+        ["search", "--pattern", "PATTERN", "--signature", "2,3,1", "--restarts", " 2"],
+        ["search", "--pattern", "PATTERN", "--signature", "2,3,1", "--seed", "2 "],
     ],
 )
 def test_integers_are_plain_ascii_decimals(argv, tmp_path, capsys):
-    # int() reads digit-group underscores and other scripts' digits.
+    # int() reads digit-group underscores, a plus sign, surrounding space and
+    # other scripts' digits: each of the three family cases was family 2.
     from gybe.search import rowell_pattern
 
     files = {"MATRIX": _write_rowell(tmp_path), "PATTERN": str(tmp_path / "pattern.txt")}
@@ -809,6 +815,27 @@ def test_search_rejects_pattern_json_with_string_cells(tmp_path, capsys):
     code, out, err = run_cli(capsys, "search", "--pattern", str(path), "--signature", "2,3,1")
     assert code == 2 and out == ""
     assert "malformed pattern JSON" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "1e200"], "error: tolerance**2 must be a positive finite float, got 1e+200"),
+        (["--tol", "1e-170"], "error: tolerance**2 must be a positive finite float, got 1e-170"),
+        (["--seed", "-1"], "error: seed must be at least 0, got -1"),
+    ],
+)
+def test_search_config_limits_are_input_errors(tmp_path, capsys, flags, message):
+    # --tol 1e200 used to exit 2 on a bare OverflowError, --tol 1e-170 to
+    # search with the convergence test objective <= 0.0 and exit 0, and
+    # --seed -1 to fail inside numpy's seeding.
+    from gybe.search import rowell_pattern
+
+    path = tmp_path / "pattern.txt"
+    path.write_text(rowell_pattern().to_text())
+    code, out, err = run_cli(capsys, "search", "--pattern", str(path), "--signature", "2,3,1", *flags)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
 
 
 def test_restarts_below_one_is_input_error(tmp_path, capsys):

@@ -199,6 +199,20 @@ def test_config_validation():
         SearchConfig(restarts=0)
 
 
+@pytest.mark.parametrize("tolerance", [1e200, 1.35e154, 1e-170, 1.5e-162])
+def test_config_refuses_a_tolerance_whose_square_overflows_or_underflows(tolerance):
+    # 1e200 squared used to raise a bare OverflowError in solve_pattern, and
+    # 1e-170 squared is 0.0, so the search converged only on an exact zero.
+    with pytest.raises(ValueError) as raised:
+        SearchConfig(tolerance=tolerance)
+    assert str(raised.value) == f"tolerance**2 must be a positive finite float, got {tolerance}"
+
+
+def test_config_takes_a_tolerance_whose_square_is_a_positive_float():
+    for tolerance in (1.3e154, 1.6e-162, 1.0, 1e-11):
+        assert 0 < SearchConfig(tolerance=tolerance).tolerance ** 2 < np.inf
+
+
 def test_search_recovers_certified_solutions():
     config = SearchConfig(tolerance=1e-11, restarts=8, seed=7, max_iterations=250)
     result = solve_pattern(rowell_pattern(), SIG, config)

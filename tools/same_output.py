@@ -21,7 +21,9 @@ empty values, a ``--compare`` word on other strands, ``classify`` of a
 solution not in block form, a family member with a non-unit alpha,
 ``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
 ``classify``, ``equiv``, ``braid ... --compare`` and ``search`` (the
-tolerance gate), and ``verify`` and ``classify`` of a 2x3 ``--matrix``.
+tolerance gate), the ``CONFIG_ERRORS`` (``search`` with ``--seed -1``, or
+with a ``--tol`` whose square overflows or underflows, and ``family`` with a
+non-ASCII digit), and ``verify`` and ``classify`` of a 2x3 ``--matrix``.
 The pools and their
 input files come from ``perfbench/workloads.py``, which is only read; each
 pool's files sit in a directory of their own, because pools of one
@@ -88,6 +90,14 @@ TOL_COMMANDS = (
     ["braid", "--solution", "rowell", "--word", "n=3: 1,2,1", "--compare", "n=3: 2,1,2"],
     ["search", "--pattern", PATTERN, "--signature", "2,3,1"],
 )
+# A negative seed, a tolerance whose square overflows or underflows to 0,
+# and a family index in Arabic-Indic digits.
+CONFIG_ERRORS = (
+    ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--seed", "-1"],
+    ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--tol", "1e200"],
+    ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--tol", "1e-170"],
+    ["family", "--family", "\u0662", "--theta", "0.7"],
+)
 USAGE_ERRORS = (
     ["verify"],
     ["classify"],
@@ -106,6 +116,7 @@ USAGE_ERRORS = (
     ["classify", "--solution", "xshape"],
     ["family", "--family", "1", "--alpha", "2,0", "--beta", "0,1"],
     *([*argv, "--tol", tol] for argv in TOL_COMMANDS for tol in ("nan", "-1", "inf")),
+    *CONFIG_ERRORS,
     ["verify", "--matrix", MATRIX_2X3],
     ["classify", "--matrix", MATRIX_2X3],
 )
