@@ -12,18 +12,19 @@ relations once, at a cost independent of n.
 Word convention: a braid word is evaluated left to right into a matrix
 product, rho(w1 w2 ... wk) = rho(w1) rho(w2) ... rho(wk).  Applied to a
 state this means the last letter of the word acts first, the usual
-matrix-times-column convention.  Each letter acts by one contraction of R
-(or its inverse) into the factors it touches.  A word's matrix is the word
-applied to the identity's columns on the window of qudits its letters
-touch, padded with identities to the full side once; a generator is a
-one-letter word.  Two words are compared (:func:`word_difference`) on the
-union of their two windows, never on the full side.
+matrix-times-column convention.  One letter loop (:func:`_contract`)
+contracts R (or its inverse) into the qudits each letter touches, on a
+block over a window of qudits.  A word's matrix is that loop on the
+identity's columns, the window grown to the qudits its letters touch and
+padded with identities to the full side once; a generator is a one-letter
+word, and a state is the loop on the full window, which never grows.  Two
+words are compared (:func:`word_difference`) on the union of their windows.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,7 +101,7 @@ def parse_braid_word(text: str) -> BraidWord:
     return BraidWord(n, tuple(integer(tok.strip()) for tok in tokens))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A unit-norm vector of amplitudes, given as a vector or as one column."""
 
@@ -124,21 +125,30 @@ class StateVector:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidRep:
-    """A verified representation of the n-strand braid group.
+    """The representation of the n-strand braid group afforded by R.
 
-    Keeps only the local R and its read-only inverse (R† when R is
-    unitary); every image is computed from them by :func:`~gybe.core.apply_local`.
+    Takes only R and n and derives the qudit count m + (n-2)l, the side
+    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the
+    dense cap) and the read-only ``inverse``: R† for a unitary R, else
+    ``r.inverse``, so nothing is inverted.  :func:`build_rep` also checks the relations.
     """
 
     r: RMatrix
     n: int
-    dim: int
-    inverse: np.ndarray
+    qudits: int = field(init=False)
+    dim: int = field(init=False)
+    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", linalg.count(self.n, "n", 2))
+        sig, matrix = self.r.signature, self.r.matrix
+        object.__setattr__(self, "dim", braid_dimension(sig, self.n))  # gates n
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "qudits", sig.m + (self.n - 2) * sig.l)
+        unitary = linalg.unitarity_residual(matrix) <= 1e-10
+        inverse = linalg.frozen(linalg.dagger(matrix)) if unitary else self.r.inverse
+        object.__setattr__(self, "inverse", inverse)
 
     def _letter(self, i: int) -> tuple[np.ndarray, int]:
         """Local matrix of sigma_i (of its inverse for negative i) and the
@@ -158,56 +168,37 @@ class BraidRep:
 
 
 def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
-    """Construct and verify the n-strand representation afforded by ``r``.
+    """Construct the n-strand :class:`BraidRep` of ``r`` and verify it.
 
     Checks, at tolerance ``tol``, each far-commutativity pair (1, j) that
     exists on n strands, then the braid relation (1, 2) as the lifted
     GYBE residual; every other relation is one of these padded with
     identities.  A violation raises :class:`RepresentationError` carrying
-    the generator pair and residual.  The inverse is the conjugate
-    transpose when ``r`` is unitary, else ``r.inverse``: nothing is inverted.
+    the generator pair and residual.
     """
     tol = linalg.tolerance(tol)
-    sig = r.signature
-    dim = braid_dimension(sig, n)
-    for j in far_commutativity_indices(sig):
-        if j > n - 1:
+    rep = BraidRep(r, n)
+    for j in far_commutativity_indices(r.signature):
+        if j > rep.n - 1:
             break
         residual = far_commutativity_residual(r, j)
         if residual > tol:
             raise RepresentationError((1, j), residual)
-    if n >= 3:
-        residual = gybe_residual(r.matrix, sig)
+    if rep.n >= 3:
+        residual = gybe_residual(r.matrix, r.signature)
         if residual > tol:
             raise RepresentationError((1, 2), residual)
-
-    if linalg.unitarity_residual(r.matrix) <= 1e-10:
-        inverse = linalg.frozen(linalg.dagger(r.matrix))
-    else:
-        inverse = r.inverse
-    return BraidRep(r, n, dim, inverse)
+    return rep
 
 
-def _act(rep: BraidRep, letters: tuple[int, ...], columns: np.ndarray) -> np.ndarray:
-    """rho(letters) @ columns, one local contraction per letter, last letter first."""
-    d = rep.r.signature.d
-    for letter in reversed(letters):
-        local, start = rep._letter(letter)
-        columns = apply_local(local, columns, d**start)
-    return columns
+def _contract(rep: BraidRep, letters: tuple[int, ...], block: np.ndarray, lo: int, hi: int) -> tuple:
+    """(rho(letters) block, lo, hi) for a block on the qudit window [lo, hi):
+    one local contraction per letter, last letter first.
 
-
-def _word_block(rep: BraidRep, letters: tuple[int, ...]) -> tuple[np.ndarray, int, int]:
-    """(block, lo, hi): rho(letters) on the qudit window [lo, hi) its letters
-    touch, with rho(suffix) kept on the window the letters applied so far touch.
-
-    A letter that widens the window pads the block with identities before
-    it contracts.
+    A letter that reaches outside the window widens it, padding the block
+    with identities before it contracts.
     """
     sig = rep.r.signature
-    # Empty at the first letter's start; the empty word is I_1 on [0, 0).
-    lo = hi = rep._letter(letters[-1])[1] if letters else 0
-    block = linalg.identity(1)
     for letter in reversed(letters):
         local, start = rep._letter(letter)
         if start < lo or start + sig.m > hi:
@@ -218,12 +209,18 @@ def _word_block(rep: BraidRep, letters: tuple[int, ...]) -> tuple[np.ndarray, in
     return block, lo, hi
 
 
+def _word_block(rep: BraidRep, letters: tuple[int, ...]) -> tuple[np.ndarray, int, int]:
+    """(block, lo, hi): rho(letters) on the qudit window [lo, hi) its letters touch."""
+    # Empty at the first letter's start; the empty word is I_1 on [0, 0).
+    lo = rep._letter(letters[-1])[1] if letters else 0
+    return _contract(rep, letters, linalg.identity(1), lo, lo)
+
+
 def _word_matrix(rep: BraidRep, letters: tuple[int, ...]) -> np.ndarray:
     """rho(letters): the word's block padded to the full side once."""
     block, lo, hi = _word_block(rep, letters)
-    sig = rep.r.signature
-    qudits = sig.m + (rep.n - 2) * sig.l
-    return pad_identity(block, sig.d**lo, sig.d ** (qudits - hi))
+    d = rep.r.signature.d
+    return pad_identity(block, d**lo, d ** (rep.qudits - hi))
 
 
 def _check_strands(rep: BraidRep, w: BraidWord) -> None:
@@ -274,7 +271,7 @@ def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:
     _check_strands(rep, w)
     if s.dim != rep.dim:
         raise ValueError(f"state dimension {s.dim} does not match {rep.dim}")
-    return StateVector(_act(rep, w.letters, s.amplitudes))
+    return StateVector(_contract(rep, w.letters, s.amplitudes, 0, rep.qudits)[0])
 
 
 def recognize_braiding_gate(

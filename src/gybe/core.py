@@ -54,7 +54,7 @@ class GybeSignature:
         return f"({self.d},{self.m},{self.l})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RMatrix:
     """A candidate or verified solution, tagged with its signature.
 
@@ -67,7 +67,7 @@ class RMatrix:
     signature: GybeSignature
     matrix: np.ndarray
     label: str = ""
-    inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = linalg.frozen(linalg.square_matrix(self.matrix, "R-matrix"))

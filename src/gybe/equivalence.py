@@ -53,31 +53,32 @@ WITNESS_TOL = 1e-9
 SHAPES = ("diagonal", "antidiagonal", "general")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeOp:
     """One gauge move: scalar(lambda), inverse, or local_conj(Q) for an invertible Q,
-    whose inverse is kept as ``q_inverse``."""
+    whose inverse is kept as ``q_inverse``; a kind takes its own parameter and no other."""
 
     kind: str
     lam: complex | None = None
     q: np.ndarray | None = None
-    q_inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    q_inverse: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        takes = {"scalar": "lam", "inverse": "", "local_conj": "q"}.get(self.kind)
+        if takes is None:
+            raise ValueError(f"unknown gauge op kind: {self.kind!r}")
+        extra = [name for name in ("lam", "q") if name != takes and getattr(self, name) is not None]
+        if extra:
+            raise ValueError(f"{self.kind} gauge op takes no {' or '.join(extra)}")
         if self.kind == "scalar":
             if self.lam is None or self.lam == 0 or not cmath.isfinite(self.lam):
                 raise ValueError("scalar gauge op needs a finite nonzero lambda")
-        elif self.kind == "inverse":
-            if self.lam is not None or self.q is not None:
-                raise ValueError("inverse gauge op takes no parameters")
         elif self.kind == "local_conj":
             if self.q is None:
                 raise ValueError("local conjugation needs a matrix Q")
             q = linalg.as_matrix(self.q)
             object.__setattr__(self, "q_inverse", linalg.frozen(linalg.inverse(q)))
             object.__setattr__(self, "q", linalg.frozen(q))
-        else:
-            raise ValueError(f"unknown gauge op kind: {self.kind!r}")
 
     @staticmethod
     def scalar(lam: complex) -> "GaugeOp":
@@ -215,11 +216,17 @@ class PrefixDecision:
 
 @dataclass(frozen=True)
 class EquivalenceDecision:
-    """The witness, if any, with the verdict and the record of each prefix tried."""
+    """The witness, if any, and the record of each prefix tried.  The verdict is
+    ``witness`` with a witness, else ``undecided`` if some prefix was, else ``none``."""
 
     witness: EquivalenceWitness | None
-    verdict: str
     prefixes: tuple[PrefixDecision, ...]
+
+    @property
+    def verdict(self) -> str:
+        if self.witness is not None:
+            return "witness"
+        return "undecided" if any(p.verdict == "undecided" for p in self.prefixes) else "none"
 
     @property
     def candidates(self) -> int:
@@ -619,9 +626,8 @@ def decide_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> E
             op, lam, residual = hit
             ops += (op, GaugeOp.scalar(lam))
             witness = EquivalenceWitness(ops, r.label, s.label, residual)
-            return EquivalenceDecision(witness, "witness", tuple(decisions))
-    undecided = any(d.verdict == "undecided" for d in decisions)
-    return EquivalenceDecision(None, "undecided" if undecided else "none", tuple(decisions))
+            return EquivalenceDecision(witness, tuple(decisions))
+    return EquivalenceDecision(None, tuple(decisions))
 
 
 def search_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> EquivalenceWitness | None:

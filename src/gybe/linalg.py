@@ -257,19 +257,16 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
 def matrix_from_json_dict(data: dict) -> np.ndarray:
     """Decode :func:`matrix_to_json_dict` output; malformed input is a ValueError.
 
-    ``rows`` and ``cols`` must be JSON integers and entries JSON numbers:
-    numeric strings, fractions and booleans, which Python and numpy would
-    convert, are malformed.
+    ``rows`` and ``cols`` pass :func:`count` (at least 1) and entries must
+    be JSON numbers: numeric strings, fractions and booleans, which Python
+    and numpy would convert, are malformed.
     """
     try:
         rows, cols = data["rows"], data["cols"]
         pairs = np.array(data["entries"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if type(rows) is not int or type(cols) is not int:
-        raise ValueError("malformed matrix JSON: rows and cols must be integers")
-    if rows <= 0 or cols <= 0:
-        raise ValueError("matrix JSON must have positive dimensions")
+    rows, cols = count(rows, "rows", 1), count(cols, "cols", 1)
     if pairs.shape != (rows * cols, 2):
         raise ValueError(
             f"malformed matrix JSON: entries of shape {pairs.shape}, "

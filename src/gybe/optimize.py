@@ -49,25 +49,31 @@ PLATEAU_RTOL = 1e-4
 MAX_INNER_RETRIES = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeastSquaresResult:
     """Outcome of one solve.
 
     ``reason`` says why the solve stopped: ``converged``, ``step_tol``,
     ``plateau``, ``damping_stall``, ``budget`` or ``non_finite``.
     ``residual_evals`` counts the start and every candidate step it
-    evaluated; ``jacobian_evals`` counts Jacobians, one per iteration, so
-    it always equals ``iterations``.
+    evaluated.  Each iteration evaluates one Jacobian, so ``jacobian_evals``
+    is read from ``iterations``, as ``converged`` is from ``reason``.
     """
 
     x: np.ndarray
     objective: float
     trace: tuple[float, ...]
     iterations: int
-    converged: bool
     reason: str
     residual_evals: int
-    jacobian_evals: int
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
+
+    @property
+    def jacobian_evals(self) -> int:
+        return self.iterations
 
 
 def _objectives(residual: np.ndarray) -> np.ndarray:
@@ -204,10 +210,8 @@ def solve_stack(
                 objective=value,
                 trace=tuple(traces[row]),
                 iterations=count,
-                converged=value <= objective_tol,
                 reason=reason,
                 residual_evals=evals,
-                jacobian_evals=count,
             )
         )
     return tuple(results)

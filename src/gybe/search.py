@@ -32,7 +32,7 @@ from .pattern_residual import _combined_residual_vector, _PatternResidual
 from .solutions import QUADRANT_SLOTS, QUADRANT_SUPPORT, off_quadrant_max, split_blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroPattern:
     """Boolean mask of the entries allowed to be nonzero."""
 
@@ -94,8 +94,6 @@ class ZeroPattern:
             size, mask = data["size"], data["mask"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pattern JSON: {exc}") from exc
-        if type(size) is not int:
-            raise ValueError("malformed pattern JSON: size must be an integer")
         if type(mask) is not list or not all(
             type(row) is list and all(type(v) is bool for v in row) for row in mask
         ):
@@ -171,12 +169,16 @@ class RestartReport:
 class SearchResult:
     solutions: tuple[FoundSolution, ...]
     traces: tuple[tuple[float, ...], ...]
-    best_objective: float
     dedup_counts: dict[str, int] = field(default_factory=dict)
     restarts: tuple[RestartReport, ...] = ()
     # Real residual rows the solver worked on, and of the full residual.
     live_residual_rows: int = 0
     total_residual_rows: int = 0
+
+    @property
+    def best_objective(self) -> float:
+        """The smallest final objective of the restarts; inf for none, and a NaN is passed over."""
+        return float(min([np.inf, *(trace[-1] for trace in self.traces)]))
 
     def to_json_list(self) -> list:
         return [s.to_json_dict() for s in self.solutions]
@@ -266,15 +268,8 @@ def solve_pattern(
     reports: list[RestartReport] = []
     for restart, fit in enumerate(fits):
         certified = _certify(fit, problem, config.tolerance, restart)
-        reports.append(
-            RestartReport(
-                fit.reason,
-                fit.iterations,
-                fit.residual_evals,
-                fit.jacobian_evals,
-                certified is not None,
-            )
-        )
+        counts = (fit.iterations, fit.residual_evals, fit.jacobian_evals)
+        reports.append(RestartReport(fit.reason, *counts, certified is not None))
         if certified is None:
             continue
         r, residual = certified
@@ -288,8 +283,6 @@ def solve_pattern(
     return SearchResult(
         solutions=tuple(solutions),
         traces=tuple(fit.trace for fit in fits),
-        # Starting from inf, min passes over NaN objectives.
-        best_objective=float(min(np.inf, *(fit.objective for fit in fits))),
         dedup_counts=dedup_counts,
         restarts=tuple(reports),
         live_residual_rows=problem.live_rows.size,

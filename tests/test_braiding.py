@@ -1,5 +1,7 @@
 """Tests for braid words, representations, and gate recognition."""
 
+import dataclasses
+import inspect
 import time
 
 import numpy as np
@@ -19,6 +21,7 @@ from gybe.braiding import (
     evaluate_word,
     parse_braid_word,
     recognize_braiding_gate,
+    word_difference,
 )
 from gybe.core import (
     MAX_MATRIX_SIDE,
@@ -34,6 +37,7 @@ from gybe.core import (
 from gybe.equivalence import GaugeOp, apply_gauge
 from gybe.solutions import (
     base_solution,
+    registry_ids,
     resolve_solution,
     rowell_solution,
     xshape_solution,
@@ -264,7 +268,7 @@ def _hand_built_rep(sig, n, rng):
     values = rng.uniform(0.5, 2.0, side)
     matrix = random_unitary(side, rng) * values @ random_unitary(side, rng)
     r = RMatrix(sig, matrix, "random")
-    return BraidRep(r, n, braid_dimension(sig, n), r.inverse)
+    return BraidRep(r, n)
 
 
 def _window_support(sig, n, letters):
@@ -344,8 +348,7 @@ def test_generator_images_and_far_pairs_match_kron_reference():
             # A random R fails the relations, so its representation is
             # assembled directly; only the tensor layout is under test here.
             if r.label == "random":
-                dim = sig.d ** (sig.m + (n - 2) * sig.l)
-                rep = BraidRep(r, n, dim, r.inverse)
+                rep = BraidRep(r, n)
             else:
                 rep = build_rep(r, n)
             for i in range(1, n):
@@ -415,6 +418,66 @@ def test_build_rep_far_pair_with_shift_two():
 def test_build_rep_dimension_cap():
     with pytest.raises(ValueError):
         build_rep(rowell_solution(), 10)
+
+
+def test_a_representation_takes_only_r_and_n():
+    assert [f.name for f in dataclasses.fields(BraidRep) if f.init] == ["r", "n"]
+    r = rowell_solution()
+    rep = BraidRep(r, np.int64(4))
+    assert (type(rep.n), rep.n, rep.qudits, rep.dim) == (int, 4, 5, 32)
+    assert rep.dim == braid_dimension(r.signature, 4) == build_rep(r, 4).dim
+    # Past the dense cap that build_rep enforces, and below two strands.
+    with pytest.raises(ValueError, match="exceeds the dense cap"):
+        BraidRep(r, 10)
+    with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
+        BraidRep(r, 1)
+    # The side and the inverse are no longer the caller's to give.
+    with pytest.raises(TypeError):
+        BraidRep(r, 3, 16, np.eye(8))
+
+
+def test_a_representation_derives_a_read_only_inverse():
+    rng = np.random.default_rng(28)
+    sig = GybeSignature(2, 3, 1)
+    scaled = random_unitary(8, rng) * rng.uniform(0.5, 2.0, 8) @ random_unitary(8, rng)
+    cases = [resolve_solution(name) for name in registry_ids()] + [RMatrix(sig, scaled, "random")]
+    for r in cases:
+        rep = BraidRep(r, 3)
+        unitary = linalg.unitarity_residual(r.matrix) <= 1e-10
+        assert unitary == (r.label != "random")
+        if unitary:
+            assert np.array_equal(rep.inverse, linalg.dagger(r.matrix))
+        else:
+            assert rep.inverse is r.inverse
+        assert not rep.inverse.flags.writeable
+        with pytest.raises(ValueError):
+            rep.inverse[0, 0] = 1.0
+        out = evaluate_word(rep, BraidWord(3, (1, -1)))
+        assert linalg.max_abs_diff(out, linalg.identity(rep.dim)) <= 1e-12, r.label
+
+
+def test_words_and_states_share_one_letter_loop(monkeypatch):
+    assert inspect.getsource(braiding).count("for letter in reversed(") == 1
+    rep = build_rep(rowell_solution(), 5)
+    word, state = BraidWord(5, (2, -3, 1, 4)), StateVector(linalg.identity(rep.dim)[3])
+    # A state is one apply_local call per letter on the full side, as before.
+    d, want = rep.r.signature.d, state.amplitudes
+    for letter in reversed(word.letters):
+        local, start = rep._letter(letter)
+        want = apply_local(local, want, d**start)
+    windows = []
+    contract = braiding._contract
+
+    def spy(rep, letters, block, lo, hi):
+        windows.append((block.shape, lo, hi))
+        return contract(rep, letters, block, lo, hi)
+
+    monkeypatch.setattr(braiding, "_contract", spy)
+    assert np.array_equal(apply_to_state(rep, word, state).amplitudes, want)
+    assert windows == [((rep.dim,), 0, rep.qudits)]
+    evaluate_word(rep, word)
+    word_difference(rep, word, BraidWord(5, (1,)))
+    assert len(windows) == 4 and all(shape == (1, 1) for shape, _, _ in windows[1:])
 
 
 def test_evaluate_empty_word_is_identity():

@@ -51,7 +51,7 @@ def _eye(x):
 # (qualified name, parameter) -> (call taking the count, a valid count, a
 # count below the minimum, the name the error message gives).
 CALLS = {
-    ("gybe.braiding.BraidRep", "n"): (lambda n: BraidRep(ROWELL, n, 16, ROWELL.inverse), 3, 1, "n"),
+    ("gybe.braiding.BraidRep", "n"): (lambda n: BraidRep(ROWELL, n), 3, 1, "n"),
     # A generator index is a one-letter word.
     ("gybe.braiding.BraidRep.generator", "i"): (lambda i: REP.generator(i), 2, 0, "letter"),
     ("gybe.braiding.BraidWord", "n"): (lambda n: BraidWord(n, (1,)), 3, 1, "n"),

@@ -58,6 +58,20 @@ def test_gauge_op_validation():
         GaugeOp("local_conj")
 
 
+def test_a_gauge_op_takes_only_its_kind_s_parameter():
+    # Each of these used to be accepted, keeping a Q or a lambda that no
+    # move reads: to_json_dict dropped the Q, apply_gauge ignored the lambda.
+    with pytest.raises(ValueError, match="^scalar gauge op takes no q$"):
+        GaugeOp("scalar", lam=2.0, q=np.eye(3))
+    with pytest.raises(ValueError, match="^local_conj gauge op takes no lam$"):
+        GaugeOp("local_conj", q=np.eye(2), lam=5.0)
+    with pytest.raises(ValueError, match="^inverse gauge op takes no lam or q$"):
+        GaugeOp("inverse", lam=1.0, q=np.eye(2))
+    with pytest.raises(ValueError, match="^unknown gauge op kind: 'warp'$"):
+        GaugeOp("warp", lam=1.0)
+    assert (GaugeOp.scalar(2).q, GaugeOp.local_conj(np.eye(2)).lam, GaugeOp.inverse().q) == (None,) * 3
+
+
 def test_scalar_identity_op():
     r = rowell_solution()
     out = apply_gauge(r, GaugeOp.scalar(1))

@@ -374,7 +374,7 @@ def test_the_json_decoder_reads_what_the_encoder_writes(rows, cols, data):
     for encode in (linalg.matrix_to_json, linalg.matrix_to_json_dict, linalg.matrix_to_text):
         with pytest.raises(ValueError, match="with entries"):
             encode(m)
-    with pytest.raises(ValueError, match="positive dimensions"):
+    with pytest.raises(ValueError, match="must be at least 1, got 0"):
         linalg.matrix_from_json(json.dumps({"rows": rows, "cols": cols, "entries": []}))
 
 
@@ -537,7 +537,7 @@ def test_matrix_from_json_rejects_malformed():
     with pytest.raises(ValueError):
         linalg.matrix_from_json('{"cols": 1, "entries": [[1, 0]]}')
     for rows, cols in (("1.9", "1"), ('"1"', "1"), ("true", "true"), ("1", "1.0"), ("null", "1")):
-        with pytest.raises(ValueError, match="rows and cols must be integers"):
+        with pytest.raises(ValueError, match="^(rows|cols) must be an integer, got "):
             linalg.matrix_from_json(f'{{"rows": {rows}, "cols": {cols}, "entries": [[1, 0]]}}')
     for entries in (
         "5", "[1, 0]", "[[1, 0], [1]]", "[[1, 0], [[1], 0]]", '"ab"', '[["a", "b"]]', "[[{}, 0]]",
@@ -547,7 +547,7 @@ def test_matrix_from_json_rejects_malformed():
             linalg.matrix_from_json(f'{{"rows": 1, "cols": 1, "entries": {entries}}}')
     # JSON integers are numbers and still decode.
     assert linalg.matrix_from_json('{"rows": 1, "cols": 1, "entries": [[2, -1]]}')[0, 0] == 2 - 1j
-    with pytest.raises(ValueError, match="positive dimensions"):
+    with pytest.raises(ValueError, match="^rows must be at least 1, got 0$"):
         linalg.matrix_from_json('{"rows": 0, "cols": 1, "entries": []}')
     for bad in ("NaN", "Infinity", "-Infinity"):
         with warnings.catch_warnings():

@@ -39,13 +39,35 @@ def test_equal_outputs_pass(monkeypatch, capsys):
 
 
 def test_the_first_differing_op_is_named(monkeypatch, capsys):
-    # Op 1 differs in its exit code and op 2 in its stdout: op 1 is reported.
+    # Op 1 differs in its exit code and op 2 in its stdout: op 1 comes first.
     parent = [[0, "x\n"], [1, "none\n"], [0, "a"]]
     change = [[0, "x\n"], [2, "none\n"], [0, "b"]]
     _stub(monkeypatch, ARGVS, {"parent": parent, "change": change})
     assert same_output.main([]) == 1
-    assert capsys.readouterr().out == "3 ops compared\nfirst op that differs: gybe braid --word 'n=3: 1'\n"
-    assert same_output.first_difference(parent[:1] + parent[2:], change[:1] + change[2:]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "3 ops compared",
+        "2 op(s) differ:",
+        "op 1: exit 1 -> 2: gybe braid --word 'n=3: 1'",
+        "op 2: exit 0 -> 0: gybe registry",
+    ]
+    assert same_output.differences(parent[:1] + parent[2:], change[:1] + change[2:]) == [1]
+
+
+def test_every_differing_op_is_listed(monkeypatch, capsys):
+    # Ops 0 and 2 differ, one in its stdout and one in its exit code; op 1
+    # between them matches and is not listed.
+    parent = [[0, "x\n"], [1, "none\n"], [0, ""]]
+    change = [[0, "y\n"], [1, "none\n"], [2, ""]]
+    _stub(monkeypatch, ARGVS, {"parent": parent, "change": change})
+    assert same_output.main([]) == 1
+    assert capsys.readouterr().out == (
+        "3 ops compared\n"
+        "2 op(s) differ:\n"
+        "op 0: exit 0 -> 0: gybe equiv --solution a --solution b\n"
+        "op 2: exit 0 -> 2: gybe registry\n"
+    )
+    assert same_output.differences(parent, change) == [0, 2]
+    assert same_output.differences(parent, parent) == []
 
 
 def test_the_ops_cover_every_pool_and_search_seed(tmp_path):

@@ -38,9 +38,10 @@ As in ``tools/bench_pairs.py``, HEAD is a ``git archive`` extraction and
 the working tree a copy of its tracked and untracked, not ignored, files,
 each under a temporary directory.
 
-Prints the number of ops compared, and the argv of the first op whose exit
-code or stdout differs; exits 1 on any difference.  Stderr is not compared,
-so an error message may change wording.
+Prints the number of ops compared, then each op whose exit code or stdout
+differs: its index, its exit code at HEAD and in the working tree, and its
+argv; exits 1 on any difference.  Stderr is not compared, so an error
+message may change wording.
 """
 
 from __future__ import annotations
@@ -191,9 +192,9 @@ def stdout_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def first_difference(parent: list[list], change: list[list]) -> int | None:
-    """Index of the first op whose exit code or stdout differs, or None."""
-    return next((i for i, (p, c) in enumerate(zip(parent, change, strict=True)) if p != c), None)
+def differences(parent: list[list], change: list[list]) -> list[int]:
+    """Index of every op whose exit code or stdout differs, in op order."""
+    return [i for i, (p, c) in enumerate(zip(parent, change, strict=True)) if p != c]
 
 
 def main(argv=None) -> int:
@@ -212,11 +213,13 @@ def main(argv=None) -> int:
         copy_working_tree(tmp / "change")
         parent, change = (run_side(tmp / side, workdir, argvs) for side in ("parent", "change"))
     print(f"{len(argvs)} ops compared")
-    diff = first_difference(parent, change)
-    if diff is None:
+    diff = differences(parent, change)
+    if not diff:
         print("no op differs")
         return 0
-    print(f"first op that differs: gybe {shlex.join(argvs[diff])}")
+    print(f"{len(diff)} op(s) differ:")
+    for i in diff:
+        print(f"op {i}: exit {parent[i][0]} -> {change[i][0]}: gybe {shlex.join(argvs[i])}")
     return 1
 
 
