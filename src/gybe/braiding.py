@@ -31,6 +31,7 @@ import numpy as np
 from . import linalg
 from .core import (
     RMatrix,
+    _qudits,
     apply_local,
     braid_dimension,
     far_commutativity_indices,
@@ -145,7 +146,7 @@ class BraidRep:
         sig, matrix = self.r.signature, self.r.matrix
         object.__setattr__(self, "dim", braid_dimension(sig, self.n))  # gates n
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "qudits", sig.m + (self.n - 2) * sig.l)
+        object.__setattr__(self, "qudits", _qudits(sig, self.n))
         unitary = linalg.unitarity_residual(matrix) <= 1e-10
         inverse = linalg.frozen(linalg.dagger(matrix)) if unitary else self.r.inverse
         object.__setattr__(self, "inverse", inverse)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -256,11 +255,11 @@ def cmd_search(args) -> int:
     config = SearchConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
     result = solve_pattern(pattern, signature, config)
     if args.json:
-        data = result.to_json_list()
+        data = [found.to_json_dict() for found in result.solutions]
         if args.stats:
             data = {
                 "solutions": data,
-                "restarts": [dataclasses.asdict(report) for report in result.restarts],
+                "restarts": [report.to_json_dict() for report in result.restarts],
                 "dedup_counts": result.dedup_counts,
                 "residual_rows": {
                     "live": result.live_residual_rows,
@@ -295,11 +294,9 @@ def _print_search_stats(result) -> None:
             f"{report.residual_evals} residual and {report.jacobian_evals} Jacobian "
             f"evaluation(s), {verdict}"
         )
+    counts = result.dedup_counts
     for found in result.solutions:
-        print(
-            f"class of restart {found.restart_index}: "
-            f"{result.dedup_counts[found.dedup_key]} certified hit(s)"
-        )
+        print(f"class of restart {found.restart_index}: {counts[found.dedup_key]} certified hit(s)")
 
 
 def cmd_registry(args) -> int:

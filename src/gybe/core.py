@@ -86,31 +86,33 @@ class RMatrix:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Result of one verification: overall residual plus per-equation detail."""
+    """Per-equation residuals at a tolerance: ``residual`` is their maximum (0.0
+    for none, NaN if one is NaN), ``passed`` means it is at most the tolerance,
+    and a report on no equation is ``vacuous``."""
 
-    residual: float
-    passed: bool
+    detail: tuple[float, ...]
     tolerance: float
-    detail: tuple[float, ...] = ()
-    vacuous: bool = False
 
     def __post_init__(self):
         linalg.tolerance(self.tolerance)
-        if self.passed != (self.residual <= self.tolerance):
-            raise ValueError("inconsistent report: passed must mean residual <= tolerance")
+        object.__setattr__(self, "detail", tuple(self.detail))
 
-    @classmethod
-    def from_residuals(cls, residuals, tol: float, vacuous: bool = False) -> "CheckReport":
-        """The report on per-equation ``residuals``: their maximum (0.0 for
-        none) against ``tol``, with the residuals as detail."""
-        residuals = tuple(residuals)
-        residual = max(residuals, default=0.0)
-        return cls(residual, residual <= tol, tol, residuals, vacuous)
+    @property
+    def residual(self) -> float:
+        return float(np.max(self.detail)) if self.detail else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tolerance)
+
+    @property
+    def vacuous(self) -> bool:
+        return not self.detail
 
     def to_json_dict(self) -> dict:
         data = {
-            "passed": bool(self.passed),
-            "residual": float(self.residual),
+            "passed": self.passed,
+            "residual": self.residual,
             "tolerance": float(self.tolerance),
             "detail": [float(v) for v in self.detail],
         }
@@ -156,7 +158,7 @@ def lifted_difference(matrix: np.ndarray, signature: GybeSignature) -> np.ndarra
     size = signature.matrix_size
     if m.ndim < 2 or m.shape[-2:] != (size, size):
         raise ValueError(f"matrix shape {m.shape} does not match signature {signature}")
-    left, right = lift_pair(m, _capped_side(signature, signature.m + signature.l) // size)
+    left, right = lift_pair(m, signature.d ** _qudits(signature, 3) // size)
     return left @ right @ left - right @ left @ right
 
 
@@ -167,7 +169,7 @@ def gybe_residual(matrix: np.ndarray, signature: GybeSignature) -> float:
 
 def check_gybe(r: RMatrix, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
     """Verify the (d, m, l) equation for ``r`` at tolerance ``tol``."""
-    return CheckReport.from_residuals([gybe_residual(r.matrix, r.signature)], tol)
+    return CheckReport((gybe_residual(r.matrix, r.signature),), tol)
 
 
 def check_ybe(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
@@ -176,25 +178,25 @@ def check_ybe(x: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> CheckReport:
     d = math.isqrt(m.shape[0])
     if d * d != m.shape[0]:
         raise ValueError(f"YBE candidate side {m.shape[0]} is not a perfect square")
-    return CheckReport.from_residuals([gybe_residual(m, GybeSignature(d, 2, 1))], tol)
+    return CheckReport((gybe_residual(m, GybeSignature(d, 2, 1)),), tol)
 
 
-def _capped_side(signature: GybeSignature, qudits: int) -> int:
-    """d^qudits, the side of an operator on that many tensor factors: the one
-    gate on dense size, decided from the exponent so that a huge one builds
-    no huge integer; an oversized side is reported as d^k."""
+def _qudits(signature: GybeSignature, n: int) -> int:
+    """The qudit count m + (n-2)l on n strands, for an n already counted, under
+    the one gate on dense size: d^count is decided from the exponent, so a huge
+    one builds no huge integer and is reported as d^k."""
+    qudits = signature.m + (n - 2) * signature.l
     if _power_exceeds(signature.d, qudits, MAX_MATRIX_SIDE):
         raise ValueError(
             f"representation dimension {signature.d}^{qudits} exceeds the dense cap "
             f"{MAX_MATRIX_SIDE}"
         )
-    return signature.d**qudits
+    return qudits
 
 
 def braid_dimension(signature: GybeSignature, n: int) -> int:
     """Side d^(m + (n-2)l) of the representation on n >= 2 strands, under the dense cap."""
-    n = linalg.count(n, "n", 2)
-    return _capped_side(signature, signature.m + (n - 2) * signature.l)
+    return signature.d ** _qudits(signature, linalg.count(n, "n", 2))
 
 
 def apply_local(m: np.ndarray, columns: np.ndarray, left: int) -> np.ndarray:
@@ -247,9 +249,8 @@ def far_commutativity_residual(r: RMatrix, j: int) -> float:
     more strands both products gain the same identity factor, which leaves
     the residual unchanged.
     """
-    sig = r.signature
     j = linalg.count(j, "j", 1)  # the side on j + 1 strands is capped
-    first, last = lift_pair(r.matrix, _capped_side(sig, sig.m + (j - 1) * sig.l) // r.size)
+    first, last = lift_pair(r.matrix, r.signature.d ** _qudits(r.signature, j + 1) // r.size)
     return linalg.max_abs_diff(first @ last, last @ first)
 
 
@@ -257,13 +258,11 @@ def check_far_commutativity(r: RMatrix, tol: float = linalg.DEFAULT_TOL) -> Chec
     """Check R_s1 R_sj = R_sj R_s1 for every j > 2 with (j-1) l < m.
 
     Each pair is evaluated by :func:`far_commutativity_residual`.  When no
-    such j exists (exactly the case 2l >= m) the condition holds vacuously
-    and the report carries the ``vacuous`` flag.
+    such j exists (exactly the case 2l >= m) the condition holds vacuously:
+    the report has no detail and is ``vacuous``.
     """
     js = far_commutativity_indices(r.signature)
-    if not js:
-        return CheckReport.from_residuals((), tol, vacuous=True)
-    return CheckReport.from_residuals([far_commutativity_residual(r, j) for j in js], tol)
+    return CheckReport([far_commutativity_residual(r, j) for j in js], tol)
 
 
 def ybe_summation_residual(matrix: np.ndarray, d: int) -> float:

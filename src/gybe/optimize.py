@@ -51,7 +51,8 @@ MAX_INNER_RETRIES = 25
 
 @dataclass(frozen=True, eq=False)
 class LeastSquaresResult:
-    """Outcome of one solve.
+    """Outcome of one solve; ``objective`` is the last entry of ``trace``,
+    the objective at the start and after each accepted step.
 
     ``reason`` says why the solve stopped: ``converged``, ``step_tol``,
     ``plateau``, ``damping_stall``, ``budget`` or ``non_finite``.
@@ -61,11 +62,14 @@ class LeastSquaresResult:
     """
 
     x: np.ndarray
-    objective: float
     trace: tuple[float, ...]
     iterations: int
     reason: str
     residual_evals: int
+
+    @property
+    def objective(self) -> float:
+        return self.trace[-1]
 
     @property
     def converged(self) -> bool:
@@ -195,20 +199,17 @@ def solve_stack(
         live = live[(objective[live] > objective_tol) & (iterations[live] < max_iterations)]
 
     results = []
-    for row, (value, count, evals) in enumerate(
-        zip(objective.tolist(), iterations.tolist(), residual_evals.tolist())
-    ):
-        if not np.isfinite(value):
+    for row, (trace, count, evals) in enumerate(zip(traces, iterations.tolist(), residual_evals.tolist())):
+        if not np.isfinite(trace[-1]):
             reason = "non_finite"
-        elif value <= objective_tol:
+        elif trace[-1] <= objective_tol:
             reason = "converged"
         else:
             reason = stop[row]
         results.append(
             LeastSquaresResult(
                 x=x[row].copy(),
-                objective=value,
-                trace=tuple(traces[row]),
+                trace=tuple(trace),
                 iterations=count,
                 reason=reason,
                 residual_evals=evals,

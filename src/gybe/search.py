@@ -14,14 +14,14 @@ a restart whose objective stops falling leaves the stack with reason
 candidates are certified against the exact checks, and duplicates are
 folded together by scalar-gauge-normalized conjugacy invariants (their
 text keys hold plain floats, rounded by one ``np.round`` per part).  Each
-restart reports why it stopped, what it evaluated and whether it was
-certified; the result also reports the live and total residual rows.
+restart reports why it stopped, what it evaluated, its objective trace and,
+if certified, its class's key; the result adds the live and total residual rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +34,19 @@ from .solutions import QUADRANT_SLOTS, QUADRANT_SUPPORT, off_quadrant_max, split
 
 @dataclass(frozen=True, eq=False)
 class ZeroPattern:
-    """Boolean mask of the entries allowed to be nonzero."""
+    """Square boolean mask of the entries allowed to be nonzero."""
 
-    size: int
     mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "size", linalg.count(self.size, "size", 0))
         mask = linalg.frozen(np.asarray(self.mask, dtype=bool))
-        if mask.shape != (self.size, self.size):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match size {self.size}"
-            )
+        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+            raise ValueError(f"a pattern mask must be square, got shape {mask.shape}")
         object.__setattr__(self, "mask", mask)
+
+    @property
+    def size(self) -> int:
+        return self.mask.shape[0]
 
     @property
     def free_count(self) -> int:
@@ -63,7 +63,7 @@ class ZeroPattern:
     @staticmethod
     def from_matrix(m: np.ndarray, threshold: float = 1e-9) -> "ZeroPattern":
         m = linalg.square_matrix(m, "pattern source")
-        return ZeroPattern(m.shape[0], np.abs(m) > threshold)
+        return ZeroPattern(np.abs(m) > threshold)
 
     @staticmethod
     def from_text(text: str) -> "ZeroPattern":
@@ -79,7 +79,7 @@ class ZeroPattern:
                 if ch not in "01":
                     raise ValueError(f"pattern characters must be 0 or 1, got {ch!r}")
                 mask[i, j] = ch == "1"
-        return ZeroPattern(size, mask)
+        return ZeroPattern(mask)
 
     def to_text(self) -> str:
         return "\n".join(
@@ -88,8 +88,8 @@ class ZeroPattern:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ZeroPattern":
-        """Decode :meth:`to_json_dict` output: an integer size and rows of JSON
-        booleans; numbers and strings that numpy would coerce are malformed."""
+        """Decode :meth:`to_json_dict` output: an integer size and that many rows
+        of that many JSON booleans; numbers and strings numpy would coerce are malformed."""
         try:
             size, mask = data["size"], data["mask"]
         except (KeyError, TypeError) as exc:
@@ -98,7 +98,10 @@ class ZeroPattern:
             type(row) is list and all(type(v) is bool for v in row) for row in mask
         ):
             raise ValueError("malformed pattern JSON: mask must be rows of true/false")
-        return ZeroPattern(size, np.array(mask, dtype=bool))
+        size = linalg.count(size, "size", 1)
+        if len(mask) != size or any(len(row) != size for row in mask):
+            raise ValueError(f"malformed pattern JSON: mask must be {size} rows of {size} entries")
+        return ZeroPattern(np.array(mask, dtype=bool))
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "mask": [[bool(v) for v in row] for row in self.mask]}
@@ -114,7 +117,7 @@ def load_pattern_text(text: str) -> ZeroPattern:
 
 def rowell_pattern() -> ZeroPattern:
     """The two-block zero pattern shared by all 8x8 solutions in the registry."""
-    return ZeroPattern(8, linalg.direct_sum(QUADRANT_SUPPORT, QUADRANT_SUPPORT) != 0)
+    return ZeroPattern(linalg.direct_sum(QUADRANT_SUPPORT, QUADRANT_SUPPORT) != 0)
 
 
 @dataclass(frozen=True)
@@ -156,32 +159,52 @@ class FoundSolution:
 
 @dataclass(frozen=True)
 class RestartReport:
-    """Why one restart stopped, what it evaluated, and whether it was certified."""
+    """Why one restart stopped, what it evaluated, its trace, and its dedup key if certified, else None."""
 
     reason: str
     iterations: int
     residual_evals: int
-    jacobian_evals: int
-    certified: bool
+    trace: tuple[float, ...]
+    dedup_key: str | None
+
+    @property
+    def jacobian_evals(self) -> int:
+        return self.iterations
+
+    @property
+    def certified(self) -> bool:
+        return self.dedup_key is not None
+
+    def to_json_dict(self) -> dict:
+        names = ("reason", "iterations", "residual_evals", "jacobian_evals", "certified")
+        return {name: getattr(self, name) for name in names}
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The solution classes, one report per restart, and the real residual rows
+    the solver worked on and of the full residual; the rest is read from these."""
+
     solutions: tuple[FoundSolution, ...]
-    traces: tuple[tuple[float, ...], ...]
-    dedup_counts: dict[str, int] = field(default_factory=dict)
-    restarts: tuple[RestartReport, ...] = ()
-    # Real residual rows the solver worked on, and of the full residual.
-    live_residual_rows: int = 0
-    total_residual_rows: int = 0
+    restarts: tuple[RestartReport, ...]
+    live_residual_rows: int
+    total_residual_rows: int
+
+    @property
+    def traces(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(report.trace for report in self.restarts)
+
+    @property
+    def dedup_counts(self) -> dict[str, int]:
+        """Certified restarts per solution class, by dedup key in first-hit
+        order: a fresh dict on each read."""
+        keys = [report.dedup_key for report in self.restarts if report.certified]
+        return {key: keys.count(key) for key in dict.fromkeys(keys)}
 
     @property
     def best_objective(self) -> float:
         """The smallest final objective of the restarts; inf for none, and a NaN is passed over."""
-        return float(min([np.inf, *(trace[-1] for trace in self.traces)]))
-
-    def to_json_list(self) -> list:
-        return [s.to_json_dict() for s in self.solutions]
+        return float(min([np.inf, *(report.trace[-1] for report in self.restarts)]))
 
 
 def gybe_objective(
@@ -264,30 +287,14 @@ def solve_pattern(
     )
 
     solutions: list[FoundSolution] = []
-    dedup_counts: dict[str, int] = {}
     reports: list[RestartReport] = []
     for restart, fit in enumerate(fits):
         certified = _certify(fit, problem, config.tolerance, restart)
-        counts = (fit.iterations, fit.residual_evals, fit.jacobian_evals)
-        reports.append(RestartReport(fit.reason, *counts, certified is not None))
-        if certified is None:
-            continue
-        r, residual = certified
-        key = dedup_key(r.matrix)
-        dedup_counts[key] = dedup_counts.get(key, 0) + 1
-        if dedup_counts[key] == 1:
-            solutions.append(
-                FoundSolution(r, residual, fit.objective, restart, key)
-            )
-
-    return SearchResult(
-        solutions=tuple(solutions),
-        traces=tuple(fit.trace for fit in fits),
-        dedup_counts=dedup_counts,
-        restarts=tuple(reports),
-        live_residual_rows=problem.live_rows.size,
-        total_residual_rows=problem.total_rows,
-    )
+        key = None if certified is None else dedup_key(certified[0].matrix)
+        if key is not None and all(found.dedup_key != key for found in solutions):
+            solutions.append(FoundSolution(*certified, fit.objective, restart, key))
+        reports.append(RestartReport(fit.reason, fit.iterations, fit.residual_evals, fit.trace, key))
+    return SearchResult(tuple(solutions), tuple(reports), problem.live_rows.size, problem.total_rows)
 
 
 def _certify(

@@ -52,10 +52,19 @@ _UNIT_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
 
 
-def _require_unit(value: complex, name: str, tol: float = _UNIT_TOL) -> complex:
-    value = complex(value)
+def _finite(kind: type, value, name: str):
+    """``kind(value)`` if it is a finite number, else a ValueError naming ``name``."""
+    try:
+        value = kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_unit(value, name: str, tol: float = _UNIT_TOL) -> complex:
+    value = _finite(complex, value, name)
     if abs(abs(value) - 1.0) > tol:
         raise ValueError(f"{name} must lie on the unit circle, got |{name}|={abs(value)}")
     return value
@@ -86,13 +95,14 @@ def _family(family: int) -> int:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """One of the three families together with an angle in [0, pi]."""
+    """One of the three families together with an angle in [0, pi], kept as a float."""
 
     family: int
     theta: float
 
     def __post_init__(self):
         object.__setattr__(self, "family", _family(self.family))
+        object.__setattr__(self, "theta", _finite(float, self.theta, "theta"))
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
@@ -339,15 +349,15 @@ def xshape_solution() -> RMatrix:
 
 def general_solution(family: int, alpha: complex, beta: complex) -> RMatrix:
     """The family member R(alpha, beta) for unit-circle alpha and beta."""
-    family, alpha, beta = _family(family), complex(alpha), complex(beta)
+    family = _family(family)
     block = BlockSolution.from_params(*FAMILY_PARAMS[family], alpha, beta)
-    label = f"family{family}:alpha={alpha.real:.12g},{alpha.imag:.12g}"
-    return block.to_rmatrix(f"{label}:beta={beta.real:.12g},{beta.imag:.12g}")
+    label = f"family{family}:alpha={block.alpha.real:.12g},{block.alpha.imag:.12g}"
+    return block.to_rmatrix(f"{label}:beta={block.beta.real:.12g},{block.beta.imag:.12g}")
 
 
 def family_solution(family: int, theta: float) -> RMatrix:
     """The one-angle family member R(theta) = R(1, e^{i theta}), theta in [0, pi]."""
-    params = FamilyParams(family, float(theta))
+    params = FamilyParams(family, theta)
     beta = complex(np.exp(1j * params.theta))
     block = BlockSolution.from_params(*FAMILY_PARAMS[params.family], 1.0 + 0j, beta)
     return block.to_rmatrix(f"family{params.family}:theta={params.theta:.12g}")
@@ -398,7 +408,7 @@ def check_block_equations(
         lhs = lift(p1) @ mid1 @ lift(p2) + lift(p3) @ mid2 @ lift(p4)
         rhs = SQRT2 * (r1 @ lift(p5) @ r2)
         residuals.append(linalg.max_abs_diff(lhs, rhs) / 2)
-    return CheckReport.from_residuals(residuals, tol)
+    return CheckReport(residuals, tol)
 
 
 def param_constraint_residuals(
@@ -433,7 +443,7 @@ def check_param_constraints(
 ) -> CheckReport:
     for name, value in (("omega", omega), ("gamma", gamma), ("delta", delta)):
         _require_unit(value, name, tol=CLASSIFY_TOL)
-    return CheckReport.from_residuals(param_constraint_residuals(omega, gamma, delta), tol)
+    return CheckReport(param_constraint_residuals(omega, gamma, delta), tol)
 
 
 def classify_unitary_params(
@@ -445,10 +455,9 @@ def classify_unitary_params(
     delta = +/-i and gamma = 1; category C: all three equal 1.
     """
     tol = linalg.tolerance(tol)
-    w, g, d = complex(omega), complex(gamma), complex(delta)
-    for name, value in (("omega", w), ("gamma", g), ("delta", d)):
-        if not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    w = _finite(complex, omega, "omega")
+    g = _finite(complex, gamma, "gamma")
+    d = _finite(complex, delta, "delta")
     one = 1.0 + 0j
     for sign in (1j, -1j):
         if abs(w - sign) <= tol and abs(g - sign) <= tol and abs(d - one) <= tol:

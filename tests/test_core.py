@@ -336,7 +336,7 @@ def test_every_check_rejects_a_nan_or_negative_tolerance(tol):
         lambda: check_gybe(r, tol),
         lambda: check_far_commutativity(r, tol),
         lambda: check_ybe(linalg.identity(4), tol),
-        lambda: CheckReport(0.5, False, tol),
+        lambda: CheckReport((0.5,), tol),
     ):
         with pytest.raises(ValueError, match="tolerance must be non-negative"):
             check()
@@ -348,4 +348,4 @@ def test_check_report_json_shape():
     assert set(data) == {"passed", "residual", "tolerance", "detail"}
     vac = check_far_commutativity(xshape_solution())
     assert vac.to_json_dict()["vacuous"] is True
-    assert CheckReport(0.5, False, 1e-12).to_json_dict()["passed"] is False
+    assert CheckReport((0.5,), 1e-12).to_json_dict()["passed"] is False

@@ -81,7 +81,6 @@ CALLS = {
     ("gybe.search.SearchConfig", "restarts"): (lambda v: SearchConfig(restarts=v), 2, 0, "restarts"),
     ("gybe.search.SearchConfig", "seed"): (lambda v: SearchConfig(seed=v), 1, -1, "seed"),
     ("gybe.search.SearchConfig", "max_iterations"): (lambda v: SearchConfig(max_iterations=v), 5, 0, "max_iterations"),
-    ("gybe.search.ZeroPattern", "size"): (lambda size: ZeroPattern(size, np.eye(2, dtype=bool)), 2, -1, "size"),
     ("gybe.solutions.FamilyParams", "family"): (lambda f: FamilyParams(f, 0.3), 2, 0, "family"),
     ("gybe.solutions.GeneralParams", "family"): (lambda f: GeneralParams(f, 1, 1j), 2, 0, "family"),
     ("gybe.solutions.base_solution", "family"): (lambda f: base_solution(f), 2, 0, "family"),
@@ -192,7 +191,10 @@ def test_every_entry_point_refuses_a_count_below_its_minimum(entry):
             lambda: solve_stack(_line, np.zeros((1, 2)), jacobian_fn=_eye, max_iterations=True),
             "max_iterations must be an integer, got True",
         ),
-        (lambda: ZeroPattern(8.0, rowell_pattern().mask), "size must be an integer, got 8.0"),
+        (
+            lambda: ZeroPattern.from_json_dict({**rowell_pattern().to_json_dict(), "size": 8.0}),
+            "size must be an integer, got 8.0",
+        ),
         (lambda: braid_generator_matrix(ROWELL, 3, 1.5), "i must be an integer, got 1.5"),
         (lambda: far_commutativity_residual(ROWELL, 3.0), "j must be an integer, got 3.0"),
         (lambda: ybe_summation_residual(np.eye(4), 2.0), "d must be an integer, got 2.0"),

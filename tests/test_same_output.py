@@ -84,19 +84,26 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # 40 --json ops of the second again in text; two verify pools of 192,
     # each with its 32 classify ops again in JSON and its 32 perturbed
     # matrices classified twice; three family members by theta in text and
-    # three by alpha and beta, in text and JSON; four searches; and the 18
-    # usage errors of other gates, the tolerance gate's 15 and the 4 config errors.
-    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 4 + 18 + 15 + 4
+    # three by alpha and beta, in text and JSON; four searches in JSON, four
+    # in text and four in text on the JSON pattern; and the 20 usage errors
+    # of other gates, the tolerance gate's 15 and the 4 config errors.
+    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 12 + 20 + 15 + 4
     argvs = argvs[:-usage]
     equiv = [a for a in argvs if a[0] == "equiv"]
     assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]
     braid = [a for a in argvs if a[0] == "braid"]
     assert braid[240:] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
     assert not any("--json" in a for a in braid[240:])
-    assert argvs[-13:-10] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
+    assert argvs[-21:-18] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
     general = [["family", "--family", k, "--alpha", "0.6,0.8", "--beta", "0.28,-0.96"] for k in "123"]
-    assert argvs[-10:-4] == [a + json for a in general for json in ([], ["--json"])]
-    verify = argvs[3 * 112 * 2 + 2 * 120 + 40 : -13]
+    assert argvs[-18:-12] == [a + json for a in general for json in ([], ["--json"])]
+    searches = [(same_output.PATTERN, ["--json"]), (same_output.PATTERN, []), (same_output.PATTERN_JSON, [])]
+    assert argvs[-12:] == [
+        ["search", "--pattern", pattern, "--signature", "2,3,1", *output, "--stats", "--seed", seed]
+        for pattern, output in searches
+        for seed in "0123"
+    ]
+    verify = argvs[3 * 112 * 2 + 2 * 120 + 40 : -21]
     for pool in (verify[:288], verify[288:]):
         ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
         assert again == [a + ["--json"] for a in ops if a[0] == "classify"]
@@ -109,7 +116,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         for flag in ("--state", "--matrix", "--pattern"):
             if flag in argv:
                 assert (tmp_path / argv[argv.index(flag) + 1]).is_file(), argv
-    assert [a[-1] for a in argvs if a[0] == "search"] == ["0", "1", "2", "3"]
+    assert [a[-1] for a in argvs if a[0] == "search"] == list("0123") * 3
 
 
 def test_a_side_runs_the_argv_in_the_given_checkout(tmp_path, capsys):

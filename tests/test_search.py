@@ -154,8 +154,25 @@ def test_pattern_json_rejects_coerced_values():
     ):
         with pytest.raises(ValueError, match="malformed pattern JSON|^size must be an integer, got "):
             load_pattern_text(text)
-    with pytest.raises(ValueError):
-        load_pattern_text('{"size": 2, "mask": [[true, false], [true]]}')
+    # A ragged mask used to raise numpy's "inhomogeneous shape" message.
+    for text in (
+        '{"size": 2, "mask": [[true, false], [false]]}',
+        '{"size": 2, "mask": [[true, false], [true]]}',
+        '{"size": 3, "mask": [[true, false], [false, true]]}',
+        '{"size": 2, "mask": [[true, false, true], [false, true, false]]}',
+        '{"size": 2, "mask": []}',
+    ):
+        with pytest.raises(ValueError, match=r"^malformed pattern JSON: mask must be (\d) rows of \1 entries"):
+            load_pattern_text(text)
+
+
+def test_a_pattern_is_its_square_mask():
+    assert ZeroPattern(np.eye(3)).size == 3 and type(ZeroPattern(np.eye(3)).size) is int
+    for mask in (np.ones(4), np.ones((2, 3)), np.ones((2, 2, 2)), True):
+        with pytest.raises(ValueError, match="^a pattern mask must be square, got shape"):
+            ZeroPattern(mask)
+    with pytest.raises(ValueError, match="^size must be at least 1, got 0$"):
+        load_pattern_text('{"size": 0, "mask": []}')
 
 
 def test_objective_vanishes_on_solutions():
@@ -163,7 +180,7 @@ def test_objective_vanishes_on_solutions():
 
 
 def test_objective_zero_on_identity():
-    pattern = ZeroPattern(8, np.eye(8, dtype=bool))
+    pattern = ZeroPattern(np.eye(8, dtype=bool))
     assert gybe_objective(linalg.identity(8), pattern, SIG) == 0.0
 
 
@@ -177,7 +194,7 @@ def test_objective_rejects_pattern_violations():
     with pytest.raises(ValueError):
         gybe_objective(np.ones((8, 8)), rowell_pattern(), SIG)
     with pytest.raises(ValueError):
-        gybe_objective(linalg.identity(4), ZeroPattern(4, np.eye(4, dtype=bool)), SIG)
+        gybe_objective(linalg.identity(4), ZeroPattern(np.eye(4, dtype=bool)), SIG)
 
 
 def test_objective_rejects_non_finite_entries_inside_the_pattern():
@@ -268,7 +285,7 @@ def test_search_seeded_at_exact_solution_converges_immediately():
     mask = np.zeros((8, 8), dtype=bool)
     mask[:4, :4] = True
     mask[4:, 4:] = True
-    pattern = ZeroPattern(8, mask)
+    pattern = ZeroPattern(mask)
     problem = _PatternResidual(pattern, SIG)
     (fit,) = _solve_from(problem, _params(problem, base_solution(2).r_matrix()))
     assert fit.reason == "converged" and fit.objective <= 1e-22
@@ -292,7 +309,7 @@ def test_exact_jacobian_matches_central_differences(signature, named_pattern, se
     else:
         mask = rng.random((n, n)) < 0.5
         mask[rng.integers(n), rng.integers(n)] = True
-        pattern = ZeroPattern(n, mask)
+        pattern = ZeroPattern(mask)
     problem = _PatternResidual(pattern, signature)
     x = problem.initial(rng)
     exact = problem.jacobian(x[None])[0]
@@ -365,7 +382,7 @@ def test_dedup_key_separates_distinct_classes():
 def test_search_result_json_round_trip():
     config = SearchConfig(tolerance=1e-11, restarts=1, seed=0)
     result = solve_pattern(rowell_pattern(), SIG, config)
-    payload = result.to_json_list()
+    payload = [found.to_json_dict() for found in result.solutions]
     assert len(payload) == len(result.solutions) == 1
     entry = payload[0]
     assert set(entry) >= {"matrix", "residual", "dedup_key"}
@@ -375,7 +392,7 @@ def test_search_result_json_round_trip():
 
 def test_pattern_size_must_match_signature():
     with pytest.raises(ValueError):
-        solve_pattern(ZeroPattern(4, np.ones((4, 4), dtype=bool)), SIG, SearchConfig())
+        solve_pattern(ZeroPattern(np.ones((4, 4), dtype=bool)), SIG, SearchConfig())
 
 
 def test_bench_search_calls_keep_their_trajectories():
@@ -391,7 +408,7 @@ def test_bench_search_calls_keep_their_trajectories():
 
 
 def test_empty_pattern_is_rejected():
-    pattern = ZeroPattern(4, np.zeros((4, 4), dtype=bool))
+    pattern = ZeroPattern(np.zeros((4, 4), dtype=bool))
     with pytest.raises(ValueError, match="pattern is empty"):
         solve_pattern(pattern, GybeSignature(2, 2, 1), SearchConfig())
 
@@ -419,13 +436,13 @@ def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, shape,
     if shape == "rowell" and n == 8:
         pattern = rowell_pattern()
     elif shape == "diagonal":
-        pattern = ZeroPattern(n, np.eye(n, dtype=bool))
+        pattern = ZeroPattern(np.eye(n, dtype=bool))
     elif shape == "full":
-        pattern = ZeroPattern(n, np.ones((n, n), dtype=bool))
+        pattern = ZeroPattern(np.ones((n, n), dtype=bool))
     else:
         mask = rng.random((n, n)) < rng.uniform(0.1, 0.6)
         mask[rng.integers(n), rng.integers(n)] = True
-        pattern = ZeroPattern(n, mask)
+        pattern = ZeroPattern(mask)
     problem = _PatternResidual(pattern, signature)
     with mock.patch.object(pattern_residual, "_live_entries", _all_entries):
         full_problem = _PatternResidual(pattern, signature)
@@ -458,7 +475,7 @@ def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, shape,
 def test_dense_cap_is_checked_before_any_table_is_built():
     # At l = 8 the lifted side 2^11 is past the cap; the live-entry table
     # would be sized by it, so it must not be reached.
-    pattern = ZeroPattern(8, np.ones((8, 8), dtype=bool))
+    pattern = ZeroPattern(np.ones((8, 8), dtype=bool))
     with mock.patch.object(pattern_residual, "_live_entries", side_effect=AssertionError("built")):
         with pytest.raises(ValueError, match="exceeds the dense cap"):
             _PatternResidual(pattern, GybeSignature(2, 3, 8))

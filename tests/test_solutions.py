@@ -1,6 +1,7 @@
 """Tests pinning the concrete solutions to their published entry patterns."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ def test_family_validation():
         family_solution(1, np.pi + 0.2)
     with pytest.raises(ValueError):
         FamilyParams(2, 7.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FamilyParams(1, None), "theta must be a number, got None"),
+        (lambda: family_solution(1, 1j), "theta must be a number, got 1j"),
+        (lambda: general_solution(1, None, 1), "alpha must be a number, got None"),
+        (lambda: derive_Y(None, 1, 1), "omega must be a number, got None"),
+        (lambda: classify_unitary_params(None, 1, 1), "omega must be a number, got None"),
+    ],
+)
+def test_a_solution_builder_names_a_parameter_that_is_not_a_number(build, message):
+    # Each used to raise a bare TypeError from float() or complex().
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_general_solution_reduces_to_base_and_theta_forms():

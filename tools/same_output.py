@@ -15,11 +15,13 @@ in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
 3, each in plain text and with ``--json``, so that the matrices of
 ``general_solution`` are compared byte for byte;
 ``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
-seeds 0-3; and last the ``USAGE_ERRORS``, argvs that exit 2 with nothing
-on stdout: a missing or surplus input, a 4x4 ``--state``,
+seeds 0-3, then ``--stats`` in plain text at the same seeds, with the
+pattern as the 0/1 grid and again as JSON; and last the ``USAGE_ERRORS``,
+argvs that exit 2 with nothing on stdout: a missing or surplus input, a 4x4 ``--state``,
 empty values, a ``--compare`` word on other strands, ``classify`` of a
-solution not in block form, a family member with a non-unit alpha,
-``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
+solution not in block form, a family member with a non-unit alpha, a
+``search`` on a pattern JSON whose mask is ragged and on one whose rows do
+not match its size, ``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
 ``classify``, ``equiv``, ``braid ... --compare`` and ``search`` (the
 tolerance gate), the ``CONFIG_ERRORS`` (``search`` with ``--seed -1``, or
 with a ``--tol`` whose square overflows or underflows, and ``family`` with a
@@ -81,6 +83,12 @@ FAMILY_GENERAL = [
 ]
 SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
+PATTERN_JSON = "rowell.json"
+# A ragged mask, and rows that do not match the size.
+MALFORMED_PATTERNS = {
+    "ragged.json": '{"size": 2, "mask": [[true, false], [false]]}',
+    "rows-not-size.json": '{"size": 3, "mask": [[true, false], [false, true]]}',
+}
 STATE_4X4 = "state-4x4.json"
 MATRIX_2X3 = "matrix-2x3.json"
 # Each command that takes --tol, for the tolerance gate's nan, -1 and inf.
@@ -116,6 +124,7 @@ USAGE_ERRORS = (
     ["braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"],
     ["classify", "--solution", "xshape"],
     ["family", "--family", "1", "--alpha", "2,0", "--beta", "0,1"],
+    *(["search", "--pattern", name, "--signature", "2,3,1"] for name in MALFORMED_PATTERNS),
     *([*argv, "--tol", tol] for argv in TOL_COMMANDS for tol in ("nan", "-1", "inf")),
     *CONFIG_ERRORS,
     ["verify", "--matrix", MATRIX_2X3],
@@ -148,10 +157,16 @@ def ops(workdir: Path) -> list[list[str]]:
                     classify = ["classify", "--matrix", argv[argv.index("--matrix") + 1], "--json"]
                     argvs += [classify, classify + ["--tol", "1e-2"]]
     argvs += [list(argv) for argv in FAMILY_TEXT + FAMILY_GENERAL]
-    grid = "\n".join("".join("1" if v else "0" for v in row) for row in checker.rowell_mask())
+    mask = checker.rowell_mask()
+    grid = "\n".join("".join("1" if v else "0" for v in row) for row in mask)
     (workdir / PATTERN).write_text(grid + "\n", encoding="utf-8")
-    search = ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--json", "--stats"]
-    argvs += [search + ["--seed", str(seed)] for seed in SEARCH_SEEDS]
+    pattern_json = {"size": len(mask), "mask": [[bool(v) for v in row] for row in mask]}
+    (workdir / PATTERN_JSON).write_text(json.dumps(pattern_json), encoding="utf-8")
+    for name, text in MALFORMED_PATTERNS.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    for pattern, output in ((PATTERN, ["--json"]), (PATTERN, []), (PATTERN_JSON, [])):
+        search = ["search", "--pattern", pattern, "--signature", "2,3,1", *output, "--stats"]
+        argvs += [search + ["--seed", str(seed)] for seed in SEARCH_SEEDS]
     # Unit norm as 16 amplitudes, but a matrix, not a column.
     (workdir / STATE_4X4).write_text(checker.matrix_to_json(np.eye(4) / 2), encoding="utf-8")
     # A matrix that is not square, for the input gate of verify and classify.
