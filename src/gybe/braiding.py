@@ -77,16 +77,8 @@ class BraidWord:
 _WORD_RE = re.compile(r"^\s*n\s*=([^:]*):(.*)$")
 
 
-def integer(text: str) -> int:
-    """An integer as typed by a user: an optional minus and ASCII digits, where ``int``
-    would also take ``_``, ``+``, surrounding space and other scripts' digits."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
-
-
 def parse_braid_word(text: str) -> BraidWord:
-    """Parse the text form ``n=<strands>: i1,i2,...``, integers read by :func:`integer`.
+    """Parse the text form ``n=<strands>: i1,i2,...``, integers read by :func:`linalg.integer`.
 
     An empty body is the empty word; an empty letter (``1,,2``, a trailing
     comma, or a lone comma) is malformed.
@@ -94,12 +86,12 @@ def parse_braid_word(text: str) -> BraidWord:
     m = _WORD_RE.match(text)
     if not m:
         raise ValueError(f"malformed braid word: {text!r} (expected 'n=<k>: 1,2,-1')")
-    n = integer(m.group(1).strip())
+    n = linalg.integer(m.group(1).strip())
     body = m.group(2).strip()
     tokens = body.split(",") if body else []
     if not all(tok.strip() for tok in tokens):
         raise ValueError(f"malformed braid word: {text!r} has an empty letter")
-    return BraidWord(n, tuple(integer(tok.strip()) for tok in tokens))
+    return BraidWord(n, tuple(linalg.integer(tok.strip()) for tok in tokens))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,6 @@ from .braiding import (
     apply_to_state,
     build_rep,
     evaluate_word,
-    integer,
     parse_braid_word,
     word_difference,
 )
@@ -62,14 +61,14 @@ def _parse_complex_pair(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    return complex(linalg.real(parts[0]), linalg.real(parts[1]))
 
 
 def _parse_signature(text: str) -> GybeSignature:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected 'd,m,l', got {text!r}")
-    return GybeSignature(*(integer(part.strip()) for part in parts))
+    return GybeSignature(*(linalg.integer(part.strip()) for part in parts))
 
 
 def _read_text(path: str) -> str:
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         inputs.add_argument("--solution", action=_Once if one_input else "append", help="registry solution id")
         inputs.add_argument("--matrix", action=_Once, help="matrix JSON file, or - for stdin")
         p.add_argument("--signature", action=_Once, help="equation signature d,m,l")
-        p.add_argument("--tol", action=_Once, type=float, default=tol, help="tolerance")
+        p.add_argument("--tol", action=_Once, type=linalg.real, default=tol, help="tolerance")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("verify", help="check a solution against its equation")
@@ -348,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="construct a family member")
-    p.add_argument("--family", action=_Once, type=integer, required=True, choices=(1, 2, 3))
-    p.add_argument("--theta", action=_Once, type=float, default=None, help="angle in radians")
+    p.add_argument("--family", action=_Once, type=linalg.integer, required=True, choices=(1, 2, 3))
+    p.add_argument("--theta", action=_Once, type=linalg.real, default=None, help="angle in radians")
     p.add_argument("--alpha", action=_Once, default=None, help="re,im on the unit circle")
     p.add_argument("--beta", action=_Once, default=None, help="re,im on the unit circle")
     p.add_argument("--json", action="store_true")
@@ -381,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="solve a zero pattern numerically")
     p.add_argument("--pattern", action=_Once, required=True, help="pattern file (0/1 grid or JSON), or -")
     p.add_argument("--signature", action=_Once, required=True, help="equation signature d,m,l")
-    p.add_argument("--restarts", action=_Once, type=integer, default=SearchConfig.restarts)
-    p.add_argument("--seed", action=_Once, type=integer, default=SearchConfig.seed)
-    p.add_argument("--tol", action=_Once, type=float, default=SearchConfig.tolerance)
+    p.add_argument("--restarts", action=_Once, type=linalg.integer, default=SearchConfig.restarts)
+    p.add_argument("--seed", action=_Once, type=linalg.integer, default=SearchConfig.seed)
+    p.add_argument("--tol", action=_Once, type=linalg.real, default=SearchConfig.tolerance)
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "--stats",

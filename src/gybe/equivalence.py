@@ -21,8 +21,8 @@ closed form: conjugation by diag(1, z)^⊗m scales entry (i, j)
 by a power of z fixed by the bit counts of i and j, so the entry ratios
 leave only a few candidate z, and no candidate within tolerance means no
 witness of that shape.  This generalizes the beta/alpha criterion: two
-members of one family are locally conjugate exactly when their ratios
-beta/alpha (:attr:`gybe.solutions.GeneralParams.ratio`) agree.  The
+members of one family are locally conjugate exactly when the ratios
+beta/alpha of their :func:`gybe.solutions.general_solution` parameters agree.  The
 general shape reduces to those closed forms by local covariants (Makhlin,
 "Nonlocal properties of two-qubit gates and mixed states, and the
 optimization of quantum computations", 2002): partial traces of words in

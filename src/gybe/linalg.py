@@ -7,7 +7,8 @@ read-only copies, inversion gated on the smallest singular value,
 eigenvalues of small matrices, tolerance-based comparisons in the
 max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
 Three gates check what a caller hands the library: :func:`square_matrix` a
-matrix, :func:`tolerance` a tolerance and :func:`count` a count.
+matrix, :func:`tolerance` a tolerance and :func:`count` a count; two
+readers, :func:`integer` and :func:`real`, take a number typed as text.
 
 Matrix output pays for the entries that are not +0.0+0.0j, not for the
 side: :func:`matrix_to_json` and :func:`matrix_to_text` gather the two
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -93,6 +95,27 @@ def count(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def integer(text: str) -> int:
+    """An integer as typed by a user: an optional minus and ASCII digits, where ``int``
+    would also take ``_``, ``+``, surrounding space and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+_REAL_RE = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|inf)|nan")
+
+
+def real(text: str) -> float:
+    """A real number as typed by a user: an optional minus, ASCII digits with at most one
+    point and an optional exponent ``e±k``, or ``nan``, ``inf`` or ``-inf``, so every
+    ``repr`` of a float, where ``float`` would also take ``_``, ``+``, surrounding space
+    and other scripts' digits.  A non-finite value is read; the gate it feeds judges it."""
+    if not _REAL_RE.fullmatch(text):
+        raise ValueError(f"not a decimal real number: {text!r}")
+    return float(text)
 
 
 def identity(n: int) -> np.ndarray:

@@ -52,34 +52,52 @@ _UNIT_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
 
 
+_REALS = (int, float, np.integer, np.floating)
+_NUMBERS = {float: _REALS, complex: (*_REALS, complex, np.complexfloating)}
+
+
+def _number(kind: type, value, name: str):
+    """``value`` as a plain ``kind``, float or complex, if it is a Python or numpy number
+    of that kind, else a ValueError naming ``name``; a bool or a text is never a number."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS[kind]):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return kind(value)
+
+
 def _finite(kind: type, value, name: str):
-    """``kind(value)`` if it is a finite number, else a ValueError naming ``name``."""
-    try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """The one gate on a solution parameter: :func:`_number`, and then finite."""
+    value = _number(kind, value, name)
     if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
+def _on_unit_circle(value: complex, tol: float) -> bool:
+    return abs(abs(value) - 1.0) <= tol
+
+
 def _require_unit(value, name: str, tol: float = _UNIT_TOL) -> complex:
     value = _finite(complex, value, name)
-    if abs(abs(value) - 1.0) > tol:
+    if not _on_unit_circle(value, tol):
         raise ValueError(f"{name} must lie on the unit circle, got |{name}|={abs(value)}")
     return value
 
 
 @dataclass(frozen=True)
 class DiagBlock:
-    """A 2x2 diagonal matrix, stored as its two diagonal entries."""
+    """A 2x2 diagonal matrix, stored as its two diagonal entries, each a plain
+    complex; whether they are finite is :class:`BlockSolution`'s check."""
 
     p: complex
     q: complex
 
+    def __post_init__(self):
+        object.__setattr__(self, "p", _number(complex, self.p, "p"))
+        object.__setattr__(self, "q", _number(complex, self.q, "q"))
+
     def is_unitary(self, tol: float = _UNIT_TOL) -> bool:
         tol = linalg.tolerance(tol)
-        return abs(abs(complex(self.p)) - 1.0) <= tol and abs(abs(complex(self.q)) - 1.0) <= tol
+        return _on_unit_circle(self.p, tol) and _on_unit_circle(self.q, tol)
 
     @staticmethod
     def identity() -> "DiagBlock":
@@ -93,45 +111,9 @@ def _family(family: int) -> int:
     return int(family)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """One of the three families together with an angle in [0, pi], kept as a float."""
-
-    family: int
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", _family(self.family))
-        object.__setattr__(self, "theta", _finite(float, self.theta, "theta"))
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-
-
-@dataclass(frozen=True)
-class GeneralParams:
-    """A family index with free unit-circle parameters alpha and beta."""
-
-    family: int
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", _family(self.family))
-        _require_unit(self.alpha, "alpha")
-        _require_unit(self.beta, "beta")
-
-    @property
-    def ratio(self) -> complex:
-        """beta / alpha, the local-conjugation invariant of the family member."""
-        return complex(self.beta) / complex(self.alpha)
-
-
 def _forced_C(a: DiagBlock, b: DiagBlock, d: DiagBlock) -> DiagBlock:
     """-D B^dagger A, entry by entry, with no check on the blocks."""
-    return DiagBlock(
-        -complex(d.p) * complex(b.p).conjugate() * complex(a.p),
-        -complex(d.q) * complex(b.q).conjugate() * complex(a.q),
-    )
+    return DiagBlock(-d.p * b.p.conjugate() * a.p, -d.q * b.q.conjugate() * a.q)
 
 
 def derive_C(a: DiagBlock, b: DiagBlock, d: DiagBlock) -> DiagBlock:
@@ -204,23 +186,23 @@ class BlockSolution:
 
     @property
     def omega(self) -> complex:
-        return complex(self.A.q)
+        return self.A.q
 
     @property
     def alpha(self) -> complex:
-        return complex(self.B.p)
+        return self.B.p
 
     @property
     def beta(self) -> complex:
-        return complex(self.B.q)
+        return self.B.q
 
     @property
     def gamma(self) -> complex:
-        return complex(self.D.p)
+        return self.D.p
 
     @property
     def delta(self) -> complex:
-        return complex(self.D.q)
+        return self.D.q
 
     def x_matrix(self) -> np.ndarray:
         return assemble_quadrant(self.A, self.B, self.C, self.D)
@@ -243,9 +225,9 @@ class BlockSolution:
         beta: complex = 1.0 + 0j,
     ) -> "BlockSolution":
         ys = derive_Y(omega, gamma, delta, alpha, beta)  # checks all five
-        a = DiagBlock(1.0 + 0j, complex(omega))
-        b = DiagBlock(complex(alpha), complex(beta))
-        d = DiagBlock(complex(gamma), complex(delta))
+        a = DiagBlock(1.0 + 0j, omega)
+        b = DiagBlock(alpha, beta)
+        d = DiagBlock(gamma, delta)
         return BlockSolution(a, b, _forced_C(a, b, d), d, *ys)
 
     @staticmethod
@@ -357,10 +339,12 @@ def general_solution(family: int, alpha: complex, beta: complex) -> RMatrix:
 
 def family_solution(family: int, theta: float) -> RMatrix:
     """The one-angle family member R(theta) = R(1, e^{i theta}), theta in [0, pi]."""
-    params = FamilyParams(family, theta)
-    beta = complex(np.exp(1j * params.theta))
-    block = BlockSolution.from_params(*FAMILY_PARAMS[params.family], 1.0 + 0j, beta)
-    return block.to_rmatrix(f"family{params.family}:theta={params.theta:.12g}")
+    family = _family(family)
+    theta = _finite(float, theta, "theta")
+    if not -1e-12 <= theta <= math.pi + 1e-12:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    block = BlockSolution.from_params(*FAMILY_PARAMS[family], 1.0 + 0j, np.exp(1j * theta))
+    return block.to_rmatrix(f"family{family}:theta={theta:.12g}")
 
 
 def base_solution(family: int) -> BlockSolution:
@@ -419,9 +403,9 @@ def param_constraint_residuals(
     The first four make the derived Y blocks consistent with the remaining
     block equations; the last six are the unitarity conditions on Y.
     """
-    w = complex(omega)
-    g = complex(gamma)
-    d = complex(delta)
+    w = _finite(complex, omega, "omega")
+    g = _finite(complex, gamma, "gamma")
+    d = _finite(complex, delta, "delta")
     wc, gc, dc = w.conjugate(), g.conjugate(), d.conjugate()
     values = (
         (d - 1) * w * w + (1 + d * d - d * g + g) * w - 2 * g,
@@ -500,7 +484,7 @@ def reduce_to_B_identity(s: BlockSolution) -> ReducedSolution:
 
 def restore(reduced: BlockSolution, b: DiagBlock) -> BlockSolution:
     """Invert :func:`reduce_to_B_identity` for a chosen unitary diagonal B."""
-    return _replace_B(reduced, b, complex(b.p).conjugate(), complex(b.q).conjugate())
+    return _replace_B(reduced, b, b.p.conjugate(), b.q.conjugate())
 
 
 # --- named-solution registry -------------------------------------------------
@@ -529,17 +513,18 @@ def resolve_solution(solution_id: str) -> RMatrix:
 
     Accepts the named entries plus parametric forms
     ``family<k>:theta=<radians>`` and
-    ``family<k>:alpha=<re>,<im>:beta=<re>,<im>``.
+    ``family<k>:alpha=<re>,<im>:beta=<re>,<im>``, each number a plain
+    decimal (:func:`linalg.real`).
     """
     builder = _NAMED_BUILDERS.get(solution_id)
     if builder is not None:
         return builder()
     m = _FAMILY_THETA_RE.match(solution_id)
     if m:
-        return family_solution(int(m.group(1)), float(m.group(2)))
+        return family_solution(int(m.group(1)), linalg.real(m.group(2)))
     m = _FAMILY_AB_RE.match(solution_id)
     if m:
-        alpha = complex(float(m.group(2)), float(m.group(3)))
-        beta = complex(float(m.group(4)), float(m.group(5)))
+        alpha = complex(linalg.real(m.group(2)), linalg.real(m.group(3)))
+        beta = complex(linalg.real(m.group(4)), linalg.real(m.group(5)))
         return general_solution(int(m.group(1)), alpha, beta)
     raise KeyError(f"unknown solution id: {solution_id!r}")

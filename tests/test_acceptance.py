@@ -28,7 +28,6 @@ from gybe.search import SearchConfig, rowell_pattern, solve_pattern
 from gybe.solutions import (
     BlockSolution,
     DiagBlock,
-    GeneralParams,
     base_solution,
     check_block_equations,
     classify_unitary_params,
@@ -178,15 +177,11 @@ def test_criterion_08_reduction_round_trip():
     rng = np.random.default_rng(2028)
     with criterion(8, "reduction and restoration invert each other", 2.0):
         for trial in range(100):
-            params = GeneralParams(
-                trial % 3 + 1,
-                np.exp(2j * np.pi * rng.random()),
-                np.exp(2j * np.pi * rng.random()),
-            )
+            family = trial % 3 + 1
+            alpha1 = np.exp(2j * np.pi * rng.random())
+            beta1 = np.exp(2j * np.pi * rng.random())
             s = BlockSolution.from_matrices(
-                *split_blocks(
-                    general_solution(params.family, params.alpha, params.beta).matrix
-                )
+                *split_blocks(general_solution(family, alpha1, beta1).matrix)
             )
             reduced, alpha, beta = reduce_to_B_identity(s)
             assert reduced.B.p == 1 and reduced.B.q == 1
@@ -222,13 +217,12 @@ def test_criterion_09_local_conjugation_criterion():
                     if abs(r1 - r2) > 1e-3:
                         break
                 beta1, beta2 = alpha1 * r1, alpha2 * r2
-            p = GeneralParams(family, alpha1, beta1)
-            q = GeneralParams(family, alpha2, beta2)
+            p_ratio, q_ratio = beta1 / alpha1, beta2 / alpha2
             source = general_solution(family, alpha1, beta1)
             target = general_solution(family, alpha2, beta2)
             shapes = ("diagonal",) if family == 1 else ("diagonal", "antidiagonal")
             hit = search_local_conjugation(source, target, shapes)
-            if p.ratio and abs(p.ratio - q.ratio) <= 1e-9:
+            if p_ratio and abs(p_ratio - q_ratio) <= 1e-9:
                 assert hit is not None and hit[1] <= 1e-9
             else:
                 assert hit is None

@@ -443,6 +443,26 @@ def test_integers_are_plain_ascii_decimals(argv, tmp_path, capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--family", "1", "--theta", "0_1"],
+        ["family", "--family", "1", "--alpha", "1_0,0", "--beta", "1,0"],
+        ["verify", "--solution", "rowell", "--tol", "1_0"],
+        ["verify", "--solution", "family1:theta=0_1"],
+        ["verify", "--solution", "family1:theta=\u0660.\u0663"],
+        ["verify", "--solution", "family1:theta= 0.3"],
+    ],
+)
+def test_reals_are_plain_decimals(argv, capsys):
+    # float() reads digit-group underscores, surrounding space and other
+    # scripts' digits: the thetas were 1 and 0.3, the tolerance 10, and
+    # alpha 10 was refused only for lying off the unit circle.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "real" in err
+
+
 def test_equiv_still_takes_two_solutions(capsys):
     code, out, _ = run_cli(capsys, "equiv", "--solution", "rowell", "--solution", "rowell")
     assert code == 0 and out.startswith("witness")

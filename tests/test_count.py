@@ -23,8 +23,6 @@ from gybe.equivalence import decide_equivalence
 from gybe.optimize import damped_least_squares, solve_stack
 from gybe.search import SearchConfig, ZeroPattern, rowell_pattern, solve_pattern
 from gybe.solutions import (
-    FamilyParams,
-    GeneralParams,
     base_solution,
     family_solution,
     general_solution,
@@ -81,8 +79,6 @@ CALLS = {
     ("gybe.search.SearchConfig", "restarts"): (lambda v: SearchConfig(restarts=v), 2, 0, "restarts"),
     ("gybe.search.SearchConfig", "seed"): (lambda v: SearchConfig(seed=v), 1, -1, "seed"),
     ("gybe.search.SearchConfig", "max_iterations"): (lambda v: SearchConfig(max_iterations=v), 5, 0, "max_iterations"),
-    ("gybe.solutions.FamilyParams", "family"): (lambda f: FamilyParams(f, 0.3), 2, 0, "family"),
-    ("gybe.solutions.GeneralParams", "family"): (lambda f: GeneralParams(f, 1, 1j), 2, 0, "family"),
     ("gybe.solutions.base_solution", "family"): (lambda f: base_solution(f), 2, 0, "family"),
     ("gybe.solutions.family_solution", "family"): (lambda f: family_solution(f, 0.3), 2, 0, "family"),
     ("gybe.solutions.general_solution", "family"): (lambda f: general_solution(f, 1, 1j), 2, 0, "family"),

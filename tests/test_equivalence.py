@@ -23,7 +23,6 @@ from gybe.equivalence import (
     search_local_conjugation,
 )
 from gybe.solutions import (
-    GeneralParams,
     base_solution,
     family_solution,
     general_solution,
@@ -260,17 +259,16 @@ def test_conjugacy_invariants_under_unitary_conjugation():
         assert _same_spectrum(r.matrix, conjugated.matrix)
 
 
-def _locally_conjugate(p: GeneralParams, q: GeneralParams) -> bool:
-    r = general_solution(p.family, p.alpha, p.beta)
-    s = general_solution(q.family, q.alpha, q.beta)
-    return search_local_conjugation(r, s) is not None
+def _locally_conjugate(p: tuple, q: tuple) -> bool:
+    """Whether the family members of (family, alpha, beta) ``p`` and ``q`` are."""
+    return search_local_conjugation(general_solution(*p), general_solution(*q)) is not None
 
 
 def test_ratio_criterion_examples():
     # Members of one family are locally conjugate exactly when beta/alpha agree.
-    assert _locally_conjugate(GeneralParams(1, 1, 1j), GeneralParams(1, 1j, -1))
-    assert not _locally_conjugate(GeneralParams(1, 1, 1), GeneralParams(1, 1, 1j))
-    p = GeneralParams(2, np.exp(0.3j), np.exp(1.1j))
+    assert _locally_conjugate((1, 1, 1j), (1, 1j, -1))
+    assert not _locally_conjugate((1, 1, 1), (1, 1, 1j))
+    p = (2, np.exp(0.3j), np.exp(1.1j))
     assert _locally_conjugate(p, p)
 
 
@@ -278,7 +276,7 @@ def test_ratio_criterion_symmetric_and_transitive():
     rng = np.random.default_rng(25)
     t = np.exp(2j * np.pi * rng.random())
     members = [
-        GeneralParams(2, a, a * t)
+        (2, a, a * t)
         for a in (np.exp(2j * np.pi * rng.random()) for _ in range(3))
     ]
     for p in members:
@@ -501,12 +499,12 @@ def test_closed_form_agrees_with_the_ratio_criterion(family, phases, ratio_gap):
     """Within one family a diagonal or antidiagonal conjugator exists exactly
     when beta/alpha agree: the paper's criterion, decided by the closed form."""
     a1, a2, ratio = phases
-    p = GeneralParams(family, np.exp(1j * a1), np.exp(1j * (a1 + ratio)))
-    q = GeneralParams(family, np.exp(1j * a2), np.exp(1j * (a2 + ratio + ratio_gap)))
-    r = general_solution(family, p.alpha, p.beta)
-    s = general_solution(family, q.alpha, q.beta)
+    p_alpha, p_beta = np.exp(1j * a1), np.exp(1j * (a1 + ratio))
+    q_alpha, q_beta = np.exp(1j * a2), np.exp(1j * (a2 + ratio + ratio_gap))
+    r = general_solution(family, p_alpha, p_beta)
+    s = general_solution(family, q_alpha, q_beta)
     found = search_local_conjugation(r, s) is not None
-    assert found == (abs(p.ratio - q.ratio) <= WITNESS_TOL)
+    assert found == (abs(p_beta / p_alpha - q_beta / q_alpha) <= WITNESS_TOL)
 
 
 def test_closed_form_tries_every_root():

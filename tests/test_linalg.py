@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -556,3 +557,21 @@ def test_matrix_from_json_rejects_malformed():
                 linalg.matrix_from_json(
                     f'{{"rows": 1, "cols": 2, "entries": [[1, 0], [0, {bad}]]}}'
                 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_real_reads_every_repr_of_a_float(x):
+    # Command-line reals come as repr texts: the bench pools, --alpha nan,0.
+    y = linalg.real(repr(x))
+    assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
+
+
+def test_real_reads_plain_decimals_only():
+    assert math.isnan(linalg.real("nan"))
+    assert math.copysign(1.0, linalg.real("-0.0")) == -1.0
+    assert [linalg.real(t) for t in ("1", "1.", ".5", "-2.5e-3", "1e+16")] == [1.0, 1.0, 0.5, -2.5e-3, 1e16]
+    # float() reads each of these; the first four as 1, 0.3, 1 and 0.3.
+    for text in ("0_1", "٠.٣", "+1", " 0.3", "1E5", "NaN", "-nan", "Infinity", "1e", ".", "-", "1.2.3", ""):
+        with pytest.raises(ValueError, match="^not a decimal real number: "):
+            linalg.real(text)

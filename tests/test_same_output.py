@@ -79,15 +79,15 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     assert argvs[-2:] == [[cmd, "--matrix", same_output.MATRIX_2X3] for cmd in ("verify", "classify")]
     tol = [a for a in argvs[-usage:] if "--tol" in a and a not in same_output.CONFIG_ERRORS]
     assert tol == [[*a, "--tol", t] for a in same_output.TOL_COMMANDS for t in ("nan", "-1", "inf")]
-    assert argvs[-6:-2] == list(map(list, same_output.CONFIG_ERRORS))
+    assert argvs[-8:-2] == list(map(list, same_output.CONFIG_ERRORS))
     # Three equiv pools of 112 ops, twice; two braid pools of 120, and the
     # 40 --json ops of the second again in text; two verify pools of 192,
     # each with its 32 classify ops again in JSON and its 32 perturbed
     # matrices classified twice; three family members by theta in text and
     # three by alpha and beta, in text and JSON; four searches in JSON, four
     # in text and four in text on the JSON pattern; and the 20 usage errors
-    # of other gates, the tolerance gate's 15 and the 4 config errors.
-    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 12 + 20 + 15 + 4
+    # of other gates, the tolerance gate's 15 and the 6 config errors.
+    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 12 + 20 + 15 + 6
     argvs = argvs[:-usage]
     equiv = [a for a in argvs if a[0] == "equiv"]
     assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]

@@ -16,8 +16,6 @@ from gybe.solutions import (
     QUADRANT_SUPPORT,
     BlockSolution,
     DiagBlock,
-    FamilyParams,
-    GeneralParams,
     assemble_quadrant,
     base_solution,
     block_parameters,
@@ -214,22 +212,35 @@ def test_family_validation():
         family_solution(1, -0.2)
     with pytest.raises(ValueError):
         family_solution(1, np.pi + 0.2)
-    with pytest.raises(ValueError):
-        FamilyParams(2, 7.0)
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], got 7.0$"):
+        family_solution(2, 7.0)
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: FamilyParams(1, None), "theta must be a number, got None"),
+        (lambda: family_solution(1, None), "theta must be a number, got None"),
         (lambda: family_solution(1, 1j), "theta must be a number, got 1j"),
+        (
+            lambda: family_solution(1, np.complex128(0.3 + 2j)),
+            f"theta must be a number, got {np.complex128(0.3 + 2j)!r}",
+        ),
+        (lambda: family_solution(1, True), "theta must be a number, got True"),
         (lambda: general_solution(1, None, 1), "alpha must be a number, got None"),
+        (lambda: general_solution(1, "0.3", 1), "alpha must be a number, got '0.3'"),
         (lambda: derive_Y(None, 1, 1), "omega must be a number, got None"),
         (lambda: classify_unitary_params(None, 1, 1), "omega must be a number, got None"),
+        (lambda: param_constraint_residuals(None, 1, 1), "omega must be a number, got None"),
+        (lambda: DiagBlock(None, 1), "p must be a number, got None"),
+        (
+            lambda: BlockSolution(DiagBlock("1", 1), *[DiagBlock.identity()] * 7),
+            "p must be a number, got '1'",
+        ),
     ],
 )
 def test_a_solution_builder_names_a_parameter_that_is_not_a_number(build, message):
-    # Each used to raise a bare TypeError from float() or complex().
+    # Each used to raise a bare TypeError, or to read the value: a numpy
+    # complex theta lost its imaginary part, True was 1 and "0.3" was parsed.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
@@ -262,11 +273,11 @@ def test_general_solution_checks_and_validation():
     assert linalg.is_unitary(r.matrix, 1e-12).passed
     with pytest.raises(ValueError):
         general_solution(2, 1.2, 1)
-    with pytest.raises(ValueError):
-        GeneralParams(1, 1, 0.5)
+    with pytest.raises(ValueError, match="^beta must lie on the unit circle"):
+        general_solution(1, 1, 0.5)
     for bad in (complex("nan"), complex("inf"), complex(1, float("nan"))):
-        with pytest.raises(ValueError, match="finite"):
-            GeneralParams(1, bad, 1)
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            general_solution(1, bad, 1)
 
 
 def test_derive_C_examples():

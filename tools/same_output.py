@@ -24,9 +24,10 @@ solution not in block form, a family member with a non-unit alpha, a
 not match its size, ``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
 ``classify``, ``equiv``, ``braid ... --compare`` and ``search`` (the
 tolerance gate), the ``CONFIG_ERRORS`` (``search`` with ``--seed -1``, or
-with a ``--tol`` whose square overflows or underflows, and ``family`` with a
-non-ASCII digit), and ``verify`` and ``classify`` of a 2x3 ``--matrix``.
-The pools and their
+with a ``--tol`` whose square overflows or underflows, ``family`` with a
+non-ASCII digit, and ``family --theta 0_1`` and ``verify --solution
+family1:theta=0_1``, a real with a digit-group underscore), and ``verify``
+and ``classify`` of a 2x3 ``--matrix``.  The pools and their
 input files come from ``perfbench/workloads.py``, which is only read; each
 pool's files sit in a directory of their own, because pools of one
 workload reuse file names.
@@ -100,12 +101,15 @@ TOL_COMMANDS = (
     ["search", "--pattern", PATTERN, "--signature", "2,3,1"],
 )
 # A negative seed, a tolerance whose square overflows or underflows to 0,
-# and a family index in Arabic-Indic digits.
+# a family index in Arabic-Indic digits, and a theta with a digit-group
+# underscore, typed and in a solution id.
 CONFIG_ERRORS = (
     ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--seed", "-1"],
     ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--tol", "1e200"],
     ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--tol", "1e-170"],
     ["family", "--family", "\u0662", "--theta", "0.7"],
+    ["family", "--family", "1", "--theta", "0_1"],
+    ["verify", "--solution", "family1:theta=0_1"],
 )
 USAGE_ERRORS = (
     ["verify"],
