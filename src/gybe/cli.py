@@ -57,18 +57,25 @@ def _json(data) -> str:
     return json.dumps(data, allow_nan=False)
 
 
-def _parse_complex_pair(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 're,im', got {text!r}")
-    return complex(linalg.real(parts[0]), linalg.real(parts[1]))
+def _comma_list(read, form: str, build):
+    """An argparse ``type`` for a comma list in ``form``: each part, stripped
+    as in a braid word, is read by ``read`` and the parts go to ``build``.
+    A bad list is a usage error that names its option."""
+
+    def parse(text: str):
+        parts = [part.strip() for part in text.split(",")]
+        try:
+            if len(parts) != form.count(",") + 1:
+                raise ValueError(f"expected '{form}', got {text!r}")
+            return build(*map(read, parts))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _parse_signature(text: str) -> GybeSignature:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected 'd,m,l', got {text!r}")
-    return GybeSignature(*(linalg.integer(part.strip()) for part in parts))
+_complex_pair = _comma_list(linalg.real, "re,im", complex)
+_signature = _comma_list(linalg.integer, "d,m,l", GybeSignature)
 
 
 def _read_text(path: str) -> str:
@@ -94,9 +101,8 @@ def _load_matrix_file(args) -> RMatrix:
     ``args.assumed_signature`` for :func:`_report_json`.
     """
     mat = linalg.square_matrix(linalg.matrix_from_json(_read_text(args.matrix)), "R-matrix")
-    if args.signature:
-        sig = _parse_signature(args.signature)
-    else:
+    sig = args.signature
+    if sig is None:
         sig = _infer_signature(mat.shape[0])
         args.assumed_signature = sig
         print(
@@ -145,9 +151,7 @@ def cmd_family(args) -> int:
     if args.theta is not None:
         r = family_solution(args.family, args.theta)
     elif args.alpha is not None and args.beta is not None:
-        r = general_solution(
-            args.family, _parse_complex_pair(args.alpha), _parse_complex_pair(args.beta)
-        )
+        r = general_solution(args.family, args.alpha, args.beta)
     else:
         raise ValueError("pass --theta <radians> or both --alpha and --beta")
     if args.json:
@@ -250,9 +254,8 @@ def cmd_braid(args) -> int:
 
 def cmd_search(args) -> int:
     pattern = load_pattern_text(_read_text(args.pattern))
-    signature = _parse_signature(args.signature)
     config = SearchConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
-    result = solve_pattern(pattern, signature, config)
+    result = solve_pattern(pattern, args.signature, config)
     if args.json:
         data = [found.to_json_dict() for found in result.solutions]
         if args.stats:
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         inputs = p.add_mutually_exclusive_group(required=True) if one_input else p
         inputs.add_argument("--solution", action=_Once if one_input else "append", help="registry solution id")
         inputs.add_argument("--matrix", action=_Once, help="matrix JSON file, or - for stdin")
-        p.add_argument("--signature", action=_Once, help="equation signature d,m,l")
+        p.add_argument("--signature", action=_Once, type=_signature, help="equation signature d,m,l")
         p.add_argument("--tol", action=_Once, type=linalg.real, default=tol, help="tolerance")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -349,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="construct a family member")
     p.add_argument("--family", action=_Once, type=linalg.integer, required=True, choices=(1, 2, 3))
     p.add_argument("--theta", action=_Once, type=linalg.real, default=None, help="angle in radians")
-    p.add_argument("--alpha", action=_Once, default=None, help="re,im on the unit circle")
-    p.add_argument("--beta", action=_Once, default=None, help="re,im on the unit circle")
+    p.add_argument("--alpha", action=_Once, type=_complex_pair, help="re,im on the unit circle")
+    p.add_argument("--beta", action=_Once, type=_complex_pair, help="re,im on the unit circle")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_family)
 
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="solve a zero pattern numerically")
     p.add_argument("--pattern", action=_Once, required=True, help="pattern file (0/1 grid or JSON), or -")
-    p.add_argument("--signature", action=_Once, required=True, help="equation signature d,m,l")
+    p.add_argument("--signature", action=_Once, type=_signature, required=True, help="equation signature d,m,l")
     p.add_argument("--restarts", action=_Once, type=linalg.integer, default=SearchConfig.restarts)
     p.add_argument("--seed", action=_Once, type=linalg.integer, default=SearchConfig.seed)
     p.add_argument("--tol", action=_Once, type=linalg.real, default=SearchConfig.tolerance)
@@ -412,7 +415,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         linalg.tolerance(getattr(args, "tol", 0.0), "--tol")
-        if "matrix" in vars(args) and args.signature and not args.matrix:
+        if "matrix" in vars(args) and args.signature is not None and not args.matrix:
             raise ValueError("--signature applies to --matrix input only")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

@@ -121,44 +121,18 @@ class CheckReport:
         return data
 
 
-def lift_index(n: int, pad: int) -> np.ndarray:
-    """Where each entry of L = R ⊗ I_pad and S = I_pad ⊗ R comes from.
-
-    A (2, side, side) table, side = n·pad, of flat indices into
-    ``[R.ravel(), 0]``: entry (i·pad + a, j·pad + b) of L is R[i, j] when
-    a = b, and entry (a·n + i, b·n + j) of S likewise; every other entry
-    points at the trailing zero, index n².
-    """
-    side, a, entries = n * pad, np.arange(pad), np.arange(n * n).reshape(n, n)
-    table = np.full((2, side, side), n * n)
-    table[0].reshape(n, pad, n, pad)[:, a, :, a] = entries
-    table[1].reshape(pad, n, pad, n)[a, :, a, :] = entries
-    return table
-
-
-def lift_pair(m: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lifts L = R ⊗ I_pad and S = I_pad ⊗ R, gathered by :func:`lift_index`.
-
-    ``m`` may carry leading batch axes; the lifts keep them, so a stack of
-    directions lifts in one call.
-    """
-    n, batch = m.shape[-1], m.shape[:-2]
-    pool = np.zeros(batch + (n * n + 1,), dtype=m.dtype)
-    pool[..., :-1] = m.reshape(*batch, n * n)
-    lifts = np.take(pool, lift_index(n, pad), axis=-1)
-    return lifts[..., 0, :, :], lifts[..., 1, :, :]
-
-
 def lifted_difference(matrix: np.ndarray, signature: GybeSignature) -> np.ndarray:
     """L S L - S L S for L = R ⊗ I^l, S = I^l ⊗ R; zero exactly on solutions.
 
-    Like :func:`lift_pair`, ``matrix`` may carry leading batch axes.
+    ``matrix`` may carry leading batch axes; both lifts come from
+    :func:`pad_identity`, which keeps them.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     size = signature.matrix_size
     if m.ndim < 2 or m.shape[-2:] != (size, size):
         raise ValueError(f"matrix shape {m.shape} does not match signature {signature}")
-    left, right = lift_pair(m, signature.d ** _qudits(signature, 3) // size)
+    pad = signature.d ** _qudits(signature, 3) // size
+    left, right = pad_identity(m, 1, pad), pad_identity(m, pad, 1)
     return left @ right @ left - right @ left @ right
 
 
@@ -213,17 +187,18 @@ def pad_identity(m: np.ndarray, left: int, right: int) -> np.ndarray:
     """I_left ⊗ m ⊗ I_right for a square m, with m copied into zeros; m
     itself when there is nothing to pad.
 
-    Nothing is multiplied, so every entry off the copies of m is +0.0
-    (a product with an identity's zeros can give -0.0).
+    ``m`` may carry leading batch axes, and the result keeps them.  Nothing
+    is multiplied, so every entry off the copies of m is +0.0 (a product
+    with an identity's zeros can give -0.0), or 0 for an integer m.
     """
     if left == right == 1:
         return m
-    side = m.shape[0]
-    out = np.zeros((left, side, right, left, side, right), dtype=m.dtype)
+    batch, side = m.shape[:-2], m.shape[-1]
+    out = np.zeros(batch + (left, side, right, left, side, right), dtype=m.dtype)
     a, b = np.arange(left)[:, None], np.arange(right)
-    out[a, :, b, a, :, b] = m
+    out[..., a, :, b, a, :, b] = m
     n = left * side * right
-    return out.reshape(n, n)
+    return out.reshape(batch + (n, n))
 
 
 def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:
@@ -245,12 +220,13 @@ def far_commutativity_indices(signature: GybeSignature) -> list[int]:
 def far_commutativity_residual(r: RMatrix, j: int) -> float:
     """max-abs entry of σ_1 σ_j − σ_j σ_1, evaluated on j + 1 strands.
 
-    There σ_1, σ_j are the lift pair R ⊗ I^(l(j-1)), I^(l(j-1)) ⊗ R; on
-    more strands both products gain the same identity factor, which leaves
-    the residual unchanged.
+    There σ_1, σ_j are R ⊗ I^(l(j-1)) and I^(l(j-1)) ⊗ R; on more strands
+    both products gain the same identity factor, which leaves the residual
+    unchanged.
     """
     j = linalg.count(j, "j", 1)  # the side on j + 1 strands is capped
-    first, last = lift_pair(r.matrix, r.signature.d ** _qudits(r.signature, j + 1) // r.size)
+    pad = r.signature.d ** _qudits(r.signature, j + 1) // r.size
+    first, last = pad_identity(r.matrix, 1, pad), pad_identity(r.matrix, pad, 1)
     return linalg.max_abs_diff(first @ last, last @ first)
 
 

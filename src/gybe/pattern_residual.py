@@ -5,9 +5,9 @@ and an imaginary parameter.  Its residual is the equation residual
 LSL - SLS and the unitarity defect RR† - I as interleaved real and
 imaginary parts, restricted to the rows the pattern can make nonzero, and
 it supplies the exact Jacobian of that residual.  Both take L = R ⊗ I^l,
-S = I^l ⊗ R and R from one ``np.take`` over the free entries, through
-:func:`gybe.core.lift_index` composed with the pattern's free-entry slots.
-:mod:`gybe.search` minimizes it.
+S = I^l ⊗ R and R from one ``np.take`` over the free entries, through a
+table that :func:`gybe.core.pad_identity`, the one identity padding,
+builds from the entry numbers.  :mod:`gybe.search` minimizes it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import linalg
-from .core import GybeSignature, braid_dimension, lift_index, lift_pair, lifted_difference
+from .core import GybeSignature, braid_dimension, lifted_difference, pad_identity
 
 if TYPE_CHECKING:
     from .search import ZeroPattern
@@ -63,16 +63,16 @@ class _PatternResidual:
     The equation part F = LSL - SLS is holomorphic in R, so its derivative
     along the entry basis matrix E_k is dF_k = dL·S·L + L·dS·L + L·S·dL
     - dS·L·S - S·dL·S - S·L·dS with dL = E_k ⊗ I^l, dS = I^l ⊗ E_k.  For
-    E_k = E_rc, dL has ones at (r·pad + a, c·pad + a) and dS at
-    (a·n + r, a·n + c), a < pad, so each term X·dL·Y is the gathered product
-    X[:, rows] @ Y[cols, :]; dF_k is one matmul of the six gathered pairs
-    side by side, with inner size 6·pad, read at the live entries.  The
-    unitarity part U = RR† - I has derivative c·A_k + conj(c)·A_k† with
-    A_k = E_k R†: entry (i, j) of A_k is conj(R[j, c]) when i = r, and of
-    A_k† is R[i, c] when j = r.  The real and imaginary parameters of
-    entry k move it by c = 1 and c = 1j, so their columns are c·dF_k at the
-    live equation entries and [c, conj(c)] times A_k stacked over A_k† at
-    the live unitarity entries.
+    E_k = E_rc, dL has ones at the pad places where L holds R[r, c], and dS
+    where S does, so each term X·dL·Y is the gathered product
+    X[:, rows] @ Y[cols, :] over those places; dF_k is one matmul of the
+    six gathered pairs side by side, with inner size 6·pad, read at the
+    live entries.  The unitarity part U = RR† - I has derivative
+    c·A_k + conj(c)·A_k† with A_k = E_k R†: entry (i, j) of A_k is
+    conj(R[j, c]) when i = r, and of A_k† is R[i, c] when j = r.  The real
+    and imaginary parameters of entry k move it by c = 1 and c = 1j, so
+    their columns are c·dF_k at the live equation entries and [c, conj(c)]
+    times A_k stacked over A_k† at the live unitarity entries.
 
     The Jacobian's intermediates live in work arrays allocated on the first
     call, for the largest stack seen, and filled in place by ``out=``
@@ -96,17 +96,21 @@ class _PatternResidual:
         entries = np.concatenate([self.eq_live, side * side + self.uni_live])
         self.live_rows = np.stack([2 * entries, 2 * entries + 1], axis=-1).reshape(-1)
         self.total_rows = 2 * (side * side + n * n)
-        # L, S and R flattened, as indices into [free entries, 0]: the
-        # lift table composed with each entry's free slot.
+        # L and S of the entry numbers 1..n², minus one: each entry's flat
+        # index where L or S holds it, and -1 elsewhere.  Composed with each
+        # entry's free slot, -1 reads the last slot, the trailing zero.
+        numbers = np.arange(1, n * n + 1).reshape(n, n)
+        lifts = np.stack([pad_identity(numbers, 1, pad), pad_identity(numbers, pad, 1)]) - 1
+        flat = self.rows * n + self.cols
         slot = np.full(n * n + 1, self.rows.size)
-        slot[self.rows * n + self.cols] = np.arange(self.rows.size)
-        self.lift_table = slot[np.concatenate([lift_index(n, pad).reshape(-1), np.arange(n * n)])]
+        slot[flat] = np.arange(self.rows.size)
+        self.lift_table = slot[np.concatenate([lifts.reshape(-1), np.arange(n * n)])]
         self.unit = np.eye(n)
 
-        a = np.arange(pad)
-        rows, cols = self.rows[:, None], self.cols[:, None]
-        l_rows, l_cols = rows * pad + a, cols * pad + a
-        s_rows, s_cols = a * n + rows, a * n + cols
+        # The pad places of each free entry in L and in S, by row: sorted by
+        # value, the lifts list the -1s first, then each entry's places in turn.
+        places = np.argsort(lifts.reshape(2, -1), kind="stable")[:, -n * n * pad :]
+        (l_rows, s_rows), (l_cols, s_cols) = np.divmod(places.reshape(2, n * n, pad)[:, flat], side)
         # The six terms as (X, rows, Y, cols): X is a block of
         # [I, L, LS, S, SL] side by side, Y a block of
         # [SL, L, I, -LS, -S, -I] stacked, so one gather of each builds all six.
@@ -127,6 +131,7 @@ class _PatternResidual:
         count, eq_size, zero = self.rows.size, side * side, 2 * n * n
         self.eq_index = np.arange(count)[:, None] * eq_size + self.eq_live
         i, j = np.divmod(self.uni_live, n)
+        rows, cols = self.rows[:, None], self.cols[:, None]
         self.uni_index = np.stack(
             [np.where(i == rows, j * n + cols, zero), np.where(j == rows, n * n + i * n + cols, zero)],
             axis=1,
@@ -241,8 +246,8 @@ def _live_entries(pattern: ZeroPattern, signature: GybeSignature) -> tuple[np.nd
     (L·S·L) ∨ (S·L·S) of the lifted masks, the unitarity entries that of
     mask·maskᵀ and the diagonal.
     """
-    mask = pattern.mask.astype(float)
-    left, right = lift_pair(mask, signature.d**signature.l)
+    mask, pad = pattern.mask.astype(float), signature.d**signature.l
+    left, right = pad_identity(mask, 1, pad), pad_identity(mask, pad, 1)
     equation = left @ right @ left + right @ left @ right
     unitarity = mask @ mask.T + np.eye(pattern.size)
     return np.flatnonzero(equation), np.flatnonzero(unitarity)

@@ -123,6 +123,35 @@ def test_family_alpha_beta_form(capsys):
     assert m.shape == (8, 8)
 
 
+def test_comma_lists_take_spaces_after_the_commas(tmp_path, capsys):
+    # As in a braid word; the pair used to be read without stripping, so
+    # " 0" was refused as a real.
+    argv = ["family", "--family", "1", "--beta", "0,1"]
+    plain = run_cli(capsys, *argv, "--alpha", "1,0")
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--alpha", "1, 0") == plain
+    verify = ["verify", "--matrix", _write_rowell(tmp_path), "--signature"]
+    spaced = run_cli(capsys, *verify, "2, 3, 1")
+    assert spaced[0] == 0 and spaced == run_cli(capsys, *verify, "2,3,1")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["family", "--family", "1", "--alpha", "1", "--beta", "0,1"], "--alpha: expected 're,im', got '1'"),
+        (["family", "--family", "1", "--alpha", "1,0", "--beta", "1,0,0"], "--beta: expected 're,im'"),
+        (["family", "--family", "1", "--alpha", "1,0", "--beta", "0,y"], "--beta: not a decimal real"),
+        (["search", "--pattern", "PATTERN", "--signature", "2,3"], "--signature: expected 'd,m,l'"),
+        (["verify", "--solution", "rowell", "--signature", "x"], "--signature: expected 'd,m,l'"),
+        (["verify", "--solution", "rowell", "--signature", "0,3,1"], "--signature: d must be at least 1"),
+    ],
+)
+def test_a_malformed_comma_list_names_its_option(argv, error, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {error}" in err
+
+
 def test_family_requires_parameters(capsys):
     code, _, err = run_cli(capsys, "family", "--family", "1")
     assert code == 2
@@ -402,7 +431,7 @@ def test_repeated_single_valued_options_are_usage_errors(argv, tmp_path, capsys)
     "argv",
     [
         ["verify", "--solution", "rowell", "--signature", "3,2,1"],
-        ["verify", "--solution", "rowell", "--signature", "x"],
+        ["verify", "--solution", "rowell", "--signature", "2,3,1"],
         ["classify", "--solution", "base1", "--signature", "2,3,2"],
         ["braid", "--solution", "rowell", "--word", "n=3: 1", "--signature", "2,3,2"],
         ["equiv", "--solution", "rowell", "--solution", "xshape", "--signature", "2,3,1"],
@@ -481,6 +510,19 @@ def test_braid_compare_words(capsys):
     )
     assert code == 0
     assert "difference" in out
+
+
+@pytest.mark.parametrize(
+    "other, code", [("n=3: 2,1,2", 0), ("n=3: 2,1", 1)], ids=["equal", "unequal"]
+)
+def test_braid_compare_json_report(other, code, capsys):
+    argv = ["braid", "--solution", "rowell", "--word", "n=3: 1,2,1", "--compare", other]
+    got, out, _ = run_cli(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert got == code
+    assert set(report) == {"max_difference", "tolerance", "equal"}
+    assert report["equal"] is (code == 0) and report["tolerance"] == linalg.DEFAULT_TOL
+    assert (report["max_difference"] <= 1e-12) is (code == 0)
 
 
 def test_braid_compare_rejects_a_word_on_other_strands(capsys):

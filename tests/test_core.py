@@ -19,9 +19,8 @@ from gybe.core import (
     check_ybe,
     far_commutativity_indices,
     gybe_residual,
-    lift_index,
-    lift_pair,
     lifted_difference,
+    pad_identity,
     ybe_summation_residual,
 )
 from gybe.equivalence import GaugeOp, apply_gauge
@@ -130,38 +129,43 @@ def test_lifted_residual_matches_kron_reference():
     for name in registry_ids():
         r = resolve_solution(name)
         sig = r.signature
-        pad = np.eye(sig.d**sig.l)
+        size = sig.d**sig.l
+        pad = np.eye(size)
         # The solution itself, and a perturbation far from any solution.
         for m in (r.matrix, r.matrix + 0.1 * rng.standard_normal(r.matrix.shape)):
             left, right = np.kron(m, pad), np.kron(pad, m)
             reference = left @ right @ left - right @ left @ right
-            lifted_left, lifted_right = lift_pair(m, sig.d**sig.l)
-            np.testing.assert_array_equal(lifted_left, left)
-            np.testing.assert_array_equal(lifted_right, right)
+            np.testing.assert_array_equal(pad_identity(m, 1, size), left)
+            np.testing.assert_array_equal(pad_identity(m, size, 1), right)
             np.testing.assert_allclose(lifted_difference(m, sig), reference, rtol=0, atol=1e-14)
             assert abs(gybe_residual(m, sig) - linalg.max_abs(reference)) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    left=st.integers(1, 4),
+    right=st.integers(1, 4),
     n=st.integers(1, 5),
-    pad=st.integers(1, 5),
     batch=st.sampled_from([(), (1,), (3,), (2, 2)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lift_pair_is_the_kron_pair(n, pad, batch, seed):
-    # Equal entry for entry; the gather writes +0.0 off the blocks where
-    # kron's products with 0.0 may give -0.0.
+def test_pad_identity_is_the_kron_padding(left, right, n, batch, seed):
+    # Equal entry for entry to I_left ⊗ m ⊗ I_right, with +0.0 off the
+    # copies of m where kron's products with 0.0 may give -0.0.
     rng = np.random.default_rng(seed)
     m = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
     m[rng.random(m.shape) < 0.3] = 0.0
-    left, right = lift_pair(m, pad)
-    table = lift_index(n, pad)
-    assert table.shape == (2, n * pad, n * pad)
-    assert table.min() >= 0 and table.max() <= n * n
+    padded = pad_identity(m, left, right)
+    if left == right == 1:
+        assert padded is m
+    side = left * n * right
+    assert padded.shape == batch + (side, side)
+    on_copies = np.kron(np.kron(np.eye(left), np.ones((n, n))), np.eye(right)).astype(bool)
+    off = padded[..., ~on_copies]
+    assert not off.any() and not np.signbit([off.real, off.imag]).any()
     for index in np.ndindex(*batch):
-        np.testing.assert_array_equal(left[index], np.kron(m[index], np.eye(pad)))
-        np.testing.assert_array_equal(right[index], np.kron(np.eye(pad), m[index]))
+        reference = np.kron(np.kron(np.eye(left), m[index]), np.eye(right))
+        np.testing.assert_array_equal(padded[index], reference)
 
 
 def test_summation_form_agrees_with_lifted_products():

@@ -91,8 +91,8 @@ NOT_BY_NAME = {
     ("gybe.braiding.BraidWord", "letters"),
 }
 
-# They size arrays the library computed, on per-candidate paths.
-EXEMPT = {("gybe.linalg.identity", "n"), ("gybe.core.lift_index", "n")}
+# It sizes arrays the library computed, on per-candidate paths.
+EXEMPT = {("gybe.linalg.identity", "n")}
 
 # Parameters that share a count's name but hold something else.
 NOT_COUNTS = {

@@ -80,30 +80,34 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     tol = [a for a in argvs[-usage:] if "--tol" in a and a not in same_output.CONFIG_ERRORS]
     assert tol == [[*a, "--tol", t] for a in same_output.TOL_COMMANDS for t in ("nan", "-1", "inf")]
     assert argvs[-8:-2] == list(map(list, same_output.CONFIG_ERRORS))
-    # Three equiv pools of 112 ops, twice; two braid pools of 120, and the
-    # 40 --json ops of the second again in text; two verify pools of 192,
-    # each with its 32 classify ops again in JSON and its 32 perturbed
-    # matrices classified twice; three family members by theta in text and
-    # three by alpha and beta, in text and JSON; four searches in JSON, four
-    # in text and four in text on the JSON pattern; and the 20 usage errors
-    # of other gates, the tolerance gate's 15 and the 6 config errors.
-    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 12 + 20 + 15 + 6
+    # Three equiv pools of 112 ops, twice; two braid pools of 120, the 40
+    # --json ops of the second again in text and its 40 --compare ops again
+    # with --json; two verify pools of 192, each with its 32 classify ops
+    # again in JSON and its 32 perturbed matrices classified twice; three
+    # family members by theta in text, three by alpha and beta, in text and
+    # JSON, and one alpha with a space after its comma; four searches in
+    # JSON, four in text and four in text on the JSON pattern; and the 20
+    # usage errors of other gates, the tolerance gate's 15 and the 6 config
+    # errors.
+    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 1 + 12 + 20 + 15 + 6
     argvs = argvs[:-usage]
     equiv = [a for a in argvs if a[0] == "equiv"]
     assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]
     braid = [a for a in argvs if a[0] == "braid"]
-    assert braid[240:] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
-    assert not any("--json" in a for a in braid[240:])
-    assert argvs[-21:-18] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
+    assert braid[240:280] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
+    assert not any("--json" in a for a in braid[240:280])
+    assert braid[280:] == [a + ["--json"] for a in braid[120:240] if "--compare" in a]
+    assert argvs[-22:-19] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
     general = [["family", "--family", k, "--alpha", "0.6,0.8", "--beta", "0.28,-0.96"] for k in "123"]
-    assert argvs[-18:-12] == [a + json for a in general for json in ([], ["--json"])]
+    assert argvs[-19:-13] == [a + json for a in general for json in ([], ["--json"])]
+    assert argvs[-13] == ["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]
     searches = [(same_output.PATTERN, ["--json"]), (same_output.PATTERN, []), (same_output.PATTERN_JSON, [])]
     assert argvs[-12:] == [
         ["search", "--pattern", pattern, "--signature", "2,3,1", *output, "--stats", "--seed", seed]
         for pattern, output in searches
         for seed in "0123"
     ]
-    verify = argvs[3 * 112 * 2 + 2 * 120 + 40 : -21]
+    verify = argvs[3 * 112 * 2 + 2 * 120 + 2 * 40 : -22]
     for pool in (verify[:288], verify[288:]):
         ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
         assert again == [a + ["--json"] for a in ops if a[0] == "classify"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gybe import linalg, pattern_residual
 from gybe.core import GybeSignature, check_gybe
-from gybe.optimize import solve_stack
+from gybe.optimize import LeastSquaresResult, solve_stack
 from gybe.search import (
     SearchConfig,
     ZeroPattern,
@@ -364,6 +364,36 @@ def test_non_finite_start_is_not_certified():
     assert np.isnan(fit.trace[0]) and len(fit.trace) == 1
     assert fit.reason == "non_finite"
     assert _certify(fit, problem, 1e-11, 0) is None
+
+
+def _claimed_fit(problem: _PatternResidual, m: np.ndarray) -> LeastSquaresResult:
+    """A fit at ``m`` whose objective claims convergence, whatever ``m`` is."""
+    return LeastSquaresResult(_params(problem, m.astype(complex)), (0.0,), 0, "converged", 1)
+
+
+def test_a_singular_candidate_is_not_certified():
+    problem = _PatternResidual(rowell_pattern(), SIG)
+    assert _certify(_claimed_fit(problem, np.zeros((8, 8))), problem, 1e-11, 0) is None
+
+
+def test_a_candidate_off_the_exact_checks_is_not_certified():
+    # 2·I solves the equation but is no unitary: its exact residual is 3.
+    problem = _PatternResidual(rowell_pattern(), SIG)
+    assert _certify(_claimed_fit(problem, 2.0 * np.eye(8)), problem, 1e-11, 0) is None
+    assert _certify(_claimed_fit(problem, np.eye(8)), problem, 1e-11, 0) is not None
+
+
+def test_search_refuses_a_pattern_larger_than_sixteen():
+    pattern = ZeroPattern(np.ones((32, 32), dtype=bool))
+    with pytest.raises(ValueError, match="sizes up to 16"):
+        solve_pattern(pattern, GybeSignature(2, 5, 1), SearchConfig())
+
+
+def test_a_pattern_accepts_no_matrix_of_another_shape():
+    pattern = rowell_pattern()
+    assert pattern.accepts(np.eye(8))
+    assert not pattern.accepts(np.eye(4))
+    assert not pattern.accepts(np.eye(16))
 
 
 def test_dedup_key_ignores_global_phase():

@@ -5,7 +5,8 @@
 The ops are every op of the benchmark's equiv pools at seeds 801, 804 and
 806, each run as generated and again with ``--stats``; every op of the
 braid pools at 801 and 804, each ``--json`` op of the 804 pool again
-without ``--json`` (the plain-text matrix), and every op of the verify
+without ``--json`` (the plain-text matrix) and each ``--compare`` op of
+that pool again with ``--json``, and every op of the verify
 pools at 801 and 802, each followed by the pool's ``classify`` ops again
 with ``--json`` and by ``classify --matrix perturbed-N.json --json`` for
 each perturbed family member of the pool, at the default tolerance (not
@@ -13,7 +14,8 @@ in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
 ``gybe family --family k --theta 0.7`` in plain text for k = 1, 2, 3;
 ``gybe family --family k --alpha 0.6,0.8 --beta 0.28,-0.96`` for k = 1, 2,
 3, each in plain text and with ``--json``, so that the matrices of
-``general_solution`` are compared byte for byte;
+``general_solution`` are compared byte for byte, and ``gybe family
+--family 1 --alpha "1, 0" --beta 0,1``, a pair with a space after its comma;
 ``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
 seeds 0-3, then ``--stats`` in plain text at the same seeds, with the
 pattern as the 0/1 grid and again as JSON; and last the ``USAGE_ERRORS``,
@@ -74,14 +76,14 @@ POOLS = (
     ("braid", 801), ("braid", 804),
     ("verify", 801), ("verify", 802),
 )
-# The pool whose --json ops run again as plain text.
+# The pool whose --json ops run again as plain text, and its --compare ops with --json.
 TEXT_POOL = ("braid", 804)
 FAMILY_TEXT = [["family", "--family", str(k), "--theta", "0.7"] for k in (1, 2, 3)]
 FAMILY_GENERAL = [
     ["family", "--family", str(k), "--alpha", "0.6,0.8", "--beta", "0.28,-0.96", *json]
     for k in (1, 2, 3)
     for json in ([], ["--json"])
-]
+] + [["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]]
 SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
 PATTERN_JSON = "rowell.json"
@@ -154,6 +156,7 @@ def ops(workdir: Path) -> list[list[str]]:
         pool_argvs = argvs[-len(inputs.ops):]
         if (workload, seed) == TEXT_POOL:
             argvs += [[a for a in argv if a != "--json"] for argv in pool_argvs if "--json" in argv]
+            argvs += [argv + ["--json"] for argv in pool_argvs if "--compare" in argv]
         if workload == "verify":
             argvs += [argv + ["--json"] for argv in pool_argvs if argv[0] == "classify"]
             for argv in pool_argvs:
