@@ -94,7 +94,7 @@ class CheckReport:
     tolerance: float
 
     def __post_init__(self):
-        linalg.tolerance(self.tolerance)
+        object.__setattr__(self, "tolerance", linalg.tolerance(self.tolerance))
         object.__setattr__(self, "detail", tuple(self.detail))
 
     @property
@@ -113,7 +113,7 @@ class CheckReport:
         data = {
             "passed": self.passed,
             "residual": self.residual,
-            "tolerance": float(self.tolerance),
+            "tolerance": self.tolerance,
             "detail": [float(v) for v in self.detail],
         }
         if self.vacuous:

@@ -71,7 +71,8 @@ class GaugeOp:
         if extra:
             raise ValueError(f"{self.kind} gauge op takes no {' or '.join(extra)}")
         if self.kind == "scalar":
-            if self.lam is None or self.lam == 0 or not cmath.isfinite(self.lam):
+            object.__setattr__(self, "lam", linalg.number(complex, self.lam, "lam"))
+            if self.lam == 0 or not cmath.isfinite(self.lam):
                 raise ValueError("scalar gauge op needs a finite nonzero lambda")
         elif self.kind == "local_conj":
             if self.q is None:
@@ -82,7 +83,7 @@ class GaugeOp:
 
     @staticmethod
     def scalar(lam: complex) -> "GaugeOp":
-        return GaugeOp("scalar", lam=complex(lam))
+        return GaugeOp("scalar", lam=lam)
 
     @staticmethod
     def inverse() -> "GaugeOp":

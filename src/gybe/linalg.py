@@ -7,8 +7,9 @@ read-only copies, inversion gated on the smallest singular value,
 eigenvalues of small matrices, tolerance-based comparisons in the
 max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
 Three gates check what a caller hands the library: :func:`square_matrix` a
-matrix, :func:`tolerance` a tolerance and :func:`count` a count; two
-readers, :func:`integer` and :func:`real`, take a number typed as text.
+matrix, :func:`tolerance` a tolerance and :func:`count` a count, the last two
+through :func:`number`, the one rule for what an integer, a real and a complex
+are; two readers, :func:`integer` and :func:`real`, take a number typed as text.
 
 Matrix output pays for the entries that are not +0.0+0.0j, not for the
 side: :func:`matrix_to_json` and :func:`matrix_to_text` gather the two
@@ -74,27 +75,41 @@ def square_matrix(values, name: str) -> np.ndarray:
     return m
 
 
+_REALS = (int, float, np.integer, np.floating)
+_NUMBERS = {int: (int, np.integer), float: _REALS, complex: (*_REALS, complex, np.complexfloating)}
+
+
+def number(kind: type, value, name: str):
+    """``value`` as a plain ``kind``, ``int``, ``float`` or ``complex``, if it is a Python or
+    numpy number of that kind, else a ValueError naming ``name``: the one rule for a scalar.
+    A bool, a text, ``None``, a ``Fraction`` and a complex where a real is asked are refused."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS[kind]):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be finite, got {value}") from None
+
+
 def tolerance(value, name: str = "tolerance") -> float:
-    """``value`` as a float if it is finite and non-negative, else a
-    ValueError naming ``name``: the one gate on a tolerance handed to the
+    """``value`` as a float if it is a real :func:`number`, finite and non-negative,
+    else a ValueError naming ``name``: the one gate on a tolerance handed to the
     library, since a NaN or infinite one makes a "residual <= tol" verdict
     meaningless.  ``SearchConfig`` keeps one side condition: positive."""
-    tol = float(value)
+    tol = number(float, value, name)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"{name} must be non-negative and finite, got {value}")
     return tol
 
 
 def count(value, name: str, minimum: int | None = None) -> int:
-    """``value`` as a plain int if it is an int or a numpy integer of at least
-    ``minimum``, else a ValueError naming ``name`` and the value: the one gate
-    on a count handed to the library.  A bool and every float, integral or
-    not, are refused rather than read as 0, 1 or a truncated index."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    """``value`` as a plain int if it is an integer :func:`number` of at least ``minimum``,
+    else a ValueError naming ``name`` and the value: the one gate on a count handed to the
+    library, so a bool or a float, integral or not, is never read as 0, 1 or a truncated index."""
+    value = number(int, value, name)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
+    return value
 
 
 def integer(text: str) -> int:

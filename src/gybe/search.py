@@ -62,6 +62,7 @@ class ZeroPattern:
 
     @staticmethod
     def from_matrix(m: np.ndarray, threshold: float = 1e-9) -> "ZeroPattern":
+        threshold = linalg.tolerance(threshold, "threshold")
         m = linalg.square_matrix(m, "pattern source")
         return ZeroPattern(np.abs(m) > threshold)
 
@@ -131,10 +132,11 @@ class SearchConfig:
 
     def __post_init__(self):
         tol = linalg.tolerance(self.tolerance)
+        object.__setattr__(self, "tolerance", tol)
         if not tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+            raise ValueError(f"tolerance must be positive, got {tol}")
         if not 0 < tol * tol < np.inf:  # a search converges on objective <= tolerance**2
-            raise ValueError(f"tolerance**2 must be a positive finite float, got {self.tolerance}")
+            raise ValueError(f"tolerance**2 must be a positive finite float, got {tol}")
         for name, minimum in (("restarts", 1), ("seed", 0), ("max_iterations", 1)):
             object.__setattr__(self, name, linalg.count(getattr(self, name), name, minimum))
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .core import CheckReport, GybeSignature, RMatrix
+from .core import CheckReport, GybeSignature, RMatrix, pad_identity
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
@@ -52,21 +52,9 @@ _UNIT_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
 
 
-_REALS = (int, float, np.integer, np.floating)
-_NUMBERS = {float: _REALS, complex: (*_REALS, complex, np.complexfloating)}
-
-
-def _number(kind: type, value, name: str):
-    """``value`` as a plain ``kind``, float or complex, if it is a Python or numpy number
-    of that kind, else a ValueError naming ``name``; a bool or a text is never a number."""
-    if isinstance(value, bool) or not isinstance(value, _NUMBERS[kind]):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return kind(value)
-
-
 def _finite(kind: type, value, name: str):
-    """The one gate on a solution parameter: :func:`_number`, and then finite."""
-    value = _number(kind, value, name)
+    """The one gate on a solution parameter: :func:`linalg.number`, and then finite."""
+    value = linalg.number(kind, value, name)
     if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -92,8 +80,8 @@ class DiagBlock:
     q: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _number(complex, self.p, "p"))
-        object.__setattr__(self, "q", _number(complex, self.q, "q"))
+        object.__setattr__(self, "p", linalg.number(complex, self.p, "p"))
+        object.__setattr__(self, "q", linalg.number(complex, self.q, "q"))
 
     def is_unitary(self, tol: float = _UNIT_TOL) -> bool:
         tol = linalg.tolerance(tol)
@@ -370,13 +358,8 @@ def check_block_equations(
     """
     x = linalg.square_matrix(x, "block X")
     y = linalg.square_matrix(y, "block Y")
-    a, b, c, d = split_quadrant(x)
-    y1, y2, y3, y4 = split_quadrant(y)
-    i2 = linalg.identity(2)
-
-    def lift(m):
-        return linalg.kron(m, i2)
-
+    # Each 2x2 block enters lifted, as block ⊗ I_2.
+    a, b, c, d, y1, y2, y3, y4 = (pad_identity(m, 1, 2) for m in split_quadrant(x) + split_quadrant(y))
     terms = [
         (a, x, a, b, y, c, x, a, x),
         (a, x, b, b, y, d, x, b, y),
@@ -389,8 +372,8 @@ def check_block_equations(
     ]
     residuals = []
     for p1, mid1, p2, p3, mid2, p4, r1, p5, r2 in terms:
-        lhs = lift(p1) @ mid1 @ lift(p2) + lift(p3) @ mid2 @ lift(p4)
-        rhs = SQRT2 * (r1 @ lift(p5) @ r2)
+        lhs = p1 @ mid1 @ p2 + p3 @ mid2 @ p4
+        rhs = SQRT2 * (r1 @ p5 @ r2)
         residuals.append(linalg.max_abs_diff(lhs, rhs) / 2)
     return CheckReport(residuals, tol)
 

@@ -13,7 +13,7 @@ from gybe.braiding import build_rep, recognize_braiding_gate
 from gybe.core import CheckReport, GybeSignature, check_far_commutativity, check_gybe, check_ybe
 from gybe.equivalence import decide_equivalence, search_equivalence, search_local_conjugation
 from gybe.optimize import damped_least_squares, solve_stack
-from gybe.search import SearchConfig, rowell_pattern, solve_pattern
+from gybe.search import SearchConfig, ZeroPattern, rowell_pattern, solve_pattern
 from gybe.solutions import (
     BlockSolution,
     DiagBlock,
@@ -26,7 +26,7 @@ from gybe.solutions import (
     split_blocks,
 )
 
-TOLERANCE_PARAMETERS = {"tol", "tolerance", "objective_tol"}
+TOLERANCE_PARAMETERS = {"tol", "tolerance", "objective_tol", "threshold"}
 
 ROWELL = rowell_solution()
 X, Y = split_blocks(ROWELL.matrix)
@@ -61,6 +61,7 @@ CALLS = {
     "gybe.optimize.solve_stack": lambda tol: solve_stack(_line, np.zeros((2, 2)), jacobian_fn=_eye, objective_tol=tol),
     "gybe.search.SearchConfig": lambda tol: SearchConfig(tolerance=tol),
     "gybe.search.ZeroPattern.accepts": lambda tol: rowell_pattern().accepts(ROWELL.matrix, tol),
+    "gybe.search.ZeroPattern.from_matrix": lambda tol: ZeroPattern.from_matrix(ROWELL.matrix, tol),
     "gybe.solutions.BlockSolution.from_matrices": lambda tol: BlockSolution.from_matrices(X, Y, tol),
     "gybe.solutions.DiagBlock.is_unitary": lambda tol: DiagBlock(1.0, 1j).is_unitary(tol),
     "gybe.solutions.block_parameters": lambda tol: block_parameters(ROWELL.matrix, tol),
@@ -80,7 +81,7 @@ def _takes_a_tolerance(obj) -> bool:
 def public_callables_with_a_tolerance() -> set[str]:
     """Qualified names of the callables in ``gybe.__all__`` and the public
     functions, classes and class methods of every ``gybe`` module that have
-    a parameter named tol, tolerance or objective_tol."""
+    a parameter named tol, tolerance, objective_tol or threshold."""
     modules = [importlib.import_module(f"gybe.{m.name}") for m in pkgutil.iter_modules(gybe.__path__)]
     objects = [getattr(gybe, name) for name in gybe.__all__]
     for module in modules:
@@ -110,10 +111,12 @@ def test_every_entry_point_takes_a_valid_tolerance():
         call(1e-9)
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, "1e-9", None, np.complex128(1e-9 + 1j)])
 @pytest.mark.parametrize("entry", CALLS)
 def test_every_entry_point_rejects_a_bad_tolerance(entry, tol):
-    with pytest.raises(ValueError, match=r"^(tolerance|objective_tol) must be non-negative and finite, got"):
+    # A float is a number, so only its value is refused; the rest are not real numbers.
+    rule = "non-negative and finite" if type(tol) is float else "a number"
+    with pytest.raises(ValueError, match=rf"^(tolerance|objective_tol|threshold) must be {rule}, got"):
         CALLS[entry](tol)
 
 
