@@ -13,12 +13,13 @@ Word convention: a braid word is evaluated left to right into a matrix
 product, rho(w1 w2 ... wk) = rho(w1) rho(w2) ... rho(wk).  Applied to a
 state this means the last letter of the word acts first, the usual
 matrix-times-column convention.  One letter loop (:func:`_contract`)
-contracts R (or its inverse) into the qudits each letter touches, on a
-block over a window of qudits.  A word's matrix is that loop on the
-identity's columns, the window grown to the qudits its letters touch and
-padded with identities to the full side once; a generator is a one-letter
-word, and a state is the loop on the full window, which never grows.  Two
-words are compared (:func:`word_difference`) on the union of their windows.
+contracts R (or its inverse) into the qudits ``core._window`` gives each
+letter, on a block over a window of qudits.  A word's matrix is that loop
+on the identity's columns, the window grown to the qudits its letters touch
+and padded with identities to the full side once; a generator's image is R
+or R⁻¹ placed by ``core._place``, one padding, and a state is the loop on the
+full window, which never grows.  Two words are compared
+(:func:`word_difference`) on the union of their windows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import numpy as np
 from . import linalg
 from .core import (
     RMatrix,
+    _place,
     _qudits,
+    _window,
     apply_local,
     braid_dimension,
     far_commutativity_indices,
@@ -123,15 +126,16 @@ class BraidRep:
     """The representation of the n-strand braid group afforded by R.
 
     Takes only R and n and derives the qudit count m + (n-2)l, the side
-    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the
-    dense cap) and the read-only ``inverse``: R† for a unitary R, else
-    ``r.inverse``, so nothing is inverted.  :func:`build_rep` also checks the relations.
+    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the dense cap), whether R is
+    ``unitary`` (max |RR† − I| at most 1e-10) and the read-only ``inverse``: R† for a unitary R,
+    else ``r.inverse``, so nothing is inverted.  :func:`build_rep` also checks the relations.
     """
 
     r: RMatrix
     n: int
     qudits: int = field(init=False)
     dim: int = field(init=False)
+    unitary: bool = field(init=False)
     inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -140,6 +144,7 @@ class BraidRep:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "qudits", _qudits(sig, self.n))
         unitary = linalg.unitarity_residual(matrix) <= 1e-10
+        object.__setattr__(self, "unitary", unitary)
         inverse = linalg.frozen(linalg.dagger(matrix)) if unitary else self.r.inverse
         object.__setattr__(self, "inverse", inverse)
 
@@ -148,16 +153,17 @@ class BraidRep:
         first qudit it acts on; it covers m qudits from there.  ``i`` is a
         checked :class:`BraidWord` letter or an index the library counted."""
         local = self.r.matrix if i > 0 else self.inverse
-        return local, self.r.signature.l * (abs(i) - 1)
+        return local, _window(self.r.signature, abs(i))[0]
 
     def generator(self, i: int) -> np.ndarray:
         """Dense matrix of sigma_i for positive i, of its inverse for negative i."""
-        return _word_matrix(self, BraidWord(self.n, (i,)).letters)
+        (i,) = BraidWord(self.n, (i,)).letters
+        return _place(self._letter(i)[0], self.r.signature, self.n, abs(i))
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
         """Dense images of sigma_1 .. sigma_(n-1), built on each access."""
-        return tuple(_word_matrix(self, (i,)) for i in range(1, self.n))
+        return tuple(_place(self.r.matrix, self.r.signature, self.n, i) for i in range(1, self.n))
 
 
 def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
@@ -209,13 +215,6 @@ def _word_block(rep: BraidRep, letters: tuple[int, ...]) -> tuple[np.ndarray, in
     return _contract(rep, letters, linalg.identity(1), lo, lo)
 
 
-def _word_matrix(rep: BraidRep, letters: tuple[int, ...]) -> np.ndarray:
-    """rho(letters): the word's block padded to the full side once."""
-    block, lo, hi = _word_block(rep, letters)
-    d = rep.r.signature.d
-    return pad_identity(block, d**lo, d ** (rep.qudits - hi))
-
-
 def _check_strands(rep: BraidRep, w: BraidWord) -> None:
     """A ValueError unless ``w`` is on the representation's strand count."""
     if w.n != rep.n:
@@ -231,7 +230,9 @@ def evaluate_word(rep: BraidRep, w: BraidWord) -> np.ndarray:
     to the full side.
     """
     _check_strands(rep, w)
-    return _word_matrix(rep, w.letters)
+    block, lo, hi = _word_block(rep, w.letters)
+    d = rep.r.signature.d
+    return pad_identity(block, d**lo, d ** (rep.qudits - hi))
 
 
 def word_difference(rep: BraidRep, u: BraidWord, v: BraidWord) -> float:
@@ -259,8 +260,11 @@ def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:
     """Act on a state by the word's matrix; the last letter acts first.
 
     The same contraction as :func:`evaluate_word`, on one column:
-    O(dim d^m) per letter.
+    O(dim d^m) per letter.  A non-unitary R, which leaves the unit sphere, is refused first.
     """
+    if not rep.unitary:
+        residual = linalg.unitarity_residual(rep.r.matrix)
+        raise ValueError(f"applying a word to a state needs a unitary R, but max |RR† - I| = {residual:.3e}")
     _check_strands(rep, w)
     if s.dim != rep.dim:
         raise ValueError(f"state dimension {s.dim} does not match {rep.dim}")
@@ -285,7 +289,7 @@ def recognize_braiding_gate(
     if abs(mat[p, q]) == 0.0:
         return None
     for i in range(1, rep.n):
-        gen = _word_matrix(rep, (i,))
+        gen = _place(rep.r.matrix, rep.r.signature, rep.n, i)
         if abs(gen[p, q]) < 1e-12:
             continue
         lam = complex(mat[p, q] / gen[p, q])

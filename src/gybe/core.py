@@ -124,15 +124,14 @@ class CheckReport:
 def lifted_difference(matrix: np.ndarray, signature: GybeSignature) -> np.ndarray:
     """L S L - S L S for L = R ⊗ I^l, S = I^l ⊗ R; zero exactly on solutions.
 
-    ``matrix`` may carry leading batch axes; both lifts come from
-    :func:`pad_identity`, which keeps them.
+    ``matrix`` may carry leading batch axes; L and S are σ_1 and σ_2 on
+    three strands, placed by :func:`_place`, which keeps them.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     size = signature.matrix_size
     if m.ndim < 2 or m.shape[-2:] != (size, size):
         raise ValueError(f"matrix shape {m.shape} does not match signature {signature}")
-    pad = signature.d ** _qudits(signature, 3) // size
-    left, right = pad_identity(m, 1, pad), pad_identity(m, pad, 1)
+    left, right = _place(m, signature, 3, 1), _place(m, signature, 3, 2)
     return left @ right @ left - right @ left @ right
 
 
@@ -201,15 +200,28 @@ def pad_identity(m: np.ndarray, left: int, right: int) -> np.ndarray:
     return out.reshape(batch + (n, n))
 
 
+def _window(signature: GybeSignature, i: int) -> tuple[int, int]:
+    """The qudits [l(i-1), l(i-1)+m) that generator i covers."""
+    start = signature.l * (i - 1)
+    return start, start + signature.m
+
+
+def _place(m: np.ndarray, signature: GybeSignature, n: int, i: int) -> np.ndarray:
+    """I ⊗ m ⊗ I, m at generator i's window on n strands, capped; m's batch and dtype, never m itself."""
+    qudits = _qudits(signature, n)
+    lo, hi = _window(signature, i)
+    placed = pad_identity(m, signature.d**lo, signature.d ** (qudits - hi))
+    return m.copy() if placed is m else placed
+
+
 def braid_generator_matrix(r: RMatrix, n: int, i: int) -> np.ndarray:
     """The i-th generator's image I^(l(i-1)) ⊗ R ⊗ I^(l(n-i-1)) on n strands,
-    as a writable array also at n = 2, where :func:`pad_identity` returns R's."""
-    dim = braid_dimension(r.signature, n)
+    placed by :func:`_place`, so writable also at n = 2."""
+    n = linalg.count(n, "n", 2)
     i = linalg.count(i, "i")
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index i = {i} is out of range for {n} strands")
-    left = r.signature.d ** (r.signature.l * (i - 1))
-    return np.require(pad_identity(r.matrix, left, dim // (left * r.size)), requirements="W")
+    return _place(r.matrix, r.signature, n, i)
 
 
 def far_commutativity_indices(signature: GybeSignature) -> list[int]:
@@ -225,8 +237,7 @@ def far_commutativity_residual(r: RMatrix, j: int) -> float:
     unchanged.
     """
     j = linalg.count(j, "j", 1)  # the side on j + 1 strands is capped
-    pad = r.signature.d ** _qudits(r.signature, j + 1) // r.size
-    first, last = pad_identity(r.matrix, 1, pad), pad_identity(r.matrix, pad, 1)
+    first, last = _place(r.matrix, r.signature, j + 1, 1), _place(r.matrix, r.signature, j + 1, j)
     return linalg.max_abs_diff(first @ last, last @ first)
 
 

@@ -6,8 +6,8 @@ LSL - SLS and the unitarity defect RR† - I as interleaved real and
 imaginary parts, restricted to the rows the pattern can make nonzero, and
 it supplies the exact Jacobian of that residual.  Both take L = R ⊗ I^l,
 S = I^l ⊗ R and R from one ``np.take`` over the free entries, through a
-table that :func:`gybe.core.pad_identity`, the one identity padding,
-builds from the entry numbers.  :mod:`gybe.search` minimizes it.
+table that ``gybe.core._place``, the one braid layout, builds from the
+entry numbers.  :mod:`gybe.search` minimizes it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import linalg
-from .core import GybeSignature, braid_dimension, lifted_difference, pad_identity
+from .core import GybeSignature, _place, lifted_difference
 
 if TYPE_CHECKING:
     from .search import ZeroPattern
@@ -84,23 +84,23 @@ class _PatternResidual:
     def __init__(self, pattern: ZeroPattern, signature: GybeSignature):
         if not signature.has_side(pattern.size):
             raise ValueError(f"pattern size {pattern.size} does not match signature {signature}")
-        braid_dimension(signature, 3)  # the dense cap, before any table is sized by it
         self.pattern = pattern
         self.signature = signature
         self.rows, self.cols = np.nonzero(pattern.mask)
         self.n_params = 2 * self.rows.size
-        self.pad = pad = signature.d**signature.l
         n = pattern.size
-        self.side = side = n * pad
+        # L and S of the entry numbers 1..n², minus one: each entry's flat
+        # index where L or S holds it, and -1 elsewhere.  Composed with each
+        # entry's free slot, -1 reads the last slot, the trailing zero.
+        # Placing them checks the dense cap, before any table is sized by it.
+        numbers = np.arange(1, n * n + 1).reshape(n, n)
+        lifts = np.stack([_place(numbers, signature, 3, 1), _place(numbers, signature, 3, 2)]) - 1
+        self.side = side = lifts.shape[-1]
+        pad = side // n
         self.eq_live, self.uni_live = _live_entries(pattern, signature)
         entries = np.concatenate([self.eq_live, side * side + self.uni_live])
         self.live_rows = np.stack([2 * entries, 2 * entries + 1], axis=-1).reshape(-1)
         self.total_rows = 2 * (side * side + n * n)
-        # L and S of the entry numbers 1..n², minus one: each entry's flat
-        # index where L or S holds it, and -1 elsewhere.  Composed with each
-        # entry's free slot, -1 reads the last slot, the trailing zero.
-        numbers = np.arange(1, n * n + 1).reshape(n, n)
-        lifts = np.stack([pad_identity(numbers, 1, pad), pad_identity(numbers, pad, 1)]) - 1
         flat = self.rows * n + self.cols
         slot = np.full(n * n + 1, self.rows.size)
         slot[flat] = np.arange(self.rows.size)
@@ -246,8 +246,8 @@ def _live_entries(pattern: ZeroPattern, signature: GybeSignature) -> tuple[np.nd
     (L·S·L) ∨ (S·L·S) of the lifted masks, the unitarity entries that of
     mask·maskᵀ and the diagonal.
     """
-    mask, pad = pattern.mask.astype(float), signature.d**signature.l
-    left, right = pad_identity(mask, 1, pad), pad_identity(mask, pad, 1)
+    mask = pattern.mask.astype(float)
+    left, right = _place(mask, signature, 3, 1), _place(mask, signature, 3, 2)
     equation = left @ right @ left + right @ left @ right
     unitarity = mask @ mask.T + np.eye(pattern.size)
     return np.flatnonzero(equation), np.flatnonzero(unitarity)

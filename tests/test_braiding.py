@@ -1,7 +1,9 @@
 """Tests for braid words, representations, and gate recognition."""
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 import time
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from random_unitary import random_unitary
 
-from gybe import braiding, linalg
+import gybe
+from gybe import braiding, core, linalg, pattern_residual
 from gybe.braiding import (
     BraidRep,
     BraidWord,
@@ -27,6 +30,7 @@ from gybe.core import (
     MAX_MATRIX_SIDE,
     GybeSignature,
     RMatrix,
+    _place,
     apply_local,
     braid_dimension,
     braid_generator_matrix,
@@ -246,13 +250,11 @@ def test_word_evaluation_matches_dense_products(name, n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     amps = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
     s = StateVector(amps / np.linalg.norm(amps))
-    expected = want @ s.amplitudes
-    norm = float(np.linalg.norm(expected))
-    if abs(norm - 1.0) <= 1e-12:
+    if rep.unitary:
         got = apply_to_state(rep, word, s).amplitudes
-        assert linalg.max_abs(got - expected) <= 1e-13
-    elif abs(norm - 1.0) > 1e-8:  # a non-unitary word leaves the unit sphere
-        with pytest.raises(ValueError, match="norm"):
+        assert linalg.max_abs(got - want @ s.amplitudes) <= 1e-13
+    else:  # a non-unitary R is refused, even on a word that keeps the norm
+        with pytest.raises(ValueError, match="needs a unitary R"):
             apply_to_state(rep, word, s)
 
 
@@ -321,7 +323,7 @@ def test_word_evaluation_contracts_only_its_window(monkeypatch):
     assert len(sides) == len(letters) and max(sides) == 16
     sides.clear()
     assert np.array_equal(rep.generator(5), kron_generator(rep.r.signature, rep.r.matrix, 8, 5))
-    assert sides == [8]  # one contraction of R against I_8, none at side 512
+    assert sides == []  # R placed into zeros at its window, nothing contracted
 
 
 def _layout_cases():
@@ -357,6 +359,61 @@ def test_generator_images_and_far_pairs_match_kron_reference():
                 assert np.array_equal(rep.generator(i), want)
                 want_inv = kron_generator(sig, rep.inverse, n, i)
                 assert np.array_equal(rep.generator(-i), want_inv)
+
+
+def test_place_matches_the_kron_reference_on_stacks_and_entry_numbers():
+    for r, top in _layout_cases():
+        sig, side = r.signature, r.size
+        stack = np.stack([r.matrix, 2 * r.matrix, r.matrix.conj()])
+        numbers = np.arange(1, side * side + 1).reshape(side, side)
+        for n in range(2, top + 1):
+            for i in range(1, n):
+                placed = _place(stack, sig, n, i)
+                assert placed.shape == (3,) + (braid_dimension(sig, n),) * 2
+                assert all(np.array_equal(p, kron_generator(sig, m, n, i)) for p, m in zip(placed, stack))
+                entries = _place(numbers, sig, n, i)
+                assert entries.dtype == numbers.dtype
+                assert np.array_equal(entries, kron_generator(sig, numbers, n, i))
+
+
+def test_generator_images_on_two_strands_are_writable_copies():
+    # On two strands nothing is padded: each image must still be a copy.
+    for r in (rowell_solution(), apply_gauge(rowell_solution(), GaugeOp.scalar(2))):
+        rep = BraidRep(r, 2)
+        for image in (rep.generator(1), rep.generator(-1), *rep.generators, braid_generator_matrix(r, 2, 1)):
+            assert image.flags.writeable
+            assert not np.shares_memory(image, r.matrix) and not np.shares_memory(image, rep.inverse)
+
+
+def _layout_reads(path):
+    """Lines of the module at ``path`` that read an attribute named ``l``."""
+    tree = ast.parse(path.read_text())
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "l"]
+
+
+def test_no_module_but_core_knows_the_braid_layout():
+    found = {}
+    for path in sorted(pathlib.Path(gybe.__file__).parent.glob("*.py")):
+        lines = _layout_reads(path)
+        if lines and path.name != "core.py":
+            found[path.name] = lines
+    assert found == {}
+    assert _layout_reads(pathlib.Path(core.__file__))  # the guard sees core's
+    tree = ast.parse(pathlib.Path(pattern_residual.__file__).read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"pad_identity", "braid_dimension"}
+
+
+def test_the_state_path_refuses_a_non_unitary_solution():
+    # 2·rowell solves the equation, so it affords a representation, but
+    # RR† = 4I: a state is refused before any letter acts on it.
+    rep = build_rep(apply_gauge(rowell_solution(), GaugeOp.scalar(2)), 3)
+    assert not rep.unitary and build_rep(rowell_solution(), 3).unitary
+    state = StateVector(linalg.identity(16)[0])
+    message = r"^applying a word to a state needs a unitary R, but max \|RR† - I\| = 3\.000e\+00$"
+    for letters in ((1,), ()):
+        with pytest.raises(ValueError, match=message):
+            apply_to_state(rep, BraidWord(3, letters), state)
 
 
 def test_every_braid_path_hits_the_dense_cap():

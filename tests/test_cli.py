@@ -547,8 +547,9 @@ def test_braid_word_matrix_output(capsys):
 )
 def test_braid_rejects_an_overflowing_word(extra, tmp_path, capsys):
     # 10 * rowell passes the equation check, but 330 letters of it overflow
-    # to non-finite entries, which no output prints.  No np.errstate here:
-    # a numpy warning would be raised as the error in place of the output's own.
+    # to non-finite entries, which no output prints; a state is refused
+    # before any letter, since R is not unitary.  No np.errstate here: a
+    # numpy warning would be raised as the error in place of the output's own.
     path = tmp_path / "rowell10.json"
     path.write_text(linalg.matrix_to_json(10 * rowell_solution().matrix))
     message = "matrix entries must be finite"
@@ -557,7 +558,8 @@ def test_braid_rejects_an_overflowing_word(extra, tmp_path, capsys):
     if extra == ["--state"]:
         state = tmp_path / "state.json"
         state.write_text(linalg.matrix_to_json(np.eye(16)[:, :1]))
-        extra, message = ["--state", str(state)], "state amplitudes must be finite"
+        extra = ["--state", str(state)]
+        message = "applying a word to a state needs a unitary R, but max |RR† - I| = 9.900e+01"
     word = "n=3: " + ",".join(["1"] * 330)
     code, out, err = run_cli(
         capsys, "braid", "--matrix", str(path), "--signature", "2,3,1", "--word", word, *extra
@@ -585,6 +587,21 @@ def test_braid_state_application(tmp_path, capsys):
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-9
     assert amps[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert amps[4] == pytest.approx(-1j / np.sqrt(2), abs=1e-12)
+
+
+def test_braid_state_refuses_a_non_unitary_solution(tmp_path, capsys):
+    # 2·rowell solves the equation, so the word's matrix is printed; the
+    # error names R, not the unit-norm state.
+    matrix, state = tmp_path / "rowell2.json", tmp_path / "state.json"
+    matrix.write_text(linalg.matrix_to_json(2 * rowell_solution().matrix))
+    state.write_text(linalg.matrix_to_json(np.eye(16)[:, :1]))
+    argv = ["braid", "--matrix", str(matrix), "--signature", "2,3,1", "--word", "n=3: 1"]
+    assert run_cli(capsys, *argv, "--json")[0] == 0
+    assert run_cli(capsys, *argv, "--state", str(state)) == (
+        2,
+        "",
+        "error: applying a word to a state needs a unitary R, but max |RR† - I| = 3.000e+00\n",
+    )
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (1, 16)])

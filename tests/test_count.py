@@ -246,8 +246,8 @@ def test_the_search_gates_its_counts_once_not_per_iteration_or_candidate(monkeyp
     result = solve_pattern(pattern, SIG, config)
     assert sum(report.iterations for report in result.restarts) > 3
     assert any(report.certified for report in result.restarts)
-    # The dense cap on the lifted residual, and the solver's budget.
-    assert sorted(calls) == [(3, "n", 2), (20, "max_iterations", 0)]
+    # The solver's budget; the dense cap on the lifted residual gates no count.
+    assert sorted(calls) == [(20, "max_iterations", 0)]
 
 
 def test_word_evaluation_and_gate_recognition_gate_nothing(monkeypatch):

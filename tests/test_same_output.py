@@ -74,7 +74,8 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     argvs = same_output.ops(tmp_path)
     usage = len(same_output.USAGE_ERRORS)
     assert argvs[-usage:] == list(map(list, same_output.USAGE_ERRORS))
-    assert (tmp_path / same_output.STATE_4X4).is_file()
+    for name in (same_output.STATE_4X4, same_output.ROWELL_X2, same_output.STATE_E0):
+        assert (tmp_path / name).is_file()
     assert (tmp_path / same_output.MATRIX_2X3).is_file()
     assert argvs[-2:] == [[cmd, "--matrix", same_output.MATRIX_2X3] for cmd in ("verify", "classify")]
     tol = [a for a in argvs[-usage:] if "--tol" in a and a not in same_output.CONFIG_ERRORS]
@@ -85,29 +86,40 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # with --json; two verify pools of 192, each with its 32 classify ops
     # again in JSON and its 32 perturbed matrices classified twice; three
     # family members by theta in text, three by alpha and beta, in text and
-    # JSON, and one alpha with a space after its comma; four searches in
-    # JSON, four in text and four in text on the JSON pattern; and the 20
-    # usage errors of other gates, the tolerance gate's 15 and the 6 config
-    # errors.
-    assert len(argvs) == 3 * 112 * 2 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 1 + 12 + 20 + 15 + 6
+    # JSON, and one alpha with a space after its comma; six xshape braids;
+    # four searches in JSON, four in text and four in text on the JSON
+    # pattern, then two on each of two other signatures; and the 21 usage
+    # errors of other gates, the tolerance gate's 15 and the 6 config errors.
+    assert len(argvs) == (
+        3 * 112 * 2 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 1 + 6 + 12 + 4 + 21 + 15 + 6
+    )
     argvs = argvs[:-usage]
     equiv = [a for a in argvs if a[0] == "equiv"]
     assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]
     braid = [a for a in argvs if a[0] == "braid"]
     assert braid[240:280] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
     assert not any("--json" in a for a in braid[240:280])
-    assert braid[280:] == [a + ["--json"] for a in braid[120:240] if "--compare" in a]
-    assert argvs[-22:-19] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
+    assert braid[280:320] == [a + ["--json"] for a in braid[120:240] if "--compare" in a]
+    assert braid[320:] == argvs[-22:-16] == same_output.XSHAPE_BRAIDS
+    assert [a[a.index("--word") + 1][:4] for a in braid[320:]] == ["n=3:", "n=3:", "n=4:", "n=4:", "n=3:", "n=4:"]
+    assert argvs[-32:-29] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
     general = [["family", "--family", k, "--alpha", "0.6,0.8", "--beta", "0.28,-0.96"] for k in "123"]
-    assert argvs[-19:-13] == [a + json for a in general for json in ([], ["--json"])]
-    assert argvs[-13] == ["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]
+    assert argvs[-29:-23] == [a + json for a in general for json in ([], ["--json"])]
+    assert argvs[-23] == ["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]
     searches = [(same_output.PATTERN, ["--json"]), (same_output.PATTERN, []), (same_output.PATTERN_JSON, [])]
-    assert argvs[-12:] == [
+    assert argvs[-16:-4] == [
         ["search", "--pattern", pattern, "--signature", "2,3,1", *output, "--stats", "--seed", seed]
         for pattern, output in searches
         for seed in "0123"
     ]
-    verify = argvs[3 * 112 * 2 + 2 * 120 + 2 * 40 : -22]
+    assert argvs[-4:] == [
+        ["search", "--pattern", pattern, "--signature", signature, "--json", "--stats", "--seed", seed]
+        for pattern, signature in (("xshape.txt", "2,3,2"), ("full-4x4.txt", "2,2,1"))
+        for seed in "01"
+    ]
+    assert (tmp_path / "xshape.txt").read_text().splitlines()[::7] == ["10000001", "10000001"]
+    assert (tmp_path / "full-4x4.txt").read_text() == "1111\n" * 4
+    verify = argvs[3 * 112 * 2 + 2 * 120 + 2 * 40 : -32]
     for pool in (verify[:288], verify[288:]):
         ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
         assert again == [a + ["--json"] for a in ops if a[0] == "classify"]
@@ -120,7 +132,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         for flag in ("--state", "--matrix", "--pattern"):
             if flag in argv:
                 assert (tmp_path / argv[argv.index(flag) + 1]).is_file(), argv
-    assert [a[-1] for a in argvs if a[0] == "search"] == list("0123") * 3
+    assert [a[-1] for a in argvs if a[0] == "search"] == list("0123") * 3 + list("01") * 2
 
 
 def test_a_side_runs_the_argv_in_the_given_checkout(tmp_path, capsys):

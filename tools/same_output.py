@@ -16,14 +16,19 @@ in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
 3, each in plain text and with ``--json``, so that the matrices of
 ``general_solution`` are compared byte for byte, and ``gybe family
 --family 1 --alpha "1, 0" --beta 0,1``, a pair with a space after its comma;
+``gybe braid --solution xshape``, whose generators sit two qudits apart,
+on 3 and 4 strands: a word with ``--json`` and in plain text, and a braid
+relation compared;
 ``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
 seeds 0-3, then ``--stats`` in plain text at the same seeds, with the
-pattern as the 0/1 grid and again as JSON; and last the ``USAGE_ERRORS``,
+pattern as the 0/1 grid and again as JSON; ``gybe search --signature
+2,3,2 --json --stats`` on xshape's own pattern and ``--signature 2,2,1``
+on the full 4x4 pattern, at seeds 0-1; and last the ``USAGE_ERRORS``,
 argvs that exit 2 with nothing on stdout: a missing or surplus input, a 4x4 ``--state``,
-empty values, a ``--compare`` word on other strands, ``classify`` of a
-solution not in block form, a family member with a non-unit alpha, a
-``search`` on a pattern JSON whose mask is ragged and on one whose rows do
-not match its size, ``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
+a ``--state`` for 2·rowell, a solution that is not unitary, empty values,
+a ``--compare`` word on other strands, ``classify`` of a solution not in
+block form, a family member with a non-unit alpha, a ``search`` on a
+pattern JSON whose mask is ragged and on one whose rows do not match its size, ``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
 ``classify``, ``equiv``, ``braid ... --compare`` and ``search`` (the
 tolerance gate), the ``CONFIG_ERRORS`` (``search`` with ``--seed -1``, or
 with a ``--tol`` whose square overflows or underflows, ``family`` with a
@@ -84,15 +89,33 @@ FAMILY_GENERAL = [
     for k in (1, 2, 3)
     for json in ([], ["--json"])
 ] + [["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]]
+# xshape, the (2,3,2) solution: a word as JSON and as text, and a braid
+# relation compared, on 3 and 4 strands.
+XSHAPE_BRAIDS = [
+    ["braid", "--solution", "xshape", "--word", word, *output]
+    for word in ("n=3: 1,-2,1,2", "n=4: 3,-1,2,-3,1")
+    for output in (["--json"], [])
+] + [
+    ["braid", "--solution", "xshape", "--word", f"n={n}: {i},{i + 1},{i}", "--compare", f"n={n}: {i + 1},{i},{i + 1}"]
+    for n, i in ((3, 1), (4, 2))
+]
 SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
 PATTERN_JSON = "rowell.json"
+# Searches off (2,3,1): xshape's own pattern and the full 4x4 pattern, as 0/1 grids.
+OTHER_SEARCHES = {
+    "xshape.txt": ("2,3,2", np.abs(checker.xshape_matrix()) > 1e-9),
+    "full-4x4.txt": ("2,2,1", np.ones((4, 4), dtype=bool)),
+}
+OTHER_SEARCH_SEEDS = range(2)
 # A ragged mask, and rows that do not match the size.
 MALFORMED_PATTERNS = {
     "ragged.json": '{"size": 2, "mask": [[true, false], [false]]}',
     "rows-not-size.json": '{"size": 3, "mask": [[true, false], [false, true]]}',
 }
 STATE_4X4 = "state-4x4.json"
+# 2·rowell solves the equation but is not unitary, so a state is refused.
+ROWELL_X2, STATE_E0 = "rowell-x2.json", "state-e0.json"
 MATRIX_2X3 = "matrix-2x3.json"
 # Each command that takes --tol, for the tolerance gate's nan, -1 and inf.
 TOL_COMMANDS = (
@@ -124,6 +147,7 @@ USAGE_ERRORS = (
     ["classify", "--solution", "rowell", "--solution", "xshape"],
     ["braid", "--solution", "rowell", "--solution", "xshape", "--word", "n=3: 1"],
     ["braid", "--solution", "rowell", "--word", "n=3: 1", "--state", STATE_4X4],
+    ["braid", "--matrix", ROWELL_X2, "--signature", "2,3,1", "--word", "n=3: 1", "--state", STATE_E0],
     ["braid", "--solution", "rowell", "--word", ""],
     ["verify", "--solution", ""],
     ["verify", "--matrix", ""],
@@ -163,10 +187,9 @@ def ops(workdir: Path) -> list[list[str]]:
                 if "--matrix" in argv:
                     classify = ["classify", "--matrix", argv[argv.index("--matrix") + 1], "--json"]
                     argvs += [classify, classify + ["--tol", "1e-2"]]
-    argvs += [list(argv) for argv in FAMILY_TEXT + FAMILY_GENERAL]
+    argvs += [list(argv) for argv in FAMILY_TEXT + FAMILY_GENERAL + XSHAPE_BRAIDS]
     mask = checker.rowell_mask()
-    grid = "\n".join("".join("1" if v else "0" for v in row) for row in mask)
-    (workdir / PATTERN).write_text(grid + "\n", encoding="utf-8")
+    (workdir / PATTERN).write_text(_grid(mask), encoding="utf-8")
     pattern_json = {"size": len(mask), "mask": [[bool(v) for v in row] for row in mask]}
     (workdir / PATTERN_JSON).write_text(json.dumps(pattern_json), encoding="utf-8")
     for name, text in MALFORMED_PATTERNS.items():
@@ -174,11 +197,22 @@ def ops(workdir: Path) -> list[list[str]]:
     for pattern, output in ((PATTERN, ["--json"]), (PATTERN, []), (PATTERN_JSON, [])):
         search = ["search", "--pattern", pattern, "--signature", "2,3,1", *output, "--stats"]
         argvs += [search + ["--seed", str(seed)] for seed in SEARCH_SEEDS]
+    for pattern, (signature, other) in OTHER_SEARCHES.items():
+        (workdir / pattern).write_text(_grid(other), encoding="utf-8")
+        search = ["search", "--pattern", pattern, "--signature", signature, "--json", "--stats"]
+        argvs += [search + ["--seed", str(seed)] for seed in OTHER_SEARCH_SEEDS]
     # Unit norm as 16 amplitudes, but a matrix, not a column.
     (workdir / STATE_4X4).write_text(checker.matrix_to_json(np.eye(4) / 2), encoding="utf-8")
+    (workdir / ROWELL_X2).write_text(checker.matrix_to_json(2 * checker.rowell_matrix()), encoding="utf-8")
+    (workdir / STATE_E0).write_text(checker.matrix_to_json(np.eye(16)[:, :1]), encoding="utf-8")
     # A matrix that is not square, for the input gate of verify and classify.
     (workdir / MATRIX_2X3).write_text(checker.matrix_to_json(np.eye(2, 3)), encoding="utf-8")
     return argvs + [list(argv) for argv in USAGE_ERRORS]
+
+
+def _grid(mask: np.ndarray) -> str:
+    """A pattern as the 0/1 grid ``gybe search --pattern`` reads."""
+    return "".join("".join("1" if v else "0" for v in row) + "\n" for row in mask)
 
 
 def run_side(checkout: Path, workdir: Path, argvs: list[list[str]]) -> list[list]:
