@@ -126,16 +126,16 @@ class BraidRep:
     """The representation of the n-strand braid group afforded by R.
 
     Takes only R and n and derives the qudit count m + (n-2)l, the side
-    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the dense cap), whether R is
-    ``unitary`` (max |RR† − I| at most 1e-10) and the read-only ``inverse``: R† for a unitary R,
-    else ``r.inverse``, so nothing is inverted.  :func:`build_rep` also checks the relations.
+    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the dense cap), R's max
+    |RR† − I| as ``unitarity_residual`` (``unitary`` if at most 1e-10) and the read-only ``inverse``:
+    R† for a unitary R, else ``r.inverse``, so nothing is inverted.  :func:`build_rep` checks the relations.
     """
 
     r: RMatrix
     n: int
     qudits: int = field(init=False)
     dim: int = field(init=False)
-    unitary: bool = field(init=False)
+    unitarity_residual: float = field(init=False)
     inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -143,10 +143,13 @@ class BraidRep:
         object.__setattr__(self, "dim", braid_dimension(sig, self.n))  # gates n
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "qudits", _qudits(sig, self.n))
-        unitary = linalg.unitarity_residual(matrix) <= 1e-10
-        object.__setattr__(self, "unitary", unitary)
-        inverse = linalg.frozen(linalg.dagger(matrix)) if unitary else self.r.inverse
+        object.__setattr__(self, "unitarity_residual", linalg.unitarity_residual(matrix))
+        inverse = linalg.frozen(linalg.dagger(matrix)) if self.unitary else self.r.inverse
         object.__setattr__(self, "inverse", inverse)
+
+    @property
+    def unitary(self) -> bool:
+        return self.unitarity_residual <= 1e-10
 
     def _letter(self, i: int) -> tuple[np.ndarray, int]:
         """Local matrix of sigma_i (of its inverse for negative i) and the
@@ -262,13 +265,20 @@ def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:
     The same contraction as :func:`evaluate_word`, on one column:
     O(dim d^m) per letter.  A non-unitary R, which leaves the unit sphere, is refused first.
     """
+    residual = rep.unitarity_residual
     if not rep.unitary:
-        residual = linalg.unitarity_residual(rep.r.matrix)
         raise ValueError(f"applying a word to a state needs a unitary R, but max |RR† - I| = {residual:.3e}")
     _check_strands(rep, w)
     if s.dim != rep.dim:
         raise ValueError(f"state dimension {s.dim} does not match {rep.dim}")
-    return StateVector(_contract(rep, w.letters, s.amplitudes, 0, rep.qudits)[0])
+    out = _contract(rep, w.letters, s.amplitudes, 0, rep.qudits)[0]
+    drift = abs(float(np.linalg.norm(out)) - 1.0)
+    if not drift <= STATE_NORM_TOL:
+        raise ValueError(
+            f"a word of {len(w)} letter(s) drifted the output's norm by {drift:.3e}, beyond "
+            f"{STATE_NORM_TOL:g}: R is unitary only to max |RR† - I| = {residual:.3e}"
+        )
+    return StateVector(out)
 
 
 def recognize_braiding_gate(

@@ -166,17 +166,8 @@ def cmd_classify(args) -> int:
     omega, gamma, delta = block_parameters(_load_rmatrix(args).matrix, args.tol)
     category = classify_unitary_params(omega, gamma, delta, args.tol)
     if args.json:
-        print(
-            _report_json(
-                args,
-                {
-                    "category": category,
-                    "omega": [omega.real, omega.imag],
-                    "gamma": [gamma.real, gamma.imag],
-                    "delta": [delta.real, delta.imag],
-                },
-            )
-        )
+        params = {"omega": omega, "gamma": gamma, "delta": delta}
+        print(_report_json(args, {"category": category, **{k: [v.real, v.imag] for k, v in params.items()}}))
     else:
         print(category)
     return 0
@@ -226,6 +217,10 @@ def _print_equiv_stats(decision) -> None:
 
 
 def cmd_braid(args) -> int:
+    if args.compare is None and "tol" in getattr(args, "_given_once", ()):
+        raise ValueError("--tol applies to --compare only")
+    if args.matrix == "-" and args.state == "-":
+        raise ValueError("--matrix and --state cannot both read stdin")
     r = _load_rmatrix(args)
     word = parse_braid_word(args.word)
     rep = build_rep(r, word.n)

@@ -29,7 +29,7 @@ from . import linalg
 from .core import GybeSignature, RMatrix, gybe_residual
 from .optimize import LeastSquaresResult, solve_stack
 from .pattern_residual import _combined_residual_vector, _PatternResidual
-from .solutions import QUADRANT_SLOTS, QUADRANT_SUPPORT, off_quadrant_max, split_blocks
+from .solutions import BLOCK_SUPPORT, _block_entries, split_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +118,7 @@ def load_pattern_text(text: str) -> ZeroPattern:
 
 def rowell_pattern() -> ZeroPattern:
     """The two-block zero pattern shared by all 8x8 solutions in the registry."""
-    return ZeroPattern(linalg.direct_sum(QUADRANT_SUPPORT, QUADRANT_SUPPORT) != 0)
+    return ZeroPattern(BLOCK_SUPPORT)
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def dedup_key(matrix: np.ndarray) -> str:
     The global phase is removed using the first significant entry, then the
     key collects eigenvalue multisets rounded at 1e-6: of the whole matrix,
     and of the two diagonal 4x4 blocks plus the beta/alpha-style entry
-    ratio when the 8x8 block structure applies.  The key is the ``repr`` of
+    ratio when the matrix reads as X (+) Y at 1e-8.  The key is the ``repr`` of
     those parts as plain Python floats, the same text under every numpy
     version.
     """
@@ -252,13 +252,13 @@ def dedup_key(matrix: np.ndarray) -> str:
         return tuple(map(tuple, (np.round(pairs, 6) + 0.0).tolist()))
 
     parts = [("spectrum", rounded(linalg.eigenvalues(m)))]
-    if m.shape == (8, 8) and off_quadrant_max(m) <= 1e-8:
-        x, y = split_blocks(m)
-        parts.append(("x", rounded(linalg.eigenvalues(x))))
-        parts.append(("y", rounded(linalg.eigenvalues(y))))
-        _, (b_p, b_q), _, _ = np.take(x, QUADRANT_SLOTS)
-        if abs(b_p) > 1e-6:
-            parts.append(("ratio", rounded(b_q / b_p)[0]))
+    try:
+        _, (b_p, b_q), *_ = _block_entries(m, 1e-8)
+    except ValueError:  # not an 8x8 matrix in block form: the spectrum alone
+        return repr(parts)
+    parts += [(name, rounded(linalg.eigenvalues(q))) for name, q in zip("xy", split_blocks(m))]
+    if abs(b_p) > 1e-6:
+        parts.append(("ratio", rounded(b_q / b_p)[0]))
     return repr(parts)
 
 

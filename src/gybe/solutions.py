@@ -42,9 +42,11 @@ FAMILY_PARAMS: dict[int, tuple[complex, complex, complex]] = {
 
 # The 4x4 quadrant (1/sqrt2) [[A, B], [C, D]] of 2x2 diagonal blocks: the flat
 # (4 * row + column) positions of the p and q of A, B, C and D, one row per
-# block, and the quadrant's support, where entry (i, j) is live iff i + j is even.
+# block, the quadrant's support, where entry (i, j) is live iff i + j is even,
+# and the support of X (+) Y, the two-block pattern of every 8x8 solution here.
 QUADRANT_SLOTS = linalg.frozen(np.array([[0, 5], [2, 7], [8, 13], [10, 15]]))
 QUADRANT_SUPPORT = linalg.frozen(np.isin(np.arange(16), QUADRANT_SLOTS).reshape(4, 4))
+BLOCK_SUPPORT = linalg.frozen(linalg.direct_sum(QUADRANT_SUPPORT, QUADRANT_SUPPORT) != 0)
 
 _UNIT_TOL = 1e-12
 # Parameters read off a matrix may come from numerical search, so the
@@ -222,17 +224,13 @@ class BlockSolution:
     def from_matrices(x: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> "BlockSolution":
         """Extract the eight diagonal blocks from explicit 4x4 matrices."""
         tol = linalg.tolerance(tol)
-        blocks = []
-        for m in (x, y):
-            m = linalg.as_matrix(m)
-            if m.shape != (4, 4):
-                raise ValueError("expected a 4x4 matrix")
-            off = SQRT2 * linalg.max_abs(m[~QUADRANT_SUPPORT])
-            if not off <= tol:
-                raise ValueError(f"off-diagonal block entry {off:.3e} exceeds {tol:g}")
-            # Python keeps an infinite entry (inf, 0); numpy's product warns and makes it inf+nanj.
-            blocks += [DiagBlock(SQRT2 * p, SQRT2 * q) for p, q in np.take(m, QUADRANT_SLOTS).tolist()]
-        return BlockSolution(*blocks)
+        quadrants = [linalg.as_matrix(m) for m in (x, y)]
+        if any(m.shape != (4, 4) for m in quadrants):
+            raise ValueError("expected a 4x4 matrix")
+        # A block is sqrt2 times its entries, so its off-diagonal entries are checked at tol/sqrt2.
+        entries = _block_entries(linalg.direct_sum(*quadrants), tol / SQRT2)
+        # Python keeps an infinite entry (inf, 0); numpy's product warns and makes it inf+nanj.
+        return BlockSolution(*(DiagBlock(SQRT2 * p, SQRT2 * q) for p, q in entries.tolist()))
 
 
 def assemble_quadrant(
@@ -261,43 +259,42 @@ def split_blocks(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[:4, :4].copy(), m[4:, 4:].copy()
 
 
-def off_quadrant_max(m: np.ndarray) -> float:
-    """The largest modulus in the two off-diagonal 4x4 quadrants of an 8x8 matrix."""
-    return linalg.max_abs([m[:4, 4:], m[4:, :4]])
+def _block_entries(m: np.ndarray, tol: float) -> np.ndarray:
+    """The one reader of the X (+) Y form: the (p, q) of A-D and Y1-Y4, one row
+    per block, once ``m`` is 8x8 and its off-diagonal 4x4 quadrants, then the
+    off-diagonal entries of X's 2x2 sub-blocks, then Y's vanish within ``tol``;
+    the first of these that fails raises ValueError naming it."""
+    if m.shape != (8, 8):
+        raise ValueError("classification applies to 8x8 block solutions")
+    x, y = m[:4, :4], m[4:, 4:]
+    for region, entries in (
+        ("the off-diagonal 4x4 quadrants reach {}", [m[:4, 4:], m[4:, :4]]),
+        ("the 2x2 sub-blocks of X are not diagonal (off-diagonal entries reach {})", x[~QUADRANT_SUPPORT]),
+        ("the 2x2 sub-blocks of Y are not diagonal (off-diagonal entries reach {})", y[~QUADRANT_SUPPORT]),
+    ):
+        off = linalg.max_abs(entries)
+        if not off <= tol:
+            reach = f"{off:.3e}, above tolerance {tol:g}"
+            raise ValueError(f"not in block-solution form: {region.format(reach)}")
+    return np.concatenate([np.take(x, QUADRANT_SLOTS), np.take(y, QUADRANT_SLOTS)])
 
 
 def block_parameters(m: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[complex, complex, complex]:
     """(omega, gamma, delta) read off an 8x8 matrix in block-solution form.
 
     They are read after scaling A's corner to 1, which takes out a global
-    scalar.  The matrix must be square with finite entries and of side 8,
-    the off-diagonal 4x4 quadrants and the off-diagonal entries of X's 2x2
-    sub-blocks must vanish within ``tol``, and A's corner must not; the
+    scalar.  The matrix must be square with finite entries, pass
+    :func:`_block_entries` at ``tol``, and A's corner must not vanish; the
     first of these that fails raises ValueError naming it.
     """
     tol = linalg.tolerance(tol)
     m = linalg.square_matrix(m, "block-solution matrix")
-    if m.shape != (8, 8):
-        raise ValueError("classification applies to 8x8 block solutions")
-    off_quadrants = off_quadrant_max(m)
-    if not off_quadrants <= tol:
-        raise ValueError(
-            f"not in block-solution form: the off-diagonal 4x4 quadrants reach "
-            f"{off_quadrants:.3e}, above tolerance {tol:g}"
-        )
-    x, _ = split_blocks(m)
-    off_sub_blocks = linalg.max_abs(x[~QUADRANT_SUPPORT])
-    if not off_sub_blocks <= tol:
-        raise ValueError(
-            f"not in block-solution form: the 2x2 sub-blocks of X are not diagonal "
-            f"(off-diagonal entries reach {off_sub_blocks:.3e}, above tolerance {tol:g})"
-        )
-    (a_p, omega), _, _, (gamma, delta) = np.take(x, QUADRANT_SLOTS)
+    (a_p, omega), _, _, (gamma, delta), *_ = _block_entries(m, tol)
     corner = SQRT2 * a_p
     if not abs(corner) >= 1e-9:
         raise ValueError("top-left entry is zero; not in block-solution form")
     scale = 1.0 / corner
-    return SQRT2 * scale * omega, SQRT2 * scale * gamma, SQRT2 * scale * delta
+    return tuple(complex(SQRT2 * scale * value) for value in (omega, gamma, delta))
 
 
 def rowell_solution() -> RMatrix:

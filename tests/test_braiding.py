@@ -416,6 +416,22 @@ def test_the_state_path_refuses_a_non_unitary_solution():
             apply_to_state(rep, BraidWord(3, letters), state)
 
 
+def test_the_state_path_names_a_norm_drift_and_the_residual_of_r():
+    # R passes the 1e-10 unitarity verdict, but ten letters move the norm by
+    # 4e-10: the output, not the caller's unit-norm state, is refused.
+    r = rowell_solution()
+    rep = build_rep(RMatrix(r.signature, r.matrix * (1 + 4e-11)), 3)
+    assert rep.unitary and rep.unitarity_residual == linalg.unitarity_residual(rep.r.matrix)
+    state = StateVector(linalg.identity(16)[0])
+    message = (
+        r"^a word of 10 letter\(s\) drifted the output's norm by 4\.000e-10, beyond 1e-10: "
+        r"R is unitary only to max \|RR† - I\| = 8\.000e-11$"
+    )
+    with pytest.raises(ValueError, match=message):
+        apply_to_state(rep, BraidWord(3, (1,) * 10), state)
+    assert apply_to_state(rep, BraidWord(3, (1,)), state).dim == 16  # one letter stays within
+
+
 def test_every_braid_path_hits_the_dense_cap():
     r = rowell_solution()
     assert braid_dimension(r.signature, 9) == 1024

@@ -261,6 +261,23 @@ def test_classify_requires_block_form(tmp_path, capsys):
     assert code == 0 and out.strip() == "A"
 
 
+def test_classify_checks_the_sub_blocks_of_y(tmp_path, capsys):
+    # Y[0, 1] = 0.5 leaves X, the quadrants and A's corner as rowell's, but
+    # the matrix is not in block form, and does not solve the equation.
+    m = rowell_solution().matrix.copy()
+    m[4, 5] = 0.5
+    path = tmp_path / "leaky-y.json"
+    path.write_text(linalg.matrix_to_json(m))
+    argv = ["--matrix", str(path), "--signature", "2,3,1"]
+    assert run_cli(capsys, "verify", *argv)[0] == 1
+    message = (
+        "error: not in block-solution form: the 2x2 sub-blocks of Y are not diagonal "
+        "(off-diagonal entries reach 5.000e-01, above tolerance 1e-09)\n"
+    )
+    for extra in ([], ["--json"]):
+        assert run_cli(capsys, "classify", *argv, *extra) == (2, "", message)
+
+
 def test_equiv_matrix_target(tmp_path, capsys):
     theta = repr(float(np.pi / 2))
     path = tmp_path / "rowell.json"
@@ -602,6 +619,23 @@ def test_braid_state_refuses_a_non_unitary_solution(tmp_path, capsys):
         "",
         "error: applying a word to a state needs a unitary R, but max |RR† - I| = 3.000e+00\n",
     )
+
+
+def test_braid_tol_applies_to_compare_only(capsys):
+    # build_rep verifies at its own tolerance, so --tol is read by --compare alone.
+    argv = ["braid", "--solution", "rowell", "--word", "n=3: 1", "--tol", "5"]
+    for extra in (["--json"], []):
+        assert run_cli(capsys, *argv, *extra) == (2, "", "error: --tol applies to --compare only\n")
+    assert run_cli(capsys, *argv, "--compare", "n=3: 1", "--json")[0] == 0
+
+
+def test_braid_refuses_matrix_and_state_both_on_stdin(monkeypatch, capsys):
+    text = linalg.matrix_to_json(rowell_solution().matrix)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    argv = ["braid", "--matrix", "-", "--state", "-", "--word", "n=3: 1", "--signature", "2,3,1"]
+    message = "error: --matrix and --state cannot both read stdin\n"
+    assert run_cli(capsys, *argv) == (2, "", message)
+    assert sys.stdin.read() == text  # refused before anything was read
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (1, 16)])

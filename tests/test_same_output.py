@@ -76,9 +76,13 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     assert argvs[-usage:] == list(map(list, same_output.USAGE_ERRORS))
     for name in (same_output.STATE_4X4, same_output.ROWELL_X2, same_output.STATE_E0):
         assert (tmp_path / name).is_file()
+    for name in (same_output.ROWELL_LEAKY_Y, same_output.ROWELL_NEAR):
+        assert (tmp_path / name).is_file()
+    refused = list(map(list, same_output.REFUSED_INPUTS))
+    assert len(refused) == 5 and all(a in argvs[-usage:] for a in refused)
     assert (tmp_path / same_output.MATRIX_2X3).is_file()
     assert argvs[-2:] == [[cmd, "--matrix", same_output.MATRIX_2X3] for cmd in ("verify", "classify")]
-    tol = [a for a in argvs[-usage:] if "--tol" in a and a not in same_output.CONFIG_ERRORS]
+    tol = [a for a in argvs[-usage:] if "--tol" in a and a not in [*same_output.CONFIG_ERRORS, *refused]]
     assert tol == [[*a, "--tol", t] for a in same_output.TOL_COMMANDS for t in ("nan", "-1", "inf")]
     assert argvs[-8:-2] == list(map(list, same_output.CONFIG_ERRORS))
     # Three equiv pools of 112 ops, twice; two braid pools of 120, the 40
@@ -89,9 +93,10 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # JSON, and one alpha with a space after its comma; six xshape braids;
     # four searches in JSON, four in text and four in text on the JSON
     # pattern, then two on each of two other signatures; and the 21 usage
-    # errors of other gates, the tolerance gate's 15 and the 6 config errors.
+    # errors of other gates, the 5 refused inputs, the tolerance gate's 15
+    # and the 6 config errors.
     assert len(argvs) == (
-        3 * 112 * 2 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 1 + 6 + 12 + 4 + 21 + 15 + 6
+        3 * 112 * 2 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 1 + 6 + 12 + 4 + 21 + 5 + 15 + 6
     )
     argvs = argvs[:-usage]
     equiv = [a for a in argvs if a[0] == "equiv"]

@@ -1,6 +1,8 @@
 """Tests pinning the concrete solutions to their published entry patterns."""
 
+import ast
 import dataclasses
+import pathlib
 import re
 
 import numpy as np
@@ -8,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gybe
 from gybe import linalg, solutions
 from gybe.core import GybeSignature, RMatrix, check_gybe, check_ybe
+from gybe.search import dedup_key
 from gybe.solutions import (
+    BLOCK_SUPPORT,
+    CLASSIFY_TOL,
     FAMILY_PARAMS,
     QUADRANT_SLOTS,
     QUADRANT_SUPPORT,
@@ -570,6 +576,68 @@ def test_reduction_round_trips_any_unit_parameters(omega, gamma, delta, alpha, b
     assert (red.alpha, red.beta) == (alpha, beta)
     back = restore(red.solution, DiagBlock(red.alpha, red.beta))
     assert linalg.max_abs_diff(back.r_matrix(), s.r_matrix()) <= 1e-14
+
+
+def _region(i: int, j: int) -> str:
+    """What the block-form reader names for an entry (i, j) off the X (+) Y support."""
+    if (i < 4) != (j < 4):
+        return "off-diagonal 4x4 quadrants reach 1.000e-03"
+    return f"2x2 sub-blocks of {'X' if i < 4 else 'Y'} are not diagonal"
+
+
+OFF_SUPPORT = [(int(i), int(j), _region(i, j)) for i, j in zip(*np.nonzero(~BLOCK_SUPPORT))]
+
+
+def _key_parts(m: np.ndarray) -> list[str]:
+    return [name for name, _ in ast.literal_eval(dedup_key(m))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from((1, 2, 3)),
+    alpha=_UNIT,
+    beta=_UNIT,
+    modulus=st.floats(0.5, 2.0),
+    arg=st.floats(0.0, 2 * np.pi),
+)
+def test_one_reader_gates_every_entry_off_the_block_support(family, alpha, beta, modulus, arg):
+    r = general_solution(family, alpha, beta).matrix
+    c = modulus * np.exp(1j * arg)
+    params = block_parameters(c * r)
+    assert all(type(value) is complex for value in params)
+    assert max(abs(got - want) for got, want in zip(params, FAMILY_PARAMS[family])) <= CLASSIFY_TOL
+    s = BlockSolution.from_matrices(*split_blocks(r))
+    want = BlockSolution.from_params(*FAMILY_PARAMS[family], alpha, beta)
+    for name in BLOCK_NAMES:
+        got, block = getattr(s, name), getattr(want, name)
+        assert max(abs(got.p - block.p), abs(got.q - block.q)) <= 1e-14, name
+    assert _key_parts(c * r) == ["spectrum", "x", "y", "ratio"]
+    # Any one of the 48 entries off the support fails every reader, by its region.
+    assert len(OFF_SUPPORT) == 48
+    for i, j, region in OFF_SUPPORT:
+        m = c * r
+        m[i, j] = 1e-3
+        with pytest.raises(ValueError, match=region):
+            block_parameters(m)
+        assert _key_parts(m) == ["spectrum"]
+        if "quadrants" not in region:
+            leaky = r.copy()
+            leaky[i, j] = 1e-3
+            with pytest.raises(ValueError, match=region):
+                BlockSolution.from_matrices(*split_blocks(leaky))
+
+
+def test_no_module_but_solutions_names_the_quadrant_tables():
+    tables = {"QUADRANT_SLOTS", "QUADRANT_SUPPORT"}
+    found = {}
+    for path in sorted(pathlib.Path(gybe.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        found[path.name] = sorted(names & tables)
+    assert found.pop("solutions.py") == sorted(tables)  # the guard sees solutions' own
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_reduction_of_a_scalar_multiple_keeps_its_corner():

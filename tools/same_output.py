@@ -27,7 +27,11 @@ on the full 4x4 pattern, at seeds 0-1; and last the ``USAGE_ERRORS``,
 argvs that exit 2 with nothing on stdout: a missing or surplus input, a 4x4 ``--state``,
 a ``--state`` for 2·rowell, a solution that is not unitary, empty values,
 a ``--compare`` word on other strands, ``classify`` of a solution not in
-block form, a family member with a non-unit alpha, a ``search`` on a
+block form, a family member with a non-unit alpha, the ``REFUSED_INPUTS``
+(``classify`` of rowell with Y[0, 1] = 0.5, plain and with ``--json``, a
+``braid --tol`` without ``--compare``, ``--matrix -`` with ``--state -``,
+and ten letters on a state under rowell·(1 + 4e-11), whose output drifts
+off the unit sphere), a ``search`` on a
 pattern JSON whose mask is ragged and on one whose rows do not match its size, ``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
 ``classify``, ``equiv``, ``braid ... --compare`` and ``search`` (the
 tolerance gate), the ``CONFIG_ERRORS`` (``search`` with ``--seed -1``, or
@@ -116,6 +120,19 @@ MALFORMED_PATTERNS = {
 STATE_4X4 = "state-4x4.json"
 # 2·rowell solves the equation but is not unitary, so a state is refused.
 ROWELL_X2, STATE_E0 = "rowell-x2.json", "state-e0.json"
+# Rowell with Y[0, 1] = 0.5, not in block form, and rowell·(1 + 4e-11), unitary
+# within 1e-10, whose ten letters drift a state's norm by 4e-10.
+ROWELL_LEAKY_Y, ROWELL_NEAR = "rowell-leaky-y.json", "rowell-near-unitary.json"
+# Inputs the commands refuse: classify of the leaky Y, plain and as JSON, a braid
+# --tol without --compare, --matrix and --state both on stdin, and the drifted state.
+REFUSED_INPUTS = (
+    ["classify", "--matrix", ROWELL_LEAKY_Y],
+    ["classify", "--matrix", ROWELL_LEAKY_Y, "--json"],
+    ["braid", "--solution", "rowell", "--word", "n=3: 1", "--tol", "1e-3", "--json"],
+    ["braid", "--matrix", "-", "--state", "-", "--word", "n=3: 1"],
+    ["braid", "--matrix", ROWELL_NEAR, "--signature", "2,3,1", "--word", "n=3: " + ",".join("1" * 10),
+     "--state", STATE_E0],
+)
 MATRIX_2X3 = "matrix-2x3.json"
 # Each command that takes --tol, for the tolerance gate's nan, -1 and inf.
 TOL_COMMANDS = (
@@ -154,6 +171,7 @@ USAGE_ERRORS = (
     ["braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"],
     ["classify", "--solution", "xshape"],
     ["family", "--family", "1", "--alpha", "2,0", "--beta", "0,1"],
+    *REFUSED_INPUTS,
     *(["search", "--pattern", name, "--signature", "2,3,1"] for name in MALFORMED_PATTERNS),
     *([*argv, "--tol", tol] for argv in TOL_COMMANDS for tol in ("nan", "-1", "inf")),
     *CONFIG_ERRORS,
@@ -205,6 +223,11 @@ def ops(workdir: Path) -> list[list[str]]:
     (workdir / STATE_4X4).write_text(checker.matrix_to_json(np.eye(4) / 2), encoding="utf-8")
     (workdir / ROWELL_X2).write_text(checker.matrix_to_json(2 * checker.rowell_matrix()), encoding="utf-8")
     (workdir / STATE_E0).write_text(checker.matrix_to_json(np.eye(16)[:, :1]), encoding="utf-8")
+    leaky = checker.rowell_matrix()
+    leaky[4, 5] = 0.5
+    (workdir / ROWELL_LEAKY_Y).write_text(checker.matrix_to_json(leaky), encoding="utf-8")
+    near = checker.rowell_matrix() * (1 + 4e-11)
+    (workdir / ROWELL_NEAR).write_text(checker.matrix_to_json(near), encoding="utf-8")
     # A matrix that is not square, for the input gate of verify and classify.
     (workdir / MATRIX_2X3).write_text(checker.matrix_to_json(np.eye(2, 3)), encoding="utf-8")
     return argvs + [list(argv) for argv in USAGE_ERRORS]
