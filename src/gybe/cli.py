@@ -203,16 +203,21 @@ def cmd_equiv(args) -> int:
 
 
 def _print_equiv_stats(decision) -> None:
-    """The verdict, then one line per prefix tried: its verdict, the covariant
-    that decided its general shape, and the candidates it scored."""
+    """The verdict, then one line per prefix tried: its verdict, the invariant
+    that ruled it out or else the covariant that decided its general shape,
+    and the candidates it scored."""
     print(f"verdict: {decision.verdict}, {decision.candidates} candidate(s) scored")
     for prefix in decision.prefixes:
-        covariant = prefix.covariant
-        how = (
-            "no covariant"
-            if covariant is None
-            else f"covariant {covariant.word} at site {covariant.site} ({covariant.kind})"
-        )
+        covariant, invariant = prefix.covariant, prefix.invariant
+        if invariant is not None:
+            how = (
+                f"invariant {invariant.name} (degree {invariant.degree}) differs: "
+                f"{invariant.source:.6g} against {invariant.target:.6g}"
+            )
+        elif covariant is not None:
+            how = f"covariant {covariant.word} at site {covariant.site} ({covariant.kind})"
+        else:
+            how = "no covariant"
         print(f"{prefix.prefix}: {prefix.verdict}, {how}, {prefix.candidates} candidate(s)")
 
 
@@ -361,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats",
         action="store_true",
-        help="also report the verdict (witness, none or undecided), the covariant that "
-        "decided each prefix and the candidates scored; with --json the output becomes "
+        help="also report the verdict (witness, none or undecided), the invariant or "
+        "covariant that decided each prefix and the candidates scored; with --json the output becomes "
         "an object with verdict, witness, candidates and prefixes",
     )
     p.set_defaults(func=cmd_equiv)

@@ -4,12 +4,21 @@ Three operations map solutions to solutions: multiplication by a nonzero
 scalar, inversion, and local conjugation R -> (Q^-1)^⊗m R Q^⊗m by an
 invertible single-factor matrix Q.  Equivalence of two solutions is
 certified constructively by a witness (a sequence of these operations, with
-Q from the closed forms below) and refuted when those closed forms leave no
-candidate Q that works.
+Q from the closed forms below) and refuted by a gauge invariant that
+differs, or when those closed forms leave no candidate Q that works.
 
 Q^⊗m is m passes of :func:`gybe.core.apply_local` on the identity, the
 action that also gives braid generators their images, and
 :func:`_local_conjugate` is the one place that forms (Q^-1)^⊗m R Q^⊗m.
+
+:func:`decide_equivalence` takes each prefix (R, then R^-1) in three
+steps: the gate (R^-1 must pass :class:`RMatrix`), then the invariants,
+then the shapes.  The invariants are traces of R, R^2 and the squares of
+R's single-site partial traces, which every gauge image keeps up to a
+power of the scalar (:func:`_refuting_invariant`); when no scalar matches
+them within what a witness or a near miss could move, the prefix is
+``none`` with the first invariant that differs, and no candidate is
+scored.  Every other prefix goes on to the witness search.
 
 The witness search runs over 2x2 Q (so d = 2 only), scores each candidate
 by that conjugation and stops at the first within tolerance, taken
@@ -199,20 +208,45 @@ class Covariant:
 
 
 @dataclass(frozen=True)
+class Invariant:
+    """The gauge invariant that ruled a prefix out: ``name``, homogeneous of
+    ``degree`` in R; ``source`` is its value on the prefix's matrix times
+    lambda^degree for the fitted lambda, and ``target`` its value on s."""
+
+    name: str
+    degree: int
+    source: complex
+    target: complex
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "degree": self.degree,
+            "source": [self.source.real, self.source.imag],
+            "target": [self.target.real, self.target.imag],
+        }
+
+
+@dataclass(frozen=True)
 class PrefixDecision:
     """How the search from one prefix of ``r`` (``direct`` or ``inverse``) ended.
 
-    ``verdict`` is ``witness``, ``none`` (no 2x2 Q of the searched shapes
-    works) or ``undecided`` (the general shape found no covariant to reduce
-    by, a candidate missed by no more than rounding could explain, or the
-    prefix's matrix failed the :class:`RMatrix` gate); ``candidates``
-    counts the Q scored.
+    ``verdict`` is ``witness``, ``none`` (an ``invariant`` differs, or no
+    2x2 Q of the searched shapes works) or ``undecided`` (the general shape
+    found no covariant to reduce by, a candidate missed by no more than
+    rounding could explain, or the prefix's matrix failed the
+    :class:`RMatrix` gate); ``candidates`` counts the Q scored.
     """
 
     prefix: str
     verdict: str
     covariant: Covariant | None
     candidates: int
+    invariant: Invariant | None = None
+
+    def to_json_dict(self) -> dict:
+        invariant = None if self.invariant is None else self.invariant.to_json_dict()
+        return {**dataclasses.asdict(self), "invariant": invariant}
 
 
 @dataclass(frozen=True)
@@ -238,7 +272,7 @@ class EquivalenceDecision:
             "verdict": self.verdict,
             "witness": None if self.witness is None else self.witness.to_json_dict(),
             "candidates": self.candidates,
-            "prefixes": [dataclasses.asdict(p) for p in self.prefixes],
+            "prefixes": [p.to_json_dict() for p in self.prefixes],
         }
 
 
@@ -378,6 +412,66 @@ def _partial_trace(w: np.ndarray, m: int, site: int) -> np.ndarray:
     return np.einsum("aibajb->ij", w.reshape(left, 2, right, left, 2, right))
 
 
+def _invariants(a: np.ndarray, m: int) -> list[tuple[str, int, complex, float]]:
+    """(name, degree, value, size) of each gauge invariant of a side 2^m matrix A.
+
+    They are tr A, of degree 1, and tr X^2, of degree 2, for X = A and for
+    each C_k, the trace of A over every site but k (:func:`_partial_trace`;
+    tr C_k is tr A again).  ``size`` is |tr A| or the Frobenius norm of X,
+    which the bounds of :func:`_refuting_invariant` read on s.
+    """
+    trace = complex(np.trace(a))
+    parts = [("R", a)] + [(f"C_{k}", _partial_trace(a, m, k)) for k in range(m)]
+    return [("tr R", 1, trace, abs(trace))] + [
+        (f"tr {name}^2", 2, complex(np.einsum("ij,ji->", x, x)), float(np.vdot(x, x).real) ** 0.5)
+        for name, x in parts
+    ]
+
+
+def _refuting_invariant(r: np.ndarray, s: np.ndarray, m: int, tol: float) -> Invariant | None:
+    """The first invariant of :func:`_invariants` that no scalar carries from r to s, or None.
+
+    For s = lambda (Q^-1)^⊗m r Q^⊗m, each invariant obeys I(s) = lambda^deg
+    I(r) exactly, for any invertible Q, since the partial trace C_k of the
+    image is lambda Q^-1 C_k(r) Q.  The witness search calls a candidate a
+    witness or a near miss when its image T = lambda (Q^-1)^⊗m r Q^⊗m leaves
+    s = T + E with every |E_ij| <= e = max(tol, ``NEAR_MISS``) max|s|.  For
+    side N, let eta = N e.  Then |tr E| <= eta, and for X the identity or a
+    C_k, ||X(E)||_F <= eta (N^2 entries of at most e, or 4 of at most N e / 2).
+    Taking each invariant at degree 2, so that the one unknown mu = lambda^2
+    fits them all (tr enters squared; no sign of lambda is chosen), each
+    moves by at most
+
+        |J(s) - mu J(r)| <= beta = eta (2 size(s) + eta),
+
+    from |(tr s)^2 - (tr T)^2| = |tr E| |tr s + tr T| and
+    tr X(s)^2 - tr X(T)^2 = tr(2 X(s) X(E) - X(E)^2), with size(s) = |tr s|
+    or ||X(s)||_F.  The invariant p with the largest |J_p(r)| / beta_p fits
+    mu' = J_p(s) / J_p(r), within beta_p / |J_p(r)| of every such mu, so such
+    a candidate has every |J(s) - mu' J(r)| <= beta + |J(r)| beta_p / |J_p(r)|.
+    The first invariant beyond that bound rules out every candidate the
+    search could call a witness or a near miss; it is reported at its own
+    degree, lambda^deg I(r) against I(s), with lambda the root of mu' that
+    brings lambda tr r nearer to tr s.  e is at least ``NEAR_MISS`` of max|s|, far
+    above the rounding of these sums, as the search assumes of its images.
+    """
+    eta = len(s) * max(tol, NEAR_MISS) * linalg.max_abs(s)
+    terms = []
+    for (name, degree, a, _), (_, _, b, size) in zip(_invariants(r, m), _invariants(s, m)):
+        power = 2 // degree
+        terms.append((name, degree, a, b, a**power, b**power, eta * (2 * size + eta)))
+    *_, pivot_r, pivot_s, pivot_bound = max(terms, key=lambda t: abs(t[4]) / t[6])
+    if pivot_r == 0:
+        return None
+    mu, spread = pivot_s / pivot_r, pivot_bound / abs(pivot_r)
+    for name, degree, a, b, j_r, j_s, bound in terms:
+        if abs(mu * j_r - j_s) > bound + spread * abs(j_r):
+            lam = cmath.sqrt(mu)
+            source = mu * a if degree == 2 else min(lam * a, -lam * a, key=lambda v: abs(v - b))
+            return Invariant(name, degree, source, b)
+    return None
+
+
 def _split(c: np.ndarray, threshold: float):
     """(kind, eigenvalue mean, eigenvalue gap, basis) of a 2x2 covariant,
     judged against ``threshold``.
@@ -515,6 +609,16 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
     return None, None
 
 
+def _checked_pair(r: RMatrix, s: RMatrix, tol: float) -> float:
+    """``tol`` through its gate, once ``r`` and ``s`` share a signature with d = 2."""
+    tol = linalg.tolerance(tol)
+    if r.signature != s.signature:
+        raise ValueError("witness search needs matching signatures")
+    if r.signature.d != 2:
+        raise ValueError(f"witness search needs local dimension 2, got d = {r.signature.d}")
+    return tol
+
+
 def _search_conjugator(
     r: RMatrix,
     s: RMatrix,
@@ -537,12 +641,8 @@ def _search_conjugator(
     and dropped if its gates reject it.  With no hit the verdict is
     ``undecided`` when the general shape was asked for and could not
     reduce, or when a candidate came within ``NEAR_MISS``, else ``none``.
+    ``tol`` and the pair have passed :func:`_checked_pair`.
     """
-    tol = linalg.tolerance(tol)
-    if r.signature != s.signature:
-        raise ValueError("witness search needs matching signatures")
-    if r.signature.d != 2:
-        raise ValueError(f"witness search needs local dimension 2, got d = {r.signature.d}")
     for shape in shapes:
         if shape not in SHAPES:
             raise ValueError(f"unknown conjugator shape: {shape!r}")
@@ -598,7 +698,7 @@ def search_local_conjugation(
     largest entry of s, or None; absence of a witness is a valid outcome,
     not an error.
     """
-    hit, _ = _search_conjugator(r, s, shapes, with_scalar=False, tol=tol)
+    hit, _ = _search_conjugator(r, s, shapes, with_scalar=False, tol=_checked_pair(r, s, tol))
     if hit is None:
         return None
     return hit[0].q, hit[2]
@@ -609,17 +709,26 @@ def decide_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> E
 
     Tries a scalar combined with a local conjugation of every shape, first
     on ``r`` directly and then on its inverse, which runs only when the
-    direct prefix finds no witness.  The witness lists the operations in
-    application order.  Without one, the verdict is ``undecided`` when
-    some prefix could not reduce (see :class:`PrefixDecision`), as when
-    r^-1 is below the singular-value gate, else ``none``.
+    direct prefix finds no witness.  Once the pair passes its checks, each
+    prefix passes the gate (r^-1 must be an :class:`RMatrix`), then the
+    invariants (:func:`_refuting_invariant`: one that differs makes the
+    prefix ``none`` with no candidate scored), then the shapes.  The
+    witness lists the operations in application order.  Without one, the
+    verdict is ``undecided`` when some prefix could not reduce (see
+    :class:`PrefixDecision`), as when r^-1 is below the singular-value
+    gate, else ``none``.
     """
+    tol = _checked_pair(r, s, tol)
     decisions = []
     for name, ops in (("direct", ()), ("inverse", (GaugeOp.inverse(),))):
         try:
             src = apply_gauge_sequence(r, ops)
         except linalg.SingularMatrixError:  # r^-1 of a large r is below the absolute gate
             decisions.append(PrefixDecision(name, "undecided", None, 0))
+            continue
+        invariant = _refuting_invariant(src.matrix, s.matrix, r.signature.m, tol)
+        if invariant is not None:
+            decisions.append(PrefixDecision(name, "none", None, 0, invariant))
             continue
         hit, decision = _search_conjugator(src, s, SHAPES, with_scalar=True, tol=tol, prefix=name)
         decisions.append(decision)

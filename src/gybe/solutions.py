@@ -227,10 +227,11 @@ class BlockSolution:
         quadrants = [linalg.as_matrix(m) for m in (x, y)]
         if any(m.shape != (4, 4) for m in quadrants):
             raise ValueError("expected a 4x4 matrix")
-        # A block is sqrt2 times its entries, so its off-diagonal entries are checked at tol/sqrt2.
-        entries = _block_entries(linalg.direct_sum(*quadrants), tol / SQRT2)
-        # Python keeps an infinite entry (inf, 0); numpy's product warns and makes it inf+nanj.
-        return BlockSolution(*(DiagBlock(SQRT2 * p, SQRT2 * q) for p, q in entries.tolist()))
+        # A block is sqrt2 times its entries, read at the caller's tol; an
+        # infinite entry becomes inf+nanj, as in a Python product, without numpy's warning.
+        with np.errstate(invalid="ignore"):
+            scaled = SQRT2 * linalg.direct_sum(*quadrants)
+        return BlockSolution(*(DiagBlock(p, q) for p, q in _block_entries(scaled, tol).tolist()))
 
 
 def assemble_quadrant(

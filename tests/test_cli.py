@@ -355,16 +355,29 @@ def test_equiv_stats_report_the_decision(capsys):
         data = json.loads(out)
         assert code == code_wanted and data["verdict"] == verdict
         assert (data["witness"] is None) == (verdict == "none")
-        # Both pairs need the inverse prefix; the direct one is decided by a
-        # covariant with distinct eigenvalues.
+        # Both pairs need the inverse prefix.  The zeta pair's direct prefix
+        # is decided by a covariant with distinct eigenvalues; the apart
+        # pair's two are ruled out by an invariant, named on their lines.
         direct, inverse = data["prefixes"]
         assert direct["verdict"] == "none" and inverse["verdict"] == verdict
-        assert direct["covariant"]["kind"] == "distinct"
+        if verdict == "witness":
+            assert direct["covariant"]["kind"] == "distinct" and direct["invariant"] is None
+        else:
+            assert direct["invariant"]["name"] == inverse["invariant"]["name"] == "tr C_1^2"
+            for line in lines[1:]:
+                assert " invariant tr C_1^2 " in line and line.endswith(", 0 candidate(s)")
         assert data["candidates"] == direct["candidates"] + inverse["candidates"]
     # The optimizer's settings are gone from equiv, not ignored.
     for flag in ("--restarts", "--seed"):
         code, out, _ = run_cli(capsys, "equiv", *apart, flag, "4")
         assert code == 2 and out == ""
+
+
+def test_equiv_checks_the_pair_before_any_invariant(capsys):
+    # rowell and xshape have different traces, but their signatures differ first.
+    code, out, err = run_cli(capsys, "equiv", "--solution", "rowell", "--solution", "xshape", "--stats")
+    assert (code, out) == (2, "")
+    assert "witness search needs matching signatures" in err
 
 
 def test_equiv_requires_two_inputs(capsys):

@@ -261,8 +261,12 @@ def test_word_evaluation_and_gate_recognition_gate_nothing(monkeypatch):
 
 
 def test_the_witness_search_gates_no_count(monkeypatch):
+    # The zeta pair scores candidates at both prefixes; rowell against base1
+    # is ruled out by an invariant at both.
+    zeta = family_solution(1, np.pi / 2)
     base1 = resolve_solution("base1")
     calls = _count_gate_calls(monkeypatch)
-    decision = decide_equivalence(ROWELL, base1)
+    decision = decide_equivalence(zeta, ROWELL)
     assert sum(p.candidates for p in decision.prefixes) > len(decision.prefixes)
+    assert decide_equivalence(ROWELL, base1).candidates == 0
     assert calls == []

@@ -1,6 +1,7 @@
 """Tests for gauge operations, invariants, and the witness search."""
 
 import contextlib
+import json
 import sys
 
 import numpy as np
@@ -144,7 +145,8 @@ def _complex_normal(rng, n):
 
 def _decide_prefix(r, s, shapes=equivalence.SHAPES, *, invert=False, tol=WITNESS_TOL):
     """(decision, ops): the scalar-and-conjugation search from one prefix
-    of ``r`` (inverted or not) over ``shapes`` alone.  ``decision`` is its
+    of ``r`` (inverted or not) over ``shapes`` alone, without the pair
+    checks and the invariants that ``decide_equivalence`` runs first.  ``decision`` is its
     :class:`~gybe.equivalence.PrefixDecision` and ``ops`` the gauge
     sequence that replays the witness from ``r``, or None."""
     prefix = (GaugeOp.inverse(),) if invert else ()
@@ -338,6 +340,17 @@ def test_witness_searches_reject_a_nan_or_negative_tolerance(tol):
     for search in (decide_equivalence, search_equivalence, search_local_conjugation):
         with pytest.raises(ValueError, match="tolerance must be non-negative"):
             search(r, r, tol=tol)
+
+
+def test_the_pair_is_checked_before_any_invariant():
+    # Each pair's traces differ, so an invariant would rule it out; the
+    # checks of the pair come first and raise as they always have.
+    with pytest.raises(ValueError, match="^witness search needs matching signatures$"):
+        decide_equivalence(rowell_solution(), resolve_solution("xshape"))
+    signature = GybeSignature(3, 2, 1)
+    r, s = RMatrix(signature, linalg.identity(9)), RMatrix(signature, np.diag(np.arange(1.0, 10.0)))
+    with pytest.raises(ValueError, match="^witness search needs local dimension 2, got d = 3$"):
+        decide_equivalence(r, s)
 
 
 def test_witness_search_needs_local_dimension_two():
@@ -636,19 +649,128 @@ def test_the_decision_does_not_depend_on_the_scale_of_s(pair, image, invert, see
         assert moved.witness.residual <= WITNESS_TOL * linalg.max_abs(scaled.matrix)
 
 
+_SOLUTION_IDS = st.one_of(
+    st.sampled_from(registry_ids()),
+    st.builds("family{}:theta={!r}".format, st.integers(1, 3), st.floats(0.0, np.pi)),
+)
+_PLANTED = {
+    "name": _SOLUTION_IDS,
+    "invert": st.booleans(),
+    "seed": st.integers(0, 2**32 - 1),
+    "k": st.integers(-11, 6),
+}
+
+
+def _planted(name: str, invert: bool, seed: int, k: int) -> tuple[RMatrix, RMatrix, complex]:
+    """(source, s, lambda): solution ``name``, inverted or not, and
+    s = lambda (Q^-1)^⊗m source Q^⊗m with cond(Q) <= 10 and lambda = 10^k e^(i phi)."""
+    rng = np.random.default_rng(seed)
+    source = apply_gauge_sequence(resolve_solution(name), (GaugeOp.inverse(),) if invert else ())
+    lam = 10.0**k * np.exp(2j * np.pi * rng.random())
+    try:
+        s = apply_gauge_sequence(source, (GaugeOp.local_conj(_conditioned_q(rng, 10.0)), GaugeOp.scalar(lam)))
+    except linalg.SingularMatrixError:
+        assume(False)
+    return source, s, lam
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_PLANTED)
+def test_the_invariants_are_covariant_within_the_documented_bound(name, invert, seed, k):
+    """Each invariant of a planted image is lambda^deg times the source's, within
+    the bound of _refuting_invariant at the witness tolerance: eta = N e for
+    the trace, eta (2 size(s) + eta) for the others."""
+    source, s, lam = _planted(name, invert, seed, k)
+    eta = s.size * max(WITNESS_TOL, equivalence.NEAR_MISS) * linalg.max_abs(s.matrix)
+    m = s.signature.m
+    rows = zip(equivalence._invariants(source.matrix, m), equivalence._invariants(s.matrix, m))
+    for (label, degree, a, _), (_, _, b, size) in rows:
+        bound = eta if degree == 1 else eta * (2 * size + eta)
+        assert abs(b - lam**degree * a) <= bound, label
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_PLANTED)
+def test_no_planted_gauge_image_is_ruled_out_by_an_invariant(name, invert, seed, k):
+    source, s, _ = _planted(name, invert, seed, k)
+    assert equivalence._refuting_invariant(source.matrix, s.matrix, s.signature.m, WITNESS_TOL) is None
+
+
+@pytest.mark.parametrize("phases", ["one", "aligned", "random"])
+def test_an_image_moved_within_the_near_miss_is_never_ruled_out(phases):
+    """A planted image plus E, every |E_ij| = 0.99 NEAR_MISS max|s|, keeps a
+    candidate the search could call a near miss, so no invariant may rule
+    its prefix out.  E takes one phase, the phases of s^T conjugated and
+    turned to tr s (which moves tr s^2 and the partial traces most), or
+    random phases."""
+    for name in registry_ids():
+        for invert in (False, True):
+            for seed in range(4):
+                rng = np.random.default_rng([35, seed])
+                source, s, _ = _planted(name, invert, seed, 0)
+                if phases == "one":
+                    phase = np.exp(2j * np.pi * rng.random())
+                elif phases == "aligned":
+                    phase = np.exp(1j * (np.angle(np.trace(s.matrix)) - np.angle(s.matrix.T)))
+                else:
+                    phase = np.exp(2j * np.pi * rng.random(s.matrix.shape))
+                moved = s.matrix + 0.99 * equivalence.NEAR_MISS * linalg.max_abs(s.matrix) * phase
+                refuted = equivalence._refuting_invariant(source.matrix, moved, s.signature.m, WITNESS_TOL)
+                assert refuted is None, (name, invert, seed)
+
+
+def _refuted_verdicts(r: RMatrix, s: RMatrix) -> list[str]:
+    """The unchanged search's verdict at each prefix of r that an invariant rules out."""
+    verdicts = []
+    for invert in (False, True):
+        source = apply_gauge_sequence(r, (GaugeOp.inverse(),) if invert else ())
+        if equivalence._refuting_invariant(source.matrix, s.matrix, r.signature.m, WITNESS_TOL) is not None:
+            verdicts.append(_decide_prefix(r, s, invert=invert)[0].verdict)
+    return verdicts
+
+
+def test_an_invariant_rules_out_no_registry_prefix_with_a_witness():
+    verdicts = [
+        verdict for a, b in _SAME_SIGNATURE for verdict in _refuted_verdicts(resolve_solution(a), resolve_solution(b))
+    ]
+    assert verdicts and set(verdicts) <= {"none", "undecided"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.tuples(_SOLUTION_IDS, _SOLUTION_IDS))
+def test_an_invariant_rules_out_no_family_prefix_with_a_witness(pair):
+    r, s = (resolve_solution(name) for name in pair)
+    assume(r.signature == s.signature)
+    assert set(_refuted_verdicts(r, s)) <= {"none", "undecided"}
+
+
 @pytest.mark.parametrize("c", [1.0, 1e14])
 def test_an_inverse_below_the_singular_value_gate_leaves_its_prefix_undecided(c):
     # (1e14 rowell)^-1 has singular values 1e-14, below the 1e-13 gate of
     # RMatrix; the inverse prefix used to raise SingularMatrixError.  At
     # c = 1 both prefixes decide, as they always have.
     r, s = rowell_solution(), resolve_solution("base2")
-    decision = decide_equivalence(RMatrix(r.signature, c * r.matrix, r.label), s)
+    scaled = RMatrix(r.signature, c * r.matrix, r.label)
+    # The search alone: a covariant decides each prefix it can reach.
     distinct = equivalence.Covariant("R", 1, "distinct")
-    inverse = ("inverse", "none", distinct, 2) if c == 1 else ("inverse", "undecided", None, 0)
-    assert [(p.prefix, p.verdict, p.covariant, p.candidates) for p in decision.prefixes] == [
+    searched = [_decide_prefix(scaled, s)[0]]
+    if c == 1:
+        searched.append(_decide_prefix(scaled, s, invert=True)[0])
+    else:
+        with pytest.raises(linalg.SingularMatrixError):
+            _decide_prefix(scaled, s, invert=True)
+    assert [(p.prefix, p.verdict, p.covariant, p.candidates) for p in searched] == [
         ("direct", "none", distinct, 2),
-        inverse,
-    ]
+        ("inverse", "none", distinct, 2),
+    ][: len(searched)]
+    # The decision rules out each prefix past its gate by an invariant first;
+    # the inverse that fails the gate stays undecided.
+    decision = decide_equivalence(scaled, s)
+    inverse = ("inverse", "none", None, 0, "tr R^2") if c == 1 else ("inverse", "undecided", None, 0, None)
+    assert [
+        (p.prefix, p.verdict, p.covariant, p.candidates, p.invariant and p.invariant.name)
+        for p in decision.prefixes
+    ] == [("direct", "none", None, 0, "tr R^2"), inverse]
     assert decision.witness is None
     assert decision.verdict == ("none" if c == 1 else "undecided")
 
@@ -813,9 +935,15 @@ def test_scored_candidates_build_no_rmatrix(monkeypatch):
     r = general_solution(1, 1, 1j)
     s = general_solution(1, 1, np.exp(0.7j))
     labels = _rmatrix_labels(monkeypatch)
+    searched = [_decide_prefix(r, s, invert=invert)[0] for invert in (False, True)]
+    assert all(p.verdict == "none" for p in searched) and sum(p.candidates for p in searched) >= 4
+    assert all(p.covariant is not None for p in searched)
+    assert labels == [f"inverse({r.label})"]
+    # The decision rules out both prefixes by an invariant and scores none.
+    labels.clear()
     decision = decide_equivalence(r, s)
-    assert decision.verdict == "none" and decision.candidates >= 4
-    assert all(p.covariant is not None for p in decision.prefixes)
+    assert decision.verdict == "none" and decision.candidates == 0
+    assert [p.invariant.name for p in decision.prefixes] == ["tr C_1^2", "tr C_1^2"]
     assert labels == [f"inverse({r.label})"]
 
 
@@ -871,26 +999,44 @@ def test_words_walk_only_the_site_transpositions():
 def test_all_scalar_covariants_leave_the_pair_undecided():
     # Every word in the identity and the swap, and each partial trace, is
     # scalar, so no covariant can reduce Q; the graded shapes fail on the
-    # support.  The pair is inequivalent, yet "none" would not be a proof.
+    # support.  The pair is inequivalent, yet the search's "none" would not
+    # be a proof.
     signature = GybeSignature(2, 2, 1)
     swap = linalg.identity(4)[[0, 2, 1, 3]]
     r, s = RMatrix(signature, linalg.identity(4), "I"), RMatrix(signature, swap, "swap")
-    decision = decide_equivalence(r, s)
-    assert decision.witness is None and decision.verdict == "undecided"
-    assert [p.prefix for p in decision.prefixes] == ["direct", "inverse"]
-    assert all(p.verdict == "undecided" and p.covariant is None for p in decision.prefixes)
-    assert search_equivalence(r, s) is None
+    searched = [_decide_prefix(r, s, invert=invert)[0] for invert in (False, True)]
+    assert [p.prefix for p in searched] == ["direct", "inverse"]
+    assert all(p.verdict == "undecided" and p.covariant is None for p in searched)
     # Over the graded shapes alone, "none" is a decision.
     for invert in (False, True):
         assert _decide_prefix(r, s, ("diagonal", "antidiagonal"), invert=invert)[0].verdict == "none"
+    # The invariants prove it: lambda = 1/2 takes tr I = 4 onto tr SWAP = 2,
+    # and then lambda^2 tr I^2 = 1 against tr SWAP^2 = 4.
+    decision = decide_equivalence(r, s)
+    assert decision.witness is None and decision.verdict == "none"
+    assert [p.prefix for p in decision.prefixes] == ["direct", "inverse"]
+    for p in decision.prefixes:
+        assert (p.verdict, p.covariant, p.candidates) == ("none", None, 0)
+        assert (p.invariant.name, p.invariant.degree) == ("tr R^2", 2)
+        assert abs(p.invariant.source - 1) <= 1e-12 and abs(p.invariant.target - 4) <= 1e-12
+    assert search_equivalence(r, s) is None
 
 
 def test_decision_json_reports_verdict_and_covariant():
     r, s = family_solution(1, 0.3), family_solution(1, 1.1)
-    data = decide_equivalence(r, s).to_json_dict()
+    # The search alone decides each prefix by a covariant.
+    for invert in (False, True):
+        prefix = _decide_prefix(r, s, invert=invert)[0].to_json_dict()
+        assert prefix["verdict"] == "none" and prefix["invariant"] is None
+        assert set(prefix["covariant"]) == {"word", "site", "kind"}
+    # The decision rules each prefix out by an invariant, in strict JSON.
+    data = json.loads(json.dumps(decide_equivalence(r, s).to_json_dict(), allow_nan=False))
     assert data["verdict"] == "none" and data["witness"] is None
     assert [p["prefix"] for p in data["prefixes"]] == ["direct", "inverse"]
     for prefix in data["prefixes"]:
-        assert prefix["verdict"] == "none"
-        assert set(prefix["covariant"]) == {"word", "site", "kind"}
-    assert data["candidates"] == sum(p["candidates"] for p in data["prefixes"])
+        assert prefix["verdict"] == "none" and prefix["covariant"] is None
+        invariant = prefix["invariant"]
+        assert (invariant["name"], invariant["degree"]) == ("tr C_1^2", 2)
+        assert all(len(invariant[key]) == 2 for key in ("source", "target"))
+        assert abs(complex(*invariant["source"]) - complex(*invariant["target"])) > 1
+    assert data["candidates"] == sum(p["candidates"] for p in data["prefixes"]) == 0

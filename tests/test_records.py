@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gybe
 from gybe.braiding import BraidRep, StateVector
 from gybe.core import CheckReport, GybeSignature
-from gybe.equivalence import EquivalenceDecision, EquivalenceWitness, GaugeOp, PrefixDecision
+from gybe.equivalence import EquivalenceDecision, EquivalenceWitness, GaugeOp, Invariant, PrefixDecision
 from gybe.optimize import LeastSquaresResult
 from gybe.search import RestartReport, SearchConfig, SearchResult, ZeroPattern, rowell_pattern, solve_pattern
 from gybe.solutions import rowell_solution
@@ -71,6 +71,18 @@ def test_an_equivalence_decision_computes_its_verdict():
     # A verdict that contradicts the witness can no longer be given.
     with pytest.raises(TypeError):
         EquivalenceDecision(None, "witness", ())
+    # A refuting invariant's complex values are written as [re, im] pairs.
+    refuted = PrefixDecision("direct", "none", None, 0, Invariant("tr R^2", 2, 1 + 0j, 4 - 0.5j))
+    assert EquivalenceDecision(None, (refuted, none)).to_json_dict()["prefixes"] == [
+        {
+            "prefix": "direct",
+            "verdict": "none",
+            "covariant": None,
+            "candidates": 0,
+            "invariant": {"name": "tr R^2", "degree": 2, "source": [1.0, 0.0], "target": [4.0, -0.5]},
+        },
+        {"prefix": "direct", "verdict": "none", "covariant": None, "candidates": 4, "invariant": None},
+    ]
 
 
 INIT_FIELDS = {
@@ -79,6 +91,8 @@ INIT_FIELDS = {
     LeastSquaresResult: ["x", "trace", "iterations", "reason", "residual_evals"],
     RestartReport: ["reason", "iterations", "residual_evals", "trace", "dedup_key"],
     SearchResult: ["solutions", "restarts", "live_residual_rows", "total_residual_rows"],
+    PrefixDecision: ["prefix", "verdict", "covariant", "candidates", "invariant"],
+    Invariant: ["name", "degree", "source", "target"],
 }
 
 

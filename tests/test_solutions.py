@@ -562,6 +562,24 @@ def test_block_solution_rejects_a_non_finite_entry_in_any_block(index, bad, entr
             BlockSolution.from_matrices(*quadrants)
 
 
+@pytest.mark.parametrize("tol", [1e-10, 3e-10])
+def test_from_matrices_names_the_caller_s_tolerance(tol):
+    # The reader sees the blocks, sqrt2 times the entries, at the caller's
+    # tol; it used to run at tol/sqrt2 and name 7.07107e-11 for 1e-10.
+    base = base_solution(1)
+    x = base.x_matrix()
+    x[0, 1] = 1e-9
+    message = (
+        "not in block-solution form: the 2x2 sub-blocks of X are not diagonal "
+        f"(off-diagonal entries reach 1.414e-09, above tolerance {tol:g})"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BlockSolution.from_matrices(x, base.y_matrix(), tol)
+    # A block reads sqrt2 times its two entries, as one product each.
+    s = BlockSolution.from_matrices(x, base.y_matrix(), 1.5e-9)
+    assert (s.A.p, s.A.q) == (solutions.SQRT2 * x[0, 0].item(), solutions.SQRT2 * x[1, 1].item())
+
+
 _UNIT = st.floats(0, 2 * np.pi).map(lambda t: complex(np.exp(1j * t)))
 
 

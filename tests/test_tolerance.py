@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gybe
-from gybe import linalg
+from gybe import equivalence, linalg
 from gybe.braiding import build_rep, recognize_braiding_gate
 from gybe.core import CheckReport, GybeSignature, check_far_commutativity, check_gybe, check_ybe
 from gybe.equivalence import decide_equivalence, search_equivalence, search_local_conjugation
@@ -144,9 +144,16 @@ def test_the_search_gates_once_not_per_iteration(monkeypatch):
     assert calls == [(config.tolerance**2, "objective_tol")]
 
 
-def test_the_witness_search_gates_once_per_prefix_not_per_candidate(monkeypatch):
-    base1 = resolve_solution("base1")
+def test_the_witness_search_gates_once_per_call_not_per_candidate(monkeypatch):
+    # The zeta pair scores candidates at both prefixes (a miss, then the
+    # witness through the inverse); rowell against base1 is ruled out by an
+    # invariant at both, before any candidate.
+    zeta, base1 = resolve_solution(f"family1:theta={np.pi / 2!r}"), resolve_solution("base1")
     calls = _count_gate_calls(monkeypatch)
+    decision = decide_equivalence(zeta, ROWELL)
+    assert sum(p.candidates for p in decision.prefixes) > len(decision.prefixes) == 2
+    assert calls == [(equivalence.WITNESS_TOL,)]
+    calls.clear()
     decision = decide_equivalence(ROWELL, base1)
-    assert sum(p.candidates for p in decision.prefixes) > len(decision.prefixes)
-    assert len(calls) == len(decision.prefixes)
+    assert [p.invariant is not None for p in decision.prefixes] == [True, True]
+    assert calls == [(equivalence.WITNESS_TOL,)]
