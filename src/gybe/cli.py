@@ -193,7 +193,7 @@ def cmd_equiv(args) -> int:
             print(_json(None) if witness is None else _report_json(args, witness.to_json_dict()))
     else:
         if witness is None:
-            print("none")
+            print(decision.verdict)
         else:
             steps = ", ".join(op.kind for op in witness.ops)
             print(f"witness [{steps}] residual {witness.residual:.3e}")

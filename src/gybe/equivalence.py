@@ -379,31 +379,26 @@ def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, with_scalar: bool, tol:
     yield linalg.identity(2) + coefficient * _JORDAN
 
 
-def _site_transposition(m: int, i: int, j: int) -> tuple[str, np.ndarray]:
-    """(tag, P) for the permutation matrix that swaps qubit sites i and j of m."""
-    perm = list(range(m))
-    perm[i], perm[j] = j, i
-    index = np.arange(2**m).reshape((2,) * m).transpose(perm).reshape(-1)
-    return "P" + "".join(map(str, perm)), linalg.identity(2**m)[index]
-
-
 def _words(r: np.ndarray, m: int):
     """(name, degree in r, W(r)) for the words in r and the site
     transpositions P, in the order the reduction tries them.  Each P
     commutes with Q^⊗m, so every word is covariant.  Only the m(m-1)/2
-    transpositions enter, built when reached, so a pair no word decides
-    costs O(m^2) products of side 2^m, not m!."""
+    transpositions enter, each as the index p that swaps two bits, so
+    that R P is ``r[:, p]`` and P R P is ``r[p][:, p]``; a pair no word
+    decides costs O(m^2) products of side 2^m, not m!."""
     r2 = r @ r
     yield "R", 1, r
     yield "R^2", 2, r2
     yield "R^3", 3, r2 @ r
     for i, j in itertools.combinations(range(m), 2):
-        tag, p = _site_transposition(m, i, j)
-        rp = r @ p
+        perm = list(range(m))
+        perm[i], perm[j] = j, i
+        p = np.arange(2**m).reshape((2,) * m).transpose(perm).reshape(-1)
+        tag, rp = "P" + "".join(map(str, perm)), r[:, p]
         yield f"R {tag}", 1, rp
         yield f"R {tag} R", 2, rp @ r
-        yield f"R^2 {tag}", 2, r2 @ p
-        yield f"{tag} R {tag} R", 2, p @ r @ p @ r
+        yield f"R^2 {tag}", 2, r2[:, p]
+        yield f"{tag} R {tag} R", 2, r[p][:, p] @ r
 
 
 def _partial_trace(w: np.ndarray, m: int, site: int) -> np.ndarray:
@@ -473,23 +468,27 @@ def _refuting_invariant(r: np.ndarray, s: np.ndarray, m: int, tol: float) -> Inv
 
 
 def _split(c: np.ndarray, threshold: float):
-    """(kind, eigenvalue mean, eigenvalue gap, basis) of a 2x2 covariant,
+    """(kind, eigenvalue mean, separation, basis) of a 2x2 covariant,
     judged against ``threshold``.
 
-    ``kind`` is ``scalar``, ``distinct`` (``basis`` holds unit
-    eigenvectors) or ``jordan`` (one Jordan block: ``basis`` = [N e_j, e_j]
-    for N the traceless part, so that N = basis · [[0, 1], [0, 0]] ·
-    basis^-1).
+    ``kind`` is ``scalar`` (no separation or basis), ``distinct`` (the
+    eigenvalue gap, and unit eigenvectors) or ``jordan`` (one Jordan
+    block: the length of N e_j, and ``basis`` = [N e_j, e_j] for N the
+    traceless part, so that N = basis · [[0, 1], [0, 0]] · basis^-1).
+    N = [[a, b], [c, -a]] has eigenvalues ±sqrt(a^2 + bc), taken from its
+    entries as Python numbers, which neither warn nor lose a subnormal
+    entry the way a determinant's factorization does.
     """
     mean = np.trace(c) / 2
     traceless = c - mean * linalg.identity(2)
-    # The traceless part has eigenvalues ±sqrt(-det).
-    gap = 2 * abs(cmath.sqrt(-np.linalg.det(traceless)))
     if linalg.max_abs(traceless) <= threshold:
-        return "scalar", mean, gap, None
+        return "scalar", mean, None, None
+    (a, b), (c, _) = traceless.tolist()
+    gap = 2 * abs(cmath.sqrt(a * a + b * c))
     if gap <= threshold:
         j = int(np.argmax(np.linalg.norm(traceless, axis=0)))
-        return "jordan", mean, gap, np.column_stack([traceless[:, j], linalg.identity(2)[:, j]])
+        basis = np.column_stack([traceless[:, j], linalg.identity(2)[:, j]])
+        return "jordan", mean, np.linalg.norm(basis[:, 0]), basis
     return "distinct", mean, gap, np.linalg.eig(traceless)[1]
 
 
@@ -502,31 +501,30 @@ def _well_conditioned(basis: np.ndarray) -> bool:
 
 
 def _reducing_covariant(w: np.ndarray, m: int, threshold: float, *, with_scalar: bool):
-    """(site, kind, mean, length, basis) of the covariant of word w to reduce by, or None.
+    """(site, kind, mean, separation, basis) of the covariant of word w to reduce by, or None.
 
-    A distinct covariant needs an eigenvalue gap, and a Jordan one a
-    nilpotent part, above ``SEPARATION_GATE`` times ``threshold``; a Jordan
-    one needs a nonzero mean when lambda is free, and both a basis that
-    passes ``EIGENVECTOR_GATE``.  A Jordan covariant needs no
-    eigenvectors, so the first one wins; else the distinct one with the
-    widest gap, whose eigenvectors carry the least rounding.  The Jordan
-    basis gets a unit first column, and ``length`` is the norm it had (1
-    for distinct).
+    A covariant needs a separation (:func:`_split`) above
+    ``SEPARATION_GATE`` times ``threshold``; a Jordan one needs a nonzero
+    mean when lambda is free, and both a basis that passes
+    ``EIGENVECTOR_GATE``.  A Jordan covariant needs no eigenvectors, so
+    the first one wins; else the distinct one with the widest gap, whose
+    eigenvectors carry the least rounding.  The Jordan basis's first
+    column is divided by its separation, to unit length.
     """
     best, best_rank = None, -1.0
     for site in range(m):
-        kind, mean, gap, basis = _split(_partial_trace(w, m, site), threshold)
+        kind, mean, separation, basis = _split(_partial_trace(w, m, site), threshold)
         if kind == "scalar" or (kind == "jordan" and with_scalar and abs(mean) <= threshold):
             continue
-        length = 1.0 if kind == "distinct" else np.linalg.norm(basis[:, 0])
-        if (gap if kind == "distinct" else length) <= SEPARATION_GATE * threshold:
+        if separation <= SEPARATION_GATE * threshold:
             continue
-        basis[:, 0] /= length
+        if kind == "jordan":
+            basis[:, 0] /= separation
         if not _well_conditioned(basis):
             continue
-        rank = np.inf if kind == "jordan" else gap
+        rank = np.inf if kind == "jordan" else separation
         if rank > best_rank:
-            best, best_rank = (site, kind, mean, length, basis), rank
+            best, best_rank = (site, kind, mean, separation, basis), rank
     return best
 
 
@@ -571,11 +569,11 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
         best = _reducing_covariant(wr, m, threshold_r, with_scalar=with_scalar)
         if best is None:
             continue
-        site, kind, mean_r, length, basis_r = best
+        site, kind, mean_r, separation_r, basis_r = best
         covariant = Covariant(word, site, kind)
         threshold_s = threshold_r * growth**degree
         cs = _partial_trace(ws, m, site)
-        kind_s, mean_s, gap_s, basis_s = _split(cs, threshold_s)
+        kind_s, mean_s, separation_s, basis_s = _split(cs, threshold_s)
         if kind_s != kind:
             # A gap between eigenvalues is invariant, so one on the other
             # side of the threshold rules s out.  A scalar s, or a distinct
@@ -585,14 +583,13 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
                 return covariant, None
             return covariant, ()
         # s's basis carries the rounding of s's own word, which Q^⊗m may swell.
-        separation = gap_s if kind == "distinct" else np.linalg.norm(basis_s[:, 0])
-        if separation <= SEPARATION_GATE * COVARIANT_RTOL * linalg.max_abs(ws):
+        if separation_s <= SEPARATION_GATE * COVARIANT_RTOL * linalg.max_abs(ws):
             return covariant, None
         if kind == "jordan":
             if with_scalar and abs(mean_s) <= threshold_s / COVARIANT_MARGIN:  # lambda^deg = 0
                 return covariant, ()
-            # r's block became length · [[0, 1], [0, 0]]; s's must become lambda^deg times that.
-            basis_s[:, 0] /= (mean_s / mean_r if with_scalar else 1.0) * length
+            # r's block became separation_r · [[0, 1], [0, 0]]; s's must become lambda^deg times that.
+            basis_s[:, 0] /= (mean_s / mean_r if with_scalar else 1.0) * separation_r
         if not _well_conditioned(basis_s):
             return covariant, None
         conj_r, conj_s = GaugeOp.local_conj(basis_r), GaugeOp.local_conj(basis_s)

@@ -325,6 +325,25 @@ def test_equiv_reports_none_for_distinct_classes(capsys):
     assert out.strip() == "none"
 
 
+def test_equiv_prints_undecided_for_a_pair_it_could_not_decide(tmp_path, capsys):
+    # Rowell with entry (0, 0) raised by 3e-7: the direct prefix's best
+    # candidate misses within NEAR_MISS, so there is no witness and no "none".
+    near = rowell_solution().matrix.copy()
+    near[0, 0] += 3e-7
+    path = tmp_path / "near.json"
+    path.write_text(linalg.matrix_to_json(near))
+    argv = ("equiv", "--solution", "rowell", "--matrix", str(path), "--signature", "2,3,1")
+    assert run_cli(capsys, *argv)[:2] == (1, "undecided\n")
+    code, out, _ = run_cli(capsys, *argv, "--stats")
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "undecided",
+        "verdict: undecided, 4 candidate(s) scored",
+        "direct: undecided, covariant R at site 1 (distinct), 2 candidate(s)",
+    ]
+    assert run_cli(capsys, *argv, "--json")[:2] == (1, "null\n")
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e-9])
 def test_equiv_does_not_accept_any_conjugator_for_a_tiny_target(scale, tmp_path, capsys):
     # An absolute tolerance passed every candidate once the target's entries

@@ -1,12 +1,14 @@
 """Tests for gauge operations, invariants, and the witness search."""
 
 import contextlib
+import itertools
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from random_unitary import random_unitary
 
@@ -738,6 +740,9 @@ def test_an_invariant_rules_out_no_registry_prefix_with_a_witness():
 
 @settings(max_examples=60, deadline=None)
 @given(pair=st.tuples(_SOLUTION_IDS, _SOLUTION_IDS))
+# Subnormal angles, whose covariants a determinant turned into warnings.
+@example(pair=("rowell", "family3:theta=5e-324"))
+@example(pair=("family3:theta=0.0", "family1:theta=2.225073858507203e-309"))
 def test_an_invariant_rules_out_no_family_prefix_with_a_witness(pair):
     r, s = (resolve_solution(name) for name in pair)
     assume(r.signature == s.signature)
@@ -994,6 +999,80 @@ def test_words_walk_only_the_site_transpositions():
         # Each word is covariant, and homogeneous of its degree in r.
         assert np.allclose(wc, np.linalg.solve(q, w @ q)), name
         assert np.allclose(ws, 2**degree * w), name
+
+
+def _swap_sites(k: int, m: int, i: int, j: int) -> int:
+    """Index k of m qubits (site 0 the leading bit) with the bits of sites i and j swapped."""
+    bits = [(k >> (m - 1 - site)) & 1 for site in range(m)]
+    bits[i], bits[j] = bits[j], bits[i]
+    return int("".join(map(str, bits)), 2)
+
+
+def _words_by_products(r: np.ndarray, m: int) -> list:
+    """The words of ``_words``, each transposition an explicit permutation matrix."""
+    r2 = r @ r
+    words = [("R", 1, r), ("R^2", 2, r2), ("R^3", 3, r2 @ r)]
+    for i, j in itertools.combinations(range(m), 2):
+        p = np.zeros((2**m, 2**m), dtype=complex)
+        for k in range(2**m):
+            p[k, _swap_sites(k, m, i, j)] = 1
+        perm = list(range(m))
+        perm[i], perm[j] = j, i
+        tag = "P" + "".join(map(str, perm))
+        words += [
+            (f"R {tag}", 1, r @ p),
+            (f"R {tag} R", 2, r @ p @ r),
+            (f"R^2 {tag}", 2, r2 @ p),
+            (f"{tag} R {tag} R", 2, p @ r @ p @ r),
+        ]
+    return words
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), zeroed=st.floats(0.0, 0.9))
+def test_words_permute_by_index_as_the_permutation_matrices_multiply(m, seed, zeroed):
+    # Entries, and real or imaginary parts, zeroed at random: the indexed
+    # words equal the matrix products bit for bit, zero signs included.
+    rng = np.random.default_rng(seed)
+    r = _complex_normal(rng, 2**m)
+    r[rng.random(r.shape) < zeroed] = 0
+    r.real[rng.random(r.shape) < zeroed / 2] = 0
+    r.imag[rng.random(r.shape) < zeroed / 2] = 0
+    words = list(equivalence._words(r, m))
+    expected = _words_by_products(r, m)
+    assert [w[:2] for w in words] == [w[:2] for w in expected]
+    for (name, _, w), (_, _, product) in zip(words, expected):
+        assert w.tobytes() == product.tobytes(), name
+    # A product by P adds +0.0 to a -0.0 entry of -r; indexing keeps the entry.
+    for (name, _, w), (_, _, product) in zip(equivalence._words(-r, m), _words_by_products(-r, m)):
+        np.testing.assert_array_equal(w, product, err_msg=name)
+
+
+def test_split_reads_a_subnormal_covariant_without_a_determinant():
+    # A covariant of family 1 at theta = 2.225073858507203e-309, less its
+    # mean.  LAPACK's determinant of it warned and gave NaN, so its NaN gap
+    # read as two distinct eigenvalues; sqrt(a^2 + bc) is 5e-155, a Jordan block.
+    c = np.array([[0, np.sqrt(2)], [1.57e-309, 0]], dtype=complex)
+    # A scalar covariant of family 3 at theta = 5e-324, which warned too: it
+    # is judged before any eigenvalue arithmetic.
+    scalar = np.array([[1, -5e-324j], [-5e-324j, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kind, mean, separation, basis = equivalence._split(c, 1e-6)
+        assert equivalence._split(scalar, 1e-6) == ("scalar", 1, None, None)
+    assert (kind, mean, separation) == ("jordan", 0, np.sqrt(2))
+    np.testing.assert_array_equal(basis, [[np.sqrt(2), 0], [0, 1]])
+
+
+def test_a_planted_image_of_a_subnormal_angle_has_a_witness():
+    r = resolve_solution("family3:theta=5e-324")
+    q = np.array([[1.0, 0.3 + 0.2j], [-0.1j, 0.9]])
+    s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(0.8j)))
+    decision = decide_equivalence(r, s)
+    assert decision.verdict == "witness"
+    assert decision.prefixes[0].covariant == equivalence.Covariant("R P102", 0, "distinct")
+    replayed = apply_gauge_sequence(r, decision.witness.ops).matrix
+    assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL
 
 
 def test_all_scalar_covariants_leave_the_pair_undecided():

@@ -76,7 +76,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     assert argvs[-usage:] == list(map(list, same_output.USAGE_ERRORS))
     for name in (same_output.STATE_4X4, same_output.ROWELL_X2, same_output.STATE_E0):
         assert (tmp_path / name).is_file()
-    for name in (same_output.ROWELL_LEAKY_Y, same_output.ROWELL_NEAR):
+    for name in (same_output.ROWELL_LEAKY_Y, same_output.ROWELL_NEAR, same_output.ROWELL_NEAR_MISS):
         assert (tmp_path / name).is_file()
     refused = list(map(list, same_output.REFUSED_INPUTS))
     assert len(refused) == 5 and all(a in argvs[-usage:] for a in refused)
@@ -85,22 +85,29 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     tol = [a for a in argvs[-usage:] if "--tol" in a and a not in [*same_output.CONFIG_ERRORS, *refused]]
     assert tol == [[*a, "--tol", t] for a in same_output.TOL_COMMANDS for t in ("nan", "-1", "inf")]
     assert argvs[-8:-2] == list(map(list, same_output.CONFIG_ERRORS))
-    # Three equiv pools of 112 ops, twice; two braid pools of 120, the 40
+    # Three equiv pools of 112 ops, twice with --json and twice in plain
+    # text; two braid pools of 120, the 40
     # --json ops of the second again in text and its 40 --compare ops again
     # with --json; two verify pools of 192, each with its 32 classify ops
-    # again in JSON and its 32 perturbed matrices classified twice; three
-    # family members by theta in text, three by alpha and beta, in text and
+    # again in JSON and its 32 perturbed matrices classified twice; the
+    # near-miss equiv three times; three family members by theta in text, three by alpha and beta, in text and
     # JSON, and one alpha with a space after its comma; six xshape braids;
     # four searches in JSON, four in text and four in text on the JSON
     # pattern, then two on each of two other signatures; and the 21 usage
     # errors of other gates, the 5 refused inputs, the tolerance gate's 15
     # and the 6 config errors.
     assert len(argvs) == (
-        3 * 112 * 2 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 1 + 6 + 12 + 4 + 21 + 5 + 15 + 6
+        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 3 + 6 + 1 + 6 + 12 + 4 + 21 + 5 + 15 + 6
     )
     argvs = argvs[:-usage]
     equiv = [a for a in argvs if a[0] == "equiv"]
-    assert equiv[1::2] == [a + ["--stats"] for a in equiv[0::2]]
+    for k in range(3):
+        as_json, plain = equiv[448 * k : 448 * k + 224], equiv[448 * k + 224 : 448 * (k + 1)]
+        assert all(a[-1] == "--json" for a in as_json[0::2])
+        assert as_json[1::2] == [a + ["--stats"] for a in as_json[0::2]]
+        assert plain == [[v for v in a if v != "--json"] for a in as_json]
+    assert equiv[3 * 448 :] == argvs[-35:-32] == same_output.NEAR_MISS_EQUIV
+    assert [a[7:] for a in equiv[3 * 448 :]] == [[], ["--stats"], ["--json", "--stats"]]
     braid = [a for a in argvs if a[0] == "braid"]
     assert braid[240:280] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
     assert not any("--json" in a for a in braid[240:280])
@@ -124,7 +131,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     ]
     assert (tmp_path / "xshape.txt").read_text().splitlines()[::7] == ["10000001", "10000001"]
     assert (tmp_path / "full-4x4.txt").read_text() == "1111\n" * 4
-    verify = argvs[3 * 112 * 2 + 2 * 120 + 2 * 40 : -32]
+    verify = argvs[3 * 112 * 4 + 2 * 120 + 2 * 40 : -35]
     for pool in (verify[:288], verify[288:]):
         ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
         assert again == [a + ["--json"] for a in ops if a[0] == "classify"]

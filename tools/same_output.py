@@ -3,7 +3,11 @@
     python3 tools/same_output.py
 
 The ops are every op of the benchmark's equiv pools at seeds 801, 804 and
-806, each run as generated and again with ``--stats``; every op of the
+806, each run as generated (``--json``) and again with ``--stats``, then
+each again in plain text, alone and with ``--stats``; the near miss
+``equiv --solution rowell --matrix <rowell with entry (0, 0) raised by
+3e-7> --signature 2,3,1``, an undecided pair, in plain text, with
+``--stats`` and with ``--json --stats``; every op of the
 braid pools at 801 and 804, each ``--json`` op of the 804 pool again
 without ``--json`` (the plain-text matrix) and each ``--compare`` op of
 that pool again with ``--json``, and every op of the verify
@@ -133,6 +137,13 @@ REFUSED_INPUTS = (
     ["braid", "--matrix", ROWELL_NEAR, "--signature", "2,3,1", "--word", "n=3: " + ",".join("1" * 10),
      "--state", STATE_E0],
 )
+# Rowell with entry (0, 0) raised by 3e-7: its best candidate misses within
+# NEAR_MISS, so the pair is undecided.
+ROWELL_NEAR_MISS = "rowell-near-miss.json"
+NEAR_MISS_EQUIV = [
+    ["equiv", "--solution", "rowell", "--matrix", ROWELL_NEAR_MISS, "--signature", "2,3,1", *output]
+    for output in ([], ["--stats"], ["--json", "--stats"])
+]
 MATRIX_2X3 = "matrix-2x3.json"
 # Each command that takes --tol, for the tolerance gate's nan, -1 and inf.
 TOL_COMMANDS = (
@@ -190,12 +201,12 @@ def ops(workdir: Path) -> list[list[str]]:
         for name, text in inputs.files.items():
             (workdir / pool / name).write_text(text, encoding="utf-8")
         runner = workloads.Runner(None, pool)
-        for op in inputs.ops:
-            argv = runner.prepare(op)
-            argvs.append(argv)
-            if workload == "equiv":
-                argvs.append(argv + ["--stats"])
-        pool_argvs = argvs[-len(inputs.ops):]
+        pool_argvs = [runner.prepare(op) for op in inputs.ops]
+        if workload == "equiv":
+            plain = [[a for a in argv if a != "--json"] for argv in pool_argvs]
+            argvs += [a for argv in pool_argvs + plain for a in (argv, argv + ["--stats"])]
+        else:
+            argvs += pool_argvs
         if (workload, seed) == TEXT_POOL:
             argvs += [[a for a in argv if a != "--json"] for argv in pool_argvs if "--json" in argv]
             argvs += [argv + ["--json"] for argv in pool_argvs if "--compare" in argv]
@@ -205,7 +216,10 @@ def ops(workdir: Path) -> list[list[str]]:
                 if "--matrix" in argv:
                     classify = ["classify", "--matrix", argv[argv.index("--matrix") + 1], "--json"]
                     argvs += [classify, classify + ["--tol", "1e-2"]]
-    argvs += [list(argv) for argv in FAMILY_TEXT + FAMILY_GENERAL + XSHAPE_BRAIDS]
+    near_miss = checker.rowell_matrix()
+    near_miss[0, 0] += 3e-7
+    (workdir / ROWELL_NEAR_MISS).write_text(checker.matrix_to_json(near_miss), encoding="utf-8")
+    argvs += [list(argv) for argv in NEAR_MISS_EQUIV + FAMILY_TEXT + FAMILY_GENERAL + XSHAPE_BRAIDS]
     mask = checker.rowell_mask()
     (workdir / PATTERN).write_text(_grid(mask), encoding="utf-8")
     pattern_json = {"size": len(mask), "mask": [[bool(v) for v in row] for row in mask]}
