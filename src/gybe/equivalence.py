@@ -20,10 +20,10 @@ them within what a witness or a near miss could move, the prefix is
 ``none`` with the first invariant that differs, and no candidate is
 scored.  Every other prefix goes on to the witness search.
 
-The witness search runs over 2x2 Q (so d = 2 only), scores each candidate
-by that conjugation and stops at the first within tolerance, taken
-relative to the largest entry of the target.  Each candidate Q is one
-:class:`GaugeOp`, whose constructor is its only inversion.  No shape runs an optimizer.
+The witness search runs over 2x2 Q (so d = 2 only), with no optimizer.  Each
+candidate Q is one :class:`GaugeOp` (its only inversion), scored with lambda
+fitted, or pinned to 1 (:func:`search_local_conjugation`); the first within
+tolerance, relative to the largest entry of the target, wins.
 The diagonal and antidiagonal shapes, which suffice for the
 block-structured families handled in :mod:`gybe.solutions`, are decided in
 closed form: conjugation by diag(1, z)^⊗m scales entry (i, j)
@@ -51,7 +51,7 @@ import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -306,17 +306,16 @@ def _support_cut(a: np.ndarray, tol: float) -> float:
     return max(tol, WITNESS_TOL) * linalg.max_abs(a)
 
 
-def _graded_conjugators(a: np.ndarray, b: np.ndarray, shape: str, *, with_scalar: bool, tol: float):
+def _graded_conjugators(a: np.ndarray, b: np.ndarray, shape: str, *, tol: float):
     """The few diagonal or antidiagonal Q that can carry a onto b, in closed form.
 
     Conjugating by diag(1, z)^⊗m multiplies entry (i, j) by z^k with
     k = w(j) - w(i) (:func:`_grading`).  So a witness needs a and b to
     share their support (entries above :func:`_support_cut`) and, on it,
-    b_ij / a_ij = lambda z^k.  Two exponents k1 < k2 fix
-    z^(k2 - k1), whose roots are the only candidates; one exponent
-    leaves z free, and z = 1 will do.  Without the scalar, lambda = 1 and
-    the smallest nonzero |k| fixes z^k alone.  [[0, 1], [z, 0]] is
-    X diag(z, 1), and X^⊗m flips every bit of an index, so the
+    b_ij / a_ij = lambda z^k.  Two exponents k1 < k2 fix z^(k2 - k1),
+    whose roots are the only candidates, for lambda = 1 too; one exponent
+    (0 unless a is nilpotent) leaves z free, and z = 1 will do.  [[0, 1],
+    [z, 0]] is X diag(z, 1), and X^⊗m flips every bit of an index, so the
     antidiagonal shape is the diagonal one on the bit-flipped a, with k
     negated.  Every candidate still has to pass the caller's scorer.
     """
@@ -332,17 +331,11 @@ def _graded_conjugators(a: np.ndarray, b: np.ndarray, shape: str, *, with_scalar
     ratios = (b[support] / a[support])[largest_first]
     levels, first = np.unique(exponent[support][largest_first], return_index=True)
     level_ratios = ratios[first]
-    nonzero = np.flatnonzero(levels)
-    if with_scalar and levels.size >= 2:
+    power, base = 1, 1.0
+    if levels.size >= 2:
         low = int(np.argmin(np.diff(levels)))
         power = int(levels[low + 1] - levels[low])
         base = level_ratios[low + 1] / level_ratios[low]
-    elif not with_scalar and nonzero.size:
-        i = nonzero[np.argmin(np.abs(levels[nonzero]))]
-        power = abs(int(levels[i]))
-        base = level_ratios[i] if levels[i] > 0 else 1.0 / level_ratios[i]
-    else:
-        power, base = 1, 1.0
     modulus, phase = abs(base) ** (1.0 / power), np.angle(base)
     for n in range(power):
         z = modulus * np.exp(1j * (phase + 2.0 * np.pi * n) / power)
@@ -352,7 +345,7 @@ def _graded_conjugators(a: np.ndarray, b: np.ndarray, shape: str, *, with_scalar
         yield np.array(entries, dtype=np.complex128)
 
 
-def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, with_scalar: bool, tol: float):
+def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, tol: float):
     """The one Q = I + cN, N = [[0, 1], [0, 0]], that can carry a onto b, in closed form.
 
     (I + cN)^⊗m = exp(c N_m) with N_m the sum of N over the sites, so the
@@ -367,7 +360,7 @@ def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, with_scalar: bool, tol:
     n_sum = (((index[:, None] & index[None, :]) == index[:, None]) & (level == -1)).astype(np.complex128)
     noise = _support_cut(a, tol)
     top = level == level[np.abs(a) > noise].max()
-    lam = _scalar_fit(a[top], b[top]) if with_scalar else 1.0
+    lam = _scalar_fit(a[top], b[top])
     if abs(lam) < 1e-150:
         return
     moved = n_sum @ a - a @ n_sum
@@ -500,12 +493,12 @@ def _well_conditioned(basis: np.ndarray) -> bool:
     return abs(a * d - b * c) >= EIGENVECTOR_GATE / (1 + EIGENVECTOR_GATE**2) * frobenius
 
 
-def _reducing_covariant(w: np.ndarray, m: int, threshold: float, *, with_scalar: bool):
+def _reducing_covariant(w: np.ndarray, m: int, threshold: float):
     """(site, kind, mean, separation, basis) of the covariant of word w to reduce by, or None.
 
     A covariant needs a separation (:func:`_split`) above
     ``SEPARATION_GATE`` times ``threshold``; a Jordan one needs a nonzero
-    mean when lambda is free, and both a basis that passes
+    mean, which fixes lambda^deg, and both a basis that passes
     ``EIGENVECTOR_GATE``.  A Jordan covariant needs no eigenvectors, so
     the first one wins; else the distinct one with the widest gap, whose
     eigenvectors carry the least rounding.  The Jordan basis's first
@@ -514,7 +507,7 @@ def _reducing_covariant(w: np.ndarray, m: int, threshold: float, *, with_scalar:
     best, best_rank = None, -1.0
     for site in range(m):
         kind, mean, separation, basis = _split(_partial_trace(w, m, site), threshold)
-        if kind == "scalar" or (kind == "jordan" and with_scalar and abs(mean) <= threshold):
+        if kind == "scalar" or (kind == "jordan" and abs(mean) <= threshold):
             continue
         if separation <= SEPARATION_GATE * threshold:
             continue
@@ -528,7 +521,7 @@ def _reducing_covariant(w: np.ndarray, m: int, threshold: float, *, with_scalar:
     return best
 
 
-def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: float):
+def _covariant_reduction(r: RMatrix, s: RMatrix, *, tol: float):
     """(covariant, candidates): every 2x2 Q that can carry r onto s, in closed form.
 
     If s = lambda (Q^-1)^⊗m r Q^⊗m, each word W of :func:`_words` has
@@ -554,19 +547,17 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
     V_r Q' V_s^-1.  A covariant of s of another kind, beyond
     ``COVARIANT_MARGIN``, rules every Q out (no candidates).  Returns
     (None, None) when no covariant of r decides (all scalar, too close to
-    a scalar, ill-conditioned, or nilpotent when lambda is free), and
+    a scalar, ill-conditioned, or nilpotent), and
     (covariant, None) when that of s is near the threshold, or too close
     to a scalar on the scale of its own word, or its basis is
     ill-conditioned: both undecided.  A basis has a unit column, so one
     that passes :func:`_well_conditioned` passes its :class:`GaugeOp` gate.
     """
     m = r.signature.m
-    growth = 1.0
-    if with_scalar:
-        growth = np.exp((np.linalg.slogdet(s.matrix)[1] - np.linalg.slogdet(r.matrix)[1]) / r.size)
+    growth = np.exp((np.linalg.slogdet(s.matrix)[1] - np.linalg.slogdet(r.matrix)[1]) / r.size)
     for (word, degree, wr), (_, _, ws) in zip(_words(r.matrix, m), _words(s.matrix, m)):
         threshold_r = COVARIANT_RTOL * linalg.max_abs(wr)
-        best = _reducing_covariant(wr, m, threshold_r, with_scalar=with_scalar)
+        best = _reducing_covariant(wr, m, threshold_r)
         if best is None:
             continue
         site, kind, mean_r, separation_r, basis_r = best
@@ -586,10 +577,10 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
         if separation_s <= SEPARATION_GATE * COVARIANT_RTOL * linalg.max_abs(ws):
             return covariant, None
         if kind == "jordan":
-            if with_scalar and abs(mean_s) <= threshold_s / COVARIANT_MARGIN:  # lambda^deg = 0
+            if abs(mean_s) <= threshold_s / COVARIANT_MARGIN:  # lambda^deg = 0
                 return covariant, ()
             # r's block became separation_r · [[0, 1], [0, 0]]; s's must become lambda^deg times that.
-            basis_s[:, 0] /= (mean_s / mean_r if with_scalar else 1.0) * separation_r
+            basis_s[:, 0] /= mean_s / mean_r * separation_r
         if not _well_conditioned(basis_s):
             return covariant, None
         conj_r, conj_s = GaugeOp.local_conj(basis_r), GaugeOp.local_conj(basis_s)
@@ -597,11 +588,11 @@ def _covariant_reduction(r: RMatrix, s: RMatrix, *, with_scalar: bool, tol: floa
         reduced_s = _local_conjugate(s.matrix, conj_s.q, conj_s.q_inverse, m)
         if kind == "distinct":
             reduced = itertools.chain.from_iterable(
-                _graded_conjugators(reduced_r, reduced_s, shape, with_scalar=with_scalar, tol=tol)
+                _graded_conjugators(reduced_r, reduced_s, shape, tol=tol)
                 for shape in ("diagonal", "antidiagonal")
             )
         else:
-            reduced = _jordan_conjugators(reduced_r, reduced_s, with_scalar=with_scalar, tol=tol)
+            reduced = _jordan_conjugators(reduced_r, reduced_s, tol=tol)
         return covariant, (basis_r @ q @ conj_s.q_inverse for q in reduced)
     return None, None
 
@@ -619,7 +610,7 @@ def _checked_pair(r: RMatrix, s: RMatrix, tol: float) -> float:
 def _search_conjugator(
     r: RMatrix,
     s: RMatrix,
-    shapes: Sequence[str],
+    shapes: tuple[str, ...],
     *,
     with_scalar: bool,
     tol: float,
@@ -631,18 +622,16 @@ def _search_conjugator(
     :func:`_graded_conjugators`, and the general shape by
     :func:`_covariant_reduction`; no shape runs an optimizer.  Every
     candidate Q is scored as one ``GaugeOp.local_conj(Q)`` by
-    :func:`_local_conjugate`, and the first (op, lambda, residual) with
-    residual <= ``tol`` times the largest entry of ``s``, in shape and
-    candidate order, is the hit; the residual reported stays absolute.
+    :func:`_local_conjugate`, with lambda fitted, or 1 for a local
+    conjugation alone, and the first (op, lambda, residual) with residual <=
+    ``tol`` times the largest entry of ``s``, in shape and candidate
+    order, is the hit; the residual reported stays absolute.
     Only the image of a hit or near miss is built as an :class:`RMatrix`,
     and dropped if its gates reject it.  With no hit the verdict is
     ``undecided`` when the general shape was asked for and could not
     reduce, or when a candidate came within ``NEAR_MISS``, else ``none``.
-    ``tol`` and the pair have passed :func:`_checked_pair`.
+    ``tol``, the pair and ``shapes`` have passed their checks.
     """
-    for shape in shapes:
-        if shape not in SHAPES:
-            raise ValueError(f"unknown conjugator shape: {shape!r}")
 
     def conjugation_residual(q: np.ndarray):
         try:  # gated: Q by its GaugeOp, and the image of a hit or near miss by RMatrix
@@ -664,12 +653,12 @@ def _search_conjugator(
     covariant, undecided, scored, closest = None, False, 0, np.inf
     for shape in shapes:
         if shape == "general":
-            covariant, candidates = _covariant_reduction(r, s, with_scalar=with_scalar, tol=tol)
+            covariant, candidates = _covariant_reduction(r, s, tol=tol)
             if candidates is None:
                 undecided = True
                 continue
         else:
-            candidates = _graded_conjugators(r.matrix, s.matrix, shape, with_scalar=with_scalar, tol=tol)
+            candidates = _graded_conjugators(r.matrix, s.matrix, shape, tol=tol)
         for q in candidates:
             scored += 1
             op, residual, lam = conjugation_residual(q)
@@ -685,7 +674,7 @@ def _search_conjugator(
 def search_local_conjugation(
     r: RMatrix,
     s: RMatrix,
-    shapes: Sequence[str] = ("diagonal", "antidiagonal"),
+    shapes: Iterable[str] = ("diagonal", "antidiagonal"),
     *,
     tol: float = WITNESS_TOL,
 ) -> tuple[np.ndarray, float] | None:
@@ -693,9 +682,17 @@ def search_local_conjugation(
 
     Returns the first (Q, residual) found with residual <= tol times the
     largest entry of s, or None; absence of a witness is a valid outcome,
-    not an error.
+    not an error.  The candidates are those of :func:`decide_equivalence`,
+    scored with lambda = 1.  ``shapes`` is read once.
     """
-    hit, _ = _search_conjugator(r, s, shapes, with_scalar=False, tol=_checked_pair(r, s, tol))
+    tol = _checked_pair(r, s, tol)
+    named = () if isinstance(shapes, str) else tuple(shapes)
+    if not named:
+        raise ValueError(f"shapes must be a non-empty collection of names from {SHAPES}, got {shapes!r}")
+    for shape in named:
+        if shape not in SHAPES:
+            raise ValueError(f"unknown conjugator shape: {shape!r}")
+    hit, _ = _search_conjugator(r, s, named, with_scalar=False, tol=tol)
     if hit is None:
         return None
     return hit[0].q, hit[2]

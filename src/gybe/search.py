@@ -214,14 +214,16 @@ def gybe_objective(
 ) -> float:
     """Squared equation residual plus squared unitarity defect.
 
-    Zero exactly on unitary solutions.  The candidate must be finite and
-    respect the pattern: masked-out entries are required to be exactly zero.
+    Zero exactly on unitary solutions.  The candidate must be finite, of the
+    pattern's side, and zero exactly at the entries the pattern masks out.
     """
     m = linalg.square_matrix(matrix, "candidate")
     if not signature.has_side(pattern.size):
         raise ValueError(
             f"pattern size {pattern.size} does not match signature {signature}"
         )
+    if len(m) != pattern.size:
+        raise ValueError(f"candidate side {len(m)} does not match pattern size {pattern.size}")
     if not pattern.accepts(m):
         raise ValueError("candidate has nonzero entries outside the pattern")
     vec = _combined_residual_vector(m, signature)

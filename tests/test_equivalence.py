@@ -288,9 +288,12 @@ def test_ratio_criterion_symmetric_and_transitive():
             assert _locally_conjugate(p, q)
 
 
-def test_search_finds_identity_witness():
+@pytest.mark.parametrize("kind", ["tuple", "list", "generator"])
+def test_search_finds_identity_witness(kind):
+    # The shapes are read once, so a generator is searched, not used up by a check.
+    shapes = {"tuple": ("diagonal",), "list": ["diagonal"], "generator": (s for s in ["diagonal"])}[kind]
     r = resolve_solution("base2")
-    hit = search_local_conjugation(r, r, ("diagonal",))
+    hit = search_local_conjugation(r, r, shapes)
     assert hit is not None
     q, residual = hit
     assert residual <= 1e-12
@@ -542,6 +545,24 @@ def test_closed_form_tries_every_root():
     assert _decide_prefix(r, s, ("diagonal",))[1] is not None
 
 
+def test_the_pinned_scorer_passes_over_a_candidate_with_lambda_minus_one():
+    # r sits on odd exponents w(j) - w(i) only, so Z^⊗3 r Z^⊗3 = -r.  For
+    # s = r conjugated by diag(1, e^2i) the exponents fix z^2 = e^4i, and the
+    # first root, z = -e^2i, carries r onto -s: a witness with lambda = -1,
+    # which the local-conjugation search must pass over for z = e^2i.
+    rng = np.random.default_rng(36)
+    weight = np.array([bin(i).count("1") for i in range(8)])
+    odd = (weight[None, :] - weight[:, None]) % 2 == 1
+    r = RMatrix(GybeSignature(2, 3, 1), np.where(odd, _complex_normal(rng, 8), 0.0), "odd")
+    z = np.exp(2j)
+    s = apply_gauge(r, GaugeOp.local_conj(np.diag([1.0, z])))
+    _, ops = _decide_prefix(r, s, ("diagonal",))
+    assert abs(ops[0].q[1, 1] + z) <= 1e-12 and abs(ops[1].lam + 1) <= 1e-12
+    q, residual = search_local_conjugation(r, s, ("diagonal",))
+    assert residual <= WITNESS_TOL * linalg.max_abs(s.matrix)
+    assert linalg.max_abs_diff(q, np.diag([1.0, z])) <= 1e-12
+
+
 def _near_identity_target(name: str, seed: int) -> tuple[RMatrix, RMatrix]:
     """R and S = 1.1i (Q^-1)^⊗m R Q^⊗m for Q = I + 0.3 (A + iB), A, B Gaussian."""
     rng = np.random.default_rng(seed)
@@ -721,6 +742,34 @@ def test_an_image_moved_within_the_near_miss_is_never_ruled_out(phases):
                 assert refuted is None, (name, invert, seed)
 
 
+_SHAPE_SETS = (("diagonal",), ("antidiagonal",), ("general",), ("diagonal", "antidiagonal"), equivalence.SHAPES)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.tuples(_SOLUTION_IDS, _SOLUTION_IDS),
+    image=st.booleans(),
+    shapes=st.sampled_from(_SHAPE_SETS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_local_conjugation_hit_is_a_witness_of_the_decision(pair, image, shapes, seed):
+    """Of r and s, another solution or (Q^-1)^⊗m r Q^⊗m with cond(Q) <= 10
+    and lambda = 1: a hit of the local-conjugation search replays to s
+    within the tolerance, and decide_equivalence finds a witness too.  An
+    image is always hit by the general shape."""
+    r, s = (resolve_solution(name) for name in pair)
+    if image:
+        s = apply_gauge(r, GaugeOp.local_conj(_conditioned_q(np.random.default_rng(seed), 10.0)))
+    assume(r.signature == s.signature)
+    hit = search_local_conjugation(r, s, shapes)
+    if image and "general" in shapes:
+        assert hit is not None
+    if hit is not None:
+        replayed = apply_gauge(r, GaugeOp.local_conj(hit[0])).matrix
+        assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL * linalg.max_abs(s.matrix)
+        assert decide_equivalence(r, s).verdict == "witness"
+
+
 def _refuted_verdicts(r: RMatrix, s: RMatrix) -> list[str]:
     """The unchanged search's verdict at each prefix of r that an invariant rules out."""
     verdicts = []
@@ -835,6 +884,24 @@ def test_jordan_block_covariant_decides_in_closed_form(seed):
     other = _jordan_covariant_matrix(rng)
     for invert in (False, True):
         assert _decide_prefix(r, other, ("general",), invert=invert)[0].verdict == "none"
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_nilpotent_first_covariant_is_passed_over_by_the_pinned_search(m):
+    # The site-0 covariant of R is tr(B) [[0, 1], [0, 0]]: a Jordan block
+    # with mean 0, which fixes no scalar, so every search reduces by a
+    # later covariant, the local-conjugation one included.
+    for seed in range(4):
+        rng = np.random.default_rng([37, m, seed])
+        r = _site_zero_matrix(rng, np.array([[0.0, 1.0], [0.0, 0.0]]), m)
+        s = apply_gauge(r, GaugeOp.local_conj(_conditioned_q(rng, 5.0)))
+        with _optimizer_forbidden():
+            hit = search_local_conjugation(r, s, ("general",))
+            decision, _ = _decide_prefix(r, s, ("general",))
+        assert hit is not None and hit[1] <= WITNESS_TOL * linalg.max_abs(s.matrix), seed
+        replayed = apply_gauge(r, GaugeOp.local_conj(hit[0])).matrix
+        assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL * linalg.max_abs(s.matrix)
+        assert decision.covariant != equivalence.Covariant("R", 0, "jordan")
 
 
 def test_ill_conditioned_eigenvectors_pass_to_the_next_covariant():
@@ -977,7 +1044,7 @@ def test_the_jordan_candidate_fits_lambda_on_the_top_level(monkeypatch):
         return fit(a, b)
 
     monkeypatch.setattr(equivalence, "_scalar_fit", spy)
-    list(equivalence._jordan_conjugators(r.matrix, s.matrix, with_scalar=True, tol=WITNESS_TOL))
+    list(equivalence._jordan_conjugators(r.matrix, s.matrix, tol=WITNESS_TOL))
     weight = np.array([bin(i).count("1") for i in range(8)])
     level = weight[:, None] - weight[None, :]
     top = level == level[np.abs(r.matrix) > WITNESS_TOL * linalg.max_abs(r.matrix)].max()

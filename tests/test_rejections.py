@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gybe.braiding import build_rep, recognize_braiding_gate
-from gybe.core import ybe_summation_residual
+from gybe.core import GybeSignature, ybe_summation_residual
 from gybe.equivalence import search_local_conjugation
 from gybe.optimize import damped_least_squares, solve_stack
+from gybe.search import ZeroPattern, gybe_objective
 from gybe.solutions import BlockSolution, DiagBlock, rowell_solution, split_blocks, split_quadrant
 
 ROWELL = rowell_solution()
@@ -42,6 +43,19 @@ def _eye(x):
         (lambda: split_quadrant(np.eye(2)), "expected a 4x4 matrix"),
         (lambda: split_blocks(np.eye(4)), "expected an 8x8 matrix"),
         (lambda: search_local_conjugation(ROWELL, ROWELL, shapes=("round",)), "unknown conjugator shape: 'round'"),
+        (
+            lambda: search_local_conjugation(ROWELL, ROWELL, shapes="diagonal"),
+            "shapes must be a non-empty collection of names from "
+            "('diagonal', 'antidiagonal', 'general'), got 'diagonal'",
+        ),
+        (
+            lambda: search_local_conjugation(ROWELL, ROWELL, shapes=()),
+            "shapes must be a non-empty collection of names from ('diagonal', 'antidiagonal', 'general'), got ()",
+        ),
+        (
+            lambda: gybe_objective(np.eye(4), ZeroPattern(np.ones((8, 8))), GybeSignature(2, 3, 1)),
+            "candidate side 4 does not match pattern size 8",
+        ),
     ],
 )
 def test_a_malformed_input_is_refused_with_its_reason(call, message):
