@@ -51,7 +51,7 @@ import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -686,7 +686,7 @@ def search_local_conjugation(
     scored with lambda = 1.  ``shapes`` is read once.
     """
     tol = _checked_pair(r, s, tol)
-    named = () if isinstance(shapes, str) else tuple(shapes)
+    named = tuple(shapes) if isinstance(shapes, Iterable) and not isinstance(shapes, str) else ()
     if not named:
         raise ValueError(f"shapes must be a non-empty collection of names from {SHAPES}, got {shapes!r}")
     for shape in named:

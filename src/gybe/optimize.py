@@ -15,10 +15,12 @@ one loop: each iteration evaluates the residuals and Jacobians of the live
 rows together and solves their damped normal equations in one batched
 ``np.linalg.solve``.  Every row keeps its own damping, retries, trace and
 stop reason, and leaves the stack when it stops, so a row's result does not
-depend on the rows beside it.  An iteration's bookkeeping is a fixed number
-of whole-stack numpy calls: one finiteness check of all Jacobians (row by
-row only when it fails), one index of the pending rows per retry round,
-and trace appends and stop checks read from ``tolist()``.
+depend on the rows beside it.  Numpy sees only the stacks: the live rows'
+points, residuals, Jacobians and normal equations, and per retry round the
+pending rows' damped systems, steps and candidates.  Each row's damping,
+trace, counts, stop reason and step length are plain Python values kept by
+row, and its point and residual are rows of the stack it was last
+evaluated in, so a round's bookkeeping is a loop over ``tolist()``.
 :func:`damped_least_squares` is the stack of one, for a caller with a
 single 1-D start.
 
@@ -33,6 +35,7 @@ implementation and theory" (1978).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,25 +87,26 @@ def _objectives(residual: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", residual, residual)
 
 
-def _damped_steps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve each slice ``a[i] s = b[i]``; returns the steps and which slices solved.
+def _damped_steps(a: np.ndarray, b: np.ndarray) -> tuple[list[bool], np.ndarray]:
+    """Solve each slice ``a[i] s = b[i]``; returns which slices solved and
+    the steps of those, stacked.
 
     One batched solve fails as a whole on a singular slice, so only then
     is each slice solved on its own to find the ones that fail.
     """
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+        return [True] * len(a), np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    steps = np.zeros_like(b)
-    solved = np.zeros(len(a), dtype=bool)
-    for i in range(len(a)):
+    solved, steps = [], []
+    for a_i, b_i in zip(a, b):
         try:
-            steps[i] = np.linalg.solve(a[i], b[i])
-            solved[i] = True
+            steps.append(np.linalg.solve(a_i, b_i))
         except np.linalg.LinAlgError:
-            pass
-    return steps, solved
+            solved.append(False)
+        else:
+            solved.append(True)
+    return solved, np.array(steps).reshape(-1, b.shape[-1])
 
 
 def solve_stack(
@@ -122,85 +126,92 @@ def solve_stack(
     """
     objective_tol = linalg.tolerance(objective_tol, "objective_tol")
     max_iterations = linalg.count(max_iterations, "max_iterations", 0)
-    x = np.array(x0, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (rows, params) stack of starts, got shape {x.shape}")
-    rows, n_params = x.shape
-    residual = np.asarray(residual_fn(x), dtype=float)
-    objective = _objectives(residual)
-    traces = [[value] for value in objective.tolist()]
-    damping = np.full(rows, INITIAL_DAMPING)
+    x0 = np.array(x0, dtype=float)
+    if x0.ndim != 2:
+        raise ValueError(f"expected a (rows, params) stack of starts, got shape {x0.shape}")
+    start_residual = np.asarray(residual_fn(x0), dtype=float)
+    # Each row's point and residual are views of the stack they were
+    # evaluated in; its scalars are plain Python values.
+    x, residual = list(x0), list(start_residual)
+    traces = [[value] for value in _objectives(start_residual).tolist()]
+    rows = len(traces)
+    damping = [INITIAL_DAMPING] * rows
     # Each iteration evaluates one Jacobian, so this also counts Jacobians.
-    iterations = np.zeros(rows, dtype=int)
-    residual_evals = np.ones(rows, dtype=int)
+    iterations = [0] * rows
+    residual_evals = [1] * rows
     stop = ["budget"] * rows
-    eye = np.eye(n_params)
-    live = np.flatnonzero((objective > objective_tol) & (max_iterations > 0))
+    eye = np.eye(x0.shape[1])
+    live = [row for row in range(rows) if traces[row][-1] > objective_tol and max_iterations > 0]
 
-    while live.size:
-        iterations[live] += 1
-        jac = np.asarray(jacobian_fn(x[live]), dtype=float)
+    while live:
+        for row in live:
+            iterations[row] += 1
+        points = np.array([x[row] for row in live])
+        jac = np.asarray(jacobian_fn(points), dtype=float)
         if not np.isfinite(jac).all():
             finite = np.isfinite(jac).all(axis=(1, 2))
-            for row in live[~finite].tolist():
-                stop[row] = "non_finite"
-            live, jac = live[finite], jac[finite]
+            for row, ok in zip(live, finite.tolist()):
+                if not ok:
+                    stop[row] = "non_finite"
+            live = [row for row, ok in zip(live, finite.tolist()) if ok]
+            if not live:
+                break
+            points, jac = points[finite], jac[finite]
         jac_t = jac.transpose(0, 2, 1)
         jtj = jac_t @ jac
-        neg_jtr = -(jac_t @ residual[live][..., None])[..., 0]
+        neg_jtr = -(jac_t @ np.array([residual[row] for row in live])[..., None])[..., 0]
         del jac, jac_t  # so that two Jacobians are never held at once
 
-        # Rows retry with growing damping until a step lowers their objective.
-        pending = np.arange(live.size)
-        step_norm = np.zeros(rows)
+        # Rows retry with growing damping until a step lowers their objective;
+        # ``pending`` holds their places in ``live``.
+        pending = list(range(len(live)))
+        step_norm = {}
         for _ in range(MAX_INNER_RETRIES):
-            if not pending.size:
+            if not pending:
                 break
-            at = live[pending]
-            steps, solved = _damped_steps(
-                jtj[pending] + damping[at, None, None] * eye, neg_jtr[pending]
+            solved, steps = _damped_steps(
+                jtj[pending] + np.multiply.outer([damping[live[i]] for i in pending], eye),
+                neg_jtr[pending],
             )
-            damping[at[~solved]] *= DAMPING_GROW
-            if not solved.any():
+            tried = [i for i, ok in zip(pending, solved) if ok]
+            pending = [i for i, ok in zip(pending, solved) if not ok]
+            for i in pending:
+                damping[live[i]] *= DAMPING_GROW
+            if not tried:
                 continue
-            tried, steps, at = pending[solved], steps[solved], at[solved]
-            candidate = x[at] + steps
+            candidate = points[tried] + steps
             cand_residual = np.asarray(residual_fn(candidate), dtype=float)
-            residual_evals[at] += 1
-            cand_objective = _objectives(cand_residual)
-            better = cand_objective < objective[at]
-            won = at[better]
-            x[won] = candidate[better]
-            residual[won] = cand_residual[better]
-            objective[won] = cand_objective[better]
-            step_norm[won] = np.linalg.norm(steps[better], axis=1)
-            for row, value in zip(won.tolist(), cand_objective[better].tolist()):
-                traces[row].append(value)
-            damping[won] /= DAMPING_SHRINK
-            damping[at[~better]] *= DAMPING_GROW
-            pending = np.concatenate([pending[~solved], tried[~better]])
+            squares = np.add.reduce(steps * steps, axis=1).tolist()  # as np.linalg.norm sums
+            for k, (i, value) in enumerate(zip(tried, _objectives(cand_residual).tolist())):
+                row = live[i]
+                residual_evals[row] += 1
+                if value < traces[row][-1]:
+                    x[row], residual[row] = candidate[k], cand_residual[k]
+                    traces[row].append(value)
+                    damping[row] /= DAMPING_SHRINK
+                    step_norm[row] = math.sqrt(squares[k])
+                else:
+                    damping[row] *= DAMPING_GROW
+                    pending.append(i)
 
-        stalled = np.zeros(live.size, dtype=bool)
-        stalled[pending] = True
         kept = []
-        for row, stall, norm in zip(live.tolist(), stalled.tolist(), step_norm[live].tolist()):
+        for row in live:
             trace = traces[row]
-            if stall:
+            if row not in step_norm:
                 stop[row] = "damping_stall"
-            elif norm <= STEP_TOL:
+            elif step_norm[row] <= STEP_TOL:
                 stop[row] = "step_tol"
             elif len(trace) > PLATEAU_STEPS and (
                 trace[-1] > (1.0 - PLATEAU_RTOL) * trace[-1 - PLATEAU_STEPS]
             ):
                 stop[row] = "plateau"
-            else:
+            elif trace[-1] > objective_tol and iterations[row] < max_iterations:
                 kept.append(row)
-        live = np.array(kept, dtype=int)
-        live = live[(objective[live] > objective_tol) & (iterations[live] < max_iterations)]
+        live = kept
 
     results = []
-    for row, (trace, count, evals) in enumerate(zip(traces, iterations.tolist(), residual_evals.tolist())):
-        if not np.isfinite(trace[-1]):
+    for row, trace in enumerate(traces):
+        if not math.isfinite(trace[-1]):
             reason = "non_finite"
         elif trace[-1] <= objective_tol:
             reason = "converged"
@@ -210,9 +221,9 @@ def solve_stack(
             LeastSquaresResult(
                 x=x[row].copy(),
                 trace=tuple(trace),
-                iterations=count,
+                iterations=iterations[row],
                 reason=reason,
-                residual_evals=evals,
+                residual_evals=residual_evals[row],
             )
         )
     return tuple(results)

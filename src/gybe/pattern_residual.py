@@ -4,10 +4,10 @@
 and an imaginary parameter.  Its residual is the equation residual
 LSL - SLS and the unitarity defect RR† - I as interleaved real and
 imaginary parts, restricted to the rows the pattern can make nonzero, and
-it supplies the exact Jacobian of that residual.  Both take L = R ⊗ I^l,
-S = I^l ⊗ R and R from one ``np.take`` over the free entries, through a
-table that ``gybe.core._place``, the one braid layout, builds from the
-entry numbers.  :mod:`gybe.search` minimizes it.
+it supplies the exact Jacobian of that residual.  Both take L = R ⊗ I^l
+and S = I^l ⊗ R (the residual also R) from one ``np.take`` over the free
+entries, through a table that ``gybe.core._place``, the one braid layout,
+builds from the entry numbers.  :mod:`gybe.search` minimizes it.
 """
 
 from __future__ import annotations
@@ -74,11 +74,17 @@ class _PatternResidual:
     their columns are c·dF_k at the live equation entries and [c, conj(c)]
     times A_k stacked over A_k† at the live unitarity entries.
 
-    The Jacobian's intermediates live in work arrays allocated on the first
-    call, for the largest stack seen, and filled in place by ``out=``
-    arguments and ``np.take`` with ``mode="clip"``: arrays of this size
-    allocated afresh on every iteration are page-faulted back in each time.
-    ``jacobian`` takes a (k, params) stack and returns one Jacobian per row.
+    The Jacobian reads one pool per point: the free entries x, the
+    constants 0, 1 and -1, then -x and 2x, and [LS, SL] from one stacked
+    matmul.  The X and Y blocks of the six terms and the unitarity columns
+    are tables of pool slots, so each side is one ``np.take``; the equation
+    columns are one take from the dF_k and one multiply by 1j.  The pool
+    and the gathered X, Y and dF_k live in work arrays sized for the
+    largest stack seen and filled in place by ``out=`` arguments and
+    ``np.take`` with ``mode="clip"`` (arrays of this size allocated afresh
+    on every iteration are page-faulted back in each time), and their views
+    are cut once per stack size.  ``jacobian`` takes a (k, params) stack and
+    returns one Jacobian per row.
     """
 
     def __init__(self, pattern: ZeroPattern, signature: GybeSignature):
@@ -107,36 +113,54 @@ class _PatternResidual:
         self.lift_table = slot[np.concatenate([lifts.reshape(-1), np.arange(n * n)])]
         self.unit = np.eye(n)
 
+        # The Jacobian's pool per point is [x, 0, 1, -1, -x, 2x, LS, SL];
+        # each block it reads is a table of pool slots.
+        count, eq_size = self.rows.size, side * side
+        zero, negated, doubled, products = count, count + 3, 2 * count + 3, 3 * count + 3
+        self.pool_size = products + 2 * eq_size
+        self.pool_parts = (slice(count), slice(negated, doubled), slice(doubled, products), slice(products, None))
+        self.lift_pair = self.lift_table[: 2 * eq_size].reshape(2, side, side)
+        left, right = self.lift_pair
+        eye, square = np.eye(side, dtype=bool), np.arange(eq_size).reshape(side, side)
+        unit, minus_unit = np.where(eye, count + 1, zero), np.where(eye, count + 2, zero)
+        left_right, right_left = products + square, products + eq_size + square
         # The pad places of each free entry in L and in S, by row: sorted by
         # value, the lifts list the -1s first, then each entry's places in turn.
         places = np.argsort(lifts.reshape(2, -1), kind="stable")[:, -n * n * pad :]
         (l_rows, s_rows), (l_cols, s_cols) = np.divmod(places.reshape(2, n * n, pad)[:, flat], side)
-        # The six terms as (X, rows, Y, cols): X is a block of
-        # [I, L, LS, S, SL] side by side, Y a block of
-        # [SL, L, I, -LS, -S, -I] stacked, so one gather of each builds all six.
+        # The six terms as (X, rows, Y, cols), each sign on a block the pool
+        # holds, so that one gather of each side builds all six.
         terms = (
-            (0, l_rows, 0, l_cols),  # dL·SL
-            (1, s_rows, 1, s_cols),  # L·dS·L
-            (2, l_rows, 2, l_cols),  # LS·dL
-            (0, s_rows, 3, s_cols),  # -dS·LS
-            (3, l_rows, 4, l_cols),  # -S·dL·S
-            (4, s_rows, 5, s_cols),  # -SL·dS
+            (unit, l_rows, right_left, l_cols),  # dL·SL
+            (left, s_rows, left, s_cols),  # L·dS·L
+            (left_right, l_rows, unit, l_cols),  # LS·dL
+            (minus_unit, s_rows, left_right, s_cols),  # -dS·LS
+            (np.where(right < count, right + negated, zero), l_rows, right, l_cols),  # -S·dL·S
+            (right_left, s_rows, minus_unit, s_cols),  # -SL·dS
         )
-        self.x_index = np.concatenate([x * side + r for x, r, _, _ in terms], axis=1)
-        self.y_index = np.concatenate([y * side + c for _, _, y, c in terms], axis=1)
+        self.x_index = np.concatenate([x[:, r] for x, r, _, _ in terms], axis=-1)
+        self.y_index = np.concatenate([y[c] for _, _, y, c in terms], axis=1)
         # Column (k, c) of the Jacobian is c·dF_k at the live equation
         # entries, then c·A_k + conj(c)·A_k† at the live unitarity entries
-        # (c = 1, 1j), with A_k and A_k† gathered from
-        # [conj(R), R, 0] (0 where the entry is not in row r or column r).
-        count, eq_size, zero = self.rows.size, side * side, 2 * n * n
+        # (c = 1, 1j).  Read as reals, pool slot s is parts 2s and 2s + 1.
+        # With x = a + ib entry (j, c) when only i = r, or entry (i, c) when
+        # only j = r, the sum at (i, j) is x̄ or x for c = 1 and (b, a) or
+        # (b, -a) for c = 1j; when i = j = r it is 2a or 2b, else 0.
         self.eq_index = np.arange(count)[:, None] * eq_size + self.eq_live
         i, j = np.divmod(self.uni_live, n)
         rows, cols = self.rows[:, None], self.cols[:, None]
-        self.uni_index = np.stack(
-            [np.where(i == rows, j * n + cols, zero), np.where(j == rows, n * n + i * n + cols, zero)],
-            axis=1,
+        x_j, x_i = slot[j * n + cols], slot[i * n + cols]
+        neg_j, neg_i = (np.where(e < count, e + negated, zero) for e in (x_j, x_i))
+        cases = [((i == rows) & (j == rows))[..., None], (i == rows)[..., None], (j == rows)[..., None]]
+        parts = (
+            [(2 * (x_j + doubled), 2 * zero), (2 * x_j, 2 * neg_j + 1), (2 * x_i, 2 * x_i + 1)],
+            [(2 * (x_j + doubled) + 1, 2 * zero), (2 * x_j + 1, 2 * x_j), (2 * x_i + 1, 2 * neg_i)],
         )
-        self._work: dict[str, np.ndarray] = {}
+        self.uni_index = np.stack(
+            [np.select(cases, [np.stack(np.broadcast_arrays(*p), -1) for p in c], 2 * zero) for c in parts], axis=1
+        ).reshape(count, 2, -1)
+        self._work: tuple[np.ndarray, ...] = ()
+        self._views: dict[int, tuple[np.ndarray, ...]] = {}
 
     def build(self, x: np.ndarray) -> np.ndarray:
         size = self.pattern.size
@@ -179,63 +203,47 @@ class _PatternResidual:
         out[..., split:] = uni.reshape(batch + (-1,))[..., self.uni_live]
         return out.view(np.float64)
 
-    def _workspace(self, stack: int) -> dict[str, np.ndarray]:
-        """The Jacobian's work arrays, cut to a stack of ``stack`` rows."""
-        if not self._work or len(self._work["d_f"]) < stack:
-            side, (count, inner), n = self.side, self.x_index.shape, self.pattern.size
-            eye = np.eye(side)
-            work = {
-                "x_blocks": np.zeros((stack, side, 5 * side), dtype=np.complex128),
-                "y_blocks": np.zeros((stack, 6 * side, side), dtype=np.complex128),
-                "x_gathered": np.empty((stack, side, count, inner), dtype=np.complex128),
-                "y_gathered": np.empty((stack, count, inner, side), dtype=np.complex128),
-                "d_f": np.empty((stack, count, side, side), dtype=np.complex128),
-                "d_eq": np.empty((stack,) + self.eq_index.shape, dtype=np.complex128),
-                "r_pool": np.zeros((stack, 2 * n * n + 1), dtype=np.complex128),
-                "d_uni": np.empty((stack,) + self.uni_index.shape, dtype=np.complex128),
-            }
-            work["x_blocks"][:, :, :side] = eye
-            work["y_blocks"][:, 2 * side : 3 * side] = eye
-            work["y_blocks"][:, 5 * side :] = -eye
-            self._work = work
-        return {name: array[:stack] for name, array in self._work.items()}
+    def _workspace(self, stack: int) -> tuple[np.ndarray, ...]:
+        """The Jacobian's work arrays and their views for a stack of
+        ``stack`` rows, made once per stack size and cut from arrays sized
+        for the largest stack seen."""
+        if stack not in self._views:
+            if not self._work or len(self._work[0]) < stack:
+                count, side = self.rows.size, self.side
+                pool = np.zeros((stack, self.pool_size), dtype=np.complex128)
+                pool[:, count + 1 : count + 3] = 1.0, -1.0
+                shapes = (self.lift_pair.shape, self.x_index.shape, self.y_index.shape, (count, side, side))
+                self._work = (pool, *(np.empty((stack, *shape), dtype=np.complex128) for shape in shapes))
+                self._views = {}
+            pool, lifts, gx, gy, d_f = (array[:stack] for array in self._work)
+            free, negated, doubled, products = (pool[:, part] for part in self.pool_parts)
+            self._views[stack] = (
+                pool, pool.view(np.float64), *(part.view(np.float64) for part in (free, negated, doubled)),
+                products.reshape(lifts.shape), lifts, lifts[:, ::-1],
+                gx, gx.transpose(0, 2, 1, 3), gy, d_f, d_f.reshape(stack, -1),
+            )
+        return self._views[stack]
 
     def jacobian(self, xs: np.ndarray) -> np.ndarray:
-        stack, side = len(xs), self.side
-        work = self._workspace(stack)
-        lifts, m = self._gather(xs)
-        left, right = lifts[:, 0], lifts[:, 1]
-        # X blocks [I, L, LS, S, SL] side by side, Y blocks [SL, L, I, -LS, -S, -I] stacked.
-        x_blocks, y_blocks = work["x_blocks"], work["y_blocks"]
-        lr, rl = x_blocks[..., 2 * side : 3 * side], y_blocks[:, :side]
-        x_blocks[..., side : 2 * side] = left
-        y_blocks[:, side : 2 * side] = left
-        x_blocks[..., 3 * side : 4 * side] = right
-        np.negative(right, out=y_blocks[:, 4 * side : 5 * side])
-        np.matmul(left, right, out=lr)
-        np.negative(lr, out=y_blocks[:, 3 * side : 4 * side])
-        np.matmul(right, left, out=rl)
-        x_blocks[..., 4 * side :] = rl
+        stack, count, eq_size = len(xs), self.rows.size, self.eq_live.size
+        # x, -x and 2x as reals, so that each is exact.
+        pool, reals, free, negated, doubled, products, lifts, swapped, gx, gx_t, gy, d_f, d_flat = self._workspace(stack)
+        free[...] = xs
+        np.negative(free, out=negated)
+        np.multiply(free, 2.0, out=doubled)
         # mode="clip" lets take write straight into out; "raise" buffers it.
-        gx = np.take(x_blocks, self.x_index, axis=-1, out=work["x_gathered"], mode="clip")
-        gy = np.take(y_blocks, self.y_index, axis=1, out=work["y_gathered"], mode="clip")
-        d_f = np.matmul(gx.transpose(0, 2, 1, 3), gy, out=work["d_f"])
-        d_eq = np.take(d_f.reshape(stack, -1), self.eq_index, axis=-1, out=work["d_eq"], mode="clip")
-        r_pool, n2 = work["r_pool"], m[0].size
-        np.conjugate(m.reshape(stack, n2), out=r_pool[:, :n2])
-        r_pool[:, n2:-1] = m.reshape(stack, n2)
-        d_uni = np.take(r_pool, self.uni_index, axis=-1, out=work["d_uni"], mode="clip")
+        np.take(pool, self.lift_pair, axis=-1, out=lifts, mode="clip")
+        np.matmul(lifts, swapped, out=products)  # [LS, SL]
+        np.take(pool, self.x_index, axis=-1, out=gx, mode="clip")
+        np.take(pool, self.y_index, axis=-1, out=gy, mode="clip")
+        np.matmul(gx_t, gy, out=d_f)
 
         # The (real, imaginary) parameter columns: c = 1 and c = 1j times
-        # dF_k, then A_k + A_k† and 1j·(A_k − A_k†).
-        eq_size = d_eq.shape[-1]
-        columns = np.empty((stack, len(d_eq[0]), 2, eq_size + d_uni.shape[-1]), dtype=np.complex128)
-        eq_columns, uni_columns = columns[..., :eq_size], columns[..., eq_size:]
-        eq_columns[..., 0, :] = d_eq
-        np.multiply(d_eq, 1j, out=eq_columns[..., 1, :])
-        np.add(d_uni[..., 0, :], d_uni[..., 1, :], out=uni_columns[..., 0, :])
-        np.subtract(d_uni[..., 0, :], d_uni[..., 1, :], out=uni_columns[..., 1, :])
-        np.multiply(uni_columns[..., 1, :], 1j, out=uni_columns[..., 1, :])
+        # dF_k, then A_k + A_k† and 1j·(A_k − A_k†), gathered from the pool.
+        columns = np.empty((stack, count, 2, eq_size + self.uni_live.size), dtype=np.complex128)
+        np.take(d_flat, self.eq_index, axis=-1, out=columns[..., 0, :eq_size], mode="clip")
+        np.multiply(columns[..., 0, :eq_size], 1j, out=columns[..., 1, :eq_size])
+        np.take(reals, self.uni_index, axis=-1, out=columns.view(np.float64)[..., 2 * eq_size :], mode="clip")
         return columns.reshape(stack, self.n_params, -1).view(np.float64).swapaxes(-1, -2)
 
 

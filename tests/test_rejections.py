@@ -53,6 +53,14 @@ def _eye(x):
             "shapes must be a non-empty collection of names from ('diagonal', 'antidiagonal', 'general'), got ()",
         ),
         (
+            lambda: search_local_conjugation(ROWELL, ROWELL, None),
+            "shapes must be a non-empty collection of names from ('diagonal', 'antidiagonal', 'general'), got None",
+        ),
+        (
+            lambda: search_local_conjugation(ROWELL, ROWELL, shapes=3),
+            "shapes must be a non-empty collection of names from ('diagonal', 'antidiagonal', 'general'), got 3",
+        ),
+        (
             lambda: gybe_objective(np.eye(4), ZeroPattern(np.ones((8, 8))), GybeSignature(2, 3, 1)),
             "candidate side 4 does not match pattern size 8",
         ),

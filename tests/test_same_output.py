@@ -93,13 +93,19 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # near-miss equiv three times; three family members by theta in text, three by alpha and beta, in text and
     # JSON, and one alpha with a space after its comma; six xshape braids;
     # four searches in JSON, four in text and four in text on the JSON
-    # pattern, then two on each of two other signatures; and the 21 usage
+    # pattern, then two on each of two other signatures, then the
+    # benchmark's 16 search calls; and the 21 usage
     # errors of other gates, the 5 refused inputs, the tolerance gate's 15
     # and the 6 config errors.
     assert len(argvs) == (
-        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 3 + 6 + 1 + 6 + 12 + 4 + 21 + 5 + 15 + 6
+        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 3 + 6 + 1 + 6 + 12 + 4 + 16 + 21 + 5 + 15 + 6
     )
-    argvs = argvs[:-usage]
+    argvs, bench = argvs[: -usage - 16], argvs[-usage - 16 : -usage]
+    assert bench == same_output.BENCH_SEARCHES == [
+        ["search", "--pattern", "rowell.txt", "--signature", "2,3,1", "--restarts", "4", "--json", "--stats",
+         "--seed", str(seed)]
+        for seed in range(16)
+    ]
     equiv = [a for a in argvs if a[0] == "equiv"]
     for k in range(3):
         as_json, plain = equiv[448 * k : 448 * k + 224], equiv[448 * k + 224 : 448 * (k + 1)]

@@ -329,6 +329,28 @@ def test_stacked_jacobian_matches_per_restart_jacobians():
         np.testing.assert_array_equal(residual, problem.residual(x))
 
 
+SEARCH_PROBLEMS = ((rowell_pattern(), SIG), (ZeroPattern(np.ones((4, 4), dtype=bool)), GybeSignature(2, 2, 1)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    problem=st.sampled_from(SEARCH_PROBLEMS),
+    seed=st.integers(0, 2**32 - 1),
+    restarts=st.integers(1, 6),
+)
+def test_stacked_search_rows_match_their_solo_solves_bit_for_bit(problem, seed, restarts):
+    # Rows of 32 parameters that retry in different rounds and leave the
+    # stack at different iterations, on one problem and its work arrays.
+    problem = _PatternResidual(*problem)
+    starts = np.stack([problem.initial(np.random.default_rng([seed, k])) for k in range(restarts)])
+    options = dict(jacobian_fn=problem.jacobian, objective_tol=1e-22, max_iterations=60)
+    for start, fit in zip(starts, solve_stack(problem.residual, starts, **options), strict=True):
+        (solo,) = solve_stack(problem.residual, start[None], **options)
+        np.testing.assert_array_equal(fit.x, solo.x)
+        np.testing.assert_array_equal(np.array(fit.trace), np.array(solo.trace))
+        assert (fit.reason, fit.iterations, fit.residual_evals) == (solo.reason, solo.iterations, solo.residual_evals)
+
+
 def test_search_reports_every_restart():
     config = SearchConfig(tolerance=1e-11, restarts=8, seed=3, max_iterations=250)
     result = solve_pattern(rowell_pattern(), SIG, config)

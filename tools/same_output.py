@@ -27,7 +27,10 @@ relation compared;
 seeds 0-3, then ``--stats`` in plain text at the same seeds, with the
 pattern as the 0/1 grid and again as JSON; ``gybe search --signature
 2,3,2 --json --stats`` on xshape's own pattern and ``--signature 2,2,1``
-on the full 4x4 pattern, at seeds 0-1; and last the ``USAGE_ERRORS``,
+on the full 4x4 pattern, at seeds 0-1; the benchmark's own search calls,
+``gybe search --pattern <rowell> --signature 2,3,1 --restarts 4 --json
+--stats`` at seeds 0-15 (the CLI's tolerance and iteration budget are the
+benchmark's); and last the ``USAGE_ERRORS``,
 argvs that exit 2 with nothing on stdout: a missing or surplus input, a 4x4 ``--state``,
 a ``--state`` for 2·rowell, a solution that is not unitary, empty values,
 a ``--compare`` word on other strands, ``classify`` of a solution not in
@@ -116,6 +119,12 @@ OTHER_SEARCHES = {
     "full-4x4.txt": ("2,2,1", np.ones((4, 4), dtype=bool)),
 }
 OTHER_SEARCH_SEEDS = range(2)
+# The benchmark's search calls, restart count and seeds, through the CLI.
+BENCH_SEARCHES = [
+    ["search", "--pattern", PATTERN, "--signature", "2,3,1", "--restarts", str(workloads.SEARCH_RESTARTS),
+     "--json", "--stats", "--seed", str(seed)]
+    for seed in range(workloads.SEARCH_CALLS)
+]
 # A ragged mask, and rows that do not match the size.
 MALFORMED_PATTERNS = {
     "ragged.json": '{"size": 2, "mask": [[true, false], [false]]}',
@@ -233,6 +242,7 @@ def ops(workdir: Path) -> list[list[str]]:
         (workdir / pattern).write_text(_grid(other), encoding="utf-8")
         search = ["search", "--pattern", pattern, "--signature", signature, "--json", "--stats"]
         argvs += [search + ["--seed", str(seed)] for seed in OTHER_SEARCH_SEEDS]
+    argvs += [list(argv) for argv in BENCH_SEARCHES]
     # Unit norm as 16 amplitudes, but a matrix, not a column.
     (workdir / STATE_4X4).write_text(checker.matrix_to_json(np.eye(4) / 2), encoding="utf-8")
     (workdir / ROWELL_X2).write_text(checker.matrix_to_json(2 * checker.rowell_matrix()), encoding="utf-8")
