@@ -4,10 +4,11 @@
 and an imaginary parameter.  Its residual is the equation residual
 LSL - SLS and the unitarity defect RR† - I as interleaved real and
 imaginary parts, restricted to the rows the pattern can make nonzero, and
-it supplies the exact Jacobian of that residual.  Both take L = R ⊗ I^l
-and S = I^l ⊗ R (the residual also R) from one ``np.take`` over the free
-entries, through a table that ``gybe.core._place``, the one braid layout,
-builds from the entry numbers.  :mod:`gybe.search` minimizes it.
+it supplies the exact Jacobian of that residual.  Both read one pool per
+point, which holds the free entries: they take L = R ⊗ I^l and
+S = I^l ⊗ R from it through a table that ``gybe.core._place``, the one
+braid layout, builds from the entry numbers, and write [LS, SL] back into
+it; the residual takes R from it too.  :mod:`gybe.search` minimizes it.
 """
 
 from __future__ import annotations
@@ -53,12 +54,17 @@ class _PatternResidual:
     interleaved vector, so the objective and the normal equations are those
     of the full residual, summed in another order.
 
-    The parameter stack viewed as complex128 is the free entries, and
-    ``lift_table`` indexes [free entries, 0] so that one gather yields L, S
-    and R of every point.  The residual forms [LS, SL] and then [LSL, SLS]
-    as two stacked matmuls and gathers the live entries of LSL - SLS and of
-    RR† - I into one array.  The signature's shape and dense cap are
-    checked once, at construction, before any table is sized.
+    Each point has one pool, [x, 0, 1, -1, -x, 2x, LS, SL], with x the
+    parameters viewed as complex128, the free entries.  Both ``residual``
+    and ``jacobian`` start by filling x, taking [L, S] from the pool
+    through ``lift_pair``, a table of pool slots in which each entry the
+    pattern masks out reads the 0, and writing [LS, SL] back into it with
+    one stacked matmul.  The residual then forms [LSL, SLS] and takes R
+    through ``r_slots``; LSL - SLS and RR† - I go into one array, whose
+    live entries are one ``np.take``.  That take is a fresh array, never a
+    view of the pool: the solver keeps rows of earlier residuals across
+    later calls.  The signature's shape and dense cap are checked once, at
+    construction, before any table is sized.
 
     The equation part F = LSL - SLS is holomorphic in R, so its derivative
     along the entry basis matrix E_k is dF_k = dL·S·L + L·dS·L + L·S·dL
@@ -74,17 +80,16 @@ class _PatternResidual:
     their columns are c·dF_k at the live equation entries and [c, conj(c)]
     times A_k stacked over A_k† at the live unitarity entries.
 
-    The Jacobian reads one pool per point: the free entries x, the
-    constants 0, 1 and -1, then -x and 2x, and [LS, SL] from one stacked
-    matmul.  The X and Y blocks of the six terms and the unitarity columns
-    are tables of pool slots, so each side is one ``np.take``; the equation
-    columns are one take from the dF_k and one multiply by 1j.  The pool
-    and the gathered X, Y and dF_k live in work arrays sized for the
-    largest stack seen and filled in place by ``out=`` arguments and
-    ``np.take`` with ``mode="clip"`` (arrays of this size allocated afresh
-    on every iteration are page-faulted back in each time), and their views
-    are cut once per stack size.  ``jacobian`` takes a (k, params) stack and
-    returns one Jacobian per row.
+    The Jacobian also fills -x and 2x.  The X and Y blocks of the six
+    terms and the unitarity columns are tables of pool slots, so each side
+    is one ``np.take``; the equation columns are one take from the dF_k
+    and one multiply by 1j.  The pool, [L, S] and the gathered X, Y and
+    dF_k live in work arrays sized for the largest stack seen and filled
+    in place by ``out=`` arguments and ``np.take`` with ``mode="clip"``
+    (arrays of this size allocated afresh on every iteration are
+    page-faulted back in each time), and their views are cut once per
+    stack size.  ``jacobian`` takes a (k, params) stack and returns one
+    Jacobian per row.
     """
 
     def __init__(self, pattern: ZeroPattern, signature: GybeSignature):
@@ -97,29 +102,28 @@ class _PatternResidual:
         n = pattern.size
         # L and S of the entry numbers 1..n², minus one: each entry's flat
         # index where L or S holds it, and -1 elsewhere.  Composed with each
-        # entry's free slot, -1 reads the last slot, the trailing zero.
+        # entry's pool slot, -1 reads the last one, the pool's 0.
         # Placing them checks the dense cap, before any table is sized by it.
         numbers = np.arange(1, n * n + 1).reshape(n, n)
         lifts = np.stack([_place(numbers, signature, 3, 1), _place(numbers, signature, 3, 2)]) - 1
         self.side = side = lifts.shape[-1]
         pad = side // n
         self.eq_live, self.uni_live = _live_entries(pattern, signature)
-        entries = np.concatenate([self.eq_live, side * side + self.uni_live])
+        self.live_entries = entries = np.concatenate([self.eq_live, side * side + self.uni_live])
         self.live_rows = np.stack([2 * entries, 2 * entries + 1], axis=-1).reshape(-1)
         self.total_rows = 2 * (side * side + n * n)
         flat = self.rows * n + self.cols
         slot = np.full(n * n + 1, self.rows.size)
         slot[flat] = np.arange(self.rows.size)
-        self.lift_table = slot[np.concatenate([lifts.reshape(-1), np.arange(n * n)])]
+        self.lift_pair, self.r_slots = slot[lifts], slot[: n * n].reshape(n, n)
         self.unit = np.eye(n)
 
-        # The Jacobian's pool per point is [x, 0, 1, -1, -x, 2x, LS, SL];
-        # each block it reads is a table of pool slots.
+        # The pool per point is [x, 0, 1, -1, -x, 2x, LS, SL]; each block
+        # read from it is a table of pool slots.
         count, eq_size = self.rows.size, side * side
         zero, negated, doubled, products = count, count + 3, 2 * count + 3, 3 * count + 3
         self.pool_size = products + 2 * eq_size
         self.pool_parts = (slice(count), slice(negated, doubled), slice(doubled, products), slice(products, None))
-        self.lift_pair = self.lift_table[: 2 * eq_size].reshape(2, side, side)
         left, right = self.lift_pair
         eye, square = np.eye(side, dtype=bool), np.arange(eq_size).reshape(side, side)
         unit, minus_unit = np.where(eye, count + 1, zero), np.where(eye, count + 2, zero)
@@ -177,34 +181,8 @@ class _PatternResidual:
         x[1::2] = radius * np.sin(phase)
         return x
 
-    def _gather(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The lifts [L, S] stacked, and R, of each point of a parameter
-        stack, taken from its free entries in one gather."""
-        free = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
-        batch = free.shape[:-1]
-        pool = np.zeros(batch + (free.shape[-1] + 1,), dtype=np.complex128)
-        pool[..., :-1] = free
-        gathered = np.take(pool, self.lift_table, axis=-1)
-        split, side, n = 2 * self.side**2, self.side, self.pattern.size
-        return (
-            gathered[..., :split].reshape(batch + (2, side, side)),
-            gathered[..., split:].reshape(batch + (n, n)),
-        )
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        lifts, r = self._gather(x)
-        pair = lifts @ lifts[..., ::-1, :, :]  # [LS, SL]
-        triple = pair @ lifts  # [LSL, SLS]
-        eq = triple[..., 0, :, :] - triple[..., 1, :, :]
-        uni = r @ linalg.dagger(r) - self.unit
-        batch, split = eq.shape[:-2], self.eq_live.size
-        out = np.empty(batch + (split + self.uni_live.size,), dtype=np.complex128)
-        out[..., :split] = eq.reshape(batch + (-1,))[..., self.eq_live]
-        out[..., split:] = uni.reshape(batch + (-1,))[..., self.uni_live]
-        return out.view(np.float64)
-
     def _workspace(self, stack: int) -> tuple[np.ndarray, ...]:
-        """The Jacobian's work arrays and their views for a stack of
+        """The work arrays and their views for a stack of
         ``stack`` rows, made once per stack size and cut from arrays sized
         for the largest stack seen."""
         if stack not in self._views:
@@ -224,16 +202,36 @@ class _PatternResidual:
             )
         return self._views[stack]
 
-    def jacobian(self, xs: np.ndarray) -> np.ndarray:
-        stack, count, eq_size = len(xs), self.rows.size, self.eq_live.size
-        # x, -x and 2x as reals, so that each is exact.
-        pool, reals, free, negated, doubled, products, lifts, swapped, gx, gx_t, gy, d_f, d_flat = self._workspace(stack)
+    def _lift(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The workspace of a (k, params) stack, its pool holding each
+        point's free entries, [L, S] and [LS, SL]."""
+        views = self._workspace(len(xs))
+        pool, _, free, _, _, products, lifts, swapped = views[:8]
         free[...] = xs
-        np.negative(free, out=negated)
-        np.multiply(free, 2.0, out=doubled)
         # mode="clip" lets take write straight into out; "raise" buffers it.
         np.take(pool, self.lift_pair, axis=-1, out=lifts, mode="clip")
         np.matmul(lifts, swapped, out=products)  # [LS, SL]
+        return views
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        xs = np.reshape(x, (-1, self.n_params))
+        views = self._lift(xs)
+        pool, products, lifts, split = views[0], views[5], views[6], self.side**2
+        full = np.empty((len(xs), split + self.unit.size), dtype=np.complex128)
+        triple = products @ lifts  # [LSL, SLS]
+        np.subtract(triple[:, 0], triple[:, 1], out=full[:, :split].reshape(triple[:, 0].shape))
+        r = np.take(pool, self.r_slots, axis=-1)
+        np.subtract(r @ linalg.dagger(r), self.unit, out=full[:, split:].reshape(r.shape))
+        # A fresh array, not a view of the work arrays: the solver keeps rows
+        # of earlier residuals across later calls.
+        return np.take(full, self.live_entries, axis=-1).view(np.float64).reshape(np.shape(x)[:-1] + (-1,))
+
+    def jacobian(self, xs: np.ndarray) -> np.ndarray:
+        stack, count, eq_size = len(xs), self.rows.size, self.eq_live.size
+        pool, reals, free, negated, doubled, products, lifts, swapped, gx, gx_t, gy, d_f, d_flat = self._lift(xs)
+        # x, -x and 2x as reals, so that each is exact.
+        np.negative(free, out=negated)
+        np.multiply(free, 2.0, out=doubled)
         np.take(pool, self.x_index, axis=-1, out=gx, mode="clip")
         np.take(pool, self.y_index, axis=-1, out=gy, mode="clip")
         np.matmul(gx_t, gy, out=d_f)

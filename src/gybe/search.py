@@ -53,11 +53,13 @@ class ZeroPattern:
         return int(np.count_nonzero(self.mask))
 
     def accepts(self, m: np.ndarray, tol: float = 0.0) -> bool:
-        """True when every masked-out entry of ``m`` is zero (within tol)."""
+        """True when every masked-out entry of ``m`` is zero (within tol).
+        A matrix of another shape is a ValueError, not a violation."""
         tol = linalg.tolerance(tol)
         m = linalg.as_matrix(m)
         if m.shape != (self.size, self.size):
-            return False
+            found = f"side {len(m)}" if m.shape[0] == m.shape[1] else f"shape {m.shape}"
+            raise ValueError(f"candidate {found} does not match pattern size {self.size}")
         return bool(np.all(np.abs(m[~self.mask]) <= tol))
 
     @staticmethod
@@ -222,8 +224,6 @@ def gybe_objective(
         raise ValueError(
             f"pattern size {pattern.size} does not match signature {signature}"
         )
-    if len(m) != pattern.size:
-        raise ValueError(f"candidate side {len(m)} does not match pattern size {pattern.size}")
     if not pattern.accepts(m):
         raise ValueError("candidate has nonzero entries outside the pattern")
     vec = _combined_residual_vector(m, signature)

@@ -1168,6 +1168,129 @@ def test_all_scalar_covariants_leave_the_pair_undecided():
     assert search_equivalence(r, s) is None
 
 
+def test_a_pair_with_every_invariant_zero_is_left_to_the_candidates():
+    # The cyclic shift has trace 0, and so has the square of it and of each
+    # partial trace: no invariant fits a scalar, so none refutes, and the
+    # diagonal shape's first candidate is the witness.
+    shift = RMatrix(GybeSignature(2, 3, 1), np.roll(np.eye(8), 1, axis=0), "shift")
+    assert [value for _, _, value, _ in equivalence._invariants(shift.matrix, 3)] == [0] * 5
+    assert equivalence._refuting_invariant(shift.matrix, shift.matrix, 3, WITNESS_TOL) is None
+    decision = decide_equivalence(shift, shift)
+    assert decision.verdict == "witness"
+    assert [(p.prefix, p.verdict, p.candidates) for p in decision.prefixes] == [("direct", "witness", 1)]
+
+
+def _sheared(e: float) -> RMatrix:
+    """[[1, 1], [0, 1 + e]] ⊗ I_8 at (2, 4, 1).  Its site-0 covariant is 8
+    times the 2x2: a gap of 8e, which clears the separation gate for
+    e > 1.25e-4, and eigenvectors about e apart, which fail the eigenvector
+    gate for e < 2e-4."""
+    return RMatrix(GybeSignature(2, 4, 1), np.kron(np.array([[1.0, 1.0], [0.0, 1.0 + e]]), np.eye(8)), "sheared")
+
+
+@pytest.mark.parametrize("e, reduces", [(1.6e-4, False), (4e-4, True)])
+def test_a_clear_gap_with_near_parallel_eigenvectors_is_passed_over(e, reduces):
+    w = _sheared(e).matrix
+    best = equivalence._reducing_covariant(w, 4, equivalence.COVARIANT_RTOL * linalg.max_abs(w))
+    assert (best is not None) == reduces
+
+
+def test_near_parallel_eigenvectors_of_s_leave_the_prefix_undecided():
+    # R's site-0 covariant 8 diag(1, 2) reduces; S's has as clear a gap,
+    # but its eigenvectors fail the gate, so neither side can be reduced.
+    r = RMatrix(GybeSignature(2, 4, 1), np.kron(np.diag([1.0, 2.0]), np.eye(8)), "r")
+    decision, _ = _decide_prefix(r, _sheared(1.6e-4), ("general",))
+    assert (decision.verdict, decision.covariant, decision.candidates) == (
+        "undecided",
+        equivalence.Covariant("R", 0, "distinct"),
+        0,
+    )
+
+
+@pytest.mark.parametrize("e, verdict", [(1e-7, "undecided"), (1e-10, "none")])
+def test_a_scalar_covariant_of_s_rules_out_only_clear_of_the_margin(e, verdict):
+    # R's site-0 covariant 2 diag(1, 2) has a clear gap.  S's, 2 diag(1,
+    # 1 + e), is scalar at S's threshold (about 1.4e-6); at a hundredth of
+    # it, e = 1e-7 is a gap again, so S is neither matched nor ruled out.
+    signature = GybeSignature(2, 2, 1)
+    r = RMatrix(signature, np.diag([1.0, 1.0, 2.0, 2.0]), "r")
+    s = RMatrix(signature, np.diag([1.0, 1.0, 1.0 + e, 1.0 + e]), "s")
+    decision, _ = _decide_prefix(r, s, ("general",))
+    assert (decision.verdict, decision.covariant, decision.candidates) == (
+        verdict,
+        equivalence.Covariant("R", 0, "distinct"),
+        0,
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_nilpotent_covariant_of_s_rules_out_a_jordan_covariant_of_r(seed):
+    # The covariant of a gauge image has lambda^deg times r's mean, which
+    # is never 0 when r's is not.
+    rng = np.random.default_rng([38, seed])
+    r = _jordan_covariant_matrix(rng)
+    s = _site_zero_matrix(rng, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    decision, _ = _decide_prefix(r, s, ("general",))
+    assert (decision.verdict, decision.covariant, decision.candidates) == (
+        "none",
+        equivalence.Covariant("R", 0, "jordan"),
+        0,
+    )
+
+
+def test_a_jordan_reduction_with_lambda_below_the_scalar_floor_gives_no_candidate():
+    # R at 1e145 against another Jordan-covariant matrix at 1e-10: the top
+    # level fits |lambda| near 1e-155, below the 1e-150 the scorer takes as
+    # a scalar, so the reduction offers no candidate.
+    rng = np.random.default_rng(30)
+    r = apply_gauge(_jordan_covariant_matrix(rng), GaugeOp.scalar(1e145))
+    s = apply_gauge(_jordan_covariant_matrix(rng), GaugeOp.scalar(1e-10))
+    decision, _ = _decide_prefix(r, s, ("general",))
+    assert (decision.verdict, decision.covariant, decision.candidates) == (
+        "none",
+        equivalence.Covariant("R", 0, "jordan"),
+        0,
+    )
+
+
+def _graded_pair(a: np.ndarray, b: np.ndarray) -> tuple[RMatrix, RMatrix]:
+    signature = GybeSignature(2, 2, 1)
+    return RMatrix(signature, a, "a"), RMatrix(signature, b, "b")
+
+
+def test_ratios_that_overflow_give_no_graded_candidate():
+    # Every ratio b / a is 1e312, past the largest float: z is NaN.
+    m = np.eye(4) + 0.5 * np.eye(4)[::-1]
+    r, s = _graded_pair(1e-12 * m, 1e300 * m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert list(equivalence._graded_conjugators(r.matrix, s.matrix, "diagonal", tol=WITNESS_TOL)) == []
+        assert search_local_conjugation(r, s, ("diagonal",)) is None
+
+
+def test_a_candidate_below_the_singular_value_gate_is_passed_over():
+    # Ratios b / a of 1e-8 on the diagonal and 1e8 off it fix z = 1e-16:
+    # diag(1, z) fails GaugeOp's gate, so the scorer drops it.
+    eps = 1e-8
+    r, s = _graded_pair(np.kron(I2, [[1, eps], [eps, 1]]), np.kron(I2, [[eps, 1], [1, eps]]))
+    (q,) = equivalence._graded_conjugators(r.matrix, s.matrix, "diagonal", tol=WITNESS_TOL)
+    assert abs(q[1, 1] - 1e-16) <= 1e-30
+    with pytest.raises(linalg.SingularMatrixError):
+        GaugeOp.local_conj(q)
+    assert search_local_conjugation(r, s, ("diagonal",)) is None
+
+
+def test_a_candidate_whose_image_overflows_is_passed_over():
+    # S is R conjugated by diag(1, 10) and scaled by 1e-2, but R's entries
+    # are 1e307: the image before the scalar overflows, so the scorer drops
+    # both roots z = ±10.
+    m = 1e307 * (np.eye(4) + 0.5 * np.eye(4)[::-1])
+    r, s = _graded_pair(m, m * 10.0 ** (equivalence._grading(4) - 2.0))
+    roots = list(equivalence._graded_conjugators(r.matrix, s.matrix, "diagonal", tol=WITNESS_TOL))
+    assert sorted(round(q[1, 1].real) for q in roots) == [-10, 10]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _decide_prefix(r, s, ("diagonal",))[0].verdict == "none"
+
+
 def test_decision_json_reports_verdict_and_covariant():
     r, s = family_solution(1, 0.3), family_solution(1, 1.1)
     # The search alone decides each prefix by a covariant.

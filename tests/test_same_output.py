@@ -93,12 +93,12 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # near-miss equiv three times; three family members by theta in text, three by alpha and beta, in text and
     # JSON, and one alpha with a space after its comma; six xshape braids;
     # four searches in JSON, four in text and four in text on the JSON
-    # pattern, then two on each of two other signatures, then the
+    # pattern, then two on each of four other patterns, then the
     # benchmark's 16 search calls; and the 21 usage
     # errors of other gates, the 5 refused inputs, the tolerance gate's 15
     # and the 6 config errors.
     assert len(argvs) == (
-        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 3 + 6 + 1 + 6 + 12 + 4 + 16 + 21 + 5 + 15 + 6
+        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 3 + 6 + 1 + 6 + 12 + 8 + 16 + 21 + 5 + 15 + 6
     )
     argvs, bench = argvs[: -usage - 16], argvs[-usage - 16 : -usage]
     assert bench == same_output.BENCH_SEARCHES == [
@@ -112,32 +112,34 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         assert all(a[-1] == "--json" for a in as_json[0::2])
         assert as_json[1::2] == [a + ["--stats"] for a in as_json[0::2]]
         assert plain == [[v for v in a if v != "--json"] for a in as_json]
-    assert equiv[3 * 448 :] == argvs[-35:-32] == same_output.NEAR_MISS_EQUIV
+    assert equiv[3 * 448 :] == argvs[-39:-36] == same_output.NEAR_MISS_EQUIV
     assert [a[7:] for a in equiv[3 * 448 :]] == [[], ["--stats"], ["--json", "--stats"]]
     braid = [a for a in argvs if a[0] == "braid"]
     assert braid[240:280] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
     assert not any("--json" in a for a in braid[240:280])
     assert braid[280:320] == [a + ["--json"] for a in braid[120:240] if "--compare" in a]
-    assert braid[320:] == argvs[-22:-16] == same_output.XSHAPE_BRAIDS
+    assert braid[320:] == argvs[-26:-20] == same_output.XSHAPE_BRAIDS
     assert [a[a.index("--word") + 1][:4] for a in braid[320:]] == ["n=3:", "n=3:", "n=4:", "n=4:", "n=3:", "n=4:"]
-    assert argvs[-32:-29] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
+    assert argvs[-36:-33] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
     general = [["family", "--family", k, "--alpha", "0.6,0.8", "--beta", "0.28,-0.96"] for k in "123"]
-    assert argvs[-29:-23] == [a + json for a in general for json in ([], ["--json"])]
-    assert argvs[-23] == ["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]
+    assert argvs[-33:-27] == [a + json for a in general for json in ([], ["--json"])]
+    assert argvs[-27] == ["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]
     searches = [(same_output.PATTERN, ["--json"]), (same_output.PATTERN, []), (same_output.PATTERN_JSON, [])]
-    assert argvs[-16:-4] == [
+    assert argvs[-20:-8] == [
         ["search", "--pattern", pattern, "--signature", "2,3,1", *output, "--stats", "--seed", seed]
         for pattern, output in searches
         for seed in "0123"
     ]
-    assert argvs[-4:] == [
+    others = (("xshape.txt", "2,3,2"), ("full-4x4.txt", "2,2,1"), ("full-8x8.txt", "2,3,1"), ("full-9x9.txt", "3,2,1"))
+    assert argvs[-8:] == [
         ["search", "--pattern", pattern, "--signature", signature, "--json", "--stats", "--seed", seed]
-        for pattern, signature in (("xshape.txt", "2,3,2"), ("full-4x4.txt", "2,2,1"))
+        for pattern, signature in others
         for seed in "01"
     ]
     assert (tmp_path / "xshape.txt").read_text().splitlines()[::7] == ["10000001", "10000001"]
-    assert (tmp_path / "full-4x4.txt").read_text() == "1111\n" * 4
-    verify = argvs[3 * 112 * 4 + 2 * 120 + 2 * 40 : -35]
+    for side in (4, 8, 9):
+        assert (tmp_path / f"full-{side}x{side}.txt").read_text() == ("1" * side + "\n") * side
+    verify = argvs[3 * 112 * 4 + 2 * 120 + 2 * 40 : -39]
     for pool in (verify[:288], verify[288:]):
         ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
         assert again == [a + ["--json"] for a in ops if a[0] == "classify"]
@@ -150,7 +152,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         for flag in ("--state", "--matrix", "--pattern"):
             if flag in argv:
                 assert (tmp_path / argv[argv.index(flag) + 1]).is_file(), argv
-    assert [a[-1] for a in argvs if a[0] == "search"] == list("0123") * 3 + list("01") * 2
+    assert [a[-1] for a in argvs if a[0] == "search"] == list("0123") * 3 + list("01") * 4
 
 
 def test_a_side_runs_the_argv_in_the_given_checkout(tmp_path, capsys):

@@ -324,6 +324,7 @@ def test_stacked_jacobian_matches_per_restart_jacobians():
     xs = np.stack([problem.initial(rng) for _ in range(5)])
     stacked = problem.jacobian(xs)
     residuals = problem.residual(xs)
+    np.testing.assert_array_equal(problem.residual(xs[:4].reshape(2, 2, -1)), residuals[:4].reshape(2, 2, -1))
     for x, jac, residual in zip(xs, stacked, residuals):
         np.testing.assert_array_equal(jac, problem.jacobian(x[None])[0])
         np.testing.assert_array_equal(residual, problem.residual(x))
@@ -414,8 +415,12 @@ def test_search_refuses_a_pattern_larger_than_sixteen():
 def test_a_pattern_accepts_no_matrix_of_another_shape():
     pattern = rowell_pattern()
     assert pattern.accepts(np.eye(8))
-    assert not pattern.accepts(np.eye(4))
-    assert not pattern.accepts(np.eye(16))
+    with pytest.raises(ValueError, match="^candidate side 4 does not match pattern size 8$"):
+        pattern.accepts(np.eye(4))
+    with pytest.raises(ValueError, match="^candidate side 16 does not match pattern size 8$"):
+        pattern.accepts(np.eye(16))
+    with pytest.raises(ValueError, match=r"^candidate shape \(8, 4\) does not match pattern size 8$"):
+        pattern.accepts(np.ones((8, 4)))
 
 
 def test_dedup_key_ignores_global_phase():
@@ -551,3 +556,23 @@ def test_jacobian_allocates_little_beyond_its_result():
         tracemalloc.stop()
     assert jac.shape == (4, 160, 32)
     assert peak <= 2 * jac.nbytes
+
+
+@pytest.mark.parametrize("problem", SEARCH_PROBLEMS, ids=["rowell", "full-4x4"])
+def test_the_shared_workspace_leaks_no_state(problem):
+    # The residual and the Jacobian fill one pool per point.  Interleaved at
+    # stack sizes 1-6, growing and shrinking, each call on one problem
+    # equals the same call on a fresh problem, and no residual it returned
+    # earlier changes.
+    pattern, signature = problem
+    shared, rng, kept = _PatternResidual(pattern, signature), np.random.default_rng(43), []
+    for step, size in enumerate([3, 1, 6, 2, 5, 4, 6, 1, 2]):
+        xs = np.stack([shared.initial(rng) for _ in range(size)])
+        calls = [("residual", xs), ("jacobian", xs), ("residual", xs[0])]
+        for name, x in calls[::-1] if step % 2 else calls:
+            out = getattr(shared, name)(x)
+            np.testing.assert_array_equal(out, getattr(_PatternResidual(pattern, signature), name)(x))
+            if name == "residual":
+                kept.append((out, out.copy()))
+    for out, copy in kept:
+        np.testing.assert_array_equal(out, copy)

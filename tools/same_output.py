@@ -26,8 +26,10 @@ relation compared;
 ``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
 seeds 0-3, then ``--stats`` in plain text at the same seeds, with the
 pattern as the 0/1 grid and again as JSON; ``gybe search --signature
-2,3,2 --json --stats`` on xshape's own pattern and ``--signature 2,2,1``
-on the full 4x4 pattern, at seeds 0-1; the benchmark's own search calls,
+2,3,2 --json --stats`` on xshape's own pattern, ``--signature 2,2,1`` on
+the full 4x4 pattern, ``--signature 2,3,1`` on the full 8x8 pattern and
+``--signature 3,2,1`` on the full 9x9 pattern, at seeds 0-1; the
+benchmark's own search calls,
 ``gybe search --pattern <rowell> --signature 2,3,1 --restarts 4 --json
 --stats`` at seeds 0-15 (the CLI's tolerance and iteration budget are the
 benchmark's); and last the ``USAGE_ERRORS``,
@@ -113,10 +115,14 @@ XSHAPE_BRAIDS = [
 SEARCH_SEEDS = range(4)
 PATTERN = "rowell.txt"
 PATTERN_JSON = "rowell.json"
-# Searches off (2,3,1): xshape's own pattern and the full 4x4 pattern, as 0/1 grids.
+# Searches off the bench pattern, as 0/1 grids: xshape's own pattern, the
+# full 4x4 pattern, the full 8x8 pattern at (2,3,1), where every residual row
+# is live, and the full 9x9 pattern, the one d = 3 search.
 OTHER_SEARCHES = {
     "xshape.txt": ("2,3,2", np.abs(checker.xshape_matrix()) > 1e-9),
     "full-4x4.txt": ("2,2,1", np.ones((4, 4), dtype=bool)),
+    "full-8x8.txt": ("2,3,1", np.ones((8, 8), dtype=bool)),
+    "full-9x9.txt": ("3,2,1", np.ones((9, 9), dtype=bool)),
 }
 OTHER_SEARCH_SEEDS = range(2)
 # The benchmark's search calls, restart count and seeds, through the CLI.
