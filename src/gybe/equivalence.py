@@ -361,7 +361,7 @@ def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, tol: float):
     noise = _support_cut(a, tol)
     top = level == level[np.abs(a) > noise].max()
     lam = _scalar_fit(a[top], b[top])
-    if abs(lam) < 1e-150:
+    if lam == 0:
         return
     moved = n_sum @ a - a @ n_sum
     coefficient = 0.0
@@ -640,7 +640,7 @@ def _search_conjugator(
             if not np.isfinite(image).all():
                 return None, None, None
             lam = _scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
-            if abs(lam) < 1e-150:  # GaugeOp.scalar needs lambda != 0
+            if lam == 0:  # GaugeOp.scalar needs lambda != 0
                 return None, None, None
             residual = float(linalg.max_abs(lam * image - s.matrix))
             if residual <= max(tol, NEAR_MISS) * scale:

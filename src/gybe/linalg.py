@@ -13,15 +13,13 @@ are; two readers, :func:`integer` and :func:`real`, take a number typed as text.
 
 Matrix output pays for the entries that are not +0.0+0.0j, not for the
 side: :func:`matrix_to_json` and :func:`matrix_to_text` gather the two
-uint64 words of those live entries, formatted once per distinct
-magnitude (the word with its sign bit cleared), and take each sign from a
-two-text table, since ``repr(x)`` is the sign and ``repr(|x|)`` and
-``format(x, "+.6f")`` the sign and ``format(|x|, ".6f")``.  The JSON text
-is one join of a header, per live entry its preceding run of zero entries
-as one repeated string and its parts, and the trailing run; it is byte
-for byte ``json.dumps(matrix_to_json_dict(m), allow_nan=False)``, and a
-non-finite entry raises (checked on the live words: a non-finite part
-never has all-zero bits).
+uint64 words of those live entries and format each distinct word once, so
+-0.0 and 0.0, and x and -x, keep their own texts.  The JSON text is one
+join of a header, per live entry its preceding run of zero entries as one
+repeated string, its real part and its imaginary part, and the trailing
+run; it is byte for byte ``json.dumps(matrix_to_json_dict(m),
+allow_nan=False)``, and a non-finite entry raises (checked on the live
+words: a non-finite part never has all-zero bits).
 
 All functions are pure; none mutate their arguments.
 """
@@ -320,8 +318,6 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
-# The sign bit of a float's 64-bit word; clearing it leaves the magnitude.
-_SIGN_BIT = np.uint64(1 << 63)
 # A zero entry as it follows another entry in the JSON list.
 _JSON_ZERO = ", [0.0, 0.0]"
 _TEXT_ZERO = "+0.000000+0.000000i"
@@ -343,21 +339,14 @@ def _live_words(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _part_texts(words: np.ndarray, fmt: Callable[[float], str]) -> tuple[np.ndarray, np.ndarray]:
-    """The sign bit (0 or 1) and ``fmt`` of the magnitude of each part in ``words``.
+    """``fmt`` of each distinct part in ``words``, and the index of each part's text.
 
-    ``fmt`` runs once per distinct magnitude, the part's word with the sign
-    bit cleared, so ``repr(x)`` is ``("", "-")[bit] + repr(|x|)`` and
-    ``format(x, "+.6f")`` is ``("+", "-")[bit] + format(|x|, ".6f")``.
+    ``fmt`` runs once per distinct 64-bit word, sign bit included, so -0.0
+    and 0.0, and x and -x, each get their own text.
     """
-    magnitudes, index = np.unique(words & ~_SIGN_BIT, return_inverse=True)
-    texts = np.array([fmt(x) for x in magnitudes.view(np.float64).tolist()], dtype=object)
-    bits = (words >> np.uint64(63)).astype(np.intp)
-    return bits, np.take(texts, index.reshape(words.shape))
-
-
-def _signs(bits: np.ndarray, texts: tuple[str, str]) -> np.ndarray:
-    """``texts[bit]`` for each sign bit of ``bits``."""
-    return np.take(np.array(texts, dtype=object), bits)
+    values, index = np.unique(words, return_inverse=True)
+    texts = np.array([fmt(x) for x in values.view(np.float64).tolist()], dtype=object)
+    return texts, index.reshape(words.shape)
 
 
 def matrix_to_json(m: np.ndarray) -> str:
@@ -370,25 +359,21 @@ def matrix_to_json(m: np.ndarray) -> str:
     """
     m = as_matrix(m)
     live, words = _live_words(m)
-    bits, texts = _part_texts(words, repr)
+    texts, index = _part_texts(words, repr)
     # The zero-run texts, indexed by run length, for the lengths that occur.
     gaps = np.diff(live, prepend=-1) - 1
     counts = np.bincount(gaps)
     lengths = np.flatnonzero(counts)
     runs = np.empty(counts.size, dtype=object)
     runs[lengths] = [_JSON_ZERO * g + ", [" for g in lengths.tolist()]
-    # Per entry: its zero run and ", [", the real sign and magnitude, ", "
-    # and the imaginary sign, the imaginary magnitude and "]"; after the
-    # last one, the trailing zero run.
-    pieces = np.empty(6 * live.size + 3, dtype=object)
+    # Per entry: its zero run and ", [", the real part, and ", ", the
+    # imaginary part and "]"; after the last one, the trailing zero run.
+    pieces = np.empty(3 * live.size + 3, dtype=object)
     pieces[0] = f'{{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "entries": ['
-    table = pieces[1:-2].reshape(-1, 6)
+    table = pieces[1:-2].reshape(-1, 3)
     table[:, 0] = np.take(runs, gaps)
-    table[:, 1] = _signs(bits[:, 0], ("", "-"))
-    table[:, 2] = texts[:, 0]
-    table[:, 3] = _signs(bits[:, 1], (", ", ", -"))
-    table[:, 4] = texts[:, 1]
-    table[:, 5] = "]"
+    table[:, 1] = np.take(texts, index[:, 0])
+    table[:, 2] = np.take(", " + texts + "]", index[:, 1])
     pieces[-2] = _JSON_ZERO * int(m.size - 1 - (live[-1] if live.size else -1))
     pieces[-1] = "]}"
     pieces[1] = pieces[1][2:]  # no ", " before the first entry
@@ -400,14 +385,13 @@ def matrix_to_text(m: np.ndarray) -> str:
     spaces between entries and one line per row.
 
     Parts are formatted as in :func:`matrix_to_json`, once per distinct
-    magnitude; non-finite entries raise ValueError.
+    value; non-finite entries raise ValueError.
     """
     m = as_matrix(m)
     live, words = _live_words(m)
-    bits, texts = _part_texts(words, "{:.6f}".format)
-    signs = _signs(bits, ("+", "-"))
+    texts, index = _part_texts(words, "{:+.6f}".format)
     entries = np.full(m.size, _TEXT_ZERO, dtype=object)
-    entries[live] = signs[:, 0] + texts[:, 0] + signs[:, 1] + texts[:, 1] + "i"
+    entries[live] = np.take(texts, index[:, 0]) + np.take(texts + "i", index[:, 1])
     return "\n".join("  ".join(row) for row in entries.reshape(m.shape).tolist())
 
 

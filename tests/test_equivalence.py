@@ -904,12 +904,16 @@ def test_a_nilpotent_first_covariant_is_passed_over_by_the_pinned_search(m):
         assert decision.covariant != equivalence.Covariant("R", 0, "jordan")
 
 
-def test_ill_conditioned_eigenvectors_pass_to_the_next_covariant():
-    # Eigenvalues 1e-5 apart with an O(1) off-diagonal entry are distinct,
-    # but their eigenvectors are 1e-5 apart too: below the gate, so the
-    # site-0 covariant is skipped and the site-1 one decides.
+def test_a_gap_below_the_separation_gate_passes_to_the_next_covariant():
+    # The site-0 covariant has distinct eigenvalues about 1.7e-5 apart and
+    # an O(1) off-diagonal entry.  The separation gate skips it before its
+    # eigenvectors are read: the gap is below SEPARATION_GATE times the
+    # threshold (about 2.8e-3), so the site-1 covariant decides.
     rng = np.random.default_rng(31)
     r = _jordan_covariant_matrix(rng, corner=1.0 + 1e-5)
+    threshold = equivalence.COVARIANT_RTOL * linalg.max_abs(r.matrix)
+    kind, _, separation, _ = equivalence._split(equivalence._partial_trace(r.matrix, 2, 0), threshold)
+    assert kind == "distinct" and separation < equivalence.SEPARATION_GATE * threshold
     s = apply_gauge_sequence(r, (GaugeOp.local_conj(_conditioned_q(rng, 5.0)), GaugeOp.scalar(1.1j)))
     decision, _ = _decide_prefix(r, s, ("general",))
     assert decision.covariant == equivalence.Covariant("R", 1, "distinct")
@@ -1238,10 +1242,10 @@ def test_a_nilpotent_covariant_of_s_rules_out_a_jordan_covariant_of_r(seed):
     )
 
 
-def test_a_jordan_reduction_with_lambda_below_the_scalar_floor_gives_no_candidate():
+def test_a_jordan_reduction_with_a_tiny_lambda_scores_its_candidate():
     # R at 1e145 against another Jordan-covariant matrix at 1e-10: the top
-    # level fits |lambda| near 1e-155, below the 1e-150 the scorer takes as
-    # a scalar, so the reduction offers no candidate.
+    # level fits |lambda| near 1e-155, which is no scalar's floor, so the
+    # reduction offers its one candidate, and it misses.
     rng = np.random.default_rng(30)
     r = apply_gauge(_jordan_covariant_matrix(rng), GaugeOp.scalar(1e145))
     s = apply_gauge(_jordan_covariant_matrix(rng), GaugeOp.scalar(1e-10))
@@ -1249,8 +1253,30 @@ def test_a_jordan_reduction_with_lambda_below_the_scalar_floor_gives_no_candidat
     assert (decision.verdict, decision.covariant, decision.candidates) == (
         "none",
         equivalence.Covariant("R", 0, "jordan"),
-        0,
+        1,
     )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("big, small", [(1e145, 1e-155), (1e150, 1e-151)])
+def test_a_gauge_image_with_a_tiny_lambda_has_a_witness(big, small, seed):
+    # R scaled by ``big`` and its image under a cond-3 Q scaled by ``small``:
+    # lambda is tiny but nonzero, so the Jordan reduction's candidate is
+    # scored and hits.
+    r = apply_gauge(_jordan_covariant_matrix(np.random.default_rng(30)), GaugeOp.scalar(big))
+    rng = np.random.default_rng([42, seed])
+    q = random_unitary(2, rng) @ np.diag([1.0, 1 / 3]) @ random_unitary(2, rng)
+    s = apply_gauge_sequence(r, (GaugeOp.local_conj(q), GaugeOp.scalar(small)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision, ops = _decide_prefix(r, s)
+    assert (decision.verdict, decision.covariant, decision.candidates) == (
+        "witness",
+        equivalence.Covariant("R", 0, "jordan"),
+        3,
+    )
+    replayed = apply_gauge_sequence(r, ops).matrix
+    assert linalg.max_abs_diff(replayed, s.matrix) <= WITNESS_TOL * linalg.max_abs(s.matrix)
 
 
 def _graded_pair(a: np.ndarray, b: np.ndarray) -> tuple[RMatrix, RMatrix]:

@@ -417,9 +417,9 @@ def _printed(m):
     return out.getvalue()
 
 
-def test_matrix_output_formats_each_magnitude_once():
-    # Magnitudes 0.0 (from -0.0 and the 0.0 beside a live part), 0.5 and 1.0;
-    # the +0.0+0.0j entries are not formatted at all.
+def test_matrix_output_formats_each_value_once():
+    # Values -1.0, -0.5, -0.0, 0.0 (beside a live part), 0.5 and 1.0, each
+    # signed value apart; the +0.0+0.0j entries are not formatted at all.
     m = np.array([[0.0, -0.0, 0.5], [0.5j, -0.5, 1j], [0.0, -1.0 - 0.5j, 0.0]])
     calls = []
 
@@ -429,11 +429,10 @@ def test_matrix_output_formats_each_magnitude_once():
 
     live, words = linalg._live_words(m)
     assert live.tolist() == [1, 2, 3, 4, 5, 7]
-    bits, texts = linalg._part_texts(words, fmt)
-    assert sorted(calls) == [0.0, 0.5, 1.0]
-    signed = np.where(bits == 1, "-", "") + texts.astype(str)
+    texts, index = linalg._part_texts(words, fmt)
+    assert sorted(map(repr, calls)) == sorted(map(repr, [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]))
     want = [[repr(z.real), repr(z.imag)] for z in m.reshape(-1)[live].tolist()]
-    assert signed.tolist() == want
+    assert np.take(texts, index).tolist() == want
 
 
 # Both signed zeros in either part, so that +0.0+0.0j (which is never
