@@ -194,6 +194,7 @@ EIGENVECTOR_GATE = 1e-4
 # it by up to cond(Q)^(2m)), so it leaves the prefix undecided.
 NEAR_MISS = 1e-6
 _JORDAN = np.array([[0, 1], [0, 0]], dtype=np.complex128)
+_IDENTITY = linalg.frozen(linalg.identity(2))
 
 
 @dataclass(frozen=True)
@@ -369,7 +370,7 @@ def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, tol: float):
         first = level == level[np.abs(moved) > noise].max()
         t = moved[first]
         coefficient = np.vdot(t, a[first] - b[first] / lam) / np.vdot(t, t)
-    yield linalg.identity(2) + coefficient * _JORDAN
+    yield _IDENTITY + coefficient * _JORDAN
 
 
 def _words(r: np.ndarray, m: int):
@@ -473,14 +474,14 @@ def _split(c: np.ndarray, threshold: float):
     entry the way a determinant's factorization does.
     """
     mean = np.trace(c) / 2
-    traceless = c - mean * linalg.identity(2)
+    traceless = c - mean * _IDENTITY
     if linalg.max_abs(traceless) <= threshold:
         return "scalar", mean, None, None
     (a, b), (c, _) = traceless.tolist()
     gap = 2 * abs(cmath.sqrt(a * a + b * c))
     if gap <= threshold:
         j = int(np.argmax(np.linalg.norm(traceless, axis=0)))
-        basis = np.column_stack([traceless[:, j], linalg.identity(2)[:, j]])
+        basis = np.column_stack([traceless[:, j], _IDENTITY[:, j]])
         return "jordan", mean, np.linalg.norm(basis[:, 0]), basis
     return "distinct", mean, gap, np.linalg.eig(traceless)[1]
 

@@ -6,18 +6,19 @@ solution search (:func:`gybe.search.solve_pattern`), through
 no optimizer: it decides every 2x2 conjugator in closed form.  The
 residual function maps a real parameter vector to a real residual vector;
 the objective is the sum of squared residual entries.  Every caller
-supplies the exact Jacobian, so one iteration costs one Jacobian and one
-residual per tried step.  Steps are accepted only when they reduce the
-objective, so the recorded trace is non-increasing.
+supplies the exact normal equations JᵀJ and Jᵀr, J the Jacobian, so one
+iteration costs one of those and one residual per tried step.  Steps are
+accepted only when they reduce the objective, so the recorded trace is
+non-increasing.
 
 :func:`solve_stack` minimizes a stack of independent starting points in
-one loop: each iteration evaluates the residuals and Jacobians of the live
-rows together and solves their damped normal equations in one batched
+one loop: each iteration evaluates the normal equations of the live rows
+together and solves their damped systems in one batched
 ``np.linalg.solve``.  Every row keeps its own damping, retries, trace and
 stop reason, and leaves the stack when it stops, so a row's result does not
 depend on the rows beside it.  Numpy sees only the stacks: the live rows'
-points, residuals, Jacobians and normal equations, and per retry round the
-pending rows' damped systems, steps and candidates.  Each row's damping,
+points, residuals and normal equations, and per retry round the pending
+rows' damped systems, steps and candidates.  Each row's damping,
 trace, counts, stop reason and step length are plain Python values kept by
 row, and its point and residual are rows of the stack it was last
 evaluated in, so a round's bookkeeping is a loop over ``tolist()``.
@@ -26,11 +27,11 @@ single 1-D start.
 
 Besides the budget, a solve stops on convergence, an accepted step no
 longer than ``STEP_TOL`` (read on every check), a damping stall, a
-non-finite residual or Jacobian, or a plateau: after ``PLATEAU_STEPS``
-accepted steps the objective fell by less than ``PLATEAU_RTOL``
-(relative) over the last ``PLATEAU_STEPS`` of them, a stalled-progress
-test in the spirit of Moré, "The Levenberg–Marquardt algorithm:
-implementation and theory" (1978).
+non-finite residual or normal equations, or a plateau: after
+``PLATEAU_STEPS`` accepted steps the objective fell by less than
+``PLATEAU_RTOL`` (relative) over the last ``PLATEAU_STEPS`` of them, a
+stalled-progress test in the spirit of Moré, "The Levenberg–Marquardt
+algorithm: implementation and theory" (1978).
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class LeastSquaresResult:
     ``reason`` says why the solve stopped: ``converged``, ``step_tol``,
     ``plateau``, ``damping_stall``, ``budget`` or ``non_finite``.
     ``residual_evals`` counts the start and every candidate step it
-    evaluated.  Each iteration evaluates one Jacobian, so ``jacobian_evals``
-    is read from ``iterations``, as ``converged`` is from ``reason``.
+    evaluated.  Each iteration evaluates one Jacobian's normal equations, so
+    ``jacobian_evals`` is read from ``iterations``, as ``converged`` is from
+    ``reason``.
     """
 
     x: np.ndarray
@@ -113,16 +115,16 @@ def solve_stack(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
+    normal_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     objective_tol: float = 0.0,
     max_iterations: int = 200,
 ) -> tuple[LeastSquaresResult, ...]:
     """Minimize ``sum(residual_fn(x)**2)`` from each row of ``x0`` (rows, params).
 
     ``residual_fn`` maps a (k, params) stack of points to a (k, residuals)
-    stack; ``jacobian_fn`` maps it to the (k, residuals, params) Jacobians
-    and is called once per iteration.  Returns one result per row, in row
-    order.
+    stack; ``normal_fn`` maps the stack and its residuals to JᵀJ and Jᵀr,
+    stacked (k, params, params) and (k, params), once per iteration.
+    Returns one result per row, in row order.
     """
     objective_tol = linalg.tolerance(objective_tol, "objective_tol")
     max_iterations = linalg.count(max_iterations, "max_iterations", 0)
@@ -136,7 +138,7 @@ def solve_stack(
     traces = [[value] for value in _objectives(start_residual).tolist()]
     rows = len(traces)
     damping = [INITIAL_DAMPING] * rows
-    # Each iteration evaluates one Jacobian, so this also counts Jacobians.
+    # One Jacobian's normal equations per iteration, so this counts those too.
     iterations = [0] * rows
     residual_evals = [1] * rows
     stop = ["budget"] * rows
@@ -147,20 +149,16 @@ def solve_stack(
         for row in live:
             iterations[row] += 1
         points = np.array([x[row] for row in live])
-        jac = np.asarray(jacobian_fn(points), dtype=float)
-        if not np.isfinite(jac).all():
-            finite = np.isfinite(jac).all(axis=(1, 2))
+        jtj, jtr = normal_fn(points, np.array([residual[row] for row in live]))
+        if not (np.isfinite(jtj).all() and np.isfinite(jtr).all()):
+            finite = np.isfinite(jtj).all(axis=(1, 2)) & np.isfinite(jtr).all(axis=1)
             for row, ok in zip(live, finite.tolist()):
                 if not ok:
                     stop[row] = "non_finite"
             live = [row for row, ok in zip(live, finite.tolist()) if ok]
             if not live:
                 break
-            points, jac = points[finite], jac[finite]
-        jac_t = jac.transpose(0, 2, 1)
-        jtj = jac_t @ jac
-        neg_jtr = -(jac_t @ np.array([residual[row] for row in live])[..., None])[..., 0]
-        del jac, jac_t  # so that two Jacobians are never held at once
+            points, jtj, jtr = points[finite], jtj[finite], jtr[finite]
 
         # Rows retry with growing damping until a step lowers their objective;
         # ``pending`` holds their places in ``live``.
@@ -171,7 +169,7 @@ def solve_stack(
                 break
             solved, steps = _damped_steps(
                 jtj[pending] + np.multiply.outer([damping[live[i]] for i in pending], eye),
-                neg_jtr[pending],
+                -jtr[pending],
             )
             tried = [i for i, ok in zip(pending, solved) if ok]
             pending = [i for i, ok in zip(pending, solved) if not ok]
@@ -233,15 +231,15 @@ def damped_least_squares(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
+    normal_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     objective_tol: float = 0.0,
     max_iterations: int = 200,
 ) -> LeastSquaresResult:
     """Minimize ``sum(residual_fn(x)**2)`` from the 1-D start ``x0``.
 
-    ``jacobian_fn(x)`` returns the (residuals, parameters) Jacobian at the
-    current point; it is called once per iteration.  This is
-    :func:`solve_stack` on a stack of one, with the same stop reasons.
+    ``normal_fn(x, r)`` returns JᵀJ and Jᵀr at the current point and its
+    residual, once per iteration.  This is :func:`solve_stack` on a stack
+    of one, with the same stop reasons.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
@@ -250,7 +248,7 @@ def damped_least_squares(
     (fit,) = solve_stack(
         lambda xs: np.asarray(residual_fn(xs[0]), dtype=float)[None],
         x0[None],
-        jacobian_fn=lambda xs: np.asarray(jacobian_fn(xs[0]), dtype=float)[None],
+        normal_fn=lambda xs, rs: tuple(np.asarray(a, dtype=float)[None] for a in normal_fn(xs[0], rs[0])),
         objective_tol=objective_tol,
         max_iterations=max_iterations,
     )

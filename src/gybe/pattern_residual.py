@@ -4,15 +4,15 @@
 and an imaginary parameter.  Its residual is the equation residual
 LSL - SLS and the unitarity defect RR† - I as interleaved real and
 imaginary parts, restricted to the rows the pattern can make nonzero, and
-it supplies the exact Jacobian of that residual.  Both read one pool per
-point, which holds the free entries: they take L = R ⊗ I^l and
-S = I^l ⊗ R from it through a table that ``gybe.core._place``, the one
-braid layout, builds from the entry numbers, and write [LS, SL] back into
-it; the residual takes R from it too.  :mod:`gybe.search` minimizes it.
+it supplies the normal equations JᵀJ and Jᵀr of that residual in closed
+form.  Both read one pool per point, which holds the free entries, L and S
+taken through a table that ``gybe.core._place``, the one braid layout,
+builds from the entry numbers, and [LS, SL].  :mod:`gybe.search` minimizes it.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +37,7 @@ def _combined_residual_vector(m: np.ndarray, signature: GybeSignature) -> np.nda
 
 class _PatternResidual:
     """The search residual over a pattern's free entries, on its live rows,
-    with its exact Jacobian.
+    with its exact normal equations.
 
     Parameters come in (real, imaginary) pairs, one pair per allowed entry
     in ``rows, cols`` order.  ``build`` and ``residual`` take leading batch
@@ -48,23 +48,20 @@ class _PatternResidual:
     S = I^l ⊗ R, entry (i, j) of LSL - SLS is live when the boolean product
     (L·S·L) ∨ (S·L·S) is set there, and entry (i, j) of RR† - I when rows
     i and j of the mask share a column, or i = j.  Every other entry, and
-    its Jacobian row, is exactly 0.0 at every point: each term of its sum
-    has a masked-out factor.  ``residual`` and ``jacobian`` return only the
-    live real rows, ``live_rows`` of the ``total_rows`` in the full
-    interleaved vector, so the objective and the normal equations are those
-    of the full residual, summed in another order.
+    its derivative, is exactly 0.0 at every point: each term of its sum
+    has a masked-out factor.  ``residual`` returns only the live real rows,
+    ``live_rows`` of the ``total_rows`` in the full interleaved vector.
 
-    Each point has one pool, [x, 0, 1, -1, -x, 2x, LS, SL], with x the
+    Each point has one pool, [x, 0, 1, -1, -x, LS, SL, R†R, U], with x the
     parameters viewed as complex128, the free entries.  Both ``residual``
-    and ``jacobian`` start by filling x, taking [L, S] from the pool
+    and ``normal`` start by filling x, taking [L, S] from the pool
     through ``lift_pair``, a table of pool slots in which each entry the
     pattern masks out reads the 0, and writing [LS, SL] back into it with
     one stacked matmul.  The residual then forms [LSL, SLS] and takes R
     through ``r_slots``; LSL - SLS and RR† - I go into one array, whose
-    live entries are one ``np.take``.  That take is a fresh array, never a
-    view of the pool: the solver keeps rows of earlier residuals across
-    later calls.  The signature's shape and dense cap are checked once, at
-    construction, before any table is sized.
+    live entries are one ``np.take``, a fresh array.  The signature's shape
+    and dense cap are checked once, at construction, before any table is
+    sized.
 
     The equation part F = LSL - SLS is holomorphic in R, so its derivative
     along the entry basis matrix E_k is dF_k = dL·S·L + L·dS·L + L·S·dL
@@ -72,24 +69,28 @@ class _PatternResidual:
     E_k = E_rc, dL has ones at the pad places where L holds R[r, c], and dS
     where S does, so each term X·dL·Y is the gathered product
     X[:, rows] @ Y[cols, :] over those places; dF_k is one matmul of the
-    six gathered pairs side by side, with inner size 6·pad, read at the
-    live entries.  The unitarity part U = RR† - I has derivative
-    c·A_k + conj(c)·A_k† with A_k = E_k R†: entry (i, j) of A_k is
-    conj(R[j, c]) when i = r, and of A_k† is R[i, c] when j = r.  The real
-    and imaginary parameters of entry k move it by c = 1 and c = 1j, so
-    their columns are c·dF_k at the live equation entries and [c, conj(c)]
-    times A_k stacked over A_k† at the live unitarity entries.
+    six gathered pairs side by side, with inner size 6·pad.  Row k of D is
+    dF_k at the live equation entries.
 
-    The Jacobian also fills -x and 2x.  The X and Y blocks of the six
-    terms and the unitarity columns are tables of pool slots, so each side
-    is one ``np.take``; the equation columns are one take from the dF_k
-    and one multiply by 1j.  The pool, [L, S] and the gathered X, Y and
-    dF_k live in work arrays sized for the largest stack seen and filled
-    in place by ``out=`` arguments and ``np.take`` with ``mode="clip"``
-    (arrays of this size allocated afresh on every iteration are
-    page-faulted back in each time), and their views are cut once per
-    stack size.  ``jacobian`` takes a (k, params) stack and returns one
-    Jacobian per row.
+    ``normal`` forms JᵀJ and Jᵀr without J.  Entry k sits at (r_k, c_k),
+    and its parameters a_k, b_k move R by E_k and i·E_k.  Over the two real
+    rows of a complex residual z, JᵀJ[p, q] = Re Σ conj(∂_p z)·∂_q z and
+    Jᵀr[p] = Re Σ conj(∂_p z)·z.  F moves by dF_k and i·dF_k, and
+    U = RR† - I by A_k + A_k† and i·(A_k - A_k†) with A_k = E_k R†, whose
+    Frobenius products are tr(A_k A_l†) = S̄[k, l] = [r_k = r_l]·(R†R)[c_k, c_l],
+    tr(A_k† A_l†) = W[k, l]·W[l, k] with W[k, l] = R[r_k, c_l], and their
+    conjugates.  So with M = DDᴴ + 2S̄ and N = 2 W ⊙ Wᵀ, row a_k of JᵀJ is
+    the real view of M[k] + N[k] and row b_k that of i·(M[k] - N[k]), and
+    Jᵀr is that of conj(D)·r_eq + 2(UR)[r_k, c_k], with r_eq and U read
+    from the residuals.  Dropped entries add exact zeros to every sum.
+
+    ``normal`` also fills -x, R†R and U, and the X and Y blocks, D, S̄ and W
+    are each one ``np.take`` of a slot table.  The pool, [L, S], X, Y, dF
+    (then conj(D)), D, [S̄, W], M and N are work arrays sized for the
+    largest stack seen, filled in place by ``out=`` and ``np.take`` with
+    ``mode="clip"`` (arrays this size allocated afresh on every iteration
+    are page-faulted back in each time); their views are cut once per
+    stack size.
     """
 
     def __init__(self, pattern: ZeroPattern, signature: GybeSignature):
@@ -118,12 +119,14 @@ class _PatternResidual:
         self.lift_pair, self.r_slots = slot[lifts], slot[: n * n].reshape(n, n)
         self.unit = np.eye(n)
 
-        # The pool per point is [x, 0, 1, -1, -x, 2x, LS, SL]; each block
-        # read from it is a table of pool slots.
+        # The pool per point is [x, 0, 1, -1, -x, LS, SL, R†R, U], U written at
+        # its live entries only, the rest staying 0; blocks are read by slot tables.
         count, eq_size = self.rows.size, side * side
-        zero, negated, doubled, products = count, count + 3, 2 * count + 3, 3 * count + 3
-        self.pool_size = products + 2 * eq_size
-        self.pool_parts = (slice(count), slice(negated, doubled), slice(doubled, products), slice(products, None))
+        zero, negated, products, gram = count, count + 3, 2 * count + 3, 2 * count + 3 + 2 * eq_size
+        u = gram + n * n
+        self.pool_size, self.u_slots, self.free_flat = u + n * n, u + self.uni_live, flat
+        ends = (0, count), (negated, products), (products, gram), (gram, u), (u, None)
+        self.pool_parts = [slice(*pair) for pair in ends]
         left, right = self.lift_pair
         eye, square = np.eye(side, dtype=bool), np.arange(eq_size).reshape(side, side)
         unit, minus_unit = np.where(eye, count + 1, zero), np.where(eye, count + 2, zero)
@@ -144,27 +147,14 @@ class _PatternResidual:
         )
         self.x_index = np.concatenate([x[:, r] for x, r, _, _ in terms], axis=-1)
         self.y_index = np.concatenate([y[c] for _, _, y, c in terms], axis=1)
-        # Column (k, c) of the Jacobian is c·dF_k at the live equation
-        # entries, then c·A_k + conj(c)·A_k† at the live unitarity entries
-        # (c = 1, 1j).  Read as reals, pool slot s is parts 2s and 2s + 1.
-        # With x = a + ib entry (j, c) when only i = r, or entry (i, c) when
-        # only j = r, the sum at (i, j) is x̄ or x for c = 1 and (b, a) or
-        # (b, -a) for c = 1j; when i = j = r it is 2a or 2b, else 0.
+        # Row k of D: dF_k at the live equation entries.  Then S̄ and W as
+        # pool slots, S̄ reading R†R where r_k = r_l and the 0 elsewhere.
         self.eq_index = np.arange(count)[:, None] * eq_size + self.eq_live
-        i, j = np.divmod(self.uni_live, n)
         rows, cols = self.rows[:, None], self.cols[:, None]
-        x_j, x_i = slot[j * n + cols], slot[i * n + cols]
-        neg_j, neg_i = (np.where(e < count, e + negated, zero) for e in (x_j, x_i))
-        cases = [((i == rows) & (j == rows))[..., None], (i == rows)[..., None], (j == rows)[..., None]]
-        parts = (
-            [(2 * (x_j + doubled), 2 * zero), (2 * x_j, 2 * neg_j + 1), (2 * x_i, 2 * x_i + 1)],
-            [(2 * (x_j + doubled) + 1, 2 * zero), (2 * x_j + 1, 2 * x_j), (2 * x_i + 1, 2 * neg_i)],
-        )
-        self.uni_index = np.stack(
-            [np.select(cases, [np.stack(np.broadcast_arrays(*p), -1) for p in c], 2 * zero) for c in parts], axis=1
-        ).reshape(count, 2, -1)
-        self._work: tuple[np.ndarray, ...] = ()
-        self._views: dict[int, tuple[np.ndarray, ...]] = {}
+        s_bar = np.where(rows == rows.T, gram + cols * n + cols.T, zero)
+        self.normal_index = np.stack([s_bar, slot[rows * n + cols.T]])
+        self._work: dict[str, np.ndarray] = {}
+        self._views: dict[int, SimpleNamespace] = {}
 
     def build(self, x: np.ndarray) -> np.ndarray:
         size = self.pattern.size
@@ -181,68 +171,78 @@ class _PatternResidual:
         x[1::2] = radius * np.sin(phase)
         return x
 
-    def _workspace(self, stack: int) -> tuple[np.ndarray, ...]:
-        """The work arrays and their views for a stack of
-        ``stack`` rows, made once per stack size and cut from arrays sized
-        for the largest stack seen."""
+    def _workspace(self, stack: int) -> SimpleNamespace:
+        """The work arrays and their views for ``stack`` rows, made once per
+        stack size and cut from arrays sized for the largest stack seen."""
         if stack not in self._views:
-            if not self._work or len(self._work[0]) < stack:
+            if not self._work or len(self._work["pool"]) < stack:
                 count, side = self.rows.size, self.side
-                pool = np.zeros((stack, self.pool_size), dtype=np.complex128)
+                shapes = dict(lifts=self.lift_pair.shape, gx=self.x_index.shape, gy=self.y_index.shape)
+                shapes.update(d_f=(count, side, side), d=self.eq_index.shape, sw=self.normal_index.shape)
+                shapes.update(m=(count, count), n=(count, count))
+                self._work = {k: np.empty((stack, *shape), dtype=np.complex128) for k, shape in shapes.items()}
+                self._work["pool"] = pool = np.zeros((stack, self.pool_size), dtype=np.complex128)
                 pool[:, count + 1 : count + 3] = 1.0, -1.0
-                shapes = (self.lift_pair.shape, self.x_index.shape, self.y_index.shape, (count, side, side))
-                self._work = (pool, *(np.empty((stack, *shape), dtype=np.complex128) for shape in shapes))
                 self._views = {}
-            pool, lifts, gx, gy, d_f = (array[:stack] for array in self._work)
-            free, negated, doubled, products = (pool[:, part] for part in self.pool_parts)
-            self._views[stack] = (
-                pool, pool.view(np.float64), *(part.view(np.float64) for part in (free, negated, doubled)),
-                products.reshape(lifts.shape), lifts, lifts[:, ::-1],
-                gx, gx.transpose(0, 2, 1, 3), gy, d_f, d_f.reshape(stack, -1),
-            )
+            ws = SimpleNamespace(**{name: array[:stack] for name, array in self._work.items()})
+            ws.free, ws.negated, products, *squares = (ws.pool[:, part] for part in self.pool_parts)
+            ws.parameters, ws.swapped = ws.free.view(np.float64), ws.lifts[:, ::-1]
+            ws.products = products.reshape(ws.lifts.shape)
+            ws.gram, ws.u = (square.reshape(stack, *self.unit.shape) for square in squares)
+            ws.gx_t, ws.d_flat = ws.gx.transpose(0, 2, 1, 3), ws.d_f.reshape(stack, -1)
+            # conj(D) overwrites dF, which is spent once D is taken from it.
+            ws.d_conj = ws.d_flat[:, : ws.d[0].size].reshape(ws.d.shape)
+            self._views[stack] = ws
         return self._views[stack]
 
-    def _lift(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The workspace of a (k, params) stack, its pool holding each
-        point's free entries, [L, S] and [LS, SL]."""
-        views = self._workspace(len(xs))
-        pool, _, free, _, _, products, lifts, swapped = views[:8]
-        free[...] = xs
+    def _lift(self, xs: np.ndarray) -> SimpleNamespace:
+        """The workspace of a (k, params) stack, its pool holding x, [L, S] and [LS, SL]."""
+        ws = self._workspace(len(xs))
+        ws.parameters[...] = xs
         # mode="clip" lets take write straight into out; "raise" buffers it.
-        np.take(pool, self.lift_pair, axis=-1, out=lifts, mode="clip")
-        np.matmul(lifts, swapped, out=products)  # [LS, SL]
-        return views
+        np.take(ws.pool, self.lift_pair, axis=-1, out=ws.lifts, mode="clip")
+        np.matmul(ws.lifts, ws.swapped, out=ws.products)  # [LS, SL]
+        return ws
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         xs = np.reshape(x, (-1, self.n_params))
-        views = self._lift(xs)
-        pool, products, lifts, split = views[0], views[5], views[6], self.side**2
+        ws, split = self._lift(xs), self.side**2
         full = np.empty((len(xs), split + self.unit.size), dtype=np.complex128)
-        triple = products @ lifts  # [LSL, SLS]
+        triple = ws.products @ ws.lifts  # [LSL, SLS]
         np.subtract(triple[:, 0], triple[:, 1], out=full[:, :split].reshape(triple[:, 0].shape))
-        r = np.take(pool, self.r_slots, axis=-1)
+        r = np.take(ws.pool, self.r_slots, axis=-1)
         np.subtract(r @ linalg.dagger(r), self.unit, out=full[:, split:].reshape(r.shape))
         # A fresh array, not a view of the work arrays: the solver keeps rows
         # of earlier residuals across later calls.
         return np.take(full, self.live_entries, axis=-1).view(np.float64).reshape(np.shape(x)[:-1] + (-1,))
 
-    def jacobian(self, xs: np.ndarray) -> np.ndarray:
-        stack, count, eq_size = len(xs), self.rows.size, self.eq_live.size
-        pool, reals, free, negated, doubled, products, lifts, swapped, gx, gx_t, gy, d_f, d_flat = self._lift(xs)
-        # x, -x and 2x as reals, so that each is exact.
-        np.negative(free, out=negated)
-        np.multiply(free, 2.0, out=doubled)
-        np.take(pool, self.x_index, axis=-1, out=gx, mode="clip")
-        np.take(pool, self.y_index, axis=-1, out=gy, mode="clip")
-        np.matmul(gx_t, gy, out=d_f)
+    def normal(self, xs: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        stack, count, ws = len(xs), self.rows.size, self._lift(xs)
+        np.negative(ws.free, out=ws.negated)
+        np.take(ws.pool, self.x_index, axis=-1, out=ws.gx, mode="clip")
+        np.take(ws.pool, self.y_index, axis=-1, out=ws.gy, mode="clip")
+        np.matmul(ws.gx_t, ws.gy, out=ws.d_f)
+        np.take(ws.d_flat, self.eq_index, axis=-1, out=ws.d, mode="clip")
+        np.conjugate(ws.d, out=ws.d_conj)
+        r = np.take(ws.pool, self.r_slots, axis=-1)
+        np.matmul(linalg.dagger(r), r, out=ws.gram)
+        np.take(ws.pool, self.normal_index, axis=-1, out=ws.sw, mode="clip")
+        s_bar, w = ws.sw.swapaxes(0, 1)
+        m, n = np.matmul(ws.d, ws.d_conj.swapaxes(-1, -2), out=ws.m), np.multiply(w, w.swapaxes(-1, -2), out=ws.n)
+        m += np.multiply(s_bar, 2.0, out=s_bar)  # M = DDᴴ + 2S̄
+        n *= 2.0  # N = 2 W ⊙ Wᵀ
 
-        # The (real, imaginary) parameter columns: c = 1 and c = 1j times
-        # dF_k, then A_k + A_k† and 1j·(A_k − A_k†), gathered from the pool.
-        columns = np.empty((stack, count, 2, eq_size + self.uni_live.size), dtype=np.complex128)
-        np.take(d_flat, self.eq_index, axis=-1, out=columns[..., 0, :eq_size], mode="clip")
-        np.multiply(columns[..., 0, :eq_size], 1j, out=columns[..., 1, :eq_size])
-        np.take(reals, self.uni_index, axis=-1, out=columns.view(np.float64)[..., 2 * eq_size :], mode="clip")
-        return columns.reshape(stack, self.n_params, -1).view(np.float64).swapaxes(-1, -2)
+        # Rows a_k and b_k of JᵀJ, interleaved in place: M[k] + N[k] and i·(M[k] - N[k]).
+        jtj = np.empty((stack, count, 2, count), dtype=np.complex128)
+        np.add(m, n, out=jtj[:, :, 0])
+        np.multiply(np.subtract(m, n, out=m), 1j, out=jtj[:, :, 1])
+        # conj(D)·r_eq + 2(UR)[r_k, c_k], U and r_eq read from the residuals.
+        split = 2 * self.eq_live.size
+        r_eq = residuals[:, :split].view(np.complex128)
+        ws.pool[:, self.u_slots] = residuals[:, split:].view(np.complex128)
+        jtr = 2.0 * np.take((ws.u @ r).reshape(stack, -1), self.free_flat, axis=-1)
+        jtr += (ws.d_conj @ r_eq[..., None])[..., 0]
+        return jtj.view(np.float64).reshape(stack, self.n_params, -1), jtr.view(np.float64)
 
 
 def _live_entries(pattern: ZeroPattern, signature: GybeSignature) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ residual plus the squared Frobenius weight of the unitarity defect; it
 vanishes exactly on unitary solutions.  The least-squares problem lives in
 :mod:`gybe.pattern_residual`: it keeps only the residual rows the pattern can
 make nonzero (on the 8x8 two-block pattern, 160 of 640 real rows; the
-others are exactly zero at every point), with an exact Jacobian.
+others are exactly zero at every point), with exact normal equations.
 Independent damped least-squares restarts minimize it from random starting
 points, solved together as one stack by :func:`gybe.optimize.solve_stack`;
 a restart whose objective stops falling leaves the stack with reason
@@ -285,7 +285,7 @@ def solve_pattern(
     fits = solve_stack(
         problem.residual,
         np.stack(starts),
-        jacobian_fn=problem.jacobian,
+        normal_fn=problem.normal,
         objective_tol=objective_tol,
         max_iterations=config.max_iterations,
     )

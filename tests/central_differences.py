@@ -1,4 +1,4 @@
-"""Central-difference Jacobians, the reference the exact Jacobians are tested against."""
+"""Central-difference Jacobians, the references the exact derivatives are tested against."""
 
 import numpy as np
 
@@ -17,4 +17,21 @@ def central_differences(fn, x: np.ndarray) -> np.ndarray:
         upper = fn(bumped)
         bumped[..., j] = x[..., j] - STEP
         columns.append((upper - fn(bumped)) / (2.0 * STEP))
+    return np.stack(columns, axis=-1)
+
+
+def five_point_differences(fn, x: np.ndarray, step: float = 0.25) -> np.ndarray:
+    """d fn / d x at a 1-D ``x`` by the five-point stencil, (residuals, params).
+
+    The stencil is exact for a polynomial of degree at most four, so for a
+    cubic only rounding is left, and ``step`` can be large.
+    """
+    columns = []
+    for j in range(x.size):
+        values = []
+        for h in (2 * step, step, -step, -2 * step):
+            bumped = x.copy()
+            bumped[j] += h
+            values.append(fn(bumped))
+        columns.append((8.0 * (values[1] - values[2]) - (values[0] - values[3])) / (12.0 * step))
     return np.stack(columns, axis=-1)

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from normal_equations import normal_equations
 
 import gybe
 from gybe import linalg
@@ -46,6 +47,9 @@ def _eye(x):
     return np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
 
 
+_normal = normal_equations(_eye)
+
+
 # (qualified name, parameter) -> (call taking the count, a valid count, a
 # count below the minimum, the name the error message gives).
 CALLS = {
@@ -65,13 +69,13 @@ CALLS = {
     ("gybe.core.ybe_summation_residual", "d"): (lambda d: ybe_summation_residual(np.eye(4), d), 2, 0, "d"),
     ("gybe.linalg.kron_power", "k"): (lambda k: linalg.kron_power(np.eye(2), k), 2, -1, "k"),
     ("gybe.optimize.damped_least_squares", "max_iterations"): (
-        lambda it: damped_least_squares(_line, np.zeros(2), jacobian_fn=_eye, max_iterations=it),
+        lambda it: damped_least_squares(_line, np.zeros(2), normal_fn=_normal, max_iterations=it),
         3,
         -1,
         "max_iterations",
     ),
     ("gybe.optimize.solve_stack", "max_iterations"): (
-        lambda it: solve_stack(_line, np.zeros((2, 2)), jacobian_fn=_eye, max_iterations=it),
+        lambda it: solve_stack(_line, np.zeros((2, 2)), normal_fn=_normal, max_iterations=it),
         3,
         -1,
         "max_iterations",
@@ -184,7 +188,7 @@ def test_every_entry_point_refuses_a_count_below_its_minimum(entry):
         (lambda: SearchConfig(restarts=2.5), "restarts must be an integer, got 2.5"),
         (lambda: SearchConfig(seed=-1), "seed must be at least 0, got -1"),
         (
-            lambda: solve_stack(_line, np.zeros((1, 2)), jacobian_fn=_eye, max_iterations=True),
+            lambda: solve_stack(_line, np.zeros((1, 2)), normal_fn=_normal, max_iterations=True),
             "max_iterations must be an integer, got True",
         ),
         (

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from normal_equations import normal_equations
 
 from gybe import optimize
 from gybe.optimize import (
@@ -28,7 +29,7 @@ def offset_jacobian(x):
 
 def test_converged_on_a_zero_residual():
     fit = damped_least_squares(
-        lambda x: x - 1.0, np.zeros(2), jacobian_fn=identity_jacobian, objective_tol=1e-20
+        lambda x: x - 1.0, np.zeros(2), normal_fn=normal_equations(identity_jacobian), objective_tol=1e-20
     )
     assert fit.reason == "converged" and fit.converged
     assert fit.objective <= 1e-20
@@ -38,20 +39,20 @@ def test_converged_on_a_zero_residual():
 
 
 def test_converged_at_the_start_takes_no_iteration():
-    fit = damped_least_squares(lambda x: x, np.zeros(3), jacobian_fn=identity_jacobian)
+    fit = damped_least_squares(lambda x: x, np.zeros(3), normal_fn=normal_equations(identity_jacobian))
     assert fit.reason == "converged"
     assert (fit.iterations, fit.residual_evals, fit.jacobian_evals) == (0, 1, 0)
 
 
 def test_step_tol_when_steps_shrink_above_a_floor(monkeypatch):
     monkeypatch.setattr(optimize, "STEP_TOL", 1e-6)
-    fit = damped_least_squares(offset, np.ones(1), jacobian_fn=offset_jacobian)
+    fit = damped_least_squares(offset, np.ones(1), normal_fn=normal_equations(offset_jacobian))
     assert fit.reason == "step_tol" and not fit.converged
     assert abs(fit.objective - 1.0) <= 1e-10
 
 
 def test_damping_stall_at_a_nonzero_minimum():
-    fit = damped_least_squares(offset, np.zeros(1), jacobian_fn=offset_jacobian)
+    fit = damped_least_squares(offset, np.zeros(1), normal_fn=normal_equations(offset_jacobian))
     assert fit.reason == "damping_stall"
     assert fit.iterations == 1 and fit.trace == (1.0,)
     assert fit.residual_evals == 1 + MAX_INNER_RETRIES  # the start, then every retry
@@ -61,7 +62,7 @@ def test_budget_when_iterations_run_out():
     fit = damped_least_squares(
         lambda x: x**3 - 8.0,
         np.array([0.5]),
-        jacobian_fn=lambda x: np.diag(3.0 * x**2),
+        normal_fn=normal_equations(lambda x: np.diag(3.0 * x**2)),
         max_iterations=2,
     )
     assert fit.reason == "budget"
@@ -70,11 +71,11 @@ def test_budget_when_iterations_run_out():
 
 def test_non_finite_residual_or_jacobian_stops():
     fit = damped_least_squares(
-        lambda x: np.array([np.nan]), np.zeros(1), jacobian_fn=identity_jacobian
+        lambda x: np.array([np.nan]), np.zeros(1), normal_fn=normal_equations(identity_jacobian)
     )
     assert fit.reason == "non_finite" and fit.iterations == 0
     fit = damped_least_squares(
-        lambda x: x - 1.0, np.zeros(1), jacobian_fn=lambda x: np.array([[np.inf]])
+        lambda x: x - 1.0, np.zeros(1), normal_fn=normal_equations(lambda x: np.array([[np.inf]]))
     )
     assert fit.reason == "non_finite"
     assert fit.iterations == 1 and fit.trace == (1.0,)
@@ -88,7 +89,7 @@ def test_exact_jacobian_replaces_differences():
         return np.array([[2 * x[0], 1.0], [1.0, -3 * x[1] ** 2], [0.1 * x[1], 0.1 * x[0]]])
 
     x0 = np.array([0.3, -0.2])
-    exact = damped_least_squares(residual, x0, jacobian_fn=jacobian, max_iterations=40)
+    exact = damped_least_squares(residual, x0, normal_fn=normal_equations(jacobian), max_iterations=40)
     assert exact.jacobian_evals == exact.iterations
     # Residuals are the start plus one per candidate step, at most every retry.
     assert len(exact.trace) <= exact.residual_evals <= 1 + exact.iterations * MAX_INNER_RETRIES
@@ -103,7 +104,7 @@ def test_nan_objective_tol_is_rejected():
         damped_least_squares(
             lambda x: x - 1.0,
             np.zeros(2),
-            jacobian_fn=identity_jacobian,
+            normal_fn=normal_equations(identity_jacobian),
             objective_tol=float("nan"),
         )
 
@@ -119,7 +120,7 @@ def test_plateau_stops_a_creeping_residual():
         return np.array([[0.0], [-1e-3 * np.exp(-x[0])]])
 
     fit = damped_least_squares(
-        creeping, np.zeros(1), jacobian_fn=creeping_jacobian, max_iterations=250
+        creeping, np.zeros(1), normal_fn=normal_equations(creeping_jacobian), max_iterations=250
     )
     assert fit.reason == "plateau" and not fit.converged
     assert fit.iterations == PLATEAU_STEPS and len(fit.trace) == PLATEAU_STEPS + 1
@@ -132,7 +133,7 @@ def test_linear_convergence_is_not_a_plateau():
     fit = damped_least_squares(
         lambda x: x**2,
         np.ones(1),
-        jacobian_fn=lambda x: np.diag(2.0 * x),
+        normal_fn=normal_equations(lambda x: np.diag(2.0 * x)),
         objective_tol=1e-20,
         max_iterations=250,
     )
@@ -168,7 +169,7 @@ def test_stacked_rows_match_their_solo_solves_bit_for_bit():
             [-4.0, -3.0, 0.0],  # converges from further out
         ]
     )
-    options = dict(jacobian_fn=floored_jacobian, objective_tol=1e-20, max_iterations=40)
+    options = dict(normal_fn=normal_equations(floored_jacobian), objective_tol=1e-20, max_iterations=40)
     stacked = solve_stack(floored, starts, **options)
     assert len(stacked) == len(starts)
     for start, fit in zip(starts, stacked):
@@ -192,7 +193,8 @@ def test_every_stacked_row_counts_one_jacobian_per_iteration():
         rows_seen.append(len(x))
         return floored_jacobian(x)
 
-    fits = solve_stack(floored, starts, jacobian_fn=counted_jacobian, objective_tol=1e-20, max_iterations=40)
+    options = dict(normal_fn=normal_equations(counted_jacobian), objective_tol=1e-20, max_iterations=40)
+    fits = solve_stack(floored, starts, **options)
     assert {fit.reason for fit in fits} >= {"converged", "damping_stall", "non_finite"}
     for fit in fits:
         assert fit.jacobian_evals == fit.iterations
@@ -217,7 +219,7 @@ def test_singular_row_grows_only_its_own_damping():
     # without evaluating a candidate; the other row converges as it would
     # alone.
     starts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e20]])
-    options = dict(jacobian_fn=scaled_sum_jacobian, objective_tol=1e-20, max_iterations=40)
+    options = dict(normal_fn=normal_equations(scaled_sum_jacobian), objective_tol=1e-20, max_iterations=40)
     stacked = solve_stack(scaled_sum, starts, **options)
     assert [fit.reason for fit in stacked] == ["converged", "damping_stall"]
     assert (stacked[1].iterations, stacked[1].residual_evals) == (1, 1)
@@ -229,7 +231,7 @@ def test_singular_row_grows_only_its_own_damping():
 
 
 def test_every_solve_takes_its_jacobian_from_the_caller():
-    with pytest.raises(TypeError, match="jacobian_fn"):
+    with pytest.raises(TypeError, match="normal_fn"):
         solve_stack(lambda x: x - 1.0, np.zeros((1, 2)))
-    with pytest.raises(TypeError, match="jacobian_fn"):
+    with pytest.raises(TypeError, match="normal_fn"):
         damped_least_squares(lambda x: x - 1.0, np.zeros(2))

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from normal_equations import normal_equations
 
 from gybe.braiding import build_rep, recognize_braiding_gate
 from gybe.core import GybeSignature, ybe_summation_residual
@@ -24,6 +25,9 @@ def _eye(x):
     return np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
 
 
+_normal = normal_equations(_eye)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -31,11 +35,11 @@ def _eye(x):
         (lambda: ybe_summation_residual(np.eye(4), 3), "matrix does not match the declared local dimension"),
         (lambda: ybe_summation_residual(np.eye(25), 5), "summation form is a small-d cross-check"),
         (
-            lambda: solve_stack(_line, np.zeros(2), jacobian_fn=_eye),
+            lambda: solve_stack(_line, np.zeros(2), normal_fn=_normal),
             "expected a (rows, params) stack of starts, got shape (2,)",
         ),
         (
-            lambda: damped_least_squares(_line, np.zeros((1, 2)), jacobian_fn=_eye),
+            lambda: damped_least_squares(_line, np.zeros((1, 2)), normal_fn=_normal),
             "expected a 1-D start, got shape (1, 2)",
         ),
         (lambda: BlockSolution(DiagBlock(2, 1), *[DiagBlock.identity()] * 7), "block A must be unitary diagonal"),

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from central_differences import central_differences
+from central_differences import central_differences, five_point_differences
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -275,7 +275,7 @@ def _solve_from(problem: _PatternResidual, start: np.ndarray):
     return solve_stack(
         problem.residual,
         start[None],
-        jacobian_fn=problem.jacobian,
+        normal_fn=problem.normal,
         objective_tol=config.tolerance**2,
         max_iterations=config.max_iterations,
     )
@@ -293,15 +293,27 @@ def test_search_seeded_at_exact_solution_converges_immediately():
     assert _certify(fit, problem, 1e-11, 0) is not None
 
 
+SIGNATURES = (GybeSignature(2, 2, 1), GybeSignature(2, 3, 1), GybeSignature(3, 2, 1), GybeSignature(2, 3, 2))
+
+
+def _reference_normal(problem: _PatternResidual, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """JᵀJ and Jᵀr of the full interleaved residual at one point, J by the
+    five-point difference, exact up to rounding for this cubic residual."""
+    full = lambda y: _combined_residual_vector(problem.build(y), problem.signature)  # noqa: E731
+    jac = five_point_differences(full, x)
+    return jac.T @ jac, jac.T @ full(x)
+
+
+def _assert_normal_close(normal, reference):
+    for exact, numeric in zip(normal, reference, strict=True):
+        assert exact.shape == numeric.shape
+        assert linalg.max_abs(exact - numeric) <= 1e-12 * linalg.max_abs(numeric)
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    signature=st.sampled_from(
-        [GybeSignature(2, 2, 1), GybeSignature(2, 3, 1), GybeSignature(3, 2, 1), GybeSignature(2, 3, 2)]
-    ),
-    named_pattern=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
+@given(signature=st.sampled_from(SIGNATURES), named_pattern=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_exact_jacobian_matches_central_differences(signature, named_pattern, seed):
+    # The closed-form normal equations against those of a differenced Jacobian.
     rng = np.random.default_rng(seed)
     n = signature.matrix_size
     if named_pattern and signature == SIG:
@@ -312,21 +324,40 @@ def test_exact_jacobian_matches_central_differences(signature, named_pattern, se
         pattern = ZeroPattern(mask)
     problem = _PatternResidual(pattern, signature)
     x = problem.initial(rng)
-    exact = problem.jacobian(x[None])[0]
-    numeric = central_differences(problem.residual, x)
-    assert exact.shape == numeric.shape == (numeric.shape[0], problem.n_params)
-    assert linalg.max_abs(exact - numeric) <= 1e-6 * linalg.max_abs(exact)
+    jtj, jtr = problem.normal(x[None], problem.residual(x[None]))
+    assert jtj.shape == (1, problem.n_params, problem.n_params) and jtr.shape == (1, problem.n_params)
+    _assert_normal_close((jtj[0], jtr[0]), _reference_normal(problem, x))
 
 
-def test_stacked_jacobian_matches_per_restart_jacobians():
+@settings(max_examples=30, deadline=None)
+@given(signature=st.sampled_from(SIGNATURES), stack=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_normal_equations_of_a_stack_are_those_of_each_point(signature, stack, seed):
+    # On a random mask, each row of a stack's normal equations is the
+    # point's own call bit for bit, and the differenced reference to rounding.
+    rng = np.random.default_rng(seed)
+    n = signature.matrix_size
+    mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+    mask[rng.integers(n), rng.integers(n)] = True
+    problem = _PatternResidual(ZeroPattern(mask), signature)
+    xs = np.stack([problem.initial(rng) for _ in range(stack)])
+    for x, jtj, jtr in zip(xs, *problem.normal(xs, problem.residual(xs)), strict=True):
+        solo = problem.normal(x[None], problem.residual(x[None]))
+        np.testing.assert_array_equal(jtj, solo[0][0])
+        np.testing.assert_array_equal(jtr, solo[1][0])
+        _assert_normal_close((jtj, jtr), _reference_normal(problem, x))
+
+
+def test_stacked_normal_equations_match_per_restart_ones():
     rng = np.random.default_rng(41)
     problem = _PatternResidual(rowell_pattern(), SIG)
     xs = np.stack([problem.initial(rng) for _ in range(5)])
-    stacked = problem.jacobian(xs)
     residuals = problem.residual(xs)
+    stacked = problem.normal(xs, residuals)
     np.testing.assert_array_equal(problem.residual(xs[:4].reshape(2, 2, -1)), residuals[:4].reshape(2, 2, -1))
-    for x, jac, residual in zip(xs, stacked, residuals):
-        np.testing.assert_array_equal(jac, problem.jacobian(x[None])[0])
+    for x, jtj, jtr, residual in zip(xs, *stacked, residuals):
+        solo = problem.normal(x[None], residual[None])
+        np.testing.assert_array_equal(jtj, solo[0][0])
+        np.testing.assert_array_equal(jtr, solo[1][0])
         np.testing.assert_array_equal(residual, problem.residual(x))
 
 
@@ -344,7 +375,7 @@ def test_stacked_search_rows_match_their_solo_solves_bit_for_bit(problem, seed, 
     # stack at different iterations, on one problem and its work arrays.
     problem = _PatternResidual(*problem)
     starts = np.stack([problem.initial(np.random.default_rng([seed, k])) for k in range(restarts)])
-    options = dict(jacobian_fn=problem.jacobian, objective_tol=1e-22, max_iterations=60)
+    options = dict(normal_fn=problem.normal, objective_tol=1e-22, max_iterations=60)
     for start, fit in zip(starts, solve_stack(problem.residual, starts, **options), strict=True):
         (solo,) = solve_stack(problem.residual, start[None], **options)
         np.testing.assert_array_equal(fit.x, solo.x)
@@ -512,15 +543,11 @@ def test_dropped_rows_are_zero_and_kept_rows_are_the_full_ones(signature, shape,
     assert np.all(full[:, dropped] == 0.0)
     np.testing.assert_array_equal(problem.residual(xs), full[:, problem.live_rows])
 
-    full_jac = full_problem.jacobian(xs)
-    assert np.all(full_jac[:, dropped] == 0.0)
-    # A unitarity entry of a column sums two products, and how BLAS rounds
-    # that sum may depend on the row count.
-    np.testing.assert_allclose(
-        problem.jacobian(xs), full_jac[:, problem.live_rows], rtol=0, atol=1e-15 * linalg.max_abs(full_jac)
-    )
-    # Independently of the exact Jacobian: each dropped row stays 0.0 under
-    # any move of the parameters.
+    # The dropped rows add only zeros to the normal equations; how BLAS
+    # rounds the sums may depend on the row count.
+    for kept, every in zip(problem.normal(xs, problem.residual(xs)), full_problem.normal(xs, full), strict=True):
+        np.testing.assert_allclose(kept, every, rtol=0, atol=1e-15 * linalg.max_abs(every))
+    # Each dropped row stays 0.0 under any move of the parameters.
     numeric = central_differences(lambda x: _combined_residual_vector(problem.build(x), signature), xs[0])
     assert np.all(numeric[dropped] == 0.0)
 
@@ -540,27 +567,28 @@ def test_dense_cap_is_checked_before_any_table_is_built():
             _PatternResidual(pattern, GybeSignature(2, 2, 1))
 
 
-def test_jacobian_allocates_little_beyond_its_result():
+def test_normal_equations_allocate_little_beyond_their_result():
     # Temporaries allocated afresh on every iteration cost page faults:
     # the work arrays of the first call are reused, so after it the traced
-    # peak of a call is about the Jacobian it returns.
+    # peak of a call is about the normal equations it returns.
     problem = _PatternResidual(rowell_pattern(), SIG)
     rng = np.random.default_rng(8)
     xs = np.stack([problem.initial(rng) for _ in range(4)])
-    problem.jacobian(xs)
+    residuals = problem.residual(xs)
+    problem.normal(xs, residuals)
     tracemalloc.start()
     try:
-        jac = problem.jacobian(xs)
+        jtj, jtr = problem.normal(xs, residuals)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert jac.shape == (4, 160, 32)
-    assert peak <= 2 * jac.nbytes
+    assert jtj.shape == (4, 32, 32) and jtr.shape == (4, 32)
+    assert peak <= 2 * (jtj.nbytes + jtr.nbytes)
 
 
 @pytest.mark.parametrize("problem", SEARCH_PROBLEMS, ids=["rowell", "full-4x4"])
 def test_the_shared_workspace_leaks_no_state(problem):
-    # The residual and the Jacobian fill one pool per point.  Interleaved at
+    # The residual and the normal equations fill one pool per point.  Interleaved at
     # stack sizes 1-6, growing and shrinking, each call on one problem
     # equals the same call on a fresh problem, and no residual it returned
     # earlier changes.
@@ -568,10 +596,10 @@ def test_the_shared_workspace_leaks_no_state(problem):
     shared, rng, kept = _PatternResidual(pattern, signature), np.random.default_rng(43), []
     for step, size in enumerate([3, 1, 6, 2, 5, 4, 6, 1, 2]):
         xs = np.stack([shared.initial(rng) for _ in range(size)])
-        calls = [("residual", xs), ("jacobian", xs), ("residual", xs[0])]
-        for name, x in calls[::-1] if step % 2 else calls:
-            out = getattr(shared, name)(x)
-            np.testing.assert_array_equal(out, getattr(_PatternResidual(pattern, signature), name)(x))
+        calls = [("residual", (xs,)), ("normal", (xs, shared.residual(xs))), ("residual", (xs[0],))]
+        for name, args in calls[::-1] if step % 2 else calls:
+            out = getattr(shared, name)(*args)
+            np.testing.assert_equal(out, getattr(_PatternResidual(pattern, signature), name)(*args))
             if name == "residual":
                 kept.append((out, out.copy()))
     for out, copy in kept:

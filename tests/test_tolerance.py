@@ -6,6 +6,7 @@ import pkgutil
 
 import numpy as np
 import pytest
+from normal_equations import normal_equations
 
 import gybe
 from gybe import equivalence, linalg
@@ -42,6 +43,9 @@ def _eye(x):
     return np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
 
 
+_normal = normal_equations(_eye)
+
+
 # One valid call per public callable with a tolerance parameter, taking the tolerance.
 CALLS = {
     "gybe.braiding.build_rep": lambda tol: build_rep(ROWELL, 3, tol),
@@ -56,9 +60,9 @@ CALLS = {
     "gybe.linalg.eigenvalue_multisets_close": lambda tol: linalg.eigenvalue_multisets_close([1, 2], [2, 1], tol),
     "gybe.linalg.is_unitary": lambda tol: linalg.is_unitary(np.eye(2), tol),
     "gybe.optimize.damped_least_squares": lambda tol: damped_least_squares(
-        _line, np.zeros(2), jacobian_fn=_eye, objective_tol=tol
+        _line, np.zeros(2), normal_fn=_normal, objective_tol=tol
     ),
-    "gybe.optimize.solve_stack": lambda tol: solve_stack(_line, np.zeros((2, 2)), jacobian_fn=_eye, objective_tol=tol),
+    "gybe.optimize.solve_stack": lambda tol: solve_stack(_line, np.zeros((2, 2)), normal_fn=_normal, objective_tol=tol),
     "gybe.search.SearchConfig": lambda tol: SearchConfig(tolerance=tol),
     "gybe.search.ZeroPattern.accepts": lambda tol: rowell_pattern().accepts(ROWELL.matrix, tol),
     "gybe.search.ZeroPattern.from_matrix": lambda tol: ZeroPattern.from_matrix(ROWELL.matrix, tol),
