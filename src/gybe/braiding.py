@@ -13,12 +13,13 @@ Word convention: a braid word is evaluated left to right into a matrix
 product, rho(w1 w2 ... wk) = rho(w1) rho(w2) ... rho(wk).  Applied to a
 state this means the last letter of the word acts first, the usual
 matrix-times-column convention.  One letter loop (:func:`_contract`)
-contracts R (or its inverse) into the qudits ``core._window`` gives each
-letter, on a block over a window of qudits.  A word's matrix is that loop
-on the identity's columns, the window grown to the qudits its letters touch
-and padded with identities to the full side once; a generator's image is R
-or R⁻¹ placed by ``core._place``, one padding, and a state is the loop on the
-full window, which never grows.  Two words are compared
+contracts R, or for an inverse letter the ``RMatrix.inverse`` that R keeps,
+into the qudits ``core._window`` gives each letter, on a block over a window
+of qudits.  A word's matrix is that loop on the identity's columns, the
+window grown to the qudits its letters touch and padded with identities to
+the full side once; a generator's image is R or R⁻¹ placed by
+``core._place``, one padding, and a state is the loop on the full window,
+which never grows.  Two words are compared
 (:func:`word_difference`) on the union of their windows.
 """
 
@@ -126,9 +127,9 @@ class BraidRep:
     """The representation of the n-strand braid group afforded by R.
 
     Takes only R and n and derives the qudit count m + (n-2)l, the side
-    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the dense cap), R's max
-    |RR† − I| as ``unitarity_residual`` (``unitary`` if at most 1e-10) and the read-only ``inverse``:
-    R† for a unitary R, else ``r.inverse``, so nothing is inverted.  :func:`build_rep` checks the relations.
+    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the dense cap) and R's max
+    |RR† − I| as ``unitarity_residual`` (``unitary`` if at most 1e-10).  The image of
+    sigma_i^-1 places ``r.inverse``, so nothing is inverted.  :func:`build_rep` checks the relations.
     """
 
     r: RMatrix
@@ -136,16 +137,13 @@ class BraidRep:
     qudits: int = field(init=False)
     dim: int = field(init=False)
     unitarity_residual: float = field(init=False)
-    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sig, matrix = self.r.signature, self.r.matrix
+        sig = self.r.signature
         object.__setattr__(self, "dim", braid_dimension(sig, self.n))  # gates n
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "qudits", _qudits(sig, self.n))
-        object.__setattr__(self, "unitarity_residual", linalg.unitarity_residual(matrix))
-        inverse = linalg.frozen(linalg.dagger(matrix)) if self.unitary else self.r.inverse
-        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "unitarity_residual", linalg.unitarity_residual(self.r.matrix))
 
     @property
     def unitary(self) -> bool:
@@ -155,7 +153,7 @@ class BraidRep:
         """Local matrix of sigma_i (of its inverse for negative i) and the
         first qudit it acts on; it covers m qudits from there.  ``i`` is a
         checked :class:`BraidWord` letter or an index the library counted."""
-        local = self.r.matrix if i > 0 else self.inverse
+        local = self.r.matrix if i > 0 else self.r.inverse
         return local, _window(self.r.signature, abs(i))[0]
 
     def generator(self, i: int) -> np.ndarray:

@@ -56,7 +56,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import linalg
-from .core import RMatrix, apply_local
+from .core import RMatrix, apply_local, pad_identity
 
 WITNESS_TOL = 1e-9
 SHAPES = ("diagonal", "antidiagonal", "general")
@@ -357,8 +357,8 @@ def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, tol: float):
     = a - c [N_m, a] there fixes c by a one-unknown fit.  When a commutes
     with N_m, every c does, and c = 0 is returned.
     """
-    level, index = -_grading(len(a)), np.arange(len(a))
-    n_sum = (((index[:, None] & index[None, :]) == index[:, None]) & (level == -1)).astype(np.complex128)
+    level, m = -_grading(len(a)), len(a).bit_length() - 1
+    n_sum = sum(pad_identity(_JORDAN, 2**k, 2 ** (m - 1 - k)) for k in range(m))
     noise = _support_cut(a, tol)
     top = level == level[np.abs(a) > noise].max()
     lam = _scalar_fit(a[top], b[top])

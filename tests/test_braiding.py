@@ -39,6 +39,7 @@ from gybe.core import (
     far_commutativity_residual,
 )
 from gybe.equivalence import GaugeOp, apply_gauge
+from gybe.search import SearchConfig, rowell_pattern, solve_pattern
 from gybe.solutions import (
     base_solution,
     registry_ids,
@@ -357,7 +358,7 @@ def test_generator_images_and_far_pairs_match_kron_reference():
                 want = kron_generator(sig, r.matrix, n, i)
                 assert np.array_equal(braid_generator_matrix(r, n, i), want)
                 assert np.array_equal(rep.generator(i), want)
-                want_inv = kron_generator(sig, rep.inverse, n, i)
+                want_inv = kron_generator(sig, rep.r.inverse, n, i)
                 assert np.array_equal(rep.generator(-i), want_inv)
 
 
@@ -382,7 +383,7 @@ def test_generator_images_on_two_strands_are_writable_copies():
         rep = BraidRep(r, 2)
         for image in (rep.generator(1), rep.generator(-1), *rep.generators, braid_generator_matrix(r, 2, 1)):
             assert image.flags.writeable
-            assert not np.shares_memory(image, r.matrix) and not np.shares_memory(image, rep.inverse)
+            assert not np.shares_memory(image, r.matrix) and not np.shares_memory(image, rep.r.inverse)
 
 
 def _layout_reads(path):
@@ -509,7 +510,9 @@ def test_a_representation_takes_only_r_and_n():
         BraidRep(r, 3, 16, np.eye(8))
 
 
-def test_a_representation_derives_a_read_only_inverse():
+def test_an_inverse_letter_places_the_read_only_inverse_r_keeps():
+    # A representation keeps no inverse of its own, unitary R or not.
+    assert "inverse" not in [f.name for f in dataclasses.fields(BraidRep)]
     rng = np.random.default_rng(28)
     sig = GybeSignature(2, 3, 1)
     scaled = random_unitary(8, rng) * rng.uniform(0.5, 2.0, 8) @ random_unitary(8, rng)
@@ -518,13 +521,12 @@ def test_a_representation_derives_a_read_only_inverse():
         rep = BraidRep(r, 3)
         unitary = linalg.unitarity_residual(r.matrix) <= 1e-10
         assert unitary == (r.label != "random")
-        if unitary:
-            assert np.array_equal(rep.inverse, linalg.dagger(r.matrix))
-        else:
-            assert rep.inverse is r.inverse
-        assert not rep.inverse.flags.writeable
+        assert rep._letter(-1)[0] is r.inverse
+        for i in (1, 2):
+            assert np.array_equal(rep.generator(-i), kron_generator(r.signature, r.inverse, 3, i))
+        assert not r.inverse.flags.writeable
         with pytest.raises(ValueError):
-            rep.inverse[0, 0] = 1.0
+            r.inverse[0, 0] = 1.0
         out = evaluate_word(rep, BraidWord(3, (1, -1)))
         assert linalg.max_abs_diff(out, linalg.identity(rep.dim)) <= 1e-12, r.label
 
@@ -694,17 +696,18 @@ def _no_inverse(m):
 def test_generator_accessor_handles_inverses():
     rep = build_rep(rowell_solution(), 3)
     inv = rep.generator(-1)
-    assert linalg.max_abs_diff(inv, linalg.dagger(rep.generators[0])) == 0.0
-    # build_rep inverts nothing: it takes R† for a unitary R, else the
-    # inverse that R keeps, and holds it read-only.
+    assert np.array_equal(inv, kron_generator(rep.r.signature, rep.r.inverse, 3, 1))
+    # build_rep inverts nothing: an inverse letter places the read-only
+    # inverse that R keeps, unitary R or not.
     for name in ("rowell", "scaled", "conjugated"):
         r = _solution(name)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "inverse", _no_inverse)
             built = build_rep(r, 3)
-        assert linalg.max_abs_diff(r.matrix @ built.inverse, linalg.identity(8)) <= 1e-13, name
+        assert built._letter(-1)[0] is r.inverse, name
+        assert linalg.max_abs_diff(r.matrix @ built.r.inverse, linalg.identity(8)) <= 1e-13, name
         with pytest.raises(ValueError):
-            built.inverse[0, 0] = 0.0
+            built.r.inverse[0, 0] = 0.0
     with pytest.raises(ValueError):
         rep.generator(0)
     with pytest.raises(ValueError):
@@ -740,6 +743,32 @@ def test_word_difference_is_that_of_the_full_matrices(name, n, layout, data):
     u, v = BraidWord(n, tuple(u)), BraidWord(n, tuple(v))
     want = linalg.max_abs_diff(evaluate_word(rep, u), evaluate_word(rep, v))
     assert braiding.word_difference(rep, u, v).hex() == want.hex()
+
+
+def test_inverse_letters_cancel_on_every_certified_search_class():
+    # The benchmark's 16 search calls: the rowell pattern at (2,3,1), 4
+    # restarts, seeds 0-15.  Their classes are unitary only to about 1e-12,
+    # and sigma_i^-1 must still cancel sigma_i to rounding.
+    sig = GybeSignature(2, 3, 1)
+    calls = [solve_pattern(rowell_pattern(), sig, SearchConfig(restarts=4, seed=seed)) for seed in range(16)]
+    found = [hit.solution for call in calls for hit in call.solutions]
+    assert len(found) >= 40
+    for r in found:
+        for text in ("n=3: 1,-1", "n=4: -2,2", "n=4: 3,1,-3,-1"):
+            w = parse_braid_word(text)
+            assert word_difference(build_rep(r, w.n), w, BraidWord(w.n)) <= 1e-14, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.floats(1e-13, 1e-11), letters=_letters(1, 3))
+def test_a_word_times_its_inverse_cancels_on_a_nearly_unitary_r(seed, eps, letters):
+    # R = U + eps E is unitary only to about eps and fails the relations, so
+    # its representation is assembled directly; w w^-1 is still e.
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    rep = BraidRep(RMatrix(GybeSignature(2, 3, 1), random_unitary(8, rng) + eps * noise), 4)
+    word = BraidWord(4, (*letters, *(-v for v in reversed(letters))))
+    assert word_difference(rep, word, BraidWord(4)) <= 1e-13
 
 
 def test_word_difference_pads_only_to_the_union_window():

@@ -574,6 +574,21 @@ def test_braid_compare_json_report(other, code, capsys):
     assert (report["max_difference"] <= 1e-12) is (code == 0)
 
 
+@pytest.mark.parametrize("word", ["n=3: 1,-1", "n=4: 3,1,-3,-1"])
+def test_braid_compare_cancels_inverse_letters_of_a_nearly_unitary_r(word, tmp_path, capsys):
+    # rowell·(1 + 4e-11) is unitary within 1e-10, so build_rep accepts it;
+    # each inverse letter cancels its letter to rounding, not to R's 8e-11
+    # unitarity defect.
+    path = tmp_path / "near.json"
+    path.write_text(linalg.matrix_to_json(rowell_solution().matrix * (1 + 4e-11)))
+    argv = ["braid", "--matrix", str(path), "--signature", "2,3,1", "--word", word, "--compare", word[:5]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("max entry difference")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert (code, err) == (0, "") and report["equal"] is True and report["max_difference"] <= 1e-14
+
+
 def test_braid_compare_rejects_a_word_on_other_strands(capsys):
     code, out, err = run_cli(
         capsys, "braid", "--solution", "rowell", "--word", "n=4: 1,2", "--compare", "n=5: 1"

@@ -22,7 +22,9 @@ in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
 --family 1 --alpha "1, 0" --beta 0,1``, a pair with a space after its comma;
 ``gybe braid --solution xshape``, whose generators sit two qudits apart,
 on 3 and 4 strands: a word with ``--json`` and in plain text, and a braid
-relation compared;
+relation compared; ``gybe braid --matrix <rowell·(1 + 4e-11)> --signature
+2,3,1 --word W --compare`` the empty word on W's strands, for W = ``n=3:
+1,-1`` and ``n=4: 3,1,-3,-1``, each plain and with ``--json``;
 ``gybe search --pattern <rowell> --signature 2,3,1 --json --stats`` at
 seeds 0-3, then ``--stats`` in plain text at the same seeds, with the
 pattern as the 0/1 grid and again as JSON; ``gybe search --signature
@@ -142,6 +144,13 @@ ROWELL_X2, STATE_E0 = "rowell-x2.json", "state-e0.json"
 # Rowell with Y[0, 1] = 0.5, not in block form, and rowell·(1 + 4e-11), unitary
 # within 1e-10, whose ten letters drift a state's norm by 4e-10.
 ROWELL_LEAKY_Y, ROWELL_NEAR = "rowell-leaky-y.json", "rowell-near-unitary.json"
+# Words with inverse letters under rowell·(1 + 4e-11), compared with the empty
+# word on their strands: each inverse letter cancels its letter.
+NEAR_COMPARES = [
+    ["braid", "--matrix", ROWELL_NEAR, "--signature", "2,3,1", "--word", word, "--compare", word[:5], *output]
+    for word in ("n=3: 1,-1", "n=4: 3,1,-3,-1")
+    for output in ([], ["--json"])
+]
 # Inputs the commands refuse: classify of the leaky Y, plain and as JSON, a braid
 # --tol without --compare, --matrix and --state both on stdin, and the drifted state.
 REFUSED_INPUTS = (
@@ -234,7 +243,7 @@ def ops(workdir: Path) -> list[list[str]]:
     near_miss = checker.rowell_matrix()
     near_miss[0, 0] += 3e-7
     (workdir / ROWELL_NEAR_MISS).write_text(checker.matrix_to_json(near_miss), encoding="utf-8")
-    argvs += [list(argv) for argv in NEAR_MISS_EQUIV + FAMILY_TEXT + FAMILY_GENERAL + XSHAPE_BRAIDS]
+    argvs += [list(argv) for argv in NEAR_MISS_EQUIV + FAMILY_TEXT + FAMILY_GENERAL + XSHAPE_BRAIDS + NEAR_COMPARES]
     mask = checker.rowell_mask()
     (workdir / PATTERN).write_text(_grid(mask), encoding="utf-8")
     pattern_json = {"size": len(mask), "mask": [[bool(v) for v in row] for row in mask]}
