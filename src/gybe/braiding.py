@@ -127,8 +127,7 @@ class BraidRep:
     """The representation of the n-strand braid group afforded by R.
 
     Takes only R and n and derives the qudit count m + (n-2)l, the side
-    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the dense cap) and R's max
-    |RR† − I| as ``unitarity_residual`` (``unitary`` if at most 1e-10).  The image of
+    ``dim`` by :func:`~gybe.core.braid_dimension` (which checks n and the dense cap).  The image of
     sigma_i^-1 places ``r.inverse``, so nothing is inverted.  :func:`build_rep` checks the relations.
     """
 
@@ -136,18 +135,12 @@ class BraidRep:
     n: int
     qudits: int = field(init=False)
     dim: int = field(init=False)
-    unitarity_residual: float = field(init=False)
 
     def __post_init__(self):
         sig = self.r.signature
         object.__setattr__(self, "dim", braid_dimension(sig, self.n))  # gates n
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "qudits", _qudits(sig, self.n))
-        object.__setattr__(self, "unitarity_residual", linalg.unitarity_residual(self.r.matrix))
-
-    @property
-    def unitary(self) -> bool:
-        return self.unitarity_residual <= 1e-10
 
     def _letter(self, i: int) -> tuple[np.ndarray, int]:
         """Local matrix of sigma_i (of its inverse for negative i) and the
@@ -263,8 +256,8 @@ def apply_to_state(rep: BraidRep, w: BraidWord, s: StateVector) -> StateVector:
     The same contraction as :func:`evaluate_word`, on one column:
     O(dim d^m) per letter.  A non-unitary R, which leaves the unit sphere, is refused first.
     """
-    residual = rep.unitarity_residual
-    if not rep.unitary:
+    residual = linalg.unitarity_residual(rep.r.matrix)
+    if not residual <= 1e-10:
         raise ValueError(f"applying a word to a state needs a unitary R, but max |RR† - I| = {residual:.3e}")
     _check_strands(rep, w)
     if s.dim != rep.dim:

@@ -293,8 +293,7 @@ def _print_search_stats(result) -> None:
         verdict = "certified" if report.certified else "not certified"
         print(
             f"restart {index}: {report.reason} after {report.iterations} iteration(s), "
-            f"{report.residual_evals} residual and {report.jacobian_evals} Jacobian "
-            f"evaluation(s), {verdict}"
+            f"{report.residual_evals} residual evaluation(s), {verdict}"
         )
     counts = result.dedup_counts
     for found in result.solutions:

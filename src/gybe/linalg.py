@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 import re
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -196,27 +196,10 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(np.asarray(a) - np.asarray(b))
 
 
-class UnitaryCheck(NamedTuple):
-    """Outcome of a unitarity test: the verdict plus the achieved residual."""
-
-    passed: bool
-    residual: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def unitarity_residual(m: np.ndarray) -> float:
     """max-abs entry of M M^dagger - I."""
     m = square_matrix(m, "unitarity candidate")
     return max_abs(m @ dagger(m) - identity(m.shape[0]))
-
-
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> UnitaryCheck:
-    """Test unitarity at tolerance ``tol``, returning verdict and residual."""
-    tol = tolerance(tol)
-    residual = unitarity_residual(m)
-    return UnitaryCheck(residual <= tol, residual)
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
@@ -267,16 +250,6 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(str(exc)) from exc
     return sort_eigenvalues(vals)
-
-
-def eigenvalue_multisets_close(a, b, tol: float = 1e-8) -> bool:
-    """Compare two eigenvalue multisets after canonical sorting."""
-    tol = tolerance(tol)
-    a = sort_eigenvalues(np.asarray(a, dtype=np.complex128))
-    b = sort_eigenvalues(np.asarray(b, dtype=np.complex128))
-    if a.shape != b.shape:
-        return False
-    return bool(np.all(np.abs(a - b) <= tol))
 
 
 def matrix_to_json_dict(m: np.ndarray) -> dict:

@@ -61,9 +61,8 @@ class LeastSquaresResult:
     ``reason`` says why the solve stopped: ``converged``, ``step_tol``,
     ``plateau``, ``damping_stall``, ``budget`` or ``non_finite``.
     ``residual_evals`` counts the start and every candidate step it
-    evaluated.  Each iteration evaluates one Jacobian's normal equations, so
-    ``jacobian_evals`` is read from ``iterations``, as ``converged`` is from
-    ``reason``.
+    evaluated; ``iterations`` counts the normal-equation evaluations, one per
+    iteration.
     """
 
     x: np.ndarray
@@ -79,10 +78,6 @@ class LeastSquaresResult:
     @property
     def converged(self) -> bool:
         return self.reason == "converged"
-
-    @property
-    def jacobian_evals(self) -> int:
-        return self.iterations
 
 
 def _objectives(residual: np.ndarray) -> np.ndarray:
@@ -138,7 +133,7 @@ def solve_stack(
     traces = [[value] for value in _objectives(start_residual).tolist()]
     rows = len(traces)
     damping = [INITIAL_DAMPING] * rows
-    # One Jacobian's normal equations per iteration, so this counts those too.
+    # One evaluation of the normal equations per iteration, so this counts those too.
     iterations = [0] * rows
     residual_evals = [1] * rows
     stop = ["budget"] * rows

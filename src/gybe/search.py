@@ -172,15 +172,11 @@ class RestartReport:
     dedup_key: str | None
 
     @property
-    def jacobian_evals(self) -> int:
-        return self.iterations
-
-    @property
     def certified(self) -> bool:
         return self.dedup_key is not None
 
     def to_json_dict(self) -> dict:
-        names = ("reason", "iterations", "residual_evals", "jacobian_evals", "certified")
+        names = ("reason", "iterations", "residual_evals", "certified")
         return {name: getattr(self, name) for name in names}
 
 

@@ -175,7 +175,7 @@ def test_build_rep_family_three_four_strands():
     rep = build_rep(base_solution(3).to_rmatrix("base3"), 4, tol=1e-12)
     assert rep.dim == 32
     for g in rep.generators:
-        assert linalg.is_unitary(g, 1e-12).passed
+        assert linalg.unitarity_residual(g) <= 1e-12
 
 
 def test_build_rep_two_strands():
@@ -251,7 +251,7 @@ def test_word_evaluation_matches_dense_products(name, n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     amps = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
     s = StateVector(amps / np.linalg.norm(amps))
-    if rep.unitary:
+    if linalg.unitarity_residual(rep.r.matrix) <= 1e-10:
         got = apply_to_state(rep, word, s).amplitudes
         assert linalg.max_abs(got - want @ s.amplitudes) <= 1e-13
     else:  # a non-unitary R is refused, even on a word that keeps the norm
@@ -409,7 +409,8 @@ def test_the_state_path_refuses_a_non_unitary_solution():
     # 2·rowell solves the equation, so it affords a representation, but
     # RR† = 4I: a state is refused before any letter acts on it.
     rep = build_rep(apply_gauge(rowell_solution(), GaugeOp.scalar(2)), 3)
-    assert not rep.unitary and build_rep(rowell_solution(), 3).unitary
+    assert not linalg.unitarity_residual(rep.r.matrix) <= 1e-10
+    assert linalg.unitarity_residual(build_rep(rowell_solution(), 3).r.matrix) <= 1e-10
     state = StateVector(linalg.identity(16)[0])
     message = r"^applying a word to a state needs a unitary R, but max \|RR† - I\| = 3\.000e\+00$"
     for letters in ((1,), ()):
@@ -422,7 +423,7 @@ def test_the_state_path_names_a_norm_drift_and_the_residual_of_r():
     # 4e-10: the output, not the caller's unit-norm state, is refused.
     r = rowell_solution()
     rep = build_rep(RMatrix(r.signature, r.matrix * (1 + 4e-11)), 3)
-    assert rep.unitary and rep.unitarity_residual == linalg.unitarity_residual(rep.r.matrix)
+    assert linalg.unitarity_residual(rep.r.matrix) <= 1e-10
     state = StateVector(linalg.identity(16)[0])
     message = (
         r"^a word of 10 letter\(s\) drifted the output's norm by 4\.000e-10, beyond 1e-10: "
@@ -431,6 +432,54 @@ def test_the_state_path_names_a_norm_drift_and_the_residual_of_r():
     with pytest.raises(ValueError, match=message):
         apply_to_state(rep, BraidWord(3, (1,) * 10), state)
     assert apply_to_state(rep, BraidWord(3, (1,)), state).dim == 16  # one letter stays within
+
+
+@pytest.mark.parametrize(
+    "scale, accepted",
+    [
+        (1.0, True),
+        (1j, True),
+        (1 + 2e-11, True),
+        (1 + 4e-11, True),
+        (1 - 4e-11, True),
+        (1 + 6e-11, False),
+        (1 - 6e-11, False),
+        (1 + 1e-9, False),
+        (2.0, False),
+        (0.5, False),
+    ],
+)
+def test_the_state_path_verdict_is_the_residual_of_r_at_1e_10(scale, accepted):
+    # |scale|² - 1 is R's unitarity defect: 4e-11 leaves max |RR† - I| near
+    # 8e-11, within the verdict, and 6e-11 near 1.2e-10, beyond it.
+    r = rowell_solution()
+    rep = build_rep(RMatrix(r.signature, r.matrix * scale), 3)
+    residual = linalg.unitarity_residual(rep.r.matrix)
+    assert (residual <= 1e-10) is accepted
+    state = StateVector(linalg.identity(16)[0])
+    if accepted:
+        np.testing.assert_array_equal(apply_to_state(rep, BraidWord(3, ()), state).amplitudes, state.amplitudes)
+    else:
+        message = f"applying a word to a state needs a unitary R, but max |RR† - I| = {residual:.3e}"
+        with pytest.raises(ValueError) as raised:
+            apply_to_state(rep, BraidWord(3, (1,)), state)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("name", registry_ids())
+def test_a_representation_forms_no_rr_dagger_and_a_state_forms_one(name, monkeypatch):
+    # The residual of R is read where it is used, once per state, and not
+    # stored when the representation is built.
+    calls = []
+    measure = linalg.unitarity_residual
+    monkeypatch.setattr(linalg, "unitarity_residual", lambda m: calls.append(m) or measure(m))
+    rep = build_rep(resolve_solution(name), 3)
+    evaluate_word(rep, BraidWord(3, (1, -2)))
+    assert calls == []
+    state = StateVector(linalg.identity(rep.dim)[0])
+    out = apply_to_state(rep, BraidWord(3, (1, 2, -1)), state)
+    assert len(calls) == 1 and calls[0] is rep.r.matrix
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
 
 def test_every_braid_path_hits_the_dense_cap():
@@ -496,6 +545,8 @@ def test_build_rep_dimension_cap():
 
 def test_a_representation_takes_only_r_and_n():
     assert [f.name for f in dataclasses.fields(BraidRep) if f.init] == ["r", "n"]
+    assert [f.name for f in dataclasses.fields(BraidRep)] == ["r", "n", "qudits", "dim"]
+    assert not hasattr(BraidRep, "unitary")
     r = rowell_solution()
     rep = BraidRep(r, np.int64(4))
     assert (type(rep.n), rep.n, rep.qudits, rep.dim) == (int, 4, 5, 32)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from random_unitary import random_unitary
 
 from gybe import cli, linalg
-from gybe.solutions import base_solution, rowell_solution
+from gybe.solutions import base_solution, registry_ids, resolve_solution, rowell_solution
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -120,10 +120,10 @@ def test_direct_sum_unitary_iff_blocks_unitary():
     for _ in range(4):
         u = random_unitary(3, rng)
         v = random_unitary(5, rng)
-        assert linalg.is_unitary(linalg.direct_sum(u, v), 1e-12).passed
+        assert linalg.unitarity_residual(linalg.direct_sum(u, v)) <= 1e-12
         bad = u + 0.1 * rng.standard_normal((3, 3))
-        assert not linalg.is_unitary(linalg.direct_sum(bad, v), 1e-6).passed
-        assert not linalg.is_unitary(linalg.direct_sum(u, 2 * v), 1e-6).passed
+        assert not linalg.unitarity_residual(linalg.direct_sum(bad, v)) <= 1e-6
+        assert not linalg.unitarity_residual(linalg.direct_sum(u, 2 * v)) <= 1e-6
 
 
 def test_dagger_known_matrix():
@@ -162,18 +162,24 @@ def test_frozen_is_a_read_only_copy():
 
 
 def test_is_unitary_zeta_solution():
-    check = linalg.is_unitary(rowell_solution().matrix, 1e-12)
-    assert check.passed
-    assert bool(check) is True
-    assert check.residual <= 1e-14
+    assert linalg.unitarity_residual(rowell_solution().matrix) <= 1e-14
 
 
 def test_is_unitary_scaled_identity_residual_three():
-    check = linalg.is_unitary(2 * linalg.identity(4), 1e-12)
-    assert not check.passed
-    assert bool(check) is False
+    residual = linalg.unitarity_residual(2 * linalg.identity(4))
+    assert not residual <= 1e-12
     # (2I)(2I)^dagger - I = 3I entrywise.
-    assert check.residual == pytest.approx(3.0, abs=1e-15)
+    assert residual == pytest.approx(3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 + 1e-6, 2.0])
+@pytest.mark.parametrize("name", registry_ids())
+def test_unitarity_residual_of_a_scaled_solution_is_its_scale_defect(name, scale):
+    # (sR)(sR)^dagger - I = (s^2 - 1) I + s^2 (RR^dagger - I), and every
+    # registry solution is unitary to rounding.
+    m = resolve_solution(name).matrix
+    assert linalg.unitarity_residual(m) <= 1e-14
+    assert linalg.unitarity_residual(scale * m) == pytest.approx(scale**2 - 1, abs=1e-13)
 
 
 def test_unitarity_rejects_non_finite_entries():
@@ -181,9 +187,8 @@ def test_unitarity_rejects_non_finite_entries():
     for bad in (np.nan, np.inf, complex(0, np.nan)):
         m = linalg.identity(4)
         m[1, 2] = bad
-        for check in (linalg.unitarity_residual, linalg.is_unitary):
-            with pytest.raises(ValueError, match="finite"):
-                check(m)
+        with pytest.raises(ValueError, match="finite"):
+            linalg.unitarity_residual(m)
 
 
 def test_inverse_identity():
@@ -257,14 +262,14 @@ def test_eigenvalues_identity():
 
 def test_eigenvalues_family_one_base_block():
     expected = [np.exp(-1j * np.pi / 12)] * 2 + [np.exp(7j * np.pi / 12)] * 2
-    got = linalg.eigenvalues(base_solution(1).x_matrix())
-    assert linalg.eigenvalue_multisets_close(got, expected, 1e-8)
+    got, expected = linalg.eigenvalues(base_solution(1).x_matrix()), linalg.sort_eigenvalues(expected)
+    assert got.shape == expected.shape and linalg.max_abs_diff(got, expected) <= 1e-8
 
 
 def test_eigenvalues_family_three_base_block():
     expected = [np.exp(-1j * np.pi / 4)] * 2 + [np.exp(1j * np.pi / 4)] * 2
-    got = linalg.eigenvalues(base_solution(3).x_matrix())
-    assert linalg.eigenvalue_multisets_close(got, expected, 1e-8)
+    got, expected = linalg.eigenvalues(base_solution(3).x_matrix()), linalg.sort_eigenvalues(expected)
+    assert got.shape == expected.shape and linalg.max_abs_diff(got, expected) <= 1e-8
 
 
 def test_eigenvalues_satisfy_char_poly():
@@ -321,11 +326,12 @@ def test_sort_eigenvalues_matches_the_tuple_sort(half_steps, picks):
 
 
 def test_eigenvalue_multiset_comparison():
-    a = [1.0, 1j, 1j, -1.0]
-    b = [1j, -1.0, 1.0, 1j]
-    assert linalg.eigenvalue_multisets_close(a, b, 1e-12)
-    assert not linalg.eigenvalue_multisets_close(a, [1.0, 1j, -1j, -1.0], 1e-6)
-    assert not linalg.eigenvalue_multisets_close(a, [1.0, 1j], 1e-6)
+    a = linalg.sort_eigenvalues([1.0, 1j, 1j, -1.0])
+    b = linalg.sort_eigenvalues([1j, -1.0, 1.0, 1j])
+    assert a.shape == b.shape and linalg.max_abs_diff(a, b) <= 1e-12
+    c = linalg.sort_eigenvalues([1.0, 1j, -1j, -1.0])
+    assert a.shape == c.shape and not linalg.max_abs_diff(a, c) <= 1e-6
+    assert a.shape != linalg.sort_eigenvalues([1.0, 1j]).shape
 
 
 def test_matrix_json_shape():

@@ -89,7 +89,8 @@ def matches_family_list_up_to_phase(block: np.ndarray) -> bool:
         target = np.asarray(target)
         for ref in eigs:
             phase = target[0] / ref
-            if linalg.eigenvalue_multisets_close(phase * eigs, target, 1e-6):
+            got, want = linalg.sort_eigenvalues(phase * eigs), linalg.sort_eigenvalues(target)
+            if got.shape == want.shape and linalg.max_abs_diff(got, want) <= 1e-6:
                 return True
     return False
 
@@ -237,7 +238,7 @@ def test_search_recovers_certified_solutions():
     for found in result.solutions:
         assert found.residual <= 1e-11
         assert check_gybe(found.solution, 1e-10).passed
-        assert linalg.is_unitary(found.solution.matrix, 1e-10).passed
+        assert linalg.unitarity_residual(found.solution.matrix) <= 1e-10
         assert rowell_pattern().accepts(found.solution.matrix, tol=0.0)
     # At least one recovered class carries the eigenvalue fingerprint of
     # one of the three one-parameter families, up to a global phase.
@@ -389,7 +390,7 @@ def test_search_reports_every_restart():
     assert len(result.restarts) == config.restarts
     for report, trace in zip(result.restarts, result.traces):
         assert report.reason in REASONS
-        assert report.jacobian_evals == report.iterations <= config.max_iterations
+        assert report.iterations <= config.max_iterations
         assert report.residual_evals >= len(trace)
         assert report.certified <= (report.reason == "converged")
     assert sum(r.certified for r in result.restarts) == sum(result.dedup_counts.values())

@@ -27,7 +27,6 @@ ENTRY_POINTS = {
     "check_ybe": (check_ybe, "YBE candidate", np.eye(4)),
     "ybe_summation_residual": (lambda m: ybe_summation_residual(m, 2), "YBE candidate", np.eye(4)),
     "unitarity_residual": (linalg.unitarity_residual, "unitarity candidate", ROWELL.matrix),
-    "is_unitary": (linalg.is_unitary, "unitarity candidate", ROWELL.matrix),
     "eigenvalues": (linalg.eigenvalues, "eigenvalue input", ROWELL.matrix),
     "ZeroPattern.from_matrix": (ZeroPattern.from_matrix, "pattern source", ROWELL.matrix),
     "gybe_objective": (

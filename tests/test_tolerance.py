@@ -57,8 +57,6 @@ CALLS = {
     "gybe.equivalence.decide_equivalence": lambda tol: decide_equivalence(ROWELL, ROWELL, tol=tol),
     "gybe.equivalence.search_equivalence": lambda tol: search_equivalence(ROWELL, ROWELL, tol=tol),
     "gybe.equivalence.search_local_conjugation": lambda tol: search_local_conjugation(ROWELL, ROWELL, tol=tol),
-    "gybe.linalg.eigenvalue_multisets_close": lambda tol: linalg.eigenvalue_multisets_close([1, 2], [2, 1], tol),
-    "gybe.linalg.is_unitary": lambda tol: linalg.is_unitary(np.eye(2), tol),
     "gybe.optimize.damped_least_squares": lambda tol: damped_least_squares(
         _line, np.zeros(2), normal_fn=_normal, objective_tol=tol
     ),
