@@ -277,25 +277,17 @@ def recognize_braiding_gate(
 ) -> tuple[int, complex] | None:
     """Identify ``u`` as lambda times a single generator image, if it is one.
 
-    The scalar is estimated from the entry of largest modulus in ``u``
-    against the matching entry of each candidate generator, which keeps the
-    division numerically stable.  Returns (generator index, lambda) or None.
+    Each generator's lambda is the Frobenius-optimal
+    :func:`~gybe.linalg.scalar_fit`; ``u`` is that generator when lambda is
+    nonzero and max |u - lambda gen| <= tol.  Returns (generator index,
+    lambda) for the first such generator, or None.
     """
     tol = linalg.tolerance(tol)
     mat = linalg.square_matrix(u, "gate")
     if mat.shape != (rep.dim, rep.dim):
         raise ValueError(f"gate must be {rep.dim}x{rep.dim}")
-    flat_idx = int(np.argmax(np.abs(mat)))
-    p, q = divmod(flat_idx, rep.dim)
-    if abs(mat[p, q]) == 0.0:
-        return None
-    for i in range(1, rep.n):
-        gen = _place(rep.r.matrix, rep.r.signature, rep.n, i)
-        if abs(gen[p, q]) < 1e-12:
-            continue
-        lam = complex(mat[p, q] / gen[p, q])
-        if abs(lam) < 1e-12:
-            continue
-        if linalg.max_abs(mat - lam * gen) <= tol:
+    for i, gen in enumerate(rep.generators, start=1):
+        lam = linalg.scalar_fit(gen, mat)
+        if lam != 0 and linalg.max_abs(mat - lam * gen) <= tol:
             return i, lam
     return None

@@ -277,18 +277,6 @@ class EquivalenceDecision:
         }
 
 
-def _scalar_fit(a: np.ndarray, b: np.ndarray) -> complex:
-    """The lambda minimizing ||lambda a - b|| for arrays a, b of one shape.
-
-    That is <a, b> / <a, a>, and 1 when a vanishes.
-    """
-    a, b = a.ravel(), b.ravel()
-    denom = np.einsum("i,i->", a.conj(), a).real
-    if denom < 1e-300:
-        return 1.0 + 0.0j
-    return complex(np.einsum("i,i->", a.conj(), b) / denom)
-
-
 @functools.cache
 def _grading(size: int) -> np.ndarray:
     """Read-only w(j) - w(i) at entry (i, j) of a side ``size`` matrix, w(i) the 1 bits of i."""
@@ -361,7 +349,7 @@ def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, tol: float):
     n_sum = sum(pad_identity(_JORDAN, 2**k, 2 ** (m - 1 - k)) for k in range(m))
     noise = _support_cut(a, tol)
     top = level == level[np.abs(a) > noise].max()
-    lam = _scalar_fit(a[top], b[top])
+    lam = linalg.scalar_fit(a[top], b[top])
     if lam == 0:
         return
     moved = n_sum @ a - a @ n_sum
@@ -640,7 +628,7 @@ def _search_conjugator(
             image = _local_conjugate(r.matrix, op.q, op.q_inverse, r.signature.m)
             if not np.isfinite(image).all():
                 return None, None, None
-            lam = _scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
+            lam = linalg.scalar_fit(image, s.matrix) if with_scalar else 1.0 + 0.0j
             if lam == 0:  # GaugeOp.scalar needs lambda != 0
                 return None, None, None
             residual = float(linalg.max_abs(lam * image - s.matrix))

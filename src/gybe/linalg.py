@@ -5,7 +5,8 @@ complex128.  This module collects the handful of operations the rest of the
 library is built from: Kronecker products, direct sums, conjugate transpose,
 read-only copies, inversion gated on the smallest singular value,
 eigenvalues of small matrices, tolerance-based comparisons in the
-max-abs-entry norm, and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
+max-abs-entry norm, the one least-squares fit of a scalar
+(:func:`scalar_fit`), and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
 Three gates check what a caller hands the library: :func:`square_matrix` a
 matrix, :func:`tolerance` a tolerance and :func:`count` a count, the last two
 through :func:`number`, the one rule for what an integer, a real and a complex
@@ -194,6 +195,18 @@ def max_abs(m: np.ndarray) -> float:
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(np.asarray(a) - np.asarray(b))
+
+
+def scalar_fit(a: np.ndarray, b: np.ndarray) -> complex:
+    """The lambda minimizing ||lambda a - b|| for arrays a, b of one shape.
+
+    That is <a, b> / <a, a>, and 1 when a vanishes.
+    """
+    a, b = a.ravel(), b.ravel()
+    denom = np.einsum("i,i->", a.conj(), a).real
+    if denom < 1e-300:
+        return 1.0 + 0.0j
+    return complex(np.einsum("i,i->", a.conj(), b) / denom)
 
 
 def unitarity_residual(m: np.ndarray) -> float:

@@ -54,19 +54,13 @@ class ZeroPattern:
 
     def accepts(self, m: np.ndarray, tol: float = 0.0) -> bool:
         """True when every masked-out entry of ``m`` is zero (within tol).
-        A matrix of another shape is a ValueError, not a violation."""
+        ``m`` passes :func:`~gybe.linalg.square_matrix` as the candidate, and
+        one of another side is a ValueError, not a violation."""
         tol = linalg.tolerance(tol)
-        m = linalg.as_matrix(m)
-        if m.shape != (self.size, self.size):
-            found = f"side {len(m)}" if m.shape[0] == m.shape[1] else f"shape {m.shape}"
-            raise ValueError(f"candidate {found} does not match pattern size {self.size}")
+        m = linalg.square_matrix(m, "candidate")
+        if len(m) != self.size:
+            raise ValueError(f"candidate side {len(m)} does not match pattern size {self.size}")
         return bool(np.all(np.abs(m[~self.mask]) <= tol))
-
-    @staticmethod
-    def from_matrix(m: np.ndarray, threshold: float = 1e-9) -> "ZeroPattern":
-        threshold = linalg.tolerance(threshold, "threshold")
-        m = linalg.square_matrix(m, "pattern source")
-        return ZeroPattern(np.abs(m) > threshold)
 
     @staticmethod
     def from_text(text: str) -> "ZeroPattern":
@@ -84,15 +78,10 @@ class ZeroPattern:
                 mask[i, j] = ch == "1"
         return ZeroPattern(mask)
 
-    def to_text(self) -> str:
-        return "\n".join(
-            "".join("1" if v else "0" for v in row) for row in self.mask
-        )
-
     @staticmethod
     def from_json_dict(data: dict) -> "ZeroPattern":
-        """Decode :meth:`to_json_dict` output: an integer size and that many rows
-        of that many JSON booleans; numbers and strings numpy would coerce are malformed."""
+        """Decode a pattern's JSON object: an integer ``size`` and a ``mask`` of that many
+        rows of that many JSON booleans; numbers and strings numpy would coerce are malformed."""
         try:
             size, mask = data["size"], data["mask"]
         except (KeyError, TypeError) as exc:
@@ -105,9 +94,6 @@ class ZeroPattern:
         if len(mask) != size or any(len(row) != size for row in mask):
             raise ValueError(f"malformed pattern JSON: mask must be {size} rows of {size} entries")
         return ZeroPattern(np.array(mask, dtype=bool))
-
-    def to_json_dict(self) -> dict:
-        return {"size": self.size, "mask": [[bool(v) for v in row] for row in self.mask]}
 
 
 def load_pattern_text(text: str) -> ZeroPattern:

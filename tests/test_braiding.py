@@ -740,6 +740,28 @@ def test_recognize_every_registry_generator():
             assert hit[1] == pytest.approx(1.0, abs=1e-10)
 
 
+# Every registry solution's representation on 3 and 4 strands, built once.
+RECOGNIZED_REPS = {(name, n): build_rep(resolve_solution(name), n) for name in registry_ids() for n in (3, 4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(sorted(RECOGNIZED_REPS)),
+    exponent=st.floats(-200, 200),
+    phase=st.floats(0, 2 * np.pi),
+    data=st.data(),
+)
+def test_recognize_finds_a_scaled_generator_at_any_magnitude(key, exponent, phase, data):
+    # Two 1e-12 cutoffs, on the largest entry's generator entry and on the
+    # estimated lambda, used to refuse every gate with |lambda| < 1e-12.
+    rep = RECOGNIZED_REPS[key]
+    i = data.draw(st.integers(1, rep.n - 1), label="generator")
+    lam = 10.0**exponent * np.exp(1j * phase)
+    hit = recognize_braiding_gate(rep, lam * rep.generator(i), tol=1e-12 * abs(lam))
+    assert hit is not None and hit[0] == i
+    assert abs(hit[1] - lam) <= 1e-12 * abs(lam)
+
+
 def _no_inverse(m):
     raise AssertionError("build_rep must not invert a matrix")
 

@@ -411,6 +411,13 @@ def _write_rowell(tmp_path):
     return str(path)
 
 
+def _rowell_grid():
+    """The rowell pattern as the CLI's 0/1 grid, one row of its mask a line."""
+    from gybe.search import rowell_pattern
+
+    return "\n".join("".join("1" if v else "0" for v in row) for row in rowell_pattern().mask)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -467,10 +474,8 @@ def test_a_missing_required_input_is_a_usage_error(argv, option, capsys):
 )
 def test_repeated_single_valued_options_are_usage_errors(argv, tmp_path, capsys):
     # A second value used to replace the first without a word.
-    from gybe.search import rowell_pattern
-
     files = {"MATRIX": _write_rowell(tmp_path), "PATTERN": str(tmp_path / "pattern.txt")}
-    Path(files["PATTERN"]).write_text(rowell_pattern().to_text())
+    Path(files["PATTERN"]).write_text(_rowell_grid())
     code, out, err = run_cli(capsys, *(files.get(arg, arg) for arg in argv))
     assert code == 2 and out == ""
     assert "given more than once" in err
@@ -512,10 +517,8 @@ def test_signature_without_matrix_is_a_usage_error(argv, capsys):
 def test_integers_are_plain_ascii_decimals(argv, tmp_path, capsys):
     # int() reads digit-group underscores, a plus sign, surrounding space and
     # other scripts' digits: each of the three family cases was family 2.
-    from gybe.search import rowell_pattern
-
     files = {"MATRIX": _write_rowell(tmp_path), "PATTERN": str(tmp_path / "pattern.txt")}
-    Path(files["PATTERN"]).write_text(rowell_pattern().to_text())
+    Path(files["PATTERN"]).write_text(_rowell_grid())
     code, out, err = run_cli(capsys, *(files.get(arg, arg) for arg in argv))
     assert code == 2 and out == ""
     assert "integer" in err
@@ -748,8 +751,6 @@ def test_braid_malformed_word(capsys):
 
 
 def test_sizes_too_large_to_print_are_input_errors(tmp_path, capsys):
-    from gybe.search import rowell_pattern
-
     # d^k with k in the millions has more digits than Python will print.
     code, _, err = run_cli(capsys, "braid", "--solution", "rowell", "--word", "n=1000000: 1")
     assert code == 2
@@ -763,7 +764,7 @@ def test_sizes_too_large_to_print_are_input_errors(tmp_path, capsys):
     assert "(2,100000,1)" in err and "2^100000" in err
     # Building 3^30000000 takes about 20 s; the side test must not need it.
     pattern = tmp_path / "rowell.txt"
-    pattern.write_text(rowell_pattern().to_text())
+    pattern.write_text(_rowell_grid())
     code, _, err = run_cli(
         capsys, "search", "--pattern", str(pattern), "--signature", "3,30000000,1"
     )
@@ -772,10 +773,8 @@ def test_sizes_too_large_to_print_are_input_errors(tmp_path, capsys):
 
 
 def test_search_cli_round_trip(tmp_path, capsys):
-    from gybe.search import rowell_pattern
-
     path = tmp_path / "pattern.txt"
-    path.write_text(rowell_pattern().to_text())
+    path.write_text(_rowell_grid())
     code, out, _ = run_cli(
         capsys,
         "search",
@@ -797,10 +796,8 @@ def test_search_cli_round_trip(tmp_path, capsys):
 
 
 def test_search_text_tallies_restarts_by_reason(tmp_path, capsys):
-    from gybe.search import rowell_pattern
-
     path = tmp_path / "pattern.txt"
-    path.write_text(rowell_pattern().to_text())
+    path.write_text(_rowell_grid())
     argv = ("search", "--pattern", str(path), "--signature", "2,3,1")
     argv += ("--restarts", "8", "--seed", "3")
     code, out, _ = run_cli(capsys, *argv)
@@ -818,10 +815,8 @@ def test_search_text_tallies_restarts_by_reason(tmp_path, capsys):
 
 
 def test_search_stats_report_every_restart(tmp_path, capsys):
-    from gybe.search import rowell_pattern
-
     path = tmp_path / "pattern.txt"
-    path.write_text(rowell_pattern().to_text())
+    path.write_text(_rowell_grid())
     argv = ("search", "--pattern", str(path), "--signature", "2,3,1")
     argv += ("--restarts", "4", "--seed", "3")
     code, plain, _ = run_cli(capsys, *argv)
@@ -866,10 +861,8 @@ def test_search_stats_report_every_restart(tmp_path, capsys):
 
 
 def test_search_json_dedup_keys_are_plain_literals(tmp_path, capsys):
-    from gybe.search import rowell_pattern
-
     path = tmp_path / "pattern.txt"
-    path.write_text(rowell_pattern().to_text())
+    path.write_text(_rowell_grid())
     argv = ("search", "--pattern", str(path), "--signature", "2,3,1", "--restarts", "4")
     code, out, _ = run_cli(capsys, *argv, "--json", "--stats")
     assert code == 0
@@ -884,14 +877,13 @@ def test_search_json_dedup_keys_are_plain_literals(tmp_path, capsys):
 
 def test_search_checks_the_dense_cap_before_building_tables(tmp_path, capsys, monkeypatch):
     from gybe import pattern_residual
-    from gybe.search import rowell_pattern
 
     def too_late(*_):
         raise AssertionError("the live entries were sized before the dense cap was checked")
 
     monkeypatch.setattr(pattern_residual, "_live_entries", too_late)
     path = tmp_path / "pattern.txt"
-    path.write_text(rowell_pattern().to_text())
+    path.write_text(_rowell_grid())
     argv = ("search", "--pattern", str(path), "--signature", "2,3,9", "--restarts", "1")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -996,10 +988,8 @@ def test_search_config_limits_are_input_errors(tmp_path, capsys, flags, message)
     # --tol 1e200 used to exit 2 on a bare OverflowError, --tol 1e-170 to
     # search with the convergence test objective <= 0.0 and exit 0, and
     # --seed -1 to fail inside numpy's seeding.
-    from gybe.search import rowell_pattern
-
     path = tmp_path / "pattern.txt"
-    path.write_text(rowell_pattern().to_text())
+    path.write_text(_rowell_grid())
     code, out, err = run_cli(capsys, "search", "--pattern", str(path), "--signature", "2,3,1", *flags)
     assert code == 2 and out == ""
     assert err.splitlines() == [message]
@@ -1008,10 +998,8 @@ def test_search_config_limits_are_input_errors(tmp_path, capsys, flags, message)
 def test_restarts_below_one_is_input_error(tmp_path, capsys):
     # A zero or negative count used to fall back to the default, or to
     # search nothing and report no solution.
-    from gybe.search import rowell_pattern
-
     path = tmp_path / "pattern.txt"
-    path.write_text(rowell_pattern().to_text())
+    path.write_text(_rowell_grid())
     argv = ("search", "--pattern", str(path), "--signature", "2,3,1", "--restarts", "0")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -1045,10 +1033,8 @@ def test_main_builds_its_parser_once(fresh_parser, capsys):
 
 
 def test_a_reused_parser_keeps_no_state_between_calls(fresh_parser, tmp_path, capsys):
-    from gybe.search import rowell_pattern
-
     pattern = tmp_path / "pattern.txt"
-    pattern.write_text(rowell_pattern().to_text())
+    pattern.write_text(_rowell_grid())
     search = ("search", "--pattern", str(pattern), "--signature", "2,3,1", "--restarts", "1")
     code, out, err = run_cli(capsys, *search, "--seed", "0", "--seed", "1")
     assert code == 2 and "given more than once" in err

@@ -192,7 +192,7 @@ def test_every_entry_point_refuses_a_count_below_its_minimum(entry):
             "max_iterations must be an integer, got True",
         ),
         (
-            lambda: ZeroPattern.from_json_dict({**rowell_pattern().to_json_dict(), "size": 8.0}),
+            lambda: ZeroPattern.from_json_dict({"size": 8.0, "mask": rowell_pattern().mask.tolist()}),
             "size must be an integer, got 8.0",
         ),
         (lambda: braid_generator_matrix(ROWELL, 3, 1.5), "i must be an integer, got 1.5"),

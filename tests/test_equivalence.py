@@ -1037,19 +1037,19 @@ def test_a_planted_hit_builds_one_rmatrix_for_its_candidate(monkeypatch):
 
 def test_scalar_fit_is_one_when_the_source_vanishes():
     b = np.arange(4, dtype=complex).reshape(2, 2)
-    assert equivalence._scalar_fit(np.zeros((2, 2), dtype=complex), b) == 1
+    assert linalg.scalar_fit(np.zeros((2, 2), dtype=complex), b) == 1
 
 
 def test_the_jordan_candidate_fits_lambda_on_the_top_level(monkeypatch):
     r = rowell_solution()
     s = apply_gauge_sequence(r, (GaugeOp.local_conj(I2 + 0.3 * equivalence._JORDAN), GaugeOp.scalar(0.7j)))
-    fit, fits = equivalence._scalar_fit, []
+    fit, fits = linalg.scalar_fit, []
 
     def spy(a, b):
         fits.append((a, b))
         return fit(a, b)
 
-    monkeypatch.setattr(equivalence, "_scalar_fit", spy)
+    monkeypatch.setattr(linalg, "scalar_fit", spy)
     list(equivalence._jordan_conjugators(r.matrix, s.matrix, tol=WITNESS_TOL))
     weight = np.array([bin(i).count("1") for i in range(8)])
     level = weight[:, None] - weight[None, :]

@@ -191,6 +191,25 @@ def test_unitarity_rejects_non_finite_entries():
             linalg.unitarity_residual(m)
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [0.0, 1e-200, 1e-13, 1.0, -2.5, 3 - 4j, 1e-7j, 1e150 * np.exp(0.3j)],
+    ids=["zero", "1e-200", "1e-13", "one", "negative", "complex", "imaginary", "1e150"],
+)
+def test_scalar_fit_recovers_an_exact_multiple_at_any_magnitude(lam):
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert abs(linalg.scalar_fit(a, lam * a) - lam) <= 1e-14 * abs(lam)
+
+
+def test_scalar_fit_leaves_a_residual_orthogonal_to_the_source():
+    # Frobenius-optimal: <a, b - lambda a> = 0.
+    rng = np.random.default_rng(42)
+    a, b = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+    lam = linalg.scalar_fit(a, b)
+    assert abs(np.vdot(a, b - lam * a)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
 def test_inverse_identity():
     np.testing.assert_array_equal(linalg.inverse(linalg.identity(8)), linalg.identity(8))
 

@@ -17,7 +17,7 @@ from gybe import linalg, solutions
 from gybe.braiding import build_rep
 from gybe.core import check_gybe
 from gybe.equivalence import GaugeOp
-from gybe.search import SearchConfig, ZeroPattern
+from gybe.search import SearchConfig
 from gybe.solutions import DiagBlock, check_param_constraints, rowell_solution
 
 ROWELL = rowell_solution()
@@ -133,10 +133,6 @@ def test_the_rule_refuses_a_real_or_complex_by_name(kind, value, message):
         (lambda: GaugeOp.scalar(None), "lam must be a number, got None"),
         (lambda: GaugeOp.scalar("2"), "lam must be a number, got '2'"),
         (lambda: GaugeOp("scalar", lam=True), "lam must be a number, got True"),
-        (lambda: ZeroPattern.from_matrix(ROWELL.matrix, np.nan), "threshold must be non-negative and finite, got nan"),
-        (lambda: ZeroPattern.from_matrix(ROWELL.matrix, -1.0), "threshold must be non-negative and finite, got -1.0"),
-        (lambda: ZeroPattern.from_matrix(ROWELL.matrix, True), "threshold must be a number, got True"),
-        (lambda: ZeroPattern.from_matrix(ROWELL.matrix, None), "threshold must be a number, got None"),
     ],
 )
 def test_a_scalar_that_is_not_a_number_of_its_kind_is_refused_by_name(call, message):

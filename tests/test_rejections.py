@@ -84,11 +84,18 @@ def _entry(p: int, q: int) -> np.ndarray:
 @pytest.mark.parametrize(
     "gate",
     [
-        np.zeros((16, 16)),  # no entry to estimate lambda from
-        _entry(0, 2),  # sigma_1 is zero at the largest entry, and sigma_2 does not fit
-        1e-13 * REP.generator(1),  # lambda below 1e-12 for every generator
+        np.zeros((16, 16)),  # the fitted lambda is 0 for every generator
+        _entry(0, 2),  # sigma_1 is zero at the lone entry, and sigma_2 does not fit
     ],
-    ids=["zero", "off-sigma_1", "vanishing-lambda"],
+    ids=["zero", "off-sigma_1"],
 )
 def test_a_gate_that_is_no_multiple_of_a_generator_is_not_recognized(gate):
     assert recognize_braiding_gate(REP, gate) is None
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_a_vanishing_multiple_of_a_generator_is_recognized(i):
+    # Two 1e-12 cutoffs used to refuse this gate; the tolerance alone decides.
+    hit = recognize_braiding_gate(REP, 1e-13 * REP.generator(i), tol=1e-20)
+    assert hit is not None and hit[0] == i
+    assert abs(hit[1] - 1e-13) <= 1e-25

@@ -106,23 +106,24 @@ def test_pattern_from_matrix_matches_named_pattern():
     assert [r.label for r in sources[:4]] == ["rowell", "base1", "base2", "base3"]
     for r in sources:
         np.testing.assert_array_equal(r.matrix != 0, named.mask)
-        np.testing.assert_array_equal(ZeroPattern.from_matrix(r.matrix).mask, named.mask)
     assert named.free_count == 16
     assert named.accepts(rowell_solution().matrix)
     assert not named.accepts(np.ones((8, 8)))
 
 
-def test_pattern_from_matrix_rejects_non_finite_entries():
-    # NaN > threshold is False, so a NaN entry would read as a zero.
-    m = rowell_solution().matrix.copy()
-    m[0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        ZeroPattern.from_matrix(m)
+def _grid(p):
+    """The 0/1 grid of pattern ``p``, one row of its mask a line."""
+    return "\n".join("".join("1" if v else "0" for v in row) for row in p.mask)
+
+
+def _json_dict(p):
+    """The JSON object of pattern ``p``: its size and its mask as booleans."""
+    return {"size": p.size, "mask": p.mask.tolist()}
 
 
 def test_pattern_text_round_trip():
     p = rowell_pattern()
-    again = ZeroPattern.from_text(p.to_text())
+    again = ZeroPattern.from_text(_grid(p))
     np.testing.assert_array_equal(again.mask, p.mask)
     with pytest.raises(ValueError):
         ZeroPattern.from_text("01\n0")
@@ -134,7 +135,7 @@ def test_pattern_text_round_trip():
 
 def test_pattern_json_round_trip():
     p = rowell_pattern()
-    again = ZeroPattern.from_json_dict(p.to_json_dict())
+    again = ZeroPattern.from_json_dict(_json_dict(p))
     np.testing.assert_array_equal(again.mask, p.mask)
     loaded = load_pattern_text('{"size": 2, "mask": [[true, false], [false, true]]}')
     np.testing.assert_array_equal(loaded.mask, np.eye(2, dtype=bool))
@@ -451,8 +452,19 @@ def test_a_pattern_accepts_no_matrix_of_another_shape():
         pattern.accepts(np.eye(4))
     with pytest.raises(ValueError, match="^candidate side 16 does not match pattern size 8$"):
         pattern.accepts(np.eye(16))
-    with pytest.raises(ValueError, match=r"^candidate shape \(8, 4\) does not match pattern size 8$"):
+    with pytest.raises(ValueError, match=r"^candidate must be a non-empty square matrix, got shape \(8, 4\)$"):
         pattern.accepts(np.ones((8, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["free", "masked"])
+def test_a_pattern_refuses_a_non_finite_candidate_at_a_free_or_masked_entry(entry, bad):
+    # NaN at the free entry (0, 0) used to be accepted, and at the masked
+    # entry (0, 1) rejected as a pattern violation.
+    m = rowell_solution().matrix.copy()
+    m[entry] = bad
+    with pytest.raises(ValueError, match="^candidate must have finite entries$"):
+        rowell_pattern().accepts(m)
 
 
 def test_dedup_key_ignores_global_phase():

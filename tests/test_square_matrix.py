@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gybe import linalg
 from gybe.braiding import build_rep, recognize_braiding_gate
 from gybe.core import GybeSignature, RMatrix, check_ybe, ybe_summation_residual
-from gybe.search import ZeroPattern, dedup_key, gybe_objective, rowell_pattern
+from gybe.search import dedup_key, gybe_objective, rowell_pattern
 from gybe.solutions import (
     QUADRANT_SLOTS,
     block_parameters,
@@ -28,7 +28,7 @@ ENTRY_POINTS = {
     "ybe_summation_residual": (lambda m: ybe_summation_residual(m, 2), "YBE candidate", np.eye(4)),
     "unitarity_residual": (linalg.unitarity_residual, "unitarity candidate", ROWELL.matrix),
     "eigenvalues": (linalg.eigenvalues, "eigenvalue input", ROWELL.matrix),
-    "ZeroPattern.from_matrix": (ZeroPattern.from_matrix, "pattern source", ROWELL.matrix),
+    "ZeroPattern.accepts": (lambda m: rowell_pattern().accepts(m), "candidate", ROWELL.matrix),
     "gybe_objective": (
         lambda m: gybe_objective(m, rowell_pattern(), GybeSignature(2, 3, 1)), "candidate", ROWELL.matrix,
     ),

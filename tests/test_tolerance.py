@@ -14,7 +14,7 @@ from gybe.braiding import build_rep, recognize_braiding_gate
 from gybe.core import CheckReport, GybeSignature, check_far_commutativity, check_gybe, check_ybe
 from gybe.equivalence import decide_equivalence, search_equivalence, search_local_conjugation
 from gybe.optimize import damped_least_squares, solve_stack
-from gybe.search import SearchConfig, ZeroPattern, rowell_pattern, solve_pattern
+from gybe.search import SearchConfig, rowell_pattern, solve_pattern
 from gybe.solutions import (
     BlockSolution,
     DiagBlock,
@@ -63,7 +63,6 @@ CALLS = {
     "gybe.optimize.solve_stack": lambda tol: solve_stack(_line, np.zeros((2, 2)), normal_fn=_normal, objective_tol=tol),
     "gybe.search.SearchConfig": lambda tol: SearchConfig(tolerance=tol),
     "gybe.search.ZeroPattern.accepts": lambda tol: rowell_pattern().accepts(ROWELL.matrix, tol),
-    "gybe.search.ZeroPattern.from_matrix": lambda tol: ZeroPattern.from_matrix(ROWELL.matrix, tol),
     "gybe.solutions.BlockSolution.from_matrices": lambda tol: BlockSolution.from_matrices(X, Y, tol),
     "gybe.solutions.DiagBlock.is_unitary": lambda tol: DiagBlock(1.0, 1j).is_unitary(tol),
     "gybe.solutions.block_parameters": lambda tol: block_parameters(ROWELL.matrix, tol),
