@@ -280,13 +280,15 @@ def recognize_braiding_gate(
     Each generator's lambda is the Frobenius-optimal
     :func:`~gybe.linalg.scalar_fit`; ``u`` is that generator when lambda is
     nonzero and max |u - lambda gen| <= tol.  Returns (generator index,
-    lambda) for the first such generator, or None.
+    lambda) for the first such generator, or None.  Each image is built
+    only when the scan reaches it.
     """
     tol = linalg.tolerance(tol)
     mat = linalg.square_matrix(u, "gate")
     if mat.shape != (rep.dim, rep.dim):
         raise ValueError(f"gate must be {rep.dim}x{rep.dim}")
-    for i, gen in enumerate(rep.generators, start=1):
+    for i in range(1, rep.n):
+        gen = _place(rep.r.matrix, rep.r.signature, rep.n, i)
         lam = linalg.scalar_fit(gen, mat)
         if lam != 0 and linalg.max_abs(mat - lam * gen) <= tol:
             return i, lam

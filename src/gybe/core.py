@@ -60,8 +60,9 @@ class RMatrix:
 
     Construction passes the matrix through :func:`linalg.square_matrix`,
     checks its side against the signature, then invertibility at the global
-    pivot threshold by one gated inversion, whose result is kept as
-    ``inverse``.  Both arrays are immutable copies.
+    singular-value threshold by one :func:`linalg.inverse`, whose result is
+    kept as ``inverse``; for a well-conditioned R that inverse certifies the
+    gate itself and no SVD runs.  Both arrays are immutable copies.
     """
 
     signature: GybeSignature

@@ -284,15 +284,16 @@ def _grading(size: int) -> np.ndarray:
     return linalg.frozen(weight[None, :] - weight[:, None])
 
 
-def _support_cut(a: np.ndarray, tol: float) -> float:
-    """The size above which an entry of ``a`` is support, not rounding.
+def _support_cut(size: np.ndarray, tol: float) -> float:
+    """The size above which an entry of a matrix is support, not rounding,
+    given ``size``, the moduli of its entries.
 
     The cut is ``tol`` relative to the largest entry, but never below the
     default ``WITNESS_TOL``: the rounding of a gauge image grows with
     cond(Q)^(2m) (see ``NEAR_MISS``), so a cut that shrank with a tiny
     ``tol`` would count it as support and rule out a true image.
     """
-    return max(tol, WITNESS_TOL) * linalg.max_abs(a)
+    return max(tol, WITNESS_TOL) * float(size.max())
 
 
 def _graded_conjugators(a: np.ndarray, b: np.ndarray, shape: str, *, tol: float):
@@ -312,11 +313,12 @@ def _graded_conjugators(a: np.ndarray, b: np.ndarray, shape: str, *, tol: float)
     if shape == "antidiagonal":
         flip = np.arange(len(a)) ^ (len(a) - 1)
         a, exponent = a[np.ix_(flip, flip)], -exponent
-    support = np.abs(a) > _support_cut(a, tol)
-    if not np.array_equal(support, np.abs(b) > _support_cut(b, tol)):
+    size, size_b = np.abs(a), np.abs(b)
+    support = size > _support_cut(size, tol)
+    if not (support == (size_b > _support_cut(size_b, tol))).all():
         return
     # One ratio per exponent, read at the largest entry of a carrying it.
-    largest_first = np.argsort(-np.abs(a[support]), kind="stable")
+    largest_first = np.argsort(-size[support], kind="stable")
     ratios = (b[support] / a[support])[largest_first]
     levels, first = np.unique(exponent[support][largest_first], return_index=True)
     level_ratios = ratios[first]
@@ -347,8 +349,9 @@ def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, tol: float):
     """
     level, m = -_grading(len(a)), len(a).bit_length() - 1
     n_sum = sum(pad_identity(_JORDAN, 2**k, 2 ** (m - 1 - k)) for k in range(m))
-    noise = _support_cut(a, tol)
-    top = level == level[np.abs(a) > noise].max()
+    size = np.abs(a)
+    noise = _support_cut(size, tol)
+    top = level == level[size > noise].max()
     lam = linalg.scalar_fit(a[top], b[top])
     if lam == 0:
         return
@@ -405,8 +408,11 @@ def _invariants(a: np.ndarray, m: int) -> list[tuple[str, int, complex, float]]:
     ]
 
 
-def _refuting_invariant(r: np.ndarray, s: np.ndarray, m: int, tol: float) -> Invariant | None:
+def _refuting_invariant(r: np.ndarray, s: np.ndarray, target: list, m: int, tol: float) -> Invariant | None:
     """The first invariant of :func:`_invariants` that no scalar carries from r to s, or None.
+
+    ``target`` is ``_invariants(s, m)``, which :func:`decide_equivalence`
+    reads once for both of its prefixes.
 
     For s = lambda (Q^-1)^⊗m r Q^⊗m, each invariant obeys I(s) = lambda^deg
     I(r) exactly, for any invertible Q, since the partial trace C_k of the
@@ -434,7 +440,7 @@ def _refuting_invariant(r: np.ndarray, s: np.ndarray, m: int, tol: float) -> Inv
     """
     eta = len(s) * max(tol, NEAR_MISS) * linalg.max_abs(s)
     terms = []
-    for (name, degree, a, _), (_, _, b, size) in zip(_invariants(r, m), _invariants(s, m)):
+    for (name, degree, a, _), (_, _, b, size) in zip(_invariants(r, m), target):
         power = 2 // degree
         terms.append((name, degree, a, b, a**power, b**power, eta * (2 * size + eta)))
     *_, pivot_r, pivot_s, pivot_bound = max(terms, key=lambda t: abs(t[4]) / t[6])
@@ -702,6 +708,7 @@ def decide_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> E
     gate, else ``none``.
     """
     tol = _checked_pair(r, s, tol)
+    target = _invariants(s.matrix, r.signature.m)
     decisions = []
     for name, ops in (("direct", ()), ("inverse", (GaugeOp.inverse(),))):
         try:
@@ -709,7 +716,7 @@ def decide_equivalence(r: RMatrix, s: RMatrix, *, tol: float = WITNESS_TOL) -> E
         except linalg.SingularMatrixError:  # r^-1 of a large r is below the absolute gate
             decisions.append(PrefixDecision(name, "undecided", None, 0))
             continue
-        invariant = _refuting_invariant(src.matrix, s.matrix, r.signature.m, tol)
+        invariant = _refuting_invariant(src.matrix, s.matrix, target, r.signature.m, tol)
         if invariant is not None:
             decisions.append(PrefixDecision(name, "none", None, 0, invariant))
             continue

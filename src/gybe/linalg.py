@@ -3,10 +3,11 @@
 Everything in this package runs on plain ``numpy.ndarray`` values of dtype
 complex128.  This module collects the handful of operations the rest of the
 library is built from: Kronecker products, direct sums, conjugate transpose,
-read-only copies, inversion gated on the smallest singular value,
-eigenvalues of small matrices, tolerance-based comparisons in the
-max-abs-entry norm, the one least-squares fit of a scalar
-(:func:`scalar_fit`), and a bit-exact JSON encoding.  The arithmetic itself is numpy's.
+read-only copies, inversion gated on the smallest singular value (which
+the inverse itself certifies where it can, with no SVD), eigenvalues of
+small matrices, tolerance-based comparisons in the max-abs-entry norm, the
+one least-squares fit of a scalar (:func:`scalar_fit`), and a bit-exact
+JSON encoding.  The arithmetic itself is numpy's.
 Three gates check what a caller hands the library: :func:`square_matrix` a
 matrix, :func:`tolerance` a tolerance and :func:`count` a count, the last two
 through :func:`number`, the one rule for what an integer, a real and a complex
@@ -37,6 +38,11 @@ import numpy as np
 
 # Smallest singular value below which ``inverse`` declares a matrix singular.
 SINGULAR_VALUE_THRESHOLD = 1e-13
+
+# The rounding allowance of the inverse's own certificate of the gate (see
+# ``inverse``), 64 times the unit roundoff, and the largest ||X||_F^2 it accepts.
+_CERTIFICATE_MARGIN = 64 * 2.0**-53
+_MAX_CERTIFIED_NORM2 = (1 / (4 * SINGULAR_VALUE_THRESHOLD)) ** 2
 
 # Default tolerance for verifying exactly constructed solutions.
 DEFAULT_TOL = 1e-12
@@ -219,11 +225,50 @@ def inverse(m: np.ndarray) -> np.ndarray:
     """Matrix inverse, gated on the smallest singular value.
 
     Raises :class:`SingularMatrixError` for non-finite entries, and unless
-    the smallest singular value is at least ``SINGULAR_VALUE_THRESHOLD``.
+    the smallest singular value that ``np.linalg.svd`` computes is at least
+    ``SINGULAR_VALUE_THRESHOLD``.  The result is ``np.linalg.inv``'s.
+
+    Most gates are decided by that inverse X alone, without an SVD.  numpy
+    inverts A of side n by LAPACK's ``gesv`` on the identity: LU with
+    partial pivoting, then two triangular solves per column.  Each computed
+    column solves (A + dA) x = e_j with |dA| <= g |L||U| entrywise (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 9.4), where
+    g <= 20 n u for unit roundoff u: 3n u in real arithmetic, times about
+    6 for complex products and quotients (Higham, Lemma 3.5).  Pivoting by
+    |Re| + |Im| keeps every |l_ij| <= sqrt 2, so each |u_ij| <= rho ||A||_F
+    with rho = (1 + sqrt 2)^(n - 1), and ||L||_F ||U||_F <= n^2 rho ||A||_F.
+    Hence F = A X - I has ||F||_F <= 20 n^3 rho u ||A||_F ||X||_F, and
+
+        ||A||_F ||X||_F <= 1 / (n^3 rho _CERTIFICATE_MARGIN),
+        _CERTIFICATE_MARGIN = 64 u,
+
+    gives ||F|| <= 20/64 < 1/2 even after the rounding of the two computed
+    norms.  Then A^-1 = X (I + F)^-1, so sigma_min(A) >= 1 / (2 ||X||_F).
+    LAPACK's singular values are off by at most p(n) u ||A||_2, p(n) a
+    modestly growing function (LAPACK Users' Guide, section 4.9), and under
+    the same bound that is at most 1 / (4 ||X||_F) for any p(n) <= 16 n^3 rho.
+    So when also ||X||_F <= 1 / (4 ``SINGULAR_VALUE_THRESHOLD``), the SVD
+    would find sigma_min >= 1 / (4 ||X||_F) >= the threshold, and X is
+    returned.  Anywhere else, including when ``np.linalg.inv`` fails or
+    overflows, the SVD decides, as it would without X.  From n = 24 on the
+    bound is below n, which ||A||_F ||X||_F never is, so the SVD decides
+    every gate there.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("cannot invert a non-square matrix")
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # singular to LAPACK, or a NaN met on the way
+        pass
+    else:
+        # A non-finite entry of A, or of X, makes its squared norm infinite or
+        # NaN, which fails the test.
+        n = a.shape[0]
+        x_norm2 = float(np.vdot(x, x).real)
+        bound = (1 + math.sqrt(2)) ** (1 - n) / (n**3 * _CERTIFICATE_MARGIN)
+        if x_norm2 <= _MAX_CERTIFIED_NORM2 and float(np.vdot(a, a).real) * x_norm2 <= bound * bound:
+            return x
     if not np.all(np.isfinite(a)):
         raise SingularMatrixError("cannot invert a matrix with non-finite entries")
     smallest = np.linalg.svd(a, compute_uv=False).min(initial=np.inf)

@@ -715,6 +715,16 @@ def test_recognize_scaled_generator():
     assert hit[1] == pytest.approx(lam, abs=1e-12)
 
 
+def test_recognize_builds_no_image_past_a_hit(monkeypatch):
+    # 8 strands of rowell: a hit at sigma_1 builds one 512 x 512 image, not all seven.
+    rep = build_rep(rowell_solution(), 8)
+    gate = rep.generator(1)
+    placed = []
+    monkeypatch.setattr(braiding, "_place", lambda *args: placed.append(args) or core._place(*args))
+    assert recognize_braiding_gate(rep, gate)[0] == 1
+    assert len(placed) == 1
+
+
 def test_recognize_rejects_products():
     rep = build_rep(rowell_solution(), 3)
     product = rep.generators[0] @ rep.generators[1]

@@ -699,6 +699,12 @@ def _planted(name: str, invert: bool, seed: int, k: int) -> tuple[RMatrix, RMatr
     return source, s, lam
 
 
+def _refutes(r: np.ndarray, s: np.ndarray):
+    """_refuting_invariant of side 2^m matrices r and s at the witness tolerance."""
+    m = len(s).bit_length() - 1
+    return equivalence._refuting_invariant(r, s, equivalence._invariants(s, m), m, WITNESS_TOL)
+
+
 @settings(max_examples=80, deadline=None)
 @given(**_PLANTED)
 def test_the_invariants_are_covariant_within_the_documented_bound(name, invert, seed, k):
@@ -718,7 +724,7 @@ def test_the_invariants_are_covariant_within_the_documented_bound(name, invert, 
 @given(**_PLANTED)
 def test_no_planted_gauge_image_is_ruled_out_by_an_invariant(name, invert, seed, k):
     source, s, _ = _planted(name, invert, seed, k)
-    assert equivalence._refuting_invariant(source.matrix, s.matrix, s.signature.m, WITNESS_TOL) is None
+    assert _refutes(source.matrix, s.matrix) is None
 
 
 @pytest.mark.parametrize("phases", ["one", "aligned", "random"])
@@ -740,7 +746,7 @@ def test_an_image_moved_within_the_near_miss_is_never_ruled_out(phases):
                 else:
                     phase = np.exp(2j * np.pi * rng.random(s.matrix.shape))
                 moved = s.matrix + 0.99 * equivalence.NEAR_MISS * linalg.max_abs(s.matrix) * phase
-                refuted = equivalence._refuting_invariant(source.matrix, moved, s.signature.m, WITNESS_TOL)
+                refuted = _refutes(source.matrix, moved)
                 assert refuted is None, (name, invert, seed)
 
 
@@ -777,7 +783,7 @@ def _refuted_verdicts(r: RMatrix, s: RMatrix) -> list[str]:
     verdicts = []
     for invert in (False, True):
         source = apply_gauge_sequence(r, (GaugeOp.inverse(),) if invert else ())
-        if equivalence._refuting_invariant(source.matrix, s.matrix, r.signature.m, WITNESS_TOL) is not None:
+        if _refutes(source.matrix, s.matrix) is not None:
             verdicts.append(_decide_prefix(r, s, invert=invert)[0].verdict)
     return verdicts
 
@@ -1174,13 +1180,26 @@ def test_all_scalar_covariants_leave_the_pair_undecided():
     assert search_equivalence(r, s) is None
 
 
+def test_a_miss_through_both_prefixes_reads_the_target_invariants_once(monkeypatch):
+    # I against SWAP: both prefixes reach the invariants, which read r, r^-1 and s once each.
+    signature = GybeSignature(2, 2, 1)
+    r, s = RMatrix(signature, linalg.identity(4), "I"), RMatrix(signature, linalg.identity(4)[[0, 2, 1, 3]], "swap")
+    read = []
+    invariants = equivalence._invariants
+    monkeypatch.setattr(equivalence, "_invariants", lambda a, m: read.append(a) or invariants(a, m))
+    decision = decide_equivalence(r, s)
+    assert [p.prefix for p in decision.prefixes] == ["direct", "inverse"]
+    assert len(read) == 3
+    assert sum(a is s.matrix for a in read) == 1
+
+
 def test_a_pair_with_every_invariant_zero_is_left_to_the_candidates():
     # The cyclic shift has trace 0, and so has the square of it and of each
     # partial trace: no invariant fits a scalar, so none refutes, and the
     # diagonal shape's first candidate is the witness.
     shift = RMatrix(GybeSignature(2, 3, 1), np.roll(np.eye(8), 1, axis=0), "shift")
     assert [value for _, _, value, _ in equivalence._invariants(shift.matrix, 3)] == [0] * 5
-    assert equivalence._refuting_invariant(shift.matrix, shift.matrix, 3, WITNESS_TOL) is None
+    assert _refutes(shift.matrix, shift.matrix) is None
     decision = decide_equivalence(shift, shift)
     assert decision.verdict == "witness"
     assert [(p.prefix, p.verdict, p.candidates) for p in decision.prefixes] == [("direct", "witness", 1)]

@@ -265,6 +265,35 @@ def test_inverse_gate_boundary():
         )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([2, 8]),
+    smallest=st.floats(-16, -8),
+    scale=st.floats(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_decides_as_the_svd_and_returns_the_bits_of_inv(n, smallest, scale, seed):
+    # U diag(s) V^dagger times 10^scale, with min s = 10^smallest and the
+    # others log-uniform in [min s, 1]: 2x2 as a GaugeOp's Q, 8x8 as an R.
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** rng.uniform(smallest, 0.0, n)
+    s[0] = 10.0**smallest
+    a = 10.0**scale * (random_unitary(n, rng) * s) @ random_unitary(n, rng)
+    if np.linalg.svd(a, compute_uv=False).min() < linalg.SINGULAR_VALUE_THRESHOLD:
+        with pytest.raises(linalg.SingularMatrixError, match="smallest singular value"):
+            linalg.inverse(a)
+    else:
+        assert linalg.inverse(a).tobytes() == np.linalg.inv(a).tobytes()
+
+
+def test_inverse_of_a_well_conditioned_matrix_runs_no_svd(monkeypatch):
+    rng = np.random.default_rng(11)
+    monkeypatch.setattr(np.linalg, "svd", None)  # calling it would raise
+    for n in (1, 2, 4, 8, 16):
+        u = random_unitary(n, rng)
+        assert linalg.inverse(u).tobytes() == np.linalg.inv(u).tobytes()
+
+
 def test_determinant_matches_eigenvalue_product():
     rng = np.random.default_rng(7)
     for _ in range(5):
