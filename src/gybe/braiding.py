@@ -154,11 +154,6 @@ class BraidRep:
         (i,) = BraidWord(self.n, (i,)).letters
         return _place(self._letter(i)[0], self.r.signature, self.n, abs(i))
 
-    @property
-    def generators(self) -> tuple[np.ndarray, ...]:
-        """Dense images of sigma_1 .. sigma_(n-1), built on each access."""
-        return tuple(_place(self.r.matrix, self.r.signature, self.n, i) for i in range(1, self.n))
-
 
 def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
     """Construct the n-strand :class:`BraidRep` of ``r`` and verify it.

@@ -40,13 +40,15 @@ FAMILY_PARAMS: dict[int, tuple[complex, complex, complex]] = {
     3: (1.0 + 0j, 1.0 + 0j, 1.0 + 0j),
 }
 
-# The 4x4 quadrant (1/sqrt2) [[A, B], [C, D]] of 2x2 diagonal blocks: the flat
-# (4 * row + column) positions of the p and q of A, B, C and D, one row per
-# block, the quadrant's support, where entry (i, j) is live iff i + j is even,
-# and the support of X (+) Y, the two-block pattern of every 8x8 solution here.
-QUADRANT_SLOTS = linalg.frozen(np.array([[0, 5], [2, 7], [8, 13], [10, 15]]))
-QUADRANT_SUPPORT = linalg.frozen(np.isin(np.arange(16), QUADRANT_SLOTS).reshape(4, 4))
-BLOCK_SUPPORT = linalg.frozen(linalg.direct_sum(QUADRANT_SUPPORT, QUADRANT_SUPPORT) != 0)
+# The one layout table of R = X (+) Y: the flat (8 * row + column) positions
+# of the p and q of A, B, C, D (in X, the top-left 4x4 quadrant) and Y1-Y4
+# (in Y, the bottom-right one), one row per block, and its support, the
+# two-block pattern of every 8x8 solution here: entry (i, j) of a diagonal
+# quadrant is live iff i + j is even.
+BLOCK_SLOTS = linalg.frozen(
+    np.array([[0, 9], [2, 11], [16, 25], [18, 27], [36, 45], [38, 47], [52, 61], [54, 63]])
+)
+BLOCK_SUPPORT = linalg.frozen(np.isin(np.arange(64), BLOCK_SLOTS).reshape(8, 8))
 
 _UNIT_TOL = 1e-12
 # Parameters read off a matrix may come from numerical search, so the
@@ -144,18 +146,23 @@ def derive_Y(
     return y1, y2, y3, y4
 
 
+def _require_finite(name: str, block: DiagBlock) -> None:
+    if not (cmath.isfinite(block.p) and cmath.isfinite(block.q)):
+        raise ValueError(f"block {name} must be finite, got {block}")
+
+
 @dataclass(frozen=True)
 class BlockSolution:
     """The structured form R = X (+) Y with all eight 2x2 blocks diagonal.
 
-    Construction is the one check of a block solution: every entry of the
-    eight blocks is finite, A, B, C, D are unitary and C carries the value
-    forced by unitarity of X; the Y blocks are otherwise free.
+    C is not stored: unitarity of X forces C = -D B^dagger A, which is read
+    as a property.  Construction is the one check of a block solution:
+    every entry of the seven blocks it takes is finite and A, B, D are
+    unitary, which makes C unitary; the Y blocks are otherwise free.
     """
 
     A: DiagBlock
     B: DiagBlock
-    C: DiagBlock
     D: DiagBlock
     Y1: DiagBlock
     Y2: DiagBlock
@@ -165,14 +172,13 @@ class BlockSolution:
     def __post_init__(self):
         for name in (field.name for field in fields(self)):
             block = getattr(self, name)
-            if not (cmath.isfinite(block.p) and cmath.isfinite(block.q)):
-                raise ValueError(f"block {name} must be finite, got {block}")
-            if name in ("A", "B", "C", "D") and not block.is_unitary():
+            _require_finite(name, block)
+            if name in ("A", "B", "D") and not block.is_unitary():
                 raise ValueError(f"block {name} must be unitary diagonal")
-        forced = _forced_C(self.A, self.B, self.D)
-        err = max(abs(self.C.p - forced.p), abs(self.C.q - forced.q))
-        if err > 1e-12:
-            raise ValueError(f"C deviates from -D B^dagger A by {err:.3e}; X cannot be unitary")
+
+    @property
+    def C(self) -> DiagBlock:
+        return _forced_C(self.A, self.B, self.D)
 
     @property
     def omega(self) -> complex:
@@ -195,13 +201,16 @@ class BlockSolution:
         return self.D.q
 
     def x_matrix(self) -> np.ndarray:
-        return assemble_quadrant(self.A, self.B, self.C, self.D)
+        return self.r_matrix()[:4, :4]
 
     def y_matrix(self) -> np.ndarray:
-        return assemble_quadrant(self.Y1, self.Y2, self.Y3, self.Y4)
+        return self.r_matrix()[4:, 4:]
 
     def r_matrix(self) -> np.ndarray:
-        return linalg.direct_sum(self.x_matrix(), self.y_matrix())
+        blocks = (self.A, self.B, self.C, self.D, self.Y1, self.Y2, self.Y3, self.Y4)
+        out = np.zeros((8, 8), dtype=np.complex128)
+        np.put(out, BLOCK_SLOTS, [[k.p, k.q] for k in blocks])
+        return INV_SQRT2 * out
 
     def to_rmatrix(self, label: str = "") -> RMatrix:
         return RMatrix(GybeSignature(2, 3, 1), self.r_matrix(), label)
@@ -215,14 +224,12 @@ class BlockSolution:
         beta: complex = 1.0 + 0j,
     ) -> "BlockSolution":
         ys = derive_Y(omega, gamma, delta, alpha, beta)  # checks all five
-        a = DiagBlock(1.0 + 0j, omega)
-        b = DiagBlock(alpha, beta)
-        d = DiagBlock(gamma, delta)
-        return BlockSolution(a, b, _forced_C(a, b, d), d, *ys)
+        return BlockSolution(DiagBlock(1.0 + 0j, omega), DiagBlock(alpha, beta), DiagBlock(gamma, delta), *ys)
 
     @staticmethod
     def from_matrices(x: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> "BlockSolution":
-        """Extract the eight diagonal blocks from explicit 4x4 matrices."""
+        """Extract the diagonal blocks from explicit 4x4 matrices; the C read
+        off X must be finite and within 1e-12 of -D B^dagger A."""
         tol = linalg.tolerance(tol)
         quadrants = [linalg.as_matrix(m) for m in (x, y)]
         if any(m.shape != (4, 4) for m in quadrants):
@@ -231,25 +238,13 @@ class BlockSolution:
         # infinite entry becomes inf+nanj, as in a Python product, without numpy's warning.
         with np.errstate(invalid="ignore"):
             scaled = SQRT2 * linalg.direct_sum(*quadrants)
-        return BlockSolution(*(DiagBlock(p, q) for p, q in _block_entries(scaled, tol).tolist()))
-
-
-def assemble_quadrant(
-    a: DiagBlock, b: DiagBlock, c: DiagBlock, d: DiagBlock
-) -> np.ndarray:
-    """(1/sqrt2) [[a, b], [c, d]] as a dense 4x4 matrix."""
-    out = np.zeros((4, 4), dtype=np.complex128)
-    np.put(out, QUADRANT_SLOTS, [[k.p, k.q] for k in (a, b, c, d)])
-    return INV_SQRT2 * out
-
-
-def split_quadrant(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four 2x2 blocks of sqrt2 * m, in reading order."""
-    m = linalg.as_matrix(m)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    s = SQRT2 * m
-    return s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:]
+        a, b, c, d, *ys = (DiagBlock(p, q) for p, q in _block_entries(scaled, tol).tolist())
+        s = BlockSolution(a, b, d, *ys)
+        _require_finite("C", c)
+        err = max(abs(c.p - s.C.p), abs(c.q - s.C.q))
+        if err > 1e-12:
+            raise ValueError(f"C deviates from -D B^dagger A by {err:.3e}; X cannot be unitary")
+        return s
 
 
 def split_blocks(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,17 +262,17 @@ def _block_entries(m: np.ndarray, tol: float) -> np.ndarray:
     the first of these that fails raises ValueError naming it."""
     if m.shape != (8, 8):
         raise ValueError("classification applies to 8x8 block solutions")
-    x, y = m[:4, :4], m[4:, 4:]
+    off = ~BLOCK_SUPPORT
     for region, entries in (
         ("the off-diagonal 4x4 quadrants reach {}", [m[:4, 4:], m[4:, :4]]),
-        ("the 2x2 sub-blocks of X are not diagonal (off-diagonal entries reach {})", x[~QUADRANT_SUPPORT]),
-        ("the 2x2 sub-blocks of Y are not diagonal (off-diagonal entries reach {})", y[~QUADRANT_SUPPORT]),
+        ("the 2x2 sub-blocks of X are not diagonal (off-diagonal entries reach {})", m[:4, :4][off[:4, :4]]),
+        ("the 2x2 sub-blocks of Y are not diagonal (off-diagonal entries reach {})", m[4:, 4:][off[4:, 4:]]),
     ):
         off = linalg.max_abs(entries)
         if not off <= tol:
             reach = f"{off:.3e}, above tolerance {tol:g}"
             raise ValueError(f"not in block-solution form: {region.format(reach)}")
-    return np.concatenate([np.take(x, QUADRANT_SLOTS), np.take(y, QUADRANT_SLOTS)])
+    return np.take(m, BLOCK_SLOTS)
 
 
 def block_parameters(m: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[complex, complex, complex]:
@@ -302,7 +297,7 @@ def rowell_solution() -> RMatrix:
     """The 8x8 unitary (2,3,1) solution built from the primitive 8th root zeta."""
     zeta = np.exp(2j * np.pi / 8)
     zi = 1.0 / zeta
-    pairs = ((zi, zeta), (-zi, zeta), (zeta, -zi), (zeta, zi), (zeta, zi), (zeta, -zi), (-zi, zeta), (zi, zeta))
+    pairs = ((zi, zeta), (-zi, zeta), (zeta, zi), (zeta, zi), (zeta, -zi), (-zi, zeta), (zi, zeta))
     return BlockSolution(*(DiagBlock(p, q) for p, q in pairs)).to_rmatrix("rowell")
 
 
@@ -316,21 +311,24 @@ def xshape_solution() -> RMatrix:
 
 
 def general_solution(family: int, alpha: complex, beta: complex) -> RMatrix:
-    """The family member R(alpha, beta) for unit-circle alpha and beta."""
+    """The family member R(alpha, beta) for unit-circle alpha and beta, labelled
+    with the ``repr`` of each part, an id that :func:`resolve_solution` rebuilds
+    bit for bit."""
     family = _family(family)
     block = BlockSolution.from_params(*FAMILY_PARAMS[family], alpha, beta)
-    label = f"family{family}:alpha={block.alpha.real:.12g},{block.alpha.imag:.12g}"
-    return block.to_rmatrix(f"{label}:beta={block.beta.real:.12g},{block.beta.imag:.12g}")
+    label = f"family{family}:alpha={block.alpha.real!r},{block.alpha.imag!r}"
+    return block.to_rmatrix(f"{label}:beta={block.beta.real!r},{block.beta.imag!r}")
 
 
 def family_solution(family: int, theta: float) -> RMatrix:
-    """The one-angle family member R(theta) = R(1, e^{i theta}), theta in [0, pi]."""
+    """The one-angle family member R(theta) = R(1, e^{i theta}), theta in [0, pi],
+    labelled with the ``repr`` of theta, as :func:`general_solution` is."""
     family = _family(family)
     theta = _finite(float, theta, "theta")
     if not -1e-12 <= theta <= math.pi + 1e-12:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     block = BlockSolution.from_params(*FAMILY_PARAMS[family], 1.0 + 0j, np.exp(1j * theta))
-    return block.to_rmatrix(f"family{family}:theta={theta:.12g}")
+    return block.to_rmatrix(f"family{family}:theta={theta!r}")
 
 
 def base_solution(family: int) -> BlockSolution:
@@ -356,8 +354,11 @@ def check_block_equations(
     """
     x = linalg.square_matrix(x, "block X")
     y = linalg.square_matrix(y, "block Y")
-    # Each 2x2 block enters lifted, as block ⊗ I_2.
-    a, b, c, d, y1, y2, y3, y4 = (pad_identity(m, 1, 2) for m in split_quadrant(x) + split_quadrant(y))
+    if x.shape != (4, 4) or y.shape != (4, 4):
+        raise ValueError("expected a 4x4 matrix")
+    # The eight 2x2 blocks (times sqrt2) in reading order, each lifted as block ⊗ I_2.
+    blocks = (SQRT2 * np.stack([x, y])).reshape(2, 2, 2, 2, 2).swapaxes(2, 3).reshape(8, 2, 2)
+    a, b, c, d, y1, y2, y3, y4 = pad_identity(blocks, 1, 2)
     terms = [
         (a, x, a, b, y, c, x, a, x),
         (a, x, b, b, y, d, x, b, y),
@@ -443,12 +444,11 @@ class ReducedSolution(NamedTuple):
 
 
 def _replace_B(s: BlockSolution, b: DiagBlock, alpha: complex, beta: complex) -> BlockSolution:
-    """s with B set to ``b``, C derived from it, and the phases (alpha, beta) taken
+    """s with B set to ``b`` (C follows it), and the phases (alpha, beta) taken
     out of Y2 and Y3: the one conjugation behind both directions of the reduction."""
     return replace(
         s,
         B=b,
-        C=_forced_C(s.A, b, s.D),
         Y2=DiagBlock(beta.conjugate() * s.Y2.p, alpha * beta.conjugate() ** 2 * s.Y2.q),
         Y3=DiagBlock(beta * s.Y3.p, alpha.conjugate() * beta**2 * s.Y3.q),
     )

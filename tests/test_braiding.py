@@ -167,22 +167,22 @@ def test_state_vector_takes_a_vector_or_one_column_only(shape, got):
 def test_build_rep_zeta_three_strands():
     rep = build_rep(rowell_solution(), 3, tol=1e-13)
     assert rep.dim == 16
-    g1, g2 = rep.generators
+    g1, g2 = rep.generator(1), rep.generator(2)
     assert linalg.max_abs_diff(g1 @ g2 @ g1, g2 @ g1 @ g2) <= 1e-13
 
 
 def test_build_rep_family_three_four_strands():
     rep = build_rep(base_solution(3).to_rmatrix("base3"), 4, tol=1e-12)
     assert rep.dim == 32
-    for g in rep.generators:
-        assert linalg.unitarity_residual(g) <= 1e-12
+    for i in range(1, rep.n):
+        assert linalg.unitarity_residual(rep.generator(i)) <= 1e-12
 
 
 def test_build_rep_two_strands():
     for name in REGISTRY_231:
         rep = build_rep(resolve_solution(name), 2, tol=1e-12)
         assert rep.dim == 8
-        assert len(rep.generators) == 1
+        assert rep.n == 2 and np.array_equal(rep.generator(1), rep.r.matrix)
     # Two strands have no relation to check, so a non-solution builds too.
     r = RMatrix(GybeSignature(2, 3, 1), random_unitary(8, np.random.default_rng(30)))
     assert not check_gybe(r, 1e-10).passed
@@ -381,7 +381,7 @@ def test_generator_images_on_two_strands_are_writable_copies():
     # On two strands nothing is padded: each image must still be a copy.
     for r in (rowell_solution(), apply_gauge(rowell_solution(), GaugeOp.scalar(2))):
         rep = BraidRep(r, 2)
-        for image in (rep.generator(1), rep.generator(-1), *rep.generators, braid_generator_matrix(r, 2, 1)):
+        for image in (rep.generator(1), rep.generator(-1), braid_generator_matrix(r, 2, 1)):
             assert image.flags.writeable
             assert not np.shares_memory(image, r.matrix) and not np.shares_memory(image, rep.r.inverse)
 
@@ -687,7 +687,7 @@ def test_single_generator_action_reads_off_first_column():
     expected[4] = -1j / np.sqrt(2)
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
     np.testing.assert_allclose(
-        out.amplitudes, rep.generators[0][:, 0], atol=1e-14
+        out.amplitudes, rep.generator(1)[:, 0], atol=1e-14
     )
 
 
@@ -699,7 +699,7 @@ def test_apply_dimension_mismatch():
 
 def test_recognize_plain_generator():
     rep = build_rep(resolve_solution("base2"), 3)
-    hit = recognize_braiding_gate(rep, rep.generators[1])
+    hit = recognize_braiding_gate(rep, rep.generator(2))
     assert hit is not None
     index, lam = hit
     assert index == 2
@@ -709,7 +709,7 @@ def test_recognize_plain_generator():
 def test_recognize_scaled_generator():
     rep = build_rep(rowell_solution(), 3)
     lam = np.exp(1j * np.pi / 7)
-    hit = recognize_braiding_gate(rep, lam * rep.generators[0])
+    hit = recognize_braiding_gate(rep, lam * rep.generator(1))
     assert hit is not None
     assert hit[0] == 1
     assert hit[1] == pytest.approx(lam, abs=1e-12)
@@ -727,13 +727,13 @@ def test_recognize_builds_no_image_past_a_hit(monkeypatch):
 
 def test_recognize_rejects_products():
     rep = build_rep(rowell_solution(), 3)
-    product = rep.generators[0] @ rep.generators[1]
+    product = rep.generator(1) @ rep.generator(2)
     assert recognize_braiding_gate(rep, product) is None
 
 
 def test_recognize_rejects_non_finite_gates():
     rep = build_rep(rowell_solution(), 3)
-    gate = rep.generators[0].copy()
+    gate = rep.generator(1)
     gate[0, 0] = np.nan
     for u in (gate, np.full((rep.dim, rep.dim), np.nan)):
         with pytest.raises(ValueError, match="finite"):

@@ -101,7 +101,6 @@ EXEMPT = {("gybe.linalg.identity", "n")}
 # Parameters that share a count's name but hold something else.
 NOT_COUNTS = {
     ("gybe.search.SearchResult", "restarts"),  # the RestartReports
-    ("gybe.solutions.assemble_quadrant", "d"),  # the block D
     ("gybe.solutions.derive_C", "d"),  # the block D
 }
 
@@ -259,7 +258,7 @@ def test_word_evaluation_and_gate_recognition_gate_nothing(monkeypatch):
     word = BraidWord(5, (1, 2, -3, 4, 2, 1))
     calls = _count_gate_calls(monkeypatch)
     evaluate_word(rep, word)
-    assert rep.generators and recognize_braiding_gate(rep, 2 * rep.generator(4))[0] == 4
+    assert recognize_braiding_gate(rep, 2 * rep.generator(4))[0] == 4
     # Only generator(4), an entry point, builds a word and gates its count and letter.
     assert calls == [(5, "n", 2), (4, "letter")]
 

@@ -1065,6 +1065,31 @@ def test_the_jordan_candidate_fits_lambda_on_the_top_level(monkeypatch):
     np.testing.assert_array_equal(b, s.matrix[top])
 
 
+def test_a_target_that_vanishes_on_the_top_level_has_no_jordan_candidate(monkeypatch):
+    # R = A ⊗ B + Y ⊗ Z and S = A ⊗ B + Y ⊗ Z^T, for A = [[1, 1], [0, 1]], B
+    # symmetric and Z traceless with Z[0, 1] = 0, share every invariant and
+    # the Jordan covariant tr(B) A, whose bases are exactly I.  S vanishes on
+    # R's top level, entry (3, 0), so lambda fits to 0 and no Q is yielded.
+    sig = GybeSignature(2, 2, 1)
+    a, b, y = [[1.0, 1.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [3.0, -1.0]]
+    z = np.array([[1.0, 0.0], [2.0, -1.0]])
+    r = RMatrix(sig, np.kron(a, b) + np.kron(y, z), "r")
+    s = RMatrix(sig, np.kron(a, b) + np.kron(y, z.T), "s")
+    assert r.matrix[3, 0] != 0 and s.matrix[3, 0] == 0
+    yielded, jordan = [], equivalence._jordan_conjugators
+
+    def spy(a, b, *, tol):
+        yielded.append(list(jordan(a, b, tol=tol)))
+        return iter(yielded[-1])
+
+    monkeypatch.setattr(equivalence, "_jordan_conjugators", spy)
+    decision = decide_equivalence(r, s)
+    direct = decision.prefixes[0]
+    assert decision.witness is None and yielded == [[]]
+    assert direct.invariant is None and direct.covariant == equivalence.Covariant("R", 0, "jordan")
+    assert direct.verdict == "none" and direct.candidates == 0
+
+
 def test_words_walk_only_the_site_transpositions():
     rng = np.random.default_rng(33)
     m = 4

@@ -11,7 +11,7 @@ from gybe.core import GybeSignature, ybe_summation_residual
 from gybe.equivalence import search_local_conjugation
 from gybe.optimize import damped_least_squares, solve_stack
 from gybe.search import ZeroPattern, gybe_objective
-from gybe.solutions import BlockSolution, DiagBlock, rowell_solution, split_blocks, split_quadrant
+from gybe.solutions import BlockSolution, DiagBlock, check_block_equations, rowell_solution, split_blocks
 
 ROWELL = rowell_solution()
 REP = build_rep(ROWELL, 3)  # sigma_1 = R ⊗ I_2 and sigma_2 = I_2 ⊗ R, of side 16
@@ -42,9 +42,9 @@ _normal = normal_equations(_eye)
             lambda: damped_least_squares(_line, np.zeros((1, 2)), normal_fn=_normal),
             "expected a 1-D start, got shape (1, 2)",
         ),
-        (lambda: BlockSolution(DiagBlock(2, 1), *[DiagBlock.identity()] * 7), "block A must be unitary diagonal"),
+        (lambda: BlockSolution(DiagBlock(2, 1), *[DiagBlock.identity()] * 6), "block A must be unitary diagonal"),
         (lambda: BlockSolution.from_matrices(np.eye(2), np.eye(4)), "expected a 4x4 matrix"),
-        (lambda: split_quadrant(np.eye(2)), "expected a 4x4 matrix"),
+        (lambda: check_block_equations(np.eye(4), np.eye(2)), "expected a 4x4 matrix"),
         (lambda: split_blocks(np.eye(4)), "expected an 8x8 matrix"),
         (lambda: search_local_conjugation(ROWELL, ROWELL, shapes=("round",)), "unknown conjugator shape: 'round'"),
         (

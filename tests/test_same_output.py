@@ -90,7 +90,8 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # --json ops of the second again in text and its 40 --compare ops again
     # with --json; two verify pools of 192, each with its 32 classify ops
     # again in JSON and its 32 perturbed matrices classified twice; the
-    # near-miss equiv three times; three family members by theta in text, three by alpha and beta, in text and
+    # near-miss equiv three times; four family members by theta in text (three
+    # at 0.7, one at a 17-digit theta), three by alpha and beta, in text and
     # JSON, and one alpha with a space after its comma; six xshape braids
     # and four compares under rowell·(1 + 4e-11);
     # four searches in JSON, four in text and four in text on the JSON
@@ -99,7 +100,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # errors of other gates, the 5 refused inputs, the tolerance gate's 15
     # and the 6 config errors.
     assert len(argvs) == (
-        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 3 + 6 + 1 + 6 + 4 + 12 + 8 + 16 + 21 + 5 + 15 + 6
+        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 4 + 6 + 1 + 6 + 4 + 12 + 8 + 16 + 21 + 5 + 15 + 6
     )
     argvs, bench = argvs[: -usage - 16], argvs[-usage - 16 : -usage]
     assert bench == same_output.BENCH_SEARCHES == [
@@ -113,7 +114,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         assert all(a[-1] == "--json" for a in as_json[0::2])
         assert as_json[1::2] == [a + ["--stats"] for a in as_json[0::2]]
         assert plain == [[v for v in a if v != "--json"] for a in as_json]
-    assert equiv[3 * 448 :] == argvs[-43:-40] == same_output.NEAR_MISS_EQUIV
+    assert equiv[3 * 448 :] == argvs[-44:-41] == same_output.NEAR_MISS_EQUIV
     assert [a[7:] for a in equiv[3 * 448 :]] == [[], ["--stats"], ["--json", "--stats"]]
     braid = [a for a in argvs if a[0] == "braid"]
     assert braid[240:280] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
@@ -126,7 +127,9 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         ["n=4: "], ["n=4: ", "--json"]
     ]
     assert all(a[2] == same_output.ROWELL_NEAR for a in braid[326:])
-    assert argvs[-40:-37] == [["family", "--family", k, "--theta", "0.7"] for k in "123"]
+    assert argvs[-41:-37] == [["family", "--family", k, "--theta", "0.7"] for k in "123"] + [
+        ["family", "--family", "1", "--theta", "0.12345678901234568"]
+    ]
     general = [["family", "--family", k, "--alpha", "0.6,0.8", "--beta", "0.28,-0.96"] for k in "123"]
     assert argvs[-37:-31] == [a + json for a in general for json in ([], ["--json"])]
     assert argvs[-31] == ["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]
@@ -145,7 +148,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     assert (tmp_path / "xshape.txt").read_text().splitlines()[::7] == ["10000001", "10000001"]
     for side in (4, 8, 9):
         assert (tmp_path / f"full-{side}x{side}.txt").read_text() == ("1" * side + "\n") * side
-    verify = argvs[3 * 112 * 4 + 2 * 120 + 2 * 40 : -43]
+    verify = argvs[3 * 112 * 4 + 2 * 120 + 2 * 40 : -44]
     for pool in (verify[:288], verify[288:]):
         ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
         assert again == [a + ["--json"] for a in ops if a[0] == "classify"]

@@ -15,14 +15,12 @@ from gybe import linalg, solutions
 from gybe.core import GybeSignature, RMatrix, check_gybe, check_ybe
 from gybe.search import dedup_key
 from gybe.solutions import (
+    BLOCK_SLOTS,
     BLOCK_SUPPORT,
     CLASSIFY_TOL,
     FAMILY_PARAMS,
-    QUADRANT_SLOTS,
-    QUADRANT_SUPPORT,
     BlockSolution,
     DiagBlock,
-    assemble_quadrant,
     base_solution,
     block_parameters,
     check_block_equations,
@@ -239,7 +237,7 @@ def test_family_validation():
         (lambda: param_constraint_residuals(None, 1, 1), "omega must be a number, got None"),
         (lambda: DiagBlock(None, 1), "p must be a number, got None"),
         (
-            lambda: BlockSolution(DiagBlock("1", 1), *[DiagBlock.identity()] * 7),
+            lambda: BlockSolution(DiagBlock("1", 1), *[DiagBlock.identity()] * 6),
             "p must be a number, got '1'",
         ),
     ],
@@ -307,9 +305,8 @@ def test_derive_C_yields_unitary_x_quadrant():
         a = DiagBlock(1, omega)
         b = DiagBlock(alpha, beta)
         d = DiagBlock(gamma, delta)
-        block = BlockSolution(
-            a, b, derive_C(a, b, d), d, *derive_Y(omega, gamma, delta, alpha, beta)
-        )
+        block = BlockSolution(a, b, d, *derive_Y(omega, gamma, delta, alpha, beta))
+        assert block.C == derive_C(a, b, d)
         assert linalg.unitarity_residual(block.x_matrix()) <= 1e-12
 
 
@@ -452,27 +449,37 @@ def test_block_parameters_name_the_first_failed_condition():
     assert block_parameters(changed(((0, 1), 1e-3)), tol=1e-2) == pytest.approx(FAMILY_PARAMS[1])
 
 
-def test_assemble_quadrant_matches_the_four_slice_build():
-    # The layout table puts each block's p and q where the four 2x2 slices of
-    # (1/sqrt2) [[A, B], [C, D]] put them, bit for bit, signed zeros included.
-    corners = ((0, 0), (0, 2), (2, 0), (2, 2))
+def test_block_slots_match_the_eight_slice_build():
+    # The layout table puts each block's p and q where the eight 2x2 slices of
+    # X (+) Y put them, bit for bit, signed zeros included.
+    corners = ((0, 0), (0, 2), (2, 0), (2, 2), (4, 4), (4, 6), (6, 4), (6, 6))
 
-    def four_slices(*blocks):
-        out = np.zeros((4, 4), dtype=np.complex128)
-        for (i, j), block in zip(corners, blocks):
-            out[i : i + 2, j : j + 2] = np.diag([complex(block.p), complex(block.q)])
-        return S * out
+    def eight_slices(pairs):
+        out = np.zeros((8, 8), dtype=np.complex128)
+        for (i, j), (p, q) in zip(corners, pairs):
+            out[i : i + 2, j : j + 2] = np.diag([complex(p), complex(q)])
+        return out
 
     rng = np.random.default_rng(23)
-    draws = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(5)]
-    specials = [-0.0, complex(-0.0, -0.0), 0, 1, 1j, -1.0, complex(0.0, -0.0), 2.5]
+    draws = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(5)]
+    specials = [-0.0, complex(-0.0, -0.0), 0, 1, 1j, -1.0, complex(0.0, -0.0), 2.5] * 2
     for values in draws + [specials]:
-        blocks = [DiagBlock(p, q) for p, q in zip(values[0::2], values[1::2])]
-        got, want = assemble_quadrant(*blocks), four_slices(*blocks)
-        assert got.dtype == np.complex128
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    np.testing.assert_array_equal(QUADRANT_SUPPORT, np.add.outer(np.arange(4), np.arange(4)) % 2 == 0)
-    assert not QUADRANT_SUPPORT.flags.writeable
+        pairs = [(complex(p), complex(q)) for p, q in zip(values[0::2], values[1::2])]
+        got = np.zeros((8, 8), dtype=np.complex128)
+        np.put(got, BLOCK_SLOTS, pairs)
+        np.testing.assert_array_equal(got.view(np.uint64), eight_slices(pairs).view(np.uint64))
+        np.testing.assert_array_equal(np.take(got, BLOCK_SLOTS), pairs)
+    # A solution's matrix is its eight blocks, C derived, placed and scaled.
+    s = BlockSolution.from_params(*FAMILY_PARAMS[2], np.exp(0.4j), np.exp(1.3j))
+    blocks = (s.A, s.B, s.C, s.D, s.Y1, s.Y2, s.Y3, s.Y4)
+    want = S * eight_slices([(k.p, k.q) for k in blocks])
+    assert s.r_matrix().dtype == np.complex128
+    np.testing.assert_array_equal(s.r_matrix().view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(s.x_matrix(), want[:4, :4])
+    np.testing.assert_array_equal(s.y_matrix(), want[4:, 4:])
+    i, j = np.indices((8, 8))
+    np.testing.assert_array_equal(BLOCK_SUPPORT, ((i < 4) == (j < 4)) & ((i + j) % 2 == 0))
+    assert not BLOCK_SLOTS.flags.writeable and not BLOCK_SUPPORT.flags.writeable
 
 
 def test_classification_brute_force_grid():
@@ -528,38 +535,55 @@ def test_reduction_preserves_block_equation_verdict():
 
 
 def test_block_solution_validation():
-    with pytest.raises(ValueError):
-        BlockSolution(
-            DiagBlock(1, 1),
-            DiagBlock(1, 1),
-            DiagBlock(1, 1),  # wrong sign: must be -D B^dagger A = -I
-            DiagBlock(1, 1),
-            *derive_Y(1, 1, 1),
-        )
+    base = base_solution(3)
+    x = base.x_matrix()
+    x[2:, :2] *= -1  # C = +I, wrong sign: must be -D B^dagger A = -I
+    with pytest.raises(ValueError, match=r"^C deviates from -D B\^dagger A by 2\.000e\+00; X cannot be unitary$"):
+        BlockSolution.from_matrices(x, base.y_matrix())
     with pytest.raises(ValueError):
         BlockSolution.from_matrices(np.ones((4, 4)), np.ones((4, 4)))
+
+
+def test_a_member_within_the_unit_tolerance_builds():
+    # gamma and alpha each pass derive_Y's unit check at 1 + 9e-13; the C the
+    # constructor used to be handed, |C.p| = |gamma||alpha| = 1 + 1.8e-12,
+    # failed its own unit check.  C is derived, so the member builds.
+    s = BlockSolution.from_params(1j, (1 + 9e-13) * 1j, 1.0, 1 + 9e-13, 1.0)
+    assert abs(s.C.p) - 1 > solutions._UNIT_TOL
+    assert s.C == derive_C(s.A, s.B, s.D)
+    assert linalg.unitarity_residual(s.x_matrix()) <= 3e-12
 
 
 BLOCK_NAMES = ("A", "B", "C", "D", "Y1", "Y2", "Y3", "Y4")
 
 
-@pytest.mark.parametrize("build", ["constructor", "from_matrices"])
-@pytest.mark.parametrize("entry", [0, 1])
-@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex("-inf")])
-@pytest.mark.parametrize("index", range(8))
+@pytest.mark.parametrize(
+    "index, bad, entry, build",
+    [
+        pytest.param(index, bad, entry, build, id=f"{index}-{bad}-{entry}-{build}")
+        for build in ("constructor", "from_matrices")
+        for entry in (0, 1)
+        for bad in (complex("nan"), complex("inf"), complex("-inf"))
+        for index in range(8)
+    ],
+)
 def test_block_solution_rejects_a_non_finite_entry_in_any_block(index, bad, entry, build):
     base = base_solution(1)
     name = BLOCK_NAMES[index]
     if build == "constructor":
         pq = [getattr(base, name).p, getattr(base, name).q]
         pq[entry] = bad
+        if name == "C":  # C is derived, so the constructor takes none to check
+            with pytest.raises(TypeError, match="unexpected keyword argument 'C'"):
+                dataclasses.replace(base, C=DiagBlock(*pq))
+            return
         with pytest.raises(ValueError, match=f"block {name} must be finite"):
             dataclasses.replace(base, **{name: DiagBlock(*pq)})
     else:
-        quadrants = [base.x_matrix(), base.y_matrix()]
-        np.put(quadrants[index // 4], QUADRANT_SLOTS[index % 4, entry], bad)
+        r = base.r_matrix()
+        np.put(r, BLOCK_SLOTS[index, entry], bad)
         with pytest.raises(ValueError, match=f"block {name} must be finite"):
-            BlockSolution.from_matrices(*quadrants)
+            BlockSolution.from_matrices(*split_blocks(r))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 3e-10])
@@ -645,17 +669,20 @@ def test_one_reader_gates_every_entry_off_the_block_support(family, alpha, beta,
                 BlockSolution.from_matrices(*split_blocks(leaky))
 
 
-def test_no_module_but_solutions_names_the_quadrant_tables():
-    tables = {"QUADRANT_SLOTS", "QUADRANT_SUPPORT"}
+def test_no_module_but_solutions_names_the_layout_table():
+    gone = {"QUADRANT_SLOTS", "QUADRANT_SUPPORT", "assemble_quadrant", "split_quadrant"}
+    tables = {"BLOCK_SLOTS"}
     found = {}
     for path in sorted(pathlib.Path(gybe.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-        found[path.name] = sorted(names & tables)
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        found[path.name] = sorted(names & (tables | gone))
     assert found.pop("solutions.py") == sorted(tables)  # the guard sees solutions' own
     assert {name: hits for name, hits in found.items() if hits} == {}
+    assert not any(hasattr(solutions, name) for name in gone)
 
 
 def test_reduction_of_a_scalar_multiple_keeps_its_corner():
@@ -706,7 +733,19 @@ def test_registry_resolution():
 def test_registry_labels_round_trip():
     r = family_solution(2, 1.25)
     again = resolve_solution(r.label)
-    assert linalg.max_abs_diff(r.matrix, again.matrix) <= 1e-11
+    assert again.label == r.label and np.array_equal(r.matrix, again.matrix)
     g = general_solution(3, np.exp(0.4j), np.exp(-1.1j))
     again = resolve_solution(g.label)
-    assert linalg.max_abs_diff(g.matrix, again.matrix) <= 1e-11
+    assert again.label == g.label and np.array_equal(g.matrix, again.matrix)
+    # A label used to print 12 significant digits, 0.123456789012 here.
+    assert family_solution(1, 0.123456789012345678).label == "family1:theta=0.12345678901234568"
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from((1, 2, 3)), theta=st.floats(0, np.pi), alpha=_UNIT, beta=_UNIT)
+def test_a_label_is_its_id(family, theta, alpha, beta):
+    # resolve_solution(r.label) rebuilds r bit for bit, signed zeros included.
+    for r in (family_solution(family, theta), general_solution(family, alpha, beta)):
+        again = resolve_solution(r.label)
+        assert again.label == r.label
+        np.testing.assert_array_equal(again.matrix.view(np.uint64), r.matrix.view(np.uint64))

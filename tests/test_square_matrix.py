@@ -10,7 +10,7 @@ from gybe.braiding import build_rep, recognize_braiding_gate
 from gybe.core import GybeSignature, RMatrix, check_ybe, ybe_summation_residual
 from gybe.search import dedup_key, gybe_objective, rowell_pattern
 from gybe.solutions import (
-    QUADRANT_SLOTS,
+    BLOCK_SLOTS,
     block_parameters,
     check_block_equations,
     rowell_solution,
@@ -86,7 +86,7 @@ def test_the_gate_returns_the_complex_matrix():
 def test_a_nan_in_the_q_slot_of_A_is_not_read_as_omega():
     # omega is read from A's q; a NaN there used to come back as omega = nan.
     m = ROWELL.matrix.copy()
-    m[divmod(int(QUADRANT_SLOTS[0, 1]), 4)] = np.nan  # X is the top-left 4x4 quadrant
+    np.put(m, BLOCK_SLOTS[0, 1], np.nan)
     with pytest.raises(ValueError, match="^block-solution matrix must have finite entries$"):
         block_parameters(m)
 

@@ -15,7 +15,10 @@ pools at 801 and 802, each followed by the pool's ``classify`` ops again
 with ``--json`` and by ``classify --matrix perturbed-N.json --json`` for
 each perturbed family member of the pool, at the default tolerance (not
 in block form: exit 2) and at ``--tol 1e-2`` (omega, gamma and delta);
-``gybe family --family k --theta 0.7`` in plain text for k = 1, 2, 3;
+``gybe family --family k --theta 0.7`` in plain text for k = 1, 2, 3, and
+``gybe family --family 1 --theta 0.12345678901234568`` in plain text, whose
+label line guards the round trip of a label (each number its ``repr``, so
+that ``resolve_solution`` of the label rebuilds the member bit for bit);
 ``gybe family --family k --alpha 0.6,0.8 --beta 0.28,-0.96`` for k = 1, 2,
 3, each in plain text and with ``--json``, so that the matrices of
 ``general_solution`` are compared byte for byte, and ``gybe family
@@ -98,7 +101,9 @@ POOLS = (
 )
 # The pool whose --json ops run again as plain text, and its --compare ops with --json.
 TEXT_POOL = ("braid", 804)
-FAMILY_TEXT = [["family", "--family", str(k), "--theta", "0.7"] for k in (1, 2, 3)]
+FAMILY_TEXT = [["family", "--family", str(k), "--theta", "0.7"] for k in (1, 2, 3)] + [
+    ["family", "--family", "1", "--theta", "0.12345678901234568"]
+]
 FAMILY_GENERAL = [
     ["family", "--family", str(k), "--alpha", "0.6,0.8", "--beta", "0.28,-0.96", *json]
     for k in (1, 2, 3)
