@@ -23,7 +23,6 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,8 @@ from .core import CheckReport, GybeSignature, RMatrix, pad_identity
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
 
-# (omega, gamma, delta) for the three admissible categories, indexed by family.
+# (omega, gamma, delta) for the three admissible categories A, B and C, indexed
+# by family; A and B also admit the complex conjugate.
 FAMILY_PARAMS: dict[int, tuple[complex, complex, complex]] = {
     1: (1j, 1j, 1.0 + 0j),
     2: (1j, 1.0 + 0j, 1j),
@@ -87,9 +87,8 @@ class DiagBlock:
         object.__setattr__(self, "p", linalg.number(complex, self.p, "p"))
         object.__setattr__(self, "q", linalg.number(complex, self.q, "q"))
 
-    def is_unitary(self, tol: float = _UNIT_TOL) -> bool:
-        tol = linalg.tolerance(tol)
-        return _on_unit_circle(self.p, tol) and _on_unit_circle(self.q, tol)
+    def is_unitary(self) -> bool:
+        return _on_unit_circle(self.p, _UNIT_TOL) and _on_unit_circle(self.q, _UNIT_TOL)
 
     @staticmethod
     def identity() -> "DiagBlock":
@@ -346,35 +345,26 @@ def check_block_equations(
 ) -> CheckReport:
     """Evaluate the eight block equations equivalent to the (2,3,1) equation.
 
-    ``x`` and ``y`` are the 4x4 diagonal blocks of R = X (+) Y; their 2x2
-    sub-blocks (times sqrt2) enter the equations, which makes each equation
-    twice the matching block of L S L - S L S.  Each residual is halved back
-    to that scale, so the pass verdict agrees with a direct check of
-    X (+) Y at the same tolerance.
+    ``x`` and ``y`` are the 4x4 diagonal blocks R_0 and R_1 of R = X (+) Y.
+    With M[a, i, j] the 2x2 sub-block (i, j) of R_a times sqrt2, lifted as
+    M ⊗ I_2, equation (a, i, j) is one relation,
+
+        sum_k M[a, i, k] R_k M[a, k, j] = sqrt2 R_i M[a, i, j] R_j,
+
+    twice the block (a, i; a, j) of L S L - S L S.  ``detail`` holds the
+    eight residuals in (a, i, j) order, each halved back to that scale, so
+    the pass verdict agrees with a direct check of X (+) Y at the same
+    tolerance.
     """
     x = linalg.square_matrix(x, "block X")
     y = linalg.square_matrix(y, "block Y")
     if x.shape != (4, 4) or y.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    # The eight 2x2 blocks (times sqrt2) in reading order, each lifted as block ⊗ I_2.
-    blocks = (SQRT2 * np.stack([x, y])).reshape(2, 2, 2, 2, 2).swapaxes(2, 3).reshape(8, 2, 2)
-    a, b, c, d, y1, y2, y3, y4 = pad_identity(blocks, 1, 2)
-    terms = [
-        (a, x, a, b, y, c, x, a, x),
-        (a, x, b, b, y, d, x, b, y),
-        (c, x, a, d, y, c, y, c, x),
-        (c, x, b, d, y, d, y, d, y),
-        (y1, x, y1, y2, y, y3, x, y1, x),
-        (y1, x, y2, y2, y, y4, x, y2, y),
-        (y3, x, y1, y4, y, y3, y, y3, x),
-        (y3, x, y2, y4, y, y4, y, y4, y),
-    ]
-    residuals = []
-    for p1, mid1, p2, p3, mid2, p4, r1, p5, r2 in terms:
-        lhs = p1 @ mid1 @ p2 + p3 @ mid2 @ p4
-        rhs = SQRT2 * (r1 @ p5 @ r2)
-        residuals.append(linalg.max_abs_diff(lhs, rhs) / 2)
-    return CheckReport(residuals, tol)
+    r = np.stack([x, y])
+    blocks = pad_identity((SQRT2 * r).reshape(2, 2, 2, 2, 2).swapaxes(2, 3), 1, 2)
+    lhs = (blocks[:, :, None] @ r @ blocks.swapaxes(1, 2)[:, None]).sum(axis=3)
+    rhs = SQRT2 * (r[:, None] @ blocks @ r)
+    return CheckReport((np.abs(lhs - rhs).max(axis=(-2, -1)) / 2).ravel().tolist(), tol)
 
 
 def param_constraint_residuals(
@@ -417,30 +407,20 @@ def classify_unitary_params(
 ) -> str:
     """Name the admissible category of (omega, gamma, delta), or "none".
 
-    Category A: omega = gamma = +/-i and delta = 1; category B: omega =
-    delta = +/-i and gamma = 1; category C: all three equal 1.
+    Categories A, B and C are families 1, 2 and 3 of :data:`FAMILY_PARAMS`,
+    A and B also in complex conjugate.  The first within ``tol`` of each
+    entry names it, in the order A, B, conjugate A, conjugate B, C.
     """
     tol = linalg.tolerance(tol)
     w = _finite(complex, omega, "omega")
     g = _finite(complex, gamma, "gamma")
     d = _finite(complex, delta, "delta")
-    one = 1.0 + 0j
-    for sign in (1j, -1j):
-        if abs(w - sign) <= tol and abs(g - sign) <= tol and abs(d - one) <= tol:
-            return "A"
-        if abs(w - sign) <= tol and abs(d - sign) <= tol and abs(g - one) <= tol:
-            return "B"
-    if abs(w - one) <= tol and abs(g - one) <= tol and abs(d - one) <= tol:
-        return "C"
+    a, b, c = FAMILY_PARAMS[1], FAMILY_PARAMS[2], FAMILY_PARAMS[3]
+    conj_a, conj_b = (tuple(v.conjugate() for v in params) for params in (a, b))
+    for category, params in zip("ABABC", (a, b, conj_a, conj_b, c)):
+        if all(abs(v - want) <= tol for v, want in zip((w, g, d), params)):
+            return category
     return "none"
-
-
-class ReducedSolution(NamedTuple):
-    """A block solution conjugated so that B = I, plus the removed phases."""
-
-    solution: BlockSolution
-    alpha: complex
-    beta: complex
 
 
 def _replace_B(s: BlockSolution, b: DiagBlock, alpha: complex, beta: complex) -> BlockSolution:
@@ -454,13 +434,14 @@ def _replace_B(s: BlockSolution, b: DiagBlock, alpha: complex, beta: complex) ->
     )
 
 
-def reduce_to_B_identity(s: BlockSolution) -> ReducedSolution:
-    """Conjugate away the B block: tilde(B) = I, keeping solution-hood.
+def reduce_to_B_identity(s: BlockSolution) -> BlockSolution:
+    """Conjugate away the B block: tilde(B) = I, keeping solution-hood;
+    ``restore(reduce_to_B_identity(s), s.B)`` gives s back.
 
     The X quadrant is conjugated by diag(I, B) and the Y quadrant by
     diag(I, conj(alpha) beta B); both preserve the eight block equations.
     """
-    return ReducedSolution(_replace_B(s, DiagBlock.identity(), s.alpha, s.beta), s.alpha, s.beta)
+    return _replace_B(s, DiagBlock.identity(), s.alpha, s.beta)
 
 
 def restore(reduced: BlockSolution, b: DiagBlock) -> BlockSolution:

@@ -27,7 +27,6 @@ from gybe.equivalence import (
 from gybe.search import SearchConfig, rowell_pattern, solve_pattern
 from gybe.solutions import (
     BlockSolution,
-    DiagBlock,
     base_solution,
     check_block_equations,
     classify_unitary_params,
@@ -182,9 +181,9 @@ def test_criterion_08_reduction_round_trip():
             s = BlockSolution.from_matrices(
                 *split_blocks(general_solution(family, alpha1, beta1).matrix)
             )
-            reduced, alpha, beta = reduce_to_B_identity(s)
+            reduced = reduce_to_B_identity(s)
             assert reduced.B.p == 1 and reduced.B.q == 1
-            back = restore(reduced, DiagBlock(alpha, beta))
+            back = restore(reduced, s.B)
             assert linalg.max_abs_diff(back.r_matrix(), s.r_matrix()) <= 1e-14
             assert check_block_equations(s.x_matrix(), s.y_matrix(), 1e-10).passed
             assert check_block_equations(
@@ -193,7 +192,7 @@ def test_criterion_08_reduction_round_trip():
         # Off-category parameters keep failing after reduction: the verdict
         # is preserved in both directions.
         bad = BlockSolution.from_params(np.exp(0.9j), 1, 1, 1j, np.exp(0.3j))
-        bad_reduced = reduce_to_B_identity(bad).solution
+        bad_reduced = reduce_to_B_identity(bad)
         assert not check_block_equations(bad.x_matrix(), bad.y_matrix(), 1e-10).passed
         assert not check_block_equations(
             bad_reduced.x_matrix(), bad_reduced.y_matrix(), 1e-10

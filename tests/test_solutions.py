@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gybe
 from gybe import linalg, solutions
-from gybe.core import GybeSignature, RMatrix, check_gybe, check_ybe
+from gybe.core import GybeSignature, RMatrix, check_gybe, check_ybe, lifted_difference
 from gybe.search import dedup_key
 from gybe.solutions import (
     BLOCK_SLOTS,
@@ -376,6 +376,32 @@ def test_block_equations_report_the_direct_residual(name, exponent, perturb_y, s
         assert check_block_equations(x, y, tol).passed == check_gybe(r, tol).passed
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(("rowell", "base1", "base2", "base3", "family1:theta=0.7", "family3:theta=2.2", None)),
+    exponent=st.integers(-9, 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_equation_k_is_block_k_of_the_lifted_difference(name, exponent, seed):
+    # With qubit 1 picking the quadrant a and qubit 2 the block row i or
+    # column j, residual k in (a, i, j) order is the worst entry of block
+    # (a, i; a, j) of L S L - S L S, and the blocks across quadrants vanish.
+    # name None draws X and Y at random.
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    if name is None:
+        x, y = noise
+    else:
+        x, y = np.array(split_blocks(resolve_solution(name).matrix)) + 10.0**exponent * noise
+    diff = lifted_difference(linalg.direct_sum(x, y), GybeSignature(2, 3, 1)).reshape(2, 2, 4, 2, 2, 4)
+    detail = check_block_equations(x, y).detail
+    assert len(detail) == 8 and all(type(v) is float for v in detail)
+    for k, (a, i, j) in enumerate(np.ndindex(2, 2, 2)):
+        block = linalg.max_abs(diff[a, i, :, a, j, :])
+        assert abs(detail[k] - block) <= 1e-14 * max(1.0, block), (a, i, j)
+    assert not diff[0, :, :, 1].any() and not diff[1, :, :, 0].any()
+
+
 def test_param_constraints_examples():
     assert max(check_param_constraints(1j, 1j, 1).detail) == 0.0
     assert max(check_param_constraints(1, 1, 1).detail) == 0.0
@@ -391,6 +417,30 @@ def test_classification_examples():
     assert classify_unitary_params(1j, 1, 1j) == "B"
     assert classify_unitary_params(1, 1, 1) == "C"
     assert classify_unitary_params(np.exp(1j * np.pi / 3), 1, 1) == "none"
+
+
+@pytest.mark.parametrize(
+    "params, tol, category",
+    [
+        # At a wide tolerance more than one category matches, and the first
+        # of A, B, conjugate A, conjugate B, C names the parameters: here B
+        # at +i wins over A at -i, and A at +i over C.
+        pytest.param((1, np.exp(-0.25j * np.pi), np.exp(0.25j * np.pi)), 1.5, "B", id="wide-B-before-conjugate-A"),
+        pytest.param((1, 1, 1), 1.5, "A", id="wide-A-before-C"),
+    ]
+    + [
+        pytest.param(
+            np.conj(FAMILY_PARAMS[family]) if conjugate else FAMILY_PARAMS[family],
+            CLASSIFY_TOL,
+            category,
+            id=f"family{family}{'-conjugate' if conjugate else ''}",
+        )
+        for family, category in zip((1, 2, 3), "ABC")
+        for conjugate in (False, True)
+    ],
+)
+def test_classification_takes_the_first_category_in_family_order(params, tol, category):
+    assert classify_unitary_params(*params, tol=tol) == category
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
@@ -498,8 +548,8 @@ def test_classification_brute_force_grid():
 
 def test_reduction_fixed_point_and_round_trip():
     b3 = base_solution(3)
-    reduced, alpha, beta = reduce_to_B_identity(b3)
-    assert alpha == 1 and beta == 1
+    reduced = reduce_to_B_identity(b3)
+    assert b3.alpha == 1 and b3.beta == 1
     assert linalg.max_abs_diff(reduced.r_matrix(), b3.r_matrix()) <= 1e-15
 
     rng = np.random.default_rng(20)
@@ -509,27 +559,27 @@ def test_reduction_fixed_point_and_round_trip():
         beta = np.exp(2j * np.pi * rng.random())
         s = BlockSolution.from_matrices(*split_blocks(general_solution(fam, alpha, beta).matrix))
         red = reduce_to_B_identity(s)
-        assert red.solution.B.p == 1 and red.solution.B.q == 1
-        back = restore(red.solution, DiagBlock(red.alpha, red.beta))
+        assert red.B.p == 1 and red.B.q == 1
+        back = restore(red, s.B)
         assert linalg.max_abs_diff(back.r_matrix(), s.r_matrix()) <= 1e-14
 
 
 def test_reduction_lands_on_base_solution():
     s = BlockSolution.from_matrices(*split_blocks(general_solution(1, 1j, 1).matrix))
-    reduced, alpha, beta = reduce_to_B_identity(s)
-    assert alpha == pytest.approx(1j) and beta == pytest.approx(1)
+    reduced = reduce_to_B_identity(s)
+    assert s.alpha == pytest.approx(1j) and s.beta == pytest.approx(1)
     assert linalg.max_abs_diff(reduced.r_matrix(), base_solution(1).r_matrix()) <= 1e-14
 
 
 def test_reduction_preserves_block_equation_verdict():
     # Valid family parameters pass on both sides of the reduction.
     s = BlockSolution.from_matrices(*split_blocks(general_solution(2, 1j, -1).matrix))
-    red = reduce_to_B_identity(s).solution
+    red = reduce_to_B_identity(s)
     assert check_block_equations(s.x_matrix(), s.y_matrix(), 1e-10).passed
     assert check_block_equations(red.x_matrix(), red.y_matrix(), 1e-10).passed
     # Off-category parameters fail on both sides.
     bad = BlockSolution.from_params(np.exp(1j * np.pi / 3), 1, 1, 1j, -1j)
-    bad_red = reduce_to_B_identity(bad).solution
+    bad_red = reduce_to_B_identity(bad)
     assert not check_block_equations(bad.x_matrix(), bad.y_matrix(), 1e-10).passed
     assert not check_block_equations(bad_red.x_matrix(), bad_red.y_matrix(), 1e-10).passed
 
@@ -614,9 +664,9 @@ def test_reduction_round_trips_any_unit_parameters(omega, gamma, delta, alpha, b
     # conjugation of the blocks, whether or not they solve the equation.
     s = BlockSolution.from_params(omega, gamma, delta, alpha, beta)
     red = reduce_to_B_identity(s)
-    assert red.solution.B == DiagBlock.identity()
-    assert (red.alpha, red.beta) == (alpha, beta)
-    back = restore(red.solution, DiagBlock(red.alpha, red.beta))
+    assert red.B == DiagBlock.identity()
+    assert (s.alpha, s.beta) == (alpha, beta)
+    back = restore(red, s.B)
     assert linalg.max_abs_diff(back.r_matrix(), s.r_matrix()) <= 1e-14
 
 
@@ -689,7 +739,7 @@ def test_reduction_of_a_scalar_multiple_keeps_its_corner():
     # e^{0.3i} R has A = e^{0.3i} diag(1, omega): the reduced C is -D A, not (-gamma, -delta omega).
     m = np.exp(0.3j) * general_solution(2, np.exp(0.5j), np.exp(1.1j)).matrix
     s = BlockSolution.from_matrices(*split_blocks(m))
-    red = reduce_to_B_identity(s).solution
+    red = reduce_to_B_identity(s)
     assert red.C == derive_C(s.A, DiagBlock.identity(), s.D)
     back = restore(red, s.B)
     assert linalg.max_abs_diff(back.r_matrix(), s.r_matrix()) <= 1e-14
@@ -697,17 +747,19 @@ def test_reduction_of_a_scalar_multiple_keeps_its_corner():
 
 def test_a_family_member_is_checked_once(monkeypatch):
     # derive_Y checks the five parameters and the constructor the four X
-    # blocks; nothing checks them again on its behalf.
-    units, unitaries = [], []
-    require_unit, is_unitary = solutions._require_unit, DiagBlock.is_unitary
+    # blocks; nothing checks them again on its behalf, and no block check
+    # gates a tolerance of its own.
+    units, unitaries, tolerances = [], [], []
+    require_unit, is_unitary, tolerance = solutions._require_unit, DiagBlock.is_unitary, linalg.tolerance
     monkeypatch.setattr(
         solutions, "_require_unit", lambda *a, **k: units.append(a) or require_unit(*a, **k)
     )
-    monkeypatch.setattr(
-        DiagBlock, "is_unitary", lambda self, *a: unitaries.append(self) or is_unitary(self, *a)
-    )
+    monkeypatch.setattr(DiagBlock, "is_unitary", lambda self: unitaries.append(self) or is_unitary(self))
+    monkeypatch.setattr(linalg, "tolerance", lambda *a: tolerances.append(a) or tolerance(*a))
     general_solution(2, np.exp(0.4j), np.exp(1.3j))
     assert len(units) <= 5 and len(unitaries) <= 4
+    resolve_solution("family1:theta=0.3")
+    assert tolerances == []
 
 
 def test_conjugate_solutions_also_solve():

@@ -17,7 +17,6 @@ from gybe.optimize import damped_least_squares, solve_stack
 from gybe.search import SearchConfig, rowell_pattern, solve_pattern
 from gybe.solutions import (
     BlockSolution,
-    DiagBlock,
     block_parameters,
     check_block_equations,
     check_param_constraints,
@@ -64,7 +63,6 @@ CALLS = {
     "gybe.search.SearchConfig": lambda tol: SearchConfig(tolerance=tol),
     "gybe.search.ZeroPattern.accepts": lambda tol: rowell_pattern().accepts(ROWELL.matrix, tol),
     "gybe.solutions.BlockSolution.from_matrices": lambda tol: BlockSolution.from_matrices(X, Y, tol),
-    "gybe.solutions.DiagBlock.is_unitary": lambda tol: DiagBlock(1.0, 1j).is_unitary(tol),
     "gybe.solutions.block_parameters": lambda tol: block_parameters(ROWELL.matrix, tol),
     "gybe.solutions.check_block_equations": lambda tol: check_block_equations(X, Y, tol),
     "gybe.solutions.check_param_constraints": lambda tol: check_param_constraints(1j, 1j, 1, tol),
