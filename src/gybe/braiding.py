@@ -161,7 +161,8 @@ def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
     Checks, at tolerance ``tol``, each far-commutativity pair (1, j) that
     exists on n strands, then the braid relation (1, 2) as the lifted
     GYBE residual; every other relation is one of these padded with
-    identities.  A violation raises :class:`RepresentationError` carrying
+    identities.  A relation passes when its residual is at most ``tol``, so
+    a NaN fails it; a violation raises :class:`RepresentationError` carrying
     the generator pair and residual.
     """
     tol = linalg.tolerance(tol)
@@ -170,11 +171,11 @@ def build_rep(r: RMatrix, n: int, tol: float = 1e-10) -> BraidRep:
         if j > rep.n - 1:
             break
         residual = far_commutativity_residual(r, j)
-        if residual > tol:
+        if not residual <= tol:
             raise RepresentationError((1, j), residual)
     if rep.n >= 3:
         residual = gybe_residual(r.matrix, r.signature)
-        if residual > tol:
+        if not residual <= tol:
             raise RepresentationError((1, 2), residual)
     return rep
 

@@ -141,8 +141,10 @@ def _emit_report(report: CheckReport, args) -> int:
 
 
 def cmd_verify(args) -> int:
-    r = _load_rmatrix(args)
-    return _emit_report(check_gybe(r, args.tol), args)
+    report = check_gybe(_load_rmatrix(args), args.tol)
+    if not math.isfinite(report.residual):
+        raise ValueError(f"the equation residual is {report.residual}: the matrix's triple products overflow")
+    return _emit_report(report, args)
 
 
 def cmd_family(args) -> int:

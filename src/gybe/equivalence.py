@@ -342,18 +342,22 @@ def _jordan_conjugators(a: np.ndarray, b: np.ndarray, *, tol: float):
     (I + cN)^⊗m = exp(c N_m) with N_m the sum of N over the sites, so the
     conjugate of a is exp(-c ad N_m) a = a - c [N_m, a] + O(c^2).  N_m
     lowers the level w(i) - w(j) of entry (i, j) by one.  The top level of
-    a is untouched, so it fixes lambda; at the highest level where
+    a is untouched, so it fixes lambda, and a b with no support there
+    (entries above :func:`_support_cut`, as in
+    :func:`_graded_conjugators`) is no image; at the highest level where
     [N_m, a] is nonzero, every higher power of c cancels, and b / lambda
     = a - c [N_m, a] there fixes c by a one-unknown fit.  When a commutes
     with N_m, every c does, and c = 0 is returned.
     """
     level, m = -_grading(len(a)), len(a).bit_length() - 1
     n_sum = sum(pad_identity(_JORDAN, 2**k, 2 ** (m - 1 - k)) for k in range(m))
-    size = np.abs(a)
+    size, size_b = np.abs(a), np.abs(b)
     noise = _support_cut(size, tol)
     top = level == level[size > noise].max()
+    if not (size_b[top] > _support_cut(size_b, tol)).any():  # b has no support there
+        return
     lam = linalg.scalar_fit(a[top], b[top])
-    if lam == 0:
+    if lam == 0:  # a and b are orthogonal on the top level: no lambda to divide by
         return
     moved = n_sum @ a - a @ n_sum
     coefficient = 0.0

@@ -109,14 +109,15 @@ class _PatternResidual:
         lifts = np.stack([_place(numbers, signature, 3, 1), _place(numbers, signature, 3, 2)]) - 1
         self.side = side = lifts.shape[-1]
         pad = side // n
-        self.eq_live, self.uni_live = _live_entries(pattern, signature)
-        self.live_entries = entries = np.concatenate([self.eq_live, side * side + self.uni_live])
-        self.live_rows = np.stack([2 * entries, 2 * entries + 1], axis=-1).reshape(-1)
-        self.total_rows = 2 * (side * side + n * n)
         flat = self.rows * n + self.cols
         slot = np.full(n * n + 1, self.rows.size)
         slot[flat] = np.arange(self.rows.size)
         self.lift_pair, self.r_slots = slot[lifts], slot[: n * n].reshape(n, n)
+        # Every masked-out entry and empty place reads slot count, the pool's 0.
+        self.eq_live, self.uni_live = _live_entries(self.lift_pair < self.rows.size, pattern.mask)
+        self.live_entries = entries = np.concatenate([self.eq_live, side * side + self.uni_live])
+        self.live_rows = np.stack([2 * entries, 2 * entries + 1], axis=-1).reshape(-1)
+        self.total_rows = 2 * (side * side + n * n)
         self.unit = np.eye(n)
 
         # The pool per point is [x, 0, 1, -1, -x, LS, SL, R†R, U], U written at
@@ -245,15 +246,15 @@ class _PatternResidual:
         return jtj.view(np.float64).reshape(stack, self.n_params, -1), jtr.view(np.float64)
 
 
-def _live_entries(pattern: ZeroPattern, signature: GybeSignature) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the equation and unitarity entries a pattern can make nonzero.
+def _live_entries(lifted: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the equation and unitarity entries a pattern can make nonzero,
+    given ``lifted``, its mask placed as L and S, and ``mask`` itself.
 
     The equation entries are the support of the boolean product
     (L·S·L) ∨ (S·L·S) of the lifted masks, the unitarity entries that of
     mask·maskᵀ and the diagonal.
     """
-    mask = pattern.mask.astype(float)
-    left, right = _place(mask, signature, 3, 1), _place(mask, signature, 3, 2)
+    (left, right), mask = lifted.astype(float), mask.astype(float)
     equation = left @ right @ left + right @ left @ right
-    unitarity = mask @ mask.T + np.eye(pattern.size)
+    unitarity = mask @ mask.T + np.eye(len(mask))
     return np.flatnonzero(equation), np.flatnonzero(unitarity)

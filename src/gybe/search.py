@@ -52,15 +52,14 @@ class ZeroPattern:
     def free_count(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def accepts(self, m: np.ndarray, tol: float = 0.0) -> bool:
-        """True when every masked-out entry of ``m`` is zero (within tol).
-        ``m`` passes :func:`~gybe.linalg.square_matrix` as the candidate, and
-        one of another side is a ValueError, not a violation."""
-        tol = linalg.tolerance(tol)
+    def accepts(self, m: np.ndarray) -> bool:
+        """True when every masked-out entry of ``m`` is zero.  ``m`` passes
+        :func:`~gybe.linalg.square_matrix` as the candidate, and one of
+        another side is a ValueError, not a violation."""
         m = linalg.square_matrix(m, "candidate")
         if len(m) != self.size:
             raise ValueError(f"candidate side {len(m)} does not match pattern size {self.size}")
-        return bool(np.all(np.abs(m[~self.mask]) <= tol))
+        return not m[~self.mask].any()
 
     @staticmethod
     def from_text(text: str) -> "ZeroPattern":
@@ -201,14 +200,13 @@ def gybe_objective(
     Zero exactly on unitary solutions.  The candidate must be finite, of the
     pattern's side, and zero exactly at the entries the pattern masks out.
     """
-    m = linalg.square_matrix(matrix, "candidate")
     if not signature.has_side(pattern.size):
         raise ValueError(
             f"pattern size {pattern.size} does not match signature {signature}"
         )
-    if not pattern.accepts(m):
+    if not pattern.accepts(matrix):
         raise ValueError("candidate has nonzero entries outside the pattern")
-    vec = _combined_residual_vector(m, signature)
+    vec = _combined_residual_vector(np.asarray(matrix, dtype=np.complex128), signature)
     return float(np.dot(vec, vec))
 
 
@@ -289,19 +287,16 @@ def _certify(
     tolerance: float,
     restart: int,
 ) -> tuple[RMatrix, float] | None:
-    """(RMatrix, residual) when a fit passes the exact checks at 10x tolerance, else None."""
-    # Both gates are written so that a NaN fails them.
-    if not fit.objective <= tolerance**2:
+    """(RMatrix, residual) when a converged fit passes the exact checks at
+    10x tolerance, else None; the solver has already tested its objective
+    against tolerance**2."""
+    if not fit.converged:
         return None
-    candidate, signature = problem.build(fit.x), problem.signature
     try:
-        r = RMatrix(signature, candidate, f"search:restart{restart}")
+        r = RMatrix(problem.signature, problem.build(fit.x), f"search:restart{restart}")
     except linalg.SingularMatrixError:
         return None
-    residual = max(
-        gybe_residual(candidate, signature),
-        linalg.unitarity_residual(candidate),
-    )
-    if not residual <= 10.0 * tolerance:
+    residual = max(gybe_residual(r.matrix, r.signature), linalg.unitarity_residual(r.matrix))
+    if not residual <= 10.0 * tolerance:  # a NaN fails it
         return None
     return r, residual

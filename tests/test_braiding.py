@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import pathlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -523,6 +524,19 @@ def test_build_rep_rejects_far_commutativity_violation():
         build_rep(bad, 4)
     assert err.value.pair == (1, 3)
     assert err.value.residual > 0.1
+
+
+@pytest.mark.parametrize("scale, n, pair", [(1e103, 3, (1, 2)), (1e103, 4, (1, 2)), (1e155, 4, (1, 3))])
+def test_build_rep_refuses_a_relation_whose_residual_overflows(scale, n, pair):
+    # The products of a finite R can overflow: the residual is then NaN,
+    # which no tolerance passes, and numpy is not left to warn about it.
+    r = RMatrix(GybeSignature(2, 3, 1), scale * rowell_solution().matrix, "big")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not check_gybe(r).passed
+        with pytest.raises(RepresentationError) as err:
+            build_rep(r, n)
+    assert err.value.pair == pair and np.isnan(err.value.residual)
 
 
 def test_build_rep_far_pair_with_shift_two():

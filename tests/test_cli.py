@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,25 @@ def test_non_finite_input_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--solution", "rowell", "--tol", "nan", "--json")
     assert code == 2 and out == ""
     assert err.strip().startswith("error:")
+
+
+def test_a_residual_that_overflows_is_an_input_error(tmp_path, capsys):
+    # 1e103·rowell is finite, but its triple products are not: verify and
+    # braid refuse it with one error line, and numpy writes no warning
+    # (shown as a shell shows it, not raised as the test suite does).
+    path = tmp_path / "big.json"
+    path.write_text(linalg.matrix_to_json(1e103 * rowell_solution().matrix))
+    matrix = ("--matrix", str(path), "--signature", "2,3,1")
+    for argv, message in (
+        (("verify", *matrix), "equation residual is nan"),
+        (("verify", *matrix, "--json"), "equation residual is nan"),
+        (("braid", *matrix, "--word", "n=3: 1,2,1", "--json"), "generators (1, 2)"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and message in err and err.count("\n") == 1, argv
 
 
 def test_unknown_solution_id(capsys):

@@ -1090,6 +1090,27 @@ def test_a_target_that_vanishes_on_the_top_level_has_no_jordan_candidate(monkeyp
     assert direct.verdict == "none" and direct.candidates == 0
 
 
+def test_a_target_that_vanishes_on_the_top_level_to_rounding_scores_no_candidate():
+    # The same pair with random complex B, Y and Z: the covariant's bases
+    # are I only to rounding, so the reduced S keeps a rounding-size entry
+    # on R's top level, lambda would fit to about 1e-16 and the one Q would
+    # carry a c near 1e15.  Read against S's own support cut, that level is
+    # empty and no Q is scored.
+    sig, rng = GybeSignature(2, 2, 1), np.random.default_rng([53, 0])
+    a, b, y, z = np.array([[1.0, 1.0], [0.0, 1.0]]), *(_complex_normal(rng, 2) for _ in range(3))
+    z[0, 1] = 0
+    z -= np.trace(z) / 2 * I2
+    r = RMatrix(sig, np.kron(a, b + b.T) + np.kron(y, z), "r")
+    s = RMatrix(sig, np.kron(a, b + b.T) + np.kron(y, z.T), "s")
+    assert r.matrix[3, 0] != 0 and s.matrix[3, 0] == 0
+    direct = decide_equivalence(r, s).prefixes[0]
+    assert (direct.verdict, direct.covariant, direct.candidates) == (
+        "none",
+        equivalence.Covariant("R", 0, "jordan"),
+        0,
+    )
+
+
 def test_words_walk_only_the_site_transpositions():
     rng = np.random.default_rng(33)
     m = 4

@@ -78,8 +78,12 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         assert (tmp_path / name).is_file()
     for name in (same_output.ROWELL_LEAKY_Y, same_output.ROWELL_NEAR, same_output.ROWELL_NEAR_MISS):
         assert (tmp_path / name).is_file()
+    for name in (same_output.ROWELL_OVERFLOW, *same_output.GAUGE_IMAGES):
+        assert (tmp_path / name).is_file()
     refused = list(map(list, same_output.REFUSED_INPUTS))
-    assert len(refused) == 5 and all(a in argvs[-usage:] for a in refused)
+    assert len(refused) == 8 and all(a in argvs[-usage:] for a in refused)
+    assert [a[0] for a in refused[-3:]] == ["verify", "verify", "braid"]
+    assert all(a[2] == same_output.ROWELL_OVERFLOW for a in refused[-3:])
     assert (tmp_path / same_output.MATRIX_2X3).is_file()
     assert argvs[-2:] == [[cmd, "--matrix", same_output.MATRIX_2X3] for cmd in ("verify", "classify")]
     tol = [a for a in argvs[-usage:] if "--tol" in a and a not in [*same_output.CONFIG_ERRORS, *refused]]
@@ -90,18 +94,20 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
     # --json ops of the second again in text and its 40 --compare ops again
     # with --json; two verify pools of 192, each with its 32 classify ops
     # again in JSON and its 32 perturbed matrices classified twice; the
-    # near-miss equiv three times; four family members by theta in text (three
+    # near-miss equiv three times, and each of two gauge images three times;
+    # four family members by theta in text (three
     # at 0.7, one at a 17-digit theta), three by alpha and beta, in text and
     # JSON, and one alpha with a space after its comma; six xshape braids
     # and four compares under rowell·(1 + 4e-11);
     # four searches in JSON, four in text and four in text on the JSON
-    # pattern, then two on each of four other patterns, then the
-    # benchmark's 16 search calls; and the 21 usage
-    # errors of other gates, the 5 refused inputs, the tolerance gate's 15
+    # pattern, then two on each of four other patterns, one on the full
+    # 16x16 pattern, then the benchmark's 16 search calls; and the 21 usage
+    # errors of other gates, the 8 refused inputs, the tolerance gate's 15
     # and the 6 config errors.
     assert len(argvs) == (
-        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 4 + 6 + 1 + 6 + 4 + 12 + 8 + 16 + 21 + 5 + 15 + 6
-    )
+        3 * 112 * 4 + 2 * 120 + 2 * 40 + 2 * (192 + 32 + 2 * 32) + 3 + 6 + 4 + 6 + 1 + 6 + 4 + 12 + 8 + 1 + 16
+        + 21 + 8 + 15 + 6
+    ) == 2357
     argvs, bench = argvs[: -usage - 16], argvs[-usage - 16 : -usage]
     assert bench == same_output.BENCH_SEARCHES == [
         ["search", "--pattern", "rowell.txt", "--signature", "2,3,1", "--restarts", "4", "--json", "--stats",
@@ -114,41 +120,47 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         assert all(a[-1] == "--json" for a in as_json[0::2])
         assert as_json[1::2] == [a + ["--stats"] for a in as_json[0::2]]
         assert plain == [[v for v in a if v != "--json"] for a in as_json]
-    assert equiv[3 * 448 :] == argvs[-44:-41] == same_output.NEAR_MISS_EQUIV
-    assert [a[7:] for a in equiv[3 * 448 :]] == [[], ["--stats"], ["--json", "--stats"]]
+    assert equiv[3 * 448 : 3 * 448 + 3] == argvs[-51:-48] == same_output.NEAR_MISS_EQUIV
+    assert equiv[3 * 448 + 3 :] == argvs[-48:-42] == same_output.GAUGE_IMAGE_EQUIV
+    assert [a[7:] for a in equiv[3 * 448 :]] == [[], ["--stats"], ["--json", "--stats"]] * 3
+    assert [a[2] for a in equiv[3 * 448 + 3 :]] == ["xshape"] * 3 + ["base3"] * 3
     braid = [a for a in argvs if a[0] == "braid"]
     assert braid[240:280] == [[v for v in a if v != "--json"] for a in braid[120:240] if "--json" in a]
     assert not any("--json" in a for a in braid[240:280])
     assert braid[280:320] == [a + ["--json"] for a in braid[120:240] if "--compare" in a]
-    assert braid[320:326] == argvs[-30:-24] == same_output.XSHAPE_BRAIDS
+    assert braid[320:326] == argvs[-31:-25] == same_output.XSHAPE_BRAIDS
     assert [a[a.index("--word") + 1][:4] for a in braid[320:326]] == ["n=3:", "n=3:", "n=4:", "n=4:", "n=3:", "n=4:"]
-    assert braid[326:] == argvs[-24:-20] == same_output.NEAR_COMPARES
+    assert braid[326:] == argvs[-25:-21] == same_output.NEAR_COMPARES
     assert [a[a.index("--compare") + 1 :] for a in braid[326:]] == [["n=3: "], ["n=3: ", "--json"]] + [
         ["n=4: "], ["n=4: ", "--json"]
     ]
     assert all(a[2] == same_output.ROWELL_NEAR for a in braid[326:])
-    assert argvs[-41:-37] == [["family", "--family", k, "--theta", "0.7"] for k in "123"] + [
+    assert argvs[-42:-38] == [["family", "--family", k, "--theta", "0.7"] for k in "123"] + [
         ["family", "--family", "1", "--theta", "0.12345678901234568"]
     ]
     general = [["family", "--family", k, "--alpha", "0.6,0.8", "--beta", "0.28,-0.96"] for k in "123"]
-    assert argvs[-37:-31] == [a + json for a in general for json in ([], ["--json"])]
-    assert argvs[-31] == ["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]
+    assert argvs[-38:-32] == [a + json for a in general for json in ([], ["--json"])]
+    assert argvs[-32] == ["family", "--family", "1", "--alpha", "1, 0", "--beta", "0,1"]
     searches = [(same_output.PATTERN, ["--json"]), (same_output.PATTERN, []), (same_output.PATTERN_JSON, [])]
-    assert argvs[-20:-8] == [
+    assert argvs[-21:-9] == [
         ["search", "--pattern", pattern, "--signature", "2,3,1", *output, "--stats", "--seed", seed]
         for pattern, output in searches
         for seed in "0123"
     ]
     others = (("xshape.txt", "2,3,2"), ("full-4x4.txt", "2,2,1"), ("full-8x8.txt", "2,3,1"), ("full-9x9.txt", "3,2,1"))
-    assert argvs[-8:] == [
+    assert argvs[-9:-1] == [
         ["search", "--pattern", pattern, "--signature", signature, "--json", "--stats", "--seed", seed]
         for pattern, signature in others
         for seed in "01"
     ]
+    assert argvs[-1] == same_output.SEARCH_16 == [
+        "search", "--pattern", "full-16x16.txt", "--signature", "2,4,1", "--restarts", "2", "--json", "--stats",
+        "--seed", "0",
+    ]
     assert (tmp_path / "xshape.txt").read_text().splitlines()[::7] == ["10000001", "10000001"]
-    for side in (4, 8, 9):
+    for side in (4, 8, 9, 16):
         assert (tmp_path / f"full-{side}x{side}.txt").read_text() == ("1" * side + "\n") * side
-    verify = argvs[3 * 112 * 4 + 2 * 120 + 2 * 40 : -44]
+    verify = argvs[3 * 112 * 4 + 2 * 120 + 2 * 40 : -51]
     for pool in (verify[:288], verify[288:]):
         ops, again, perturbed = pool[:192], pool[192:224], pool[224:]
         assert again == [a + ["--json"] for a in ops if a[0] == "classify"]
@@ -161,7 +173,7 @@ def test_the_ops_cover_every_pool_and_search_seed(tmp_path):
         for flag in ("--state", "--matrix", "--pattern"):
             if flag in argv:
                 assert (tmp_path / argv[argv.index(flag) + 1]).is_file(), argv
-    assert [a[-1] for a in argvs if a[0] == "search"] == list("0123") * 3 + list("01") * 4
+    assert [a[-1] for a in argvs if a[0] == "search"] == list("0123") * 3 + list("01") * 4 + ["0"]
 
 
 def test_a_side_runs_the_argv_in_the_given_checkout(tmp_path, capsys):

@@ -240,7 +240,7 @@ def test_search_recovers_certified_solutions():
         assert found.residual <= 1e-11
         assert check_gybe(found.solution, 1e-10).passed
         assert linalg.unitarity_residual(found.solution.matrix) <= 1e-10
-        assert rowell_pattern().accepts(found.solution.matrix, tol=0.0)
+        assert rowell_pattern().accepts(found.solution.matrix)
     # At least one recovered class carries the eigenvalue fingerprint of
     # one of the three one-parameter families, up to a global phase.
     assert any(
@@ -520,9 +520,8 @@ def test_search_reports_its_residual_rows():
     assert (result.live_residual_rows, result.total_residual_rows) == (160, 640)
 
 
-def _all_entries(pattern, signature):
-    side = pattern.size * signature.d**signature.l
-    return np.arange(side * side), np.arange(pattern.size**2)
+def _all_entries(lifted, mask):
+    return np.arange(lifted[0].size), np.arange(mask.size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -578,6 +577,22 @@ def test_dense_cap_is_checked_before_any_table_is_built():
             _PatternResidual(pattern, GybeSignature(2, 3, 8))
         with pytest.raises(ValueError, match="does not match signature"):
             _PatternResidual(pattern, GybeSignature(2, 2, 1))
+
+
+@pytest.mark.parametrize("shape", ["rowell", "random"])
+def test_a_search_problem_lifts_its_pattern_once(shape):
+    # The slot tables place the entry numbers as L and S; the live rows are
+    # read from those tables, not from a second placement of the mask.
+    if shape == "rowell":
+        pattern, signature = rowell_pattern(), SIG
+    else:
+        mask = np.random.default_rng(53).random((16, 16)) < 0.3
+        pattern, signature = ZeroPattern(mask), GybeSignature(2, 4, 1)
+    with mock.patch.object(pattern_residual, "_place", wraps=pattern_residual._place) as place:
+        problem = _PatternResidual(pattern, signature)
+    assert [call.args[2:] for call in place.call_args_list] == [(3, 1), (3, 2)]
+    placed = np.stack([pattern_residual._place(pattern.mask, signature, 3, i) for i in (1, 2)])
+    np.testing.assert_array_equal(problem.lift_pair < problem.rows.size, placed)
 
 
 def test_normal_equations_allocate_little_beyond_their_result():

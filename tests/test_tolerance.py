@@ -61,7 +61,6 @@ CALLS = {
     ),
     "gybe.optimize.solve_stack": lambda tol: solve_stack(_line, np.zeros((2, 2)), normal_fn=_normal, objective_tol=tol),
     "gybe.search.SearchConfig": lambda tol: SearchConfig(tolerance=tol),
-    "gybe.search.ZeroPattern.accepts": lambda tol: rowell_pattern().accepts(ROWELL.matrix, tol),
     "gybe.solutions.BlockSolution.from_matrices": lambda tol: BlockSolution.from_matrices(X, Y, tol),
     "gybe.solutions.block_parameters": lambda tol: block_parameters(ROWELL.matrix, tol),
     "gybe.solutions.check_block_equations": lambda tol: check_block_equations(X, Y, tol),

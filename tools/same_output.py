@@ -7,7 +7,12 @@ The ops are every op of the benchmark's equiv pools at seeds 801, 804 and
 each again in plain text, alone and with ``--stats``; the near miss
 ``equiv --solution rowell --matrix <rowell with entry (0, 0) raised by
 3e-7> --signature 2,3,1``, an undecided pair, in plain text, with
-``--stats`` and with ``--json --stats``; every op of the
+``--stats`` and with ``--json --stats``; the same three forms of
+``equiv --solution <name> --matrix <image> --signature <sig>`` for the
+gauge images λ (Q⁻¹)^⊗3 R Q^⊗3, Q = [[1, 0.5], [0.25, 1.5]], of xshape
+at (2,3,2) with λ = 0.6 + 0.8i and of base3 at (2,3,1) with
+λ = 0.6 − 0.8i, whose direct prefixes reduce by the words ``R P021`` and
+``R P102``, past the R, R² and R³ that the pools' pairs reduce by; every op of the
 braid pools at 801 and 804, each ``--json`` op of the 804 pool again
 without ``--json`` (the plain-text matrix) and each ``--compare`` op of
 that pool again with ``--json``, and every op of the verify
@@ -33,7 +38,9 @@ seeds 0-3, then ``--stats`` in plain text at the same seeds, with the
 pattern as the 0/1 grid and again as JSON; ``gybe search --signature
 2,3,2 --json --stats`` on xshape's own pattern, ``--signature 2,2,1`` on
 the full 4x4 pattern, ``--signature 2,3,1`` on the full 8x8 pattern and
-``--signature 3,2,1`` on the full 9x9 pattern, at seeds 0-1; the
+``--signature 3,2,1`` on the full 9x9 pattern, at seeds 0-1;
+``gybe search --pattern <full 16x16> --signature 2,4,1 --restarts 2
+--json --stats --seed 0``, the one search at m = 4; the
 benchmark's own search calls,
 ``gybe search --pattern <rowell> --signature 2,3,1 --restarts 4 --json
 --stats`` at seeds 0-15 (the CLI's tolerance and iteration budget are the
@@ -44,8 +51,10 @@ a ``--compare`` word on other strands, ``classify`` of a solution not in
 block form, a family member with a non-unit alpha, the ``REFUSED_INPUTS``
 (``classify`` of rowell with Y[0, 1] = 0.5, plain and with ``--json``, a
 ``braid --tol`` without ``--compare``, ``--matrix -`` with ``--state -``,
-and ten letters on a state under rowell·(1 + 4e-11), whose output drifts
-off the unit sphere), a ``search`` on a
+ten letters on a state under rowell·(1 + 4e-11), whose output drifts
+off the unit sphere, and ``verify``, ``verify --json`` and ``braid --word
+"n=3: 1,2,1" --json`` of 1e103·rowell, a finite matrix whose triple
+products overflow), a ``search`` on a
 pattern JSON whose mask is ragged and on one whose rows do not match its size, ``--tol nan``, ``--tol -1`` and ``--tol inf`` on each of ``verify``,
 ``classify``, ``equiv``, ``braid ... --compare`` and ``search`` (the
 tolerance gate), the ``CONFIG_ERRORS`` (``search`` with ``--seed -1``, or
@@ -156,8 +165,11 @@ NEAR_COMPARES = [
     for word in ("n=3: 1,-1", "n=4: 3,1,-3,-1")
     for output in ([], ["--json"])
 ]
+# 1e103·rowell: finite, but its equation residual overflows to NaN.
+ROWELL_OVERFLOW = "rowell-1e103.json"
 # Inputs the commands refuse: classify of the leaky Y, plain and as JSON, a braid
-# --tol without --compare, --matrix and --state both on stdin, and the drifted state.
+# --tol without --compare, --matrix and --state both on stdin, the drifted state,
+# and the overflowing residual of verify, plain and as JSON, and of a braid word.
 REFUSED_INPUTS = (
     ["classify", "--matrix", ROWELL_LEAKY_Y],
     ["classify", "--matrix", ROWELL_LEAKY_Y, "--json"],
@@ -165,6 +177,9 @@ REFUSED_INPUTS = (
     ["braid", "--matrix", "-", "--state", "-", "--word", "n=3: 1"],
     ["braid", "--matrix", ROWELL_NEAR, "--signature", "2,3,1", "--word", "n=3: " + ",".join("1" * 10),
      "--state", STATE_E0],
+    ["verify", "--matrix", ROWELL_OVERFLOW, "--signature", "2,3,1"],
+    ["verify", "--matrix", ROWELL_OVERFLOW, "--signature", "2,3,1", "--json"],
+    ["braid", "--matrix", ROWELL_OVERFLOW, "--signature", "2,3,1", "--word", "n=3: 1,2,1", "--json"],
 )
 # Rowell with entry (0, 0) raised by 3e-7: its best candidate misses within
 # NEAR_MISS, so the pair is undecided.
@@ -173,6 +188,21 @@ NEAR_MISS_EQUIV = [
     ["equiv", "--solution", "rowell", "--matrix", ROWELL_NEAR_MISS, "--signature", "2,3,1", *output]
     for output in ([], ["--stats"], ["--json", "--stats"])
 ]
+# Gauge images λ (Q⁻¹)^⊗3 R Q^⊗3 by file name: the solution, its signature and λ.
+GAUGE_IMAGES = {
+    "xshape-image.json": ("xshape", "2,3,2", 0.6 + 0.8j),
+    "base3-image.json": ("base3", "2,3,1", 0.6 - 0.8j),
+}
+GAUGE_Q = np.array([[1.0, 0.5], [0.25, 1.5]])
+GAUGE_IMAGE_EQUIV = [
+    ["equiv", "--solution", solution, "--matrix", name, "--signature", signature, *output]
+    for name, (solution, signature, _) in GAUGE_IMAGES.items()
+    for output in ([], ["--stats"], ["--json", "--stats"])
+]
+# The full 16x16 pattern at (2,4,1), two restarts.
+FULL_16 = "full-16x16.txt"
+SEARCH_16 = ["search", "--pattern", FULL_16, "--signature", "2,4,1", "--restarts", "2", "--json", "--stats",
+             "--seed", "0"]
 MATRIX_2X3 = "matrix-2x3.json"
 # Each command that takes --tol, for the tolerance gate's nan, -1 and inf.
 TOL_COMMANDS = (
@@ -248,7 +278,11 @@ def ops(workdir: Path) -> list[list[str]]:
     near_miss = checker.rowell_matrix()
     near_miss[0, 0] += 3e-7
     (workdir / ROWELL_NEAR_MISS).write_text(checker.matrix_to_json(near_miss), encoding="utf-8")
-    argvs += [list(argv) for argv in NEAR_MISS_EQUIV + FAMILY_TEXT + FAMILY_GENERAL + XSHAPE_BRAIDS + NEAR_COMPARES]
+    q3 = np.kron(GAUGE_Q, np.kron(GAUGE_Q, GAUGE_Q))
+    for name, (solution, _, lam) in GAUGE_IMAGES.items():
+        image = lam * np.linalg.solve(q3, checker.reference_matrix(solution)[0] @ q3)
+        (workdir / name).write_text(checker.matrix_to_json(image), encoding="utf-8")
+    argvs += [list(argv) for argv in NEAR_MISS_EQUIV + GAUGE_IMAGE_EQUIV + FAMILY_TEXT + FAMILY_GENERAL + XSHAPE_BRAIDS + NEAR_COMPARES]
     mask = checker.rowell_mask()
     (workdir / PATTERN).write_text(_grid(mask), encoding="utf-8")
     pattern_json = {"size": len(mask), "mask": [[bool(v) for v in row] for row in mask]}
@@ -262,7 +296,8 @@ def ops(workdir: Path) -> list[list[str]]:
         (workdir / pattern).write_text(_grid(other), encoding="utf-8")
         search = ["search", "--pattern", pattern, "--signature", signature, "--json", "--stats"]
         argvs += [search + ["--seed", str(seed)] for seed in OTHER_SEARCH_SEEDS]
-    argvs += [list(argv) for argv in BENCH_SEARCHES]
+    (workdir / FULL_16).write_text(_grid(np.ones((16, 16), dtype=bool)), encoding="utf-8")
+    argvs += [list(SEARCH_16)] + [list(argv) for argv in BENCH_SEARCHES]
     # Unit norm as 16 amplitudes, but a matrix, not a column.
     (workdir / STATE_4X4).write_text(checker.matrix_to_json(np.eye(4) / 2), encoding="utf-8")
     (workdir / ROWELL_X2).write_text(checker.matrix_to_json(2 * checker.rowell_matrix()), encoding="utf-8")
@@ -274,6 +309,8 @@ def ops(workdir: Path) -> list[list[str]]:
     (workdir / ROWELL_NEAR).write_text(checker.matrix_to_json(near), encoding="utf-8")
     # A matrix that is not square, for the input gate of verify and classify.
     (workdir / MATRIX_2X3).write_text(checker.matrix_to_json(np.eye(2, 3)), encoding="utf-8")
+    overflow = 1e103 * checker.rowell_matrix()
+    (workdir / ROWELL_OVERFLOW).write_text(checker.matrix_to_json(overflow), encoding="utf-8")
     return argvs + [list(argv) for argv in USAGE_ERRORS]
 
 
